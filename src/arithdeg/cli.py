@@ -1,9 +1,12 @@
 """Command-line frontend.
 
     arithdeg run -i script.ses [--json out.json] [--order degrevlex]
-                 [--max-deg N] [--max-basis N] [--timings] [--parallel K]
+                 [--max-deg N] [--max-basis N] [--timings]
     arithdeg corpus [--json out.json] [--csv out.csv] [--parallel K]
     arithdeg check
+
+``corpus --parallel K`` runs the entries in K worker processes; the output
+is the same for every K.
 
 Exit codes: 0 success, 1 usage or parse errors, 2 theorem violation (an
 implementation bug: a reproducer script is written next to the output),
@@ -13,7 +16,6 @@ implementation bug: a reproducer script is written next to the output),
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from .corpus import build_corpus
 from .errors import (AlgebraError, ResourceLimitError, SessionSyntaxError,
@@ -62,8 +64,7 @@ def cmd_run(args):
         script.options["max_basis"] = str(args.max_basis)
     try:
         result = execute_script(script, order_name=args.order,
-                                collect_timings=args.timings,
-                                parallel=args.parallel)
+                                collect_timings=args.timings)
     except TheoremViolationError as exc:
         path = _write_reproducer(text, "run", exc)
         print("theorem violation (implementation bug): %s" % exc, file=sys.stderr)
@@ -129,43 +130,53 @@ def _run_entry(entry):
     return entry.identifier, result, failures
 
 
+def _corpus_outcome(entry):
+    """(_run_entry's result, None), or (None, (kind, message)) when the
+    entry raised; kind is "theorem", "resource" or "error".  Only plain
+    data comes back, so a worker process can return any outcome (not every
+    exception type survives pickling)."""
+    try:
+        return _run_entry(entry), None
+    except Exception as exc:  # classified here, reported in entry order
+        if isinstance(exc, TheoremViolationError):
+            kind = "theorem"
+        elif isinstance(exc, ResourceLimitError):
+            kind = "resource"
+        else:
+            kind = "error"
+        return None, (kind, str(exc))
+
+
 def cmd_corpus(args):
     entries = build_corpus()
-    outcomes = [None] * len(entries)
+    workers = min(args.parallel, len(entries))
+    if workers > 1:
+        # imported here: multiprocessing would add ~20 ms to every start-up
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+        # spawned workers start from a fresh import; entries go as arguments
+        spawn = multiprocessing.get_context("spawn")
+        with ProcessPoolExecutor(max_workers=workers, mp_context=spawn) as pool:
+            outcomes = list(pool.map(_corpus_outcome, entries))
+    else:
+        outcomes = [_corpus_outcome(entry) for entry in entries]
+
     violation = None
     resource = None
-
-    def work(idx):
-        entry = entries[idx]
-        try:
-            return idx, _run_entry(entry), None
-        except Exception as exc:  # classified below, reported in order
-            return idx, None, (entry, exc)
-
-    if args.parallel > 1:
-        with ThreadPoolExecutor(max_workers=args.parallel) as pool:
-            for idx, ok, err in pool.map(work, range(len(entries))):
-                outcomes[idx] = (ok, err)
-    else:
-        for idx in range(len(entries)):
-            _, ok, err = work(idx)
-            outcomes[idx] = (ok, err)
-
     rows = []
     summary = {"entries": [], "passed": 0, "failed": 0}
     all_results = []
-    for idx, (ok, err) in enumerate(outcomes):
-        entry = entries[idx]
+    for entry, (ok, err) in zip(entries, outcomes):
         if err is not None:
-            entry_obj, exc = err
-            if isinstance(exc, TheoremViolationError) and violation is None:
-                violation = (entry_obj, exc)
-            elif isinstance(exc, ResourceLimitError) and resource is None:
-                resource = (entry_obj, exc)
+            kind, message = err
+            if kind == "theorem" and violation is None:
+                violation = (entry, message)
+            elif kind == "resource" and resource is None:
+                resource = (entry, message)
             summary["failed"] += 1
             summary["entries"].append({"id": entry.identifier, "passed": False,
-                                       "error": str(exc)})
-            rows.append((entry.identifier, "error", "", str(exc), "fail"))
+                                       "error": message})
+            rows.append((entry.identifier, "error", "", message, "fail"))
             continue
         identifier, result, failures = ok
         passed = not failures
@@ -214,10 +225,10 @@ def cmd_corpus(args):
             print("  FAIL %s: %s" % (e["id"], e.get("error")
                                      or "; ".join(e["expected_failures"])))
     if violation is not None:
-        entry_obj, exc = violation
-        path = _write_reproducer(entry_obj.script_text, entry_obj.identifier, exc)
+        entry, message = violation
+        path = _write_reproducer(entry.script_text, entry.identifier, message)
         print("theorem violation in %s (bug); reproducer at %s"
-              % (entry_obj.identifier, path), file=sys.stderr)
+              % (entry.identifier, path), file=sys.stderr)
         return EXIT_THEOREM
     if resource is not None:
         print("resource cap exceeded in %s: %s"
@@ -297,12 +308,12 @@ def build_parser():
     p_run.add_argument("--timings", action="store_true",
                        help="include wall-clock timings (breaks byte-for-byte "
                             "reproducibility)")
-    p_run.add_argument("--parallel", type=int, default=1)
 
     p_corpus = sub.add_parser("corpus", help="run the bundled corpus")
     p_corpus.add_argument("--json", help="write full results to this file")
     p_corpus.add_argument("--csv", help="write the summary table to this file")
-    p_corpus.add_argument("--parallel", type=int, default=1)
+    p_corpus.add_argument("--parallel", type=int, default=1,
+                          help="run entries in this many worker processes")
 
     sub.add_parser("check", help="run the abbreviated invariant suite")
     return parser

@@ -14,7 +14,6 @@ from .groebner import (IdealHandle, eliminate, extended_ring, fresh_names,
                        ideal_power, ideal_product, ideal_sum, inject,
                        intersect, maximal_ideal, project)
 from .hilbert import artinian_length, dimension, hilbert_value
-from .modules import ModulePresentation
 from .orders import BlockOrder
 from .rings import Polynomial, RingDescriptor
 
@@ -216,9 +215,6 @@ class GradedConstruction:
         self.J = J
         self.I = I
 
-    def presentation(self):
-        return ModulePresentation.from_ideal(self.ideal)
-
     def __repr__(self):
         return "GradedConstruction(%r over %r)" % (self.ideal, self.ring)
 
@@ -252,9 +248,6 @@ class BigradedPresentation:
         self.gr = gr
         self.J = J
         self.I = I
-
-    def presentation(self):
-        return ModulePresentation.from_ideal(self.ideal)
 
     def hilbert(self, i, j):
         return hilbert_value(self.ideal, (i, j))

@@ -6,13 +6,11 @@ minimal, tail-reduced) and canonically sorted, so every computation is
 reproducible byte for byte.
 """
 
-import threading
-
 from .errors import (AlgebraError, InvalidDivisorError, ResourceLimitError,
                      RingMismatchError)
 from .orders import BlockOrder, DegRevLex
-from .rings import (Polynomial, RingDescriptor, mono_div, mono_divides,
-                    mono_lcm, mono_mul)
+from .rings import (Polynomial, RingDescriptor, minimal_monomials, mono_div,
+                    mono_divides, mono_lcm, mono_mul)
 
 DEFAULT_MAX_BASIS = 2000
 DEFAULT_MAX_DEGREE = 40
@@ -111,19 +109,21 @@ def interreduce(basis, order):
 def buchberger(gens, order, max_basis=DEFAULT_MAX_BASIS,
                max_degree=DEFAULT_MAX_DEGREE):
     """Reduced Groebner basis of the ideal generated by gens."""
-    ring = None
+    gens = list(gens)
+    if any(f.ring != gens[0].ring for f in gens):
+        raise RingMismatchError("generators over different rings")
+    gens = [f for f in gens if f]
+    if all(f.is_monomial() for f in gens):
+        # the minimal monomials are the reduced Groebner basis
+        monos = minimal_monomials(next(iter(f.terms)) for f in gens)
+        return [gens[0].ring.monomial(m) for m in sorted(monos, key=order.key)]
     G = []
     lm = []
     P = set()
     for f in gens:
-        if ring is None:
-            ring = f.ring
-        elif f.ring != ring:
-            raise RingMismatchError("generators over different rings")
-        if f:
-            P = _update_pairs(G, P, f, order, lm)
-            G.append(f.monic(order))
-            lm.append(f.leading_monomial(order))
+        P = _update_pairs(G, P, f, order, lm)
+        G.append(f.monic(order))
+        lm.append(f.leading_monomial(order))
     pair_key = {}
     while P:
         for ij in P:
@@ -158,10 +158,11 @@ def _poly_sort_key(f, order=DegRevLex()):
 class IdealHandle:
     """An ideal given by generators, with a cache of reduced Groebner bases.
 
-    The cache supports concurrent reads; insertion happens under a lock.
+    The cache is the one owner of the ideal's bases: the cyclic module S/I
+    (``hilbert.as_presentation``) takes its basis from here too.
     """
 
-    __slots__ = ("ring", "gens", "max_basis", "max_degree", "_cache", "_lock")
+    __slots__ = ("ring", "gens", "max_basis", "max_degree", "_cache")
 
     def __init__(self, ring, gens=(), max_basis=DEFAULT_MAX_BASIS,
                  max_degree=DEFAULT_MAX_DEGREE):
@@ -178,12 +179,8 @@ class IdealHandle:
                 cleaned.append(g)
         # canonicalize: drop duplicates and monomial generators made
         # redundant by another monomial generator (same ideal, smaller list)
-        monos = sorted({next(iter(g.terms)) for g in cleaned if g.is_monomial()})
-        minimal_monos = []
-        for m in monos:
-            if all(not mono_divides(p, m) for p in minimal_monos):
-                minimal_monos.append(m)
-        keep = [ring.monomial(m) for m in minimal_monos]
+        keep = [ring.monomial(m) for m in minimal_monomials(
+            {next(iter(g.terms)) for g in cleaned if g.is_monomial()})]
         seen = set()
         for g in cleaned:
             if g.is_monomial():
@@ -197,18 +194,15 @@ class IdealHandle:
         self.max_basis = max_basis
         self.max_degree = max_degree
         self._cache = {}
-        self._lock = threading.Lock()
 
     def groebner_basis(self, order=None):
         order = order or DegRevLex()
         sig = order.signature()
-        got = self._cache.get(sig)
-        if got is not None:
-            return got
-        gb = tuple(buchberger(self.gens, order, self.max_basis, self.max_degree))
-        with self._lock:
-            self._cache.setdefault(sig, gb)
-        return self._cache[sig]
+        gb = self._cache.get(sig)
+        if gb is None:
+            gb = self._cache[sig] = tuple(
+                buchberger(self.gens, order, self.max_basis, self.max_degree))
+        return gb
 
     def normal_form(self, f, order=None):
         order = order or DegRevLex()

@@ -10,14 +10,14 @@ routes can be compared on every corpus module.
 
 import itertools
 
-from .errors import (AlgebraError, HomogeneityError, InternalConsistencyError,
-                     NotBigradedError, ResourceLimitError)
+from .errors import (AlgebraError, InternalConsistencyError, NotBigradedError,
+                     ResourceLimitError)
 from .groebner import IdealHandle, saturate_by_ideal
 from .modules import ModulePresentation
 from .numerical import (MultiplicityVector, NumericalPoly1, NumericalPoly2,
                         StabilizationCertificate, binom, interpolate_poly1,
                         interpolate_poly2)
-from .rings import mono_divides
+from .rings import deg_add, minimal_monomials, mono_divides
 
 DEGREE_CAP = 60
 WINDOW = 3
@@ -28,12 +28,10 @@ def as_presentation(obj):
     if isinstance(obj, ModulePresentation):
         return obj
     if isinstance(obj, IdealHandle):
-        got = obj._cache.get(("pres",))
-        if got is None:
-            got = ModulePresentation.from_ideal(obj)
-            with obj._lock:
-                obj._cache.setdefault(("pres",), got)
-        return obj._cache[("pres",)]
+        pres = obj._cache.get("pres")
+        if pres is None:
+            pres = obj._cache["pres"] = ModulePresentation.from_ideal(obj)
+        return pres
     raise AlgebraError("expected an ideal or module presentation, got %r" % (obj,))
 
 
@@ -98,14 +96,6 @@ def monomials_of_bidegree(ring, i, j):
 _NUMERATOR_CACHE = {}
 
 
-def _minimalize_monos(gens):
-    out = []
-    for m in sorted(gens):
-        if all(not mono_divides(p, m) for p in out):
-            out.append(m)
-    return tuple(out)
-
-
 def _supports_coprime(gens):
     seen = set()
     for g in gens:
@@ -118,7 +108,7 @@ def _supports_coprime(gens):
 
 def _numerator(gens, degfun, zero_deg):
     """Hilbert-series numerator of S/(gens) as a map degree -> coefficient."""
-    gens = _minimalize_monos(gens)
+    gens = minimal_monomials(gens)
     key = (gens, zero_deg)
     got = _NUMERATOR_CACHE.get(key)
     if got is not None:
@@ -132,7 +122,7 @@ def _numerator(gens, degfun, zero_deg):
             nxt = {}
             for d, c in result.items():
                 nxt[d] = nxt.get(d, 0) + c
-                shifted = _deg_add(d, dg)
+                shifted = deg_add(d, dg)
                 nxt[shifted] = nxt.get(shifted, 0) - c
             result = {d: c for d, c in nxt.items() if c}
     else:
@@ -151,17 +141,11 @@ def _numerator(gens, degfun, zero_deg):
         dx = degfun(xv)
         result = dict(na)
         for d, c in nb.items():
-            shifted = _deg_add(d, dx)
+            shifted = deg_add(d, dx)
             result[shifted] = result.get(shifted, 0) + c
         result = {d: c for d, c in result.items() if c}
     _NUMERATOR_CACHE[key] = result
     return result
-
-
-def _deg_add(a, b):
-    if isinstance(a, tuple):
-        return (a[0] + b[0], a[1] + b[1])
-    return a + b
 
 
 def _component_numerators(pres, bigraded):
@@ -186,13 +170,9 @@ def _check_grading(pres, bigraded):
     def build():
         if bigraded and not pres.ring.is_bigraded:
             raise NotBigradedError("bigraded Hilbert data over a graded ring")
-        for v in pres.column_vecs():
-            pres.vec_degree(v)   # HomogeneityError on failure
+        pres.column_degrees()   # HomogeneityError on failure
         return True
-    try:
-        return pres._cached(key, build)
-    except (HomogeneityError, NotBigradedError):
-        raise
+    return pres._cached(key, build)
 
 
 def hilbert_value(M, at):
@@ -503,21 +483,6 @@ def cumulative_polynomial(M):
         return total
 
     return _interpolate_1d(cum, d, start, "Hilbert-Samuel transform")
-
-
-def sum_transform_values(values, lo=(0, 0)):
-    """Double cumulative sums of a value table {(i, j): v}."""
-    out = {}
-    keys = sorted(values)
-    hi1 = max(k[0] for k in keys)
-    hi2 = max(k[1] for k in keys)
-    for i in range(lo[0], hi1 + 1):
-        for j in range(lo[1], hi2 + 1):
-            out[(i, j)] = (values.get((i, j), 0)
-                           + out.get((i - 1, j), 0)
-                           + out.get((i, j - 1), 0)
-                           - out.get((i - 1, j - 1), 0))
-    return out
 
 
 # ---------------------------------------------------------------------------

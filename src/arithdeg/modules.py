@@ -8,13 +8,12 @@ Module Groebner bases use the chain criterion only: the product criterion
 is not valid for modules.
 """
 
-import threading
-
 from .errors import (AlgebraError, HomogeneityError, InternalConsistencyError,
                      ResourceLimitError, RingMismatchError)
 from .groebner import DEFAULT_MAX_BASIS, DEFAULT_MAX_DEGREE
 from .orders import DegRevLex
-from .rings import Polynomial, mono_div, mono_divides, mono_lcm, mono_mul
+from .rings import (Polynomial, deg_add, minimal_monomials, mono_div,
+                    mono_divides, mono_lcm, mono_mul)
 
 
 class ModuleOrder:
@@ -31,15 +30,6 @@ class PositionOverTerm(ModuleOrder):
     def key(self, term):
         c, m = term
         return (-c, self.inner.key(m))
-
-
-class TermOverPosition(ModuleOrder):
-    def __init__(self, inner=None):
-        self.inner = inner or DegRevLex()
-
-    def key(self, term):
-        c, m = term
-        return (self.inner.key(m), -c)
 
 
 class SchreyerOrder(ModuleOrder):
@@ -166,39 +156,46 @@ def vec_sort_key(v, morder):
     return (morder.key(v.lead(morder)[0]), shape)
 
 
-def module_normal_form(v, basis, morder):
-    """Division remainder of a vector by a list of vectors."""
-    if not basis:
-        return v
-    leads = [g.lead(morder) for g in basis]
+def _divide(terms, basis, leads, morder, quotients=None):
+    """Remainder terms of dividing terms by basis, where leads[k] is the
+    (lead term, coefficient) pair of basis[k].  When quotients is a dict,
+    each step's quotient r*q*E_k is added into quotients[(k, q)]."""
     remainder = {}
-    work = dict(v.terms)
+    work = dict(terms)
     while work:
         t = max(work, key=morder.key)
         c = work.pop(t)
         comp, m = t
-        hit = None
-        for ((gc, gm), gcoef), g in zip(leads, basis):
-            if gc != comp:
-                continue
-            q = mono_div(m, gm)
-            if q is not None:
-                hit = (q, c / gcoef, g, (gc, gm))
-                break
-        if hit is None:
+        for k, ((gc, gm), gcoef) in enumerate(leads):
+            if gc == comp:
+                q = mono_div(m, gm)
+                if q is not None:
+                    break
+        else:
             remainder[t] = c
             continue
-        q, ratio, g, glead = hit
-        for (c2, m2), v2 in g.terms.items():
-            if (c2, m2) == glead:
-                continue
+        ratio = c / gcoef
+        if quotients is not None:
+            quotients[(k, q)] = quotients.get((k, q), 0) + ratio
+        for (c2, m2), v2 in basis[k].terms.items():
+            if c2 == gc and m2 == gm:
+                continue  # lead cancels against the popped term
             tt = (c2, mono_mul(q, m2))
             s = work.get(tt, 0) - ratio * v2
             if s:
                 work[tt] = s
             elif tt in work:
                 del work[tt]
-    return Vec(v.ring, v.rank, remainder, _clean=False)
+    return remainder
+
+
+def module_normal_form(v, basis, morder):
+    """Division remainder of a vector by a list of vectors."""
+    if not basis:
+        return v
+    leads = [g.lead(morder) for g in basis]
+    return Vec(v.ring, v.rank, _divide(v.terms, basis, leads, morder),
+               _clean=False)
 
 
 def _module_pairs_from(leads, new_index):
@@ -275,19 +272,7 @@ def module_buchberger(vecs, morder, max_basis=DEFAULT_MAX_BASIS,
 
 
 def module_interreduce(G, morder):
-    G = [g for g in G if g]
-    G.sort(key=lambda g: morder.key(g.lead(morder)[0]))
-    minimal = []
-    for g in G:
-        (c, m), _ = g.lead(morder)
-        keep = True
-        for h in minimal:
-            (ch, mh), _ = h.lead(morder)
-            if ch == c and mono_divides(mh, m):
-                keep = False
-                break
-        if keep:
-            minimal.append(g)
+    minimal = _minimalize(G, morder)
     reduced = []
     for i, g in enumerate(minimal):
         others = minimal[:i] + minimal[i + 1:]
@@ -320,42 +305,16 @@ def schreyer_syzygies(G, morder):
             one = ring.field.one
             qi, qj = mono_div(lcm, mi), mono_div(lcm, mj)
             s = G[i].term_mul(qi, one / coefi) - G[j].term_mul(qj, one / coefj)
-            # track the division s = sum q_k g_k
+            # s divides out as sum q_k g_k; its two defining terms minus
+            # those quotients are the syzygy
+            quotients = {}
+            if _divide(s.terms, G, leads, morder, quotients):
+                raise InternalConsistencyError(
+                    "S-vector of a Groebner basis did not reduce to zero")
             cof = {(i, qi): one / coefi, (j, qj): -(one / coefj)}
-            work = dict(s.terms)
-            while work:
-                t = max(work, key=morder.key)
-                c = work.pop(t)
-                comp, m = t
-                hit = None
-                for k, ((gc, gm), gcoef) in enumerate(leads):
-                    if gc != comp:
-                        continue
-                    q = mono_div(m, gm)
-                    if q is not None:
-                        hit = (k, q, c / gcoef)
-                        break
-                if hit is None:
-                    raise InternalConsistencyError(
-                        "S-vector of a Groebner basis did not reduce to zero")
-                k, q, ratio = hit
-                key = (k, q)
-                prev = cof.get(key, 0)
-                now = prev - ratio
-                if now:
-                    cof[key] = now
-                elif key in cof:
-                    del cof[key]
-                for (c2, m2), v2 in G[k].terms.items():
-                    if (c2, m2) == leads[k][0]:
-                        continue
-                    tt = (c2, mono_mul(q, m2))
-                    val = work.get(tt, 0) - ratio * v2
-                    if val:
-                        work[tt] = val
-                    elif tt in work:
-                        del work[tt]
-            vec = Vec(ring, len(G), {(k, q): v for (k, q), v in cof.items()})
+            for key, val in quotients.items():
+                cof[key] = cof.get(key, 0) - val
+            vec = Vec(ring, len(G), cof)
             if vec:
                 syz.append(vec)
     # minimalize w.r.t. the Schreyer order (still a basis of the kernel)
@@ -415,12 +374,6 @@ def syzygies_of(columns, ring, rank, morder=None,
 # ---------------------------------------------------------------------------
 # presentations, complexes, resolutions, Ext
 
-def _shift_add(shift, d):
-    if isinstance(shift, tuple):
-        return (shift[0] + d[0], shift[1] + d[1])
-    return shift + d
-
-
 class ModulePresentation:
     """Cokernel presentation: F/im(columns) with grading shifts on F.
 
@@ -429,7 +382,7 @@ class ModulePresentation:
     graded rings, an (i, j) pair for bigraded ones.
     """
 
-    __slots__ = ("ring", "rank", "columns", "shifts", "_cache", "_lock")
+    __slots__ = ("ring", "rank", "columns", "shifts", "_cache", "_ideal")
 
     def __init__(self, ring, rank, columns, shifts=None):
         self.ring = ring
@@ -458,15 +411,17 @@ class ModulePresentation:
             morder))
         self.columns = tuple(cols)
         self._cache = {}
-        self._lock = threading.Lock()
+        self._ideal = None
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
     def from_ideal(cls, I):
-        """The cyclic module S/I."""
-        ring = I.ring
-        return cls(ring, 1, [(g,) for g in I.gens])
+        """The cyclic module S/I.  Its relations are I.gens; its Groebner
+        basis is I.groebner_basis(), so I's caps govern it."""
+        pres = cls(I.ring, 1, [(g,) for g in I.gens])
+        pres._ideal = I
+        return pres
 
     @classmethod
     def free(cls, ring, rank=1, shifts=None):
@@ -486,41 +441,31 @@ class ModulePresentation:
 
     def _cached(self, key, build):
         got = self._cache.get(key)
-        if got is not None:
-            return got
-        val = build()
-        with self._lock:
-            self._cache.setdefault(key, val)
-        return self._cache[key]
+        if got is None:
+            got = self._cache[key] = build()
+        return got
 
-    def gb(self, morder=None):
-        morder = morder or PositionOverTerm()
-        key = ("gb",)
-        return self._cached(key, lambda: tuple(
-            module_buchberger(self.column_vecs(), morder)))
-
-    def vec_degree(self, v):
-        """Common degree of a homogeneous vector, from the shifts."""
-        degs = set()
-        for (c, m) in v.terms:
-            if self.ring.is_bigraded:
-                degs.add(_shift_add(self.shifts[c], self.ring.bidegree(m)))
-            else:
-                degs.add(_shift_add(self.shifts[c], self.ring.degree(m)))
-        if len(degs) > 1:
-            raise HomogeneityError("vector %r is not homogeneous" % (v,))
-        return degs.pop() if degs else None
+    def gb(self):
+        """Reduced Groebner basis of the relations, position over term."""
+        def build():
+            if self._ideal is not None:
+                return tuple(Vec.from_polys(self.ring, (g,))
+                             for g in self._ideal.groebner_basis())
+            return tuple(module_buchberger(self.column_vecs(),
+                                           PositionOverTerm()))
+        return self._cached("gb", build)
 
     def is_homogeneous(self):
         try:
-            for v in self.column_vecs():
-                self.vec_degree(v)
+            self.column_degrees()
         except HomogeneityError:
             return False
         return True
 
     def column_degrees(self):
-        return [self.vec_degree(v) for v in self.column_vecs()]
+        """Degree of each relation column; HomogeneityError if one has none."""
+        return [_vec_degree(self.ring, self.shifts, v)
+                for v in self.column_vecs()]
 
     def is_zero_module(self):
         """True when the relations span every generator (cokernel = 0)."""
@@ -529,25 +474,16 @@ class ModulePresentation:
         leads = self.initial_leads()
         return all(any(not any(m) for m in comp) for comp in leads)
 
-    def initial_leads(self, morder=None):
+    def initial_leads(self):
         """Per-component minimal lead monomials of the relation submodule."""
-        morder = morder or PositionOverTerm()
-        key = ("leads",)
-
         def build():
+            morder = PositionOverTerm()
             comps = [[] for _ in range(self.rank)]
-            for g in self.gb(morder):
+            for g in self.gb():
                 (c, m), _ = g.lead(morder)
                 comps[c].append(m)
-            out = []
-            for mons in comps:
-                minimal = []
-                for m in sorted(mons):
-                    if all(not mono_divides(p, m) for p in minimal):
-                        minimal.append(m)
-                out.append(tuple(minimal))
-            return tuple(out)
-        return self._cached(key, build)
+            return tuple(minimal_monomials(mons) for mons in comps)
+        return self._cached("leads", build)
 
     def __repr__(self):
         return "ModulePresentation(rank=%d, %d relations over %r)" % (
@@ -595,7 +531,7 @@ class ChainComplex:
 def free_resolution(pres, max_length):
     """Free resolution of coker(pres) by iterated Schreyer syzygies.
 
-    The first differential is the module Groebner basis of the relation
+    The first differential is pres.gb(), the Groebner basis of the relation
     columns (same cokernel); each further step takes Schreyer syzygies,
     which generate the kernel exactly, so the complex is exact beyond
     degree zero.  Stops early once the syzygies vanish (complete=True).
@@ -603,51 +539,42 @@ def free_resolution(pres, max_length):
     if max_length < 1:
         raise AlgebraError("resolution length must be at least 1")
     ring = pres.ring
-    vecs = pres.column_vecs()
-    if not vecs:
-        return ChainComplex(ring, pres.rank, pres.shifts, [], [], True)
-    morder = PositionOverTerm()
-    G = module_buchberger(vecs, morder)
+    G = pres.gb()
     if not G:
         return ChainComplex(ring, pres.rank, pres.shifts, [], [], True)
     diffs = []
     shift_levels = []
     cur_shifts = pres.shifts
-    cur_order = morder
+    cur_order = PositionOverTerm()
     complete = False
     while True:
         # record the current GB as a differential
-        cols = [g.to_polys() for g in G]
-        degs = []
-        for g in G:
-            degs.append(_vec_degree_with(ring, g, cur_shifts))
-        diffs.append(cols)
-        shift_levels.append(tuple(degs))
+        degs = tuple(_vec_degree(ring, cur_shifts, g) for g in G)
+        diffs.append([g.to_polys() for g in G])
+        shift_levels.append(degs)
         if len(diffs) >= max_length:
             break
         syz, sorder = schreyer_syzygies(G, cur_order)
         if not syz:
             complete = True
             break
-        cur_shifts = tuple(degs)
+        cur_shifts = degs
         G = syz
         cur_order = sorder
     return ChainComplex(ring, pres.rank, pres.shifts, diffs, shift_levels, complete)
 
 
-def _vec_degree_with(ring, v, shifts):
-    degs = set()
-    for (c, m) in v.terms:
-        if ring.is_bigraded:
-            degs.add(_shift_add(shifts[c], ring.bidegree(m)))
-        else:
-            degs.add(_shift_add(shifts[c], ring.degree(m)))
+def _vec_degree(ring, shifts, v):
+    """Common degree of a homogeneous vector whose c-th free generator has
+    degree shifts[c]; None for the zero vector."""
+    degfun = ring.bidegree if ring.is_bigraded else ring.degree
+    degs = {deg_add(shifts[c], degfun(m)) for c, m in v.terms}
     if len(degs) > 1:
-        raise HomogeneityError("inhomogeneous vector in resolution")
+        raise HomogeneityError("vector %r is not homogeneous" % (v,))
     return degs.pop() if degs else None
 
 
-def _transpose(columns, rank, ring):
+def _transpose(columns, rank):
     """Columns of the transposed matrix (rank many, each of length len(columns))."""
     out = []
     for c in range(rank):
@@ -664,16 +591,10 @@ def _negate_shift(s):
 
 def resolution_for(pres, length):
     """Cached free resolution, extended monotonically on demand."""
-    key = "_resolution"
-    got = pres._cache.get(key)
-    if got is not None and (got.complete or got.length >= length):
-        return got
-    res = free_resolution(pres, length)
-    with pres._lock:
-        prev = pres._cache.get(key)
-        if prev is None or (not prev.complete and prev.length < res.length):
-            pres._cache[key] = res
-    return pres._cache[key]
+    res = pres._cache.get("resolution")
+    if res is None or not (res.complete or res.length >= length):
+        res = pres._cache["resolution"] = free_resolution(pres, length)
+    return res
 
 
 def ext_presentation(pres, j):
@@ -700,7 +621,7 @@ def ext_presentation(pres, j):
     if j == L:
         K = [Vec.unit(ring, r_j, c) for c in range(r_j)]
     else:
-        phi_cols = _transpose(res.differentials[j], r_j, ring)  # r_j columns in S^{r_{j+1}}
+        phi_cols = _transpose(res.differentials[j], r_j)  # r_j columns in S^{r_{j+1}}
         r_next = ranks[j + 1]
         K = syzygies_of(phi_cols, ring, r_next)
         K = [Vec(ring, r_j, v.terms, _clean=False) for v in K]
@@ -712,7 +633,7 @@ def ext_presentation(pres, j):
     else:
         psi_cols = [Vec(ring, r_j,
                         {(c, m): v for c, p in enumerate(col) for m, v in p.terms.items()})
-                    for col in _transpose(res.differentials[j - 1], ranks[j - 1], ring)]
+                    for col in _transpose(res.differentials[j - 1], ranks[j - 1])]
     combined = list(K) + list(psi_cols)
     rels = syzygies_of(combined, ring, r_j)
     s = len(K)
@@ -722,15 +643,5 @@ def ext_presentation(pres, j):
         w = Vec(ring, s, kept, _clean=False)
         if w:
             rel_cols.append(w.to_polys())
-    gen_shifts = []
-    for k in K:
-        degs = set()
-        for (c, m) in k.terms:
-            if ring.is_bigraded:
-                degs.add(_shift_add(dual_shifts_j[c], ring.bidegree(m)))
-            else:
-                degs.add(_shift_add(dual_shifts_j[c], ring.degree(m)))
-        if len(degs) > 1:
-            raise HomogeneityError("Ext kernel generator is not homogeneous")
-        gen_shifts.append(degs.pop() if degs else (0, 0) if ring.is_bigraded else 0)
-    return ModulePresentation(ring, s, rel_cols, shifts=tuple(gen_shifts))
+    gen_shifts = tuple(_vec_degree(ring, dual_shifts_j, k) for k in K)
+    return ModulePresentation(ring, s, rel_cols, shifts=gen_shifts)

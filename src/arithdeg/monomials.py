@@ -10,7 +10,7 @@ import itertools
 
 from .errors import AlgebraError, InternalConsistencyError, WrongOracleError
 from .groebner import IdealHandle
-from .rings import mono_divides, mono_lcm
+from .rings import minimal_monomials, mono_divides, mono_lcm
 
 
 def _require_monomial(I):
@@ -23,12 +23,7 @@ def _require_monomial(I):
 def minimal_generators(I):
     """Exponent vectors of the minimal monomial generators."""
     _require_monomial(I)
-    monos = sorted(next(iter(g.terms)) for g in I.gens)
-    out = []
-    for m in monos:
-        if all(not mono_divides(p, m) for p in out):
-            out.append(m)
-    return tuple(out)
+    return minimal_monomials(next(iter(g.terms)) for g in I.gens)
 
 
 def monomial_ideal_contains(gens, m):
@@ -37,12 +32,7 @@ def monomial_ideal_contains(gens, m):
 
 def monomial_intersection(gens_a, gens_b):
     """Minimal generators of the intersection of two monomial ideals."""
-    raw = {mono_lcm(a, b) for a in gens_a for b in gens_b}
-    out = []
-    for m in sorted(raw):
-        if all(not mono_divides(p, m) for p in out):
-            out.append(m)
-    return tuple(out)
+    return minimal_monomials({mono_lcm(a, b) for a in gens_a for b in gens_b})
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +217,7 @@ def _split_once(gens):
 def irreducible_decomposition(gens, nvars):
     """Irredundant irreducible components by the splitting recursion:
     a generator m1*m2 with coprime parts splits I into (I+m1) cap (I+m2)."""
-    gens = _minimalize(gens)
+    gens = minimal_monomials(gens)
     split = _split_once(gens)
     if split is None:
         # every generator is a pure power, one per variable after minimalizing
@@ -242,14 +232,6 @@ def irreducible_decomposition(gens, nvars):
     comps.update(irreducible_decomposition(rest + (a,), nvars))
     comps.update(irreducible_decomposition(rest + (b,), nvars))
     return _irredundant(sorted(comps, key=IrreducibleComponent.key))
-
-
-def _minimalize(gens):
-    out = []
-    for m in sorted(gens):
-        if all(not mono_divides(p, m) for p in out):
-            out.append(m)
-    return tuple(out)
 
 
 def _component_gens_intersection(components):

@@ -35,13 +35,25 @@ def mono_div(a, b):
 def mono_lcm(a, b):
     return tuple(max(x, y) for x, y in zip(a, b))
 
-def mono_gcd(a, b):
-    return tuple(min(x, y) for x, y in zip(a, b))
-
 def mono_degree(m, weights=None):
     if weights is None:
         return sum(m)
     return sum(w * e for w, e in zip(weights, m))
+
+def minimal_monomials(monos):
+    """The minimal elements under divisibility, in ascending lex order (a
+    divisor sorts before its multiples, so one pass suffices)."""
+    out = []
+    for m in sorted(monos):
+        if all(not mono_divides(p, m) for p in out):
+            out.append(m)
+    return tuple(out)
+
+def deg_add(a, b):
+    """Sum of two degrees: integers, or (i, j) pairs on bigraded rings."""
+    if isinstance(a, tuple):
+        return (a[0] + b[0], a[1] + b[1])
+    return a + b
 
 
 class RingDescriptor:

@@ -6,7 +6,6 @@ range (exact arithmetic can exceed 2^53).
 """
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 from .adeg import (_adeg_of_ring_quotient, cached_gg, gmult_report, ladeg,
                    verify)
@@ -27,12 +26,9 @@ def _poly_str(g):
     return repr(g).replace(" ", "")
 
 
-def execute_script(script, order_name=None, collect_timings=False, parallel=1):
-    """Run every task of a session script; returns the stable result dict.
-
-    With parallel > 1 independent tasks run on a thread pool; results are
-    assembled in task order either way.
-    """
+def execute_script(script, order_name=None, collect_timings=False):
+    """Run every task of a session script, in order; returns the stable
+    result dict."""
     opts = dict(script.options)
     if order_name:
         opts["order"] = order_name
@@ -45,22 +41,12 @@ def execute_script(script, order_name=None, collect_timings=False, parallel=1):
         handles[name] = IdealHandle(script.ring, script.ideals[name],
                                     max_basis=max_basis, max_degree=max_degree)
 
-    def run_one(indexed):
-        index, task = indexed
-        started = time.monotonic()
-        payload = _run_task(task[0], task[1:], handles, script, order)
-        return index, task, payload, time.monotonic() - started
-
-    jobs = list(enumerate(script.tasks))
-    if parallel > 1 and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=parallel) as pool:
-            finished = list(pool.map(run_one, jobs))
-    else:
-        finished = [run_one(j) for j in jobs]
-
     results = []
     timings = {}
-    for index, task, payload, elapsed in sorted(finished, key=lambda t: t[0]):
+    for index, task in enumerate(script.tasks):
+        started = time.monotonic()
+        payload = _run_task(task[0], task[1:], handles, script, order)
+        elapsed = time.monotonic() - started
         results.append({"task": " ".join(task), "index": index, "result": payload})
         if collect_timings:
             timings["%d:%s" % (index, " ".join(task))] = round(elapsed, 6)

@@ -62,6 +62,16 @@ def test_resource_cap_exit_code(tmp_path):
     assert main(["run", "-i", str(src)]) == 3
 
 
+def test_option_max_degree_caps_hilbert(tmp_path):
+    """An ideal's own degree cap governs the Hilbert data of S/I."""
+    text = "ring S=Q[x,y,z];\nideal J=x^2-y*z, x*y-z^2;\ntask hilbert J;\n"
+    src = tmp_path / "h.ses"
+    src.write_text(text)
+    assert main(["run", "-i", str(src)]) == 0
+    src.write_text(text.replace("task", "option max_degree 2;\ntask"))
+    assert main(["run", "-i", str(src)]) == 3
+
+
 def test_run_determinism(tmp_path):
     src = tmp_path / "s.ses"
     src.write_text("ring S=Q[x,y];\nideal J=x^2,x*y;\nideal M=x,y;\n"
@@ -108,3 +118,31 @@ def test_corpus_parallel_order_stable(tmp_path, monkeypatch):
     assert main(["corpus", "--parallel", "1", "--json", str(a)]) == 0
     assert main(["corpus", "--parallel", "3", "--json", str(b)]) == 0
     assert a.read_text() == b.read_text()
+
+
+def test_corpus_parallel_reports_errors_as_serial(tmp_path, monkeypatch,
+                                                  capsys):
+    """Entries that raise are reported the same from worker processes."""
+    import arithdeg.cli as cli_mod
+    from arithdeg.corpus import CorpusEntry, build_corpus
+    capped = CorpusEntry(
+        "capped", "ring S=Q[x,y,z];\nideal J=x^2-y*z, x*y-z^2;\n"
+                  "option max_degree 2;\ntask hilbert J;\n")
+    # SessionSyntaxError does not survive pickling
+    broken = CorpusEntry("broken", "ring S = Q[x,y]\nideal J = x;\ntask gb J;")
+    subset = [build_corpus()[0], capped, broken]
+    monkeypatch.setattr(cli_mod, "build_corpus", lambda: subset)
+    reports = []
+    for k in ("1", "2"):
+        out = tmp_path / ("p%s.json" % k)
+        csv = tmp_path / ("p%s.csv" % k)
+        rc = main(["corpus", "--parallel", k, "--json", str(out),
+                   "--csv", str(csv)])
+        captured = capsys.readouterr()
+        reports.append((rc, out.read_text(), csv.read_text(),
+                        captured.out, captured.err))
+    assert reports[0] == reports[1]
+    rc, _, table, printed, _ = reports[0]
+    assert rc == 3
+    assert "capped,error,,Groebner degree cap 2 exceeded,fail" in table
+    assert "FAIL broken:" in printed

@@ -1,10 +1,14 @@
 """Module engine: syzygies, free resolutions, Ext presentations."""
 
+import random
+
 import pytest
 
+import arithdeg.modules as modules_mod
 from arithdeg.errors import InternalConsistencyError
 from arithdeg.groebner import IdealHandle
-from arithdeg.hilbert import dimension, hilbert_value
+from arithdeg.hilbert import (as_presentation, dimension, hilbert_value,
+                              hilbert_value_bruteforce)
 from arithdeg.modules import (ChainComplex, ModulePresentation, Vec,
                               ext_presentation, free_resolution,
                               schreyer_syzygies, syzygies_of,
@@ -110,6 +114,14 @@ def test_schreyer_syzygies_generate(R):
         assert not total
 
 
+def test_schreyer_rejects_non_basis(R):
+    """An S-vector that leaves a remainder means G was no Groebner basis."""
+    x, y = R.gens()
+    G = [Vec.from_polys(R, (x * y,)), Vec.from_polys(R, (x ** 2 - y ** 2,))]
+    with pytest.raises(InternalConsistencyError):
+        schreyer_syzygies(G, PositionOverTerm())
+
+
 def test_ext_free_module(R):
     S_free = ModulePresentation.free(R, 1)
     E0 = ext_presentation(S_free, 0)
@@ -173,3 +185,40 @@ def test_resolution_length_bound():
     res = free_resolution(ModulePresentation.from_ideal(I), R3.nvars + 1)
     assert res.complete
     assert res.length <= R3.nvars
+
+
+def _no_module_buchberger(*args, **kwargs):
+    raise AssertionError("module_buchberger called on S/I")
+
+
+def test_quotient_reuses_ideal_basis(monkeypatch):
+    """After I.groebner_basis(), S/I needs no Groebner basis of its own."""
+    R3 = RingDescriptor.graded("x,y,z")
+    x, y, z = R3.gens()
+    I = IdealHandle(R3, [x ** 2 - y * z, x * y - z ** 2])
+    basis = I.groebner_basis()
+    monkeypatch.setattr(modules_mod, "module_buchberger", _no_module_buchberger)
+    assert dimension(I) == 1
+    for d in range(6):
+        assert hilbert_value(I, d) == hilbert_value_bruteforce(I, d)
+    res = free_resolution(as_presentation(I), R3.nvars + 1)
+    assert [col for (col,) in res.differentials[0]] == list(basis)
+    assert res.complete
+
+
+def test_quotient_basis_matches_module_engine():
+    """The basis S/I takes from its ideal is the one the module engine
+    computes from the raw generators."""
+    R3 = RingDescriptor.graded("x,y,z")
+    rng = random.Random(4242)
+    for _ in range(30):
+        gens = []
+        for _ in range(rng.randint(1, 3)):
+            f = R3.zero()
+            for _ in range(rng.randint(1, 3)):
+                exps = tuple(rng.randint(0, 2) for _ in range(3))
+                f = f + R3.monomial(exps, rng.randint(-3, 3))
+            gens.append(f)
+        pres = as_presentation(IdealHandle(R3, gens))
+        expected = module_buchberger(pres.column_vecs(), PositionOverTerm())
+        assert list(pres.gb()) == expected
