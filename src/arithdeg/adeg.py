@@ -18,7 +18,7 @@ from .hilbert import (as_presentation, classical_multiplicity, dimension,
 from .modules import ext_presentation
 from .monomials import decompose, local_length_by_pairs, adeg_monomial
 from .numerical import MultiplicityVector
-from .rings import Polynomial, RingDescriptor
+from .rings import Polynomial, RingDescriptor, terms_key
 
 
 # ---------------------------------------------------------------------------
@@ -168,15 +168,15 @@ def biadeg(M, i):
 
 
 # ---------------------------------------------------------------------------
-# GG-based multiplicities (cached per input pair)
+# GG-based multiplicities (cached per input pair and caps: a capped run must
+# not reuse what an uncapped run computed)
 
 _GG_CACHE = {}
 
 
 def _ideal_sig(I):
-    return (I.ring.signature(),
-            tuple(tuple(sorted((m, str(c)) for m, c in g.terms.items()))
-                  for g in I.gens))
+    return (I.ring.signature(), tuple(terms_key(g.terms) for g in I.gens),
+            I.max_basis, I.max_degree)
 
 
 def cached_gg(J, I):

@@ -20,7 +20,7 @@ import sys
 from .corpus import build_corpus
 from .errors import (AlgebraError, ResourceLimitError, SessionSyntaxError,
                      NameResolutionError, TheoremViolationError)
-from .runner import execute_script
+from .runner import execute_script, ideal_handles
 from .session import parse_session
 
 EXIT_OK = 0
@@ -83,15 +83,13 @@ def cmd_run(args):
     return EXIT_OK
 
 
-def _spot_check_basis(script):
-    """Assert the Buchberger criterion on the first declared ideal's basis;
-    runs with every corpus entry so no corpus run ships an unsound cache."""
-    from .groebner import IdealHandle, normal_form, s_polynomial
+def _spot_check_basis(I):
+    """Assert the Buchberger criterion on the ideal's degrevlex basis, which
+    the tasks then reuse; runs with every corpus entry so no corpus run
+    ships an unsound cache."""
+    from .groebner import normal_form, s_polynomial
     from .orders import DegRevLex
-    if not script.ideal_order:
-        return
     order = DegRevLex()
-    I = IdealHandle(script.ring, script.ideals[script.ideal_order[0]])
     basis = list(I.groebner_basis(order))
     for i in range(len(basis)):
         for j in range(i + 1, len(basis)):
@@ -102,8 +100,10 @@ def _spot_check_basis(script):
 
 def _run_entry(entry):
     script = entry.script()
-    _spot_check_basis(script)
-    result = execute_script(script)
+    handles = ideal_handles(script)
+    if script.ideal_order:
+        _spot_check_basis(handles[script.ideal_order[0]])
+    result = execute_script(script, handles=handles)
     failures = []
     for exp in entry.expected:
         got = None
@@ -242,6 +242,8 @@ def cmd_check(args):
     difference calculus, and one oracle equivalence."""
     import random
     from .groebner import IdealHandle, normal_form, s_polynomial
+    from .modules import (PositionOverTerm, Vec, module_buchberger,
+                          schreyer_syzygies)
     from .orders import DegRevLex
     from .rings import RingDescriptor
     from .numerical import NumericalPoly2
@@ -273,6 +275,14 @@ def cmd_check(args):
                 assert not normal_form(s_polynomial(basis[i], basis[j], order),
                                        list(basis), order)
     print("Buchberger criterion: ok (10 random ideals)")
+
+    morder = PositionOverTerm()
+    for _ in range(10):
+        vecs = [Vec.from_polys(R, (rand_poly(), rand_poly()))
+                for _ in range(rng.randint(1, 3))]
+        # raises unless every same-component S-vector reduces to zero
+        schreyer_syzygies(module_buchberger(vecs, morder), morder)
+    print("Buchberger criterion: ok (10 random submodules of S^2)")
 
     for _ in range(25):
         P = NumericalPoly2({(rng.randint(0, 3), rng.randint(0, 3)):

@@ -1,109 +1,205 @@
-"""Buchberger engine: reduced Groebner bases, normal forms, ideal arithmetic.
+"""Groebner engine for ideals and submodules; ideal arithmetic.
 
-Pair selection follows the normal strategy (minimal lcm in the term order)
-with Gebauer-Moeller pair elimination.  Output bases are reduced (monic,
-minimal, tail-reduced) and canonically sorted, so every computation is
-reproducible byte for byte.
+One Buchberger loop, one division loop and one interreduction serve both
+polynomials and the free-module vectors of ``modules``.  Pairs form only
+between lead terms in the same component and are chosen by the normal
+strategy (minimal lcm in the term order).  Gebauer-Moeller pair elimination
+runs at every rank; the product criterion is used for polynomials only.
+Output bases are reduced (monic, minimal, tail-reduced) and canonically
+sorted, so every computation is reproducible byte for byte.
 """
+
+from collections import namedtuple
 
 from .errors import (AlgebraError, InvalidDivisorError, ResourceLimitError,
                      RingMismatchError)
 from .orders import BlockOrder, DegRevLex
 from .rings import (Polynomial, RingDescriptor, minimal_monomials, mono_div,
-                    mono_divides, mono_lcm, mono_mul)
+                    mono_lcm, mono_mul, terms_key)
 
 DEFAULT_MAX_BASIS = 2000
 DEFAULT_MAX_DEGREE = 40
 
 
-def s_polynomial(f, g, order):
-    mf, cf = f.leading_term(order)
-    mg, cg = g.leading_term(order)
-    lcm = mono_lcm(mf, mg)
+# ---------------------------------------------------------------------------
+# the engine shared with modules.py
+#
+# A term is a monomial for a polynomial and a (component, monomial) pair for
+# a free-module vector.  Polynomials and vectors both offer ``terms``,
+# ``leading_term``, ``monic`` and ``degree``; a _Terms bundle supplies the
+# rest.  div(t, s) is the monomial q with t = q*s, or None; mul(q, t) is q*t;
+# lcm(s, t) is the least common multiple, or None when s and t lie in
+# different components; make(f, terms) builds an element like f.  The
+# product criterion holds for polynomials only: above rank 1, coprime leads
+# can leave a nonzero S-vector (x*e1 + e2 and y*e1 give y*e2).
+_Terms = namedtuple("_Terms", "div mul lcm make product_criterion name")
+
+_POLY = _Terms(mono_div, mono_mul, mono_lcm,
+               lambda f, terms: Polynomial(f.ring, terms, _clean=False),
+               True, "Groebner")
+
+
+def _s_element(f, lf, g, lg, ops):
+    """(qf, qg, terms): the S-element qf*f/cf - qg*g/cg of f and g, whose
+    leads lf = (tf, cf) and lg = (tg, cg) lie in one component, with
+    qf*tf = qg*tg the lcm of tf and tg."""
+    (tf, cf), (tg, cg) = lf, lg
+    lcm = ops.lcm(tf, tg)
+    qf, qg = ops.div(lcm, tf), ops.div(lcm, tg)
     one = f.ring.field.one
-    tf = Polynomial(f.ring, {mono_div(lcm, mf): one / cf}, _clean=False)
-    tg = Polynomial(g.ring, {mono_div(lcm, mg): one / cg}, _clean=False)
-    return tf * f - tg * g
+    rf, rg = one / cf, one / cg
+    terms = {ops.mul(qf, t): c * rf for t, c in f.terms.items()}
+    for t, c in g.terms.items():
+        t = ops.mul(qg, t)
+        s = terms.get(t, 0) - c * rg
+        if s:
+            terms[t] = s
+        else:
+            del terms[t]
+    return qf, qg, terms
+
+
+def _divide(terms, basis, leads, key, ops, quotients=None):
+    """Remainder terms of dividing terms by basis, where leads[k] is the
+    (lead term, coefficient) pair of basis[k]; no remainder term is
+    divisible by a lead.  When quotients is a dict, each step's quotient
+    r*q*E_k is added into quotients[(k, q)]."""
+    div, mul = ops.div, ops.mul
+    remainder = {}
+    work = dict(terms)
+    while work:
+        t = max(work, key=key)
+        c = work.pop(t)
+        for k, (gt, gc) in enumerate(leads):
+            q = div(t, gt)
+            if q is not None:
+                break
+        else:
+            remainder[t] = c
+            continue
+        ratio = c / gc
+        if quotients is not None:
+            quotients[(k, q)] = quotients.get((k, q), 0) + ratio
+        for t2, c2 in basis[k].terms.items():
+            if t2 == gt:
+                continue  # lead cancels against the popped term
+            tt = mul(q, t2)
+            s = work.get(tt, 0) - ratio * c2
+            if s:
+                work[tt] = s
+            else:
+                del work[tt]
+    return remainder
+
+
+def _update_pairs(P, leads, n, key, ops):
+    """Gebauer-Moeller update of the pair set P when element n, with lead
+    term leads[n], joins elements 0..n-1."""
+    t = leads[n]
+    lcm_t = [ops.lcm(leads[i], t) for i in range(n)]
+
+    def keep(i, j):
+        # drop an old pair whose lcm t divides, unless t spans it with i or j
+        lcm = ops.lcm(leads[i], leads[j])
+        return ops.div(lcm, t) is None or lcm in (lcm_t[i], lcm_t[j])
+
+    P = {(i, j) for (i, j) in P if keep(i, j)}
+    # group the new pairs by lcm, keep one representative per minimal lcm
+    groups = {}
+    for i, lcm in enumerate(lcm_t):
+        if lcm is not None:
+            groups.setdefault(lcm, []).append(i)
+    minimal = []
+    for lcm in sorted(groups, key=key):
+        if all(ops.div(lcm, m) is None for m in minimal):
+            minimal.append(lcm)
+    for lcm in minimal:
+        members = groups[lcm]
+        # product criterion: skip when some member has a coprime lead
+        if ops.product_criterion and any(
+                ops.mul(leads[i], t) == lcm for i in members):
+            continue
+        P.add((min(members), n))
+    return P
+
+
+def _reduce(G, order, ops, nf=None):
+    """The minimal part of G, sorted by lead term: an element is dropped when
+    the lead of an earlier one divides its lead.  With nf, each kept element
+    is also divided by the others and made monic, which reduces a Groebner
+    basis."""
+    heads = sorted(((f.leading_term(order)[0], f) for f in G if f),
+                   key=lambda head: order.key(head[0]))
+    leads, minimal = [], []
+    for t, f in heads:
+        if all(ops.div(t, s) is None for s in leads):
+            leads.append(t)
+            minimal.append(f)
+    if nf is None:
+        return minimal
+    reduced = []
+    for k, f in enumerate(minimal):
+        # a single term is reduced already: no other lead divides it
+        if len(f.terms) > 1 and len(minimal) > 1:
+            f = nf(f, minimal[:k] + minimal[k + 1:], order)
+        reduced.append(f.monic(order))
+    return reduced
+
+
+def _groebner(gens, order, ops, nf, max_basis, max_degree):
+    """Reduced Groebner basis of the span of gens (nonzero elements of one
+    kind): normal strategy, Gebauer-Moeller pairs, S-elements divided by
+    nf(s, basis, order)."""
+    G = [f.monic(order) for f in gens]
+    leads = [f.leading_term(order)[0] for f in G]
+    P = set()
+    if any(len(f.terms) > 1 for f in G):
+        # (single-term elements are a Groebner basis already)
+        for n in range(len(G)):
+            P = _update_pairs(P, leads, n, order.key, ops)
+    pair_key = {}
+    while P:
+        for ij in P:
+            if ij not in pair_key:
+                pair_key[ij] = order.key(ops.lcm(leads[ij[0]], leads[ij[1]]))
+        pair = min(P, key=pair_key.__getitem__)
+        P.remove(pair)
+        f, g = G[pair[0]], G[pair[1]]
+        s = _s_element(f, f.leading_term(order), g, g.leading_term(order), ops)
+        r = nf(ops.make(f, s[2]), G, order)
+        if r:
+            if r.degree() > max_degree:
+                raise ResourceLimitError(
+                    "%s degree cap %d exceeded" % (ops.name, max_degree),
+                    basis_size=len(G), degree=r.degree())
+            G.append(r.monic(order))
+            leads.append(G[-1].leading_term(order)[0])
+            P = _update_pairs(P, leads, len(G) - 1, order.key, ops)
+            if len(G) > max_basis:
+                raise ResourceLimitError(
+                    "%s basis size cap %d exceeded" % (ops.name, max_basis),
+                    basis_size=len(G))
+    return _reduce(G, order, ops, nf)
+
+
+def s_polynomial(f, g, order):
+    s = _s_element(f, f.leading_term(order), g, g.leading_term(order), _POLY)
+    return Polynomial(f.ring, s[2], _clean=False)
 
 
 def normal_form(f, basis, order):
     """Remainder of f on division by basis; no term of it is divisible
     by a basis leading monomial."""
-    ring = f.ring
     if not basis:
         return f
     leads = [g.leading_term(order) for g in basis]
-    remainder = {}
-    work = dict(f.terms)
-    while work:
-        m = max(work, key=order.key)
-        c = work.pop(m)
-        hit = None
-        for (mg, cg), g in zip(leads, basis):
-            q = mono_div(m, mg)
-            if q is not None:
-                hit = (q, c / cg, g, mg)
-                break
-        if hit is None:
-            remainder[m] = c
-            continue
-        q, ratio, g, mg = hit
-        for mg2, cg2 in g.terms.items():
-            if mg2 == mg:
-                continue  # lead cancels against the popped term
-            mm = mono_mul(q, mg2)
-            s = work.get(mm, 0) - ratio * cg2
-            if s:
-                work[mm] = s
-            elif mm in work:
-                del work[mm]
-    return Polynomial(ring, remainder, _clean=False)
-
-
-def _update_pairs(G, P, h, order, lm):
-    """Gebauer-Moeller update when appending h to the basis list G."""
-    mh = h.leading_monomial(order)
-    t = len(G)
-
-    lcm_h = {i: mono_lcm(lm[i], mh) for i in range(t)}
-    # drop old pairs strictly dominated by the new element
-    P = {(i, j) for (i, j) in P
-         if not mono_divides(mh, mono_lcm(lm[i], lm[j]))
-         or mono_lcm(lm[i], lm[j]) in (lcm_h[i], lcm_h[j])}
-    # group new pairs by lcm, keep one representative per minimal lcm
-    groups = {}
-    for i in range(t):
-        groups.setdefault(lcm_h[i], []).append(i)
-    minimal = []
-    for L in sorted(groups, key=order.key):
-        if all(not mono_divides(L2, L) for L2 in minimal):
-            minimal.append(L)
-    for L in minimal:
-        members = groups[L]
-        # product criterion: skip when some member has disjoint lead
-        if any(mono_mul(lm[i], mh) == lcm_h[i] for i in members):
-            continue
-        P.add((min(members), t))
-    return P
+    return Polynomial(f.ring, _divide(f.terms, basis, leads, order.key, _POLY),
+                      _clean=False)
 
 
 def interreduce(basis, order):
     """Make a Groebner basis reduced: minimal, monic, tails reduced."""
-    basis = [g for g in basis if g]
-    basis.sort(key=lambda g: order.key(g.leading_monomial(order)))
-    minimal = []
-    for g in basis:
-        mg = g.leading_monomial(order)
-        if all(not mono_divides(h.leading_monomial(order), mg) for h in minimal):
-            minimal.append(g)
-    reduced = []
-    for i, g in enumerate(minimal):
-        others = minimal[:i] + minimal[i + 1:]
-        r = normal_form(g, others, order) if others else g
-        if r:
-            reduced.append(r.monic(order))
-    reduced.sort(key=lambda g: order.key(g.leading_monomial(order)))
-    return reduced
+    return _reduce(basis, order, _POLY, normal_form)
 
 
 def buchberger(gens, order, max_basis=DEFAULT_MAX_BASIS,
@@ -112,47 +208,14 @@ def buchberger(gens, order, max_basis=DEFAULT_MAX_BASIS,
     gens = list(gens)
     if any(f.ring != gens[0].ring for f in gens):
         raise RingMismatchError("generators over different rings")
-    gens = [f for f in gens if f]
-    if all(f.is_monomial() for f in gens):
-        # the minimal monomials are the reduced Groebner basis
-        monos = minimal_monomials(next(iter(f.terms)) for f in gens)
-        return [gens[0].ring.monomial(m) for m in sorted(monos, key=order.key)]
-    G = []
-    lm = []
-    P = set()
-    for f in gens:
-        P = _update_pairs(G, P, f, order, lm)
-        G.append(f.monic(order))
-        lm.append(f.leading_monomial(order))
-    pair_key = {}
-    while P:
-        for ij in P:
-            if ij not in pair_key:
-                pair_key[ij] = order.key(mono_lcm(lm[ij[0]], lm[ij[1]]))
-        pair = min(P, key=pair_key.__getitem__)
-        P.remove(pair)
-        s = s_polynomial(G[pair[0]], G[pair[1]], order)
-        r = normal_form(s, G, order)
-        if r:
-            if r.degree() > max_degree:
-                raise ResourceLimitError(
-                    "Groebner degree cap %d exceeded" % max_degree,
-                    basis_size=len(G), degree=r.degree())
-            P = _update_pairs(G, P, r, order, lm)
-            G.append(r.monic(order))
-            lm.append(r.leading_monomial(order))
-            if len(G) > max_basis:
-                raise ResourceLimitError(
-                    "Groebner basis size cap %d exceeded" % max_basis,
-                    basis_size=len(G))
-    return interreduce(G, order)
+    return _groebner([f for f in gens if f], order, _POLY, normal_form,
+                     max_basis, max_degree)
 
 
 def _poly_sort_key(f, order=DegRevLex()):
     if not f:
         return ((0,), ())
-    shape = tuple(sorted(((m, str(c)) for m, c in f.terms.items())))
-    return (order.key(f.leading_monomial(order)), shape)
+    return (order.key(f.leading_monomial(order)), terms_key(f.terms))
 
 
 class IdealHandle:
@@ -185,7 +248,7 @@ class IdealHandle:
         for g in cleaned:
             if g.is_monomial():
                 continue
-            sig = tuple(sorted((m, str(c)) for m, c in g.terms.items()))
+            sig = terms_key(g.terms)
             if sig not in seen:
                 seen.add(sig)
                 keep.append(g)
@@ -232,10 +295,6 @@ class IdealHandle:
 
     def is_bihomogeneous(self):
         return all(g.is_bihomogeneous() for g in self.gens)
-
-    def leading_monomials(self, order=None):
-        order = order or DegRevLex()
-        return tuple(g.leading_monomial(order) for g in self.groebner_basis(order))
 
     def __repr__(self):
         return "(%s)" % ", ".join(repr(g) for g in self.gens) if self.gens else "(0)"
@@ -362,19 +421,11 @@ def intersect(I, J):
 def exact_divide(h, f, order=None):
     """h / f when f divides h exactly; raises otherwise."""
     order = order or DegRevLex()
-    ring = h.ring
-    quotient = ring.zero()
-    rest = h
-    while rest:
-        mr, cr = rest.leading_term(order)
-        mf, cf = f.leading_term(order)
-        q = mono_div(mr, mf)
-        if q is None:
-            raise AlgebraError("%r does not divide %r" % (f, h))
-        t = Polynomial(ring, {q: cr / cf}, _clean=False)
-        quotient = quotient + t
-        rest = rest - t * f
-    return quotient
+    quotients = {}
+    if _divide(h.terms, [f], [f.leading_term(order)], order.key, _POLY,
+               quotients):
+        raise AlgebraError("%r does not divide %r" % (f, h))
+    return Polynomial(h.ring, {q: c for (_, q), c in quotients.items()})
 
 
 def ideal_quotient(I, f):

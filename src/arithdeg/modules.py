@@ -4,16 +4,20 @@ A free-module term is a pair (component, exponent tuple).  Module orders
 compare such pairs; the default is position-over-term with degrevlex
 underneath, and syzygy steps use the induced Schreyer order.
 
-Module Groebner bases use the chain criterion only: the product criterion
-is not valid for modules.
+Module Groebner bases, normal forms and Schreyer syzygies run on the engine
+in ``groebner``, with the component-aware term operations defined here:
+S-pairs form only within a component, Gebauer-Moeller pair elimination
+applies as for ideals, and the product criterion is left out, since it is
+not valid for modules.
 """
 
 from .errors import (AlgebraError, HomogeneityError, InternalConsistencyError,
-                     ResourceLimitError, RingMismatchError)
-from .groebner import DEFAULT_MAX_BASIS, DEFAULT_MAX_DEGREE
+                     RingMismatchError)
+from .groebner import (DEFAULT_MAX_BASIS, DEFAULT_MAX_DEGREE, _divide,
+                       _groebner, _reduce, _s_element, _Terms)
 from .orders import DegRevLex
 from .rings import (Polynomial, deg_add, minimal_monomials, mono_div,
-                    mono_divides, mono_lcm, mono_mul)
+                    mono_lcm, mono_mul, terms_key)
 
 
 class ModuleOrder:
@@ -124,19 +128,19 @@ class Vec:
         return Vec(self.ring, self.rank,
                    {t: v * coeff for t, v in self.terms.items()}, _clean=False)
 
-    def lead(self, morder):
+    def leading_term(self, morder):
         if not self.terms:
             raise AlgebraError("lead of zero vector")
         t = max(self.terms, key=morder.key)
         return t, self.terms[t]
 
     def monic(self, morder):
-        _, c = self.lead(morder)
+        _, c = self.leading_term(morder)
         if c == self.ring.field.one:
             return self
         return self.scale(self.ring.field.one / c)
 
-    def max_degree(self):
+    def degree(self):
         if not self.terms:
             return -1
         return max(self.ring.degree(m) for _, m in self.terms)
@@ -152,135 +156,40 @@ class Vec:
 
 
 def vec_sort_key(v, morder):
-    shape = tuple(sorted(((t, str(c)) for t, c in v.terms.items())))
-    return (morder.key(v.lead(morder)[0]), shape)
+    return (morder.key(v.leading_term(morder)[0]), terms_key(v.terms))
 
 
-def _divide(terms, basis, leads, morder, quotients=None):
-    """Remainder terms of dividing terms by basis, where leads[k] is the
-    (lead term, coefficient) pair of basis[k].  When quotients is a dict,
-    each step's quotient r*q*E_k is added into quotients[(k, q)]."""
-    remainder = {}
-    work = dict(terms)
-    while work:
-        t = max(work, key=morder.key)
-        c = work.pop(t)
-        comp, m = t
-        for k, ((gc, gm), gcoef) in enumerate(leads):
-            if gc == comp:
-                q = mono_div(m, gm)
-                if q is not None:
-                    break
-        else:
-            remainder[t] = c
-            continue
-        ratio = c / gcoef
-        if quotients is not None:
-            quotients[(k, q)] = quotients.get((k, q), 0) + ratio
-        for (c2, m2), v2 in basis[k].terms.items():
-            if c2 == gc and m2 == gm:
-                continue  # lead cancels against the popped term
-            tt = (c2, mono_mul(q, m2))
-            s = work.get(tt, 0) - ratio * v2
-            if s:
-                work[tt] = s
-            elif tt in work:
-                del work[tt]
-    return remainder
+def _vec_div(t, s):
+    return mono_div(t[1], s[1]) if t[0] == s[0] else None
+
+
+def _vec_mul(q, t):
+    return (t[0], mono_mul(q, t[1]))
+
+
+def _vec_lcm(s, t):
+    return (s[0], mono_lcm(s[1], t[1])) if s[0] == t[0] else None
+
+
+_VEC = _Terms(_vec_div, _vec_mul, _vec_lcm,
+              lambda v, terms: Vec(v.ring, v.rank, terms, _clean=False),
+              False, "module Groebner")
 
 
 def module_normal_form(v, basis, morder):
     """Division remainder of a vector by a list of vectors."""
     if not basis:
         return v
-    leads = [g.lead(morder) for g in basis]
-    return Vec(v.ring, v.rank, _divide(v.terms, basis, leads, morder),
+    leads = [g.leading_term(morder) for g in basis]
+    return Vec(v.ring, v.rank, _divide(v.terms, basis, leads, morder.key, _VEC),
                _clean=False)
 
 
-def _module_pairs_from(leads, new_index):
-    """Pairs (i, t) with matching lead component."""
-    t = new_index
-    comp = leads[t][0]
-    return [(i, t) for i in range(t) if leads[i][0] == comp]
-
-
 def module_buchberger(vecs, morder, max_basis=DEFAULT_MAX_BASIS,
-                      max_degree=DEFAULT_MAX_DEGREE, reduce_result=True):
-    """Groebner basis of the submodule generated by vecs."""
-    vecs = [v for v in vecs if v]
-    if all(len(v.terms) == 1 for v in vecs):
-        # single-term vectors are already a Groebner basis
-        return module_interreduce([v.monic(morder) for v in vecs], morder)
-    G = []
-    leads = []
-    P = set()
-    done = set()
-    for v in vecs:
-        G.append(v.monic(morder))
-        leads.append(G[-1].lead(morder)[0])
-        P.update(_module_pairs_from(leads, len(G) - 1))
-    key_cache = {}
-    while P:
-        for ij in P:
-            if ij not in key_cache:
-                (ci, mi) = leads[ij[0]]
-                (_, mj) = leads[ij[1]]
-                key_cache[ij] = morder.key((ci, mono_lcm(mi, mj)))
-        pair = min(P, key=key_cache.__getitem__)
-        P.remove(pair)
-        done.add(pair)
-        i, j = pair
-        (ci, mi) = leads[i]
-        (cj, mj) = leads[j]
-        coefi = G[i].terms[leads[i]]
-        coefj = G[j].terms[leads[j]]
-        lcm = mono_lcm(mi, mj)
-        # chain criterion, sound form: skip only when both flanking pairs
-        # were already processed
-        skip = False
-        for k in range(len(G)):
-            if k in (i, j):
-                continue
-            (ck, mk) = leads[k]
-            if ck == ci and mono_divides(mk, lcm):
-                if ((min(i, k), max(i, k)) in done
-                        and (min(j, k), max(j, k)) in done):
-                    skip = True
-                    break
-        if skip:
-            continue
-        one = G[i].ring.field.one
-        s = (G[i].term_mul(mono_div(lcm, mi), one / coefi)
-             - G[j].term_mul(mono_div(lcm, mj), one / coefj))
-        r = module_normal_form(s, G, morder)
-        if r:
-            if r.max_degree() > max_degree:
-                raise ResourceLimitError(
-                    "module Groebner degree cap %d exceeded" % max_degree,
-                    basis_size=len(G), degree=r.max_degree())
-            G.append(r.monic(morder))
-            leads.append(G[-1].lead(morder)[0])
-            if len(G) > max_basis:
-                raise ResourceLimitError(
-                    "module Groebner size cap %d exceeded" % max_basis,
-                    basis_size=len(G))
-            P.update(_module_pairs_from(leads, len(G) - 1))
-    if reduce_result:
-        G = module_interreduce(G, morder)
-    return G
-
-
-def module_interreduce(G, morder):
-    minimal = _minimalize(G, morder)
-    reduced = []
-    for i, g in enumerate(minimal):
-        others = minimal[:i] + minimal[i + 1:]
-        r = module_normal_form(g, others, morder) if others else g
-        if r:
-            reduced.append(r.monic(morder))
-    reduced.sort(key=lambda g: morder.key(g.lead(morder)[0]))
-    return reduced
+                      max_degree=DEFAULT_MAX_DEGREE):
+    """Reduced Groebner basis of the submodule generated by vecs."""
+    return _groebner([v for v in vecs if v], morder, _VEC, module_normal_form,
+                     max_basis, max_degree)
 
 
 def schreyer_syzygies(G, morder):
@@ -292,25 +201,23 @@ def schreyer_syzygies(G, morder):
     Groebner basis for the returned Schreyer order.
     """
     ring = G[0].ring if G else None
-    leads = [g.lead(morder) for g in G]
+    leads = [g.leading_term(morder) for g in G]
     sorder = SchreyerOrder(morder, [lt for lt, _ in leads])
     syz = []
     for i in range(len(G)):
-        (ci, mi), coefi = leads[i]
+        (ci, _), coefi = leads[i]
         for j in range(i + 1, len(G)):
-            (cj, mj), coefj = leads[j]
+            (cj, _), coefj = leads[j]
             if ci != cj:
                 continue
-            lcm = mono_lcm(mi, mj)
-            one = ring.field.one
-            qi, qj = mono_div(lcm, mi), mono_div(lcm, mj)
-            s = G[i].term_mul(qi, one / coefi) - G[j].term_mul(qj, one / coefj)
+            qi, qj, s = _s_element(G[i], leads[i], G[j], leads[j], _VEC)
             # s divides out as sum q_k g_k; its two defining terms minus
             # those quotients are the syzygy
             quotients = {}
-            if _divide(s.terms, G, leads, morder, quotients):
+            if _divide(s, G, leads, morder.key, _VEC, quotients):
                 raise InternalConsistencyError(
                     "S-vector of a Groebner basis did not reduce to zero")
+            one = ring.field.one
             cof = {(i, qi): one / coefi, (j, qj): -(one / coefj)}
             for key, val in quotients.items():
                 cof[key] = cof.get(key, 0) - val
@@ -318,24 +225,7 @@ def schreyer_syzygies(G, morder):
             if vec:
                 syz.append(vec)
     # minimalize w.r.t. the Schreyer order (still a basis of the kernel)
-    syz = _minimalize(syz, sorder)
-    return syz, sorder
-
-
-def _minimalize(vecs, morder):
-    vecs = sorted((v for v in vecs if v), key=lambda v: morder.key(v.lead(morder)[0]))
-    minimal = []
-    for v in vecs:
-        (c, m), _ = v.lead(morder)
-        keep = True
-        for h in minimal:
-            (ch, mh), _ = h.lead(morder)
-            if ch == c and mono_divides(mh, m):
-                keep = False
-                break
-        if keep:
-            minimal.append(v)
-    return minimal
+    return _reduce(syz, sorder, _VEC), sorder
 
 
 def syzygies_of(columns, ring, rank, morder=None,
@@ -480,7 +370,7 @@ class ModulePresentation:
             morder = PositionOverTerm()
             comps = [[] for _ in range(self.rank)]
             for g in self.gb():
-                (c, m), _ = g.lead(morder)
+                (c, m), _ = g.leading_term(morder)
                 comps[c].append(m)
             return tuple(minimal_monomials(mons) for mons in comps)
         return self._cached("leads", build)

@@ -274,10 +274,6 @@ class MonomialDecomposition:
         self.minimal_primes = minimal_primes
         self.embedded_primes = [p for p in associated if p not in minimal_primes]
 
-    def prime_ideal(self, support):
-        ring = self.ring
-        return IdealHandle(ring, [ring.gen(i) for i in sorted(support)])
-
     def __repr__(self):
         return ("MonomialDecomposition(%d components, primes=%r)"
                 % (len(self.components), sorted(map(sorted, self.associated_primes))))

@@ -49,6 +49,11 @@ def minimal_monomials(monos):
             out.append(m)
     return tuple(out)
 
+def terms_key(terms):
+    """Canonical, hashable and sortable form of a map from terms to
+    coefficients: its (term, str(coefficient)) pairs in ascending order."""
+    return tuple(sorted((t, str(c)) for t, c in terms.items()))
+
 def deg_add(a, b):
     """Sum of two degrees: integers, or (i, j) pairs on bigraded rings."""
     if isinstance(a, tuple):
@@ -328,10 +333,6 @@ class Polynomial:
         if not self.terms:
             return -1
         return max(self.ring.degree(m) for m in self.terms)
-
-    def block_degree_range(self, block):
-        degs = [sum(m[i] for i in block) for m in self.terms]
-        return min(degs), max(degs)
 
     def initial_block_form(self, block):
         """Sum of terms of minimal total exponent over the given variable block."""

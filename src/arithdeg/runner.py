@@ -26,20 +26,32 @@ def _poly_str(g):
     return repr(g).replace(" ", "")
 
 
-def execute_script(script, order_name=None, collect_timings=False):
+def _caps(options):
+    """(max_degree, max_basis) from a script's options."""
+    return (int(options.get("max_degree", DEFAULT_MAX_DEGREE)),
+            int(options.get("max_basis", DEFAULT_MAX_BASIS)))
+
+
+def ideal_handles(script):
+    """One IdealHandle per declared ideal, under the script's caps."""
+    max_degree, max_basis = _caps(script.options)
+    return {name: IdealHandle(script.ring, script.ideals[name],
+                              max_basis=max_basis, max_degree=max_degree)
+            for name in script.ideal_order}
+
+
+def execute_script(script, order_name=None, collect_timings=False,
+                   handles=None):
     """Run every task of a session script, in order; returns the stable
-    result dict."""
+    result dict.  handles, when given, is ideal_handles(script): the tasks
+    then reuse the bases already cached in it."""
     opts = dict(script.options)
     if order_name:
         opts["order"] = order_name
     order = order_from_name(opts.get("order", "degrevlex"))
-    max_degree = int(opts.get("max_degree", DEFAULT_MAX_DEGREE))
-    max_basis = int(opts.get("max_basis", DEFAULT_MAX_BASIS))
-
-    handles = {}
-    for name in script.ideal_order:
-        handles[name] = IdealHandle(script.ring, script.ideals[name],
-                                    max_basis=max_basis, max_degree=max_degree)
+    max_degree, max_basis = _caps(opts)
+    if handles is None:
+        handles = ideal_handles(script)
 
     results = []
     timings = {}

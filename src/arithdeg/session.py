@@ -15,7 +15,7 @@ line/column positions.
 
 from .errors import (AlgebraError, NameResolutionError, SessionSyntaxError)
 from .fields import GF, QQ
-from .rings import RingDescriptor, parse_polynomial
+from .rings import RingDescriptor, parse_polynomial, terms_key
 
 ONE_NAME_TASKS = ("gb", "hilbert", "stdpairs", "adeg")
 TWO_NAME_TASKS = ("gg", "gmult", "ladeg", "verify")
@@ -60,8 +60,8 @@ class SessionScript:
     def signature(self):
         return (self.ring_name, self.ring.signature(),
                 tuple(self.ideal_order),
-                tuple((n, tuple(tuple(sorted((m, str(c)) for m, c in g.terms.items()))
-                                for g in self.ideals[n])) for n in self.ideal_order),
+                tuple((n, tuple(terms_key(g.terms) for g in self.ideals[n]))
+                      for n in self.ideal_order),
                 tuple(self.tasks),
                 tuple(sorted(self.options.items())),
                 tuple(sorted((n, tuple(sorted(f))) for n, f in self.metas.items())))

@@ -216,3 +216,21 @@ def test_prune_coordinate_variables(R):
     assert dimension(pruned) == dimension(I)
     # pruning is invisible to adeg
     assert adeg_report_ext(pruned).value(0) == adeg_report_ext(I).value(0)
+
+
+def test_cached_gg_honours_caps(monkeypatch):
+    """A capped run fails the same whether or not an uncapped run of the
+    same pair came first: the GG cache is keyed by the ideals' caps too."""
+    import arithdeg.adeg as adeg_mod
+    from arithdeg.errors import ResourceLimitError
+    from arithdeg.runner import execute_script
+    from arithdeg.session import parse_session
+    text = ("ring S=Q[x,y];\nideal J=y^2-x^3;\nideal M=x,y;\nmeta J prime;\n"
+            "%stask verify J M;\n")
+    capped = parse_session(text % "option max_degree 2;\n")
+    monkeypatch.setattr(adeg_mod, "_GG_CACHE", {})
+    with pytest.raises(ResourceLimitError):
+        execute_script(capped)
+    execute_script(parse_session(text % ""))
+    with pytest.raises(ResourceLimitError):
+        execute_script(capped)

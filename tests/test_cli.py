@@ -146,3 +146,23 @@ def test_corpus_parallel_reports_errors_as_serial(tmp_path, monkeypatch,
     assert rc == 3
     assert "capped,error,,Groebner degree cap 2 exceeded,fail" in table
     assert "FAIL broken:" in printed
+
+
+def test_corpus_spot_check_shares_the_task_basis(monkeypatch):
+    """The corpus spot check tests the basis the tasks then reuse: one
+    Buchberger run per ideal, not two."""
+    import arithdeg.cli as cli_mod
+    import arithdeg.groebner as groebner_mod
+    from arithdeg.corpus import CorpusEntry
+    calls = []
+    original = groebner_mod.buchberger
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(groebner_mod, "buchberger", counting)
+    entry = CorpusEntry("one-basis",
+                        "ring S=Q[x,y,z];\nideal J=x^2-y*z, x*y-z^2;\ntask gb J;\n")
+    cli_mod._run_entry(entry)
+    assert len(calls) == 1

@@ -222,3 +222,64 @@ def test_quotient_basis_matches_module_engine():
         pres = as_presentation(IdealHandle(R3, gens))
         expected = module_buchberger(pres.column_vecs(), PositionOverTerm())
         assert list(pres.gb()) == expected
+
+
+def test_no_product_criterion_above_rank_one(R):
+    """Coprime leads x*e1 and y*e1 still leave the S-vector y*e2."""
+    x, y = R.gens()
+    morder = PositionOverTerm()
+    gb = module_buchberger([Vec.from_polys(R, (x, R.one())),
+                            Vec.from_polys(R, (y, R.zero()))], morder)
+    assert (1, (0, 1)) in [g.leading_term(morder)[0] for g in gb]
+
+
+def _s_vector(f, g, morder):
+    (cf, mf), af = f.leading_term(morder)
+    (cg, mg), ag = g.leading_term(morder)
+    lcm = tuple(max(a, b) for a, b in zip(mf, mg))
+    qf = tuple(a - b for a, b in zip(lcm, mf))
+    qg = tuple(a - b for a, b in zip(lcm, mg))
+    return f.term_mul(qf, 1 / af) - g.term_mul(qg, 1 / ag)
+
+
+def _divides(s, t):
+    return s[0] == t[0] and all(a <= b for a, b in zip(s[1], t[1]))
+
+
+@pytest.mark.parametrize("rank", [2, 3])
+@pytest.mark.parametrize("schreyer", [False, True])
+def test_random_submodule_bases(rank, schreyer):
+    """Random submodules of S^2 and S^3: the returned basis satisfies the
+    Buchberger criterion, contains every input and is reduced."""
+    from arithdeg.modules import SchreyerOrder, module_normal_form
+    R3 = RingDescriptor.graded("x,y,z")
+    morder = PositionOverTerm()
+    if schreyer:
+        leads = [(0, (1, 0, 0)), (1, (0, 0, 0)), (0, (0, 1, 1))][:rank]
+        morder = SchreyerOrder(morder, leads)
+    rng = random.Random(100 * rank + schreyer)
+
+    def rand_poly():
+        f = R3.zero()
+        for _ in range(rng.randint(0, 2)):
+            exps = tuple(rng.randint(0, 2) for _ in range(3))
+            f = f + R3.monomial(exps, rng.randint(-3, 3))
+        return f
+
+    for _ in range(8):
+        vecs = [Vec.from_polys(R3, [rand_poly() for _ in range(rank)])
+                for _ in range(rng.randint(1, 3))]
+        gb = module_buchberger(vecs, morder)
+        for i, f in enumerate(gb):
+            for g in gb[i + 1:]:
+                if f.leading_term(morder)[0][0] == g.leading_term(morder)[0][0]:
+                    assert not module_normal_form(_s_vector(f, g, morder),
+                                                  gb, morder)
+        for v in vecs:
+            assert not module_normal_form(v, gb, morder)
+        leads = [g.leading_term(morder) for g in gb]
+        assert all(c == 1 for _, c in leads)
+        for i, g in enumerate(gb):
+            for j, (t, _) in enumerate(leads):
+                if j != i:
+                    assert not any(_divides(t, u) for u in g.terms)
