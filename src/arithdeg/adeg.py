@@ -18,7 +18,7 @@ from .hilbert import (as_presentation, classical_multiplicity, dimension,
 from .modules import ext_presentation
 from .monomials import decompose, local_length_by_pairs, adeg_monomial
 from .numerical import MultiplicityVector
-from .rings import Polynomial, RingDescriptor, terms_key
+from .rings import Polynomial, RingDescriptor
 
 
 # ---------------------------------------------------------------------------
@@ -168,22 +168,16 @@ def biadeg(M, i):
 
 
 # ---------------------------------------------------------------------------
-# GG-based multiplicities (cached per input pair and caps: a capped run must
-# not reuse what an uncapped run computed)
-
-_GG_CACHE = {}
-
-
-def _ideal_sig(I):
-    return (I.ring.signature(), tuple(terms_key(g.terms) for g in I.gens),
-            I.max_basis, I.max_degree)
-
+# GG-based multiplicities.  A GG presentation lives in J's handle cache,
+# keyed by the I handle itself: it is dropped with its handles, and a
+# handle with other caps never sees it.
 
 def cached_gg(J, I):
-    key = (_ideal_sig(J), _ideal_sig(I))
-    if key not in _GG_CACHE:
-        _GG_CACHE[key] = gg_presentation(J, I)
-    return _GG_CACHE[key]
+    key = ("gg", I)
+    gg = J._cache.get(key)
+    if gg is None:
+        gg = J._cache[key] = gg_presentation(J, I)
+    return gg
 
 
 def gmult(J, I, i):
@@ -344,7 +338,7 @@ def verify(J, I, meta=None, label=None):
             failures.append("theorem fails at r=%d: %d < %d" % (r, lv, rv))
 
     # corollary 1: adeg_i(gr_I A) >= adeg_i(A)
-    gr = cached_gg(J, I).gr
+    gr = gg.gr
     gr_total = regrade_total(gr.ideal)
     cor1_gr = _adeg_of_graded_ideal(gr_total)
     cor1_a, _prov = _adeg_of_ring_quotient(J, meta)

@@ -9,7 +9,7 @@ than returning silently wrong output.
 """
 
 from .errors import (AlgebraError, InternalConsistencyError,
-                     ResourceLimitError, UnsupportedInputError)
+                     UnsupportedInputError)
 from .groebner import (IdealHandle, eliminate, extended_ring, fresh_names,
                        ideal_power, ideal_product, ideal_sum, inject,
                        intersect, maximal_ideal, project)
@@ -88,8 +88,10 @@ def tangent_cone(J, oracle_window=None):
     if oracle_window is None:
         oracle_window = max((g.degree() for g in J.gens), default=1) + 2
     mring = maximal_ideal(ring)
+    mk = mring                                      # m^(k+1)
     for k in range(oracle_window + 1):
-        mk = ideal_power(mring, k + 1)
+        if k:
+            mk = ideal_product(mk, mring)
         left = artinian_length(ideal_sum(J, mk))
         right = artinian_length(ideal_sum(tc, mk))
         if left != right:
@@ -273,30 +275,40 @@ def gg_presentation(J, I, gate_rect=None):
 
 
 def _gate_gg_hilbert(gg, rect):
-    """hilbert_value of the presentation == direct bifiltration derivative."""
+    """hilbert_value of the presentation == direct bifiltration derivative.
+
+    Each row j walks the chain m^i*I^j, m^(i+1)*I^j = m*(m^i*I^j), ... so
+    the lower ideal of cell (i, j) is the upper ideal of cell (i+1, j), and
+    every power and product is built once.
+    """
     J, I = gg.J, gg.I
     ring = J.ring
     mring = maximal_ideal(ring)
-    for i in range(rect[0] + 1):
-        for j in range(rect[1] + 1):
+    power = IdealHandle(ring, [ring.one()])         # I^j
+    for j in range(rect[1] + 1):
+        next_power = ideal_product(power, I)        # I^(j+1)
+        chain = power                               # m^i * I^j
+        upper = ideal_sum(J, chain, next_power)
+        for i in range(rect[0] + 1):
             predicted = gg.hilbert(i, j)
-            ij = ideal_product(ideal_power(mring, i), ideal_power(I, j))
-            ij1 = ideal_product(ideal_power(mring, i + 1), ideal_power(I, j))
-            upper = ideal_sum(J, ij, ideal_power(I, j + 1))
-            lower = ideal_sum(J, ij1, ideal_power(I, j + 1))
-            direct = relative_length(upper, lower, ring, kill_bound=1)
+            chain = ideal_product(mring, chain)
+            lower = ideal_sum(J, chain, next_power)
+            direct = relative_length(upper, lower, kill_bound=1)
             if predicted != direct:
                 raise InternalConsistencyError(
                     "GG Hilbert gate fails at (%d,%d): presentation %d, direct %d"
                     % (i, j, predicted, direct))
+            upper = lower
+        power = next_power
     return True
 
 
 # ---------------------------------------------------------------------------
 # direct length oracles
 
-def relative_length(U, V, ring=None, kill_bound=None):
-    """Length of U/V for nested ideals V <= U with finite quotient.
+def relative_length(U, V, kill_bound):
+    """Length of U/V for nested ideals V <= U with finite quotient, where
+    m^kill_bound * U <= V.
 
     Homogeneous inputs sum Hilbert-function differences degreewise (exact:
     the quotient is generated in degrees up to its generators and killed
@@ -304,38 +316,18 @@ def relative_length(U, V, ring=None, kill_bound=None):
     adding no power of m, i.e. S/V is already Artinian, and plain length
     differences apply.
     """
-    ring = ring or U.ring
-    if not all(V_gen_in(U, g) for g in V.gens):
+    if not all(U.contains(g) for g in V.gens):
         raise AlgebraError("relative length needs V inside U")
     if U.is_homogeneous() and V.is_homogeneous():
-        hU = lambda d: hilbert_value(U, d)
-        hV = lambda d: hilbert_value(V, d)
         top = max((g.degree() for g in U.gens), default=0)
-        if kill_bound is None:
-            kill_bound = _kill_bound(U, V, ring)
         total = 0
         for d in range(0, top + kill_bound + 1):
-            total += hV(d) - hU(d)
+            total += hilbert_value(V, d) - hilbert_value(U, d)
         return total
     if dimension(V) <= 0:
         return artinian_length(V) - artinian_length(U)
     raise UnsupportedInputError(
         "relative length of inhomogeneous non-Artinian quotient is not supported")
-
-
-def V_gen_in(U, g):
-    return U.contains(g)
-
-
-def _kill_bound(U, V, ring, cap=40):
-    """Smallest c with m^c * U <= V, by direct membership tests."""
-    mring = maximal_ideal(ring)
-    for c in range(cap + 1):
-        mc = ideal_power(mring, c)
-        ok = all(V.contains(a * b) for a in mc.gens for b in U.gens)
-        if ok:
-            return c
-    raise ResourceLimitError("no kill bound below %d for the relative length" % cap)
 
 
 def bifiltration_length(J, I, i, j):
@@ -356,10 +348,11 @@ def h11_direct(J, I, i, j):
     mring = maximal_ideal(ring)
     total = bifiltration_length(J, I, i, j)
     mi1 = ideal_power(mring, i + 1)
+    ik = IdealHandle(ring, [ring.one()])            # I^k
     for k in range(j + 1):
-        ik = ideal_power(I, k)
-        ik1 = ideal_power(I, k + 1)
+        ik1 = ideal_product(ik, I)
         upper = intersect(ideal_sum(ik, J), ideal_sum(mi1, ik1, J))
         lower = ideal_sum(ideal_product(mi1, ik), ik1, J)
-        total += relative_length(upper, lower, ring, kill_bound=i + 1)
+        total += relative_length(upper, lower, kill_bound=i + 1)
+        ik = ik1
     return total

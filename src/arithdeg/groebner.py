@@ -197,11 +197,6 @@ def normal_form(f, basis, order):
                       _clean=False)
 
 
-def interreduce(basis, order):
-    """Make a Groebner basis reduced: minimal, monic, tails reduced."""
-    return _reduce(basis, order, _POLY, normal_form)
-
-
 def buchberger(gens, order, max_basis=DEFAULT_MAX_BASIS,
                max_degree=DEFAULT_MAX_DEGREE):
     """Reduced Groebner basis of the ideal generated by gens."""
@@ -219,10 +214,13 @@ def _poly_sort_key(f, order=DegRevLex()):
 
 
 class IdealHandle:
-    """An ideal given by generators, with a cache of reduced Groebner bases.
+    """An ideal given by generators, with a cache of derived results.
 
-    The cache is the one owner of the ideal's bases: the cyclic module S/I
-    (``hilbert.as_presentation``) takes its basis from here too.
+    The cache is the one owner of what is computed from the ideal: its
+    reduced Groebner bases, the cyclic module S/I
+    (``hilbert.as_presentation``, which takes its basis from here too) and
+    the GG presentations over S/I (``adeg.cached_gg``).  They all live and
+    die with the handle and are computed under its caps.
     """
 
     __slots__ = ("ring", "gens", "max_basis", "max_degree", "_cache")

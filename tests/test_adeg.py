@@ -218,17 +218,30 @@ def test_prune_coordinate_variables(R):
     assert adeg_report_ext(pruned).value(0) == adeg_report_ext(I).value(0)
 
 
-def test_cached_gg_honours_caps(monkeypatch):
+def test_cached_gg_lives_on_the_handles(R):
+    """One GG presentation per pair of handles, and none shared across
+    handles: a handle with the same generators, with or without other
+    caps, gets its own."""
+    x, y = R.gens()
+    J = IdealHandle(R, [x * y])
+    I = IdealHandle(R, [x ** 2, y])
+    gg = cached_gg(J, I)
+    assert cached_gg(J, I) is gg
+    assert cached_gg(J, IdealHandle(R, I.gens)) is not gg
+    capped = IdealHandle(R, I.gens, max_degree=I.max_degree + 1)
+    assert cached_gg(J, capped) is not gg
+
+
+def test_cached_gg_honours_caps():
     """A capped run fails the same whether or not an uncapped run of the
-    same pair came first: the GG cache is keyed by the ideals' caps too."""
-    import arithdeg.adeg as adeg_mod
+    same pair came first: GG presentations live on the ideal handles, which
+    carry their caps."""
     from arithdeg.errors import ResourceLimitError
     from arithdeg.runner import execute_script
     from arithdeg.session import parse_session
     text = ("ring S=Q[x,y];\nideal J=y^2-x^3;\nideal M=x,y;\nmeta J prime;\n"
             "%stask verify J M;\n")
     capped = parse_session(text % "option max_degree 2;\n")
-    monkeypatch.setattr(adeg_mod, "_GG_CACHE", {})
     with pytest.raises(ResourceLimitError):
         execute_script(capped)
     execute_script(parse_session(text % ""))

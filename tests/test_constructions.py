@@ -1,12 +1,18 @@
 """Tangent cones, Rees kernels, associated graded rings, GG, and the
 bifiltration length oracles."""
 
+import re
+
 import pytest
 
-from arithdeg.constructions import (assoc_graded, bifiltration_length,
+import arithdeg.constructions as constructions_mod
+import arithdeg.groebner as groebner_mod
+from arithdeg.constructions import (BigradedPresentation, assoc_graded,
+                                    bifiltration_length,
                                     gg_presentation, h11_direct,
                                     initial_forms_ideal, rees_kernel,
                                     relative_length, tangent_cone)
+from arithdeg.errors import InternalConsistencyError
 from arithdeg.groebner import IdealHandle, ideal_power, ideal_sum, maximal_ideal
 from arithdeg.hilbert import (artinian_length, dimension, h11_table,
                               hilbert_value)
@@ -124,6 +130,44 @@ def test_gg_cusp(R):
     assert all(gg.hilbert(i, j) == 0 for i in (1, 2) for j in range(4))
 
 
+GATE_RECT = (2, 3)
+
+
+@pytest.mark.parametrize("cell", [(0, 0), (GATE_RECT[0], 0), (0, GATE_RECT[1]),
+                                  GATE_RECT])
+def test_gg_gate_catches_a_wrong_cell(R, monkeypatch, cell):
+    """A presentation off by one at a single corner of the gate rectangle
+    fails the Hilbert gate: the chain walk reaches every corner."""
+    x, y = R.gens()
+    J = IdealHandle(R, [y ** 2 - x ** 3])
+    I = IdealHandle(R, [x ** 2, y])
+    right = BigradedPresentation.hilbert
+    monkeypatch.setattr(BigradedPresentation, "hilbert",
+                        lambda gg, i, j: right(gg, i, j) + ((i, j) == cell))
+    with pytest.raises(InternalConsistencyError,
+                       match=re.escape("gate fails at (%d,%d)" % cell)):
+        gg_presentation(J, I, gate_rect=GATE_RECT)
+
+
+def test_gg_gate_builds_each_product_once(R, monkeypatch):
+    """The gate walks m^i*I^j along chains: one product per cell and one
+    power per row, (a+2)(b+1) products for the rectangle (a, b)."""
+    x, y = R.gens()
+    J = IdealHandle(R, [y ** 2 - x ** 3])
+    I = IdealHandle(R, [x ** 2, y])
+    calls = []
+    product = groebner_mod.ideal_product
+
+    def counted(A, B):
+        calls.append(1)
+        return product(A, B)
+    monkeypatch.setattr(groebner_mod, "ideal_product", counted)
+    monkeypatch.setattr(constructions_mod, "ideal_product", counted)
+    a, b = GATE_RECT
+    gg_presentation(J, I, gate_rect=GATE_RECT)
+    assert 0 < len(calls) <= (a + 2) * (b + 1)
+
+
 def test_gg_dimension_transfer(R):
     x, y = R.gens()
     for gens, I in (([y ** 2 - x ** 3], maximal_ideal(R)),
@@ -199,7 +243,7 @@ def test_relative_length(R):
     U = IdealHandle(R, [x])
     V = IdealHandle(R, [x ** 2, x * y])
     # (x)/(x^2, xy) has length 1
-    assert relative_length(U, V, R, kill_bound=1) == 1
+    assert relative_length(U, V, kill_bound=1) == 1
 
 
 def test_initial_forms_block(R):
