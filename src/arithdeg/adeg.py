@@ -173,11 +173,7 @@ def biadeg(M, i):
 # handle with other caps never sees it.
 
 def cached_gg(J, I):
-    key = ("gg", I)
-    gg = J._cache.get(key)
-    if gg is None:
-        gg = J._cache[key] = gg_presentation(J, I)
-    return gg
+    return J._cached(("gg", I), lambda: gg_presentation(J, I))
 
 
 def gmult(J, I, i):

@@ -182,11 +182,6 @@ class PrimeField:
         return hash(("PrimeField", self.p))
 
 
-_GF_CACHE = {}
-
-
 def GF(p):
-    """Return the (cached) prime field Z/p.  Default session escape hatch: GF(32003)."""
-    if p not in _GF_CACHE:
-        _GF_CACHE[p] = PrimeField(p)
-    return _GF_CACHE[p]
+    """The prime field Z/p.  Default session escape hatch: GF(32003)."""
+    return PrimeField(p)

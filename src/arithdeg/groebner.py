@@ -256,14 +256,16 @@ class IdealHandle:
         self.max_degree = max_degree
         self._cache = {}
 
+    def _cached(self, key, build):
+        got = self._cache.get(key)
+        if got is None:
+            got = self._cache[key] = build()
+        return got
+
     def groebner_basis(self, order=None):
         order = order or DegRevLex()
-        sig = order.signature()
-        gb = self._cache.get(sig)
-        if gb is None:
-            gb = self._cache[sig] = tuple(
-                buchberger(self.gens, order, self.max_basis, self.max_degree))
-        return gb
+        return self._cached(order.signature(), lambda: tuple(
+            buchberger(self.gens, order, self.max_basis, self.max_degree)))
 
     def normal_form(self, f, order=None):
         order = order or DegRevLex()

@@ -6,6 +6,12 @@ ideals), compute the Hilbert-series numerator by the pivot recursion
 monomials.  The brute-force oracle (exact linear algebra over the
 coefficient field, never touching initial terms) lives here too so the two
 routes can be compared on every corpus module.
+
+Numerators are memoised on the ring that grades them (``ring.memo``), since
+the grading fixes the degree of every generator, and per presentation; the
+module keeps no tables of its own, so a count never depends on what ran
+before it.  Each eventual polynomial comes from one stabilisation loop per
+grading (``_interpolate_1d``/``_interpolate_2d``), fed by memoised values.
 """
 
 import itertools
@@ -28,18 +34,12 @@ def as_presentation(obj):
     if isinstance(obj, ModulePresentation):
         return obj
     if isinstance(obj, IdealHandle):
-        pres = obj._cache.get("pres")
-        if pres is None:
-            pres = obj._cache["pres"] = ModulePresentation.from_ideal(obj)
-        return pres
+        return obj._cached("pres", lambda: ModulePresentation.from_ideal(obj))
     raise AlgebraError("expected an ideal or module presentation, got %r" % (obj,))
 
 
 # ---------------------------------------------------------------------------
 # counting all monomials
-
-_COUNT_CACHE = {}
-
 
 def count_monomials(weights, d):
     """Number of exponent vectors with given weighted total degree."""
@@ -47,18 +47,11 @@ def count_monomials(weights, d):
         return 0
     if all(w == 1 for w in weights):
         return binom(d + len(weights) - 1, len(weights) - 1)
-    key = (tuple(weights), d)
-    got = _COUNT_CACHE.get(key)
-    if got is not None:
-        return got
-    if not weights:
-        val = 1 if d == 0 else 0
-    else:
-        w = weights[-1]
-        val = sum(count_monomials(weights[:-1], d - e * w)
-                  for e in range(d // w + 1))
-    _COUNT_CACHE[key] = val
-    return val
+    counts = [1] + [0] * d   # counts[k]: monomials of degree k in the variables so far
+    for w in weights:
+        for k in range(w, d + 1):
+            counts[k] += counts[k - w]
+    return counts[d]
 
 
 def monomials_of_degree(nvars, d, weights=None):
@@ -93,9 +86,6 @@ def monomials_of_bidegree(ring, i, j):
 # ---------------------------------------------------------------------------
 # Hilbert numerators for monomial ideals
 
-_NUMERATOR_CACHE = {}
-
-
 def _supports_coprime(gens):
     seen = set()
     for g in gens:
@@ -106,11 +96,13 @@ def _supports_coprime(gens):
     return True
 
 
-def _numerator(gens, degfun, zero_deg):
-    """Hilbert-series numerator of S/(gens) as a map degree -> coefficient."""
+def _numerator(gens, degfun, zero_deg, memo):
+    """Hilbert-series numerator of S/(gens) as a map degree -> coefficient.
+
+    memo maps minimal generators to numerators under this degfun.
+    """
     gens = minimal_monomials(gens)
-    key = (gens, zero_deg)
-    got = _NUMERATOR_CACHE.get(key)
+    got = memo.get(gens)
     if got is not None:
         return got
     if any(not any(m) for m in gens):
@@ -136,15 +128,15 @@ def _numerator(gens, degfun, zero_deg):
         plus = [g for g in gens if g[pivot] == 0] + [xv]
         colon = [tuple(e - 1 if i == pivot and e else e for i, e in enumerate(g))
                  for g in gens]
-        na = _numerator(tuple(plus), degfun, zero_deg)
-        nb = _numerator(tuple(colon), degfun, zero_deg)
+        na = _numerator(tuple(plus), degfun, zero_deg, memo)
+        nb = _numerator(tuple(colon), degfun, zero_deg, memo)
         dx = degfun(xv)
         result = dict(na)
         for d, c in nb.items():
             shifted = deg_add(d, dx)
             result[shifted] = result.get(shifted, 0) + c
         result = {d: c for d, c in result.items() if c}
-    _NUMERATOR_CACHE[key] = result
+    memo[gens] = result
     return result
 
 
@@ -157,10 +149,12 @@ def _component_numerators(pres, bigraded):
         degfun = ring.degree
         zero = 0
     key = ("numerators", bigraded)
+    # the ring fixes degfun, so its memo is shared by every module over it
+    memo = ring.memo.setdefault(key, {})
 
     def build():
         leads = pres.initial_leads()
-        return tuple(_numerator(tuple(mons), degfun, zero) for mons in leads)
+        return tuple(_numerator(tuple(mons), degfun, zero, memo) for mons in leads)
     return pres._cached(key, build)
 
 
@@ -306,13 +300,13 @@ def _monomial_ideal_dimension(leads, nvars):
     if any(not any(m) for m in leads):
         return -1
     supports = [frozenset(i for i, e in enumerate(m) if e) for m in leads]
-    best = -1
+    # the empty set contains no support once the unit ideal is ruled out,
+    # so size 0 always returns
     for size in range(nvars, -1, -1):
         for Z in itertools.combinations(range(nvars), size):
             zs = set(Z)
             if all(not s <= zs for s in supports):
                 return size
-    return best
 
 
 def dimension(M):
@@ -412,6 +406,24 @@ def _support_floor(pres, bigraded):
     return (min((s for s in pres.shifts), default=0),)
 
 
+def _double_sum(pres):
+    """(i, j) -> sum of h(a, b) over lo1 <= a <= i, lo2 <= b <= j, memoised,
+    so each bidegree costs one hilbert_value."""
+    lo1, lo2 = _support_floor(pres, True)
+    table = {}
+
+    def value(i, j):
+        if i < lo1 or j < lo2:
+            return 0
+        got = table.get((i, j))
+        if got is None:
+            got = table[(i, j)] = (hilbert_value(pres, (i, j))
+                                   + value(i - 1, j) + value(i, j - 1)
+                                   - value(i - 1, j - 1))
+        return got
+    return value
+
+
 def h11_table(M, hi1, hi2):
     """Double cumulative sums of the bigraded Hilbert function up to (hi1, hi2).
 
@@ -421,18 +433,9 @@ def h11_table(M, hi1, hi2):
     """
     pres = as_presentation(M)
     lo1, lo2 = _support_floor(pres, True)
-    h = {}
-    for i in range(lo1, hi1 + 1):
-        for j in range(lo2, hi2 + 1):
-            h[(i, j)] = hilbert_value(pres, (i, j))
-    table = {}
-    for i in range(lo1, hi1 + 1):
-        for j in range(lo2, hi2 + 1):
-            table[(i, j)] = (h[(i, j)]
-                             + table.get((i - 1, j), 0)
-                             + table.get((i, j - 1), 0)
-                             - table.get((i - 1, j - 1), 0))
-    return table
+    value = _double_sum(pres)
+    return {(i, j): value(i, j)
+            for i in range(lo1, hi1 + 1) for j in range(lo2, hi2 + 1)}
 
 
 def h11_polynomial(M):
@@ -442,22 +445,8 @@ def h11_polynomial(M):
     d = dimension(pres)
     if d < 0:
         return NumericalPoly2({}), StabilizationCertificate((0, 0), WINDOW, ())
-    start = _start_threshold(pres)
-    K = max(d, 0)
-    D = start
-    while D <= DEGREE_CAP:
-        size = K + 1 + WINDOW
-        table = h11_table(pres, D + size - 1, D + size - 1)
-        grid = [[table[(D + u, D + v)] for v in range(K + 1)] for u in range(K + 1)]
-        poly = interpolate_poly2(grid, (D, D))
-        ok = all(poly(D + u, D + v) == table[(D + u, D + v)]
-                 for u in range(size) for v in range(size))
-        if ok:
-            pts = [(D + u, D + v) for u in range(size) for v in range(size)]
-            return poly, StabilizationCertificate((D, D), WINDOW, pts)
-        D *= 2
-    raise ResourceLimitError("double sum transform did not stabilize below %d"
-                             % DEGREE_CAP)
+    return _interpolate_2d(_double_sum(pres), d, _start_threshold(pres),
+                           "double sum transform")
 
 
 def cumulative_polynomial(M):
@@ -470,17 +459,12 @@ def cumulative_polynomial(M):
         return NumericalPoly1([]), StabilizationCertificate((0,), WINDOW, ())
     (lo,) = _support_floor(pres, False)
     start = _start_threshold(pres)
-
-    cache = {}
+    sums = [0]   # sums[t] = h(lo) + ... + h(lo + t - 1)
 
     def cum(k):
-        if k in cache:
-            return cache[k]
-        total = 0
-        for u in range(lo, k + 1):
-            total += hilbert_value(pres, u)
-        cache[k] = total
-        return total
+        while len(sums) <= k - lo + 1:
+            sums.append(sums[-1] + hilbert_value(pres, lo + len(sums) - 1))
+        return sums[max(k - lo + 1, 0)]
 
     return _interpolate_1d(cum, d, start, "Hilbert-Samuel transform")
 
@@ -528,10 +512,9 @@ def artinian_length(M):
         raise AlgebraError("module has positive dimension, length is infinite")
     ring = pres.ring
     total = 0
-    for mons in pres.initial_leads():
+    for mons, num in zip(pres.initial_leads(), _component_numerators(pres, False)):
         if any(not any(m) for m in mons):
             continue  # component killed entirely
-        num = _numerator(tuple(mons), ring.degree, 0)
         d = 0
         top = max((ring.degree(m) for m in mons), default=0)
         while True:

@@ -269,12 +269,15 @@ class ModulePresentation:
 
     columns is a tuple of columns, each a tuple of `rank` polynomials.
     shifts[c] is the degree of the c-th free generator: an integer for
-    graded rings, an (i, j) pair for bigraded ones.
+    graded rings, an (i, j) pair for bigraded ones.  max_basis and
+    max_degree cap its module Groebner bases and those of its Ext modules.
     """
 
-    __slots__ = ("ring", "rank", "columns", "shifts", "_cache", "_ideal")
+    __slots__ = ("ring", "rank", "columns", "shifts", "max_basis", "max_degree",
+                 "_cache", "_ideal")
 
-    def __init__(self, ring, rank, columns, shifts=None):
+    def __init__(self, ring, rank, columns, shifts=None,
+                 max_basis=DEFAULT_MAX_BASIS, max_degree=DEFAULT_MAX_DEGREE):
         self.ring = ring
         self.rank = int(rank)
         cols = []
@@ -300,6 +303,8 @@ class ModulePresentation:
                 _clean=False),
             morder))
         self.columns = tuple(cols)
+        self.max_basis = max_basis
+        self.max_degree = max_degree
         self._cache = {}
         self._ideal = None
 
@@ -308,8 +313,10 @@ class ModulePresentation:
     @classmethod
     def from_ideal(cls, I):
         """The cyclic module S/I.  Its relations are I.gens; its Groebner
-        basis is I.groebner_basis(), so I's caps govern it."""
-        pres = cls(I.ring, 1, [(g,) for g in I.gens])
+        basis is I.groebner_basis(), and I's caps govern it and its Ext
+        modules."""
+        pres = cls(I.ring, 1, [(g,) for g in I.gens],
+                   max_basis=I.max_basis, max_degree=I.max_degree)
         pres._ideal = I
         return pres
 
@@ -341,8 +348,8 @@ class ModulePresentation:
             if self._ideal is not None:
                 return tuple(Vec.from_polys(self.ring, (g,))
                              for g in self._ideal.groebner_basis())
-            return tuple(module_buchberger(self.column_vecs(),
-                                           PositionOverTerm()))
+            return tuple(module_buchberger(self.column_vecs(), PositionOverTerm(),
+                                           self.max_basis, self.max_degree))
         return self._cached("gb", build)
 
     def is_homogeneous(self):
@@ -513,7 +520,8 @@ def ext_presentation(pres, j):
     else:
         phi_cols = _transpose(res.differentials[j], r_j)  # r_j columns in S^{r_{j+1}}
         r_next = ranks[j + 1]
-        K = syzygies_of(phi_cols, ring, r_next)
+        K = syzygies_of(phi_cols, ring, r_next, max_basis=pres.max_basis,
+                        max_degree=pres.max_degree)
         K = [Vec(ring, r_j, v.terms, _clean=False) for v in K]
     if not K:
         return ModulePresentation.zero(ring)
@@ -525,7 +533,8 @@ def ext_presentation(pres, j):
                         {(c, m): v for c, p in enumerate(col) for m, v in p.terms.items()})
                     for col in _transpose(res.differentials[j - 1], ranks[j - 1])]
     combined = list(K) + list(psi_cols)
-    rels = syzygies_of(combined, ring, r_j)
+    rels = syzygies_of(combined, ring, r_j, max_basis=pres.max_basis,
+                       max_degree=pres.max_degree)
     s = len(K)
     rel_cols = []
     for v in rels:
@@ -534,4 +543,5 @@ def ext_presentation(pres, j):
         if w:
             rel_cols.append(w.to_polys())
     gen_shifts = tuple(_vec_degree(ring, dual_shifts_j, k) for k in K)
-    return ModulePresentation(ring, s, rel_cols, shifts=gen_shifts)
+    return ModulePresentation(ring, s, rel_cols, shifts=gen_shifts,
+                              max_basis=pres.max_basis, max_degree=pres.max_degree)

@@ -67,10 +67,13 @@ class RingDescriptor:
     The grading is either a weight per variable (graded case, weights
     default to 1) or a bidegree tag (1,0)/(0,1) per variable (bigraded
     case, partitioning the variables into an x-block and a y-block).
+    ``memo`` holds results that depend only on the ring and its grading,
+    such as Hilbert numerators of monomial ideals; it lives and dies with
+    the ring.
     """
 
     __slots__ = ("names", "field", "weights", "bidegrees",
-                 "x_block", "y_block")
+                 "x_block", "y_block", "memo")
 
     def __init__(self, names, field=QQ, weights=None, bidegrees=None):
         names = tuple(names)
@@ -86,6 +89,7 @@ class RingDescriptor:
                 raise AlgebraError("bad variable name %r" % (n,))
         self.names = names
         self.field = field
+        self.memo = {}
         if bidegrees is not None:
             bidegrees = tuple(tuple(b) for b in bidegrees)
             if len(bidegrees) != len(names):

@@ -72,6 +72,26 @@ def test_option_max_degree_caps_hilbert(tmp_path):
     assert main(["run", "-i", str(src)]) == 3
 
 
+def test_option_max_degree_reaches_ext_bases(monkeypatch):
+    """The Ext route builds its module Groebner bases under the ideal's caps."""
+    import arithdeg.modules as modules
+    from arithdeg.groebner import DEFAULT_MAX_BASIS, DEFAULT_MAX_DEGREE
+    seen = []
+    build = modules.module_buchberger
+
+    def recording(vecs, morder, max_basis=DEFAULT_MAX_BASIS,
+                  max_degree=DEFAULT_MAX_DEGREE):
+        seen.append((max_basis, max_degree))
+        return build(vecs, morder, max_basis, max_degree)
+    monkeypatch.setattr(modules, "module_buchberger", recording)
+    script = parse_session("ring S=Q[x,y,z,w];\n"
+                           "ideal J=x^2-y*z, x*y-z*w, y^2-x*w;\n"
+                           "option max_degree 3;\noption max_basis 500;\n"
+                           "task adeg J;\n")
+    execute_script(script)
+    assert seen and set(seen) == {(500, 3)}
+
+
 def test_run_determinism(tmp_path):
     src = tmp_path / "s.ses"
     src.write_text("ring S=Q[x,y];\nideal J=x^2,x*y;\nideal M=x,y;\n"

@@ -5,11 +5,11 @@ import pytest
 from arithdeg.errors import HomogeneityError, NotBigradedError
 from arithdeg.groebner import IdealHandle
 from arithdeg.hilbert import (artinian_length, classical_multiplicity,
-                              cumulative_polynomial, dimension, ee_vector,
-                              h11_polynomial, h11_table, hilbert_polynomial,
-                              hilbert_samuel, hilbert_value,
-                              hilbert_value_bruteforce, relevant_dimension,
-                              samuel_multiplicity)
+                              count_monomials, cumulative_polynomial, dimension,
+                              ee_vector, h11_polynomial, h11_table,
+                              hilbert_polynomial, hilbert_samuel, hilbert_value,
+                              hilbert_value_bruteforce, monomials_of_degree,
+                              relevant_dimension, samuel_multiplicity)
 from arithdeg.modules import ModulePresentation
 from arithdeg.numerical import MultiplicityVector
 from arithdeg.rings import Polynomial, RingDescriptor
@@ -34,6 +34,29 @@ def test_hilbert_value_staircase(R):
     x, y = R.gens()
     I = IdealHandle(R, [x ** 2, x * y])
     assert [hilbert_value(I, d) for d in range(6)] == [1, 2, 1, 1, 1, 1]
+
+
+@pytest.mark.parametrize("make_rings, at", [
+    (lambda: (RingDescriptor.bigraded("x", "y,z"),
+              RingDescriptor.bigraded("x,y", "z")), (1, 0)),
+    (lambda: (RingDescriptor.graded("x,y"),
+              RingDescriptor.graded("x,y", weights=(1, 2))), 3),
+])
+@pytest.mark.parametrize("first", [0, 1])
+def test_hilbert_value_same_generators_other_grading(make_rings, at, first):
+    """(y) has the same generators in both rings but not the same Hilbert
+    numerator; neither ring may see the other's, whichever runs first."""
+    rings = make_rings()
+    for ring in (rings[first], rings[1 - first]):
+        I = IdealHandle(ring, ["y"])
+        assert hilbert_value(I, at) == hilbert_value_bruteforce(I, at) == 1
+
+
+@pytest.mark.parametrize("weights", [(1, 2), (2, 3, 1), (3, 1, 1, 2), (2, 2)])
+def test_count_monomials_weighted(weights):
+    for d in range(-1, 12):
+        assert count_monomials(weights, d) == len(
+            list(monomials_of_degree(len(weights), d, weights)))
 
 
 def test_hilbert_value_bigraded_free(B):
