@@ -117,18 +117,23 @@ class AdegReport:
 # ---------------------------------------------------------------------------
 # the three degree flavors
 
+def _ext_for_dimension(M, i):
+    """Ext^(n-i)(M, S), or None where it is zero: for i < 0, and for
+    i > dim M (so for i > n) by the grade bound, since over the
+    Cohen-Macaulay ring S, Ext^j(M, S) = 0 for j < codim M = n - dim M.
+    No Ext module below the codimension is ever built."""
+    pres = as_presentation(M)
+    if i < 0 or i > dimension(pres):
+        return None
+    ext = ext_presentation(pres, pres.ring.nvars - i)
+    return ext if ext.rank else None
+
+
 def adeg_graded(M, i):
     """Graded arithmetic degree by the Ext route:
     e_i of Ext^(n-i)(M, S)."""
-    pres = as_presentation(M)
-    n = pres.ring.nvars
-    j = n - i
-    if j < 0 or i < 0:
-        return 0
-    ext = ext_presentation(pres, j)
-    if ext.rank == 0:
-        return 0
-    return classical_multiplicity(ext, i)
+    ext = _ext_for_dimension(M, i)
+    return 0 if ext is None else classical_multiplicity(ext, i)
 
 
 def adeg_report_ext(M):
@@ -156,14 +161,9 @@ def adeg_report_monomial(I):
 
 def biadeg(M, i):
     """Bigraded arithmetic degree: ee_i of the bigraded Ext module."""
-    pres = as_presentation(M)
-    n = pres.ring.nvars
-    j = n - i
-    if j < 0 or i < 0:
+    ext = _ext_for_dimension(M, i)
+    if ext is None:
         return MultiplicityVector.zero(max(i, 0))
-    ext = ext_presentation(pres, j)
-    if ext.rank == 0:
-        return MultiplicityVector.zero(i)
     return ee_vector(ext, i)
 
 

@@ -131,20 +131,24 @@ def _run_entry(entry):
 
 
 def _corpus_outcome(entry):
-    """(_run_entry's result, None), or (None, (kind, message)) when the
-    entry raised; kind is "theorem", "resource" or "error".  Only plain
-    data comes back, so a worker process can return any outcome (not every
-    exception type survives pickling)."""
+    """(_run_entry's result, None), or (None, (kind, message, diagnostics))
+    when the entry raised; kind is "theorem", "resource" or "error", and
+    diagnostics are a resource cap's "key=value" pairs ("" otherwise).
+    Only plain data comes back, so a worker process can return any outcome
+    (not every exception type survives pickling)."""
     try:
         return _run_entry(entry), None
     except Exception as exc:  # classified here, reported in entry order
+        diagnostics = ""
         if isinstance(exc, TheoremViolationError):
             kind = "theorem"
         elif isinstance(exc, ResourceLimitError):
             kind = "resource"
+            diagnostics = " ".join("%s=%s" % kv
+                                   for kv in sorted(exc.diagnostics.items()))
         else:
             kind = "error"
-        return None, (kind, str(exc))
+        return None, (kind, str(exc), diagnostics)
 
 
 def cmd_corpus(args):
@@ -168,7 +172,7 @@ def cmd_corpus(args):
     all_results = []
     for entry, (ok, err) in zip(entries, outcomes):
         if err is not None:
-            kind, message = err
+            kind, message, diagnostics = err
             if kind == "theorem" and violation is None:
                 violation = (entry, message)
             elif kind == "resource" and resource is None:
@@ -177,6 +181,9 @@ def cmd_corpus(args):
             summary["entries"].append({"id": entry.identifier, "passed": False,
                                        "error": message})
             rows.append((entry.identifier, "error", "", message, "fail"))
+            if diagnostics:
+                rows.append((entry.identifier, "diagnostics", "", diagnostics,
+                             "fail"))
             continue
         identifier, result, failures = ok
         passed = not failures

@@ -94,13 +94,13 @@ def _divide(terms, basis, leads, key, ops, quotients=None):
 
 def _update_pairs(P, leads, n, key, ops):
     """Gebauer-Moeller update of the pair set P when element n, with lead
-    term leads[n], joins elements 0..n-1."""
-    t = leads[n]
-    lcm_t = [ops.lcm(leads[i], t) for i in range(n)]
+    term leads[n][0], joins elements 0..n-1."""
+    t = leads[n][0]
+    lcm_t = [ops.lcm(s, t) for s, _ in leads[:n]]
 
     def keep(i, j):
         # drop an old pair whose lcm t divides, unless t spans it with i or j
-        lcm = ops.lcm(leads[i], leads[j])
+        lcm = ops.lcm(leads[i][0], leads[j][0])
         return ops.div(lcm, t) is None or lcm in (lcm_t[i], lcm_t[j])
 
     P = {(i, j) for (i, j) in P if keep(i, j)}
@@ -117,7 +117,7 @@ def _update_pairs(P, leads, n, key, ops):
         members = groups[lcm]
         # product criterion: skip when some member has a coprime lead
         if ops.product_criterion and any(
-                ops.mul(leads[i], t) == lcm for i in members):
+                ops.mul(leads[i][0], t) == lcm for i in members):
             continue
         P.add((min(members), n))
     return P
@@ -128,12 +128,12 @@ def _reduce(G, order, ops, nf=None):
     the lead of an earlier one divides its lead.  With nf, each kept element
     is also divided by the others and made monic, which reduces a Groebner
     basis."""
-    heads = sorted(((f.leading_term(order)[0], f) for f in G if f),
-                   key=lambda head: order.key(head[0]))
+    heads = sorted(((f.leading_term(order), f) for f in G if f),
+                   key=lambda head: order.key(head[0][0]))
     leads, minimal = [], []
-    for t, f in heads:
-        if all(ops.div(t, s) is None for s in leads):
-            leads.append(t)
+    for lead, f in heads:
+        if all(ops.div(lead[0], s) is None for s, _ in leads):
+            leads.append(lead)
             minimal.append(f)
     if nf is None:
         return minimal
@@ -141,7 +141,8 @@ def _reduce(G, order, ops, nf=None):
     for k, f in enumerate(minimal):
         # a single term is reduced already: no other lead divides it
         if len(f.terms) > 1 and len(minimal) > 1:
-            f = nf(f, minimal[:k] + minimal[k + 1:], order)
+            f = nf(f, minimal[:k] + minimal[k + 1:], order,
+                   leads[:k] + leads[k + 1:])
         reduced.append(f.monic(order))
     return reduced
 
@@ -149,9 +150,10 @@ def _reduce(G, order, ops, nf=None):
 def _groebner(gens, order, ops, nf, max_basis, max_degree):
     """Reduced Groebner basis of the span of gens (nonzero elements of one
     kind): normal strategy, Gebauer-Moeller pairs, S-elements divided by
-    nf(s, basis, order)."""
+    nf(s, basis, order, leads), where leads[k] is the (lead term,
+    coefficient) pair of basis[k]."""
     G = [f.monic(order) for f in gens]
-    leads = [f.leading_term(order)[0] for f in G]
+    leads = [f.leading_term(order) for f in G]
     P = set()
     if any(len(f.terms) > 1 for f in G):
         # (single-term elements are a Groebner basis already)
@@ -161,19 +163,19 @@ def _groebner(gens, order, ops, nf, max_basis, max_degree):
     while P:
         for ij in P:
             if ij not in pair_key:
-                pair_key[ij] = order.key(ops.lcm(leads[ij[0]], leads[ij[1]]))
-        pair = min(P, key=pair_key.__getitem__)
-        P.remove(pair)
-        f, g = G[pair[0]], G[pair[1]]
-        s = _s_element(f, f.leading_term(order), g, g.leading_term(order), ops)
-        r = nf(ops.make(f, s[2]), G, order)
+                pair_key[ij] = order.key(ops.lcm(leads[ij[0]][0],
+                                                 leads[ij[1]][0]))
+        i, j = min(P, key=pair_key.__getitem__)
+        P.remove((i, j))
+        s = _s_element(G[i], leads[i], G[j], leads[j], ops)
+        r = nf(ops.make(G[i], s[2]), G, order, leads)
         if r:
             if r.degree() > max_degree:
                 raise ResourceLimitError(
                     "%s degree cap %d exceeded" % (ops.name, max_degree),
                     basis_size=len(G), degree=r.degree())
             G.append(r.monic(order))
-            leads.append(G[-1].leading_term(order)[0])
+            leads.append(G[-1].leading_term(order))
             P = _update_pairs(P, leads, len(G) - 1, order.key, ops)
             if len(G) > max_basis:
                 raise ResourceLimitError(
@@ -187,12 +189,13 @@ def s_polynomial(f, g, order):
     return Polynomial(f.ring, s[2], _clean=False)
 
 
-def normal_form(f, basis, order):
+def normal_form(f, basis, order, leads=None):
     """Remainder of f on division by basis; no term of it is divisible
-    by a basis leading monomial."""
+    by a basis leading monomial.  leads, when given, lists the
+    (lead monomial, coefficient) pair of each basis element."""
     if not basis:
         return f
-    leads = [g.leading_term(order) for g in basis]
+    leads = leads or [g.leading_term(order) for g in basis]
     return Polynomial(f.ring, _divide(f.terms, basis, leads, order.key, _POLY),
                       _clean=False)
 

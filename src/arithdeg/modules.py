@@ -176,11 +176,12 @@ _VEC = _Terms(_vec_div, _vec_mul, _vec_lcm,
               False, "module Groebner")
 
 
-def module_normal_form(v, basis, morder):
-    """Division remainder of a vector by a list of vectors."""
+def module_normal_form(v, basis, morder, leads=None):
+    """Division remainder of a vector by a list of vectors; leads, when
+    given, lists the (lead term, coefficient) pair of each of them."""
     if not basis:
         return v
-    leads = [g.leading_term(morder) for g in basis]
+    leads = leads or [g.leading_term(morder) for g in basis]
     return Vec(v.ring, v.rank, _divide(v.terms, basis, leads, morder.key, _VEC),
                _clean=False)
 
@@ -487,7 +488,12 @@ def _negate_shift(s):
 
 
 def resolution_for(pres, length):
-    """Cached free resolution, extended monotonically on demand."""
+    """Cached free resolution of at least the given length.  It is not
+    extended: a longer request than an incomplete cached one rebuilds the
+    whole Schreyer frame from scratch (adeg_graded at i = 2, 1, 0 on
+    S/(x^2, xy, xz) in Q[x,y,z] builds lengths 2, 3 and 4).
+    adeg_report_ext asks for the longest resolution first, at i = 0, so it
+    resolves each module once."""
     res = pres._cache.get("resolution")
     if res is None or not (res.complete or res.length >= length):
         res = pres._cache["resolution"] = free_resolution(pres, length)

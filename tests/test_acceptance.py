@@ -14,11 +14,12 @@ from arithdeg.adeg import (adeg_report_ext, adeg_report_monomial, cached_gg,
 from arithdeg.constructions import h11_direct
 from arithdeg.groebner import (IdealHandle, buchberger, ideal_power,
                                ideal_sum, normal_form, s_polynomial)
-from arithdeg.hilbert import (artinian_length, classical_multiplicity,
-                              dimension, h11_polynomial, h11_table,
-                              hilbert_polynomial, hilbert_value,
-                              hilbert_value_bruteforce)
+from arithdeg.hilbert import (artinian_length, as_presentation,
+                              classical_multiplicity, dimension,
+                              h11_polynomial, h11_table, hilbert_polynomial,
+                              hilbert_value, hilbert_value_bruteforce)
 from arithdeg.corpus import build_corpus
+from arithdeg.modules import ext_presentation
 from arithdeg.numerical import NumericalPoly2, interpolate_poly1
 from arithdeg.orders import DegRevLex
 from arithdeg.rings import RingDescriptor
@@ -174,6 +175,44 @@ def test_criterion_4_adeg_cross_pipeline():
     assert adeg_report_monomial(ideals[1]).table()[1] == 2
     _report("4 adeg Ext == standard pairs (50 ideals)",
             time.monotonic() - started, 120)
+
+
+# two complete intersections of three dense quadrics in Q[x,y,z,w]
+DENSE_QUADRIC_CIS = (
+    ("-4*x^2 - x*y - x*z - 3*x*w - 2*y^2 + 3*y*z - 2*y*w - 3*z^2 + z*w - 4*w^2",
+     "-x^2 + 2*x*y + 3*x*z - 3*x*w + y^2 - 4*y*z + 3*y*w + z^2 - 2*z*w + 2*w^2",
+     "-2*x^2 - x*y - 4*x*z - 2*x*w + 2*y^2 + 2*y*z + 2*y*w - 2*z^2 - 2*z*w - 2*w^2"),
+    ("-4*x^2 + x*y - 3*x*z - 3*x*w + 2*y^2 + 3*y*z - 4*y*w - 2*z^2 + z*w + 2*w^2",
+     "3*x^2 + 2*x*y + 2*x*z - 4*x*w - y^2 - y*z + 2*y*w + 2*z^2 - z*w - w^2",
+     "x^2 + 4*x*y + 2*x*z + 2*x*w + 4*y^2 + 3*y*z - 2*y*w - 2*z^2 + 4*z*w - 3*w^2"),
+)
+
+
+def test_grade_bound_ext_vanishes_below_codimension():
+    """Ext^j(S/I, S) = 0 for j < codim = n - dim, built the long way, on
+    criterion 4's 50 ideals and two dense quadric complete intersections;
+    Ext^codim is nonzero, so the bound is sharp."""
+    rng = random.Random(4004)
+    R2 = RingDescriptor.graded("x,y")
+    x, y = R2.gens()
+    ideals = [IdealHandle(R2, [x ** 2, x * y]), IdealHandle(R2, [x * y])]
+    while len(ideals) < 50:
+        n = rng.randint(2, 4)
+        ring = RingDescriptor.graded(",".join("xyzw"[:n]))
+        gens = _random_monomial_ideal(rng, ring)
+        I = IdealHandle(ring, gens)
+        if I.is_unit() or I.is_zero():
+            continue
+        ideals.append(I)
+    R4 = RingDescriptor.graded("x,y,z,w")
+    cis = [IdealHandle(R4, list(gens)) for gens in DENSE_QUADRIC_CIS]
+    assert [dimension(I) for I in cis] == [1, 1]
+    for I in ideals + cis:
+        pres = as_presentation(I)
+        n, d = I.ring.nvars, dimension(I)
+        for i in range(d + 1, n + 1):
+            assert ext_presentation(pres, n - i).is_zero_module(), (I, i)
+        assert not ext_presentation(pres, n - d).is_zero_module(), I
 
 
 def _samuel_wrt_ideal(J, I, max_n=10):

@@ -168,6 +168,22 @@ def test_corpus_parallel_reports_errors_as_serial(tmp_path, monkeypatch,
     assert "FAIL broken:" in printed
 
 
+def test_corpus_rows_carry_resource_diagnostics(tmp_path, monkeypatch):
+    """A capped entry's CSV rows carry the cap's diagnostics after the
+    error message."""
+    import arithdeg.cli as cli_mod
+    from arithdeg.corpus import CorpusEntry
+    capped = CorpusEntry(
+        "capped", "ring S = Q[x,y,z];\nideal J = x^2 - y*z, x*y - z^2;\n"
+                  "option max_basis 2;\ntask gb J;\n")
+    monkeypatch.setattr(cli_mod, "build_corpus", lambda: [capped])
+    csv = tmp_path / "capped.csv"
+    assert main(["corpus", "--csv", str(csv)]) == 3
+    assert csv.read_text().splitlines()[1:] == [
+        "capped,error,,Groebner basis size cap 2 exceeded,fail",
+        "capped,diagnostics,,basis_size=3,fail"]
+
+
 def test_corpus_spot_check_shares_the_task_basis(monkeypatch):
     """The corpus spot check tests the basis the tasks then reuse: one
     Buchberger run per ideal, not two."""

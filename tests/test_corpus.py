@@ -3,6 +3,8 @@ metadata contracts hold."""
 
 from arithdeg.corpus import build_corpus, lookup
 from arithdeg.groebner import IdealHandle
+from arithdeg.runner import execute_script
+from arithdeg.session import parse_session
 
 
 def test_corpus_size_and_unique_ids():
@@ -71,3 +73,28 @@ def test_random_family_is_reproducible():
     a = [e.script_text for e in build_corpus() if e.identifier.startswith("rnd-")]
     b = [e.script_text for e in build_corpus() if e.identifier.startswith("rnd-")]
     assert a == b
+
+
+# entries with non-monomial J and I (so Groebner, GG and Ext all do work
+# over the field), a monomial one with embedded primes, and random ones
+ZP_CROSS_ENTRIES = ("wx-x2xy-m", "wx-cusp3", "wx-parabola", "emb-3var",
+                    "cusp-5", "rnd-05", "rnd-10")
+INTEGER_INVARIANTS = ("adeg", "theorem_lhs", "theorem_rhs", "corollary1_gr",
+                      "corollary1_a")
+
+
+def _invariants(script_text):
+    result = execute_script(parse_session(script_text))
+    return [{k: r["result"][k] for k in INTEGER_INVARIANTS if k in r["result"]}
+            for r in result["results"]]
+
+
+def test_prime_field_gives_the_same_invariants():
+    """Over Zp(32003) the corpus invariants equal those over Q: a
+    cross-field check on every layer they pass through."""
+    for ident in ZP_CROSS_ENTRIES:
+        text = lookup(ident).script_text
+        assert text.startswith("ring S = Q[")
+        over_q = _invariants(text)
+        assert any(over_q), ident
+        assert _invariants(text.replace("Q[", "Zp(32003)[", 1)) == over_q, ident

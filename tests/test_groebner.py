@@ -123,6 +123,29 @@ def test_normal_form_examples(R):
     assert normal_form(nf, basis, order) == nf
 
 
+@pytest.mark.parametrize("order", [DegRevLex(), Lex()])
+def test_normal_form_given_leads_matches_computed(order):
+    """Passing each divisor's (lead, coefficient) gives the remainder that
+    computing them does, for random non-monic divisors."""
+    import random
+    R3 = RingDescriptor.graded("x,y,z")
+    rng = random.Random(606)
+
+    def rand_poly():
+        f = R3.zero()
+        for _ in range(rng.randint(1, 4)):
+            exps = tuple(rng.randint(0, 3) for _ in range(3))
+            f = f + R3.monomial(exps, rng.randint(-5, 5))
+        return f
+
+    for _ in range(40):
+        basis = [g for g in (rand_poly() for _ in range(rng.randint(1, 4))) if g]
+        f = rand_poly() * rand_poly() + rand_poly()
+        leads = [g.leading_term(order) for g in basis]
+        assert (normal_form(f, basis, order, leads)
+                == normal_form(f, basis, order))
+
+
 def test_quotient_examples(R):
     x, y = R.gens()
     I = IdealHandle(R, [x ** 2, x * y])

@@ -283,3 +283,33 @@ def test_random_submodule_bases(rank, schreyer):
             for j, (t, _) in enumerate(leads):
                 if j != i:
                     assert not any(_divides(t, u) for u in g.terms)
+
+
+@pytest.mark.parametrize("schreyer", [False, True])
+def test_module_normal_form_given_leads_matches_computed(schreyer):
+    """Passing each divisor's (lead, coefficient) gives the remainder that
+    computing them does, for random non-monic vectors in S^3."""
+    from arithdeg.modules import SchreyerOrder, module_normal_form
+    R3 = RingDescriptor.graded("x,y,z")
+    morder = PositionOverTerm()
+    if schreyer:
+        morder = SchreyerOrder(morder, [(0, (1, 0, 0)), (1, (0, 0, 0)),
+                                        (0, (0, 1, 1))])
+    rng = random.Random(707 + schreyer)
+
+    def rand_vec():
+        polys = []
+        for _ in range(3):
+            f = R3.zero()
+            for _ in range(rng.randint(0, 3)):
+                exps = tuple(rng.randint(0, 2) for _ in range(3))
+                f = f + R3.monomial(exps, rng.randint(-5, 5))
+            polys.append(f)
+        return Vec.from_polys(R3, polys)
+
+    for _ in range(40):
+        basis = [g for g in (rand_vec() for _ in range(rng.randint(1, 4))) if g]
+        v = rand_vec()
+        leads = [g.leading_term(morder) for g in basis]
+        assert (module_normal_form(v, basis, morder, leads)
+                == module_normal_form(v, basis, morder))
