@@ -87,13 +87,13 @@ def _spot_check_basis(I):
     """Assert the Buchberger criterion on the ideal's degrevlex basis.  It
     runs with every corpus entry, whose tasks then reuse the basis, so no
     corpus run ships an unsound cache; ``check`` runs it on random ideals."""
-    from .groebner import normal_form, s_polynomial
+    from .groebner import s_polynomial
     from .orders import DegRevLex
     order = DegRevLex()
-    basis = list(I.groebner_basis(order))
+    basis = I.groebner_basis(order)
     for i in range(len(basis)):
         for j in range(i + 1, len(basis)):
-            if normal_form(s_polynomial(basis[i], basis[j], order), basis, order):
+            if I.normal_form(s_polynomial(basis[i], basis[j], order), order):
                 raise AssertionError("S-polynomial of a returned basis did not "
                                      "reduce to zero")
 

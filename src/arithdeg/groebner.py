@@ -243,8 +243,10 @@ class IdealHandle:
                 cleaned.append(g)
         # canonicalize: drop duplicates and monomial generators made
         # redundant by another monomial generator (same ideal, smaller list)
-        keep = [ring.monomial(m) for m in minimal_monomials(
-            {next(iter(g.terms)) for g in cleaned if g.is_monomial()})]
+        one = ring.field.one
+        keep = [Polynomial(ring, {m: one}, _clean=False)
+                for m in minimal_monomials(
+                    {next(iter(g.terms)) for g in cleaned if g.is_monomial()})]
         seen = set()
         for g in cleaned:
             if g.is_monomial():
@@ -272,7 +274,10 @@ class IdealHandle:
 
     def normal_form(self, f, order=None):
         order = order or DegRevLex()
-        return normal_form(f, list(self.groebner_basis(order)), order)
+        basis = self.groebner_basis(order)
+        leads = self._cached(("leads", order.signature()), lambda: [
+            g.leading_term(order) for g in basis])
+        return normal_form(f, basis, order, leads)
 
     def contains(self, f):
         return not self.normal_form(f)
@@ -323,8 +328,17 @@ def ideal_sum(*ideals):
 
 
 def ideal_product(I, J):
-    gens = [f * g for f in I.gens for g in J.gens]
-    return IdealHandle(I.ring, gens)
+    """I*J.  Monomial ideals multiply as sets of exponent tuples, with no
+    coefficient arithmetic; IdealHandle keeps the minimal products."""
+    if I.ring != J.ring:
+        raise RingMismatchError("multiplying ideals over different rings")
+    if not (I.is_monomial() and J.is_monomial()):
+        return IdealHandle(I.ring, [f * g for f in I.gens for g in J.gens])
+    one = I.ring.field.one
+    products = {mono_mul(next(iter(f.terms)), next(iter(g.terms)))
+                for f in I.gens for g in J.gens}
+    return IdealHandle(I.ring, [Polynomial(I.ring, {m: one}, _clean=False)
+                                for m in products])
 
 
 def ideal_power(I, k):

@@ -389,16 +389,18 @@ class ModulePresentation:
 
 
 class ChainComplex:
-    """Free complex d_1, d_2, ...; checked so consecutive maps compose to zero."""
+    """Free complex d_1, d_2, ...; checked so consecutive maps compose to zero.
+    An incomplete resolution's frontier is its last basis and module order."""
 
     def __init__(self, ring, base_rank, base_shifts, differentials, level_shifts,
-                 complete):
+                 complete, frontier=None):
         self.ring = ring
         self.base_rank = base_rank
         self.base_shifts = tuple(base_shifts)
         self.differentials = list(differentials)
         self.level_shifts = [tuple(s) for s in level_shifts]
         self.complete = complete
+        self.frontier = frontier
         self._verify()
 
     @property
@@ -411,8 +413,29 @@ class ChainComplex:
             out.append(len(d))
         return out
 
-    def _verify(self):
-        for k in range(len(self.differentials) - 1):
+    def extend(self, max_length):
+        """Add Schreyer syzygy levels until there are max_length maps or the
+        syzygies vanish (complete); checks only the new compositions."""
+        if self.complete or self.length >= max_length:
+            return self
+        G, order = self.frontier
+        diffs, levels = self.differentials, self.level_shifts
+        checked = max(len(diffs) - 1, 0)
+        while len(diffs) < max_length:
+            if diffs:
+                G, order = schreyer_syzygies(G, order)
+            if not G:
+                self.complete, self.frontier = True, None
+                break
+            shifts = levels[-1] if levels else self.base_shifts
+            levels.append(tuple(_vec_degree(self.ring, shifts, g) for g in G))
+            diffs.append([g.to_polys() for g in G])
+            self.frontier = (G, order)
+        self._verify(checked)
+        return self
+
+    def _verify(self, start=0):
+        for k in range(start, len(self.differentials) - 1):
             d1 = self.differentials[k]      # columns in S^{r_k}
             d2 = self.differentials[k + 1]  # columns in S^{r_{k+1}}
             rank = self.base_rank if k == 0 else len(self.differentials[k - 1])
@@ -436,30 +459,9 @@ def free_resolution(pres, max_length):
     """
     if max_length < 1:
         raise AlgebraError("resolution length must be at least 1")
-    ring = pres.ring
-    G = pres.gb()
-    if not G:
-        return ChainComplex(ring, pres.rank, pres.shifts, [], [], True)
-    diffs = []
-    shift_levels = []
-    cur_shifts = pres.shifts
-    cur_order = PositionOverTerm()
-    complete = False
-    while True:
-        # record the current GB as a differential
-        degs = tuple(_vec_degree(ring, cur_shifts, g) for g in G)
-        diffs.append([g.to_polys() for g in G])
-        shift_levels.append(degs)
-        if len(diffs) >= max_length:
-            break
-        syz, sorder = schreyer_syzygies(G, cur_order)
-        if not syz:
-            complete = True
-            break
-        cur_shifts = degs
-        G = syz
-        cur_order = sorder
-    return ChainComplex(ring, pres.rank, pres.shifts, diffs, shift_levels, complete)
+    start = ChainComplex(pres.ring, pres.rank, pres.shifts, [], [], False,
+                         frontier=(pres.gb(), PositionOverTerm()))
+    return start.extend(max_length)
 
 
 def _vec_degree(ring, shifts, v):
@@ -488,16 +490,15 @@ def _negate_shift(s):
 
 
 def resolution_for(pres, length):
-    """Cached free resolution of at least the given length.  It is not
-    extended: a longer request than an incomplete cached one rebuilds the
-    whole Schreyer frame from scratch (adeg_graded at i = 2, 1, 0 on
-    S/(x^2, xy, xz) in Q[x,y,z] builds lengths 2, 3 and 4).
-    adeg_report_ext asks for the longest resolution first, at i = 0, so it
-    resolves each module once."""
+    """Cached free resolution of at least the given length.  A longer
+    request than an incomplete cached one extends it from its last level,
+    so each level is built once (adeg_graded at i = 2, 1, 0 on
+    S/(x^2, xy, xz) in Q[x,y,z] builds levels 2, 3 and then finds the
+    fourth empty)."""
     res = pres._cache.get("resolution")
-    if res is None or not (res.complete or res.length >= length):
+    if res is None:
         res = pres._cache["resolution"] = free_resolution(pres, length)
-    return res
+    return res.extend(length)
 
 
 def ext_presentation(pres, j):

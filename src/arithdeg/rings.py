@@ -41,13 +41,19 @@ def mono_degree(m, weights=None):
     return sum(w * e for w, e in zip(weights, m))
 
 def minimal_monomials(monos):
-    """The minimal elements under divisibility, in ascending lex order (a
-    divisor sorts before its multiples, so one pass suffices)."""
-    out = []
-    for m in sorted(monos):
-        if all(not mono_divides(p, m) for p in out):
-            out.append(m)
-    return tuple(out)
+    """The minimal elements under divisibility, in ascending lex order.  A
+    proper divisor has strictly lower total degree, so the distinct
+    monomials are taken degree by degree and each is tested only against
+    those kept from lower degrees: an equigenerated input costs just the
+    deduplication."""
+    by_degree = {}
+    for m in set(monos):
+        by_degree.setdefault(sum(m), []).append(m)
+    kept = []
+    for d in sorted(by_degree):
+        kept += [m for m in by_degree[d]
+                 if not any(mono_divides(p, m) for p in kept)]
+    return tuple(sorted(kept))
 
 def terms_key(terms):
     """Canonical, hashable and sortable form of a map from terms to
@@ -191,7 +197,8 @@ class RingDescriptor:
         return (self.names, repr(self.field), self.weights, self.bidegrees)
 
     def __eq__(self, other):
-        return isinstance(other, RingDescriptor) and self.signature() == other.signature()
+        return self is other or (isinstance(other, RingDescriptor)
+                                 and self.signature() == other.signature())
 
     def __hash__(self):
         return hash(self.signature())

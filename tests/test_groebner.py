@@ -10,11 +10,12 @@ from fractions import Fraction
 
 import pytest
 
-from arithdeg.errors import InvalidDivisorError, ResourceLimitError
+from arithdeg.errors import (InvalidDivisorError, ResourceLimitError,
+                             RingMismatchError)
 from arithdeg.groebner import (IdealHandle, buchberger, eliminate,
-                               ideal_quotient, intersect, maximal_ideal,
-                               normal_form, s_polynomial, saturate,
-                               saturate_by_ideal)
+                               ideal_product, ideal_quotient, intersect,
+                               maximal_ideal, normal_form, s_polynomial,
+                               saturate, saturate_by_ideal)
 from arithdeg.orders import DegRevLex, Lex
 from arithdeg.rings import RingDescriptor
 
@@ -289,3 +290,58 @@ def test_prime_field_basis():
     bq = IdealHandle(RQ, [xq ** 2 - yq, xq * yq - 1]).groebner_basis(order)
     assert [g.leading_monomial(order) for g in basis] == \
         [g.leading_monomial(order) for g in bq]
+
+
+def test_monomial_ideal_product_matches_polynomial_products():
+    """The exponent-tuple route of ideal_product gives the generators that
+    multiplying the generators as polynomials gives; a monomial times a
+    non-monomial ideal still multiplies polynomials; different rings are
+    refused."""
+    import random
+    rng = random.Random(808)
+    for trial in range(60):
+        n = rng.randint(1, 5)
+        R = RingDescriptor.graded(["v%d" % k for k in range(n)],
+                                  weights=None if trial % 2 else
+                                  [rng.randint(1, 3) for _ in range(n)])
+
+        def rand_monomial_ideal():
+            return IdealHandle(R, [R.monomial([rng.randint(0, 3)
+                                               for _ in range(n)])
+                                   for _ in range(rng.randint(0, 6))])
+
+        I, J = rand_monomial_ideal(), rand_monomial_ideal()
+        product = ideal_product(I, J)
+        expected = IdealHandle(R, [f * g for f in I.gens for g in J.gens])
+        assert product.gens == expected.gens
+        assert all(list(g.terms.values()) == [1] for g in product.gens)
+    R = RingDescriptor.graded("x,y")
+    x, y = R.gens()
+    I = IdealHandle(R, [x ** 2, x * y])
+    J = IdealHandle(R, [2 * x + 3 * y, y ** 2 - x])
+    for a, b in ((I, J), (J, I)):
+        assert ideal_product(a, b).gens == IdealHandle(
+            R, [f * g for f in a.gens for g in b.gens]).gens
+    other = RingDescriptor.graded("x,y,z")
+    for K in (IdealHandle(other, ["x^2"]), IdealHandle(other, ["x + y"])):
+        with pytest.raises(RingMismatchError):
+            ideal_product(I, K)
+        with pytest.raises(RingMismatchError):
+            ideal_product(K, J)
+
+
+@pytest.mark.parametrize("order", [DegRevLex(), Lex()])
+def test_ideal_handle_normal_form_keeps_remainders(order):
+    """IdealHandle.normal_form, which reuses the basis leads it caches,
+    gives the remainders of dividing by its basis with leads recomputed."""
+    import random
+    R3 = RingDescriptor.graded("x,y,z")
+    rng = random.Random(909)
+    I = IdealHandle(R3, ["x^2 - 3*y*z", "2*x*y + z^2", "y^3 - x"])
+    basis = list(I.groebner_basis(order))
+    for _ in range(30):
+        f = R3.zero()
+        for _ in range(rng.randint(1, 6)):
+            f = f + R3.monomial([rng.randint(0, 4) for _ in range(3)],
+                                rng.randint(-5, 5))
+        assert I.normal_form(f, order) == normal_form(f, basis, order)

@@ -313,3 +313,43 @@ def test_module_normal_form_given_leads_matches_computed(schreyer):
         leads = [g.leading_term(morder) for g in basis]
         assert (module_normal_form(v, basis, morder, leads)
                 == module_normal_form(v, basis, morder))
+
+
+def test_resolution_extended_level_by_level(monkeypatch):
+    """adeg_graded at i = 2, 1, 0 on S/(x^2, xy, xz) asks for resolutions
+    of length 2, 3 and 4.  The cached one is extended, so Schreyer
+    syzygies run once per level, on the bases of ranks 3, 3 and 1 (the
+    last finds the fourth level empty), and it ends equal to a resolution
+    built in one go."""
+    from arithdeg.adeg import adeg_graded
+    R3 = RingDescriptor.graded("x,y,z")
+    gens = ["x^2", "x*y", "x*z"]
+    expected = {i: adeg_graded(IdealHandle(R3, gens), i) for i in (2, 1, 0)}
+    seen = []
+    schreyer = modules_mod.schreyer_syzygies
+
+    def counted(G, morder):
+        seen.append(len(G))
+        return schreyer(G, morder)
+
+    monkeypatch.setattr(modules_mod, "schreyer_syzygies", counted)
+    I = IdealHandle(R3, gens)
+    assert {i: adeg_graded(I, i) for i in (2, 1, 0)} == expected
+    assert seen == [3, 3, 1]
+    res = as_presentation(I)._cache["resolution"]
+    fresh = free_resolution(as_presentation(IdealHandle(R3, gens)), 4)
+    assert res.complete and fresh.complete
+    assert res.differentials == fresh.differentials
+    assert res.level_shifts == fresh.level_shifts
+
+
+def test_extended_resolution_checks_new_maps(R, monkeypatch):
+    """A level added by extension is checked against the one before it."""
+    x, y = R.gens()
+    pres = as_presentation(IdealHandle(R, [x ** 2, x * y]))
+    res = free_resolution(pres, 1)
+    bogus = [Vec.from_polys(R, (y, R.zero()))]
+    monkeypatch.setattr(modules_mod, "schreyer_syzygies",
+                        lambda G, morder: (bogus, morder))
+    with pytest.raises(InternalConsistencyError):
+        res.extend(2)

@@ -9,7 +9,8 @@ from arithdeg.errors import (AlgebraError, NotBigradedError, RingMismatchError,
                              ZeroPolynomialError)
 from arithdeg.fields import GF
 from arithdeg.orders import BlockOrder, DegRevLex, Lex, WeightedDegRevLex
-from arithdeg.rings import RingDescriptor, parse_polynomial
+from arithdeg.rings import (MAX_VARIABLES, RingDescriptor, minimal_monomials,
+                            mono_divides, parse_polynomial)
 
 
 @pytest.fixture
@@ -156,3 +157,38 @@ def test_initial_form_idempotent_multiplicative(f, g):
         # does not cancel (exact coefficients make this the generic case)
         if rhs:
             assert lhs == rhs
+
+
+def _minimal_monomials_reference(monos):
+    """The quadratic lex scan that minimal_monomials replaced: a divisor
+    sorts before its multiples in ascending lex order."""
+    out = []
+    for m in sorted(monos):
+        if all(not mono_divides(p, m) for p in out):
+            out.append(m)
+    return tuple(out)
+
+
+def test_minimal_monomials_matches_quadratic_scan():
+    """Same tuples in the same order as the lex scan, on seeded random
+    inputs with duplicates, the unit monomial, mixed degrees and equal
+    degrees, from 1 to 12 variables."""
+    import random
+    rng = random.Random(707)
+    assert minimal_monomials([]) == _minimal_monomials_reference([]) == ()
+    for trial in range(400):
+        n = rng.randint(1, MAX_VARIABLES)
+        top = rng.choice((1, 2, 4))
+        monos = [tuple(rng.randint(0, top) for _ in range(n))
+                 for _ in range(rng.randint(0, 30))]
+        monos += rng.sample(monos, len(monos) // 3)            # duplicates
+        if trial % 5 == 0:
+            monos.append((0,) * n)                             # the unit
+        if trial % 3 == 0:
+            # an equigenerated block and its multiples
+            base = [m for m in monos if sum(m) == 2] or [(2,) + (0,) * (n - 1)]
+            monos += [tuple(a + b for a, b in zip(m, rng.choice(base)))
+                      for m in base]
+        rng.shuffle(monos)
+        assert minimal_monomials(monos) == _minimal_monomials_reference(monos)
+        assert minimal_monomials(iter(monos)) == minimal_monomials(set(monos))
