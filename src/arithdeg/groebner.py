@@ -9,6 +9,7 @@ Output bases are reduced (monic, minimal, tail-reduced) and canonically
 sorted, so every computation is reproducible byte for byte.
 """
 
+from bisect import insort
 from collections import namedtuple
 
 from .errors import (AlgebraError, InvalidDivisorError, ResourceLimitError,
@@ -63,13 +64,19 @@ def _divide(terms, basis, leads, key, ops, quotients=None):
     """Remainder terms of dividing terms by basis, where leads[k] is the
     (lead term, coefficient) pair of basis[k]; no remainder term is
     divisible by a lead.  When quotients is a dict, each step's quotient
-    r*q*E_k is added into quotients[(k, q)]."""
+    r*q*E_k is added into quotients[(k, q)].  pending holds (key(t), t),
+    ascending, for each term of work: a term is keyed once, on entry, and a
+    cancelled term stays in work at zero until popped.  Keys are injective,
+    so the pop is the largest term of work."""
     div, mul = ops.div, ops.mul
     remainder = {}
     work = dict(terms)
-    while work:
-        t = max(work, key=key)
+    pending = sorted([(key(t), t) for t in work])
+    while pending:
+        t = pending.pop()[1]
         c = work.pop(t)
+        if not c:
+            continue  # cancelled to zero
         for k, (gt, gc) in enumerate(leads):
             q = div(t, gt)
             if q is not None:
@@ -84,11 +91,11 @@ def _divide(terms, basis, leads, key, ops, quotients=None):
             if t2 == gt:
                 continue  # lead cancels against the popped term
             tt = mul(q, t2)
-            s = work.get(tt, 0) - ratio * c2
-            if s:
-                work[tt] = s
-            else:
-                del work[tt]
+            old = work.get(tt)
+            if old is None:
+                insort(pending, (key(tt), tt))
+                old = 0
+            work[tt] = old - ratio * c2
     return remainder
 
 
@@ -211,8 +218,10 @@ def buchberger(gens, order, max_basis=DEFAULT_MAX_BASIS,
 
 
 def _poly_sort_key(f, order=DegRevLex()):
-    if not f:
-        return ((0,), ())
+    """Sort key of a nonzero generator: its lead's key, then terms_key."""
+    if len(f.terms) == 1:
+        (m, c), = f.terms.items()
+        return (order.key(m), ((m, str(c)),))
     return (order.key(f.leading_monomial(order)), terms_key(f.terms))
 
 
@@ -269,7 +278,10 @@ class IdealHandle:
 
     def groebner_basis(self, order=None):
         order = order or DegRevLex()
+        # monomial gens are a monic antichain: their own reduced basis
         return self._cached(order.signature(), lambda: tuple(
+            sorted(self.gens, key=lambda g: order.key(next(iter(g.terms))))
+            if self.is_monomial() else
             buchberger(self.gens, order, self.max_basis, self.max_degree)))
 
     def normal_form(self, f, order=None):

@@ -6,6 +6,8 @@ are multiplicative and global (the constant monomial is minimal), which the
 property suite checks on random triples.
 """
 
+from operator import mul, neg
+
 
 class TermOrder:
     def key(self, m):
@@ -35,7 +37,7 @@ class Lex(TermOrder):
 
 class DegRevLex(TermOrder):
     def key(self, m):
-        return (sum(m), tuple(-e for e in reversed(m)))
+        return (sum(m), tuple(map(neg, reversed(m))))
 
     def signature(self):
         return ("degrevlex",)
@@ -51,8 +53,8 @@ class WeightedDegRevLex(TermOrder):
         self.weights = weights
 
     def key(self, m):
-        w = sum(a * b for a, b in zip(self.weights, m))
-        return (w, sum(m), tuple(-e for e in reversed(m)))
+        w = sum(map(mul, self.weights, m))
+        return (w, sum(m), tuple(map(neg, reversed(m))))
 
     def signature(self):
         return ("wdegrevlex", self.weights)

@@ -7,6 +7,7 @@ RingDescriptor.
 """
 
 import re
+from operator import add, le, sub
 
 from .errors import (AlgebraError, NotBigradedError, RingMismatchError,
                      ZeroPolynomialError)
@@ -19,21 +20,19 @@ MAX_VARIABLES = 12
 # monomial helpers
 
 def mono_mul(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 def mono_divides(a, b):
     """True when a | b componentwise."""
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 def mono_div(a, b):
     """a / b, or None when b does not divide a."""
-    q = tuple(x - y for x, y in zip(a, b))
-    if any(e < 0 for e in q):
-        return None
-    return q
+    q = tuple(map(sub, a, b))
+    return None if min(q) < 0 else q
 
 def mono_lcm(a, b):
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 def mono_degree(m, weights=None):
     if weights is None:

@@ -12,12 +12,14 @@ import pytest
 
 from arithdeg.errors import (InvalidDivisorError, ResourceLimitError,
                              RingMismatchError)
-from arithdeg.groebner import (IdealHandle, buchberger, eliminate,
-                               ideal_product, ideal_quotient, intersect,
-                               maximal_ideal, normal_form, s_polynomial,
-                               saturate, saturate_by_ideal)
-from arithdeg.orders import DegRevLex, Lex
-from arithdeg.rings import RingDescriptor
+from arithdeg.groebner import (_POLY, IdealHandle, _divide, _poly_sort_key,
+                               buchberger, eliminate, ideal_product,
+                               ideal_quotient, intersect, maximal_ideal,
+                               normal_form, s_polynomial, saturate,
+                               saturate_by_ideal)
+from arithdeg.orders import BlockOrder, DegRevLex, Lex, WeightedDegRevLex
+from arithdeg.rings import (Polynomial, RingDescriptor, parse_polynomial,
+                            terms_key)
 
 
 @pytest.fixture
@@ -345,3 +347,165 @@ def test_ideal_handle_normal_form_keeps_remainders(order):
             f = f + R3.monomial([rng.randint(0, 4) for _ in range(3)],
                                 rng.randint(-5, 5))
         assert I.normal_form(f, order) == normal_form(f, basis, order)
+
+
+def _divide_reference(terms, basis, leads, key, ops, quotients=None):
+    """The division loop as a max over the pending terms at every step."""
+    remainder = {}
+    work = dict(terms)
+    while work:
+        t = max(work, key=key)
+        c = work.pop(t)
+        for k, (gt, gc) in enumerate(leads):
+            q = ops.div(t, gt)
+            if q is not None:
+                break
+        else:
+            remainder[t] = c
+            continue
+        ratio = c / gc
+        if quotients is not None:
+            quotients[(k, q)] = quotients.get((k, q), 0) + ratio
+        for t2, c2 in basis[k].terms.items():
+            if t2 == gt:
+                continue
+            tt = ops.mul(q, t2)
+            s = work.get(tt, 0) - ratio * c2
+            if s:
+                work[tt] = s
+            else:
+                del work[tt]
+    return remainder
+
+
+def _assert_divides_like_reference(terms, basis, key, ops, leads):
+    quotients, expected_quotients = {}, {}
+    remainder = _divide(terms, basis, leads, key, ops, quotients)
+    expected = _divide_reference(terms, basis, leads, key, ops,
+                                 expected_quotients)
+    assert remainder == expected
+    assert list(remainder) == list(expected)
+    assert quotients == expected_quotients
+
+
+def test_divide_matches_max_reference():
+    """The sorted pending list picks the term that a max over the pending
+    terms picks at every step: same remainders, in the same order, and the
+    same quotients, for polynomials under four term orders and vectors
+    under the position-over-term and Schreyer orders."""
+    import random
+    from arithdeg.modules import _VEC, PositionOverTerm, SchreyerOrder, Vec
+    rng = random.Random(1212)
+    R3 = RingDescriptor.graded("x,y,z")
+
+    def rand_terms(make_term, count):
+        return {make_term(): Fraction(rng.choice((-3, -2, -1, 1, 2, 3)),
+                                      rng.randint(1, 3))
+                for _ in range(count)}
+
+    def rand_mono():
+        return tuple(rng.randint(0, 3) for _ in range(3))
+
+    orders = [Lex(), DegRevLex(), WeightedDegRevLex([1, 2, 3]),
+              BlockOrder([0], 3)]
+    for trial in range(200):
+        order = orders[trial % len(orders)]
+        basis = [Polynomial(R3, rand_terms(rand_mono, rng.randint(1, 4)))
+                 for _ in range(rng.randint(1, 4))]
+        f = Polynomial(R3, rand_terms(rand_mono, rng.randint(1, 6)))
+        f = f * Polynomial(R3, rand_terms(rand_mono, rng.randint(1, 3))) + f
+        _assert_divides_like_reference(
+            f.terms, basis, order.key, _POLY,
+            [g.leading_term(order) for g in basis])
+
+    for trial in range(200):
+        rank = rng.randint(1, 3)
+
+        def rand_term():
+            return (rng.randrange(rank), rand_mono())
+
+        if trial % 2:
+            morder = PositionOverTerm(orders[trial % 4])
+        else:
+            morder = SchreyerOrder(PositionOverTerm(),
+                                   [rand_term() for _ in range(rank)])
+        basis = [Vec(R3, rank, rand_terms(rand_term, rng.randint(1, 4)))
+                 for _ in range(rng.randint(1, 4))]
+        v = rand_terms(rand_term, rng.randint(1, 8))
+        _assert_divides_like_reference(
+            v, basis, morder.key, _VEC,
+            [g.leading_term(morder) for g in basis])
+
+
+def test_divide_term_cancelled_then_created_again():
+    """A pending term that cancels to zero and comes back later in the same
+    division is divided once, and every term is keyed once: -x^2*z^2 cancels
+    y*z, and -y^2*z^2 brings it back."""
+    R3 = RingDescriptor.graded("x,y,z")
+    order = DegRevLex()
+    f = parse_polynomial(R3, "-x^2*z^2 - y^2*z^2 + y*z")
+    basis = [parse_polynomial(R3, "x^2*z^2 - y*z"),
+             parse_polynomial(R3, "-y^2*z^2 - y*z")]
+    leads = [g.leading_term(order) for g in basis]
+    keyed = []
+
+    def key(m):
+        keyed.append(m)
+        return order.key(m)
+
+    quotients = {}
+    remainder = _divide(f.terms, basis, leads, key, _POLY, quotients)
+    assert remainder == {(0, 1, 1): 1}
+    assert quotients == {(0, (0, 0, 0)): -1, (1, (0, 0, 0)): 1}
+    assert sorted(keyed) == sorted(f.terms)
+    _assert_divides_like_reference(f.terms, basis, order.key, _POLY, leads)
+
+
+def _poly_sort_key_reference(f, order=DegRevLex()):
+    return (order.key(f.leading_monomial(order)), terms_key(f.terms))
+
+
+def test_poly_sort_key_matches_reference():
+    """The single-term shortcut of the generator sort key gives the key the
+    lead-and-terms_key route gives, on monomial and non-monomial
+    generators with and without unit coefficients."""
+    import random
+    rng = random.Random(1313)
+    R3 = RingDescriptor.graded("x,y,z")
+    gens = []
+    for _ in range(300):
+        f = R3.zero()
+        for _ in range(rng.choice((1, 1, 2, 4))):
+            f = f + R3.monomial([rng.randint(0, 3) for _ in range(3)],
+                                Fraction(rng.randint(-4, 4),
+                                         rng.randint(1, 3)))
+        if f:
+            gens.append(f)
+    assert any(g.is_monomial() for g in gens)
+    assert not all(g.is_monomial() for g in gens)
+    for g in gens:
+        assert _poly_sort_key(g) == _poly_sort_key_reference(g)
+    assert (sorted(gens, key=_poly_sort_key)
+            == sorted(gens, key=_poly_sort_key_reference))
+
+
+@pytest.mark.parametrize("order", [
+    Lex(), DegRevLex(), WeightedDegRevLex([3, 1, 2, 1]), BlockOrder([1, 2], 4)],
+    ids=["lex", "degrevlex", "wdegrevlex", "block"])
+def test_monomial_handle_basis_matches_buchberger(order):
+    """A monomial handle's basis, read off its generators, is the reduced
+    basis buchberger computes from them, in the same order; the zero and
+    unit ideals included."""
+    import random
+    rng = random.Random(1414)
+    R4 = RingDescriptor.graded("a,b,c,d")
+    handles = [IdealHandle(R4, []), IdealHandle(R4, [R4.one()]),
+               IdealHandle(R4, ["3*a^2*b", "-c*d", "a^2*b*c"])]
+    for _ in range(60):
+        handles.append(IdealHandle(R4, [
+            R4.monomial([rng.randint(0, 3) for _ in range(4)],
+                        rng.choice((1, 2, -5)))
+            for _ in range(rng.randint(1, 8))]))
+    for I in handles:
+        assert I.is_monomial()
+        assert I.groebner_basis(order) == tuple(buchberger(I.gens, order))

@@ -10,7 +10,8 @@ from arithdeg.errors import (AlgebraError, NotBigradedError, RingMismatchError,
 from arithdeg.fields import GF
 from arithdeg.orders import BlockOrder, DegRevLex, Lex, WeightedDegRevLex
 from arithdeg.rings import (MAX_VARIABLES, RingDescriptor, minimal_monomials,
-                            mono_divides, parse_polynomial)
+                            mono_div, mono_divides, mono_lcm, mono_mul,
+                            parse_polynomial)
 
 
 @pytest.fixture
@@ -192,3 +193,32 @@ def test_minimal_monomials_matches_quadratic_scan():
         rng.shuffle(monos)
         assert minimal_monomials(monos) == _minimal_monomials_reference(monos)
         assert minimal_monomials(iter(monos)) == minimal_monomials(set(monos))
+
+
+def test_monomial_helpers_match_definitions():
+    """mono_mul, mono_div, mono_lcm and mono_divides agree with their
+    exponent-by-exponent definitions on seeded random tuples with zero
+    exponents, equal tuples and non-divisors (mono_div is None there)."""
+    import random
+    rng = random.Random(1515)
+    none_seen = divides_seen = 0
+    for trial in range(2000):
+        n = rng.randint(1, MAX_VARIABLES)
+        a = tuple(rng.choice((0, 0, 1, 2, 5)) for _ in range(n))
+        b = a if trial % 7 == 0 else tuple(rng.choice((0, 0, 1, 2, 5))
+                                           for _ in range(n))
+        assert mono_mul(a, b) == tuple(a[i] + b[i] for i in range(n))
+        assert mono_lcm(a, b) == tuple(max(a[i], b[i]) for i in range(n))
+        divides = all(b[i] <= a[i] for i in range(n))
+        assert mono_divides(b, a) is divides
+        if divides:
+            divides_seen += 1
+            assert mono_div(a, b) == tuple(a[i] - b[i] for i in range(n))
+            assert mono_mul(mono_div(a, b), b) == a
+        else:
+            none_seen += 1
+            assert mono_div(a, b) is None
+    assert none_seen > 100 and divides_seen > 100
+    zero = (0,) * 4
+    assert mono_div(zero, zero) == zero and mono_divides(zero, zero) is True
+    assert mono_div(zero, (0, 0, 0, 1)) is None
