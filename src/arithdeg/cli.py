@@ -3,10 +3,12 @@
     arithdeg run -i script.ses [--json out.json] [--order degrevlex]
                  [--max-deg N] [--max-basis N] [--timings]
     arithdeg corpus [--json out.json] [--csv out.csv] [--parallel K]
+                    [--timings]
     arithdeg check
 
 ``corpus --parallel K`` runs the entries in K worker processes; the output
-is the same for every K.
+is the same for every K.  ``--timings`` fills the JSON ``timings`` with
+wall-clock seconds: per task for ``run``, per entry for ``corpus``.
 
 Exit codes: 0 success, 1 usage or parse errors, 2 theorem violation (an
 implementation bug: a reproducer script is written next to the output),
@@ -16,6 +18,7 @@ implementation bug: a reproducer script is written next to the output),
 import argparse
 import json
 import sys
+import time
 
 from .corpus import build_corpus
 from .errors import (AlgebraError, ResourceLimitError, SessionSyntaxError,
@@ -131,13 +134,15 @@ def _run_entry(entry):
 
 
 def _corpus_outcome(entry):
-    """(_run_entry's result, None), or (None, (kind, message, diagnostics))
-    when the entry raised; kind is "theorem", "resource" or "error", and
-    diagnostics are a resource cap's "key=value" pairs ("" otherwise).
-    Only plain data comes back, so a worker process can return any outcome
-    (not every exception type survives pickling)."""
+    """(_run_entry's result, None, seconds), or (None, (kind, message,
+    diagnostics), seconds) when the entry raised; kind is "theorem",
+    "resource" or "error", diagnostics are a resource cap's "key=value"
+    pairs ("" otherwise), and seconds is the entry's wall time.  Only plain
+    data comes back, so a worker process can return any outcome (not every
+    exception type survives pickling)."""
+    started = time.monotonic()
     try:
-        return _run_entry(entry), None
+        return _run_entry(entry), None, time.monotonic() - started
     except Exception as exc:  # classified here, reported in entry order
         diagnostics = ""
         if isinstance(exc, TheoremViolationError):
@@ -148,7 +153,7 @@ def _corpus_outcome(entry):
                                    for kv in sorted(exc.diagnostics.items()))
         else:
             kind = "error"
-        return None, (kind, str(exc), diagnostics)
+        return None, (kind, str(exc), diagnostics), time.monotonic() - started
 
 
 def cmd_corpus(args):
@@ -170,7 +175,10 @@ def cmd_corpus(args):
     rows = []
     summary = {"entries": [], "passed": 0, "failed": 0}
     all_results = []
-    for entry, (ok, err) in zip(entries, outcomes):
+    timings = {}
+    for entry, (ok, err, seconds) in zip(entries, outcomes):
+        if args.timings:
+            timings[entry.identifier] = round(seconds, 6)
         if err is not None:
             kind, message, diagnostics = err
             if kind == "theorem" and violation is None:
@@ -214,7 +222,7 @@ def cmd_corpus(args):
         "ring": "corpus",
         "tasks": [e.identifier for e in entries],
         "results": all_results,
-        "timings": {},
+        "timings": timings,
         "provenance": {"summary": {"passed": summary["passed"],
                                    "failed": summary["failed"]}},
     }
@@ -324,6 +332,9 @@ def build_parser():
     p_corpus.add_argument("--csv", help="write the summary table to this file")
     p_corpus.add_argument("--parallel", type=int, default=1,
                           help="run entries in this many worker processes")
+    p_corpus.add_argument("--timings", action="store_true",
+                          help="include each entry's wall-clock time (breaks "
+                               "byte-for-byte reproducibility)")
 
     sub.add_parser("check", help="run the abbreviated invariant suite")
     return parser

@@ -4,6 +4,8 @@ Rational coefficients are plain ``fractions.Fraction`` values (always in
 lowest terms with positive denominator).  Prime-field elements are thin
 wrappers storing a representative in [0, p).  Both support the operator
 set the polynomial layer relies on: +, -, *, /, unary -, ==, bool, hash.
+Over Q the Groebner division loop works on Python ints over one common
+denominator, and it still returns Fractions in lowest terms.
 """
 
 from fractions import Fraction
@@ -183,5 +185,7 @@ class PrimeField:
 
 
 def GF(p):
-    """The prime field Z/p.  Default session escape hatch: GF(32003)."""
+    """The prime field Z/p; sessions name it ``Zp(p)``.  It serves as a
+    cross-field check of results over Q (``Zp(32003)``), not as a faster
+    substitute for Q."""
     return PrimeField(p)

@@ -6,11 +6,15 @@ between lead terms in the same component and are chosen by the normal
 strategy (minimal lcm in the term order).  Gebauer-Moeller pair elimination
 runs at every rank; the product criterion is used for polynomials only.
 Output bases are reduced (monic, minimal, tail-reduced) and canonically
-sorted, so every computation is reproducible byte for byte.
+sorted, so every computation is reproducible byte for byte.  Over Q the
+division loop works on Python ints over one common denominator, and it
+still returns Fractions in lowest terms.
 """
 
 from bisect import insort
 from collections import namedtuple
+from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import (AlgebraError, InvalidDivisorError, ResourceLimitError,
                      RingMismatchError)
@@ -60,11 +64,48 @@ def _s_element(f, lf, g, lg, ops):
     return qf, qg, terms
 
 
-def _divide(terms, basis, leads, key, ops, quotients=None):
+def _int_form(f, lead):
+    """f over Q on ints, as (rest, L, d) with d*f = L*t + the sum of c*u
+    over (u, c) in rest, where lead = (t, c0) is f's lead: d is the lcm of
+    f's denominators, signed so that L = d*c0 > 0."""
+    t, c0 = lead
+    L, d = c0.as_integer_ratio()
+    if len(f.terms) > 1:
+        d = lcm(*[c.denominator for c in f.terms.values()])
+        L *= d // c0.denominator
+    if L < 0:
+        d, L = -d, -L
+    rest = [(u, c.numerator * (d // c.denominator))
+            for u, c in f.terms.items() if u != t]
+    return rest, L, d
+
+
+def _int_forms(basis):
+    """Slots for the _int_form of each element of a basis over Q, which
+    _divide fills when it first divides by the element; None over Z/p or
+    for no basis.  Whoever keeps a basis keeps its slots beside it, so each
+    form is built once."""
+    if not basis or basis[0].ring.field.characteristic:
+        return None
+    return [None] * len(basis)
+
+
+def _divide(terms, basis, leads, key, ops, quotients=None, forms=None):
     """Remainder terms of dividing terms by basis, where leads[k] is the
     (lead term, coefficient) pair of basis[k]; no remainder term is
     divisible by a lead.  When quotients is a dict, each step's quotient
-    r*q*E_k is added into quotients[(k, q)].  pending holds (key(t), t),
+    r*q*E_k is added into quotients[(k, q)].  Over Q the loop runs on ints
+    with forms = _int_forms(basis), made here when not given; over Z/p it
+    runs on the field elements."""
+    if forms is None:
+        forms = _int_forms(basis)
+    if forms is None:
+        return _divide_field(terms, basis, leads, key, ops, quotients)
+    return _divide_ints(terms, basis, leads, forms, key, ops, quotients)
+
+
+def _divide_field(terms, basis, leads, key, ops, quotients=None):
+    """_divide on field elements, for any field.  pending holds (key(t), t),
     ascending, for each term of work: a term is keyed once, on entry, and a
     cancelled term stays in work at zero until popped.  Keys are injective,
     so the pop is the largest term of work."""
@@ -96,6 +137,64 @@ def _divide(terms, basis, leads, key, ops, quotients=None):
                 insort(pending, (key(tt), tt))
                 old = 0
             work[tt] = old - ratio * c2
+    return remainder
+
+
+def _divide_ints(terms, basis, leads, forms, key, ops, quotients=None):
+    """_divide over Q, with forms[k] the _int_form of basis[k] or None.
+    From the first step on, work holds int numerators over one common
+    denominator D; before it, work is the input, whose terms go to the
+    remainder as they are (a quarter of the corpus divisions take no
+    step).  Dividing a popped numerator n by (rest, L, d) subtracts n/L
+    times the form: with h = gcd(n, L), work and D are scaled by a = L/h
+    when a != 1, then (n/h)*q*rest is subtracted.  Every value is the
+    rational that _divide_field holds, so the pops are the same; a
+    remainder term is Fraction(n, D) at the D of its pop, and a quotient
+    n*d/(D*L)."""
+    div, mul = ops.div, ops.mul
+    remainder = {}
+    work = dict(terms)
+    D = 0  # work keeps the input Fractions until the first step
+    pending = sorted([(key(t), t) for t in work])
+    while pending:
+        t = pending.pop()[1]
+        n = work.pop(t)
+        if not n:
+            continue  # cancelled to zero
+        for k, (gt, _) in enumerate(leads):
+            q = div(t, gt)
+            if q is not None:
+                break
+        else:
+            remainder[t] = Fraction(n, D) if D else n
+            continue
+        if not D:
+            D = lcm(n.denominator, *[c.denominator for c in work.values()])
+            n = n.numerator * (D // n.denominator)
+            work = {u: c.numerator * (D // c.denominator)
+                    for u, c in work.items()}
+        form = forms[k]
+        if form is None:
+            form = forms[k] = _int_form(basis[k], leads[k])
+        rest, L, d = form
+        if quotients is not None:
+            quotients[(k, q)] = (quotients.get((k, q), 0)
+                                 + Fraction(n * d, D * L))
+        if L != 1:
+            h = gcd(n, L)
+            a = L // h
+            n //= h
+            if a != 1:
+                for u in work:
+                    work[u] *= a
+                D *= a
+        for t2, c2 in rest:
+            tt = mul(q, t2)
+            old = work.get(tt)
+            if old is None:
+                insort(pending, (key(tt), tt))
+                old = 0
+            work[tt] = old - n * c2
     return remainder
 
 
@@ -144,12 +243,16 @@ def _reduce(G, order, ops, nf=None):
             minimal.append(f)
     if nf is None:
         return minimal
+    forms = _int_forms(minimal)
+    if forms:  # filled here, since each division below gets a slice
+        forms = [_int_form(f, lead) for f, lead in zip(minimal, leads)]
     reduced = []
     for k, f in enumerate(minimal):
         # a single term is reduced already: no other lead divides it
         if len(f.terms) > 1 and len(minimal) > 1:
             f = nf(f, minimal[:k] + minimal[k + 1:], order,
-                   leads[:k] + leads[k + 1:])
+                   leads[:k] + leads[k + 1:],
+                   forms and forms[:k] + forms[k + 1:])
         reduced.append(f.monic(order))
     return reduced
 
@@ -157,10 +260,11 @@ def _reduce(G, order, ops, nf=None):
 def _groebner(gens, order, ops, nf, max_basis, max_degree):
     """Reduced Groebner basis of the span of gens (nonzero elements of one
     kind): normal strategy, Gebauer-Moeller pairs, S-elements divided by
-    nf(s, basis, order, leads), where leads[k] is the (lead term,
-    coefficient) pair of basis[k]."""
+    nf(s, basis, order, leads, forms), where leads[k] is the (lead term,
+    coefficient) pair of basis[k] and forms is _int_forms(basis)."""
     G = [f.monic(order) for f in gens]
     leads = [f.leading_term(order) for f in G]
+    forms = _int_forms(G)
     P = set()
     if any(len(f.terms) > 1 for f in G):
         # (single-term elements are a Groebner basis already)
@@ -175,7 +279,7 @@ def _groebner(gens, order, ops, nf, max_basis, max_degree):
         i, j = min(P, key=pair_key.__getitem__)
         P.remove((i, j))
         s = _s_element(G[i], leads[i], G[j], leads[j], ops)
-        r = nf(ops.make(G[i], s[2]), G, order, leads)
+        r = nf(ops.make(G[i], s[2]), G, order, leads, forms)
         if r:
             if r.degree() > max_degree:
                 raise ResourceLimitError(
@@ -183,6 +287,8 @@ def _groebner(gens, order, ops, nf, max_basis, max_degree):
                     basis_size=len(G), degree=r.degree())
             G.append(r.monic(order))
             leads.append(G[-1].leading_term(order))
+            if forms is not None:
+                forms.append(None)
             P = _update_pairs(P, leads, len(G) - 1, order.key, ops)
             if len(G) > max_basis:
                 raise ResourceLimitError(
@@ -196,15 +302,16 @@ def s_polynomial(f, g, order):
     return Polynomial(f.ring, s[2], _clean=False)
 
 
-def normal_form(f, basis, order, leads=None):
+def normal_form(f, basis, order, leads=None, forms=None):
     """Remainder of f on division by basis; no term of it is divisible
     by a basis leading monomial.  leads, when given, lists the
-    (lead monomial, coefficient) pair of each basis element."""
+    (lead monomial, coefficient) pair of each basis element, and forms,
+    when given, is _int_forms(basis)."""
     if not basis:
         return f
     leads = leads or [g.leading_term(order) for g in basis]
-    return Polynomial(f.ring, _divide(f.terms, basis, leads, order.key, _POLY),
-                      _clean=False)
+    return Polynomial(f.ring, _divide(f.terms, basis, leads, order.key, _POLY,
+                                      None, forms), _clean=False)
 
 
 def buchberger(gens, order, max_basis=DEFAULT_MAX_BASIS,
@@ -287,9 +394,12 @@ class IdealHandle:
     def normal_form(self, f, order=None):
         order = order or DegRevLex()
         basis = self.groebner_basis(order)
-        leads = self._cached(("leads", order.signature()), lambda: [
-            g.leading_term(order) for g in basis])
-        return normal_form(f, basis, order, leads)
+
+        def build():
+            leads = [g.leading_term(order) for g in basis]
+            return leads, _int_forms(basis)
+        leads, forms = self._cached(("leads", order.signature()), build)
+        return normal_form(f, basis, order, leads, forms)
 
     def contains(self, f):
         return not self.normal_form(f)

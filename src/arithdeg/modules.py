@@ -14,7 +14,7 @@ not valid for modules.
 from .errors import (AlgebraError, HomogeneityError, InternalConsistencyError,
                      RingMismatchError)
 from .groebner import (DEFAULT_MAX_BASIS, DEFAULT_MAX_DEGREE, _divide,
-                       _groebner, _reduce, _s_element, _Terms)
+                       _groebner, _int_forms, _reduce, _s_element, _Terms)
 from .orders import DegRevLex
 from .rings import (Polynomial, deg_add, minimal_monomials, mono_div,
                     mono_lcm, mono_mul, terms_key)
@@ -176,14 +176,15 @@ _VEC = _Terms(_vec_div, _vec_mul, _vec_lcm,
               False, "module Groebner")
 
 
-def module_normal_form(v, basis, morder, leads=None):
+def module_normal_form(v, basis, morder, leads=None, forms=None):
     """Division remainder of a vector by a list of vectors; leads, when
-    given, lists the (lead term, coefficient) pair of each of them."""
+    given, lists the (lead term, coefficient) pair of each of them, and
+    forms, when given, is _int_forms(basis)."""
     if not basis:
         return v
     leads = leads or [g.leading_term(morder) for g in basis]
-    return Vec(v.ring, v.rank, _divide(v.terms, basis, leads, morder.key, _VEC),
-               _clean=False)
+    return Vec(v.ring, v.rank, _divide(v.terms, basis, leads, morder.key, _VEC,
+                                       None, forms), _clean=False)
 
 
 def module_buchberger(vecs, morder, max_basis=DEFAULT_MAX_BASIS,
@@ -203,6 +204,7 @@ def schreyer_syzygies(G, morder):
     """
     ring = G[0].ring if G else None
     leads = [g.leading_term(morder) for g in G]
+    forms = _int_forms(G)
     sorder = SchreyerOrder(morder, [lt for lt, _ in leads])
     syz = []
     for i in range(len(G)):
@@ -215,7 +217,7 @@ def schreyer_syzygies(G, morder):
             # s divides out as sum q_k g_k; its two defining terms minus
             # those quotients are the syzygy
             quotients = {}
-            if _divide(s, G, leads, morder.key, _VEC, quotients):
+            if _divide(s, G, leads, morder.key, _VEC, quotients, forms):
                 raise InternalConsistencyError(
                     "S-vector of a Groebner basis did not reduce to zero")
             one = ring.field.one

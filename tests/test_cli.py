@@ -202,3 +202,22 @@ def test_corpus_spot_check_shares_the_task_basis(monkeypatch):
                         "ring S=Q[x,y,z];\nideal J=x^2-y*z, x*y-z^2;\ntask gb J;\n")
     cli_mod._run_entry(entry)
     assert len(calls) == 1
+
+
+def test_corpus_timings_flag(tmp_path, monkeypatch):
+    """corpus --timings keys the JSON timings by entry id; without the
+    flag they stay empty and the JSON is otherwise the same."""
+    import arithdeg.cli as cli_mod
+    from arithdeg.corpus import build_corpus
+    subset = build_corpus()[:3]
+    monkeypatch.setattr(cli_mod, "build_corpus", lambda: subset)
+    plain, timed = tmp_path / "plain.json", tmp_path / "timed.json"
+    assert main(["corpus", "--json", str(plain)]) == 0
+    assert main(["corpus", "--timings", "--json", str(timed)]) == 0
+    plain, timed = json.loads(plain.read_text()), json.loads(timed.read_text())
+    assert plain["timings"] == {}
+    assert list(timed["timings"]) == [e.identifier for e in subset]
+    assert all(isinstance(t, float) and t >= 0
+               for t in timed["timings"].values())
+    timed["timings"] = {}
+    assert timed == plain

@@ -9,11 +9,13 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 from arithdeg.errors import (InvalidDivisorError, ResourceLimitError,
                              RingMismatchError)
-from arithdeg.groebner import (_POLY, IdealHandle, _divide, _poly_sort_key,
-                               buchberger, eliminate, ideal_product,
+from arithdeg.groebner import (_POLY, IdealHandle, _divide, _divide_field,
+                               _int_forms, _poly_sort_key, buchberger,
+                               eliminate, exact_divide, ideal_product,
                                ideal_quotient, intersect, maximal_ideal,
                                normal_form, s_polynomial, saturate,
                                saturate_by_ideal)
@@ -509,3 +511,95 @@ def test_monomial_handle_basis_matches_buchberger(order):
     for I in handles:
         assert I.is_monomial()
         assert I.groebner_basis(order) == tuple(buchberger(I.gens, order))
+
+
+_MONO = st.tuples(*[st.integers(0, 3)] * 3)
+_COEFF = st.builds(Fraction, st.integers(-9, 9).filter(bool),
+                   st.integers(1, 6))
+
+
+@st.composite
+def _division_inputs(draw):
+    """(terms, basis, order, ops) over Q[x,y,z]: polynomials, or vectors
+    of rank 1-3.  Coefficients have denominators up to 6, each basis
+    element is scaled by a/b with a >= 2, so most leads are not monic, and
+    the dividend mixes random terms with term multiples of the basis, so
+    steps both divide and leave remainders."""
+    from arithdeg.modules import _VEC, PositionOverTerm, SchreyerOrder, Vec
+    R3 = RingDescriptor.graded("x,y,z")
+    orders = [Lex(), DegRevLex(), WeightedDegRevLex([1, 2, 3]),
+              BlockOrder([0], 3)]
+    rank = draw(st.sampled_from([None, 1, 2, 3]))
+    if rank is None:
+        term, ops = _MONO, _POLY
+        order = draw(st.sampled_from(orders))
+
+        def make(terms):
+            return Polynomial(R3, terms)
+    else:
+        term, ops = st.tuples(st.integers(0, rank - 1), _MONO), _VEC
+        order = draw(st.sampled_from(
+            [PositionOverTerm(o) for o in orders]
+            + [SchreyerOrder(PositionOverTerm(),
+                             draw(st.lists(term, min_size=rank,
+                                           max_size=rank)))]))
+
+        def make(terms):
+            return Vec(R3, rank, terms)
+    basis = []
+    for _ in range(draw(st.integers(1, 4))):
+        scale = Fraction(draw(st.integers(2, 9)), draw(st.integers(1, 7)))
+        g = make({t: scale * c for t, c in draw(
+            st.dictionaries(term, _COEFF, min_size=1, max_size=4)).items()})
+        if g:
+            basis.append(g)
+    terms = dict(draw(st.dictionaries(term, _COEFF, max_size=4)))
+    for g in basis:
+        for m, c in draw(st.dictionaries(_MONO, _COEFF, max_size=2)).items():
+            for t, v in g.terms.items():
+                t = ops.mul(m, t)
+                terms[t] = terms.get(t, 0) + c * v
+    return {t: c for t, c in terms.items() if c}, basis, order, ops
+
+
+@seed(31337)
+@settings(max_examples=300, deadline=None)
+@given(_division_inputs(), st.booleans(), st.booleans())
+def test_divide_over_q_matches_field_loop(inputs, with_quotients,
+                                          forms_given):
+    """Over Q the division works on ints over a common denominator; it
+    gives the field-generic loop's remainder, term for term and in the same
+    order, and the same quotients, on non-monic divisors with non-unit
+    denominators, for polynomials and vectors, with the integer forms made
+    per call or kept by the caller."""
+    terms, basis, order, ops = inputs
+    leads = [g.leading_term(order) for g in basis]
+    forms = _int_forms(basis) if forms_given else None
+    quotients = {} if with_quotients else None
+    expected_quotients = {} if with_quotients else None
+    remainder = _divide(terms, basis, leads, order.key, ops, quotients, forms)
+    expected = _divide_field(terms, basis, leads, order.key, ops,
+                             expected_quotients)
+    assert remainder == expected
+    assert list(remainder) == list(expected)
+    assert all(type(c) is Fraction for c in remainder.values())
+    assert quotients == expected_quotients
+    if forms_given:
+        # kept forms are reused: a second division builds none
+        filled = list(forms)
+        assert _divide(terms, basis, leads, order.key, ops, None,
+                       forms) == expected
+        assert all(a is b for a, b in zip(forms, filled))
+
+
+@seed(4242)
+@settings(max_examples=60, deadline=None)
+@given(st.dictionaries(_MONO, _COEFF, min_size=1, max_size=4),
+       st.dictionaries(_MONO, _COEFF, min_size=1, max_size=4))
+def test_exact_divide_over_q_recovers_factor(h_terms, f_terms):
+    """exact_divide, which divides with quotients, recovers h from h*f for
+    non-monic f with non-unit denominators."""
+    R3 = RingDescriptor.graded("x,y,z")
+    h, f = Polynomial(R3, h_terms), Polynomial(R3, f_terms)
+    for order in (DegRevLex(), Lex()):
+        assert exact_divide(h * f, f, order) == h
