@@ -24,7 +24,7 @@ from .corpus import build_corpus
 from .errors import (AlgebraError, ResourceLimitError, SessionSyntaxError,
                      NameResolutionError, TheoremViolationError)
 from .runner import execute_script, ideal_handles
-from .session import parse_session
+from .session import ORDER_NAMES, parse_session
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -259,6 +259,7 @@ def cmd_check(args):
     from .groebner import IdealHandle
     from .modules import (PositionOverTerm, Vec, module_buchberger,
                           schreyer_syzygies)
+    from .fields import GF
     from .rings import RingDescriptor
     from .numerical import NumericalPoly2
     from .adeg import adeg_report_ext, adeg_report_monomial
@@ -266,11 +267,11 @@ def cmd_check(args):
     rng = random.Random(7)
     R = RingDescriptor.graded("x,y,z")
 
-    def rand_poly():
-        out = R.zero()
+    def rand_poly(ring=R, rng=rng):
+        out = ring.zero()
         for _ in range(rng.randint(1, 4)):
             exps = tuple(rng.randint(0, 2) for _ in range(3))
-            out = out + R.monomial(exps, rng.randint(-3, 3))
+            out = out + ring.monomial(exps, rng.randint(-3, 3))
         return out
 
     for _ in range(50):
@@ -304,6 +305,14 @@ def cmd_check(args):
     I = IdealHandle(R2, [gx**2, gx * gy])
     assert adeg_report_ext(I).table() == adeg_report_monomial(I).table()
     print("oracle equivalence on (x^2, xy): ok")
+
+    # its own random stream, so the draws of the steps above stay the same
+    zp_rng = random.Random(11)
+    Rp = RingDescriptor.graded("x,y,z", field=GF(7))
+    for _ in range(5):
+        _spot_check_basis(IdealHandle(Rp, [rand_poly(Rp, zp_rng) for _ in
+                                           range(zp_rng.randint(1, 3))]))
+    print("Buchberger criterion over Zp(7): ok (5 random ideals)")
     print("check: all good")
     return EXIT_OK
 
@@ -319,8 +328,7 @@ def build_parser():
     p_run = sub.add_parser("run", help="execute a session script")
     p_run.add_argument("-i", "--input", required=True)
     p_run.add_argument("--json", help="write results to this file")
-    p_run.add_argument("--order", default=None,
-                       choices=["degrevlex", "lex"])
+    p_run.add_argument("--order", default=None, choices=ORDER_NAMES)
     p_run.add_argument("--max-deg", type=int, default=None)
     p_run.add_argument("--max-basis", type=int, default=None)
     p_run.add_argument("--timings", action="store_true",

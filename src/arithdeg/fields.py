@@ -4,8 +4,8 @@ Rational coefficients are plain ``fractions.Fraction`` values (always in
 lowest terms with positive denominator).  Prime-field elements are thin
 wrappers storing a representative in [0, p).  Both support the operator
 set the polynomial layer relies on: +, -, *, /, unary -, ==, bool, hash.
-Over Q the Groebner division loop works on Python ints over one common
-denominator, and it still returns Fractions in lowest terms.
+The Groebner division loop works on Python ints for both kinds and builds
+its results by calling the field on a numerator and a denominator.
 """
 
 from fractions import Fraction
@@ -151,8 +151,8 @@ class PrimeField:
         self.p = p
         self.characteristic = p
 
-    def __call__(self, value):
-        return PrimeFieldElement(value, self)
+    def __call__(self, num, den=1):
+        return PrimeFieldElement(num * pow(den, -1, self.p), self)
 
     @property
     def zero(self):

@@ -6,14 +6,13 @@ between lead terms in the same component and are chosen by the normal
 strategy (minimal lcm in the term order).  Gebauer-Moeller pair elimination
 runs at every rank; the product criterion is used for polynomials only.
 Output bases are reduced (monic, minimal, tail-reduced) and canonically
-sorted, so every computation is reproducible byte for byte.  Over Q the
-division loop works on Python ints over one common denominator, and it
-still returns Fractions in lowest terms.
+sorted, so every computation is reproducible byte for byte.  The division
+loop works on Python ints for every field: over Q on numerators over one
+common denominator, over Z/p on residues, and it returns field elements.
 """
 
 from bisect import insort
 from collections import namedtuple
-from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import (AlgebraError, InvalidDivisorError, ResourceLimitError,
@@ -65,10 +64,16 @@ def _s_element(f, lf, g, lg, ops):
 
 
 def _int_form(f, lead):
-    """f over Q on ints, as (rest, L, d) with d*f = L*t + the sum of c*u
-    over (u, c) in rest, where lead = (t, c0) is f's lead: d is the lcm of
-    f's denominators, signed so that L = d*c0 > 0."""
+    """f on ints, as (rest, L, d) with d*f = L*t + the sum of c*u over
+    (u, c) in rest, where lead = (t, c0) is f's lead.  Over Q, d is the lcm
+    of f's denominators, signed so that L = d*c0 > 0; over Z/p, d = 1/c0,
+    L = 1 and rest holds residues."""
     t, c0 = lead
+    p = f.ring.field.characteristic
+    if p:
+        d = pow(c0.value, -1, p)
+        return ([(u, c.value * d % p) for u, c in f.terms.items() if u != t],
+                1, d)
     L, d = c0.as_integer_ratio()
     if len(f.terms) > 1:
         d = lcm(*[c.denominator for c in f.terms.values()])
@@ -80,85 +85,42 @@ def _int_form(f, lead):
     return rest, L, d
 
 
-def _int_forms(basis):
-    """Slots for the _int_form of each element of a basis over Q, which
-    _divide fills when it first divides by the element; None over Z/p or
-    for no basis.  Whoever keeps a basis keeps its slots beside it, so each
-    form is built once."""
-    if not basis or basis[0].ring.field.characteristic:
-        return None
-    return [None] * len(basis)
-
-
 def _divide(terms, basis, leads, key, ops, quotients=None, forms=None):
     """Remainder terms of dividing terms by basis, where leads[k] is the
     (lead term, coefficient) pair of basis[k]; no remainder term is
     divisible by a lead.  When quotients is a dict, each step's quotient
-    r*q*E_k is added into quotients[(k, q)].  Over Q the loop runs on ints
-    with forms = _int_forms(basis), made here when not given; over Z/p it
-    runs on the field elements."""
-    if forms is None:
-        forms = _int_forms(basis)
-    if forms is None:
-        return _divide_field(terms, basis, leads, key, ops, quotients)
-    return _divide_ints(terms, basis, leads, forms, key, ops, quotients)
+    r*q*E_k is added into quotients[(k, q)].  forms, when given, holds a
+    slot per basis element for its _int_form, filled on the first division
+    by it; whoever keeps a basis keeps its slots beside it.
 
-
-def _divide_field(terms, basis, leads, key, ops, quotients=None):
-    """_divide on field elements, for any field.  pending holds (key(t), t),
-    ascending, for each term of work: a term is keyed once, on entry, and a
-    cancelled term stays in work at zero until popped.  Keys are injective,
-    so the pop is the largest term of work."""
+    work holds int numerators over one common denominator D.  pending holds
+    (key(t), t), ascending, for each term of work: a term is keyed once, on
+    entry, and a cancelled term stays in work at zero until popped.  Keys
+    are injective, so the pop is the largest term of work.  Over Z/p, work
+    holds residues over D = 1 and a popped numerator is reduced mod p.
+    Over Q, work keeps the input Fractions until the first step, and a term
+    popped before it goes to the remainder as it is (a quarter of the corpus
+    divisions take no step).  Dividing a popped numerator n by (rest, L, d)
+    subtracts n/L times the form: with h = gcd(n, L), work and D are scaled
+    by a = L/h when a != 1, then (n/h)*q*rest is subtracted.  A remainder
+    term is field(n, D) at the D of its pop, and a quotient
+    field(n*d, D*L)."""
+    field = basis[0].ring.field
+    p = field.characteristic
+    if forms is None:
+        forms = [None] * len(basis)
     div, mul = ops.div, ops.mul
     remainder = {}
-    work = dict(terms)
-    pending = sorted([(key(t), t) for t in work])
-    while pending:
-        t = pending.pop()[1]
-        c = work.pop(t)
-        if not c:
-            continue  # cancelled to zero
-        for k, (gt, gc) in enumerate(leads):
-            q = div(t, gt)
-            if q is not None:
-                break
-        else:
-            remainder[t] = c
-            continue
-        ratio = c / gc
-        if quotients is not None:
-            quotients[(k, q)] = quotients.get((k, q), 0) + ratio
-        for t2, c2 in basis[k].terms.items():
-            if t2 == gt:
-                continue  # lead cancels against the popped term
-            tt = mul(q, t2)
-            old = work.get(tt)
-            if old is None:
-                insort(pending, (key(tt), tt))
-                old = 0
-            work[tt] = old - ratio * c2
-    return remainder
-
-
-def _divide_ints(terms, basis, leads, forms, key, ops, quotients=None):
-    """_divide over Q, with forms[k] the _int_form of basis[k] or None.
-    From the first step on, work holds int numerators over one common
-    denominator D; before it, work is the input, whose terms go to the
-    remainder as they are (a quarter of the corpus divisions take no
-    step).  Dividing a popped numerator n by (rest, L, d) subtracts n/L
-    times the form: with h = gcd(n, L), work and D are scaled by a = L/h
-    when a != 1, then (n/h)*q*rest is subtracted.  Every value is the
-    rational that _divide_field holds, so the pops are the same; a
-    remainder term is Fraction(n, D) at the D of its pop, and a quotient
-    n*d/(D*L)."""
-    div, mul = ops.div, ops.mul
-    remainder = {}
-    work = dict(terms)
-    D = 0  # work keeps the input Fractions until the first step
+    if p:
+        work, D = {t: c.value for t, c in terms.items()}, 1
+    else:
+        work, D = dict(terms), 0
     pending = sorted([(key(t), t) for t in work])
     while pending:
         t = pending.pop()[1]
         n = work.pop(t)
+        if p:
+            n %= p
         if not n:
             continue  # cancelled to zero
         for k, (gt, _) in enumerate(leads):
@@ -166,7 +128,7 @@ def _divide_ints(terms, basis, leads, forms, key, ops, quotients=None):
             if q is not None:
                 break
         else:
-            remainder[t] = Fraction(n, D) if D else n
+            remainder[t] = field(n, D) if D else n
             continue
         if not D:
             D = lcm(n.denominator, *[c.denominator for c in work.values()])
@@ -178,8 +140,7 @@ def _divide_ints(terms, basis, leads, forms, key, ops, quotients=None):
             form = forms[k] = _int_form(basis[k], leads[k])
         rest, L, d = form
         if quotients is not None:
-            quotients[(k, q)] = (quotients.get((k, q), 0)
-                                 + Fraction(n * d, D * L))
+            quotients[(k, q)] = quotients.get((k, q), 0) + field(n * d, D * L)
         if L != 1:
             h = gcd(n, L)
             a = L // h
@@ -243,16 +204,14 @@ def _reduce(G, order, ops, nf=None):
             minimal.append(f)
     if nf is None:
         return minimal
-    forms = _int_forms(minimal)
-    if forms:  # filled here, since each division below gets a slice
-        forms = [_int_form(f, lead) for f, lead in zip(minimal, leads)]
+    # forms filled here, since each division below gets a slice
+    forms = [_int_form(f, lead) for f, lead in zip(minimal, leads)]
     reduced = []
     for k, f in enumerate(minimal):
         # a single term is reduced already: no other lead divides it
         if len(f.terms) > 1 and len(minimal) > 1:
             f = nf(f, minimal[:k] + minimal[k + 1:], order,
-                   leads[:k] + leads[k + 1:],
-                   forms and forms[:k] + forms[k + 1:])
+                   leads[:k] + leads[k + 1:], forms[:k] + forms[k + 1:])
         reduced.append(f.monic(order))
     return reduced
 
@@ -261,10 +220,11 @@ def _groebner(gens, order, ops, nf, max_basis, max_degree):
     """Reduced Groebner basis of the span of gens (nonzero elements of one
     kind): normal strategy, Gebauer-Moeller pairs, S-elements divided by
     nf(s, basis, order, leads, forms), where leads[k] is the (lead term,
-    coefficient) pair of basis[k] and forms is _int_forms(basis)."""
+    coefficient) pair of basis[k] and forms holds a slot per element for its
+    _int_form."""
     G = [f.monic(order) for f in gens]
     leads = [f.leading_term(order) for f in G]
-    forms = _int_forms(G)
+    forms = [None] * len(G)
     P = set()
     if any(len(f.terms) > 1 for f in G):
         # (single-term elements are a Groebner basis already)
@@ -287,8 +247,7 @@ def _groebner(gens, order, ops, nf, max_basis, max_degree):
                     basis_size=len(G), degree=r.degree())
             G.append(r.monic(order))
             leads.append(G[-1].leading_term(order))
-            if forms is not None:
-                forms.append(None)
+            forms.append(None)
             P = _update_pairs(P, leads, len(G) - 1, order.key, ops)
             if len(G) > max_basis:
                 raise ResourceLimitError(
@@ -306,7 +265,7 @@ def normal_form(f, basis, order, leads=None, forms=None):
     """Remainder of f on division by basis; no term of it is divisible
     by a basis leading monomial.  leads, when given, lists the
     (lead monomial, coefficient) pair of each basis element, and forms,
-    when given, is _int_forms(basis)."""
+    when given, a slot per element for its _int_form."""
     if not basis:
         return f
     leads = leads or [g.leading_term(order) for g in basis]
@@ -397,7 +356,7 @@ class IdealHandle:
 
         def build():
             leads = [g.leading_term(order) for g in basis]
-            return leads, _int_forms(basis)
+            return leads, [None] * len(basis)
         leads, forms = self._cached(("leads", order.signature()), build)
         return normal_form(f, basis, order, leads, forms)
 
@@ -439,6 +398,12 @@ def maximal_ideal(ring):
     return IdealHandle(ring, ring.gens())
 
 
+def _min_caps(ideals):
+    """The smallest caps among ideals, as IdealHandle keywords."""
+    return {"max_basis": min(I.max_basis for I in ideals),
+            "max_degree": min(I.max_degree for I in ideals)}
+
+
 def ideal_sum(*ideals):
     ring = ideals[0].ring
     gens = []
@@ -446,7 +411,7 @@ def ideal_sum(*ideals):
         if I.ring != ring:
             raise RingMismatchError("summing ideals over different rings")
         gens.extend(I.gens)
-    return IdealHandle(ring, gens)
+    return IdealHandle(ring, gens, **_min_caps(ideals))
 
 
 def ideal_product(I, J):
@@ -455,12 +420,13 @@ def ideal_product(I, J):
     if I.ring != J.ring:
         raise RingMismatchError("multiplying ideals over different rings")
     if not (I.is_monomial() and J.is_monomial()):
-        return IdealHandle(I.ring, [f * g for f in I.gens for g in J.gens])
+        return IdealHandle(I.ring, [f * g for f in I.gens for g in J.gens],
+                           **_min_caps((I, J)))
     one = I.ring.field.one
     products = {mono_mul(next(iter(f.terms)), next(iter(g.terms)))
                 for f in I.gens for g in J.gens}
     return IdealHandle(I.ring, [Polynomial(I.ring, {m: one}, _clean=False)
-                                for m in products])
+                                for m in products], **_min_caps((I, J)))
 
 
 def ideal_power(I, k):

@@ -14,7 +14,7 @@ not valid for modules.
 from .errors import (AlgebraError, HomogeneityError, InternalConsistencyError,
                      RingMismatchError)
 from .groebner import (DEFAULT_MAX_BASIS, DEFAULT_MAX_DEGREE, _divide,
-                       _groebner, _int_forms, _reduce, _s_element, _Terms)
+                       _groebner, _reduce, _s_element, _Terms)
 from .orders import DegRevLex
 from .rings import (Polynomial, deg_add, minimal_monomials, mono_div,
                     mono_lcm, mono_mul, terms_key)
@@ -179,7 +179,7 @@ _VEC = _Terms(_vec_div, _vec_mul, _vec_lcm,
 def module_normal_form(v, basis, morder, leads=None, forms=None):
     """Division remainder of a vector by a list of vectors; leads, when
     given, lists the (lead term, coefficient) pair of each of them, and
-    forms, when given, is _int_forms(basis)."""
+    forms, when given, a slot per vector for its integer form."""
     if not basis:
         return v
     leads = leads or [g.leading_term(morder) for g in basis]
@@ -204,7 +204,7 @@ def schreyer_syzygies(G, morder):
     """
     ring = G[0].ring if G else None
     leads = [g.leading_term(morder) for g in G]
-    forms = _int_forms(G)
+    forms = [None] * len(G)
     sorder = SchreyerOrder(morder, [lt for lt, _ in leads])
     syz = []
     for i in range(len(G)):

@@ -7,6 +7,7 @@ degrees.
 """
 
 import itertools
+from functools import reduce
 
 from .errors import AlgebraError, InternalConsistencyError, WrongOracleError
 from .groebner import IdealHandle
@@ -234,16 +235,10 @@ def irreducible_decomposition(gens, nvars):
     return _irredundant(sorted(comps, key=IrreducibleComponent.key))
 
 
-def _component_gens_intersection(components):
-    gens = ((0,) * components[0].nvars,) if components else ()
-    first = True
-    for comp in components:
-        if first:
-            gens = comp.generators()
-            first = False
-        else:
-            gens = monomial_intersection(gens, comp.generators())
-    return gens
+def _intersection(gen_lists):
+    """Generators of the intersection of one or more monomial ideals, each
+    given by its generators."""
+    return reduce(monomial_intersection, gen_lists)
 
 
 def _irredundant(components):
@@ -255,7 +250,7 @@ def _irredundant(components):
             others = kept[:k] + kept[k + 1:]
             if not others:
                 continue
-            inter = _component_gens_intersection(others)
+            inter = _intersection(c.generators() for c in others)
             if all(kept[k].contains(m) for m in inter):
                 kept.pop(k)
                 changed = True
@@ -295,7 +290,7 @@ def decompose(I):
     comps = irreducible_decomposition(gens, n)
     comps = _irredundant(comps)
     # exactness gate
-    inter = _component_gens_intersection(comps)
+    inter = _intersection(c.generators() for c in comps)
     if set(inter) != set(gens):
         raise InternalConsistencyError(
             "irreducible decomposition does not intersect back to the input")
@@ -304,7 +299,7 @@ def decompose(I):
         groups.setdefault(c.radical_support(), []).append(c)
     primary = []
     for supp in sorted(groups, key=sorted):
-        gens_p = _component_gens_intersection(groups[supp])
+        gens_p = _intersection(c.generators() for c in groups[supp])
         primary.append((supp, gens_p))
     # omission test for irredundancy of the primary decomposition
     changed = True
@@ -314,9 +309,7 @@ def decompose(I):
             others = primary[:k] + primary[k + 1:]
             if not others:
                 continue
-            inter = others[0][1]
-            for _, g2 in others[1:]:
-                inter = monomial_intersection(inter, g2)
+            inter = _intersection(g for _, g in others)
             if set(inter) == set(gens) or all(
                     monomial_ideal_contains(primary[k][1], m) for m in inter):
                 primary.pop(k)
@@ -346,9 +339,7 @@ def m_leq_monomial(I, i):
     keep = [(supp, gens) for supp, gens in dec.primary if n - len(supp) > i]
     if not keep:
         return IdealHandle(ring, [ring.one()])
-    inter = keep[0][1]
-    for _, g2 in keep[1:]:
-        inter = monomial_intersection(inter, g2)
+    inter = _intersection(g for _, g in keep)
     if not inter:
         return IdealHandle(ring, [])
     return IdealHandle(ring, [ring.monomial(m) for m in inter])

@@ -86,14 +86,10 @@ class BlockOrder(TermOrder):
                 self.outer.signature(), self.inner.signature())
 
 
-def order_from_name(name, nvars=None, weights=None):
-    """Resolve a CLI order name."""
+def order_from_name(name):
+    """The term order a session option or the CLI names."""
     if name == "degrevlex":
         return DegRevLex()
     if name == "lex":
         return Lex()
-    if name == "wdegrevlex":
-        if not weights:
-            raise ValueError("wdegrevlex needs weights")
-        return WeightedDegRevLex(weights)
     raise ValueError("unknown term order %r" % (name,))

@@ -5,7 +5,8 @@ Grammar (whitespace-insensitive, '#' comments):
     ring  S = Q[x,y,z];            # or Zp(32003)[x,y]
     ideal J = x^2, x*y;
     meta  J prime;                 # optional flags: prime, equidimensional
-    option order degrevlex;        # order | max_degree | max_basis
+    option order degrevlex;        # order degrevlex|lex, max_degree N,
+                                   # max_basis N
     task  adeg J;                  # gb | hilbert | stdpairs | adeg
     task  verify J I;              # gg | gmult | ladeg | verify take J I
 
@@ -20,6 +21,7 @@ from .rings import RingDescriptor, parse_polynomial, terms_key
 ONE_NAME_TASKS = ("gb", "hilbert", "stdpairs", "adeg")
 TWO_NAME_TASKS = ("gg", "gmult", "ladeg", "verify")
 KNOWN_OPTIONS = ("order", "max_degree", "max_basis")
+ORDER_NAMES = ("degrevlex", "lex")
 KNOWN_FLAGS = ("prime", "equidimensional", "origin_certified")
 
 
@@ -195,6 +197,9 @@ def parse_session(text):
             if key not in KNOWN_OPTIONS:
                 cur.error("unknown option %r" % key)
             value = cur.take_word()
+            if not (value in ORDER_NAMES if key == "order"
+                    else value.isascii() and value.isdigit()):
+                cur.error("bad value %r for option %s" % (value, key))
             cur.expect(";")
             options[key] = value
         elif word == "task":

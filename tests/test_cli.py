@@ -4,6 +4,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from arithdeg.cli import main
 from arithdeg.runner import execute_script
 from arithdeg.session import parse_session
@@ -45,6 +47,22 @@ def test_parse_error_exit_code(tmp_path):
     src = tmp_path / "bad.ses"
     src.write_text("ring S = Q[x,y]\nideal J = x;\ntask gb J;")
     assert main(["run", "-i", str(src)]) == 1
+
+
+@pytest.mark.parametrize("option", ["order foo", "order wdegrevlex",
+                                    "max_degree abc", "max_basis 2x"])
+def test_bad_option_value_is_a_parse_error(tmp_path, option):
+    """An option value the session cannot use fails at parse time, with a
+    position, rather than as a traceback from the run."""
+    src = tmp_path / "bad.ses"
+    src.write_text("ring S = Q[x,y];\nideal J = x;\noption %s;\ntask gb J;\n"
+                   % option)
+    proc = subprocess.run([sys.executable, "-m", "arithdeg.cli", "run", "-i",
+                           str(src)], capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert "parse error" in proc.stderr
+    assert "line 3" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_missing_file_exit_code(tmp_path):

@@ -13,12 +13,12 @@ from hypothesis import given, seed, settings, strategies as st
 
 from arithdeg.errors import (InvalidDivisorError, ResourceLimitError,
                              RingMismatchError)
-from arithdeg.groebner import (_POLY, IdealHandle, _divide, _divide_field,
-                               _int_forms, _poly_sort_key, buchberger,
-                               eliminate, exact_divide, ideal_product,
-                               ideal_quotient, intersect, maximal_ideal,
-                               normal_form, s_polynomial, saturate,
-                               saturate_by_ideal)
+from arithdeg.fields import GF, QQ, PrimeFieldElement
+from arithdeg.groebner import (_POLY, IdealHandle, _divide, _poly_sort_key,
+                               buchberger, eliminate, exact_divide,
+                               ideal_product, ideal_quotient, ideal_sum,
+                               intersect, maximal_ideal, normal_form,
+                               s_polynomial, saturate, saturate_by_ideal)
 from arithdeg.orders import BlockOrder, DegRevLex, Lex, WeightedDegRevLex
 from arithdeg.rings import (Polynomial, RingDescriptor, parse_polynomial,
                             terms_key)
@@ -334,6 +334,25 @@ def test_monomial_ideal_product_matches_polynomial_products():
             ideal_product(K, J)
 
 
+def test_ideal_sum_and_product_keep_the_smallest_caps(R):
+    """A sum or product of capped handles takes the smallest max_basis and
+    the smallest max_degree among its operands, on the monomial route and
+    the polynomial route, so its basis runs under the operands' caps."""
+    mono = IdealHandle(R, ["x^2", "x*y"], max_basis=7, max_degree=30)
+    poly = IdealHandle(R, ["x^2 - y", "x*y - 1"], max_basis=50, max_degree=3)
+    free = IdealHandle(R, ["y^3"])
+    for I, J in ((mono, free), (free, mono), (mono, poly), (poly, mono),
+                 (poly, free)):
+        caps = (min(I.max_basis, J.max_basis),
+                min(I.max_degree, J.max_degree))
+        for K in (ideal_sum(I, J), ideal_product(I, J)):
+            assert (K.max_basis, K.max_degree) == caps
+    assert (ideal_sum(free, mono, poly).max_basis,
+            ideal_sum(free, mono, poly).max_degree) == (7, 3)
+    with pytest.raises(ResourceLimitError):
+        ideal_product(free, poly).groebner_basis()
+
+
 @pytest.mark.parametrize("order", [DegRevLex(), Lex()])
 def test_ideal_handle_normal_form_keeps_remainders(order):
     """IdealHandle.normal_form, which reuses the basis leads it caches,
@@ -520,13 +539,24 @@ _COEFF = st.builds(Fraction, st.integers(-9, 9).filter(bool),
 
 @st.composite
 def _division_inputs(draw):
-    """(terms, basis, order, ops) over Q[x,y,z]: polynomials, or vectors
-    of rank 1-3.  Coefficients have denominators up to 6, each basis
-    element is scaled by a/b with a >= 2, so most leads are not monic, and
-    the dividend mixes random terms with term multiples of the basis, so
-    steps both divide and leave remainders."""
+    """(terms, basis, order, ops) over Q[x,y,z] or Z/p[x,y,z] for p = 3, 7
+    or 32003: polynomials, or vectors of rank 1-3.  Over Q coefficients
+    have denominators up to 6, and each basis element is scaled by a/b
+    with a >= 2, so most leads are not monic; over Z/p they are nonzero
+    residues of -9..9 and the scale is a residue of 2..9, and the small
+    primes make numerators wrap to zero.  The dividend mixes random terms
+    with term multiples of the basis, so steps both divide and leave
+    remainders."""
     from arithdeg.modules import _VEC, PositionOverTerm, SchreyerOrder, Vec
-    R3 = RingDescriptor.graded("x,y,z")
+    field = draw(st.one_of(st.just(QQ),
+                           st.sampled_from([GF(3), GF(7), GF(32003)])))
+    R3 = RingDescriptor.graded("x,y,z", field=field)
+    if field.characteristic:
+        coeff = st.integers(-9, 9).map(field).filter(bool)
+        scales = st.integers(2, 9).map(field).filter(bool)
+    else:
+        coeff = _COEFF
+        scales = st.builds(Fraction, st.integers(2, 9), st.integers(1, 7))
     orders = [Lex(), DegRevLex(), WeightedDegRevLex([1, 2, 3]),
               BlockOrder([0], 3)]
     rank = draw(st.sampled_from([None, 1, 2, 3]))
@@ -548,14 +578,14 @@ def _division_inputs(draw):
             return Vec(R3, rank, terms)
     basis = []
     for _ in range(draw(st.integers(1, 4))):
-        scale = Fraction(draw(st.integers(2, 9)), draw(st.integers(1, 7)))
+        scale = draw(scales)
         g = make({t: scale * c for t, c in draw(
-            st.dictionaries(term, _COEFF, min_size=1, max_size=4)).items()})
+            st.dictionaries(term, coeff, min_size=1, max_size=4)).items()})
         if g:
             basis.append(g)
-    terms = dict(draw(st.dictionaries(term, _COEFF, max_size=4)))
+    terms = dict(draw(st.dictionaries(term, coeff, max_size=4)))
     for g in basis:
-        for m, c in draw(st.dictionaries(_MONO, _COEFF, max_size=2)).items():
+        for m, c in draw(st.dictionaries(_MONO, coeff, max_size=2)).items():
             for t, v in g.terms.items():
                 t = ops.mul(m, t)
                 terms[t] = terms.get(t, 0) + c * v
@@ -565,24 +595,27 @@ def _division_inputs(draw):
 @seed(31337)
 @settings(max_examples=300, deadline=None)
 @given(_division_inputs(), st.booleans(), st.booleans())
-def test_divide_over_q_matches_field_loop(inputs, with_quotients,
-                                          forms_given):
-    """Over Q the division works on ints over a common denominator; it
-    gives the field-generic loop's remainder, term for term and in the same
-    order, and the same quotients, on non-monic divisors with non-unit
-    denominators, for polynomials and vectors, with the integer forms made
-    per call or kept by the caller."""
+def test_divide_matches_reference_over_q_and_zp(inputs, with_quotients,
+                                                forms_given):
+    """The division works on ints: over Q on numerators over a common
+    denominator, over Z/p on residues.  It gives the max-based reference
+    loop's remainder, term for term and in the same order, as Fractions
+    over Q and PrimeFieldElements over Z/p, and the same quotients, on
+    non-monic divisors with non-unit denominators, for polynomials and
+    vectors, with the integer forms made per call or kept by the caller."""
     terms, basis, order, ops = inputs
     leads = [g.leading_term(order) for g in basis]
-    forms = _int_forms(basis) if forms_given else None
+    forms = [None] * len(basis) if forms_given else None
     quotients = {} if with_quotients else None
     expected_quotients = {} if with_quotients else None
     remainder = _divide(terms, basis, leads, order.key, ops, quotients, forms)
-    expected = _divide_field(terms, basis, leads, order.key, ops,
-                             expected_quotients)
+    expected = _divide_reference(terms, basis, leads, order.key, ops,
+                                 expected_quotients)
     assert remainder == expected
     assert list(remainder) == list(expected)
-    assert all(type(c) is Fraction for c in remainder.values())
+    value_type = (PrimeFieldElement if basis[0].ring.field.characteristic
+                  else Fraction)
+    assert all(type(c) is value_type for c in remainder.values())
     assert quotients == expected_quotients
     if forms_given:
         # kept forms are reused: a second division builds none
