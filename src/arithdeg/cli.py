@@ -61,9 +61,9 @@ def cmd_run(args):
     except (SessionSyntaxError, NameResolutionError) as exc:
         print("parse error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
-    if args.max_deg:
+    if args.max_deg is not None:
         script.options["max_degree"] = str(args.max_deg)
-    if args.max_basis:
+    if args.max_basis is not None:
         script.options["max_basis"] = str(args.max_basis)
     try:
         result = execute_script(script, order_name=args.order,
@@ -317,6 +317,14 @@ def cmd_check(args):
     return EXIT_OK
 
 
+def _cap(text):
+    """A cap given on the command line: an integer of 0 or more."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError("a cap cannot be negative")
+    return value
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="arithdeg",
@@ -329,8 +337,8 @@ def build_parser():
     p_run.add_argument("-i", "--input", required=True)
     p_run.add_argument("--json", help="write results to this file")
     p_run.add_argument("--order", default=None, choices=ORDER_NAMES)
-    p_run.add_argument("--max-deg", type=int, default=None)
-    p_run.add_argument("--max-basis", type=int, default=None)
+    p_run.add_argument("--max-deg", type=_cap, default=None)
+    p_run.add_argument("--max-basis", type=_cap, default=None)
     p_run.add_argument("--timings", action="store_true",
                        help="include wall-clock timings (breaks byte-for-byte "
                             "reproducibility)")

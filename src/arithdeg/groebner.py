@@ -2,18 +2,21 @@
 
 One Buchberger loop, one division loop and one interreduction serve both
 polynomials and the free-module vectors of ``modules``.  Pairs form only
-between lead terms in the same component and are chosen by the normal
-strategy (minimal lcm in the term order).  Gebauer-Moeller pair elimination
-runs at every rank; the product criterion is used for polynomials only.
-Output bases are reduced (monic, minimal, tail-reduced) and canonically
-sorted, so every computation is reproducible byte for byte.  The division
-loop works on Python ints for every field: over Q on numerators over one
-common denominator, over Z/p on residues, and it returns field elements.
+between lead terms in the same component and are chosen by the sugar
+strategy (smallest sugar, then smallest lcm in the term order).
+Gebauer-Moeller pair elimination runs at every rank; the product criterion
+is used for polynomials only.  Output bases are reduced (monic, minimal,
+tail-reduced) and canonically sorted, so every computation is reproducible
+byte for byte.  The division loop works on Python ints for every field and
+order: terms packed into ints whose linear keys add under multiplication,
+coefficients over Q as numerators over one common denominator, over Z/p as
+residues; it returns field elements.
 """
 
 from bisect import insort
 from collections import namedtuple
 from math import gcd, lcm
+from operator import lshift, mul
 
 from .errors import (AlgebraError, InvalidDivisorError, ResourceLimitError,
                      RingMismatchError)
@@ -63,41 +66,105 @@ def _s_element(f, lf, g, lg, ops):
     return qf, qg, terms
 
 
-def _int_form(f, lead):
+def _flat(key):
+    """The ints of a nested key tuple, in order."""
+    out = []
+    for k in key:
+        if type(k) is tuple:
+            out += _flat(k)
+        else:
+            out.append(k)
+    return out
+
+
+class _Packer:
+    """Terms of one order packed into ints (polynomials, or vectors on rank
+    components): the term's linear key above a field of width bits per
+    variable and, for vectors, two fields holding c and E - c at component
+    c.  Each field's top bit is a guard bit, so fields hold at most
+    E = bound.  Then q*u packs to q + u and t/s to t - s, s divides t when
+    ((t | G) - s) & G == G for the guard mask G (equal components
+    included), and the ints sort like the order; a term that does not fit
+    raises OverflowError.  Row j of the order's matrix is entry j of the
+    flattened key, read off the unit vectors and each component's 1; the
+    rows fold into one int as the digits of a mixed radix, each base one
+    more than its row's spread on terms that fit."""
+
+    def __init__(self, order, nvars, rank=None, width=8):
+        self.width, self.bound = width, (1 << width - 1) - 1
+        self.vectors = rank is not None
+
+        def flat(m, c=0):
+            return _flat(order.key(m if rank is None else (c, m)))
+        zero = (0,) * nvars
+        offsets = [flat(zero, c) for c in range(rank or 1)]
+        units = [flat(zero[:i] + (1,) + zero[i + 1:]) for i in range(nvars)]
+        self.weights, self.offsets = [0] * nvars, [0] * len(offsets)
+        for j, start in enumerate(offsets[0]):
+            row = [u[j] - start for u in units]
+            at = [o[j] for o in offsets]
+            base = max(at) - min(at) + self.bound * sum(map(abs, row)) + 1
+            self.weights = [w * base + r for w, r in zip(self.weights, row)]
+            self.offsets = [o * base + a for o, a in zip(self.offsets, at)]
+        self.shifts = range(0, (nvars + 2 * self.vectors) * width, width)
+        self.guards = sum(self.bound + 1 << s for s in self.shifts)
+        self.top = len(self.shifts) * width
+
+    def pack(self, t):
+        c, m = t if self.vectors else (0, t)
+        fields = m + (c, self.bound - c) if self.vectors else m
+        if max(fields) > self.bound:
+            raise OverflowError
+        return ((self.offsets[c] + sum(map(mul, self.weights, m)) << self.top)
+                + sum(map(lshift, fields, self.shifts)))
+
+    def unpack(self, t):
+        """The term packed as t; a packed quotient of vectors unpacks to
+        (0, monomial)."""
+        mask = (1 << self.width) - 1
+        fields = tuple(t >> s & mask for s in self.shifts)
+        return (fields[-2], fields[:-2]) if self.vectors else fields
+
+
+def _int_form(f, lead, pack):
     """f on ints, as (rest, L, d) with d*f = L*t + the sum of c*u over
-    (u, c) in rest, where lead = (t, c0) is f's lead.  Over Q, d is the lcm
-    of f's denominators, signed so that L = d*c0 > 0; over Z/p, d = 1/c0,
-    L = 1 and rest holds residues."""
+    (u, c) in rest, where lead = (t, c0) is f's lead and each u is packed.
+    Over Q, d is the lcm of f's denominators, signed so that L = d*c0 > 0;
+    over Z/p, d = 1/c0, L = 1 and rest holds residues."""
     t, c0 = lead
     p = f.ring.field.characteristic
     if p:
         d = pow(c0.value, -1, p)
-        return ([(u, c.value * d % p) for u, c in f.terms.items() if u != t],
-                1, d)
+        return ([(pack(u), c.value * d % p) for u, c in f.terms.items()
+                 if u != t], 1, d)
     L, d = c0.as_integer_ratio()
     if len(f.terms) > 1:
         d = lcm(*[c.denominator for c in f.terms.values()])
         L *= d // c0.denominator
     if L < 0:
         d, L = -d, -L
-    rest = [(u, c.numerator * (d // c.denominator))
+    rest = [(pack(u), c.numerator * (d // c.denominator))
             for u, c in f.terms.items() if u != t]
     return rest, L, d
 
 
-def _divide(terms, basis, leads, key, ops, quotients=None, forms=None):
+def _divide(terms, basis, leads, order, ops, quotients=None, forms=None):
     """Remainder terms of dividing terms by basis, where leads[k] is the
     (lead term, coefficient) pair of basis[k]; no remainder term is
-    divisible by a lead.  When quotients is a dict, each step's quotient
-    r*q*E_k is added into quotients[(k, q)].  forms, when given, holds a
-    slot per basis element for its _int_form, filled on the first division
-    by it; whoever keeps a basis keeps its slots beside it.
+    divisible by a lead, and they come in descending order.  When quotients
+    is a dict, each step's quotient r*q*E_k is added into quotients[(k, q)].
+    forms, when given, holds a slot per basis element for its packed lead
+    and _int_form, filled by the divisions that need them; whoever keeps a
+    basis keeps its slots beside it.  A basis of single terms takes no
+    steps: a term goes to the quotient at the first lead dividing it, or to
+    the remainder.  Other divisions run on packed terms, with the packer
+    ring.memo keeps for the order; when a term outgrows it, ring.memo gets
+    one of twice the width and the division starts again.
 
     work holds int numerators over one common denominator D.  pending holds
-    (key(t), t), ascending, for each term of work: a term is keyed once, on
-    entry, and a cancelled term stays in work at zero until popped.  Keys
-    are injective, so the pop is the largest term of work.  Over Z/p, work
-    holds residues over D = 1 and a popped numerator is reduced mod p.
+    the packed terms of work, ascending, so the pop is the largest term of
+    work; a cancelled term stays in work at zero until popped.  Over Z/p,
+    work holds residues over D = 1 and a popped numerator is reduced mod p.
     Over Q, work keeps the input Fractions until the first step, and a term
     popped before it goes to the remainder as it is (a quarter of the corpus
     divisions take no step).  Dividing a popped numerator n by (rest, L, d)
@@ -105,42 +172,81 @@ def _divide(terms, basis, leads, key, ops, quotients=None, forms=None):
     by a = L/h when a != 1, then (n/h)*q*rest is subtracted.  A remainder
     term is field(n, D) at the D of its pop, and a quotient
     field(n*d, D*L)."""
+    if all(len(g.terms) == 1 for g in basis):
+        remainder = {}
+        for t in sorted(terms, key=order.key, reverse=True):
+            c = terms[t]
+            for k, (s, cs) in enumerate(leads):
+                q = ops.div(t, s)
+                if q is not None:
+                    if quotients is not None and c:
+                        quotients[(k, q)] = quotients.get((k, q), 0) + c / cs
+                    break
+            else:
+                if c:
+                    remainder[t] = c
+        return remainder
+    ring, rank = basis[0].ring, getattr(basis[0], "rank", None)
+    memo_key = ("packer", order, rank)
+    packer = ring.memo.get(memo_key) or _Packer(order, ring.nvars, rank)
+    ring.memo[memo_key] = packer
+    try:
+        remainder, steps = _divide_packed(
+            terms, basis, leads, packer, forms or [None] * len(basis),
+            quotients is not None)
+    except OverflowError:
+        ring.memo[memo_key] = _Packer(order, ring.nvars, rank,
+                                      2 * packer.width)
+        return _divide(terms, basis, leads, order, ops, quotients, forms)
+    for (k, q), c in steps.items():
+        kq = (k, packer.unpack(q)[1] if packer.vectors else packer.unpack(q))
+        quotients[kq] = quotients.get(kq, 0) + c
+    return {packer.unpack(t): c for t, c in remainder}
+
+
+def _divide_packed(terms, basis, leads, packer, forms, with_quotients):
+    """The loop of _divide on packed terms: the remainder as a list of
+    (packed term, value), and the quotients keyed by (k, packed q)."""
     field = basis[0].ring.field
     p = field.characteristic
-    if forms is None:
-        forms = [None] * len(basis)
-    div, mul = ops.div, ops.mul
-    remainder = {}
+    for k, slot in enumerate(forms):
+        if slot is None or slot[0] is not packer:
+            forms[k] = (packer, packer.pack(leads[k][0]), None)
+    heads = [slot[1] for slot in forms]
+    G = packer.guards
+    remainder, steps = [], {}
     if p:
-        work, D = {t: c.value for t, c in terms.items()}, 1
+        work, D = {packer.pack(t): c.value for t, c in terms.items()}, 1
     else:
-        work, D = dict(terms), 0
-    pending = sorted([(key(t), t) for t in work])
+        work, D = {packer.pack(t): c for t, c in terms.items()}, 0
+    pending = sorted(work)
     while pending:
-        t = pending.pop()[1]
+        t = pending.pop()
         n = work.pop(t)
         if p:
             n %= p
         if not n:
             continue  # cancelled to zero
-        for k, (gt, _) in enumerate(leads):
-            q = div(t, gt)
-            if q is not None:
+        tg = t | G
+        for k, s in enumerate(heads):
+            if (tg - s) & G == G:
                 break
         else:
-            remainder[t] = field(n, D) if D else n
+            remainder.append((t, field(n, D) if D else n))
             continue
         if not D:
             D = lcm(n.denominator, *[c.denominator for c in work.values()])
             n = n.numerator * (D // n.denominator)
             work = {u: c.numerator * (D // c.denominator)
                     for u, c in work.items()}
-        form = forms[k]
+        form = forms[k][2]
         if form is None:
-            form = forms[k] = _int_form(basis[k], leads[k])
+            form = _int_form(basis[k], leads[k], packer.pack)
+            forms[k] = (packer, s, form)
         rest, L, d = form
-        if quotients is not None:
-            quotients[(k, q)] = quotients.get((k, q), 0) + field(n * d, D * L)
+        q = t - s
+        if with_quotients:
+            steps[(k, q)] = steps.get((k, q), 0) + field(n * d, D * L)
         if L != 1:
             h = gcd(n, L)
             a = L // h
@@ -149,14 +255,16 @@ def _divide(terms, basis, leads, key, ops, quotients=None, forms=None):
                 for u in work:
                     work[u] *= a
                 D *= a
-        for t2, c2 in rest:
-            tt = mul(q, t2)
+        for u, c in rest:
+            tt = q + u
             old = work.get(tt)
             if old is None:
-                insort(pending, (key(tt), tt))
+                if tt & G:
+                    raise OverflowError
+                insort(pending, tt)
                 old = 0
-            work[tt] = old - n * c2
-    return remainder
+            work[tt] = old - n * c
+    return remainder, steps
 
 
 def _update_pairs(P, leads, n, key, ops):
@@ -204,26 +312,32 @@ def _reduce(G, order, ops, nf=None):
             minimal.append(f)
     if nf is None:
         return minimal
-    # forms filled here, since each division below gets a slice
-    forms = [_int_form(f, lead) for f, lead in zip(minimal, leads)]
+    forms = [None] * len(minimal)
     reduced = []
     for k, f in enumerate(minimal):
         # a single term is reduced already: no other lead divides it
         if len(f.terms) > 1 and len(minimal) > 1:
+            # each division gets a slice; its filled slots are kept
+            others = forms[:k] + forms[k + 1:]
             f = nf(f, minimal[:k] + minimal[k + 1:], order,
-                   leads[:k] + leads[k + 1:], forms[:k] + forms[k + 1:])
+                   leads[:k] + leads[k + 1:], others)
+            forms[:k], forms[k + 1:] = others[:k], others[k:]
         reduced.append(f.monic(order))
     return reduced
 
 
 def _groebner(gens, order, ops, nf, max_basis, max_degree):
     """Reduced Groebner basis of the span of gens (nonzero elements of one
-    kind): normal strategy, Gebauer-Moeller pairs, S-elements divided by
+    kind): sugar strategy, Gebauer-Moeller pairs, S-elements divided by
     nf(s, basis, order, leads, forms), where leads[k] is the (lead term,
-    coefficient) pair of basis[k] and forms holds a slot per element for its
-    _int_form."""
+    coefficient) pair of basis[k] and forms holds a slot per element for
+    _divide.  sugar[k] is a generator's degree, or the sugar of the pair
+    that made basis[k]; a pair's sugar is the larger of sugar[i] + deg(qi)
+    and sugar[j] + deg(qj), with qi*lead_i = qj*lead_j their lcm, and pairs
+    go by (sugar, lcm key)."""
     G = [f.monic(order) for f in gens]
     leads = [f.leading_term(order) for f in G]
+    sugar = [f.degree() for f in G]
     forms = [None] * len(G)
     P = set()
     if any(len(f.terms) > 1 for f in G):
@@ -232,10 +346,14 @@ def _groebner(gens, order, ops, nf, max_basis, max_degree):
             P = _update_pairs(P, leads, n, order.key, ops)
     pair_key = {}
     while P:
-        for ij in P:
-            if ij not in pair_key:
-                pair_key[ij] = order.key(ops.lcm(leads[ij[0]][0],
-                                                 leads[ij[1]][0]))
+        deg = G[0].ring.degree
+        for i, j in P:
+            if (i, j) not in pair_key:
+                ti, tj = leads[i][0], leads[j][0]
+                lcm = ops.lcm(ti, tj)
+                pair_key[(i, j)] = (max(sugar[i] + deg(ops.div(lcm, ti)),
+                                        sugar[j] + deg(ops.div(lcm, tj))),
+                                    order.key(lcm))
         i, j = min(P, key=pair_key.__getitem__)
         P.remove((i, j))
         s = _s_element(G[i], leads[i], G[j], leads[j], ops)
@@ -247,6 +365,7 @@ def _groebner(gens, order, ops, nf, max_basis, max_degree):
                     basis_size=len(G), degree=r.degree())
             G.append(r.monic(order))
             leads.append(G[-1].leading_term(order))
+            sugar.append(pair_key[(i, j)][0])
             forms.append(None)
             P = _update_pairs(P, leads, len(G) - 1, order.key, ops)
             if len(G) > max_basis:
@@ -265,11 +384,11 @@ def normal_form(f, basis, order, leads=None, forms=None):
     """Remainder of f on division by basis; no term of it is divisible
     by a basis leading monomial.  leads, when given, lists the
     (lead monomial, coefficient) pair of each basis element, and forms,
-    when given, a slot per element for its _int_form."""
+    when given, a slot per element for _divide."""
     if not basis:
         return f
     leads = leads or [g.leading_term(order) for g in basis]
-    return Polynomial(f.ring, _divide(f.terms, basis, leads, order.key, _POLY,
+    return Polynomial(f.ring, _divide(f.terms, basis, leads, order, _POLY,
                                       None, forms), _clean=False)
 
 
@@ -502,12 +621,11 @@ def intersect(I, J):
     """
     if I.ring != J.ring:
         raise RingMismatchError("intersecting ideals over different rings")
-    ring = I.ring
+    ring, caps = I.ring, _min_caps((I, J))
     if I.is_monomial() and J.is_monomial():
         lcms = {mono_lcm(next(iter(f.terms)), next(iter(g.terms)))
                 for f in I.gens for g in J.gens}
-        return IdealHandle(ring, [ring.monomial(m) for m in lcms],
-                           max_basis=I.max_basis, max_degree=I.max_degree)
+        return IdealHandle(ring, [ring.monomial(m) for m in lcms], **caps)
     if I.contains_ideal(J):
         return J
     if J.contains_ideal(I):
@@ -517,17 +635,16 @@ def intersect(I, J):
     one = big.one()
     gens = [t * inject(f, big) for f in I.gens]
     gens += [(one - t) * inject(g, big) for g in J.gens]
-    H = IdealHandle(big, gens, max_basis=I.max_basis, max_degree=max(I.max_degree, J.max_degree))
+    H = IdealHandle(big, gens, **caps)
     E = eliminate(H, [big.nvars - 1])
-    return IdealHandle(ring, [project(g, ring) for g in E.gens],
-                       max_basis=I.max_basis, max_degree=I.max_degree)
+    return IdealHandle(ring, [project(g, ring) for g in E.gens], **caps)
 
 
 def exact_divide(h, f, order=None):
     """h / f when f divides h exactly; raises otherwise."""
     order = order or DegRevLex()
     quotients = {}
-    if _divide(h.terms, [f], [f.leading_term(order)], order.key, _POLY,
+    if _divide(h.terms, [f], [f.leading_term(order)], order, _POLY,
                quotients):
         raise AlgebraError("%r does not divide %r" % (f, h))
     return Polynomial(h.ring, {q: c for (_, q), c in quotients.items()})

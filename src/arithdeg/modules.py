@@ -15,14 +15,14 @@ from .errors import (AlgebraError, HomogeneityError, InternalConsistencyError,
                      RingMismatchError)
 from .groebner import (DEFAULT_MAX_BASIS, DEFAULT_MAX_DEGREE, _divide,
                        _groebner, _reduce, _s_element, _Terms)
-from .orders import DegRevLex
+from .orders import DegRevLex, TermOrder
 from .rings import (Polynomial, deg_add, minimal_monomials, mono_div,
                     mono_lcm, mono_mul, terms_key)
 
 
-class ModuleOrder:
-    def key(self, term):
-        raise NotImplementedError
+class ModuleOrder(TermOrder):
+    """An order on free-module terms (component, monomial); its key is
+    affine in the monomial, with an offset per component."""
 
 
 class PositionOverTerm(ModuleOrder):
@@ -35,6 +35,9 @@ class PositionOverTerm(ModuleOrder):
         c, m = term
         return (-c, self.inner.key(m))
 
+    def signature(self):
+        return ("pot", self.inner.signature())
+
 
 class SchreyerOrder(ModuleOrder):
     """Order on syzygy coordinates induced by the leads of a Groebner basis:
@@ -43,11 +46,18 @@ class SchreyerOrder(ModuleOrder):
     def __init__(self, parent, leads):
         self.parent = parent
         self.leads = tuple(leads)
+        self._hash = hash(self.signature())
 
     def key(self, term):
         i, m = term
         lc, lmono = self.leads[i]
         return (self.parent.key((lc, mono_mul(m, lmono))), -i)
+
+    def signature(self):
+        return ("schreyer", self.parent.signature(), self.leads)
+
+    def __hash__(self):  # hashes the leads once, not per packer lookup
+        return self._hash
 
 
 class Vec:
@@ -183,7 +193,7 @@ def module_normal_form(v, basis, morder, leads=None, forms=None):
     if not basis:
         return v
     leads = leads or [g.leading_term(morder) for g in basis]
-    return Vec(v.ring, v.rank, _divide(v.terms, basis, leads, morder.key, _VEC,
+    return Vec(v.ring, v.rank, _divide(v.terms, basis, leads, morder, _VEC,
                                        None, forms), _clean=False)
 
 
@@ -217,7 +227,7 @@ def schreyer_syzygies(G, morder):
             # s divides out as sum q_k g_k; its two defining terms minus
             # those quotients are the syzygy
             quotients = {}
-            if _divide(s, G, leads, morder.key, _VEC, quotients, forms):
+            if _divide(s, G, leads, morder, _VEC, quotients, forms):
                 raise InternalConsistencyError(
                     "S-vector of a Groebner basis did not reduce to zero")
             one = ring.field.one

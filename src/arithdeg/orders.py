@@ -4,6 +4,11 @@ Every order exposes ``key(m)``: a tuple that sorts monomials ascending, so
 ``max(monomials, key=order.key)`` is the leading monomial.  All orders here
 are multiplicative and global (the constant monomial is minimal), which the
 property suite checks on random triples.
+
+Every key is a nested tuple of one shape whose entries are integer linear
+forms in the exponents, so every order is a matrix order: the division loop
+in ``groebner`` reads the weight rows off the keys of the unit vectors and
+folds them into one int key with key(q*u) = key(q) + key(u).
 """
 
 from operator import mul, neg

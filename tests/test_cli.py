@@ -80,6 +80,29 @@ def test_resource_cap_exit_code(tmp_path):
     assert main(["run", "-i", str(src)]) == 3
 
 
+def test_max_deg_zero_is_a_cap(tmp_path):
+    """--max-deg 0 caps the run at degree 0, as `option max_degree 0;`
+    does, rather than leaving it uncapped; a negative cap is rejected when
+    the command line is parsed."""
+    src = tmp_path / "cap.ses"
+    src.write_text("ring S=Q[x,y];\nideal J=x^2-y, x*y-1;\ntask gb J;\n")
+
+    def run(*flags):
+        return subprocess.run([sys.executable, "-m", "arithdeg.cli", "run",
+                               "-i", str(src), *flags],
+                              capture_output=True, text=True)
+
+    assert run().returncode == 0
+    capped = run("--max-deg", "0")
+    assert capped.returncode == 3
+    assert "degree cap 0 exceeded" in capped.stderr
+    for flag in ("--max-deg", "--max-basis"):
+        proc = run(flag, "-1")
+        assert proc.returncode == 1
+        assert "cannot be negative" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+
 def test_option_max_degree_caps_hilbert(tmp_path):
     """An ideal's own degree cap governs the Hilbert data of S/I."""
     text = "ring S=Q[x,y,z];\nideal J=x^2-y*z, x*y-z^2;\ntask hilbert J;\n"

@@ -14,11 +14,12 @@ from hypothesis import given, seed, settings, strategies as st
 from arithdeg.errors import (InvalidDivisorError, ResourceLimitError,
                              RingMismatchError)
 from arithdeg.fields import GF, QQ, PrimeFieldElement
-from arithdeg.groebner import (_POLY, IdealHandle, _divide, _poly_sort_key,
-                               buchberger, eliminate, exact_divide,
-                               ideal_product, ideal_quotient, ideal_sum,
-                               intersect, maximal_ideal, normal_form,
-                               s_polynomial, saturate, saturate_by_ideal)
+from arithdeg.groebner import (_POLY, IdealHandle, _divide, _Packer,
+                               _poly_sort_key, buchberger, eliminate,
+                               exact_divide, ideal_product, ideal_quotient,
+                               ideal_sum, intersect, maximal_ideal,
+                               normal_form, s_polynomial, saturate,
+                               saturate_by_ideal)
 from arithdeg.orders import BlockOrder, DegRevLex, Lex, WeightedDegRevLex
 from arithdeg.rings import (Polynomial, RingDescriptor, parse_polynomial,
                             terms_key)
@@ -353,6 +354,24 @@ def test_ideal_sum_and_product_keep_the_smallest_caps(R):
         ideal_product(free, poly).groebner_basis()
 
 
+def test_intersect_takes_the_smallest_caps_in_either_order(R):
+    """intersect(I, J) and intersect(J, I) get the same caps, the smallest
+    of each among the operands, on the monomial route and the elimination
+    route, and the elimination runs under them."""
+    mono = IdealHandle(R, ["x^2", "x*y"], max_basis=7, max_degree=30)
+    other = IdealHandle(R, ["y^3"], max_basis=60, max_degree=9)
+    poly = IdealHandle(R, ["x^2 - y", "x*y - 1"], max_basis=50, max_degree=40)
+    line = IdealHandle(R, ["x + y - 1"])
+    for I, J in ((mono, other), (poly, line), (mono, line)):
+        caps = (min(I.max_basis, J.max_basis),
+                min(I.max_degree, J.max_degree))
+        for K in (intersect(I, J), intersect(J, I)):
+            assert (K.max_basis, K.max_degree) == caps
+    low = IdealHandle(R, ["x*y - 1"], max_degree=2)
+    with pytest.raises(ResourceLimitError):
+        intersect(IdealHandle(R, ["x^2 - y"]), low)
+
+
 @pytest.mark.parametrize("order", [DegRevLex(), Lex()])
 def test_ideal_handle_normal_form_keeps_remainders(order):
     """IdealHandle.normal_form, which reuses the basis leads it caches,
@@ -399,10 +418,10 @@ def _divide_reference(terms, basis, leads, key, ops, quotients=None):
     return remainder
 
 
-def _assert_divides_like_reference(terms, basis, key, ops, leads):
+def _assert_divides_like_reference(terms, basis, order, ops, leads):
     quotients, expected_quotients = {}, {}
-    remainder = _divide(terms, basis, leads, key, ops, quotients)
-    expected = _divide_reference(terms, basis, leads, key, ops,
+    remainder = _divide(terms, basis, leads, order, ops, quotients)
+    expected = _divide_reference(terms, basis, leads, order.key, ops,
                                  expected_quotients)
     assert remainder == expected
     assert list(remainder) == list(expected)
@@ -436,7 +455,7 @@ def test_divide_matches_max_reference():
         f = Polynomial(R3, rand_terms(rand_mono, rng.randint(1, 6)))
         f = f * Polynomial(R3, rand_terms(rand_mono, rng.randint(1, 3))) + f
         _assert_divides_like_reference(
-            f.terms, basis, order.key, _POLY,
+            f.terms, basis, order, _POLY,
             [g.leading_term(order) for g in basis])
 
     for trial in range(200):
@@ -454,32 +473,152 @@ def test_divide_matches_max_reference():
                  for _ in range(rng.randint(1, 4))]
         v = rand_terms(rand_term, rng.randint(1, 8))
         _assert_divides_like_reference(
-            v, basis, morder.key, _VEC,
+            v, basis, morder, _VEC,
             [g.leading_term(morder) for g in basis])
 
 
-def test_divide_term_cancelled_then_created_again():
+def test_divide_term_cancelled_then_created_again(monkeypatch):
     """A pending term that cancels to zero and comes back later in the same
-    division is divided once, and every term is keyed once: -x^2*z^2 cancels
-    y*z, and -y^2*z^2 brings it back."""
+    division is divided once, and every term is packed once: -x^2*z^2
+    cancels y*z, and -y^2*z^2 brings it back.  Only the dividend's terms,
+    the leads and the divisors' other terms are packed; products are not."""
     R3 = RingDescriptor.graded("x,y,z")
     order = DegRevLex()
     f = parse_polynomial(R3, "-x^2*z^2 - y^2*z^2 + y*z")
     basis = [parse_polynomial(R3, "x^2*z^2 - y*z"),
              parse_polynomial(R3, "-y^2*z^2 - y*z")]
     leads = [g.leading_term(order) for g in basis]
-    keyed = []
+    packed = []
+    pack = _Packer.pack
 
-    def key(m):
-        keyed.append(m)
-        return order.key(m)
+    def counting_pack(self, t):
+        packed.append(t)
+        return pack(self, t)
 
+    monkeypatch.setattr(_Packer, "pack", counting_pack)
     quotients = {}
-    remainder = _divide(f.terms, basis, leads, key, _POLY, quotients)
+    remainder = _divide(f.terms, basis, leads, order, _POLY, quotients)
     assert remainder == {(0, 1, 1): 1}
     assert quotients == {(0, (0, 0, 0)): -1, (1, (0, 0, 0)): 1}
-    assert sorted(keyed) == sorted(f.terms)
-    _assert_divides_like_reference(f.terms, basis, order.key, _POLY, leads)
+    assert sorted(packed) == sorted(list(f.terms) + [t for t, _ in leads]
+                                    + [(0, 1, 1), (0, 1, 1)])
+    _assert_divides_like_reference(f.terms, basis, order, _POLY, leads)
+
+
+def test_packed_terms_sort_like_the_order_keys():
+    """For each of the six orders, packed ints sort random monomials and
+    vector terms as order.key does, unpack to the terms they pack, and add
+    like the terms multiply, with exponents up to the width's bound."""
+    import random
+    from arithdeg.modules import PositionOverTerm, SchreyerOrder
+    rng = random.Random(1515)
+    n, rank = 4, 3
+    E = _Packer(DegRevLex(), n).bound
+
+    def mono(top=E):
+        return tuple(rng.choice((0, 1, rng.randint(0, top), top))
+                     for _ in range(n))
+
+    pot = PositionOverTerm(WeightedDegRevLex([2, 1, 3, 1]))
+    schreyer = SchreyerOrder(pot, [(rng.randrange(rank), mono())
+                                   for _ in range(rank)])
+    polynomial_orders = [Lex(), DegRevLex(), WeightedDegRevLex([3, 1, 2, 1]),
+                         BlockOrder([1, 3], n),
+                         BlockOrder([0, 2], n, Lex(), Lex())]
+    vector_orders = [pot, schreyer,
+                     SchreyerOrder(schreyer, [(rng.randrange(rank), mono())
+                                              for _ in range(rank)])]
+    for order in polynomial_orders + vector_orders:
+        vectors = order in vector_orders
+        packer = _Packer(order, n, rank if vectors else None)
+
+        def term():
+            return (rng.randrange(rank), mono()) if vectors else mono()
+
+        terms = {term() for _ in range(300)}
+        packed = {t: packer.pack(t) for t in terms}
+        assert sorted(terms, key=packed.get) == sorted(terms, key=order.key)
+        assert all(packer.unpack(packed[t]) == t for t in terms)
+        # multiplying by q adds one int, which unpacks to q
+        q = mono(E // 2)
+        steps = set()
+        for t in terms:
+            c, m = t if vectors else (None, t)
+            qm = tuple(a + b for a, b in zip(q, m))
+            if max(qm) <= E:
+                steps.add(packer.pack(qm if c is None else (c, qm))
+                          - packed[t])
+        assert len(steps) == 1
+        assert packer.unpack(steps.pop()) == ((0, q) if vectors else q)
+
+
+def test_lex_division_outgrowing_the_width_restarts_wider():
+    """Under lex, x - y^100 turns x^3 into y^300: a product overflows the
+    first width (exponents up to 127), and the division starts again at
+    twice the width, with the reference loop's remainder and quotients.
+    The ring keeps the wider packer, and an input exponent beyond even
+    that width widens it again, with no product outgrowing it."""
+    order = Lex()
+    R3 = RingDescriptor.graded("x,y,z")
+    basis = [parse_polynomial(R3, "x - 3*y^100"),
+             parse_polynomial(R3, "z^2 - 1/2*y")]
+    leads = [g.leading_term(order) for g in basis]
+    f = parse_polynomial(R3, "x^3 + 2*x*y*z^3 - z")
+    assert R3.memo.get(("packer", order, None)) is None
+    _assert_divides_like_reference(f.terms, basis, order, _POLY, leads)
+    assert R3.memo[("packer", order, None)].width == 16
+    big = parse_polynomial(R3, "z^70000 + x*z")
+    forms = [None] * len(basis)
+    assert (_divide(big.terms, basis, leads, order, _POLY, None, forms)
+            == _divide_reference(big.terms, basis, leads, order.key, _POLY))
+    assert R3.memo[("packer", order, None)].width == 32
+    assert all(slot[0] is R3.memo[("packer", order, None)] for slot in forms)
+
+
+def test_divide_by_monomials_matches_reference():
+    """A basis of single terms takes no division steps: the remainder and
+    the quotients are the reference loop's, in the same order, for
+    polynomials and vectors over Q and Z/p, and no slot is filled."""
+    import random
+    from arithdeg.modules import _VEC, PositionOverTerm, Vec
+    rng = random.Random(1616)
+    for field in (QQ, GF(7)):
+        R3 = RingDescriptor.graded("x,y,z", field=field)
+
+        def coeff():
+            return field.coerce(Fraction(rng.choice((-3, -1, 2, 5)),
+                                         rng.randint(1, 3)))
+
+        def mono():
+            return tuple(rng.randint(0, 3) for _ in range(3))
+
+        for trial in range(120):
+            if trial % 2:
+                order, ops, rank = DegRevLex(), _POLY, None
+                make = mono
+            else:
+                order, ops = PositionOverTerm(Lex()), _VEC
+                rank = rng.randint(1, 3)
+
+                def make():
+                    return (rng.randrange(rank), mono())
+            basis = []
+            for _ in range(rng.randint(1, 4)):
+                terms = {make(): coeff()}
+                basis.append(Polynomial(R3, terms) if rank is None
+                             else Vec(R3, rank, terms))
+            terms = {make(): coeff() for _ in range(rng.randint(0, 8))}
+            leads = [g.leading_term(order) for g in basis]
+            forms = [None] * len(basis)
+            quotients, expected_quotients = {}, {}
+            remainder = _divide(terms, basis, leads, order, ops, quotients,
+                                forms)
+            expected = _divide_reference(terms, basis, leads, order.key, ops,
+                                         expected_quotients)
+            assert remainder == expected
+            assert list(remainder) == list(expected)
+            assert quotients == expected_quotients
+            assert forms == [None] * len(basis)
 
 
 def _poly_sort_key_reference(f, order=DegRevLex()):
@@ -608,7 +747,7 @@ def test_divide_matches_reference_over_q_and_zp(inputs, with_quotients,
     forms = [None] * len(basis) if forms_given else None
     quotients = {} if with_quotients else None
     expected_quotients = {} if with_quotients else None
-    remainder = _divide(terms, basis, leads, order.key, ops, quotients, forms)
+    remainder = _divide(terms, basis, leads, order, ops, quotients, forms)
     expected = _divide_reference(terms, basis, leads, order.key, ops,
                                  expected_quotients)
     assert remainder == expected
@@ -620,7 +759,7 @@ def test_divide_matches_reference_over_q_and_zp(inputs, with_quotients,
     if forms_given:
         # kept forms are reused: a second division builds none
         filled = list(forms)
-        assert _divide(terms, basis, leads, order.key, ops, None,
+        assert _divide(terms, basis, leads, order, ops, None,
                        forms) == expected
         assert all(a is b for a, b in zip(forms, filled))
 
