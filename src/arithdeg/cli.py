@@ -254,11 +254,14 @@ def cmd_corpus(args):
 
 def cmd_check(args):
     """Abbreviated invariant suite: ring axioms, Groebner soundness,
-    difference calculus, and one oracle equivalence."""
+    difference calculus, one oracle equivalence, and Euler characteristics
+    of free resolutions against Hilbert functions."""
     import random
     from .groebner import IdealHandle
-    from .modules import (PositionOverTerm, Vec, module_buchberger,
-                          schreyer_syzygies)
+    from .hilbert import (as_presentation, count_monomials, hilbert_value,
+                          monomials_of_degree)
+    from .modules import (PositionOverTerm, Vec, free_resolution,
+                          module_buchberger, schreyer_syzygies)
     from .fields import GF
     from .rings import RingDescriptor
     from .numerical import NumericalPoly2
@@ -313,6 +316,27 @@ def cmd_check(args):
         _spot_check_basis(IdealHandle(Rp, [rand_poly(Rp, zp_rng) for _ in
                                            range(zp_rng.randint(1, 3))]))
     print("Buchberger criterion over Zp(7): ok (5 random ideals)")
+
+    # a stream of its own too; homogeneous generators, so that the
+    # resolution is graded and its alternating sum of graded ranks is the
+    # Hilbert function of S/I
+    euler_rng = random.Random(13)
+    for _ in range(5):
+        gens = []
+        for _ in range(euler_rng.randint(2, 4)):
+            mons = list(monomials_of_degree(R.nvars, euler_rng.randint(2, 3)))
+            gens.append(sum((R.monomial(euler_rng.choice(mons), euler_rng.randint(1, 3))
+                             for _ in range(euler_rng.randint(1, 3))), R.zero()))
+        I = IdealHandle(R, gens)
+        # a Schreyer frame can be longer than a minimal resolution
+        res = free_resolution(as_presentation(I), 2 * R.nvars)
+        assert res.complete
+        levels = [res.base_shifts] + res.level_shifts
+        for d in range(7):
+            euler = sum((-1) ** k * count_monomials(R.weights, d - a)
+                        for k, shifts in enumerate(levels) for a in shifts)
+            assert euler == hilbert_value(I, d)
+    print("Betti/Euler oracle: ok (5 random resolutions, degrees 0-6)")
     print("check: all good")
     return EXIT_OK
 

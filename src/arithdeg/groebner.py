@@ -626,10 +626,11 @@ def intersect(I, J):
         lcms = {mono_lcm(next(iter(f.terms)), next(iter(g.terms)))
                 for f in I.gens for g in J.gens}
         return IdealHandle(ring, [ring.monomial(m) for m in lcms], **caps)
-    if I.contains_ideal(J):
-        return J
-    if J.contains_ideal(I):
-        return I
+    for big, small in ((I, J), (J, I)):
+        if big.contains_ideal(small):
+            if _min_caps((small,)) == caps:
+                return small
+            return IdealHandle(ring, small.gens, **caps)
     big = extended_ring(ring, fresh_names(ring, "t_", 1))
     t = big.gen(big.nvars - 1)
     one = big.one()

@@ -206,7 +206,7 @@ def hilbert_value_bruteforce(M, at):
     bigraded = isinstance(at, tuple)
     _check_grading(pres, bigraded)
     ring = pres.ring
-    cols = pres.column_vecs()
+    cols = pres.columns
     if all(len(c.terms) == 1 for c in cols):
         per_comp = [[] for _ in range(pres.rank)]
         for c in cols:
@@ -241,7 +241,7 @@ def hilbert_value_bruteforce(M, at):
     index = {t: k for k, t in enumerate(basis)}
     rows = []
     col_degs = pres.column_degrees()
-    for col, dg in zip(pres.column_vecs(), col_degs):
+    for col, dg in zip(pres.columns, col_degs):
         if bigraded:
             i, j = at[0] - dg[0], at[1] - dg[1]
             mults = monomials_of_bidegree(ring, i, j)
@@ -348,7 +348,7 @@ def relevant_dimension(I):
 
 def _start_threshold(pres):
     degs = [0]
-    for col in pres.column_vecs():
+    for col in pres.columns:
         for (_, m) in col.terms:
             degs.append(pres.ring.degree(m))
     return max(degs) + pres.ring.nvars + 2
@@ -547,9 +547,7 @@ def hilbert_samuel(M, k):
                 basis.append((c, m))
     index = {t: i for i, t in enumerate(basis)}
     rows = []
-    for col in pres.column_vecs():
-        if not col:
-            continue
+    for col in pres.columns:
         low = min(ring.degree(m) for (_, m) in col.terms)
         for d in range(k + 1 - low):
             for alpha in monomials_of_degree(ring.nvars, d):

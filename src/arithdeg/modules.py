@@ -1,8 +1,11 @@
 """Submodules of free modules: Groebner bases, syzygies, resolutions, Ext.
 
-A free-module term is a pair (component, exponent tuple).  Module orders
-compare such pairs; the default is position-over-term with degrevlex
-underneath, and syzygy steps use the induced Schreyer order.
+A free-module term is a pair (component, exponent tuple), and a module
+element is a Vec: a map from such terms to coefficients.  Vec is the one
+format of the layer: presentation relations, resolution differentials and
+Ext relations are all lists of Vec columns.  Module orders compare terms;
+the default is position-over-term with degrevlex underneath, and syzygy
+steps use the induced Schreyer order.
 
 Module Groebner bases, normal forms and Schreyer syzygies run on the engine
 in ``groebner``, with the component-aware term operations defined here:
@@ -119,20 +122,10 @@ class Vec:
                 del terms[t]
         return Vec(self.ring, self.rank, terms, _clean=False)
 
-    def __neg__(self):
-        return Vec(self.ring, self.rank, {t: -c for t, c in self.terms.items()},
-                   _clean=False)
-
     def term_mul(self, mono, coeff):
         return Vec(self.ring, self.rank,
                    {(c, mono_mul(m, mono)): v * coeff
                     for (c, m), v in self.terms.items()}, _clean=False)
-
-    def poly_mul(self, p):
-        out = Vec(self.ring, self.rank, {}, _clean=False)
-        for m, c in p.terms.items():
-            out = out + self.term_mul(m, c)
-        return out
 
     def scale(self, coeff):
         return Vec(self.ring, self.rank,
@@ -243,7 +236,7 @@ def schreyer_syzygies(G, morder):
 
 def syzygies_of(columns, ring, rank, morder=None,
                 max_basis=DEFAULT_MAX_BASIS, max_degree=DEFAULT_MAX_DEGREE):
-    """Generators of the syzygy module of arbitrary columns in S^rank.
+    """Generators of the syzygy module of arbitrary Vec columns in S^rank.
 
     Augmentation route: each column f_i becomes f_i + E_{rank+i} in
     S^(rank+a); position-over-term makes the leading block dominant, so
@@ -256,13 +249,7 @@ def syzygies_of(columns, ring, rank, morder=None,
     morder = morder or PositionOverTerm()
     aug = []
     for i, col in enumerate(columns):
-        terms = {}
-        if isinstance(col, Vec):
-            items = col.terms.items()
-        else:
-            items = Vec.from_polys(ring, col).terms.items()
-        for (c, m), v in items:
-            terms[(c, m)] = v
+        terms = dict(col.terms)
         terms[(rank + i, ring.zero_mono())] = ring.field.one
         aug.append(Vec(ring, rank + a, terms))
     G = module_buchberger(aug, morder, max_basis=max_basis, max_degree=max_degree)
@@ -280,7 +267,7 @@ def syzygies_of(columns, ring, rank, morder=None,
 class ModulePresentation:
     """Cokernel presentation: F/im(columns) with grading shifts on F.
 
-    columns is a tuple of columns, each a tuple of `rank` polynomials.
+    columns is a tuple of relation columns, each a Vec of rank `rank`.
     shifts[c] is the degree of the c-th free generator: an integer for
     graded rings, an (i, j) pair for bigraded ones.  max_basis and
     max_degree cap its module Groebner bases and those of its Ext modules.
@@ -295,13 +282,11 @@ class ModulePresentation:
         self.rank = int(rank)
         cols = []
         for col in columns:
-            col = tuple(col)
-            if len(col) != self.rank:
-                raise AlgebraError("column length %d != rank %d" % (len(col), self.rank))
-            for p in col:
-                if p.ring != ring:
-                    raise RingMismatchError("column entry over wrong ring")
-            if any(p for p in col):
+            if col.rank != self.rank:
+                raise AlgebraError("column rank %d != rank %d" % (col.rank, self.rank))
+            if col.ring != ring:
+                raise RingMismatchError("column over wrong ring")
+            if col:
                 cols.append(col)
         if shifts is None:
             zero = (0, 0) if ring.is_bigraded else 0
@@ -310,11 +295,7 @@ class ModulePresentation:
         if len(self.shifts) != self.rank:
             raise AlgebraError("one shift per free generator required")
         morder = PositionOverTerm()
-        cols.sort(key=lambda col: vec_sort_key(
-            Vec(ring, self.rank,
-                {(c, m): v for c, p in enumerate(col) for m, v in p.terms.items()},
-                _clean=False),
-            morder))
+        cols.sort(key=lambda col: vec_sort_key(col, morder))
         self.columns = tuple(cols)
         self.max_basis = max_basis
         self.max_degree = max_degree
@@ -328,7 +309,7 @@ class ModulePresentation:
         """The cyclic module S/I.  Its relations are I.gens; its Groebner
         basis is I.groebner_basis(), and I's caps govern it and its Ext
         modules."""
-        pres = cls(I.ring, 1, [(g,) for g in I.gens],
+        pres = cls(I.ring, 1, [Vec.from_polys(I.ring, (g,)) for g in I.gens],
                    max_basis=I.max_basis, max_degree=I.max_degree)
         pres._ideal = I
         return pres
@@ -343,12 +324,6 @@ class ModulePresentation:
 
     # -- basic structure ----------------------------------------------------
 
-    def column_vecs(self):
-        return [Vec(self.ring, self.rank,
-                    {(c, m): v for c, p in enumerate(col) for m, v in p.terms.items()},
-                    _clean=False)
-                for col in self.columns]
-
     def _cached(self, key, build):
         got = self._cache.get(key)
         if got is None:
@@ -361,21 +336,13 @@ class ModulePresentation:
             if self._ideal is not None:
                 return tuple(Vec.from_polys(self.ring, (g,))
                              for g in self._ideal.groebner_basis())
-            return tuple(module_buchberger(self.column_vecs(), PositionOverTerm(),
+            return tuple(module_buchberger(self.columns, PositionOverTerm(),
                                            self.max_basis, self.max_degree))
         return self._cached("gb", build)
 
-    def is_homogeneous(self):
-        try:
-            self.column_degrees()
-        except HomogeneityError:
-            return False
-        return True
-
     def column_degrees(self):
         """Degree of each relation column; HomogeneityError if one has none."""
-        return [_vec_degree(self.ring, self.shifts, v)
-                for v in self.column_vecs()]
+        return [_vec_degree(self.ring, self.shifts, v) for v in self.columns]
 
     def is_zero_module(self):
         """True when the relations span every generator (cokernel = 0)."""
@@ -402,7 +369,9 @@ class ModulePresentation:
 
 class ChainComplex:
     """Free complex d_1, d_2, ...; checked so consecutive maps compose to zero.
-    An incomplete resolution's frontier is its last basis and module order."""
+    differentials[k] lists the columns of d_(k+1) as Vecs: for k = 0 in
+    S^base_rank, otherwise in S^len(differentials[k-1]).  An incomplete
+    resolution's frontier is its last basis and module order."""
 
     def __init__(self, ring, base_rank, base_shifts, differentials, level_shifts,
                  complete, frontier=None):
@@ -441,22 +410,22 @@ class ChainComplex:
                 break
             shifts = levels[-1] if levels else self.base_shifts
             levels.append(tuple(_vec_degree(self.ring, shifts, g) for g in G))
-            diffs.append([g.to_polys() for g in G])
+            diffs.append(list(G))
             self.frontier = (G, order)
         self._verify(checked)
         return self
 
     def _verify(self, start=0):
         for k in range(start, len(self.differentials) - 1):
-            d1 = self.differentials[k]      # columns in S^{r_k}
-            d2 = self.differentials[k + 1]  # columns in S^{r_{k+1}}
-            rank = self.base_rank if k == 0 else len(self.differentials[k - 1])
-            for col in d2:
-                acc = Vec(self.ring, rank, {})
-                for t, p in enumerate(col):
-                    if p:
-                        acc = acc + Vec.from_polys(self.ring, d1[t]).poly_mul(p)
-                if acc:
+            d1 = self.differentials[k]
+            for col in self.differentials[k + 1]:
+                # d1 applied to col, summed term by term
+                acc = {}
+                for (t, q), c in col.terms.items():
+                    for (comp, m), v in d1[t].terms.items():
+                        key = (comp, mono_mul(q, m))
+                        acc[key] = acc.get(key, 0) + c * v
+                if any(acc.values()):
                     raise InternalConsistencyError(
                         "chain complex differentials do not compose to zero")
 
@@ -486,13 +455,14 @@ def _vec_degree(ring, shifts, v):
     return degs.pop() if degs else None
 
 
-def _transpose(columns, rank):
-    """Columns of the transposed matrix (rank many, each of length len(columns))."""
-    out = []
-    for c in range(rank):
-        col = tuple(columns[t][c] for t in range(len(columns)))
-        out.append(col)
-    return out
+def _transpose(ring, columns, rank):
+    """Columns of the transposed matrix of Vec columns in S^rank: rank many
+    Vecs in S^len(columns)."""
+    out = [{} for _ in range(rank)]
+    for t, col in enumerate(columns):
+        for (c, m), v in col.terms.items():
+            out[c][(t, m)] = v
+    return [Vec(ring, len(columns), terms, _clean=False) for terms in out]
 
 
 def _negate_shift(s):
@@ -537,30 +507,20 @@ def ext_presentation(pres, j):
     if j == L:
         K = [Vec.unit(ring, r_j, c) for c in range(r_j)]
     else:
-        phi_cols = _transpose(res.differentials[j], r_j)  # r_j columns in S^{r_{j+1}}
-        r_next = ranks[j + 1]
-        K = syzygies_of(phi_cols, ring, r_next, max_basis=pres.max_basis,
+        phi_cols = _transpose(ring, res.differentials[j], r_j)  # r_j columns in S^{r_{j+1}}
+        K = syzygies_of(phi_cols, ring, ranks[j + 1], max_basis=pres.max_basis,
                         max_degree=pres.max_degree)
-        K = [Vec(ring, r_j, v.terms, _clean=False) for v in K]
     if not K:
         return ModulePresentation.zero(ring)
     # image of the transposed d_j inside S^{r_j}
-    if j == 0:
-        psi_cols = []
-    else:
-        psi_cols = [Vec(ring, r_j,
-                        {(c, m): v for c, p in enumerate(col) for m, v in p.terms.items()})
-                    for col in _transpose(res.differentials[j - 1], ranks[j - 1])]
-    combined = list(K) + list(psi_cols)
+    psi_cols = _transpose(ring, res.differentials[j - 1], ranks[j - 1]) if j else []
+    combined = K + psi_cols
     rels = syzygies_of(combined, ring, r_j, max_basis=pres.max_basis,
                        max_degree=pres.max_degree)
     s = len(K)
-    rel_cols = []
-    for v in rels:
-        kept = {(c, m): val for (c, m), val in v.terms.items() if c < s}
-        w = Vec(ring, s, kept, _clean=False)
-        if w:
-            rel_cols.append(w.to_polys())
+    rel_cols = [Vec(ring, s, {t: val for t, val in v.terms.items() if t[0] < s},
+                    _clean=False)
+                for v in rels]
     gen_shifts = tuple(_vec_degree(ring, dual_shifts_j, k) for k in K)
     return ModulePresentation(ring, s, rel_cols, shifts=gen_shifts,
                               max_basis=pres.max_basis, max_degree=pres.max_degree)

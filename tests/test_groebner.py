@@ -356,13 +356,17 @@ def test_ideal_sum_and_product_keep_the_smallest_caps(R):
 
 def test_intersect_takes_the_smallest_caps_in_either_order(R):
     """intersect(I, J) and intersect(J, I) get the same caps, the smallest
-    of each among the operands, on the monomial route and the elimination
-    route, and the elimination runs under them."""
+    of each among the operands, on the monomial route, the elimination
+    route and the containment shortcut, and the elimination runs under
+    them."""
     mono = IdealHandle(R, ["x^2", "x*y"], max_basis=7, max_degree=30)
     other = IdealHandle(R, ["y^3"], max_basis=60, max_degree=9)
     poly = IdealHandle(R, ["x^2 - y", "x*y - 1"], max_basis=50, max_degree=40)
     line = IdealHandle(R, ["x + y - 1"])
-    for I, J in ((mono, other), (poly, line), (mono, line)):
+    # outer contains inner, so the containment shortcut answers
+    outer = IdealHandle(R, ["x - y^2", "x*y"], max_basis=9, max_degree=3)
+    inner = IdealHandle(R, ["x^2 - x*y^2", "x^2*y"])
+    for I, J in ((mono, other), (poly, line), (mono, line), (outer, inner)):
         caps = (min(I.max_basis, J.max_basis),
                 min(I.max_degree, J.max_degree))
         for K in (intersect(I, J), intersect(J, I)):

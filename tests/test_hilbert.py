@@ -10,7 +10,7 @@ from arithdeg.hilbert import (artinian_length, classical_multiplicity,
                               hilbert_polynomial, hilbert_samuel, hilbert_value,
                               hilbert_value_bruteforce, monomials_of_degree,
                               relevant_dimension, samuel_multiplicity)
-from arithdeg.modules import ModulePresentation
+from arithdeg.modules import ModulePresentation, Vec
 from arithdeg.numerical import MultiplicityVector
 from arithdeg.rings import Polynomial, RingDescriptor
 
@@ -146,14 +146,16 @@ def test_ee_vectors(B):
 def test_ee_additive_on_direct_sums(B):
     xb, yb = B.gens()
     # S/(x) (+) S/(x): block-diagonal presentation
-    two = ModulePresentation(B, 2, [(xb, B.zero()), (B.zero(), xb)])
+    two = ModulePresentation(B, 2, [Vec.from_polys(B, (xb, B.zero())),
+                                    Vec.from_polys(B, (B.zero(), xb))])
     one = IdealHandle(B, [xb])
     v2 = ee_vector(two, 1)
     v1 = ee_vector(one, 1)
     assert v2 == v1 + v1
     # mixed dimensions: S/(x) (+) S/(x,y) at the level of the larger part
-    mixed = ModulePresentation(B, 2, [(xb, B.zero()), (B.zero(), xb),
-                                      (B.zero(), yb)])
+    mixed = ModulePresentation(B, 2, [Vec.from_polys(B, (xb, B.zero())),
+                                      Vec.from_polys(B, (B.zero(), xb)),
+                                      Vec.from_polys(B, (B.zero(), yb))])
     assert ee_vector(mixed, 1) == v1 + ee_vector(IdealHandle(B, [xb, yb]), 1)
 
 

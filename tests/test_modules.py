@@ -5,7 +5,9 @@ import random
 import pytest
 
 import arithdeg.modules as modules_mod
-from arithdeg.errors import InternalConsistencyError
+from arithdeg.errors import (AlgebraError, InternalConsistencyError,
+                             RingMismatchError)
+from arithdeg.fields import GF
 from arithdeg.groebner import IdealHandle
 from arithdeg.hilbert import (as_presentation, dimension, hilbert_value,
                               hilbert_value_bruteforce)
@@ -24,7 +26,7 @@ def R():
 
 def test_koszul_syzygy(R):
     x, y = R.gens()
-    syz = syzygies_of([(x,), (y,)], R, 1)
+    syz = syzygies_of([Vec.from_polys(R, (x,)), Vec.from_polys(R, (y,))], R, 1)
     assert len(syz) == 1
     (v,) = syz
     a, b = v.to_polys()
@@ -35,12 +37,13 @@ def test_koszul_syzygy(R):
 
 def test_single_nonzerodivisor_no_syzygies(R):
     x, _ = R.gens()
-    assert syzygies_of([(x ** 2 - 1,)], R, 1) == []
+    assert syzygies_of([Vec.from_polys(R, (x ** 2 - 1,))], R, 1) == []
 
 
 def test_syzygy_x2_xy(R):
     x, y = R.gens()
-    syz = syzygies_of([(x ** 2,), (x * y,)], R, 1)
+    syz = syzygies_of([Vec.from_polys(R, (x ** 2,)),
+                       Vec.from_polys(R, (x * y,))], R, 1)
     assert syz
     for v in syz:
         a, b = v.to_polys()
@@ -94,8 +97,43 @@ def test_complex_property_enforced(R):
     x, y = R.gens()
     with pytest.raises(InternalConsistencyError):
         ChainComplex(R, 1, (0,),
-                     [[(x,)], [(y,)]],
+                     [[Vec.from_polys(R, (x,))], [Vec.from_polys(R, (y,))]],
                      [(1,), (2,)], True)
+
+
+def _koszul_xyz(ring, flip=False):
+    """Differentials of the Koszul complex of (x, y, z), as Vec columns;
+    flip negates one entry of d2."""
+    x, y, z = ring.gens()
+    o = ring.zero()
+
+    def cols(*entries):
+        return [Vec.from_polys(ring, e) for e in entries]
+
+    d1 = cols((x,), (y,), (z,))
+    d2 = cols((y if flip else -y, x, o), (-z, o, x), (o, -z, y))
+    d3 = cols((z, -y, x))
+    return [d1, d2, d3]
+
+
+def test_complex_checks_products_across_columns():
+    """Each d1*d2 product cancels only across different columns of d1,
+    so the check has to sum over them; one flipped sign is caught."""
+    R3 = RingDescriptor.graded("x,y,z", field=GF(7))
+    shifts = [(1, 1, 1), (2, 2, 2), (3,)]
+    koszul = ChainComplex(R3, 1, (0,), _koszul_xyz(R3), shifts, True)
+    assert koszul.ranks() == [1, 3, 3, 1]
+    with pytest.raises(InternalConsistencyError):
+        ChainComplex(R3, 1, (0,), _koszul_xyz(R3, flip=True), shifts, True)
+
+
+def test_presentation_rejects_bad_columns(R):
+    x, _ = R.gens()
+    with pytest.raises(AlgebraError):
+        ModulePresentation(R, 2, [Vec.from_polys(R, (x,))])
+    other = RingDescriptor.graded("x,y,z")
+    with pytest.raises(RingMismatchError):
+        ModulePresentation(R, 1, [Vec.from_polys(other, (other.gens()[0],))])
 
 
 def test_schreyer_syzygies_generate(R):
@@ -202,7 +240,7 @@ def test_quotient_reuses_ideal_basis(monkeypatch):
     for d in range(6):
         assert hilbert_value(I, d) == hilbert_value_bruteforce(I, d)
     res = free_resolution(as_presentation(I), R3.nvars + 1)
-    assert [col for (col,) in res.differentials[0]] == list(basis)
+    assert res.differentials[0] == [Vec.from_polys(R3, (g,)) for g in basis]
     assert res.complete
 
 
@@ -220,7 +258,7 @@ def test_quotient_basis_matches_module_engine():
                 f = f + R3.monomial(exps, rng.randint(-3, 3))
             gens.append(f)
         pres = as_presentation(IdealHandle(R3, gens))
-        expected = module_buchberger(pres.column_vecs(), PositionOverTerm())
+        expected = module_buchberger(pres.columns, PositionOverTerm())
         assert list(pres.gb()) == expected
 
 
