@@ -254,11 +254,14 @@ def cmd_corpus(args):
 
 def cmd_check(args):
     """Abbreviated invariant suite: ring axioms, Groebner soundness,
-    difference calculus, one oracle equivalence, and Euler characteristics
-    of free resolutions against Hilbert functions."""
+    difference calculus, one oracle equivalence, Euler characteristics of
+    free resolutions against Hilbert functions, and the numerator's sum
+    transform against brute-force counts."""
     import random
     from .groebner import IdealHandle
-    from .hilbert import (as_presentation, count_monomials, hilbert_value,
+    from .hilbert import (as_presentation, count_monomials,
+                          cumulative_polynomial, hilbert_polynomial,
+                          hilbert_value, hilbert_value_bruteforce,
                           monomials_of_degree)
     from .modules import (PositionOverTerm, Vec, free_resolution,
                           module_buchberger, schreyer_syzygies)
@@ -317,17 +320,20 @@ def cmd_check(args):
                                            range(zp_rng.randint(1, 3))]))
     print("Buchberger criterion over Zp(7): ok (5 random ideals)")
 
+    def rand_homogeneous(rng):
+        gens = []
+        for _ in range(rng.randint(2, 4)):
+            mons = list(monomials_of_degree(R.nvars, rng.randint(2, 3)))
+            gens.append(sum((R.monomial(rng.choice(mons), rng.randint(1, 3))
+                             for _ in range(rng.randint(1, 3))), R.zero()))
+        return IdealHandle(R, gens)
+
     # a stream of its own too; homogeneous generators, so that the
     # resolution is graded and its alternating sum of graded ranks is the
     # Hilbert function of S/I
     euler_rng = random.Random(13)
     for _ in range(5):
-        gens = []
-        for _ in range(euler_rng.randint(2, 4)):
-            mons = list(monomials_of_degree(R.nvars, euler_rng.randint(2, 3)))
-            gens.append(sum((R.monomial(euler_rng.choice(mons), euler_rng.randint(1, 3))
-                             for _ in range(euler_rng.randint(1, 3))), R.zero()))
-        I = IdealHandle(R, gens)
+        I = rand_homogeneous(euler_rng)
         # a Schreyer frame can be longer than a minimal resolution
         res = free_resolution(as_presentation(I), 2 * R.nvars)
         assert res.complete
@@ -337,6 +343,16 @@ def cmd_check(args):
                         for k, shifts in enumerate(levels) for a in shifts)
             assert euler == hilbert_value(I, d)
     print("Betti/Euler oracle: ok (5 random resolutions, degrees 0-6)")
+
+    # the series expansion against linear algebra that never sees a
+    # numerator, summed up to the Hilbert polynomial's threshold
+    series_rng = random.Random(17)
+    for _ in range(5):
+        I = rand_homogeneous(series_rng)
+        k = hilbert_polynomial(I)[1].thresholds[0]
+        assert cumulative_polynomial(I)(k) == sum(
+            hilbert_value_bruteforce(I, u) for u in range(k + 1))
+    print("series oracle: ok (5 random ideals, sums up to the threshold)")
     print("check: all good")
     return EXIT_OK
 

@@ -8,12 +8,12 @@ is gated by an independent length oracle and errors out on mismatch rather
 than returning silently wrong output.
 """
 
-from .errors import (AlgebraError, InternalConsistencyError,
-                     UnsupportedInputError)
+from .errors import AlgebraError, InternalConsistencyError
 from .groebner import (IdealHandle, eliminate, extended_ring, fresh_names,
                        ideal_power, ideal_product, ideal_sum, inject,
                        intersect, maximal_ideal, project)
-from .hilbert import artinian_length, dimension, hilbert_value
+from .hilbert import (artinian_length, dimension, hilbert_numerator,
+                      hilbert_value, series_length)
 from .orders import BlockOrder
 from .rings import Polynomial, RingDescriptor
 
@@ -75,21 +75,20 @@ def _dehomogenize(g, small_ring, t_index):
     return Polynomial(small_ring, terms)
 
 
-def tangent_cone(J, oracle_window=None):
+def tangent_cone(J):
     """gr_m of S/J at the origin: the ideal of lowest-degree forms.
 
     Mandatory gate: the Hilbert-Samuel function of the cone must match the
-    one of J itself for every k in the certificate window.
+    one of J itself for every k up to two past the top generator degree.
     """
     ring = J.ring
     if J.is_zero():
         return IdealHandle(ring, [])
     tc = initial_forms_ideal(J, range(ring.nvars))
-    if oracle_window is None:
-        oracle_window = max((g.degree() for g in J.gens), default=1) + 2
+    window = max((g.degree() for g in J.gens), default=1) + 2
     mring = maximal_ideal(ring)
     mk = mring                                      # m^(k+1)
-    for k in range(oracle_window + 1):
+    for k in range(window + 1):
         if k:
             mk = ideal_product(mk, mring)
         left = artinian_length(ideal_sum(J, mk))
@@ -293,7 +292,7 @@ def _gate_gg_hilbert(gg, rect):
             predicted = gg.hilbert(i, j)
             chain = ideal_product(mring, chain)
             lower = ideal_sum(J, chain, next_power)
-            direct = relative_length(upper, lower, kill_bound=1)
+            direct = relative_length(upper, lower)
             if predicted != direct:
                 raise InternalConsistencyError(
                     "GG Hilbert gate fails at (%d,%d): presentation %d, direct %d"
@@ -306,28 +305,21 @@ def _gate_gg_hilbert(gg, rect):
 # ---------------------------------------------------------------------------
 # direct length oracles
 
-def relative_length(U, V, kill_bound):
-    """Length of U/V for nested ideals V <= U with finite quotient, where
-    m^kill_bound * U <= V.
+def relative_length(U, V):
+    """Length of U/V for nested ideals V <= U; AlgebraError when it is
+    infinite.
 
-    Homogeneous inputs sum Hilbert-function differences degreewise (exact:
-    the quotient is generated in degrees up to its generators and killed
-    past the kill bound).  Otherwise both sides must become Artinian after
-    adding no power of m, i.e. S/V is already Artinian, and plain length
-    differences apply.
+    For any term order, the monomials in in(U) but not in in(V) index a
+    basis of U/V (Macaulay's theorem, graded or not), so the difference of
+    the two Hilbert-series numerators is the series of that set and its
+    value at t = 1 is the length.
     """
     if not all(U.contains(g) for g in V.gens):
         raise AlgebraError("relative length needs V inside U")
-    if U.is_homogeneous() and V.is_homogeneous():
-        top = max((g.degree() for g in U.gens), default=0)
-        total = 0
-        for d in range(0, top + kill_bound + 1):
-            total += hilbert_value(V, d) - hilbert_value(U, d)
-        return total
-    if dimension(V) <= 0:
-        return artinian_length(V) - artinian_length(U)
-    raise UnsupportedInputError(
-        "relative length of inhomogeneous non-Artinian quotient is not supported")
+    num = dict(hilbert_numerator(V))
+    for d, c in hilbert_numerator(U).items():
+        num[d] = num.get(d, 0) - c
+    return series_length(num, U.ring.weights)
 
 
 def bifiltration_length(J, I, i, j):
@@ -353,6 +345,6 @@ def h11_direct(J, I, i, j):
         ik1 = ideal_product(ik, I)
         upper = intersect(ideal_sum(ik, J), ideal_sum(mi1, ik1, J))
         lower = ideal_sum(ideal_product(mi1, ik), ik1, J)
-        total += relative_length(upper, lower, kill_bound=i + 1)
+        total += relative_length(upper, lower)
         ik = ik1
     return total

@@ -10,23 +10,24 @@ routes can be compared on every corpus module.
 Numerators are memoised on the ring that grades them (``ring.memo``), since
 the grading fixes the degree of every generator, and per presentation; the
 module keeps no tables of its own, so a count never depends on what ran
-before it.  Each eventual polynomial comes from one stabilisation loop per
-grading (``_interpolate_1d``/``_interpolate_2d``), fed by memoised values.
+before it.  Lengths and multiplicities are read off the numerators: a
+finite length is the value at t = 1 of the series, and each eventual
+polynomial is the binomial expansion of the numerator's terms.
 """
 
 import itertools
 
 from .errors import (AlgebraError, InternalConsistencyError, NotBigradedError,
-                     ResourceLimitError)
+                     ResourceLimitError, UnsupportedInputError)
 from .groebner import IdealHandle, saturate_by_ideal
 from .modules import ModulePresentation
 from .numerical import (MultiplicityVector, NumericalPoly1, NumericalPoly2,
-                        StabilizationCertificate, binom, interpolate_poly1,
-                        interpolate_poly2)
+                        StabilizationCertificate, binom, interpolate_poly1)
 from .rings import deg_add, minimal_monomials, mono_divides
 
 DEGREE_CAP = 60
 WINDOW = 3
+SAMUEL_MAX_K = 24
 
 
 def as_presentation(obj):
@@ -140,22 +141,53 @@ def _numerator(gens, degfun, zero_deg, memo):
     return result
 
 
-def _component_numerators(pres, bigraded):
+def hilbert_numerator(M, bigraded=False):
+    """Numerator of the Hilbert series of coker(M) over prod(1 - t^deg x),
+    as a map degree -> coefficient: each component's staircase numerator
+    moved by its shift.  Inhomogeneous relations give the series of the
+    initial module, which has the same length (Macaulay)."""
+    pres = as_presentation(M)
     ring = pres.ring
-    if bigraded:
-        degfun = ring.bidegree
-        zero = (0, 0)
-    else:
-        degfun = ring.degree
-        zero = 0
-    key = ("numerators", bigraded)
+    degfun, zero = (ring.bidegree, (0, 0)) if bigraded else (ring.degree, 0)
     # the ring fixes degfun, so its memo is shared by every module over it
-    memo = ring.memo.setdefault(key, {})
+    memo = ring.memo.setdefault(("numerators", bigraded), {})
 
     def build():
-        leads = pres.initial_leads()
-        return tuple(_numerator(tuple(mons), degfun, zero, memo) for mons in leads)
-    return pres._cached(key, build)
+        out = {}
+        for shift, mons in zip(pres.shifts, pres.initial_leads()):
+            if isinstance(shift, tuple) and not bigraded:
+                shift = sum(shift)      # total degree over a bigraded ring
+            for d, c in _numerator(tuple(mons), degfun, zero, memo).items():
+                d = deg_add(d, shift)
+                out[d] = out.get(d, 0) + c
+        return {d: c for d, c in out.items() if c}
+    return pres._cached(("numerator", bigraded), build)
+
+
+def _divide_out(q, w):
+    """q / (1 - t^w) for a polynomial q (degree -> coefficient), or None
+    when the division leaves a remainder."""
+    out = {}
+    if q:
+        top = max(q)
+        for d in range(min(q), top + 1):
+            c = q.get(d, 0) + out.get(d - w, 0)
+            if c:
+                if d > top - w:
+                    return None
+                out[d] = c
+    return out
+
+
+def series_length(num, weights):
+    """Value at t = 1 of num / prod(1 - t^w): the length of a module with
+    that Hilbert series.  AlgebraError when the series is not a polynomial,
+    that is when the length is infinite."""
+    for w in weights:
+        num = _divide_out(num, w)
+        if num is None:
+            raise AlgebraError("module has positive dimension, length is infinite")
+    return sum(num.values())
 
 
 def _check_grading(pres, bigraded):
@@ -175,24 +207,14 @@ def hilbert_value(M, at):
     pres = as_presentation(M)
     bigraded = isinstance(at, tuple)
     _check_grading(pres, bigraded)
-    numerators = _component_numerators(pres, bigraded)
+    num = hilbert_numerator(pres, bigraded)
     ring = pres.ring
-    total = 0
-    for c, num in enumerate(numerators):
-        shift = pres.shifts[c]
-        if bigraded:
-            i = at[0] - shift[0]
-            j = at[1] - shift[1]
-            nx, ny = len(ring.x_block), len(ring.y_block)
-            for (a, b), coef in num.items():
-                if i - a < 0 or j - b < 0:
-                    continue
-                total += coef * binom(i - a + nx - 1, nx - 1) * binom(j - b + ny - 1, ny - 1)
-        else:
-            d = at - shift
-            for a, coef in num.items():
-                total += coef * count_monomials(ring.weights, d - a)
-    return total
+    if bigraded:
+        i, j = at
+        nx, ny = len(ring.x_block), len(ring.y_block)
+        return sum(c * binom(i - a + nx - 1, nx - 1) * binom(j - b + ny - 1, ny - 1)
+                   for (a, b), c in num.items() if a <= i and b <= j)
+    return sum(c * count_monomials(ring.weights, at - a) for a, c in num.items())
 
 
 def hilbert_value_bruteforce(M, at):
@@ -344,7 +366,46 @@ def relevant_dimension(I):
 
 
 # ---------------------------------------------------------------------------
-# polynomials with stabilization certificates
+# eventual polynomials, read off the numerators
+
+def _eventual(pres, bigraded, sums):
+    """Polynomial that the Hilbert function, summed `sums` times along each
+    axis, equals in high degrees.
+
+    Over (1 - t)^n a term c*t^a contributes c*C(k - a + n - 1, n - 1), and
+    Vandermonde expands that as sum_l c*C(n - 1 - a, n - 1 - l)*C(k, l); a
+    bigraded term is the product of one such factor per axis.  A weight
+    w > 1 first divides 1 + t + ... + t^(w-1) out of the numerator; a
+    remainder means the Hilbert function is only a quasi-polynomial.
+    """
+    _check_grading(pres, bigraded)
+    num = hilbert_numerator(pres, bigraded)
+    ring = pres.ring
+    if bigraded:
+        nx = len(ring.x_block) - 1 + sums
+        ny = len(ring.y_block) - 1 + sums
+        out = {}
+        for (a, b), c in num.items():
+            col = [binom(ny - b, ny - r) for r in range(ny + 1)]
+            for l in range(nx + 1):
+                cl = c * binom(nx - a, nx - l)
+                for r, cr in enumerate(col):
+                    out[(l, r)] = out.get((l, r), 0) + cl * cr
+        return NumericalPoly2(out)
+    for w in ring.weights:
+        if w > 1:
+            times = dict(num)       # num * (1 - t), then / (1 - t^w)
+            for a, c in num.items():
+                times[a + 1] = times.get(a + 1, 0) - c
+            num = _divide_out(times, w)
+            if num is None:
+                raise UnsupportedInputError(
+                    "the Hilbert function over weights %r is a quasi-polynomial"
+                    % (ring.weights,))
+    n = ring.nvars - 1 + sums
+    return NumericalPoly1([sum(c * binom(n - a, n - l) for a, c in num.items())
+                           for l in range(n + 1)])
+
 
 def _start_threshold(pres):
     degs = [0]
@@ -354,74 +415,29 @@ def _start_threshold(pres):
     return max(degs) + pres.ring.nvars + 2
 
 
-def _interpolate_1d(value_fn, deg_bound, start, what):
-    K = max(deg_bound, 0)
-    D = start
-    while D <= DEGREE_CAP:
-        points = [D + u for u in range(K + 1 + WINDOW)]
-        values = [value_fn(p) for p in points]
-        poly = interpolate_poly1(values[:K + 1], D)
-        if all(poly(p) == v for p, v in zip(points, values)):
-            cert = StabilizationCertificate((D,), WINDOW, points)
-            return poly, cert
-        D *= 2
-    raise ResourceLimitError("%s did not stabilize below degree %d" % (what, DEGREE_CAP))
-
-
-def _interpolate_2d(value_fn, deg_bound, start, what):
-    K = max(deg_bound, 0)
-    D = start
-    while D <= DEGREE_CAP:
-        size = K + 1 + WINDOW
-        grid = [[value_fn(D + u, D + v) for v in range(size)] for u in range(size)]
-        poly = interpolate_poly2([row[:K + 1] for row in grid[:K + 1]], (D, D))
-        ok = all(poly(D + u, D + v) == grid[u][v]
-                 for u in range(size) for v in range(size))
-        if ok:
-            pts = [(D + u, D + v) for u in range(size) for v in range(size)]
-            cert = StabilizationCertificate((D, D), WINDOW, pts)
-            return poly, cert
-        D *= 2
-    raise ResourceLimitError("%s did not stabilize below degree %d" % (what, DEGREE_CAP))
-
-
 def hilbert_polynomial(M, bigraded=False):
-    """Eventual polynomial of the Hilbert function, with the verified window."""
+    """Eventual polynomial of the Hilbert function, with the window where
+    the counted values are checked against it: the window starts at the
+    first doubling of a start degree where they all agree."""
     pres = as_presentation(M)
-    _check_grading(pres, bigraded)
+    poly = _eventual(pres, bigraded, 0)
     d = dimension(pres)
-    start = _start_threshold(pres)
-    if bigraded:
-        return _interpolate_2d(lambda i, j: hilbert_value(pres, (i, j)),
-                               max(d, 1), start, "bigraded Hilbert function")
-    return _interpolate_1d(lambda k: hilbert_value(pres, k),
-                           max(d - 1, 0), start, "Hilbert function")
-
-
-def _support_floor(pres, bigraded):
-    if bigraded:
-        lo1 = min((s[0] for s in pres.shifts), default=0)
-        lo2 = min((s[1] for s in pres.shifts), default=0)
-        return min(lo1, 0), min(lo2, 0)
-    return (min((s for s in pres.shifts), default=0),)
-
-
-def _double_sum(pres):
-    """(i, j) -> sum of h(a, b) over lo1 <= a <= i, lo2 <= b <= j, memoised,
-    so each bidegree costs one hilbert_value."""
-    lo1, lo2 = _support_floor(pres, True)
-    table = {}
-
-    def value(i, j):
-        if i < lo1 or j < lo2:
-            return 0
-        got = table.get((i, j))
-        if got is None:
-            got = table[(i, j)] = (hilbert_value(pres, (i, j))
-                                   + value(i - 1, j) + value(i, j - 1)
-                                   - value(i - 1, j - 1))
-        return got
-    return value
+    size = (max(d, 1) if bigraded else max(d - 1, 0)) + 1 + WINDOW
+    D = _start_threshold(pres)
+    while D <= DEGREE_CAP:
+        line = [D + u for u in range(size)]
+        if bigraded:
+            points = list(itertools.product(line, line))
+            ok = all(poly(i, j) == hilbert_value(pres, (i, j)) for i, j in points)
+        else:
+            points = line
+            ok = all(poly(k) == hilbert_value(pres, k) for k in points)
+        if ok:
+            thresholds = (D, D) if bigraded else (D,)
+            return poly, StabilizationCertificate(thresholds, WINDOW, points)
+        D *= 2
+    raise ResourceLimitError("Hilbert function did not stabilize below degree %d"
+                             % DEGREE_CAP)
 
 
 def h11_table(M, hi1, hi2):
@@ -432,41 +448,25 @@ def h11_table(M, hi1, hi2):
     this is the double sum transform from the origin.
     """
     pres = as_presentation(M)
-    lo1, lo2 = _support_floor(pres, True)
-    value = _double_sum(pres)
-    return {(i, j): value(i, j)
-            for i in range(lo1, hi1 + 1) for j in range(lo2, hi2 + 1)}
+    lo1 = min([0] + [s[0] for s in pres.shifts])
+    lo2 = min([0] + [s[1] for s in pres.shifts])
+    table = {}
+    for i in range(lo1, hi1 + 1):
+        for j in range(lo2, hi2 + 1):
+            table[(i, j)] = (hilbert_value(pres, (i, j)) + table.get((i - 1, j), 0)
+                             + table.get((i, j - 1), 0) - table.get((i - 1, j - 1), 0))
+    return table
 
 
 def h11_polynomial(M):
-    """Eventual polynomial of the double sum transform, with certificate."""
-    pres = as_presentation(M)
-    _check_grading(pres, True)
-    d = dimension(pres)
-    if d < 0:
-        return NumericalPoly2({}), StabilizationCertificate((0, 0), WINDOW, ())
-    return _interpolate_2d(_double_sum(pres), d, _start_threshold(pres),
-                           "double sum transform")
+    """Eventual polynomial of the double sum transform."""
+    return _eventual(as_presentation(M), True, 1)
 
 
 def cumulative_polynomial(M):
     """Eventual polynomial of k -> sum_{u<=k} h(u): the graded Hilbert-Samuel
     transform.  Its top coefficient at index dim is the multiplicity."""
-    pres = as_presentation(M)
-    _check_grading(pres, False)
-    d = dimension(pres)
-    if d < 0:
-        return NumericalPoly1([]), StabilizationCertificate((0,), WINDOW, ())
-    (lo,) = _support_floor(pres, False)
-    start = _start_threshold(pres)
-    sums = [0]   # sums[t] = h(lo) + ... + h(lo + t - 1)
-
-    def cum(k):
-        while len(sums) <= k - lo + 1:
-            sums.append(sums[-1] + hilbert_value(pres, lo + len(sums) - 1))
-        return sums[max(k - lo + 1, 0)]
-
-    return _interpolate_1d(cum, d, start, "Hilbert-Samuel transform")
+    return _eventual(as_presentation(M), False, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -479,7 +479,7 @@ def ee_vector(M, q):
     d = dimension(pres)
     if d != q:
         return MultiplicityVector.zero(q)
-    poly, _ = h11_polynomial(pres)
+    poly = h11_polynomial(pres)
     if poly.total_degree != d:
         raise InternalConsistencyError(
             "staircase dimension %d but sum-transform degree %d"
@@ -495,7 +495,7 @@ def classical_multiplicity(M, i):
     d = dimension(pres)
     if i != d or d < 0:
         return 0
-    poly, _ = cumulative_polynomial(pres)
+    poly = cumulative_polynomial(pres)
     if poly.degree != d:
         raise InternalConsistencyError(
             "staircase dimension %d but Samuel-transform degree %d"
@@ -505,28 +505,11 @@ def classical_multiplicity(M, i):
 
 def artinian_length(M):
     """Total length of a finite-length module: the number of standard
-    monomials of the initial module.  Valid for inhomogeneous relations
-    too (Macaulay's basis theorem needs no grading)."""
+    monomials of the initial module, the value of its series at t = 1.
+    Valid for inhomogeneous relations too (Macaulay's basis theorem needs
+    no grading)."""
     pres = as_presentation(M)
-    if dimension(pres) > 0:
-        raise AlgebraError("module has positive dimension, length is infinite")
-    ring = pres.ring
-    total = 0
-    for mons, num in zip(pres.initial_leads(), _component_numerators(pres, False)):
-        if any(not any(m) for m in mons):
-            continue  # component killed entirely
-        d = 0
-        top = max((ring.degree(m) for m in mons), default=0)
-        while True:
-            h = sum(coef * count_monomials(ring.weights, d - a)
-                    for a, coef in num.items())
-            if h == 0 and d >= top:
-                break
-            total += h
-            d += 1
-            if d > DEGREE_CAP * 4:
-                raise ResourceLimitError("length summation ran away")
-    return total
+    return series_length(hilbert_numerator(pres), pres.ring.weights)
 
 
 # ---------------------------------------------------------------------------
@@ -564,7 +547,7 @@ def hilbert_samuel(M, k):
     return len(basis) - _rank(rows, ring.field)
 
 
-def samuel_multiplicity(M, max_k=24):
+def samuel_multiplicity(M):
     """Samuel multiplicity at the origin: stabilized top coefficient of
     k -> length(M/m^{k+1}M), with an interpolation certificate."""
     pres = as_presentation(M)
@@ -576,9 +559,9 @@ def samuel_multiplicity(M, max_k=24):
             values[k] = hilbert_samuel(pres, k)
         return values[k]
 
-    for start in range(0, max_k):
+    for start in range(0, SAMUEL_MAX_K):
         width = n + 1 + WINDOW
-        if start + width > max_k + 1:
+        if start + width > SAMUEL_MAX_K + 1:
             break
         pts = list(range(start, start + width))
         poly = interpolate_poly1([val(p) for p in pts[:n + 1]], start)
@@ -586,4 +569,4 @@ def samuel_multiplicity(M, max_k=24):
             cert = StabilizationCertificate((start,), WINDOW, pts)
             return poly.top_coefficient(), poly.degree, cert
     raise ResourceLimitError("Hilbert-Samuel function did not stabilize by k=%d"
-                             % max_k)
+                             % SAMUEL_MAX_K)

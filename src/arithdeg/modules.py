@@ -234,7 +234,7 @@ def schreyer_syzygies(G, morder):
     return _reduce(syz, sorder, _VEC), sorder
 
 
-def syzygies_of(columns, ring, rank, morder=None,
+def syzygies_of(columns, ring, rank,
                 max_basis=DEFAULT_MAX_BASIS, max_degree=DEFAULT_MAX_DEGREE):
     """Generators of the syzygy module of arbitrary Vec columns in S^rank.
 
@@ -246,13 +246,13 @@ def syzygies_of(columns, ring, rank, morder=None,
     a = len(columns)
     if a == 0:
         return []
-    morder = morder or PositionOverTerm()
     aug = []
     for i, col in enumerate(columns):
         terms = dict(col.terms)
         terms[(rank + i, ring.zero_mono())] = ring.field.one
         aug.append(Vec(ring, rank + a, terms))
-    G = module_buchberger(aug, morder, max_basis=max_basis, max_degree=max_degree)
+    G = module_buchberger(aug, PositionOverTerm(), max_basis=max_basis,
+                          max_degree=max_degree)
     out = []
     for g in G:
         if all(c >= rank for (c, m) in g.terms):

@@ -215,47 +215,6 @@ class NumericalPoly2:
         return "NumericalPoly2({%s})" % inner
 
 
-def interpolate_poly2(grid, base):
-    """Two-variable interpolation from a (K1+1) x (K2+1) value grid.
-
-    grid[u][v] is the value at (base[0]+u, base[1]+v).  Tensor Newton
-    differences, then both axes converted to the centered basis.
-    """
-    rows = len(grid)
-    cols = len(grid[0])
-    newton = [[0] * cols for _ in range(rows)]
-    col_stack = [list(r) for r in grid]
-    for u in range(rows):
-        newton[u] = list(col_stack[0])
-        col_stack = [[b - a for a, b in zip(r1, r2)]
-                     for r1, r2 in zip(col_stack, col_stack[1:])]
-    for u in range(rows):
-        row = newton[u]
-        out_row = [0] * cols
-        work = list(row)
-        for v in range(cols):
-            out_row[v] = work[0]
-            work = [b - a for a, b in zip(work, work[1:])]
-        newton[u] = out_row
-    out = {}
-    b1, b2 = base
-    for u in range(rows):
-        for v in range(cols):
-            c = newton[u][v]
-            if c == 0:
-                continue
-            row = _shift_coeffs(b1, u, u)
-            col = _shift_coeffs(b2, v, v)
-            for l, wl in row.items():
-                if not wl:
-                    continue
-                for r, wr in col.items():
-                    w = wl * wr
-                    if w:
-                        out[(l, r)] = out.get((l, r), 0) + c * w
-    return NumericalPoly2(out)
-
-
 class MultiplicityVector:
     """Level q plus the q+1 components (c_{0,q}, ..., c_{q,0})."""
 

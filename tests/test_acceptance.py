@@ -74,7 +74,7 @@ def corpus_pairs():
                 meta = {f: True for f in script.metas.get(task[1], ())}
                 J, I = handles[task[1]], handles[task[2]]
                 gg = cached_gg(J, I)
-                P11, _ = h11_polynomial(gg.ideal)
+                P11 = h11_polynomial(gg.ideal)
                 pairs.append((entry.identifier, J, I, meta, gg, P11))
     return pairs
 

@@ -12,7 +12,7 @@ from arithdeg.constructions import (BigradedPresentation, assoc_graded,
                                     gg_presentation, h11_direct,
                                     initial_forms_ideal, rees_kernel,
                                     relative_length, tangent_cone)
-from arithdeg.errors import InternalConsistencyError
+from arithdeg.errors import AlgebraError, InternalConsistencyError
 from arithdeg.groebner import IdealHandle, ideal_power, ideal_sum, maximal_ideal
 from arithdeg.hilbert import (artinian_length, dimension, h11_table,
                               hilbert_value)
@@ -243,7 +243,17 @@ def test_relative_length(R):
     U = IdealHandle(R, [x])
     V = IdealHandle(R, [x ** 2, x * y])
     # (x)/(x^2, xy) has length 1
-    assert relative_length(U, V, kill_bound=1) == 1
+    assert relative_length(U, V) == 1
+
+
+def test_relative_length_inhomogeneous(R):
+    """One path for every input: (x)/(x^2 - x, xy) is spanned by x, while
+    (x)/(x^2 - x) has infinite length."""
+    x, y = R.gens()
+    U = IdealHandle(R, [x])
+    assert relative_length(U, IdealHandle(R, [x ** 2 - x, x * y])) == 1
+    with pytest.raises(AlgebraError):
+        relative_length(U, IdealHandle(R, [x ** 2 - x]))
 
 
 def test_initial_forms_block(R):

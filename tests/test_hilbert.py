@@ -2,7 +2,8 @@
 
 import pytest
 
-from arithdeg.errors import HomogeneityError, NotBigradedError
+from arithdeg.errors import (HomogeneityError, NotBigradedError,
+                             UnsupportedInputError)
 from arithdeg.groebner import IdealHandle
 from arithdeg.hilbert import (artinian_length, classical_multiplicity,
                               count_monomials, cumulative_polynomial, dimension,
@@ -10,7 +11,7 @@ from arithdeg.hilbert import (artinian_length, classical_multiplicity,
                               hilbert_polynomial, hilbert_samuel, hilbert_value,
                               hilbert_value_bruteforce, monomials_of_degree,
                               relevant_dimension, samuel_multiplicity)
-from arithdeg.modules import ModulePresentation, Vec
+from arithdeg.modules import ModulePresentation, Vec, ext_presentation
 from arithdeg.numerical import MultiplicityVector
 from arithdeg.rings import Polynomial, RingDescriptor
 
@@ -173,7 +174,7 @@ def test_prop_hilb_degree(B):
     xb, yb = B.gens()
     for gens in ([], [xb ** 2], [xb * yb ** 2]):
         I = IdealHandle(B, gens)
-        P11, _ = h11_polynomial(I)
+        P11 = h11_polynomial(I)
         assert P11.total_degree == dimension(I)
 
 
@@ -238,7 +239,7 @@ def test_classical_multiplicity(R):
 
 def test_cumulative_polynomial(R):
     x, y = R.gens()
-    P, _ = cumulative_polynomial(IdealHandle(R, [x * y]))
+    P = cumulative_polynomial(IdealHandle(R, [x * y]))
     # h = 1, 2, 2, ... so the sums are 2k + 1 eventually
     for k in range(4, 8):
         assert P(k) == 2 * k + 1
@@ -270,6 +271,11 @@ def test_artinian_length(R):
         artinian_length(IdealHandle(R, [x]))
 
 
+def test_artinian_length_over_bigraded_ring(B):
+    xb, yb = B.gens()
+    assert artinian_length(IdealHandle(B, [xb ** 2, yb])) == 2
+
+
 def test_hilbert_shifted_module(R):
     x, y = R.gens()
     # S(-2) (+) S via shifts: generators in degrees 2 and 0
@@ -277,3 +283,43 @@ def test_hilbert_shifted_module(R):
     assert hilbert_value(M, 0) == 1
     assert hilbert_value(M, 2) == 4   # 1 (degree-0 piece of S(-2)) + 3
     assert hilbert_value_bruteforce(M, 2) == 4
+
+
+def test_cumulative_polynomial_of_shifted_ext():
+    """The expansion of the numerator matches the counted sums from the
+    lowest shift on, for Ext modules whose generators sit in negative
+    degrees."""
+    R3 = RingDescriptor.graded("x,y,z")
+    x, y, z = R3.gens()
+    pres = ModulePresentation.from_ideal(IdealHandle(R3, [x ** 2, x * y, x * z]))
+    for j, shift in ((1, -1), (3, -4)):
+        E = ext_presentation(pres, j)
+        assert min(E.shifts) == shift
+        P = cumulative_polynomial(E)
+        for k in (10, 20):
+            assert P(k) == sum(hilbert_value(E, u) for u in range(shift, k + 1))
+
+
+def test_h11_polynomial_matches_table():
+    B4 = RingDescriptor.bigraded("x,y", "z,w")
+    x, y, z, w = B4.gens()
+    J = IdealHandle(B4, [x * z, y ** 2 * w, x ** 2])
+    P = h11_polynomial(J)
+    table = h11_table(J, 15, 15)
+    for at in ((14, 15), (15, 15)):
+        assert P(*at) == table[at]
+
+
+def test_weighted_ring_polynomials():
+    W = RingDescriptor.graded("x,y,z", weights=(1, 2, 3))
+    x, y, z = W.gens()
+    M = IdealHandle(W, [x ** 2, y ** 2, z])
+    assert artinian_length(M) == 4
+    assert classical_multiplicity(M, 0) == 4
+    P, cert = hilbert_polynomial(M)
+    assert P.is_zero() and cert.thresholds == (9,)
+    P, cert = hilbert_polynomial(IdealHandle(W, [y ** 3 - z ** 2]))
+    assert P.coeffs == (0, 1) and cert.thresholds == (11,)
+    # k[y, z] with weights 2 and 3: a quasi-polynomial
+    with pytest.raises(UnsupportedInputError):
+        hilbert_polynomial(IdealHandle(W, [x]))

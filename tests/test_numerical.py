@@ -5,8 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from arithdeg.errors import AlgebraError
 from arithdeg.numerical import (MultiplicityVector, NumericalPoly1,
-                                NumericalPoly2, binom, interpolate_poly1,
-                                interpolate_poly2)
+                                NumericalPoly2, binom, interpolate_poly1)
 
 
 def test_binom_generalized():
@@ -86,9 +85,6 @@ def test_interpolation_round_trip():
     P1 = NumericalPoly1([3, -2, 5])
     values = [P1(m) for m in range(4, 12)]
     assert interpolate_poly1(values[:5], 4) == P1
-    P2 = NumericalPoly2({(0, 0): 2, (1, 1): -3, (2, 0): 1})
-    grid = [[P2(3 + u, 2 + v) for v in range(5)] for u in range(5)]
-    assert interpolate_poly2(grid, (3, 2)) == P2
 
 
 def test_one_var_transforms():
