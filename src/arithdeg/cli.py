@@ -188,6 +188,10 @@ def cmd_corpus(args):
             summary["failed"] += 1
             summary["entries"].append({"id": entry.identifier, "passed": False,
                                        "error": message})
+            record = {"id": entry.identifier, "error": message}
+            if diagnostics:
+                record["diagnostics"] = diagnostics
+            all_results.append(record)
             rows.append((entry.identifier, "error", "", message, "fail"))
             if diagnostics:
                 rows.append((entry.identifier, "diagnostics", "", diagnostics,
@@ -255,8 +259,9 @@ def cmd_corpus(args):
 def cmd_check(args):
     """Abbreviated invariant suite: ring axioms, Groebner soundness,
     difference calculus, one oracle equivalence, Euler characteristics of
-    free resolutions against Hilbert functions, and the numerator's sum
-    transform against brute-force counts."""
+    free resolutions against Hilbert functions, the numerator's sum
+    transform against brute-force counts, and the GG gate's two walks
+    against each other."""
     import random
     from .groebner import IdealHandle
     from .hilbert import (as_presentation, count_monomials,
@@ -269,6 +274,7 @@ def cmd_check(args):
     from .rings import RingDescriptor
     from .numerical import NumericalPoly2
     from .adeg import adeg_report_ext, adeg_report_monomial
+    from .constructions import cell_lengths, gate_rectangle, monomial_cell_lengths
 
     rng = random.Random(7)
     R = RingDescriptor.graded("x,y,z")
@@ -353,6 +359,21 @@ def cmd_check(args):
         assert cumulative_polynomial(I)(k) == sum(
             hilbert_value_bruteforce(I, u) for u in range(k + 1))
     print("series oracle: ok (5 random ideals, sums up to the threshold)")
+
+    def rand_monomial_ideal(rng):
+        return IdealHandle(R, [
+            R.monomial(tuple(rng.randint(0, 2) for _ in range(R.nvars)))
+            for _ in range(rng.randint(1, 3))])
+
+    # the GG gate's walk on antichains against its walk on IdealHandles,
+    # cell by cell on the default rectangle
+    gate_rng = random.Random(19)
+    for _ in range(5):
+        J, I = rand_monomial_ideal(gate_rng), rand_monomial_ideal(gate_rng)
+        rect = gate_rectangle(J)
+        assert (list(monomial_cell_lengths(J, I, rect))
+                == list(cell_lengths(J, I, rect)))
+    print("GG gate walks: ok (5 random monomial pairs, antichains = handles)")
     print("check: all good")
     return EXIT_OK
 

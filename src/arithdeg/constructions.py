@@ -13,9 +13,10 @@ from .groebner import (IdealHandle, eliminate, extended_ring, fresh_names,
                        ideal_power, ideal_product, ideal_sum, inject,
                        intersect, maximal_ideal, project)
 from .hilbert import (artinian_length, dimension, hilbert_numerator,
-                      hilbert_value, series_length)
+                      hilbert_value, monomial_numerator, series_length)
 from .orders import BlockOrder
-from .rings import Polynomial, RingDescriptor
+from .rings import (Polynomial, RingDescriptor, minimal_monomials,
+                    mono_divides, mono_mul)
 
 
 # ---------------------------------------------------------------------------
@@ -266,60 +267,137 @@ def gg_presentation(J, I, gate_rect=None):
     if not Lp.is_bihomogeneous():
         raise InternalConsistencyError("GG presentation ideal is not bihomogeneous")
     out = BigradedPresentation(gg_ring, Lp, gr, J, I)
-    if gate_rect is None:
-        d = max(dimension(J), 0)
-        gate_rect = (d + 2, d + 2)
-    _gate_gg_hilbert(out, gate_rect)
+    _gate_gg_hilbert(out, gate_rect or gate_rectangle(J))
     return out
 
 
-def _gate_gg_hilbert(gg, rect):
-    """hilbert_value of the presentation == direct bifiltration derivative.
+def gate_rectangle(J):
+    """The GG Hilbert gate's default rectangle, (d + 2, d + 2) for
+    d = dim S/J (0 when S/J is zero)."""
+    d = max(dimension(J), 0)
+    return (d + 2, d + 2)
 
-    Each row j walks the chain m^i*I^j, m^(i+1)*I^j = m*(m^i*I^j), ... so
-    the lower ideal of cell (i, j) is the upper ideal of cell (i+1, j), and
-    every power and product is built once.
+
+def _gate_gg_hilbert(gg, rect):
+    """hilbert_value of the presentation == direct bifiltration derivative,
+    the length of (J + m^i*I^j + I^(j+1)) / (J + m^(i+1)*I^j + I^(j+1)), at
+    every cell (i, j) of the rectangle.
+
+    Monomial J and I walk antichains of exponent tuples and read each length
+    off two staircase numerators (monomial_cell_lengths); any other input
+    walks IdealHandles (cell_lengths).  Both walks check that each lower
+    ideal lies inside its upper one.
     """
     J, I = gg.J, gg.I
-    ring = J.ring
-    mring = maximal_ideal(ring)
-    power = IdealHandle(ring, [ring.one()])         # I^j
+    walk = (monomial_cell_lengths if J.is_monomial() and I.is_monomial()
+            else cell_lengths)
+    for (i, j), direct in walk(J, I, rect):
+        predicted = gg.hilbert(i, j)
+        if predicted != direct:
+            raise InternalConsistencyError(
+                "GG Hilbert gate fails at (%d,%d): presentation %d, direct %d"
+                % (i, j, predicted, direct))
+    return True
+
+
+def _cells(J, I, rect, one, m, times, plus, trim):
+    """Yield each cell (i, j) of the rectangle, row by row, with its upper
+    ideal J + m^i*I^j + I^(j+1) and its lower ideal J + m^(i+1)*I^j + I^(j+1).
+
+    Each row j walks the chain m^i*I^j, m^(i+1)*I^j = m*(m^i*I^j), ... on
+    top of J + I^(j+1), built once per row, so the lower ideal of cell
+    (i, j) is the upper ideal of cell (i+1, j), and every power and product
+    is built once.  trim(chain, base) may drop generators of the chain that
+    lie in J + I^(j+1): m times them lies there too.
+    """
+    power = one                                     # I^j
     for j in range(rect[1] + 1):
-        next_power = ideal_product(power, I)        # I^(j+1)
+        next_power = times(power, I)                # I^(j+1)
+        base = plus(J, next_power)
         chain = power                               # m^i * I^j
-        upper = ideal_sum(J, chain, next_power)
+        upper = plus(chain, base)
         for i in range(rect[0] + 1):
-            predicted = gg.hilbert(i, j)
-            chain = ideal_product(mring, chain)
-            lower = ideal_sum(J, chain, next_power)
-            direct = relative_length(upper, lower)
-            if predicted != direct:
-                raise InternalConsistencyError(
-                    "GG Hilbert gate fails at (%d,%d): presentation %d, direct %d"
-                    % (i, j, predicted, direct))
+            chain = trim(times(m, chain), base)
+            lower = plus(chain, base)
+            yield (i, j), upper, lower
             upper = lower
         power = next_power
-    return True
+
+
+def cell_lengths(J, I, rect):
+    """Yield ((i, j), length of upper/lower) for the gate's cells, on
+    IdealHandles: any J and I."""
+    ring = J.ring
+    cells = _cells(J, I, rect, IdealHandle(ring, [ring.one()]),
+                   maximal_ideal(ring), ideal_product, ideal_sum,
+                   lambda chain, base: chain)
+    for cell, upper, lower in cells:
+        yield cell, relative_length(upper, lower)
+
+
+def monomial_cell_lengths(J, I, rect):
+    """cell_lengths for monomial J and I, on sorted minimal tuples of
+    exponent tuples.
+
+    Products and sums are minimised by minimal_monomials, and the chain
+    keeps only its generators outside J + I^(j+1), so a cell's lower ideal
+    is the row's antichain merged with a short chain.  Within a row the
+    upper ideal's numerator is the one of the cell before.  For monomial
+    ideals, lower lies inside upper exactly when each generator of lower is
+    divisible by one of upper.
+    """
+    ring = J.ring
+
+    def tuples(H):
+        return tuple(next(iter(g.terms)) for g in H.gens)
+
+    def times(A, B):
+        return minimal_monomials([mono_mul(a, b) for a in A for b in B])
+
+    def plus(A, B):
+        return minimal_monomials(A + B)
+
+    def trim(chain, base):
+        return tuple(c for c in chain
+                     if not any(mono_divides(b, c) for b in base))
+
+    n = ring.nvars
+    units = tuple(tuple(int(k == v) for k in range(n)) for v in range(n))
+    cells = _cells(tuples(J), tuples(I), rect, (ring.zero_mono(),), units,
+                   times, plus, trim)
+    last = last_num = None
+    for cell, upper, lower in cells:
+        kept = set(upper)
+        if not all(g in kept or any(mono_divides(u, g) for u in upper)
+                   for g in lower):
+            raise AlgebraError("relative length needs V inside U")
+        upper_num = last_num if upper is last else monomial_numerator(ring, upper)
+        last, last_num = lower, monomial_numerator(ring, lower)
+        yield cell, _quotient_length(upper_num, last_num, ring.weights)
+
+
+def _quotient_length(upper_num, lower_num, weights):
+    """Length of U/V from the Hilbert-series numerators of S/U and S/V: the
+    monomials in in(U) but not in in(V) index a basis of U/V (Macaulay's
+    theorem, graded or not), so the difference of the numerators is their
+    series, and its value at t = 1 is the length."""
+    num = dict(lower_num)
+    for d, c in upper_num.items():
+        num[d] = num.get(d, 0) - c
+    return series_length(num, weights)
 
 
 # ---------------------------------------------------------------------------
 # direct length oracles
 
 def relative_length(U, V):
-    """Length of U/V for nested ideals V <= U; AlgebraError when it is
-    infinite.
-
-    For any term order, the monomials in in(U) but not in in(V) index a
-    basis of U/V (Macaulay's theorem, graded or not), so the difference of
-    the two Hilbert-series numerators is the series of that set and its
-    value at t = 1 is the length.
-    """
+    """Length of U/V for nested ideals V <= U, read off the Hilbert-series
+    numerators of S/U and S/V for any term order; AlgebraError when it is
+    infinite."""
     if not all(U.contains(g) for g in V.gens):
         raise AlgebraError("relative length needs V inside U")
-    num = dict(hilbert_numerator(V))
-    for d, c in hilbert_numerator(U).items():
-        num[d] = num.get(d, 0) - c
-    return series_length(num, U.ring.weights)
+    return _quotient_length(hilbert_numerator(U), hilbert_numerator(V),
+                            U.ring.weights)
 
 
 def bifiltration_length(J, I, i, j):

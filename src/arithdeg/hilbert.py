@@ -98,11 +98,11 @@ def _supports_coprime(gens):
 
 
 def _numerator(gens, degfun, zero_deg, memo):
-    """Hilbert-series numerator of S/(gens) as a map degree -> coefficient.
+    """Hilbert-series numerator of S/(gens) as a map degree -> coefficient,
+    for a sorted minimal antichain gens.
 
-    memo maps minimal generators to numerators under this degfun.
+    memo maps such antichains to numerators under this degfun.
     """
-    gens = minimal_monomials(gens)
     got = memo.get(gens)
     if got is not None:
         return got
@@ -126,11 +126,13 @@ def _numerator(gens, degfun, zero_deg, memo):
                     counts[i] = counts.get(i, 0) + 1
         pivot = max(counts, key=lambda i: (counts[i], -i))
         xv = tuple(1 if i == pivot else 0 for i in range(len(gens[0])))
-        plus = [g for g in gens if g[pivot] == 0] + [xv]
-        colon = [tuple(e - 1 if i == pivot and e else e for i, e in enumerate(g))
-                 for g in gens]
-        na = _numerator(tuple(plus), degfun, zero_deg, memo)
-        nb = _numerator(tuple(colon), degfun, zero_deg, memo)
+        # the generators free of the pivot and x_pivot: still an antichain
+        plus = tuple(sorted([g for g in gens if g[pivot] == 0] + [xv]))
+        colon = minimal_monomials(
+            [tuple(e - 1 if i == pivot and e else e for i, e in enumerate(g))
+             for g in gens])
+        na = _numerator(plus, degfun, zero_deg, memo)
+        nb = _numerator(colon, degfun, zero_deg, memo)
         dx = degfun(xv)
         result = dict(na)
         for d, c in nb.items():
@@ -141,23 +143,32 @@ def _numerator(gens, degfun, zero_deg, memo):
     return result
 
 
+def monomial_numerator(ring, monos, bigraded=False):
+    """Numerator of the Hilbert series of S/(monos) over prod(1 - t^deg x),
+    for exponent tuples monos over ring, as a map degree -> coefficient; the
+    map is the memo's own, so callers must not change it.  The generators
+    are minimised once, here.  The ring fixes the degree of every generator,
+    so its memo is shared by every ideal and module over it."""
+    degfun, zero = (ring.bidegree, (0, 0)) if bigraded else (ring.degree, 0)
+    memo = ring.memo.setdefault(("numerators", bigraded), {})
+    return _numerator(minimal_monomials(monos), degfun, zero, memo)
+
+
 def hilbert_numerator(M, bigraded=False):
     """Numerator of the Hilbert series of coker(M) over prod(1 - t^deg x),
     as a map degree -> coefficient: each component's staircase numerator
-    moved by its shift.  Inhomogeneous relations give the series of the
-    initial module, which has the same length (Macaulay)."""
+    (monomial_numerator of its initial leads) moved by its shift.
+    Inhomogeneous relations give the series of the initial module, which
+    has the same length (Macaulay)."""
     pres = as_presentation(M)
     ring = pres.ring
-    degfun, zero = (ring.bidegree, (0, 0)) if bigraded else (ring.degree, 0)
-    # the ring fixes degfun, so its memo is shared by every module over it
-    memo = ring.memo.setdefault(("numerators", bigraded), {})
 
     def build():
         out = {}
         for shift, mons in zip(pres.shifts, pres.initial_leads()):
             if isinstance(shift, tuple) and not bigraded:
                 shift = sum(shift)      # total degree over a bigraded ring
-            for d, c in _numerator(tuple(mons), degfun, zero, memo).items():
+            for d, c in monomial_numerator(ring, mons, bigraded).items():
                 d = deg_add(d, shift)
                 out[d] = out.get(d, 0) + c
         return {d: c for d, c in out.items() if c}

@@ -211,18 +211,25 @@ def test_corpus_parallel_reports_errors_as_serial(tmp_path, monkeypatch,
 
 def test_corpus_rows_carry_resource_diagnostics(tmp_path, monkeypatch):
     """A capped entry's CSV rows carry the cap's diagnostics after the
-    error message."""
+    error message, and its JSON record carries them beside the error; an
+    error without diagnostics has no such key."""
     import arithdeg.cli as cli_mod
     from arithdeg.corpus import CorpusEntry
     capped = CorpusEntry(
         "capped", "ring S = Q[x,y,z];\nideal J = x^2 - y*z, x*y - z^2;\n"
                   "option max_basis 2;\ntask gb J;\n")
-    monkeypatch.setattr(cli_mod, "build_corpus", lambda: [capped])
-    csv = tmp_path / "capped.csv"
-    assert main(["corpus", "--csv", str(csv)]) == 3
+    wrong = CorpusEntry("wrong", "ring S = Q[x,y];\nideal J = x;\ntask adeg K;\n")
+    monkeypatch.setattr(cli_mod, "build_corpus", lambda: [capped, wrong])
+    csv, out = tmp_path / "capped.csv", tmp_path / "capped.json"
+    assert main(["corpus", "--csv", str(csv), "--json", str(out)]) == 3
     assert csv.read_text().splitlines()[1:] == [
         "capped,error,,Groebner basis size cap 2 exceeded,fail",
-        "capped,diagnostics,,basis_size=3,fail"]
+        "capped,diagnostics,,basis_size=3,fail",
+        "wrong,error,,task adeg refers to undeclared ideal 'K',fail"]
+    assert json.loads(out.read_text())["results"] == [
+        {"id": "capped", "error": "Groebner basis size cap 2 exceeded",
+         "diagnostics": "basis_size=3"},
+        {"id": "wrong", "error": "task adeg refers to undeclared ideal 'K'"}]
 
 
 def test_corpus_spot_check_shares_the_task_basis(monkeypatch):

@@ -10,10 +10,12 @@ import arithdeg.groebner as groebner_mod
 from arithdeg.constructions import (BigradedPresentation, assoc_graded,
                                     bifiltration_length,
                                     gg_presentation, h11_direct,
-                                    initial_forms_ideal, rees_kernel,
+                                    initial_forms_ideal,
+                                    monomial_cell_lengths, rees_kernel,
                                     relative_length, tangent_cone)
 from arithdeg.errors import AlgebraError, InternalConsistencyError
-from arithdeg.groebner import IdealHandle, ideal_power, ideal_sum, maximal_ideal
+from arithdeg.groebner import (IdealHandle, ideal_power, ideal_product,
+                               ideal_sum, maximal_ideal)
 from arithdeg.hilbert import (artinian_length, dimension, h11_table,
                               hilbert_value)
 from arithdeg.rings import RingDescriptor
@@ -132,26 +134,88 @@ def test_gg_cusp(R):
 
 GATE_RECT = (2, 3)
 
+# each walk of the gate, by the name of its function, with a pair (J, I) in
+# Q[x,y] that takes it: the cusp is not monomial, so it walks IdealHandles
+GATE_WALKS = {
+    "cell_lengths": lambda x, y: ([y ** 2 - x ** 3], [x ** 2, y]),
+    "monomial_cell_lengths": lambda x, y: ([x ** 2, x * y], [x ** 2, y]),
+}
+
+
+def _gate_pair(R, walk):
+    return (IdealHandle(R, gens) for gens in GATE_WALKS[walk](*R.gens()))
+
 
 @pytest.mark.parametrize("cell", [(0, 0), (GATE_RECT[0], 0), (0, GATE_RECT[1]),
                                   GATE_RECT])
 def test_gg_gate_catches_a_wrong_cell(R, monkeypatch, cell):
     """A presentation off by one at a single corner of the gate rectangle
-    fails the Hilbert gate: the chain walk reaches every corner."""
-    x, y = R.gens()
-    J = IdealHandle(R, [y ** 2 - x ** 3])
-    I = IdealHandle(R, [x ** 2, y])
+    fails the Hilbert gate: each of the two walks reaches every corner."""
     right = BigradedPresentation.hilbert
     monkeypatch.setattr(BigradedPresentation, "hilbert",
                         lambda gg, i, j: right(gg, i, j) + ((i, j) == cell))
-    with pytest.raises(InternalConsistencyError,
-                       match=re.escape("gate fails at (%d,%d)" % cell)):
-        gg_presentation(J, I, gate_rect=GATE_RECT)
+    for walk in GATE_WALKS:
+        J, I = _gate_pair(R, walk)
+        with monkeypatch.context() as patch:
+            for other in set(GATE_WALKS) - {walk}:
+                patch.setattr(constructions_mod, other,
+                              lambda *args: pytest.fail("took the other walk"))
+            with pytest.raises(InternalConsistencyError,
+                               match=re.escape("gate fails at (%d,%d)" % cell)):
+                gg_presentation(J, I, gate_rect=GATE_RECT)
+
+
+@pytest.mark.parametrize("walk", sorted(GATE_WALKS))
+def test_gg_gate_checks_lower_inside_upper(R, monkeypatch, walk):
+    """Both walks raise AlgebraError, as relative_length does, when a
+    cell's lower ideal is not inside its upper one: here the walk's cells
+    come with upper and lower swapped."""
+    J, I = _gate_pair(R, walk)
+    cells = constructions_mod._cells
+
+    def swapped(*args):
+        for cell, upper, lower in cells(*args):
+            yield cell, lower, upper
+    monkeypatch.setattr(constructions_mod, "_cells", swapped)
+    with pytest.raises(AlgebraError, match="V inside U"):
+        list(getattr(constructions_mod, walk)(J, I, GATE_RECT))
+
+
+def test_antichain_walk_matches_relative_length():
+    """On random monomial pairs in Q[x,y,z], every cell length of the
+    antichain walk equals relative_length on IdealHandles of the cell's
+    upper and lower ideals, each built from scratch."""
+    import random
+    R3 = RingDescriptor.graded("x,y,z")
+    m = maximal_ideal(R3)
+    rng = random.Random(5)
+
+    def monomials(low, high):
+        out, count = [], rng.randint(low, high)
+        while len(out) < count:
+            e = tuple(rng.randint(0, 2) for _ in range(3))
+            if any(e):
+                out.append(R3.monomial(e))
+        return out
+    rect = (2, 2)
+    for _ in range(20):
+        J = IdealHandle(R3, monomials(0, 3))
+        I = IdealHandle(R3, monomials(1, 3))
+        walked = dict(monomial_cell_lengths(J, I, rect))
+        assert list(walked) == [(i, j) for j in range(rect[1] + 1)
+                                for i in range(rect[0] + 1)]
+        for (i, j), length in walked.items():
+            base = ideal_sum(J, ideal_power(I, j + 1))
+            chain = ideal_product(ideal_power(m, i), ideal_power(I, j))
+            upper = ideal_sum(base, chain)
+            lower = ideal_sum(base, ideal_product(m, chain))
+            assert length == relative_length(upper, lower), (J, I, i, j)
 
 
 def test_gg_gate_builds_each_product_once(R, monkeypatch):
     """The gate walks m^i*I^j along chains: one product per cell and one
-    power per row, (a+2)(b+1) products for the rectangle (a, b)."""
+    power per row, (a+2)(b+1) products for the rectangle (a, b).  The cusp
+    J is not monomial, so this is the walk on IdealHandles."""
     x, y = R.gens()
     J = IdealHandle(R, [y ** 2 - x ** 3])
     I = IdealHandle(R, [x ** 2, y])
