@@ -2,7 +2,7 @@
 checking the main inequality adeg_r(gr_M(gr_I A)) >= sum_k (ladeg_r)_k plus
 its corollaries.
 
-Two independent pipelines feed the same numbers:
+Three independent pipelines feed the same numbers:
   * the Ext route: adeg_i(M) = e_i(Ext^(n-i)(M, S)), provenance "ext";
   * the standard-pair count for monomial ideals, provenance "standard-pairs";
   * Hilbert-Samuel interpolation for inhomogeneous local items, "samuel".
@@ -22,24 +22,19 @@ from .rings import Polynomial, RingDescriptor
 
 
 # ---------------------------------------------------------------------------
-# regrading and pruning helpers
-
-def regrade_total(I):
-    """View a bigraded quotient ideal in the same variables graded totally."""
-    ring = I.ring
-    flat = RingDescriptor(ring.names, field=ring.field)
-    gens = [Polynomial(flat, dict(g.terms)) for g in I.gens]
-    return IdealHandle(flat, gens, max_basis=I.max_basis, max_degree=I.max_degree)
-
+# pruning helper
 
 def prune_coordinate_variables(I):
-    """Remove variables that appear as pure generators of I.
+    """Remove variables that appear as pure generators of I, over a ring
+    graded totally.
 
     A generator c*x_i lets us mod out x_i: every other generator loses its
     x_i-terms and the variable leaves the ring.  The quotient ring, its
     associated primes, dimensions, and multiplicities are unchanged, while
     Ext computations shrink dramatically (important when I = m, where the
-    whole x-block dies in GG).
+    whole x-block dies in GG).  A bigraded I comes back over the totally
+    graded ring of its surviving variables even when nothing is pruned; a
+    graded I with nothing to prune comes back as it is.
     """
     ring = I.ring
     gens = list(I.gens)
@@ -66,7 +61,7 @@ def prune_coordinate_variables(I):
         alive.remove(kill)
         if len(alive) == 0:
             break
-    if len(alive) == ring.nvars:
+    if len(alive) == ring.nvars and not ring.is_bigraded:
         return I
     if not alive:
         # everything died: the quotient is the base field k = k[v]/(v)
@@ -86,11 +81,10 @@ def prune_coordinate_variables(I):
 # reports
 
 class AdegReport:
-    """Per-dimension arithmetic degrees with provenance per entry."""
+    """Per-dimension arithmetic degrees."""
 
-    def __init__(self, entries, provenance):
+    def __init__(self, entries):
         self.entries = dict(entries)          # i -> int or MultiplicityVector
-        self.provenance = dict(provenance)    # i -> str
 
     def value(self, i):
         return self.entries.get(i, 0)
@@ -140,12 +134,7 @@ def adeg_report_ext(M):
     """Ext-route arithmetic degrees for every dimension 0..n."""
     pres = as_presentation(M)
     n = pres.ring.nvars
-    entries = {}
-    prov = {}
-    for i in range(n + 1):
-        entries[i] = adeg_graded(pres, i)
-        prov[i] = "ext"
-    report = AdegReport(entries, prov)
+    report = AdegReport({i: adeg_graded(pres, i) for i in range(n + 1)})
     d = dimension(pres)
     report.check_invariants(d, d >= 0)
     return report
@@ -153,10 +142,7 @@ def adeg_report_ext(M):
 
 def adeg_report_monomial(I):
     """Standard-pair route for a monomial ideal (ground truth)."""
-    values = adeg_monomial(I)
-    entries = {i: v for i, v in enumerate(values)}
-    prov = {i: "standard-pairs" for i in entries}
-    return AdegReport(entries, prov)
+    return AdegReport(enumerate(adeg_monomial(I)))
 
 
 def biadeg(M, i):
@@ -185,10 +171,8 @@ def gmult(J, I, i):
 def gmult_report(J, I):
     gg = cached_gg(J, I)
     d = dimension(gg.ideal)
-    entries = {}
-    for i in range(max(d, 0) + 1):
-        entries[i] = ee_vector(gg.ideal, i)
-    return AdegReport(entries, {i: "gg" for i in entries})
+    return AdegReport({i: ee_vector(gg.ideal, i)
+                       for i in range(max(d, 0) + 1)})
 
 
 def ladeg(J, I, i, meta=None):
@@ -283,8 +267,9 @@ def _adeg_of_ring_quotient(J, meta):
 
 
 def _adeg_of_graded_ideal(I):
-    """Ext-route adeg table of a quotient by a totally graded ideal,
-    after pruning dead coordinate variables.
+    """Ext-route adeg table of a quotient by an ideal graded by total
+    degree (a bigraded I is read totally graded), after pruning dead
+    coordinate variables.
 
     Generator lists are canonicalized through the reduced Groebner basis
     first: an ideal can be graded even when handed redundant inhomogeneous
@@ -315,9 +300,9 @@ def verify(J, I, meta=None, label=None):
     ring = J.ring
     gg = cached_gg(J, I)
 
-    # theorem: LHS via Ext on the total regrading of GG
-    gg_total = regrade_total(gg.ideal)
-    lhs_table = _adeg_of_graded_ideal(gg_total)
+    # theorem: LHS via Ext on GG read totally graded (pruning drops the
+    # bigrading, and GG's handle keeps its cached Groebner basis)
+    lhs_table = _adeg_of_graded_ideal(gg.ideal)
 
     # RHS: local arithmetic degrees
     dims = max(dimension(J), 0)
@@ -334,9 +319,7 @@ def verify(J, I, meta=None, label=None):
             failures.append("theorem fails at r=%d: %d < %d" % (r, lv, rv))
 
     # corollary 1: adeg_i(gr_I A) >= adeg_i(A)
-    gr = gg.gr
-    gr_total = regrade_total(gr.ideal)
-    cor1_gr = _adeg_of_graded_ideal(gr_total)
+    cor1_gr = _adeg_of_graded_ideal(gg.gr.ideal)
     cor1_a, _prov = _adeg_of_ring_quotient(J, meta)
     for i in sorted(set(cor1_gr) | set(cor1_a)):
         gv = cor1_gr.get(i, 0)

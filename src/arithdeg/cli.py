@@ -260,10 +260,11 @@ def cmd_check(args):
     """Abbreviated invariant suite: ring axioms, Groebner soundness,
     difference calculus, one oracle equivalence, Euler characteristics of
     free resolutions against Hilbert functions, the numerator's sum
-    transform against brute-force counts, and the GG gate's two walks
-    against each other."""
+    transform against brute-force counts, the GG gate's two walks against
+    each other, and the Rees kernel against the substitution into S[t]."""
     import random
-    from .groebner import IdealHandle
+    from .groebner import (IdealHandle, extended_ring, fresh_names, inject,
+                           maximal_ideal)
     from .hilbert import (as_presentation, count_monomials,
                           cumulative_polynomial, hilbert_polynomial,
                           hilbert_value, hilbert_value_bruteforce,
@@ -274,7 +275,8 @@ def cmd_check(args):
     from .rings import RingDescriptor
     from .numerical import NumericalPoly2
     from .adeg import adeg_report_ext, adeg_report_monomial
-    from .constructions import cell_lengths, gate_rectangle, monomial_cell_lengths
+    from .constructions import (cell_lengths, gate_rectangle,
+                                monomial_cell_lengths, rees_kernel)
 
     rng = random.Random(7)
     R = RingDescriptor.graded("x,y,z")
@@ -374,6 +376,20 @@ def cmd_check(args):
         assert (list(monomial_cell_lengths(J, I, rect))
                 == list(cell_lengths(J, I, rect)))
     print("GG gate walks: ok (5 random monomial pairs, antichains = handles)")
+
+    # the Rees kernel's substitution check (run inside rees_kernel, against
+    # J) against the substitution y_j -> t*f_j into S[t] modulo J*S[t]
+    rees_rng = random.Random(23)
+    St = extended_ring(R, fresh_names(R, "t_", 1))
+    t = St.gen(R.nvars)
+    for _ in range(5):
+        J = rand_homogeneous(rees_rng)
+        JSt = IdealHandle(St, [inject(g, St) for g in J.gens])
+        rees = rees_kernel(J, maximal_ideal(R))
+        images = St.gens()[:R.nvars] + [t * inject(f, St) for f in rees.maps]
+        assert all(JSt.contains(g.substitute(St, images))
+                   for g in rees.kernel.gens)
+    print("Rees kernel: ok (5 random J with I = m, substitution into S[t])")
     print("check: all good")
     return EXIT_OK
 

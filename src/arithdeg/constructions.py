@@ -11,7 +11,7 @@ than returning silently wrong output.
 from .errors import AlgebraError, InternalConsistencyError
 from .groebner import (IdealHandle, eliminate, extended_ring, fresh_names,
                        ideal_power, ideal_product, ideal_sum, inject,
-                       intersect, maximal_ideal, project)
+                       intersect, maximal_ideal, project, saturate)
 from .hilbert import (artinian_length, dimension, hilbert_numerator,
                       hilbert_value, monomial_numerator, series_length)
 from .orders import BlockOrder
@@ -56,7 +56,6 @@ def initial_forms_ideal(I, block):
         homogenized.append(Polynomial(big, terms, _clean=False))
     H = IdealHandle(big, homogenized, max_basis=I.max_basis,
                     max_degree=2 * I.max_degree)
-    from .groebner import saturate
     Hs = saturate(H, t)
     order = BlockOrder([t_index], big.nvars)
     basis = Hs.groebner_basis(order)
@@ -107,54 +106,40 @@ def tangent_cone(J):
 class ReesPresentation:
     """Kernel data of S[y] -> (S/J)[t], y_j -> t*f_j."""
 
-    __slots__ = ("base_ring", "extended", "kernel", "maps", "y_indices")
+    __slots__ = ("J", "extended", "kernel", "maps", "y_indices")
 
-    def __init__(self, base_ring, extended, kernel, maps, y_indices):
-        self.base_ring = base_ring
+    def __init__(self, J, extended, kernel, maps, y_indices):
+        self.J = J
         self.extended = extended        # bigraded ring k[x-block; y-block]
         self.kernel = kernel            # IdealHandle in extended
-        self.maps = tuple(maps)         # f_j as polynomials in base_ring
+        self.maps = tuple(maps)         # f_j as polynomials in S = J.ring
         self.y_indices = tuple(y_indices)
 
     def substitution_check(self):
-        """Every kernel generator must vanish under y_j -> t*f_j modulo J."""
-        base = self.base_ring
-        big = extended_ring(base, fresh_names(base, "t_", 1))
-        t = big.gen(big.nvars - 1)
-        images = []
-        pos = 0
-        for i in range(self.extended.nvars):
-            if i in self.y_indices:
-                images.append(t * inject(self.maps[pos], big))
-                pos += 1
-            else:
-                images.append(big.gen(i))
-        jbig = IdealHandle(big, [inject(g, big) for g in self._j_gens()])
+        """Every kernel generator must vanish under y_j -> t*f_j modulo J.
+
+        The y-variables come after the x-variables, so a term c*x^a*y^b
+        maps to c*x^a*prod f_j^(b_j)*t^|b|.  Gathering the terms by
+        y-degree k writes the image as sum F_k*t^k with each F_k in S, and
+        the image vanishes in (S/J)[t] exactly when every F_k lies in J,
+        which J's own cached basis decides.  So this is K inside
+        ker(S[y] -> (S/J)[t]), tested against J itself.
+        """
+        J = self.J
+        nx = J.ring.nvars
         for g in self.kernel.gens:
-            img = g.substitute(big, images)
-            if not jbig.contains(img):
+            parts = {}
+            for m, c in g.terms.items():
+                term = Polynomial(J.ring, {m[:nx]: c}, _clean=False)
+                for f, e in zip(self.maps, m[nx:]):
+                    if e:
+                        term = term * f ** e
+                k = sum(m[nx:])
+                parts[k] = parts[k] + term if k in parts else term
+            if not all(J.contains(F) for F in parts.values()):
                 raise InternalConsistencyError(
                     "Rees kernel generator %r fails the substitution check" % (g,))
         return True
-
-    def _j_gens(self):
-        # generators of J are the kernel elements free of the y-variables
-        out = []
-        for g in self.kernel.gens:
-            if all(all(m[i] == 0 for i in self.y_indices) for m in g.terms):
-                out.append(project_to_base(g, self.base_ring, self.y_indices))
-        return out
-
-
-def project_to_base(g, base_ring, y_indices):
-    ys = set(y_indices)
-    terms = {}
-    for m, c in g.terms.items():
-        if any(m[i] for i in ys):
-            raise AlgebraError("polynomial involves the adjoined variables")
-        mm = tuple(e for i, e in enumerate(m) if i not in ys)
-        terms[mm] = c
-    return Polynomial(base_ring, terms, _clean=False)
 
 
 def _gg_ring(base_ring, count):
@@ -176,33 +161,21 @@ def rees_kernel(J, I):
     work = extended_ring(gg, fresh_names(gg, "t_", 1))
     t_index = work.nvars - 1
     t = work.gen(t_index)
-
-    def lift_base(p):
-        # base ring variables sit first in gg, then in work
-        return inject(_base_to_gg(p, gg), work)
-
+    # the variables of S sit first in gg and in work
     gens = []
     for j, f in enumerate(fs):
         yj = work.gen(y_indices[j])
-        gens.append(yj - t * lift_base(f))
+        gens.append(yj - t * inject(f, work))
     for g in J.gens:
-        gens.append(lift_base(g))
+        gens.append(inject(g, work))
     H = IdealHandle(work, gens, max_basis=J.max_basis,
                     max_degree=2 * J.max_degree)
     E = eliminate(H, [t_index])
     K = IdealHandle(gg, [project(g, gg) for g in E.gens],
                     max_basis=J.max_basis, max_degree=J.max_degree)
-    rees = ReesPresentation(ring, gg, K, fs, y_indices)
+    rees = ReesPresentation(J, gg, K, fs, y_indices)
     rees.substitution_check()
     return rees
-
-
-def _base_to_gg(p, gg):
-    terms = {}
-    nbase = len(gg.x_block)
-    for m, c in p.terms.items():
-        terms[m + (0,) * (gg.nvars - nbase)] = c
-    return Polynomial(gg, terms, _clean=False)
 
 
 class GradedConstruction:
@@ -227,9 +200,9 @@ def assoc_graded(J, I):
     gg = rees.extended
     gens = list(rees.kernel.gens)
     for f in I.gens:
-        gens.append(_base_to_gg(f, gg))
+        gens.append(inject(f, gg))
     for g in J.gens:
-        gens.append(_base_to_gg(g, gg))
+        gens.append(inject(g, gg))
     L = IdealHandle(gg, gens, max_basis=J.max_basis, max_degree=J.max_degree)
     construction = GradedConstruction(gg, L, rees, J, I)
     # dimension transfer gate: dim gr_I(S/J) = dim S/J

@@ -415,9 +415,10 @@ class IdealHandle:
 
     The cache is the one owner of what is computed from the ideal: its
     reduced Groebner bases, the cyclic module S/I
-    (``hilbert.as_presentation``, which takes its basis from here too) and
-    the GG presentations over S/I (``adeg.cached_gg``).  They all live and
-    die with the handle and are computed under its caps.
+    (``hilbert.as_presentation``, which takes its basis from here too),
+    the GG presentations over S/I (``adeg.cached_gg``) and, for monomial
+    ideals, the decomposition and standard pairs (``monomials``).  They all
+    live and die with the handle and are computed under its caps.
     """
 
     __slots__ = ("ring", "gens", "max_basis", "max_degree", "_cache")

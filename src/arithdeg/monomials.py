@@ -104,9 +104,15 @@ def standard_pairs(I):
 
     Candidate monomials range over the box bounded by the maximal generator
     exponents: a pair with a larger exponent in some free variable is never
-    maximal.  Maximality is then enforced by pairwise cell comparison.
+    maximal.  Maximality is then enforced by pairwise cell comparison.  The
+    set is computed once per handle and kept in its cache; each call
+    returns a fresh list.
     """
     _require_monomial(I)
+    return list(I._cached("standard_pairs", lambda: _standard_pairs(I)))
+
+
+def _standard_pairs(I):
     gens = minimal_generators(I)
     n = I.ring.nvars
     if any(not any(g) for g in gens):
@@ -132,7 +138,7 @@ def standard_pairs(I):
             continue
         pairs.append(p)
     pairs.sort(key=StandardPair.key)
-    return pairs
+    return tuple(pairs)
 
 
 def adeg_monomial(I):
@@ -276,8 +282,13 @@ class MonomialDecomposition:
 
 def decompose(I):
     """Irreducible and primary decomposition of a proper monomial ideal,
-    with associated and embedded primes."""
+    with associated and embedded primes, computed once per handle and kept
+    in its cache."""
     _require_monomial(I)
+    return I._cached("decompose", lambda: _decompose(I))
+
+
+def _decompose(I):
     gens = minimal_generators(I)
     n = I.ring.nvars
     if any(not any(g) for g in gens):
@@ -322,11 +333,11 @@ def decompose(I):
 
 
 def associated_primes(I):
-    return decompose(I).associated_primes
+    return list(decompose(I).associated_primes)
 
 
 def embedded_primes(I):
-    return decompose(I).embedded_primes
+    return list(decompose(I).embedded_primes)
 
 
 def m_leq_monomial(I, i):

@@ -4,7 +4,7 @@ import pytest
 
 from arithdeg.adeg import (adeg_graded, adeg_report_ext, adeg_report_monomial,
                            biadeg, cached_gg, gmult, ladeg,
-                           prune_coordinate_variables, regrade_total, verify)
+                           prune_coordinate_variables, verify)
 from arithdeg.errors import UnsupportedInputError
 from arithdeg.groebner import (IdealHandle, ideal_power, ideal_sum,
                                maximal_ideal)
@@ -115,9 +115,8 @@ def test_prop_sum(R):
     ]
     for J, I in cases:
         gg = cached_gg(J, I)
-        gr_total = regrade_total(gg.gr.ideal)
-        gr_total = IdealHandle(gr_total.ring, list(gr_total.groebner_basis()))
-        pruned = prune_coordinate_variables(gr_total)
+        gr = IdealHandle(gg.gr.ring, list(gg.gr.ideal.groebner_basis()))
+        pruned = prune_coordinate_variables(gr)
         d = dimension(pruned)
         for i in range(d + 1):
             e_i = classical_multiplicity(pruned, i)
@@ -216,6 +215,14 @@ def test_prune_coordinate_variables(R):
     assert dimension(pruned) == dimension(I)
     # pruning is invisible to adeg
     assert adeg_report_ext(pruned).value(0) == adeg_report_ext(I).value(0)
+    # a bigraded ideal with nothing to prune comes back graded totally
+    B = RingDescriptor.bigraded("x", "y")
+    bx, by = B.gens()
+    G = IdealHandle(B, [bx * by, by ** 2 + bx ** 2])
+    flat = prune_coordinate_variables(G)
+    assert not flat.ring.is_bigraded
+    assert flat.ring.names == B.names
+    assert [g.terms for g in flat.gens] == [g.terms for g in G.gens]
 
 
 def test_cached_gg_lives_on_the_handles(R):

@@ -1,20 +1,22 @@
 """Tangent cones, Rees kernels, associated graded rings, GG, and the
 bifiltration length oracles."""
 
+import random
 import re
 
 import pytest
 
 import arithdeg.constructions as constructions_mod
 import arithdeg.groebner as groebner_mod
-from arithdeg.constructions import (BigradedPresentation, assoc_graded,
-                                    bifiltration_length,
+from arithdeg.constructions import (BigradedPresentation, ReesPresentation,
+                                    assoc_graded, bifiltration_length,
                                     gg_presentation, h11_direct,
                                     initial_forms_ideal,
                                     monomial_cell_lengths, rees_kernel,
                                     relative_length, tangent_cone)
 from arithdeg.errors import AlgebraError, InternalConsistencyError
-from arithdeg.groebner import (IdealHandle, ideal_power, ideal_product,
+from arithdeg.groebner import (IdealHandle, extended_ring, fresh_names,
+                               ideal_power, ideal_product, inject,
                                ideal_sum, maximal_ideal)
 from arithdeg.hilbert import (artinian_length, dimension, h11_table,
                               hilbert_value)
@@ -332,3 +334,71 @@ def test_substitution_check_runs(R):
     x, y = R.gens()
     rk = rees_kernel(IdealHandle(R, [y ** 2 - x ** 3]), maximal_ideal(R))
     assert rk.substitution_check()
+
+
+def _maps_into_j(rees, g):
+    """Reference route: y_j -> t*f_j into S[t] by Polynomial.substitute,
+    then membership in J*S[t]."""
+    S = rees.J.ring
+    St = extended_ring(S, fresh_names(S, "t_", 1))
+    t = St.gen(S.nvars)
+    images = St.gens()[:S.nvars] + [t * inject(f, St) for f in rees.maps]
+    JSt = IdealHandle(St, [inject(h, St) for h in rees.J.gens])
+    return JSt.contains(g.substitute(St, images))
+
+
+def _with_kernel(rees, gens):
+    return ReesPresentation(rees.J, rees.extended,
+                            IdealHandle(rees.extended, gens), rees.maps,
+                            rees.y_indices)
+
+
+def test_substitution_check_catches_a_generator_outside_the_kernel(R):
+    x, y = R.gens()
+    rk = rees_kernel(IdealHandle(R, [y ** 2 - x ** 3]), maximal_ideal(R))
+    gg = rk.extended
+    q1 = gg.gen(rk.y_indices[0])
+    # the image of q1 - f_1 is (t - 1)*f_1: zero at t = 1, not in (S/J)[t]
+    for extra in (q1 - gg.gen(0), q1 - inject(rk.maps[0], gg)):
+        bad = _with_kernel(rk, list(rk.kernel.gens) + [extra])
+        assert not _maps_into_j(bad, extra)
+        with pytest.raises(InternalConsistencyError):
+            bad.substitution_check()
+
+
+def test_substitution_check_agrees_with_substitution_into_s_t():
+    """On seeded homogeneous J in Q[x,y,z], with I = m or a random monomial
+    ideal, the check against J passes and raises together with the
+    reference route, on the kernel itself and with one generator
+    perturbed by a term q_j*x_i."""
+    rng = random.Random(15)
+    R3 = RingDescriptor.graded("x,y,z")
+
+    def rand_form(d):
+        mons = [(a, b, d - a - b) for a in range(d + 1) for b in range(d + 1 - a)]
+        return sum((R3.monomial(rng.choice(mons), rng.randint(1, 3))
+                    for _ in range(rng.randint(1, 3))), R3.zero())
+
+    raised = 0
+    for k in range(20):
+        J = IdealHandle(R3, [rand_form(rng.randint(2, 3))
+                             for _ in range(rng.randint(1, 2))])
+        I = maximal_ideal(R3) if k % 2 == 0 else IdealHandle(R3, [
+            R3.monomial(tuple(rng.randint(0, 2) for _ in range(3)))
+            for _ in range(rng.randint(1, 2))])
+        rk = rees_kernel(J, I)                  # runs the check: passes
+        assert all(_maps_into_j(rk, g) for g in rk.kernel.gens)
+        gg = rk.extended
+        gens = list(rk.kernel.gens)
+        pick = rng.randrange(len(gens))
+        gens[pick] = gens[pick] + (gg.gen(rng.choice(rk.y_indices))
+                                   * gg.gen(rng.randrange(3)))
+        bad = _with_kernel(rk, gens)
+        reference = all(_maps_into_j(bad, g) for g in bad.kernel.gens)
+        try:
+            passed = bad.substitution_check()
+        except InternalConsistencyError:
+            passed = False
+        assert passed == reference
+        raised += not passed
+    assert 0 < raised < 20

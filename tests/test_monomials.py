@@ -8,7 +8,8 @@ from arithdeg.errors import WrongOracleError
 from arithdeg.groebner import IdealHandle
 from arithdeg.hilbert import artinian_length, dimension
 from arithdeg.monomials import (StandardPair, adeg_monomial,
-                                check_standard_cover, decompose,
+                                associated_primes, check_standard_cover,
+                                decompose, embedded_primes,
                                 local_length_by_pairs, m_leq_monomial,
                                 minimal_generators, monomial_intersection,
                                 standard_pairs)
@@ -95,6 +96,21 @@ def test_decompose_irreducible(R):
     assert len(dec.components) == 1
     assert dec.components[0].bounds == {0: 2}
     assert dec.associated_primes == [frozenset({0})]
+
+
+def test_decomposition_and_pairs_live_on_the_handle(R):
+    """One decomposition and one standard-pair set per handle, and no
+    caller can change what the handle keeps."""
+    x, y = R.gens()
+    I = IdealHandle(R, [x ** 2, x * y])
+    assert decompose(I) is decompose(I)
+    assert decompose(IdealHandle(R, I.gens)) is not decompose(I)
+    pairs = standard_pairs(I)
+    pairs.clear()
+    assert standard_pairs(I) and standard_pairs(I) is not standard_pairs(I)
+    for primes in (associated_primes, embedded_primes):
+        primes(I).clear()
+        assert primes(I)
 
 
 def test_decompose_intersection_exact():
