@@ -1,17 +1,23 @@
 """Tangent cones, Rees kernels, associated graded rings, and the double
 construction GG = gr_m(gr_I).
 
-Initial forms are computed by homogenization: balance the block degree with
-a fresh variable t, saturate by t, take a Groebner basis for a t-dominant
-weight order, then dehomogenize and keep lowest forms.  Every construction
-is gated by an independent length oracle and errors out on mismatch rather
-than returning silently wrong output.
+Initial forms are computed by homogenization: balance the block degree of
+each generator with a fresh variable t, take one Groebner basis for an order
+in which the t-degree dominates, and keep the terms of top t-degree.  No
+saturation by t is needed: some t-power times the homogenization of any
+element of the ideal lies in the homogenized generators' ideal, and the lead
+of a homogeneous element is a t-power times the lead of its lowest block
+form (Lazard's argument; Greuel and Pfister, A Singular Introduction to
+Commutative Algebra, 1.7).  Every construction is gated by an independent
+length oracle and errors out on mismatch rather than returning silently
+wrong output.
 """
 
-from .errors import AlgebraError, InternalConsistencyError
+from .errors import (AlgebraError, InternalConsistencyError,
+                     UnsupportedInputError)
 from .groebner import (IdealHandle, eliminate, extended_ring, fresh_names,
                        ideal_power, ideal_product, ideal_sum, inject,
-                       intersect, maximal_ideal, project, saturate)
+                       intersect, maximal_ideal, project)
 from .hilbert import (artinian_length, dimension, hilbert_numerator,
                       hilbert_value, monomial_numerator, series_length)
 from .orders import BlockOrder
@@ -29,50 +35,36 @@ def _block_degree(m, block):
 def initial_forms_ideal(I, block):
     """Ideal of lowest block-degree forms of all elements of I.
 
-    Homogenize each generator in the block grading with a trailing t,
-    saturate by t (this recovers the full homogenization), and compute a
-    Groebner basis for an order in which the t-degree dominates: initial
-    forms w.r.t. that weight are exactly t-power times the lowest block
-    forms, so dehomogenizing the basis at t = 1 and taking lowest forms
-    generates the initial-form ideal.
+    Homogenize each generator in the block grading with a trailing t and
+    take one Groebner basis G of these forms H for the order in which the
+    t-degree dominates and degrevlex breaks ties.  No saturation by t is
+    needed (Lazard; Greuel and Pfister, A Singular Introduction to
+    Commutative Algebra, 1.7): for f in I some t^r*f^h lies in H, and the
+    lead of a (block + t)-homogeneous polynomial is a power of t times the
+    degrevlex lead of its lowest block form.  So the terms of top t-degree
+    of each element of G, with t dropped, are a degrevlex Groebner basis of
+    the initial-form ideal.
     """
     ring = I.ring
     if I.is_zero():
         return IdealHandle(ring, [])
     block = tuple(sorted(block))
     big = extended_ring(ring, fresh_names(ring, "t_", 1))
-    t_index = big.nvars - 1
-    t = big.gen(t_index)
+    t_index = ring.nvars
     homogenized = []
     for g in I.gens:
-        gb = inject(g, big)
-        top = max(_block_degree(m, block) for m in gb.terms)
-        terms = {}
-        for m, c in gb.terms.items():
-            d = _block_degree(m, block)
-            mm = list(m)
-            mm[t_index] = top - d
-            terms[tuple(mm)] = c
-        homogenized.append(Polynomial(big, terms, _clean=False))
+        top = max(_block_degree(m, block) for m in g.terms)
+        homogenized.append(Polynomial(
+            big, {m + (top - _block_degree(m, block),): c
+                  for m, c in g.terms.items()}, _clean=False))
     H = IdealHandle(big, homogenized, max_basis=I.max_basis,
                     max_degree=2 * I.max_degree)
-    Hs = saturate(H, t)
-    order = BlockOrder([t_index], big.nvars)
-    basis = Hs.groebner_basis(order)
     out = []
-    for g in basis:
-        deh = _dehomogenize(g, ring, t_index)
-        if deh:
-            out.append(deh.initial_block_form(block))
+    for g in H.groebner_basis(BlockOrder([t_index], big.nvars)):
+        top = max(m[t_index] for m in g.terms)
+        out.append(Polynomial(ring, {m[:t_index]: c for m, c in g.terms.items()
+                                     if m[t_index] == top}, _clean=False))
     return IdealHandle(ring, out, max_basis=I.max_basis, max_degree=I.max_degree)
-
-
-def _dehomogenize(g, small_ring, t_index):
-    terms = {}
-    for m, c in g.terms.items():
-        mm = m[:t_index]
-        terms[mm] = terms.get(mm, 0) + c
-    return Polynomial(small_ring, terms)
 
 
 def tangent_cone(J):
@@ -205,8 +197,13 @@ def assoc_graded(J, I):
         gens.append(inject(g, gg))
     L = IdealHandle(gg, gens, max_basis=J.max_basis, max_degree=J.max_degree)
     construction = GradedConstruction(gg, L, rees, J, I)
-    # dimension transfer gate: dim gr_I(S/J) = dim S/J
-    if dimension(L) != dimension(J):
+    # dimension transfer gate: dim gr_I(S/J) = dim S/J, except that
+    # gr_I(S/J) = 0 when J + I = (1), which is an input outside the theory
+    dim_L, dim_J = dimension(L), dimension(J)
+    if dim_L < 0 <= dim_J:
+        raise UnsupportedInputError(
+            "J + I is the unit ideal, so gr_I(S/J) is zero")
+    if dim_L != dim_J:
         raise InternalConsistencyError(
             "dimension changed across the associated graded construction")
     return construction

@@ -269,11 +269,12 @@ class MonomialDecomposition:
 
     def __init__(self, ring, components, primary, associated, minimal_primes):
         self.ring = ring
-        self.components = components
-        self.primary = primary            # list of (support, gens)
-        self.associated_primes = associated      # list of frozensets
-        self.minimal_primes = minimal_primes
-        self.embedded_primes = [p for p in associated if p not in minimal_primes]
+        self.components = tuple(components)
+        self.primary = tuple((supp, tuple(gens)) for supp, gens in primary)
+        self.associated_primes = tuple(associated)      # frozensets
+        self.minimal_primes = tuple(minimal_primes)
+        self.embedded_primes = tuple(p for p in associated
+                                     if p not in minimal_primes)
 
     def __repr__(self):
         return ("MonomialDecomposition(%d components, primes=%r)"

@@ -67,30 +67,6 @@ class NumericalPoly1:
     def top_coefficient(self):
         return self.coeffs[-1] if self.coeffs else 0
 
-    def sum_transform(self):
-        """Polynomial whose value at m is sum_{u<=m} of this one: uses
-        C(m+1, i+1) = C(m, i+1) + C(m, i)."""
-        out = {}
-        for i, c in enumerate(self.coeffs):
-            out[i + 1] = out.get(i + 1, 0) + c
-            out[i] = out.get(i, 0) + c
-        size = max(out) + 1 if out else 0
-        return NumericalPoly1([out.get(i, 0) for i in range(size)])
-
-    def difference(self, t=1):
-        """Delta^t in binomial basis, re-expanded over C(m, i)."""
-        if t < 0:
-            raise AlgebraError("negative difference order")
-        out = {}
-        for i, c in enumerate(self.coeffs):
-            if c == 0 or i < t:
-                continue
-            for l, w in _shift_coeffs(t, i - t, i - t).items():
-                if w:
-                    out[l] = out.get(l, 0) + c * w
-        size = max(out) + 1 if out else 0
-        return NumericalPoly1([out.get(i, 0) for i in range(size)])
-
     def __repr__(self):
         if not self.coeffs:
             return "NumericalPoly1(0)"
@@ -183,25 +159,6 @@ class NumericalPoly2:
                     if w:
                         out[(l, r)] = out.get((l, r), 0) + a * w
         return NumericalPoly2(out)
-
-    def sum_transform(self, axes="both"):
-        """Cumulative-sum polynomial along the first, second, or both axes."""
-        if axes not in ("first", "second", "both"):
-            raise AlgebraError("axes must be first, second, or both")
-        out = self
-        if axes in ("first", "both"):
-            acc = {}
-            for (i, j), a in out.coeffs.items():
-                acc[(i + 1, j)] = acc.get((i + 1, j), 0) + a
-                acc[(i, j)] = acc.get((i, j), 0) + a
-            out = NumericalPoly2(acc)
-        if axes in ("second", "both"):
-            acc = {}
-            for (i, j), a in out.coeffs.items():
-                acc[(i, j + 1)] = acc.get((i, j + 1), 0) + a
-                acc[(i, j)] = acc.get((i, j), 0) + a
-            out = NumericalPoly2(acc)
-        return out
 
     def top_coefficients(self, q):
         """The vector (c_{0,q}, ..., c_{t,q-t}, ..., c_{q,0})."""

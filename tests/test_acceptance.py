@@ -3,6 +3,7 @@ and enforcing the stated runtime budget.  Exact arithmetic everywhere, so
 every comparison is on-the-nose equality.
 """
 
+import hashlib
 import json
 import random
 import time
@@ -23,6 +24,10 @@ from arithdeg.modules import ext_presentation
 from arithdeg.numerical import NumericalPoly2, interpolate_poly1
 from arithdeg.orders import DegRevLex
 from arithdeg.rings import RingDescriptor
+
+
+CORPUS_JSON_SHA256 = (
+    "2608f716c851c128bd625b6684537898bb3d1eb384f5f4eaee800a3b7edfa783")
 
 
 def _report(name, elapsed, budget):
@@ -327,5 +332,11 @@ def test_criterion_9_determinism():
         assert main(["corpus", "--parallel", "1", "--json", a]) == 0
         assert main(["corpus", "--parallel", "1", "--json", b]) == 0
         assert open(a).read() == open(b).read()
+        # The serial corpus JSON, the same under any PYTHONHASHSEED and
+        # with --parallel 2.  A change that alters corpus output on purpose
+        # updates this digest and says so in CHANGES.md.
+        with open(a, "rb") as fh:
+            digest = hashlib.sha256(fh.read()).hexdigest()
+        assert digest == CORPUS_JSON_SHA256
     _report("9 corpus determinism (byte-identical)",
             time.monotonic() - started, 1200)

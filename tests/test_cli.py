@@ -65,6 +65,19 @@ def test_bad_option_value_is_a_parse_error(tmp_path, option):
     assert "Traceback" not in proc.stderr
 
 
+def test_unit_pair_is_an_input_error(tmp_path):
+    """J + I = (1) is reported as an input error, exit code 1, with the
+    condition named on stderr."""
+    src = tmp_path / "unit.ses"
+    src.write_text("ring S = Q[x,y];\nideal J = x^2*y;\n"
+                   "ideal I = -2*x*y^2 - 1;\ntask gg J I;\n")
+    proc = subprocess.run([sys.executable, "-m", "arithdeg.cli", "run", "-i",
+                           str(src)], capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert "J + I is the unit ideal" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_missing_file_exit_code(tmp_path):
     assert main(["run", "-i", str(tmp_path / "absent.ses")]) == 1
 

@@ -14,13 +14,16 @@ from arithdeg.constructions import (BigradedPresentation, ReesPresentation,
                                     initial_forms_ideal,
                                     monomial_cell_lengths, rees_kernel,
                                     relative_length, tangent_cone)
-from arithdeg.errors import AlgebraError, InternalConsistencyError
+from arithdeg.errors import (AlgebraError, InternalConsistencyError,
+                             UnsupportedInputError)
+from arithdeg.fields import GF, QQ
 from arithdeg.groebner import (IdealHandle, extended_ring, fresh_names,
                                ideal_power, ideal_product, inject,
-                               ideal_sum, maximal_ideal)
+                               ideal_sum, maximal_ideal, saturate)
 from arithdeg.hilbert import (artinian_length, dimension, h11_table,
                               hilbert_value)
-from arithdeg.rings import RingDescriptor
+from arithdeg.orders import BlockOrder
+from arithdeg.rings import Polynomial, RingDescriptor
 
 
 @pytest.fixture
@@ -328,6 +331,109 @@ def test_initial_forms_block(R):
     I = IdealHandle(R, [x + y ** 2])
     forms = initial_forms_ideal(I, [0])
     assert forms.equals(IdealHandle(R, [y ** 2]))
+
+
+def _saturated_initial_forms(I, block):
+    """Reference route for initial_forms_ideal: homogenize in the block
+    grading with a trailing t, saturate by t, take the t-first basis,
+    dehomogenize at t = 1 and keep the lowest block forms."""
+    ring, n = I.ring, I.ring.nvars
+    big = extended_ring(ring, fresh_names(ring, "t_", 1))
+    homogenized = []
+    for g in I.gens:
+        top = max(sum(m[i] for i in block) for m in g.terms)
+        homogenized.append(Polynomial(big, {
+            m + (top - sum(m[i] for i in block),): c
+            for m, c in g.terms.items()}))
+    Hs = saturate(IdealHandle(big, homogenized), big.gen(n))
+    forms = []
+    for g in Hs.groebner_basis(BlockOrder([n], big.nvars)):
+        dehomogenized = sum((ring.monomial(m[:n], c) for m, c in g.terms.items()),
+                            ring.zero())
+        if dehomogenized:
+            forms.append(dehomogenized.initial_block_form(block))
+    return IdealHandle(ring, forms)
+
+
+def _random_polynomial(rng, ring, max_deg=3, max_terms=3, min_deg=0):
+    poly = ring.zero()
+    for _ in range(rng.randint(1, max_terms)):
+        exps = [0] * ring.nvars
+        for _ in range(rng.randint(min_deg, max_deg)):
+            exps[rng.randrange(ring.nvars)] += 1
+        poly = poly + ring.monomial(exps, rng.randint(-3, 3))
+    return poly
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=["Q", "Zp7"])
+def test_initial_forms_match_the_saturated_route(field):
+    """One basis of the homogenized generators gives the same initial-form
+    ideal as the saturated route, on seeded inhomogeneous ideals with block
+    = all variables."""
+    rng = random.Random(16)
+    R3 = RingDescriptor.graded("x,y,z", field=field)
+    block = range(3)
+    checked = 0
+    for _ in range(15):
+        I = IdealHandle(R3, [_random_polynomial(rng, R3)
+                             for _ in range(rng.randint(1, 3))])
+        if I.is_zero() or I.is_homogeneous():
+            continue
+        forms = initial_forms_ideal(I, block)
+        assert forms.equals(_saturated_initial_forms(I, tuple(block)))
+        checked += 1
+    assert checked >= 10
+
+
+def test_initial_forms_of_assoc_graded_match_the_saturated_route():
+    """On the x-block of gr_I(S/J) for seeded pairs with J + I inside m,
+    so proper, the one-basis route and the saturated route give the same
+    ideal, and on most pairs that ideal is not gr_I(S/J)'s own."""
+    rng = random.Random(61)
+    R2 = RingDescriptor.graded("x,y")
+    checked = changed = 0
+    while checked < 10:
+        J = IdealHandle(R2, [_random_polynomial(rng, R2, min_deg=1)
+                             for _ in range(rng.randint(0, 2))])
+        I = IdealHandle(R2, [_random_polynomial(rng, R2, max_deg=2, min_deg=1)
+                             for _ in range(rng.randint(1, 2))])
+        if I.is_zero():
+            continue
+        gr = assoc_graded(J, I)
+        block = gr.ring.x_block
+        forms = initial_forms_ideal(gr.ideal, block)
+        assert forms.equals(_saturated_initial_forms(gr.ideal, tuple(block)))
+        changed += not forms.equals(gr.ideal)
+        checked += 1
+    assert changed >= 5
+
+
+def test_initial_forms_take_one_basis(R, monkeypatch):
+    """initial_forms_ideal runs Buchberger once: no saturation and no
+    elimination."""
+    x, y = R.gens()
+    calls = []
+    buchberger = groebner_mod.buchberger
+
+    def counted(*args, **kw):
+        calls.append(1)
+        return buchberger(*args, **kw)
+    monkeypatch.setattr(groebner_mod, "buchberger", counted)
+    forms = initial_forms_ideal(IdealHandle(R, [x ** 2 + y ** 3, x * y]),
+                                range(2))
+    assert len(calls) == 1
+    assert forms.equals(IdealHandle(R, [x ** 2, x * y, y ** 4]))
+
+
+def test_unit_pair_is_an_input_error(R):
+    """J + I = (1) makes gr_I(S/J) zero: the dimension gate reports it as
+    an input outside the theory, not as an internal inconsistency."""
+    x, y = R.gens()
+    for J, I in ((IdealHandle(R, [x ** 2 * y]),
+                  IdealHandle(R, [-2 * x * y ** 2 - 1])),
+                 (IdealHandle(R, []), IdealHandle(R, [R.one()]))):
+        with pytest.raises(UnsupportedInputError, match=r"J \+ I"):
+            gg_presentation(J, I)
 
 
 def test_substitution_check_runs(R):

@@ -87,7 +87,7 @@ def test_decompose_radical(R):
     x, y = R.gens()
     dec = decompose(IdealHandle(R, [x * y]))
     assert sorted(map(sorted, dec.associated_primes)) == [[0], [1]]
-    assert dec.embedded_primes == []
+    assert dec.embedded_primes == ()
 
 
 def test_decompose_irreducible(R):
@@ -95,7 +95,7 @@ def test_decompose_irreducible(R):
     dec = decompose(IdealHandle(R, [x ** 2]))
     assert len(dec.components) == 1
     assert dec.components[0].bounds == {0: 2}
-    assert dec.associated_primes == [frozenset({0})]
+    assert dec.associated_primes == (frozenset({0}),)
 
 
 def test_decomposition_and_pairs_live_on_the_handle(R):
@@ -111,6 +111,18 @@ def test_decomposition_and_pairs_live_on_the_handle(R):
     for primes in (associated_primes, embedded_primes):
         primes(I).clear()
         assert primes(I)
+
+
+def test_cached_decomposition_is_immutable(R):
+    """The decomposition kept on the handle holds tuples, so no caller can
+    empty what later callers read."""
+    x, y = R.gens()
+    I = IdealHandle(R, [x ** 2, x * y])
+    before = associated_primes(I)
+    with pytest.raises(AttributeError):
+        decompose(I).associated_primes.clear()
+    assert associated_primes(I) == before
+    assert sorted(map(sorted, before)) == [[0], [0, 1]]
 
 
 def test_decompose_intersection_exact():

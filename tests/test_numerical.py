@@ -52,49 +52,10 @@ def test_difference_matches_pointwise(coeffs):
             assert D01(mm, nn) == P(mm, nn) - P(mm, nn - 1)
 
 
-def test_sum_transform_constant():
-    one = NumericalPoly2({(0, 0): 1})
-    st10 = one.sum_transform("first")
-    st11 = one.sum_transform("both")
-    for i in range(5):
-        for j in range(5):
-            assert st10(i, j) == i + 1
-            assert st11(i, j) == (i + 1) * (j + 1)
-
-
-def test_sum_transform_binomial_identity():
-    h = NumericalPoly2({(0, 1): 1})   # C(n, 1)
-    st11 = h.sum_transform("both")
-    for i in range(5):
-        for j in range(5):
-            assert st11(i, j) == (i + 1) * binom(j + 1, 2)
-
-
-@settings(max_examples=40, deadline=None)
-@given(COEFFS)
-def test_sum_transform_matches_cumulative(coeffs):
-    P = NumericalPoly2(coeffs)
-    S = P.sum_transform("both")
-    for i in range(4):
-        for j in range(4):
-            direct = sum(P(u, v) for u in range(i + 1) for v in range(j + 1))
-            assert S(i, j) == direct
-
-
 def test_interpolation_round_trip():
     P1 = NumericalPoly1([3, -2, 5])
     values = [P1(m) for m in range(4, 12)]
     assert interpolate_poly1(values[:5], 4) == P1
-
-
-def test_one_var_transforms():
-    P = NumericalPoly1([1, 2, 3])
-    S = P.sum_transform()
-    for k in range(6):
-        assert S(k) == sum(P(u) for u in range(k + 1))
-    D = P.difference(1)
-    for k in range(-2, 6):
-        assert D(k) == P(k) - P(k - 1)
 
 
 def test_multiplicity_vector():
