@@ -101,6 +101,23 @@ def _spot_check_basis(I):
                                      "reduce to zero")
 
 
+def _spot_check_module_basis(vecs, morder):
+    """The module basis of vecs, after asserting the Buchberger criterion
+    on it with the Fraction S-vectors of every same-component pair; the
+    engine's own pair route (which schreyer_syzygies also takes) is not
+    used to check itself."""
+    from .modules import module_buchberger, module_normal_form, s_vector
+    basis = module_buchberger(vecs, morder)
+    comps = [g.leading_term(morder)[0][0] for g in basis]
+    for i in range(len(basis)):
+        for j in range(i + 1, len(basis)):
+            if comps[i] == comps[j] and module_normal_form(
+                    s_vector(basis[i], basis[j], morder), basis, morder):
+                raise AssertionError("S-vector of a returned basis did not "
+                                     "reduce to zero")
+    return basis
+
+
 def _run_entry(entry):
     script = entry.script()
     handles = ideal_handles(script)
@@ -270,7 +287,7 @@ def cmd_check(args):
                           hilbert_value, hilbert_value_bruteforce,
                           monomials_of_degree)
     from .modules import (PositionOverTerm, Vec, free_resolution,
-                          module_buchberger, schreyer_syzygies)
+                          schreyer_syzygies)
     from .fields import GF
     from .rings import RingDescriptor
     from .numerical import NumericalPoly2
@@ -303,8 +320,9 @@ def cmd_check(args):
     for _ in range(10):
         vecs = [Vec.from_polys(R, (rand_poly(), rand_poly()))
                 for _ in range(rng.randint(1, 3))]
-        # raises unless every same-component S-vector reduces to zero
-        schreyer_syzygies(module_buchberger(vecs, morder), morder)
+        # raises unless every same-component S-vector reduces to zero, on
+        # Fractions and on the engine's pair route
+        schreyer_syzygies(_spot_check_module_basis(vecs, morder), morder)
     print("Buchberger criterion: ok (10 random submodules of S^2)")
 
     for _ in range(25):

@@ -10,7 +10,12 @@ tail-reduced) and canonically sorted, so every computation is reproducible
 byte for byte.  The division loop works on Python ints for every field and
 order: terms packed into ints whose linear keys add under multiplication,
 coefficients over Q as numerators over one common denominator, over Z/p as
-residues; it returns field elements.
+residues; it returns field elements.  An S-pair enters the same loop as int
+numerators over lcm(L_f, L_g), built from the two elements' integer forms,
+and never exists as Fractions; a new basis element leaves it monic, with
+its integer form read off the same ints.  ``s_polynomial`` (and
+``modules.s_vector``) build S-elements on Fractions: they are the oracle
+that checks a returned basis, not the engine's route.
 """
 
 from bisect import insort
@@ -46,11 +51,13 @@ _POLY = _Terms(mono_div, mono_mul, mono_lcm,
                True, "Groebner")
 
 
-def _s_element(f, lf, g, lg, ops):
-    """(qf, qg, terms): the S-element qf*f/cf - qg*g/cg of f and g, whose
-    leads lf = (tf, cf) and lg = (tg, cg) lie in one component, with
-    qf*tf = qg*tg the lcm of tf and tg."""
-    (tf, cf), (tg, cg) = lf, lg
+def _s_element(f, g, order, ops):
+    """Terms of the S-element qf*f/cf - qg*g/cg of f and g, whose leads
+    (tf, cf) and (tg, cg) lie in one component, with qf*tf = qg*tg the lcm
+    of tf and tg.  It works on Fractions and is the reference that checks
+    of a returned basis use (s_polynomial, modules.s_vector); the engine
+    never builds an S-element (_divide_pair)."""
+    (tf, cf), (tg, cg) = f.leading_term(order), g.leading_term(order)
     lcm = ops.lcm(tf, tg)
     qf, qg = ops.div(lcm, tf), ops.div(lcm, tg)
     one = f.ring.field.one
@@ -63,7 +70,7 @@ def _s_element(f, lf, g, lg, ops):
             terms[t] = s
         else:
             del terms[t]
-    return qf, qg, terms
+    return terms
 
 
 def _flat(key):
@@ -157,21 +164,8 @@ def _divide(terms, basis, leads, order, ops, quotients=None, forms=None):
     and _int_form, filled by the divisions that need them; whoever keeps a
     basis keeps its slots beside it.  A basis of single terms takes no
     steps: a term goes to the quotient at the first lead dividing it, or to
-    the remainder.  Other divisions run on packed terms, with the packer
-    ring.memo keeps for the order; when a term outgrows it, ring.memo gets
-    one of twice the width and the division starts again.
-
-    work holds int numerators over one common denominator D.  pending holds
-    the packed terms of work, ascending, so the pop is the largest term of
-    work; a cancelled term stays in work at zero until popped.  Over Z/p,
-    work holds residues over D = 1 and a popped numerator is reduced mod p.
-    Over Q, work keeps the input Fractions until the first step, and a term
-    popped before it goes to the remainder as it is (a quarter of the corpus
-    divisions take no step).  Dividing a popped numerator n by (rest, L, d)
-    subtracts n/L times the form: with h = gcd(n, L), work and D are scaled
-    by a = L/h when a != 1, then (n/h)*q*rest is subtracted.  A remainder
-    term is field(n, D) at the D of its pop, and a quotient
-    field(n*d, D*L)."""
+    the remainder.  Other divisions run _divide_packed (see _packed_run);
+    an S-element enters the same loop through _divide_pair instead."""
     if all(len(g.terms) == 1 for g in basis):
         remainder = {}
         for t in sorted(terms, key=order.key, reverse=True):
@@ -186,39 +180,136 @@ def _divide(terms, basis, leads, order, ops, quotients=None, forms=None):
                 if c:
                     remainder[t] = c
         return remainder
-    ring, rank = basis[0].ring, getattr(basis[0], "rank", None)
-    memo_key = ("packer", order, rank)
-    packer = ring.memo.get(memo_key) or _Packer(order, ring.nvars, rank)
-    ring.memo[memo_key] = packer
-    try:
-        remainder, steps = _divide_packed(
-            terms, basis, leads, packer, forms or [None] * len(basis),
-            quotients is not None)
-    except OverflowError:
-        ring.memo[memo_key] = _Packer(order, ring.nvars, rank,
-                                      2 * packer.width)
-        return _divide(terms, basis, leads, order, ops, quotients, forms)
-    for (k, q), c in steps.items():
-        kq = (k, packer.unpack(q)[1] if packer.vectors else packer.unpack(q))
-        quotients[kq] = quotients.get(kq, 0) + c
-    return {packer.unpack(t): c for t, c in remainder}
 
-
-def _divide_packed(terms, basis, leads, packer, forms, with_quotients):
-    """The loop of _divide on packed terms: the remainder as a list of
-    (packed term, value), and the quotients keyed by (k, packed q)."""
     field = basis[0].ring.field
+
+    def start(packer, forms):
+        if field.characteristic:
+            return {packer.pack(t): c.value for t, c in terms.items()}, 1
+        return {packer.pack(t): c for t, c in terms.items()}, 0
+    packer, remainder = _packed_run(start, basis, leads, order, quotients,
+                                    forms)
+    return {packer.unpack(t): field(n, D) if D else n
+            for t, n, D in remainder}
+
+
+def _divide_pair(i, j, basis, leads, order, ops, quotients=None, forms=None):
+    """Divide the S-element of basis[i] and basis[j], whose leads lie in
+    one component, by basis, and return the remainder made monic, as
+    _monic_form gives it; quotients as _divide adds them.  The S-element is
+    never built: it enters the loop as int numerators over
+    D = lcm(Li, Lj), where (rest, L, d) is an element's _int_form.  f/cf is
+    t + rest/L for f's lead (t, cf), so with q the lcm of the leads over t,
+    packed, work is q + u -> c*(D/L) over rest_i minus the same over
+    rest_j.  That is L, not d: they agree only for monic elements.  Over
+    Z/p, L = D = 1.  Two single terms leave the S-element zero."""
+    if len(basis[i].terms) == len(basis[j].terms) == 1:
+        return None
+    lcm_term = ops.lcm(leads[i][0], leads[j][0])
+
+    def start(packer, forms):
+        top = packer.pack(lcm_term)
+        (si, (rest_i, Li, _)), (sj, (rest_j, Lj, _)) = (
+            _slot_form(basis, leads, forms, i), _slot_form(basis, leads, forms, j))
+        D = lcm(Li, Lj)
+        q, a = top - si, D // Li
+        work = {q + u: c * a for u, c in rest_i}
+        q, a = top - sj, D // Lj
+        for u, c in rest_j:
+            u += q
+            work[u] = work.get(u, 0) - c * a
+        if any(u & packer.guards for u in work):
+            raise OverflowError
+        return work, D
+    return _monic_form(*_packed_run(start, basis, leads, order, quotients,
+                                    forms), basis[0].ring.field)
+
+
+def _packed_run(start, basis, leads, order, quotients, forms):
+    """Run _divide_packed from start(packer, forms), which packs the
+    dividend as (work, D), with the packer ring.memo keeps for the order;
+    when a term outgrows it, ring.memo gets one of twice the width and the
+    division starts again.  Adds the quotients into quotients, as field
+    elements, and returns the packer and the packed remainder."""
+    ring, rank = basis[0].ring, getattr(basis[0], "rank", None)
+    field = ring.field
+    memo_key = ("packer", order, rank)
+    forms = forms or [None] * len(basis)
+    while True:
+        packer = ring.memo.get(memo_key) or _Packer(order, ring.nvars, rank)
+        ring.memo[memo_key] = packer
+        try:
+            remainder, steps = _divide_packed(start, basis, leads, packer,
+                                              forms, quotients is not None)
+            break
+        except OverflowError:
+            ring.memo[memo_key] = _Packer(order, ring.nvars, rank,
+                                          2 * packer.width)
+    for k, q, n, D in steps:
+        kq = (k, packer.unpack(q)[1] if packer.vectors else packer.unpack(q))
+        quotients[kq] = quotients.get(kq, 0) + field(n, D)
+    return packer, remainder
+
+
+def _monic_form(packer, remainder, field):
+    """(terms, slot) of the monic element of a packed remainder of int
+    numerators, or None when it is zero: its terms, and its forms slot
+    with the _int_form of the monic element read off the same ints.  Over
+    Q the numerators are brought to the D of the last pop, which every
+    earlier D divides, and divided by their gcd, signed so that the lead
+    L > 0; then d = L.  Over Z/p they are divided by the lead, L = d = 1."""
+    if not remainder:
+        return None
     p = field.characteristic
+    if p:
+        inv = pow(remainder[0][1], -1, p)
+        ns = [n * inv % p for _, n, _ in remainder]
+    else:
+        top = remainder[-1][2]
+        ns = [n * (top // D) for _, n, D in remainder]
+        g = gcd(*ns)
+        ns = [n // g for n in ns] if ns[0] > 0 else [-n // g for n in ns]
+    L = ns[0]
+    ts = [t for t, _, _ in remainder]
+    terms = {packer.unpack(t): field(n, L) for t, n in zip(ts, ns)}
+    return terms, (packer, ts[0], (list(zip(ts[1:], ns[1:])), L, L))
+
+
+def _slot_form(basis, leads, forms, k):
+    """(packed lead, _int_form) of basis[k], from its slot, which holds
+    the packed lead; the form is made and kept there on first use."""
+    packer, s, form = forms[k]
+    if form is None:
+        form = _int_form(basis[k], leads[k], packer.pack)
+        forms[k] = (packer, s, form)
+    return s, form
+
+
+def _divide_packed(start, basis, leads, packer, forms, with_quotients):
+    """The loop of _divide on packed terms, from (work, D) = start(packer,
+    forms): the remainder as a list of (packed term, n, D) and the quotient
+    steps as a list of (k, packed q, numerator, denominator); no field
+    element is built here but the Fractions a dividend over Q brings.
+
+    work holds int numerators over one common denominator D.  pending holds
+    the packed terms of work, ascending, so the pop is the largest term of
+    work; a cancelled term stays in work at zero until popped.  Over Z/p,
+    work holds residues over D = 1 and a popped numerator is reduced mod p.
+    Over Q, a dividend given as terms keeps its Fractions in work, with
+    D = 0, until the first step, and a term popped before it goes to the
+    remainder as it is (a quarter of the corpus divisions take no step).
+    Dividing a popped numerator n by (rest, L, d) subtracts n/L times the
+    form: with h = gcd(n, L), work and D are scaled by a = L/h when a != 1,
+    then (n/h)*q*rest is subtracted.  A remainder term is n/D at the D of
+    its pop (n itself when D = 0), and a quotient n*d/(D*L)."""
+    p = basis[0].ring.field.characteristic
     for k, slot in enumerate(forms):
         if slot is None or slot[0] is not packer:
             forms[k] = (packer, packer.pack(leads[k][0]), None)
     heads = [slot[1] for slot in forms]
     G = packer.guards
-    remainder, steps = [], {}
-    if p:
-        work, D = {packer.pack(t): c.value for t, c in terms.items()}, 1
-    else:
-        work, D = {packer.pack(t): c for t, c in terms.items()}, 0
+    remainder, steps = [], []
+    work, D = start(packer, forms)
     pending = sorted(work)
     while pending:
         t = pending.pop()
@@ -232,21 +323,17 @@ def _divide_packed(terms, basis, leads, packer, forms, with_quotients):
             if (tg - s) & G == G:
                 break
         else:
-            remainder.append((t, field(n, D) if D else n))
+            remainder.append((t, n, D))
             continue
         if not D:
             D = lcm(n.denominator, *[c.denominator for c in work.values()])
             n = n.numerator * (D // n.denominator)
             work = {u: c.numerator * (D // c.denominator)
                     for u, c in work.items()}
-        form = forms[k][2]
-        if form is None:
-            form = _int_form(basis[k], leads[k], packer.pack)
-            forms[k] = (packer, s, form)
-        rest, L, d = form
+        rest, L, d = forms[k][2] or _slot_form(basis, leads, forms, k)[1]
         q = t - s
         if with_quotients:
-            steps[(k, q)] = steps.get((k, q), 0) + field(n * d, D * L)
+            steps.append((k, q, n * d, D * L))
         if L != 1:
             h = gcd(n, L)
             a = L // h
@@ -328,13 +415,16 @@ def _reduce(G, order, ops, nf=None):
 
 def _groebner(gens, order, ops, nf, max_basis, max_degree):
     """Reduced Groebner basis of the span of gens (nonzero elements of one
-    kind): sugar strategy, Gebauer-Moeller pairs, S-elements divided by
-    nf(s, basis, order, leads, forms), where leads[k] is the (lead term,
-    coefficient) pair of basis[k] and forms holds a slot per element for
-    _divide.  sugar[k] is a generator's degree, or the sugar of the pair
-    that made basis[k]; a pair's sugar is the larger of sugar[i] + deg(qi)
-    and sugar[j] + deg(qj), with qi*lead_i = qj*lead_j their lcm, and pairs
-    go by (sugar, lcm key)."""
+    kind): sugar strategy, Gebauer-Moeller pairs, each pair divided by
+    _divide_pair as int numerators over lcm(L_i, L_j), with no S-element
+    built; a nonzero remainder joins the basis monic, with its forms slot
+    filled.  leads[k] is the (lead term, coefficient) pair of basis[k] and
+    forms holds a slot per element for the division loop.  The final
+    interreduction divides by nf(f, basis, order, leads, forms).  sugar[k]
+    is a generator's degree, or the sugar of the pair that made basis[k]; a
+    pair's sugar is the larger of sugar[i] + deg(qi) and sugar[j] +
+    deg(qj), with qi*lead_i = qj*lead_j their lcm, and pairs go by (sugar,
+    lcm key)."""
     G = [f.monic(order) for f in gens]
     leads = [f.leading_term(order) for f in G]
     sugar = [f.degree() for f in G]
@@ -356,17 +446,19 @@ def _groebner(gens, order, ops, nf, max_basis, max_degree):
                                     order.key(lcm))
         i, j = min(P, key=pair_key.__getitem__)
         P.remove((i, j))
-        s = _s_element(G[i], leads[i], G[j], leads[j], ops)
-        r = nf(ops.make(G[i], s[2]), G, order, leads, forms)
-        if r:
+        got = _divide_pair(i, j, G, leads, order, ops, None, forms)
+        if got:
+            terms, slot = got
+            r = ops.make(G[i], terms)
             if r.degree() > max_degree:
                 raise ResourceLimitError(
                     "%s degree cap %d exceeded" % (ops.name, max_degree),
                     basis_size=len(G), degree=r.degree())
-            G.append(r.monic(order))
-            leads.append(G[-1].leading_term(order))
+            G.append(r)
+            t = next(iter(terms))
+            leads.append((t, terms[t]))
             sugar.append(pair_key[(i, j)][0])
-            forms.append(None)
+            forms.append(slot)
             P = _update_pairs(P, leads, len(G) - 1, order.key, ops)
             if len(G) > max_basis:
                 raise ResourceLimitError(
@@ -376,8 +468,9 @@ def _groebner(gens, order, ops, nf, max_basis, max_degree):
 
 
 def s_polynomial(f, g, order):
-    s = _s_element(f, f.leading_term(order), g, g.leading_term(order), _POLY)
-    return Polynomial(f.ring, s[2], _clean=False)
+    """The S-polynomial of f and g, on Fractions: the oracle for the
+    Buchberger criterion on a returned basis, not the engine's route."""
+    return Polynomial(f.ring, _s_element(f, g, order, _POLY), _clean=False)
 
 
 def normal_form(f, basis, order, leads=None, forms=None):

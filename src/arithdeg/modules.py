@@ -17,7 +17,7 @@ not valid for modules.
 from .errors import (AlgebraError, HomogeneityError, InternalConsistencyError,
                      RingMismatchError)
 from .groebner import (DEFAULT_MAX_BASIS, DEFAULT_MAX_DEGREE, _divide,
-                       _groebner, _reduce, _s_element, _Terms)
+                       _divide_pair, _groebner, _reduce, _s_element, _Terms)
 from .orders import DegRevLex, TermOrder
 from .rings import (Polynomial, deg_add, minimal_monomials, mono_div,
                     mono_lcm, mono_mul, terms_key)
@@ -190,6 +190,13 @@ def module_normal_form(v, basis, morder, leads=None, forms=None):
                                        None, forms), _clean=False)
 
 
+def s_vector(v, w, morder):
+    """The S-vector of v and w, whose leads lie in one component, on
+    Fractions: the oracle for the Buchberger criterion on a returned
+    basis, like groebner.s_polynomial, not the engine's route."""
+    return Vec(v.ring, v.rank, _s_element(v, w, morder, _VEC), _clean=False)
+
+
 def module_buchberger(vecs, morder, max_basis=DEFAULT_MAX_BASIS,
                       max_degree=DEFAULT_MAX_DEGREE):
     """Reduced Groebner basis of the submodule generated by vecs."""
@@ -202,8 +209,9 @@ def schreyer_syzygies(G, morder):
 
     Every same-component S-pair contributes the syzygy
     m_i E_i - m_j E_j - sum q_k E_k where the S-vector divides out as
-    sum q_k g_k.  The result generates the full syzygy module and is a
-    Groebner basis for the returned Schreyer order.
+    sum q_k g_k; the division takes the engine's pair route, so the
+    S-vector is never built.  The result generates the full syzygy module
+    and is a Groebner basis for the returned Schreyer order.
     """
     ring = G[0].ring if G else None
     leads = [g.leading_term(morder) for g in G]
@@ -216,13 +224,14 @@ def schreyer_syzygies(G, morder):
             (cj, _), coefj = leads[j]
             if ci != cj:
                 continue
-            qi, qj, s = _s_element(G[i], leads[i], G[j], leads[j], _VEC)
-            # s divides out as sum q_k g_k; its two defining terms minus
-            # those quotients are the syzygy
+            # the S-vector divides out as sum q_k g_k; its two defining
+            # terms minus those quotients are the syzygy
             quotients = {}
-            if _divide(s, G, leads, morder, _VEC, quotients, forms):
+            if _divide_pair(i, j, G, leads, morder, _VEC, quotients, forms):
                 raise InternalConsistencyError(
                     "S-vector of a Groebner basis did not reduce to zero")
+            lcm = _vec_lcm(leads[i][0], leads[j][0])
+            qi, qj = _vec_div(lcm, leads[i][0]), _vec_div(lcm, leads[j][0])
             one = ring.field.one
             cof = {(i, qi): one / coefi, (j, qj): -(one / coefj)}
             for key, val in quotients.items():

@@ -344,15 +344,6 @@ class Polynomial:
             return -1
         return max(self.ring.degree(m) for m in self.terms)
 
-    def initial_block_form(self, block):
-        """Sum of terms of minimal total exponent over the given variable block."""
-        if not self.terms:
-            raise ZeroPolynomialError("initial form of the zero polynomial")
-        block = tuple(block)
-        low = min(sum(m[i] for i in block) for m in self.terms)
-        kept = {m: c for m, c in self.terms.items() if sum(m[i] for i in block) == low}
-        return Polynomial(self.ring, kept, _clean=False)
-
     def coefficient(self, m):
         return self.terms.get(tuple(m), self.ring.field.zero)
 

@@ -181,6 +181,29 @@ def test_check_command():
     assert main(["check"]) == 0
 
 
+def test_spot_checks_catch_a_pair_route_that_drops_remainders(monkeypatch):
+    """The Buchberger-criterion checks form their S-elements on Fractions
+    (s_polynomial, s_vector), not on the engine's pair route: when that
+    route reports every pair as reducing to zero, the bases it leaves are
+    not Groebner bases, and both checks raise."""
+    import arithdeg.cli as cli_mod
+    import arithdeg.groebner as groebner_mod
+    from arithdeg.groebner import IdealHandle
+    from arithdeg.modules import PositionOverTerm, Vec
+    from arithdeg.rings import RingDescriptor
+    R = RingDescriptor.graded("x,y")
+    x, y = R.gens()
+    vecs = [Vec.from_polys(R, (x, y)), Vec.from_polys(R, (y, x))]
+    gens = [x ** 2 + y, x * y + 1]
+    cli_mod._spot_check_module_basis(vecs, PositionOverTerm())
+    cli_mod._spot_check_basis(IdealHandle(R, gens))
+    monkeypatch.setattr(groebner_mod, "_divide_pair", lambda *args: None)
+    with pytest.raises(AssertionError):
+        cli_mod._spot_check_module_basis(vecs, PositionOverTerm())
+    with pytest.raises(AssertionError):
+        cli_mod._spot_check_basis(IdealHandle(R, gens))
+
+
 def test_corpus_parallel_order_stable(tmp_path, monkeypatch):
     """Assembly order does not depend on completion order."""
     import arithdeg.cli as cli_mod

@@ -351,7 +351,10 @@ def _saturated_initial_forms(I, block):
         dehomogenized = sum((ring.monomial(m[:n], c) for m, c in g.terms.items()),
                             ring.zero())
         if dehomogenized:
-            forms.append(dehomogenized.initial_block_form(block))
+            low = min(sum(m[i] for i in block) for m in dehomogenized.terms)
+            forms.append(Polynomial(ring, {
+                m: c for m, c in dehomogenized.terms.items()
+                if sum(m[i] for i in block) == low}))
     return IdealHandle(ring, forms)
 
 

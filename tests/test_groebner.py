@@ -14,8 +14,9 @@ from hypothesis import given, seed, settings, strategies as st
 from arithdeg.errors import (InvalidDivisorError, ResourceLimitError,
                              RingMismatchError)
 from arithdeg.fields import GF, QQ, PrimeFieldElement
-from arithdeg.groebner import (_POLY, IdealHandle, _divide, _Packer,
-                               _poly_sort_key, buchberger, eliminate,
+from arithdeg.groebner import (_POLY, IdealHandle, _divide, _divide_pair,
+                               _int_form, _Packer, _poly_sort_key,
+                               _s_element, buchberger, eliminate,
                                exact_divide, ideal_product, ideal_quotient,
                                ideal_sum, intersect, maximal_ideal,
                                normal_form, s_polynomial, saturate,
@@ -779,3 +780,148 @@ def test_exact_divide_over_q_recovers_factor(h_terms, f_terms):
     h, f = Polynomial(R3, h_terms), Polynomial(R3, f_terms)
     for order in (DegRevLex(), Lex()):
         assert exact_divide(h * f, f, order) == h
+
+
+def _assert_pair_divides_like_reference(i, j, basis, order, ops, forms=None):
+    """_divide_pair of basis[i] and basis[j] gives the quotients that
+    _divide gives on the Fraction S-element, and its remainder made monic,
+    term for term and in the same order, with a slot holding the packed
+    lead and the _int_form of that monic remainder.  Returns the pair
+    route's result."""
+    leads = [g.leading_term(order) for g in basis]
+    quotients, expected_quotients = {}, {}
+    got = _divide_pair(i, j, basis, leads, order, ops, quotients, forms)
+    expected = _divide(_s_element(basis[i], basis[j], order, ops), basis,
+                       leads, order, ops, expected_quotients)
+    assert quotients == expected_quotients
+    if not expected:
+        assert got is None
+        return got
+    terms, (packer, lead, form) = got
+    monic = ops.make(basis[i], expected).monic(order)
+    assert terms == monic.terms
+    assert list(terms) == list(monic.terms)
+    assert lead == packer.pack(monic.leading_term(order)[0])
+    assert form == _int_form(monic, monic.leading_term(order), packer.pack)
+    return got
+
+
+@st.composite
+def _pair_inputs(draw):
+    """(basis, order, ops) over Q, Z/7 or Z/32003: 2-4 polynomials in
+    Q[x,y,z], or vectors of rank 2 or 3 under PositionOverTerm.  Each
+    element is scaled by a/b with a >= 2 over Q (a residue of 2..9 over
+    Z/p), so leads are not monic and an element's L differs from its d;
+    the elements share a factor often enough that some S-elements reduce
+    to zero."""
+    from arithdeg.modules import _VEC, PositionOverTerm, Vec
+    field = draw(st.sampled_from([QQ, GF(7), GF(32003)]))
+    R3 = RingDescriptor.graded("x,y,z", field=field)
+    if field.characteristic:
+        coeff = st.integers(-9, 9).map(field).filter(bool)
+        scales = st.integers(2, 9).map(field)
+    else:
+        coeff = _COEFF
+        scales = st.builds(Fraction, st.integers(2, 9), st.integers(1, 7))
+    inner = draw(st.sampled_from([Lex(), DegRevLex(),
+                                  WeightedDegRevLex([1, 2, 3])]))
+    rank = draw(st.sampled_from([None, 2, 3]))
+    if rank is None:
+        term, ops, order = _MONO, _POLY, inner
+
+        def make(terms):
+            return Polynomial(R3, terms)
+    else:
+        term, ops = st.tuples(st.integers(0, rank - 1), _MONO), _VEC
+        order = PositionOverTerm(inner)
+
+        def make(terms):
+            return Vec(R3, rank, terms)
+    common = draw(st.dictionaries(term, coeff, min_size=1, max_size=3))
+    basis = []
+    for _ in range(draw(st.integers(2, 4))):
+        terms = draw(st.dictionaries(term, coeff, min_size=1, max_size=3))
+        if draw(st.booleans()):
+            # a multiple of one shared element
+            m = draw(_MONO)
+            terms = {ops.mul(m, t): c for t, c in common.items()}
+        scale = draw(scales)
+        g = make({t: scale * c for t, c in terms.items()})
+        if g:
+            basis.append(g)
+    return basis, order, ops
+
+
+@seed(1717)
+@settings(max_examples=200, deadline=None)
+@given(_pair_inputs())
+def test_pair_route_matches_the_fraction_s_element(inputs):
+    """Every same-component pair, divided by _divide_pair with its slots
+    kept across pairs, leaves the remainder and the quotients (the
+    Schreyer quotients for vectors) of _divide on the Fraction S-element,
+    over Q, Z/7 and Z/32003, on non-monic leads."""
+    basis, order, ops = inputs
+    leads = [g.leading_term(order) for g in basis]
+    forms = [None] * len(basis)
+    for i in range(len(basis)):
+        for j in range(i + 1, len(basis)):
+            if ops.lcm(leads[i][0], leads[j][0]) is not None:
+                _assert_pair_divides_like_reference(i, j, basis, order, ops,
+                                                    forms)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7), GF(32003)],
+                         ids=["Q", "Zp7", "Zp32003"])
+def test_pair_route_scales_by_l_not_d(field):
+    """2*x^2 + 3*y and 5*x*y + 7 have d = 1 and L = 2, 5 over Q (over Z/p,
+    L = 1 and d is the inverse of the lead): a pair scaled by d would leave
+    the wrong remainder.  Their S-element does not reduce to zero."""
+    R2 = RingDescriptor.graded("x,y", field=field)
+    order = DegRevLex()
+    basis = [parse_polynomial(R2, "2*x^2 + 3*y"),
+             parse_polynomial(R2, "5*x*y + 7")]
+    packer = _Packer(order, 2)
+    for g in basis:
+        _, L, d = _int_form(g, g.leading_term(order), packer.pack)
+        assert L != d
+    assert _assert_pair_divides_like_reference(0, 1, basis, order, _POLY)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7), GF(32003)],
+                         ids=["Q", "Zp7", "Zp32003"])
+def test_pair_route_work_cancelling_to_zero(field):
+    """2*x*(x + y) and 3*y*(x + y): y*f/2 - x*g/3 cancels term by term, so
+    the pair's work is all zeros, with no remainder and no quotient; the
+    same for the rank-2 vectors that carry them in component 1 and
+    another such pair in component 0."""
+    from arithdeg.modules import _VEC, PositionOverTerm, Vec
+    R2 = RingDescriptor.graded("x,y", field=field)
+    x, y = R2.gens()
+    f, g = 2 * x * (x + y), 3 * y * (x + y)
+    assert _assert_pair_divides_like_reference(0, 1, [f, g], DegRevLex(),
+                                               _POLY) is None
+    zero = R2.zero()
+    vecs = [Vec.from_polys(R2, (zero, f)), Vec.from_polys(R2, (zero, g)),
+            Vec.from_polys(R2, (x * f, f)), Vec.from_polys(R2, (x * g, g))]
+    morder = PositionOverTerm()
+    for i, j in ((0, 1), (2, 3)):
+        assert _assert_pair_divides_like_reference(i, j, vecs, morder,
+                                                   _VEC) is None
+
+
+def test_lex_pair_outgrowing_the_width_restarts_wider():
+    """Under lex the pair of x^2 - 3*y^100 and 2*x*y^50 + z has the lcm
+    x^2*y^50, and y^50 times y^100 outgrows the first width (exponents up
+    to 127) while the work is built: the pair route starts again at twice
+    the width, with the reference's remainder and quotients."""
+    order = Lex()
+    R3 = RingDescriptor.graded("x,y,z")
+    basis = [parse_polynomial(R3, "x^2 - 3*y^100"),
+             parse_polynomial(R3, "2*x*y^50 + z")]
+    assert R3.memo.get(("packer", order, None)) is None
+    leads = [g.leading_term(order) for g in basis]
+    forms = [None] * len(basis)
+    assert _divide_pair(0, 1, basis, leads, order, _POLY, None, forms)
+    assert R3.memo[("packer", order, None)].width == 16
+    assert all(slot[0] is R3.memo[("packer", order, None)] for slot in forms)
+    _assert_pair_divides_like_reference(0, 1, basis, order, _POLY)
