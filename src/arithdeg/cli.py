@@ -86,12 +86,29 @@ def cmd_run(args):
     return EXIT_OK
 
 
+def _assert_reduced(basis, order, div):
+    """Assert that basis is reduced: every lead coefficient is 1 and no
+    term of an element, its lead included, is divisible by another
+    element's lead.  div is rings.mono_div or modules._vec_div, on the
+    plain term tuples, apart from the engine's packed terms."""
+    leads = [g.leading_term(order) for g in basis]
+    if any(c != g.ring.field.one for g, (_, c) in zip(basis, leads)):
+        raise AssertionError("a returned basis element is not monic")
+    for k, g in enumerate(basis):
+        for i, (s, _) in enumerate(leads):
+            if i != k and any(div(u, s) is not None for u in g.terms):
+                raise AssertionError("a term of a returned basis element is "
+                                     "divisible by another element's lead")
+
+
 def _spot_check_basis(I):
-    """Assert the Buchberger criterion on the ideal's degrevlex basis.  It
-    runs with every corpus entry, whose tasks then reuse the basis, so no
-    corpus run ships an unsound cache; ``check`` runs it on random ideals."""
+    """Assert the Buchberger criterion on the ideal's degrevlex basis, and
+    that the basis is reduced.  It runs with every corpus entry, whose
+    tasks then reuse the basis, so no corpus run ships an unsound cache;
+    ``check`` runs it on random ideals."""
     from .groebner import s_polynomial
     from .orders import DegRevLex
+    from .rings import mono_div
     order = DegRevLex()
     basis = I.groebner_basis(order)
     for i in range(len(basis)):
@@ -99,14 +116,16 @@ def _spot_check_basis(I):
             if I.normal_form(s_polynomial(basis[i], basis[j], order), order):
                 raise AssertionError("S-polynomial of a returned basis did not "
                                      "reduce to zero")
+    _assert_reduced(basis, order, mono_div)
 
 
 def _spot_check_module_basis(vecs, morder):
-    """The module basis of vecs, after asserting the Buchberger criterion
-    on it with the Fraction S-vectors of every same-component pair; the
-    engine's own pair route (which schreyer_syzygies also takes) is not
-    used to check itself."""
-    from .modules import module_buchberger, module_normal_form, s_vector
+    """The module basis of vecs, after asserting that it is reduced and
+    the Buchberger criterion on it with the Fraction S-vectors of every
+    same-component pair; the engine's own pair route (which
+    schreyer_syzygies also takes) is not used to check itself."""
+    from .modules import (_vec_div, module_buchberger, module_normal_form,
+                          s_vector)
     basis = module_buchberger(vecs, morder)
     comps = [g.leading_term(morder)[0][0] for g in basis]
     for i in range(len(basis)):
@@ -115,6 +134,7 @@ def _spot_check_module_basis(vecs, morder):
                     s_vector(basis[i], basis[j], morder), basis, morder):
                 raise AssertionError("S-vector of a returned basis did not "
                                      "reduce to zero")
+    _assert_reduced(basis, morder, _vec_div)
     return basis
 
 

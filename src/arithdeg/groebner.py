@@ -16,6 +16,15 @@ and never exists as Fractions; a new basis element leaves it monic, with
 its integer form read off the same ints.  ``s_polynomial`` (and
 ``modules.s_vector``) build S-elements on Fractions: they are the oracle
 that checks a returned basis, not the engine's route.
+
+The Buchberger loop keeps what it learns to the end of the run: each pair
+is stored with its lcm, sugar and lcm key when it is made, and the final
+interreduction takes the loop's leads and forms slots (packed leads and
+integer forms), so no lead, integer form or normal form is recomputed
+there.  Pairs, heads in the division loop, Schreyer pairs and the
+minimality test are indexed by component: a lead divides only leads in
+its own component, and polynomials have one.  The heads' index lives with
+a basis's slots (_Slots), so a basis builds it once, not per division.
 """
 
 from bisect import insort
@@ -41,12 +50,13 @@ DEFAULT_MAX_DEGREE = 40
 # ``leading_term``, ``monic`` and ``degree``; a _Terms bundle supplies the
 # rest.  div(t, s) is the monomial q with t = q*s, or None; mul(q, t) is q*t;
 # lcm(s, t) is the least common multiple, or None when s and t lie in
-# different components; make(f, terms) builds an element like f.  The
+# different components; comp(t) is t's component (0 for every monomial);
+# make(f, terms) builds an element like f.  The
 # product criterion holds for polynomials only: above rank 1, coprime leads
 # can leave a nonzero S-vector (x*e1 + e2 and y*e1 give y*e2).
-_Terms = namedtuple("_Terms", "div mul lcm make product_criterion name")
+_Terms = namedtuple("_Terms", "div mul lcm comp make product_criterion name")
 
-_POLY = _Terms(mono_div, mono_mul, mono_lcm,
+_POLY = _Terms(mono_div, mono_mul, mono_lcm, lambda t: 0,
                lambda f, terms: Polynomial(f.ring, terms, _clean=False),
                True, "Groebner")
 
@@ -116,6 +126,10 @@ class _Packer:
         self.shifts = range(0, (nvars + 2 * self.vectors) * width, width)
         self.guards = sum(self.bound + 1 << s for s in self.shifts)
         self.top = len(self.shifts) * width
+        # a packed term's component is t >> comp_shift & comp_mask (0 for
+        # every monomial)
+        self.comp_shift, self.comp_mask = ((self.shifts[-2], (1 << width) - 1)
+                                           if self.vectors else (0, 0))
 
     def pack(self, t):
         c, m = t if self.vectors else (0, t)
@@ -131,6 +145,36 @@ class _Packer:
         mask = (1 << self.width) - 1
         fields = tuple(t >> s & mask for s in self.shifts)
         return (fields[-2], fields[:-2]) if self.vectors else fields
+
+
+class _Slots(list):
+    """The forms slots of a basis, one per element: (packer, packed lead,
+    _int_form or None), filled by the divisions that need them; whoever
+    keeps a basis keeps its slots beside it.  heads(packer, leads) is the
+    index of the packed leads by component that _divide_packed looks a
+    popped term up in: a list of (k, packed lead) per component field.  It
+    is kept for one packer and grows with the list, so a basis pays for it
+    once, not per division; for another packer every slot is packed again
+    and the index is rebuilt."""
+
+    __slots__ = ("packer", "index", "indexed")
+
+    def __init__(self, slots):
+        super().__init__(slots)
+        self.packer, self.index, self.indexed = None, {}, 0
+
+    def heads(self, packer, leads):
+        if packer is not self.packer:
+            self.packer, self.index, self.indexed = packer, {}, 0
+        shift, mask = packer.comp_shift, packer.comp_mask
+        for k in range(self.indexed, len(self)):
+            slot = self[k]
+            if slot is None or slot[0] is not packer:
+                slot = self[k] = (packer, packer.pack(leads[k][0]), None)
+            self.index.setdefault(slot[1] >> shift & mask, []).append(
+                (k, slot[1]))
+            self.indexed = k + 1
+        return self.index
 
 
 def _int_form(f, lead, pack):
@@ -160,12 +204,12 @@ def _divide(terms, basis, leads, order, ops, quotients=None, forms=None):
     (lead term, coefficient) pair of basis[k]; no remainder term is
     divisible by a lead, and they come in descending order.  When quotients
     is a dict, each step's quotient r*q*E_k is added into quotients[(k, q)].
-    forms, when given, holds a slot per basis element for its packed lead
-    and _int_form, filled by the divisions that need them; whoever keeps a
-    basis keeps its slots beside it.  A basis of single terms takes no
-    steps: a term goes to the quotient at the first lead dividing it, or to
-    the remainder.  Other divisions run _divide_packed (see _packed_run);
-    an S-element enters the same loop through _divide_pair instead."""
+    forms, when given, is the basis's _Slots, kept by whoever keeps the
+    basis; without it, the division makes its own.  A basis of single
+    terms takes no steps: a term goes to the quotient at the first lead
+    dividing it, or to the remainder.  Other divisions run _divide_packed
+    (see _packed_run); an S-element enters the same loop through
+    _divide_pair instead."""
     if all(len(g.terms) == 1 for g in basis):
         remainder = {}
         for t in sorted(terms, key=order.key, reverse=True):
@@ -234,7 +278,8 @@ def _packed_run(start, basis, leads, order, quotients, forms):
     ring, rank = basis[0].ring, getattr(basis[0], "rank", None)
     field = ring.field
     memo_key = ("packer", order, rank)
-    forms = forms or [None] * len(basis)
+    if forms is None:
+        forms = _Slots([None] * len(basis))
     while True:
         packer = ring.memo.get(memo_key) or _Packer(order, ring.nvars, rank)
         ring.memo[memo_key] = packer
@@ -301,12 +346,13 @@ def _divide_packed(start, basis, leads, packer, forms, with_quotients):
     Dividing a popped numerator n by (rest, L, d) subtracts n/L times the
     form: with h = gcd(n, L), work and D are scaled by a = L/h when a != 1,
     then (n/h)*q*rest is subtracted.  A remainder term is n/D at the D of
-    its pop (n itself when D = 0), and a quotient n*d/(D*L)."""
+    its pop (n itself when D = 0), and a quotient n*d/(D*L).  A popped
+    term is tested only against the heads of its own component, read off
+    its component field in the index the slots keep (_Slots.heads;
+    polynomials have one component)."""
     p = basis[0].ring.field.characteristic
-    for k, slot in enumerate(forms):
-        if slot is None or slot[0] is not packer:
-            forms[k] = (packer, packer.pack(leads[k][0]), None)
-    heads = [slot[1] for slot in forms]
+    heads = forms.heads(packer, leads)
+    shift, mask = packer.comp_shift, packer.comp_mask
     G = packer.guards
     remainder, steps = [], []
     work, D = start(packer, forms)
@@ -319,7 +365,7 @@ def _divide_packed(start, basis, leads, packer, forms, with_quotients):
         if not n:
             continue  # cancelled to zero
         tg = t | G
-        for k, s in enumerate(heads):
+        for k, s in heads.get(t >> shift & mask, ()):
             if (tg - s) & G == G:
                 break
         else:
@@ -354,98 +400,111 @@ def _divide_packed(start, basis, leads, packer, forms, with_quotients):
     return remainder, steps
 
 
-def _update_pairs(P, leads, n, key, ops):
-    """Gebauer-Moeller update of the pair set P when element n, with lead
-    term leads[n][0], joins elements 0..n-1."""
+def _update_pairs(P, members, leads, sugar, n, order, ops, deg):
+    """Gebauer-Moeller update when element n, with lead term t =
+    leads[n][0], joins elements 0..n-1.  P maps a component to its pairs,
+    each (i, j) to the record (sugar, lcm key, i, j, lcm) made here, and
+    members maps a component to the indices of its elements (polynomials
+    have one).  Only t's component is touched: an old pair there is
+    dropped when t divides its stored lcm, unless t spans that lcm with
+    the pair's i or j, and new pairs form with the leads there, one per
+    minimal lcm.  sugar[k] is element k's sugar and deg the ring's degree;
+    a pair's sugar is the larger of sugar[i] + deg(qi) and sugar[j] +
+    deg(qj), with qi*lead_i = qj*lead_j their lcm."""
     t = leads[n][0]
-    lcm_t = [ops.lcm(s, t) for s, _ in leads[:n]]
-
-    def keep(i, j):
-        # drop an old pair whose lcm t divides, unless t spans it with i or j
-        lcm = ops.lcm(leads[i][0], leads[j][0])
-        return ops.div(lcm, t) is None or lcm in (lcm_t[i], lcm_t[j])
-
-    P = {(i, j) for (i, j) in P if keep(i, j)}
+    comp = ops.comp(t)
+    same = members.setdefault(comp, [])
+    lcm_t = {i: ops.lcm(leads[i][0], t) for i in same}
+    pairs = {ij: rec for ij, rec in P.get(comp, {}).items()
+             if ops.div(rec[4], t) is None
+             or rec[4] in (lcm_t[ij[0]], lcm_t[ij[1]])}
     # group the new pairs by lcm, keep one representative per minimal lcm
     groups = {}
-    for i, lcm in enumerate(lcm_t):
-        if lcm is not None:
-            groups.setdefault(lcm, []).append(i)
+    for i, lcm in lcm_t.items():
+        groups.setdefault(lcm, []).append(i)
     minimal = []
-    for lcm in sorted(groups, key=key):
-        if all(ops.div(lcm, m) is None for m in minimal):
-            minimal.append(lcm)
-    for lcm in minimal:
-        members = groups[lcm]
+    for key, lcm in sorted((order.key(lcm), lcm) for lcm in groups):
+        if any(ops.div(lcm, m) is not None for m in minimal):
+            continue
+        minimal.append(lcm)
+        group = groups[lcm]
         # product criterion: skip when some member has a coprime lead
         if ops.product_criterion and any(
-                ops.mul(leads[i][0], t) == lcm for i in members):
+                ops.mul(leads[i][0], t) == lcm for i in group):
             continue
-        P.add((min(members), n))
-    return P
+        i = group[0]
+        pairs[(i, n)] = (max(sugar[i] + deg(ops.div(lcm, leads[i][0])),
+                             sugar[n] + deg(ops.div(lcm, t))), key, i, n, lcm)
+    same.append(n)
+    if pairs:
+        P[comp] = pairs
+    else:
+        P.pop(comp, None)
 
 
-def _reduce(G, order, ops, nf=None):
-    """The minimal part of G, sorted by lead term: an element is dropped when
-    the lead of an earlier one divides its lead.  With nf, each kept element
-    is also divided by the others and made monic, which reduces a Groebner
-    basis."""
-    heads = sorted(((f.leading_term(order), f) for f in G if f),
-                   key=lambda head: order.key(head[0][0]))
-    leads, minimal = [], []
-    for lead, f in heads:
-        if all(ops.div(lead[0], s) is None for s, _ in leads):
-            leads.append(lead)
-            minimal.append(f)
-    if nf is None:
+def _reduce(G, leads, order, ops, forms=None):
+    """The minimal part of G, sorted by lead term, where leads[k] is the
+    (lead term, coefficient) pair of G[k]: an element is dropped when an
+    earlier lead in its component divides its lead.  With forms, the slots
+    of G for the division loop, G is a monic Groebner basis, and each kept
+    element's tail is divided once by the whole minimal part, which
+    reduces it: no tail term, nor any term the division makes from it, is
+    divisible by the element's own lead, which lies above them all."""
+    kept, by_comp = [], {}
+    for k in sorted(range(len(G)), key=lambda k: order.key(leads[k][0])):
+        t = leads[k][0]
+        same = by_comp.setdefault(ops.comp(t), [])
+        if all(ops.div(t, s) is None for s in same):
+            same.append(t)
+            kept.append(k)
+    minimal = [G[k] for k in kept]
+    if forms is None:
         return minimal
-    forms = [None] * len(minimal)
+    leads = [leads[k] for k in kept]
+    forms = _Slots(forms[k] for k in kept)
     reduced = []
-    for k, f in enumerate(minimal):
-        # a single term is reduced already: no other lead divides it
+    for f, (t, c) in zip(minimal, leads):
+        # a single term, or a lone element, is reduced already
         if len(f.terms) > 1 and len(minimal) > 1:
-            # each division gets a slice; its filled slots are kept
-            others = forms[:k] + forms[k + 1:]
-            f = nf(f, minimal[:k] + minimal[k + 1:], order,
-                   leads[:k] + leads[k + 1:], others)
-            forms[:k], forms[k + 1:] = others[:k], others[k:]
-        reduced.append(f.monic(order))
+            tail = dict(f.terms)
+            del tail[t]
+            terms = {t: c}
+            terms.update(_divide(tail, minimal, leads, order, ops, None,
+                                 forms))
+            f = ops.make(f, terms)
+        reduced.append(f)
     return reduced
 
 
-def _groebner(gens, order, ops, nf, max_basis, max_degree):
+def _groebner(gens, order, ops, max_basis, max_degree):
     """Reduced Groebner basis of the span of gens (nonzero elements of one
     kind): sugar strategy, Gebauer-Moeller pairs, each pair divided by
     _divide_pair as int numerators over lcm(L_i, L_j), with no S-element
     built; a nonzero remainder joins the basis monic, with its forms slot
-    filled.  leads[k] is the (lead term, coefficient) pair of basis[k] and
-    forms holds a slot per element for the division loop.  The final
-    interreduction divides by nf(f, basis, order, leads, forms).  sugar[k]
-    is a generator's degree, or the sugar of the pair that made basis[k]; a
-    pair's sugar is the larger of sugar[i] + deg(qi) and sugar[j] +
-    deg(qj), with qi*lead_i = qj*lead_j their lcm, and pairs go by (sugar,
-    lcm key)."""
+    filled.  The loop's state lasts to the end of the run: leads[k] is the
+    (lead term, coefficient) pair of basis[k], forms holds a slot per
+    element for the division loop, sugar[k] is a generator's degree or the
+    sugar of the pair that made basis[k], members and P index the elements
+    and the pairs by component (_update_pairs), and each pair carries its
+    sugar, lcm and lcm key from when it was made.  Pairs go by (sugar, lcm
+    key), then by index.  The final interreduction (_reduce) takes leads
+    and forms as they stand."""
     G = [f.monic(order) for f in gens]
     leads = [f.leading_term(order) for f in G]
     sugar = [f.degree() for f in G]
-    forms = [None] * len(G)
-    P = set()
+    forms = _Slots([None] * len(G))
+    deg = G[0].ring.degree if G else None
+    P, members = {}, {}
     if any(len(f.terms) > 1 for f in G):
         # (single-term elements are a Groebner basis already)
         for n in range(len(G)):
-            P = _update_pairs(P, leads, n, order.key, ops)
-    pair_key = {}
+            _update_pairs(P, members, leads, sugar, n, order, ops, deg)
     while P:
-        deg = G[0].ring.degree
-        for i, j in P:
-            if (i, j) not in pair_key:
-                ti, tj = leads[i][0], leads[j][0]
-                lcm = ops.lcm(ti, tj)
-                pair_key[(i, j)] = (max(sugar[i] + deg(ops.div(lcm, ti)),
-                                        sugar[j] + deg(ops.div(lcm, tj))),
-                                    order.key(lcm))
-        i, j = min(P, key=pair_key.__getitem__)
-        P.remove((i, j))
+        s, _, i, j, lcm = min(min(pairs.values()) for pairs in P.values())
+        comp = ops.comp(lcm)
+        del P[comp][(i, j)]
+        if not P[comp]:
+            del P[comp]
         got = _divide_pair(i, j, G, leads, order, ops, None, forms)
         if got:
             terms, slot = got
@@ -457,14 +516,15 @@ def _groebner(gens, order, ops, nf, max_basis, max_degree):
             G.append(r)
             t = next(iter(terms))
             leads.append((t, terms[t]))
-            sugar.append(pair_key[(i, j)][0])
+            sugar.append(s)
             forms.append(slot)
-            P = _update_pairs(P, leads, len(G) - 1, order.key, ops)
+            _update_pairs(P, members, leads, sugar, len(G) - 1, order, ops,
+                          deg)
             if len(G) > max_basis:
                 raise ResourceLimitError(
                     "%s basis size cap %d exceeded" % (ops.name, max_basis),
                     basis_size=len(G))
-    return _reduce(G, order, ops, nf)
+    return _reduce(G, leads, order, ops, forms)
 
 
 def s_polynomial(f, g, order):
@@ -477,7 +537,7 @@ def normal_form(f, basis, order, leads=None, forms=None):
     """Remainder of f on division by basis; no term of it is divisible
     by a basis leading monomial.  leads, when given, lists the
     (lead monomial, coefficient) pair of each basis element, and forms,
-    when given, a slot per element for _divide."""
+    when given, the basis's _Slots for _divide."""
     if not basis:
         return f
     leads = leads or [g.leading_term(order) for g in basis]
@@ -491,8 +551,8 @@ def buchberger(gens, order, max_basis=DEFAULT_MAX_BASIS,
     gens = list(gens)
     if any(f.ring != gens[0].ring for f in gens):
         raise RingMismatchError("generators over different rings")
-    return _groebner([f for f in gens if f], order, _POLY, normal_form,
-                     max_basis, max_degree)
+    return _groebner([f for f in gens if f], order, _POLY, max_basis,
+                     max_degree)
 
 
 def _poly_sort_key(f, order=DegRevLex()):
@@ -529,6 +589,8 @@ class IdealHandle:
                                         % (g.ring, ring))
             if g:
                 cleaned.append(g)
+        if any(g.is_constant() for g in cleaned):
+            cleaned = [ring.one()]  # a unit ideal, generated by 1
         # canonicalize: drop duplicates and monomial generators made
         # redundant by another monomial generator (same ideal, smaller list)
         one = ring.field.one
@@ -569,7 +631,7 @@ class IdealHandle:
 
         def build():
             leads = [g.leading_term(order) for g in basis]
-            return leads, [None] * len(basis)
+            return leads, _Slots([None] * len(basis))
         leads, forms = self._cached(("leads", order.signature()), build)
         return normal_form(f, basis, order, leads, forms)
 

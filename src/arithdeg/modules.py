@@ -14,10 +14,13 @@ applies as for ideals, and the product criterion is left out, since it is
 not valid for modules.
 """
 
+from operator import itemgetter
+
 from .errors import (AlgebraError, HomogeneityError, InternalConsistencyError,
                      RingMismatchError)
 from .groebner import (DEFAULT_MAX_BASIS, DEFAULT_MAX_DEGREE, _divide,
-                       _divide_pair, _groebner, _reduce, _s_element, _Terms)
+                       _divide_pair, _groebner, _reduce, _s_element, _Slots,
+                       _Terms)
 from .orders import DegRevLex, TermOrder
 from .rings import (Polynomial, deg_add, minimal_monomials, mono_div,
                     mono_lcm, mono_mul, terms_key)
@@ -174,7 +177,7 @@ def _vec_lcm(s, t):
     return (s[0], mono_lcm(s[1], t[1])) if s[0] == t[0] else None
 
 
-_VEC = _Terms(_vec_div, _vec_mul, _vec_lcm,
+_VEC = _Terms(_vec_div, _vec_mul, _vec_lcm, itemgetter(0),
               lambda v, terms: Vec(v.ring, v.rank, terms, _clean=False),
               False, "module Groebner")
 
@@ -182,7 +185,7 @@ _VEC = _Terms(_vec_div, _vec_mul, _vec_lcm,
 def module_normal_form(v, basis, morder, leads=None, forms=None):
     """Division remainder of a vector by a list of vectors; leads, when
     given, lists the (lead term, coefficient) pair of each of them, and
-    forms, when given, a slot per vector for its integer form."""
+    forms, when given, their _Slots (groebner._divide)."""
     if not basis:
         return v
     leads = leads or [g.leading_term(morder) for g in basis]
@@ -200,8 +203,8 @@ def s_vector(v, w, morder):
 def module_buchberger(vecs, morder, max_basis=DEFAULT_MAX_BASIS,
                       max_degree=DEFAULT_MAX_DEGREE):
     """Reduced Groebner basis of the submodule generated by vecs."""
-    return _groebner([v for v in vecs if v], morder, _VEC, module_normal_form,
-                     max_basis, max_degree)
+    return _groebner([v for v in vecs if v], morder, _VEC, max_basis,
+                     max_degree)
 
 
 def schreyer_syzygies(G, morder):
@@ -210,37 +213,44 @@ def schreyer_syzygies(G, morder):
     Every same-component S-pair contributes the syzygy
     m_i E_i - m_j E_j - sum q_k E_k where the S-vector divides out as
     sum q_k g_k; the division takes the engine's pair route, so the
-    S-vector is never built.  The result generates the full syzygy module
-    and is a Groebner basis for the returned Schreyer order.
+    S-vector is never built.  Pairs are taken within each component's
+    group of indices, and one forms slot per element is kept across them.
+    The syzygy's lead m_i E_i is known from the pair, so the minimality
+    test of _reduce recomputes no lead.  The result generates the full
+    syzygy module and is a Groebner basis for the returned Schreyer order.
     """
     ring = G[0].ring if G else None
     leads = [g.leading_term(morder) for g in G]
-    forms = [None] * len(G)
+    forms = _Slots([None] * len(G))
     sorder = SchreyerOrder(morder, [lt for lt, _ in leads])
-    syz = []
-    for i in range(len(G)):
-        (ci, _), coefi = leads[i]
-        for j in range(i + 1, len(G)):
-            (cj, _), coefj = leads[j]
-            if ci != cj:
-                continue
-            # the S-vector divides out as sum q_k g_k; its two defining
-            # terms minus those quotients are the syzygy
-            quotients = {}
-            if _divide_pair(i, j, G, leads, morder, _VEC, quotients, forms):
-                raise InternalConsistencyError(
-                    "S-vector of a Groebner basis did not reduce to zero")
-            lcm = _vec_lcm(leads[i][0], leads[j][0])
-            qi, qj = _vec_div(lcm, leads[i][0]), _vec_div(lcm, leads[j][0])
-            one = ring.field.one
-            cof = {(i, qi): one / coefi, (j, qj): -(one / coefj)}
-            for key, val in quotients.items():
-                cof[key] = cof.get(key, 0) - val
-            vec = Vec(ring, len(G), cof)
-            if vec:
+    groups = {}
+    for k, ((c, _), _) in enumerate(leads):
+        groups.setdefault(c, []).append(k)
+    syz, syz_leads = [], []
+    for group in groups.values():
+        for a, i in enumerate(group):
+            for j in group[a + 1:]:
+                # the S-vector divides out as sum q_k g_k; its two defining
+                # terms minus those quotients are the syzygy
+                quotients = {}
+                if _divide_pair(i, j, G, leads, morder, _VEC, quotients,
+                                forms):
+                    raise InternalConsistencyError(
+                        "S-vector of a Groebner basis did not reduce to zero")
+                lcm = _vec_lcm(leads[i][0], leads[j][0])
+                qi, qj = _vec_div(lcm, leads[i][0]), _vec_div(lcm, leads[j][0])
+                one = ring.field.one
+                cof = {(i, qi): one / leads[i][1],
+                       (j, qj): -(one / leads[j][1])}
+                for key, val in quotients.items():
+                    cof[key] = cof.get(key, 0) - val
+                vec = Vec(ring, len(G), cof)
                 syz.append(vec)
+                # qi*E_i leads: it ties qj*E_j on lcm and wins on i < j,
+                # and each q_k*E_k lies below the lcm
+                syz_leads.append(((i, qi), vec.terms[(i, qi)]))
     # minimalize w.r.t. the Schreyer order (still a basis of the kernel)
-    return _reduce(syz, sorder, _VEC), sorder
+    return _reduce(syz, syz_leads, sorder, _VEC), sorder
 
 
 def syzygies_of(columns, ring, rank,

@@ -243,7 +243,8 @@ class Polynomial:
         return len(self.terms) == 1
 
     def is_constant(self):
-        return not self.terms or set(self.terms) == {self.ring.zero_mono()}
+        return not self.terms or (len(self.terms) == 1
+                                  and self.ring.zero_mono() in self.terms)
 
     def is_homogeneous(self):
         degs = {self.ring.degree(m) for m in self.terms}

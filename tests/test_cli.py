@@ -204,6 +204,35 @@ def test_spot_checks_catch_a_pair_route_that_drops_remainders(monkeypatch):
         cli_mod._spot_check_basis(IdealHandle(R, gens))
 
 
+def test_spot_checks_catch_an_interreduction_that_skips_tails(monkeypatch):
+    """The spot checks also assert that a basis is reduced, on plain term
+    tuples: when the final interreduction keeps the minimal elements but
+    skips their tail division, (x + y, y) and the vectors (x, y), (0, y)
+    keep a tail term divisible by another lead.  Those bases still pass
+    the Buchberger criterion, and both checks raise."""
+    import arithdeg.cli as cli_mod
+    import arithdeg.groebner as groebner_mod
+    from arithdeg.groebner import IdealHandle
+    from arithdeg.modules import PositionOverTerm, Vec
+    from arithdeg.rings import RingDescriptor
+    R = RingDescriptor.graded("x,y")
+    x, y = R.gens()
+    vecs = [Vec.from_polys(R, (x, y)), Vec.from_polys(R, (R.zero(), y))]
+    gens = [x + y, y]
+    assert cli_mod._spot_check_module_basis(vecs, PositionOverTerm()) == [
+        Vec.from_polys(R, (R.zero(), y)), Vec.from_polys(R, (x, R.zero()))]
+    cli_mod._spot_check_basis(IdealHandle(R, gens))
+    reduce = groebner_mod._reduce
+
+    def minimal_only(G, leads, order, ops, forms=None):
+        return reduce(G, leads, order, ops)
+    monkeypatch.setattr(groebner_mod, "_reduce", minimal_only)
+    with pytest.raises(AssertionError, match="divisible by another"):
+        cli_mod._spot_check_module_basis(vecs, PositionOverTerm())
+    with pytest.raises(AssertionError, match="divisible by another"):
+        cli_mod._spot_check_basis(IdealHandle(R, gens))
+
+
 def test_corpus_parallel_order_stable(tmp_path, monkeypatch):
     """Assembly order does not depend on completion order."""
     import arithdeg.cli as cli_mod

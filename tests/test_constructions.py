@@ -371,16 +371,17 @@ def _random_polynomial(rng, ring, max_deg=3, max_terms=3, min_deg=0):
 @pytest.mark.parametrize("field", [QQ, GF(7)], ids=["Q", "Zp7"])
 def test_initial_forms_match_the_saturated_route(field):
     """One basis of the homogenized generators gives the same initial-form
-    ideal as the saturated route, on seeded inhomogeneous ideals with block
-    = all variables."""
+    ideal as the saturated route, on seeded ideals with inhomogeneous
+    generators (unit ideals among them) and block = all variables."""
     rng = random.Random(16)
     R3 = RingDescriptor.graded("x,y,z", field=field)
     block = range(3)
     checked = 0
     for _ in range(15):
-        I = IdealHandle(R3, [_random_polynomial(rng, R3)
-                             for _ in range(rng.randint(1, 3))])
-        if I.is_zero() or I.is_homogeneous():
+        gens = [_random_polynomial(rng, R3) for _ in range(rng.randint(1, 3))]
+        I = IdealHandle(R3, gens)
+        # the drawn generators, since a unit ideal's handle keeps only 1
+        if I.is_zero() or all(g.is_homogeneous() for g in gens):
             continue
         forms = initial_forms_ideal(I, block)
         assert forms.equals(_saturated_initial_forms(I, tuple(block)))
@@ -409,6 +410,20 @@ def test_initial_forms_of_assoc_graded_match_the_saturated_route():
         changed += not forms.equals(gr.ideal)
         checked += 1
     assert changed >= 5
+
+
+def test_unit_initial_forms_ideal_is_generated_by_one():
+    """For J = (-x*y - 3x) and I = (-x + 1) in Q[x,y], J + I is proper
+    (both vanish at x = 0) but the x-block forms of gr_I(S/J)'s ideal
+    generate the unit ideal; a basis element of top t-degree is a nonzero
+    constant, and the handle lists (1) alone, not (1, 1/3*x*y + x^2)."""
+    R2 = RingDescriptor.graded("x,y")
+    gr = assoc_graded(IdealHandle(R2, ["-x*y - 3*x"]),
+                      IdealHandle(R2, ["-x + 1"]))
+    forms = initial_forms_ideal(gr.ideal, gr.ring.x_block)
+    assert forms.gens == (gr.ring.one(),)
+    assert repr(forms) == "(1)"
+    assert forms.is_unit()
 
 
 def test_initial_forms_take_one_basis(R, monkeypatch):

@@ -15,7 +15,7 @@ from arithdeg.errors import (InvalidDivisorError, ResourceLimitError,
                              RingMismatchError)
 from arithdeg.fields import GF, QQ, PrimeFieldElement
 from arithdeg.groebner import (_POLY, IdealHandle, _divide, _divide_pair,
-                               _int_form, _Packer, _poly_sort_key,
+                               _int_form, _Packer, _poly_sort_key, _Slots,
                                _s_element, buchberger, eliminate,
                                exact_divide, ideal_product, ideal_quotient,
                                ideal_sum, intersect, maximal_ideal,
@@ -573,7 +573,7 @@ def test_lex_division_outgrowing_the_width_restarts_wider():
     _assert_divides_like_reference(f.terms, basis, order, _POLY, leads)
     assert R3.memo[("packer", order, None)].width == 16
     big = parse_polynomial(R3, "z^70000 + x*z")
-    forms = [None] * len(basis)
+    forms = _Slots([None] * len(basis))
     assert (_divide(big.terms, basis, leads, order, _POLY, None, forms)
             == _divide_reference(big.terms, basis, leads, order.key, _POLY))
     assert R3.memo[("packer", order, None)].width == 32
@@ -614,7 +614,7 @@ def test_divide_by_monomials_matches_reference():
                              else Vec(R3, rank, terms))
             terms = {make(): coeff() for _ in range(rng.randint(0, 8))}
             leads = [g.leading_term(order) for g in basis]
-            forms = [None] * len(basis)
+            forms = _Slots([None] * len(basis))
             quotients, expected_quotients = {}, {}
             remainder = _divide(terms, basis, leads, order, ops, quotients,
                                 forms)
@@ -749,7 +749,7 @@ def test_divide_matches_reference_over_q_and_zp(inputs, with_quotients,
     vectors, with the integer forms made per call or kept by the caller."""
     terms, basis, order, ops = inputs
     leads = [g.leading_term(order) for g in basis]
-    forms = [None] * len(basis) if forms_given else None
+    forms = _Slots([None] * len(basis)) if forms_given else None
     quotients = {} if with_quotients else None
     expected_quotients = {} if with_quotients else None
     remainder = _divide(terms, basis, leads, order, ops, quotients, forms)
@@ -862,7 +862,7 @@ def test_pair_route_matches_the_fraction_s_element(inputs):
     over Q, Z/7 and Z/32003, on non-monic leads."""
     basis, order, ops = inputs
     leads = [g.leading_term(order) for g in basis]
-    forms = [None] * len(basis)
+    forms = _Slots([None] * len(basis))
     for i in range(len(basis)):
         for j in range(i + 1, len(basis)):
             if ops.lcm(leads[i][0], leads[j][0]) is not None:
@@ -920,8 +920,201 @@ def test_lex_pair_outgrowing_the_width_restarts_wider():
              parse_polynomial(R3, "2*x*y^50 + z")]
     assert R3.memo.get(("packer", order, None)) is None
     leads = [g.leading_term(order) for g in basis]
-    forms = [None] * len(basis)
+    forms = _Slots([None] * len(basis))
     assert _divide_pair(0, 1, basis, leads, order, _POLY, None, forms)
     assert R3.memo[("packer", order, None)].width == 16
     assert all(slot[0] is R3.memo[("packer", order, None)] for slot in forms)
     _assert_pair_divides_like_reference(0, 1, basis, order, _POLY)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=["Q", "Zp7"])
+def test_generators_with_a_nonzero_constant_give_the_unit_ideal(field):
+    """A generator list holding a nonzero constant is the unit ideal, kept
+    as the one generator 1; a zero generator is still dropped."""
+    R2 = RingDescriptor.graded("x,y", field=field)
+    x, y = R2.gens()
+    unit = IdealHandle(R2, [x ** 2 + y, R2.one() * 3, x * y])
+    assert unit.gens == (R2.one(),)
+    assert unit.is_unit() and repr(unit) == "(1)"
+    assert IdealHandle(R2, [R2.zero(), x]).gens == (x,)
+
+
+def _interreduce_reference(G, order, ops, nf):
+    """The final interreduction as a separate pass, through the public
+    normal forms: leads recomputed, an element dropped when an earlier
+    lead divides its lead, each kept element divided by the others with
+    nf and made monic."""
+    heads = sorted(((f.leading_term(order), f) for f in G),
+                   key=lambda head: order.key(head[0][0]))
+    leads, minimal = [], []
+    for lead, f in heads:
+        if all(ops.div(lead[0], s) is None for s, _ in leads):
+            leads.append(lead)
+            minimal.append(f)
+    reduced = []
+    for k, f in enumerate(minimal):
+        if len(f.terms) > 1 and len(minimal) > 1:
+            f = nf(f, minimal[:k] + minimal[k + 1:], order)
+        reduced.append(f.monic(order))
+    return reduced
+
+
+def _schreyer_reference(G, morder):
+    """Schreyer syzygies of G over every i < j, skipping pairs in two
+    components, each from the Fraction S-vector and _divide's quotients,
+    minimalized on leads recomputed under the Schreyer order."""
+    from arithdeg.modules import _VEC, SchreyerOrder, Vec
+    leads = [g.leading_term(morder) for g in G]
+    sorder = SchreyerOrder(morder, [t for t, _ in leads])
+    one = G[0].ring.field.one
+    syz = []
+    for i in range(len(G)):
+        for j in range(i + 1, len(G)):
+            lcm = _VEC.lcm(leads[i][0], leads[j][0])
+            if lcm is None:
+                continue
+            quotients = {}
+            assert not _divide(_s_element(G[i], G[j], morder, _VEC), G, leads,
+                               morder, _VEC, quotients)
+            cof = {(i, _VEC.div(lcm, leads[i][0])): one / leads[i][1],
+                   (j, _VEC.div(lcm, leads[j][0])): -(one / leads[j][1])}
+            for key, val in quotients.items():
+                cof[key] = cof.get(key, 0) - val
+            syz.append(Vec(G[0].ring, len(G), cof))
+    heads = sorted(syz, key=lambda v: sorder.key(v.leading_term(sorder)[0]))
+    kept = []
+    for v in heads:
+        t = v.leading_term(sorder)[0]
+        if all(_VEC.div(t, s.leading_term(sorder)[0]) is None for s in kept):
+            kept.append(v)
+    return kept, sorder
+
+
+@st.composite
+def _basis_inputs(draw):
+    """(gens, order, ops) over Q, Z/7 or Z/32003 under lex, degrevlex or
+    weighted degrevlex: 2-3 polynomials in x, y, z of degree at most 2, or
+    vectors of rank 2 or 3 under PositionOverTerm, with coefficients that
+    make most leads non-monic."""
+    from arithdeg.modules import _VEC, PositionOverTerm, Vec
+    field = draw(st.sampled_from([QQ, GF(7), GF(32003)]))
+    R3 = RingDescriptor.graded("x,y,z", field=field)
+    coeff = (st.integers(-9, 9).map(field).filter(bool)
+             if field.characteristic else _COEFF)
+    mono = st.tuples(*[st.integers(0, 2)] * 3).filter(lambda m: sum(m) <= 2)
+    inner = draw(st.sampled_from([Lex(), DegRevLex(),
+                                  WeightedDegRevLex([1, 2, 3])]))
+    rank = draw(st.sampled_from([None, 2, 3]))
+    if rank is None:
+        term, ops, order = mono, _POLY, inner
+
+        def make(terms):
+            return Polynomial(R3, terms)
+    else:
+        term, ops = st.tuples(st.integers(0, rank - 1), mono), _VEC
+        order = PositionOverTerm(inner)
+
+        def make(terms):
+            return Vec(R3, rank, terms)
+    gens = [make(draw(st.dictionaries(term, coeff, min_size=1, max_size=3)))
+            for _ in range(draw(st.integers(2, 3)))]
+    return [g for g in gens if g], order, ops
+
+
+@seed(1818)
+@settings(max_examples=120, deadline=None)
+@given(_basis_inputs())
+def test_engine_bases_match_the_separate_interreduction(inputs):
+    """buchberger and module_buchberger, whose interreduction reuses the
+    loop's leads and forms slots and divides each tail once by the whole
+    minimal basis, return what the separate interreduction through the
+    public normal forms returns on the same unreduced basis, term for term
+    and in order; every pair made carries the lcm of its two leads, that
+    lcm's key, and the sugar rule's value; and for vectors,
+    schreyer_syzygies over each component's elements returns what the
+    all-pairs loop returns."""
+    from unittest import mock
+    from arithdeg.modules import (module_buchberger, module_normal_form,
+                                  schreyer_syzygies)
+    import arithdeg.groebner as groebner_mod
+    gens, order, ops = inputs
+    unreduced = []
+    reduce, update = groebner_mod._reduce, groebner_mod._update_pairs
+
+    def recording_reduce(G, leads, order, ops, forms=None):
+        if forms is not None:
+            unreduced.append(list(G))
+        return reduce(G, leads, order, ops, forms)
+
+    def checked_update(P, members, leads, sugar, n, order, ops, deg):
+        update(P, members, leads, sugar, n, order, ops, deg)
+        for comp, pairs in P.items():
+            assert pairs
+            for (i, j), (s, key, pi, pj, lcm) in pairs.items():
+                ti, tj = leads[i][0], leads[j][0]
+                assert (pi, pj) == (i, j) and i < j <= n
+                assert lcm == ops.lcm(ti, tj) and ops.comp(lcm) == comp
+                assert key == order.key(lcm)
+                assert s == max(sugar[i] + deg(ops.div(lcm, ti)),
+                                sugar[j] + deg(ops.div(lcm, tj)))
+
+    build, nf = ((buchberger, normal_form) if ops is _POLY
+                 else (module_buchberger, module_normal_form))
+    with mock.patch.object(groebner_mod, "_reduce", recording_reduce), \
+            mock.patch.object(groebner_mod, "_update_pairs", checked_update):
+        try:
+            basis = build(gens, order, max_basis=60, max_degree=12)
+        except ResourceLimitError:
+            return
+    expected = _interreduce_reference(unreduced[-1], order, ops, nf)
+    assert basis == expected
+    assert [list(f.terms) for f in basis] == [list(f.terms) for f in expected]
+    if ops is not _POLY and basis:
+        syz, sorder = schreyer_syzygies(basis, order)
+        ref, ref_order = _schreyer_reference(basis, order)
+        assert sorder.signature() == ref_order.signature()
+        assert syz == ref
+        assert [list(v.terms) for v in syz] == [list(v.terms) for v in ref]
+
+
+def test_slots_keep_the_component_index_across_divisions():
+    """A basis's _Slots build the index of packed leads by component once:
+    a second division reuses it, an appended element is indexed on the
+    next division, and a wider packer packs every slot again.  Each
+    component lists its elements in basis order, so the first dividing
+    head is the one a scan over the whole basis would find."""
+    from arithdeg.modules import _VEC, PositionOverTerm, Vec
+    R2 = RingDescriptor.graded("x,y")
+    x, y = R2.gens()
+    zero = R2.zero()
+    order = PositionOverTerm()
+    basis = [Vec.from_polys(R2, (x + y, zero, zero)),
+             Vec.from_polys(R2, (zero, y, x)),
+             Vec.from_polys(R2, (x * y, zero, y)),
+             Vec.from_polys(R2, (zero, zero, x + 1))]
+    leads = [g.leading_term(order) for g in basis]
+    forms = _Slots([None] * len(basis))
+    dividend = Vec.from_polys(R2, (x ** 2 * y, x * y, x ** 2)).terms
+    first = _divide(dividend, basis, leads, order, _VEC, None, forms)
+    packer, index = forms.packer, forms.index
+    assert forms.indexed == len(basis)
+    by_comp = {}
+    for k, (t, _) in enumerate(leads):
+        by_comp.setdefault(t[0], []).append(k)
+    assert {c: [k for k, _ in heads] for c, heads in index.items()} == by_comp
+    assert _divide(dividend, basis, leads, order, _VEC, None, forms) == first
+    assert forms.index is index and forms.packer is packer
+    assert first == _divide_reference(dividend, basis, leads, order.key, _VEC)
+    extra = Vec.from_polys(R2, (zero, x ** 2, zero))
+    basis.append(extra)
+    leads.append(extra.leading_term(order))
+    forms.append(None)
+    assert _divide(dividend, basis, leads, order, _VEC, None, forms) == (
+        _divide_reference(dividend, basis, leads, order.key, _VEC))
+    assert forms.index is index and forms.indexed == len(basis)
+    wider = _Packer(order, 2, 3, 16)
+    heads = forms.heads(wider, leads)
+    assert forms.packer is wider and heads is not index
+    assert all(slot[0] is wider for slot in forms)
+    assert sorted(k for ks in heads.values() for k, _ in ks) == list(
+        range(len(basis)))
