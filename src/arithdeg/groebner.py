@@ -443,13 +443,14 @@ def _update_pairs(P, members, leads, sugar, n, order, ops, deg):
 
 
 def _reduce(G, leads, order, ops, forms=None):
-    """The minimal part of G, sorted by lead term, where leads[k] is the
-    (lead term, coefficient) pair of G[k]: an element is dropped when an
-    earlier lead in its component divides its lead.  With forms, the slots
-    of G for the division loop, G is a monic Groebner basis, and each kept
-    element's tail is divided once by the whole minimal part, which
-    reduces it: no tail term, nor any term the division makes from it, is
-    divisible by the element's own lead, which lies above them all."""
+    """The minimal part of G, sorted by lead term, and its leads, where
+    leads[k] is the (lead term, coefficient) pair of G[k]: an element is
+    dropped when an earlier lead in its component divides its lead.  With
+    forms, the slots of G for the division loop, G is a monic Groebner
+    basis, and each kept element's tail is divided once by the whole
+    minimal part, which reduces it: no tail term, nor any term the
+    division makes from it, is divisible by the element's own lead, which
+    lies above them all, so the leads stay."""
     kept, by_comp = [], {}
     for k in sorted(range(len(G)), key=lambda k: order.key(leads[k][0])):
         t = leads[k][0]
@@ -458,9 +459,9 @@ def _reduce(G, leads, order, ops, forms=None):
             same.append(t)
             kept.append(k)
     minimal = [G[k] for k in kept]
-    if forms is None:
-        return minimal
     leads = [leads[k] for k in kept]
+    if forms is None:
+        return minimal, leads
     forms = _Slots(forms[k] for k in kept)
     reduced = []
     for f, (t, c) in zip(minimal, leads):
@@ -473,7 +474,7 @@ def _reduce(G, leads, order, ops, forms=None):
                                  forms))
             f = ops.make(f, terms)
         reduced.append(f)
-    return reduced
+    return reduced, leads
 
 
 def _groebner(gens, order, ops, max_basis, max_degree):
@@ -524,7 +525,7 @@ def _groebner(gens, order, ops, max_basis, max_degree):
                 raise ResourceLimitError(
                     "%s basis size cap %d exceeded" % (ops.name, max_basis),
                     basis_size=len(G))
-    return _reduce(G, leads, order, ops, forms)
+    return _reduce(G, leads, order, ops, forms)[0]
 
 
 def s_polynomial(f, g, order):
@@ -563,6 +564,13 @@ def _poly_sort_key(f, order=DegRevLex()):
     return (order.key(f.leading_monomial(order)), terms_key(f.terms))
 
 
+def _proportional(f, g):
+    """True when f is a scalar multiple of g, for f and g of one support."""
+    m = next(iter(g.terms))
+    a, b = f.terms[m], g.terms[m]
+    return all(c * b == g.terms[t] * a for t, c in f.terms.items())
+
+
 class IdealHandle:
     """An ideal given by generators, with a cache of derived results.
 
@@ -591,19 +599,21 @@ class IdealHandle:
                 cleaned.append(g)
         if any(g.is_constant() for g in cleaned):
             cleaned = [ring.one()]  # a unit ideal, generated by 1
-        # canonicalize: drop duplicates and monomial generators made
-        # redundant by another monomial generator (same ideal, smaller list)
+        # canonicalize: drop scalar multiples of an earlier generator and
+        # monomial generators made redundant by another monomial generator
+        # (same ideal, smaller list).  Proportional generators share their
+        # support, so only generators of one support are compared.
         one = ring.field.one
         keep = [Polynomial(ring, {m: one}, _clean=False)
                 for m in minimal_monomials(
                     {next(iter(g.terms)) for g in cleaned if g.is_monomial()})]
-        seen = set()
+        by_support = {}
         for g in cleaned:
             if g.is_monomial():
                 continue
-            sig = terms_key(g.terms)
-            if sig not in seen:
-                seen.add(sig)
+            same = by_support.setdefault(frozenset(g.terms), [])
+            if not any(_proportional(g, h) for h in same):
+                same.append(g)
                 keep.append(g)
         keep.sort(key=_poly_sort_key)
         self.gens = tuple(keep)

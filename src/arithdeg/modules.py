@@ -207,8 +207,9 @@ def module_buchberger(vecs, morder, max_basis=DEFAULT_MAX_BASIS,
                      max_degree)
 
 
-def schreyer_syzygies(G, morder):
-    """Syzygies of a Groebner basis G via the Schreyer construction.
+def schreyer_syzygies(G, morder, leads=None):
+    """Syzygies of a Groebner basis G via the Schreyer construction, with
+    their Schreyer order and their leads.
 
     Every same-component S-pair contributes the syzygy
     m_i E_i - m_j E_j - sum q_k E_k where the S-vector divides out as
@@ -216,11 +217,14 @@ def schreyer_syzygies(G, morder):
     S-vector is never built.  Pairs are taken within each component's
     group of indices, and one forms slot per element is kept across them.
     The syzygy's lead m_i E_i is known from the pair, so the minimality
-    test of _reduce recomputes no lead.  The result generates the full
-    syzygy module and is a Groebner basis for the returned Schreyer order.
+    test of _reduce recomputes no lead, and _reduce hands the kept leads
+    back.  leads, when given, are G's (lead term, coefficient) pairs under
+    morder, as the previous level returned them, so a resolution computes
+    no lead under a Schreyer order.  The result generates the full syzygy
+    module and is a Groebner basis for the returned Schreyer order.
     """
     ring = G[0].ring if G else None
-    leads = [g.leading_term(morder) for g in G]
+    leads = leads or [g.leading_term(morder) for g in G]
     forms = _Slots([None] * len(G))
     sorder = SchreyerOrder(morder, [lt for lt, _ in leads])
     groups = {}
@@ -250,7 +254,8 @@ def schreyer_syzygies(G, morder):
                 # and each q_k*E_k lies below the lcm
                 syz_leads.append(((i, qi), vec.terms[(i, qi)]))
     # minimalize w.r.t. the Schreyer order (still a basis of the kernel)
-    return _reduce(syz, syz_leads, sorder, _VEC), sorder
+    syz, syz_leads = _reduce(syz, syz_leads, sorder, _VEC)
+    return syz, sorder, syz_leads
 
 
 def syzygies_of(columns, ring, rank,
@@ -390,7 +395,8 @@ class ChainComplex:
     """Free complex d_1, d_2, ...; checked so consecutive maps compose to zero.
     differentials[k] lists the columns of d_(k+1) as Vecs: for k = 0 in
     S^base_rank, otherwise in S^len(differentials[k-1]).  An incomplete
-    resolution's frontier is its last basis and module order."""
+    resolution's frontier is its last basis, its module order and its
+    leads under that order (None before the first Schreyer step)."""
 
     def __init__(self, ring, base_rank, base_shifts, differentials, level_shifts,
                  complete, frontier=None):
@@ -418,19 +424,19 @@ class ChainComplex:
         syzygies vanish (complete); checks only the new compositions."""
         if self.complete or self.length >= max_length:
             return self
-        G, order = self.frontier
+        G, order, leads = self.frontier
         diffs, levels = self.differentials, self.level_shifts
         checked = max(len(diffs) - 1, 0)
         while len(diffs) < max_length:
             if diffs:
-                G, order = schreyer_syzygies(G, order)
+                G, order, leads = schreyer_syzygies(G, order, leads)
             if not G:
                 self.complete, self.frontier = True, None
                 break
             shifts = levels[-1] if levels else self.base_shifts
             levels.append(tuple(_vec_degree(self.ring, shifts, g) for g in G))
             diffs.append(list(G))
-            self.frontier = (G, order)
+            self.frontier = (G, order, leads)
         self._verify(checked)
         return self
 
@@ -460,7 +466,7 @@ def free_resolution(pres, max_length):
     if max_length < 1:
         raise AlgebraError("resolution length must be at least 1")
     start = ChainComplex(pres.ring, pres.rank, pres.shifts, [], [], False,
-                         frontier=(pres.gb(), PositionOverTerm()))
+                         frontier=(pres.gb(), PositionOverTerm(), None))
     return start.extend(max_length)
 
 

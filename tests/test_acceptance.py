@@ -322,6 +322,17 @@ def test_criterion_8_gg_consistency(corpus_pairs):
             time.monotonic() - started, 120)
 
 
+def test_gg_and_gr_bases_agree_on_corpus_pairs(corpus_pairs):
+    """GG's ideal (x-block initial forms of L, read off a t-first basis)
+    and gr_I's ideal L (Rees kernel + I + J) have equal reduced bases on
+    every corpus pair: verify's corollary 1 reads the theorem's table on
+    this agreement, and the two routes build it independently."""
+    for identifier, _J, _I, _meta, gg, _P11 in corpus_pairs:
+        assert gg.ideal.ring is gg.gr.ideal.ring, identifier
+        assert gg.ideal.groebner_basis() == gg.gr.ideal.groebner_basis(), \
+            identifier
+
+
 def test_criterion_9_determinism():
     started = time.monotonic()
     from arithdeg.cli import main

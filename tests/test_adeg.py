@@ -254,3 +254,55 @@ def test_cached_gg_honours_caps():
     execute_script(parse_session(text % ""))
     with pytest.raises(ResourceLimitError):
         execute_script(capped)
+
+
+@pytest.mark.parametrize("case", ["monomial", "cusp"])
+def test_verify_builds_one_ext_route(R, monkeypatch, case):
+    """verify runs the Ext route once: corollary 1's gr_I side has GG's
+    reduced basis, so it reads the theorem's table.  J = xy with
+    I = (x^2, y^2) takes standard pairs for A, and the cusp with I = m
+    takes Samuel, so the one call is GG's."""
+    import arithdeg.adeg as adeg_mod
+    x, y = R.gens()
+    if case == "monomial":
+        J, I, meta = IdealHandle(R, [x * y]), IdealHandle(R, [x ** 2, y ** 2]), {}
+    else:
+        J, I, meta = (IdealHandle(R, [y ** 2 - x ** 3]), maximal_ideal(R),
+                      {"prime": True})
+    calls = []
+    report = adeg_mod.adeg_report_ext
+
+    def counted(M):
+        calls.append(M)
+        return report(M)
+    monkeypatch.setattr(adeg_mod, "adeg_report_ext", counted)
+    record = verify(J, I, meta=meta, label=case)
+    assert record.passed
+    assert len(calls) == 1
+    assert record.cor1_gr == record.lhs
+    gg = cached_gg(J, I)
+    assert gg.gr.ideal.groebner_basis() == gg.ideal.groebner_basis()
+
+
+def test_verify_falls_back_to_gr_when_the_bases_differ(R, monkeypatch):
+    """For the cusp J = (y^2 - x^3), marked prime, and I = (x + y^2), gr_I's
+    reduced basis (y^2 + x, x^3 + x) is not GG's (x, y^2), so corollary 1
+    runs gr_I's own Ext route, which rejects it as not totally graded."""
+    import arithdeg.adeg as adeg_mod
+    x, y = R.gens()
+    J, I = IdealHandle(R, [y ** 2 - x ** 3]), IdealHandle(R, [x + y ** 2])
+    gg = cached_gg(J, I)
+    assert gg.gr.ideal.groebner_basis() != gg.ideal.groebner_basis()
+    seen = []
+    graded = adeg_mod._adeg_of_graded_ideal
+
+    def recorded(ideal):
+        seen.append(ideal)
+        return graded(ideal)
+    monkeypatch.setattr(adeg_mod, "_adeg_of_graded_ideal", recorded)
+    with pytest.raises(UnsupportedInputError,
+                       match="^arithmetic degree of an inhomogeneous "
+                             "presentation: the corpus restricts to pairs "
+                             "whose graded sides are total-degree graded$"):
+        verify(J, I, meta={"prime": True}, label="cusp-fallback")
+    assert seen == [gg.ideal, gg.gr.ideal]

@@ -416,10 +416,13 @@ def test_unit_initial_forms_ideal_is_generated_by_one():
     """For J = (-x*y - 3x) and I = (-x + 1) in Q[x,y], J + I is proper
     (both vanish at x = 0) but the x-block forms of gr_I(S/J)'s ideal
     generate the unit ideal; a basis element of top t-degree is a nonzero
-    constant, and the handle lists (1) alone, not (1, 1/3*x*y + x^2)."""
+    constant, and the handle lists (1) alone, not (1, 1/3*x*y + x^2).
+    gr_I's own ideal L = Rees kernel + I + J receives both x*y + 3x (from
+    the kernel) and -x*y - 3x (from J), and its handle keeps the first."""
     R2 = RingDescriptor.graded("x,y")
     gr = assoc_graded(IdealHandle(R2, ["-x*y - 3*x"]),
                       IdealHandle(R2, ["-x + 1"]))
+    assert repr(gr.ideal) == "(-x + 1, x*y + 3*x)"
     forms = initial_forms_ideal(gr.ideal, gr.ring.x_block)
     assert forms.gens == (gr.ring.one(),)
     assert repr(forms) == "(1)"

@@ -939,6 +939,21 @@ def test_generators_with_a_nonzero_constant_give_the_unit_ideal(field):
     assert IdealHandle(R2, [R2.zero(), x]).gens == (x,)
 
 
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=["Q", "Zp7"])
+def test_handle_drops_scalar_multiples_of_a_generator(field):
+    """A generator that is a scalar multiple of an earlier one is dropped,
+    the first kept; generators of one support that are not proportional,
+    and proportional monomials, are kept as before."""
+    R2 = RingDescriptor.graded("x,y", field=field)
+    x, y = R2.gens()
+    f = x * y + 3 * x
+    assert IdealHandle(R2, [-f, f, 2 * f, x + y ** 2]).gens == (x + y ** 2, -f)
+    kept = IdealHandle(R2, [x + y, x - y]).gens
+    assert len(kept) == 2 and x + y in kept and x - y in kept
+    assert IdealHandle(R2, [x * y, 2 * x * y, y ** 2 - x]).gens == (
+        y ** 2 - x, x * y)
+
+
 def _interreduce_reference(G, order, ops, nf):
     """The final interreduction as a separate pass, through the public
     normal forms: leads recomputed, an element dropped when an earlier
@@ -1032,7 +1047,7 @@ def test_engine_bases_match_the_separate_interreduction(inputs):
     and in order; every pair made carries the lcm of its two leads, that
     lcm's key, and the sugar rule's value; and for vectors,
     schreyer_syzygies over each component's elements returns what the
-    all-pairs loop returns."""
+    all-pairs loop returns, with the leads of what it returns."""
     from unittest import mock
     from arithdeg.modules import (module_buchberger, module_normal_form,
                                   schreyer_syzygies)
@@ -1070,11 +1085,12 @@ def test_engine_bases_match_the_separate_interreduction(inputs):
     assert basis == expected
     assert [list(f.terms) for f in basis] == [list(f.terms) for f in expected]
     if ops is not _POLY and basis:
-        syz, sorder = schreyer_syzygies(basis, order)
+        syz, sorder, syz_leads = schreyer_syzygies(basis, order)
         ref, ref_order = _schreyer_reference(basis, order)
         assert sorder.signature() == ref_order.signature()
         assert syz == ref
         assert [list(v.terms) for v in syz] == [list(v.terms) for v in ref]
+        assert syz_leads == [v.leading_term(sorder) for v in syz]
 
 
 def test_slots_keep_the_component_index_across_divisions():

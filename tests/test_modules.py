@@ -142,7 +142,7 @@ def test_schreyer_syzygies_generate(R):
     gb = module_buchberger([Vec.from_polys(R, (x ** 2,)),
                             Vec.from_polys(R, (x * y,)),
                             Vec.from_polys(R, (y ** 3,))], morder)
-    syz, sorder = schreyer_syzygies(gb, morder)
+    syz, sorder, _leads = schreyer_syzygies(gb, morder)
     for v in syz:
         total = Vec(R, 1, {})
         for k, g in enumerate(gb):
@@ -150,6 +150,26 @@ def test_schreyer_syzygies_generate(R):
             for m, c in coeffs.items():
                 total = total + g.term_mul(m, c)
         assert not total
+
+
+def test_schreyer_levels_carry_their_leads():
+    """Each Schreyer step returns its basis's leads under its own order,
+    and the next step given those leads returns what it returns when it
+    computes them itself, level after level of the resolution of
+    S/(x^2, xy, yz + z^2, z^3) in Q[x,y,z]."""
+    R3 = RingDescriptor.graded("x,y,z")
+    x, y, z = R3.gens()
+    pot = PositionOverTerm()
+    G, order, leads = list(as_presentation(IdealHandle(
+        R3, [x ** 2, x * y, y * z + z ** 2, z ** 3])).gb()), pot, None
+    levels = 0
+    while G:
+        carried = schreyer_syzygies(G, order, leads)
+        assert carried == schreyer_syzygies(G, order)
+        G, order, leads = carried
+        assert leads == [g.leading_term(order) for g in G]
+        levels += 1
+    assert levels >= 3
 
 
 def test_schreyer_rejects_non_basis(R):
@@ -366,9 +386,9 @@ def test_resolution_extended_level_by_level(monkeypatch):
     seen = []
     schreyer = modules_mod.schreyer_syzygies
 
-    def counted(G, morder):
+    def counted(G, morder, leads=None):
         seen.append(len(G))
-        return schreyer(G, morder)
+        return schreyer(G, morder, leads)
 
     monkeypatch.setattr(modules_mod, "schreyer_syzygies", counted)
     I = IdealHandle(R3, gens)
@@ -388,6 +408,6 @@ def test_extended_resolution_checks_new_maps(R, monkeypatch):
     res = free_resolution(pres, 1)
     bogus = [Vec.from_polys(R, (y, R.zero()))]
     monkeypatch.setattr(modules_mod, "schreyer_syzygies",
-                        lambda G, morder: (bogus, morder))
+                        lambda G, morder, leads: (bogus, morder, None))
     with pytest.raises(InternalConsistencyError):
         res.extend(2)
