@@ -296,7 +296,8 @@ def cmd_corpus(args):
 def cmd_check(args):
     """Abbreviated invariant suite: ring axioms, Groebner soundness,
     difference calculus, one oracle equivalence, Euler characteristics of
-    free resolutions against Hilbert functions, the numerator's sum
+    free resolutions against Hilbert functions and of Ext modules against
+    their dualised resolutions, the numerator's sum
     transform against brute-force counts, the GG gate's two walks against
     each other, and the Rees kernel against the substitution into S[t]."""
     import random
@@ -306,8 +307,8 @@ def cmd_check(args):
                           cumulative_polynomial, hilbert_polynomial,
                           hilbert_value, hilbert_value_bruteforce,
                           monomials_of_degree)
-    from .modules import (PositionOverTerm, Vec, free_resolution,
-                          schreyer_syzygies)
+    from .modules import (PositionOverTerm, Vec, ext_presentation,
+                          free_resolution, resolution_for, schreyer_syzygies)
     from .fields import GF
     from .rings import RingDescriptor
     from .numerical import NumericalPoly2
@@ -389,6 +390,23 @@ def cmd_check(args):
                         for k, shifts in enumerate(levels) for a in shifts)
             assert euler == hilbert_value(I, d)
     print("Betti/Euler oracle: ok (5 random resolutions, degrees 0-6)")
+
+    # Ext has the Euler characteristic of the dualised frame: the
+    # alternating sum over j of Ext^j's Hilbert function against the one
+    # of the dual shifts -a (Ext^j vanishes for j > n); a stream of its own
+    ext_rng = random.Random(29)
+    for _ in range(5):
+        pres = as_presentation(rand_homogeneous(ext_rng))
+        exts = [ext_presentation(pres, j) for j in range(R.nvars + 1)]
+        res = resolution_for(pres, 2 * R.nvars)
+        assert res.complete
+        levels = [res.base_shifts] + res.level_shifts
+        for d in range(-10, 3):
+            euler = sum((-1) ** k * count_monomials(R.weights, d + a)
+                        for k, shifts in enumerate(levels) for a in shifts)
+            assert euler == sum((-1) ** j * hilbert_value(E, d)
+                                for j, E in enumerate(exts))
+    print("Ext Euler oracle: ok (5 random ideals, degrees -10 to 2)")
 
     # the series expansion against linear algebra that never sees a
     # numerator, summed up to the Hilbert polynomial's threshold

@@ -12,8 +12,16 @@ in ``groebner``, with the component-aware term operations defined here:
 S-pairs form only within a component, Gebauer-Moeller pair elimination
 applies as for ideals, and the product criterion is left out, since it is
 not valid for modules.
+
+A free resolution checks that its maps compose to zero on ints, each
+differential brought to ints once per check.  Ext^j takes one module
+Groebner basis, for the kernel basis K of the transposed d_(j+1); its
+relations are the quotients of dividing the transposed d_j by K, plus K's
+Schreyer syzygies, and at the top of a complete resolution Ext^L is
+coker(d_L^T) itself.
 """
 
+from math import lcm
 from operator import itemgetter
 
 from .errors import (AlgebraError, HomogeneityError, InternalConsistencyError,
@@ -91,10 +99,6 @@ class Vec:
             for m, v in p.terms.items():
                 terms[(c, m)] = v
         return cls(ring, len(polys), terms, _clean=False)
-
-    @classmethod
-    def unit(cls, ring, rank, comp):
-        return cls(ring, rank, {(comp, ring.zero_mono()): ring.field.one}, _clean=False)
 
     def to_polys(self):
         polys = [dict() for _ in range(self.rank)]
@@ -441,18 +445,47 @@ class ChainComplex:
         return self
 
     def _verify(self, start=0):
-        for k in range(start, len(self.differentials) - 1):
-            d1 = self.differentials[k]
-            for col in self.differentials[k + 1]:
-                # d1 applied to col, summed term by term
+        """Check that d_(k+1) d_(k+2) = 0 for every k >= start, on ints.
+
+        Each differential is brought to ints once per call (_int_columns):
+        column t of d_(k+1) times D_t, the lcm of its denominators, and
+        each column of d_(k+2) times the lcm of its own.  A column of
+        d_(k+2) then weighs column t by P/D_t on top of its ints, P the
+        lcm of the D_t it uses, so its image is summed as a whole multiple
+        of the true one.  Over Z/p the ints are residues, D_t = 1, and the
+        sums are tested mod p."""
+        p = self.ring.field.characteristic
+        ints = (_int_columns(d, p) for d in self.differentials[start:])
+        d1 = next(ints, None)
+        for d2 in ints:
+            for col, _ in d2:
+                P = lcm(*[d1[t][1] for t, _ in col])
                 acc = {}
-                for (t, q), c in col.terms.items():
-                    for (comp, m), v in d1[t].terms.items():
+                for (t, q), c in col.items():
+                    terms, D = d1[t]
+                    c *= P // D
+                    for (comp, m), v in terms.items():
                         key = (comp, mono_mul(q, m))
                         acc[key] = acc.get(key, 0) + c * v
-                if any(acc.values()):
+                if any(v % p for v in acc.values()) if p else any(acc.values()):
                     raise InternalConsistencyError(
                         "chain complex differentials do not compose to zero")
+            d1 = d2
+
+
+def _int_columns(columns, p):
+    """Each Vec column as (int terms, D) with D*column = the int terms:
+    over Q, D is the lcm of the column's denominators; over Z/p the ints
+    are the residues and D = 1."""
+    if p:
+        return [({t: c.value for t, c in col.terms.items()}, 1)
+                for col in columns]
+    out = []
+    for col in columns:
+        D = lcm(*[c.denominator for c in col.terms.values()])
+        out.append(({t: c.numerator * (D // c.denominator)
+                     for t, c in col.terms.items()}, D))
+    return out
 
 
 def free_resolution(pres, max_length):
@@ -511,9 +544,17 @@ def resolution_for(pres, length):
 def ext_presentation(pres, j):
     """Presentation of Ext^j(coker(pres), S) with dual grading shifts.
 
-    Cohomology of the dualized resolution: kernel generators of the
-    transposed (j+1)-st differential, with relations all vectors carrying
-    them into the image of the transposed j-th differential.
+    Cohomology of the dualized resolution at F_j^*: its generators K span
+    the kernel of phi = d_(j+1)^T, and its relations are all vectors that
+    K carries into the image of psi = d_j^T.  At the top of a complete
+    resolution (j = L) K is the unit vectors, so Ext^L = coker(d_L^T) and
+    psi's columns are the relations.  Below the top K comes from
+    syzygies_of: the trailing block of a reduced position-over-term basis,
+    so a reduced Groebner basis of ker phi.  Each psi column lies in
+    ker phi and divides by K with remainder zero; its quotients are one
+    relation, and K's Schreyer syzygies are the rest.  A nonzero remainder
+    means d_(j+1)^T d_j^T != 0 and raises InternalConsistencyError, as
+    schreyer_syzygies does when K is not a basis.
     """
     if j < 0 or j > pres.ring.nvars:
         raise AlgebraError("Ext index %d out of range" % j)
@@ -521,31 +562,32 @@ def ext_presentation(pres, j):
     res = resolution_for(pres, j + 1)
     ranks = [pres.rank] + [len(d) for d in res.differentials]
     all_shifts = [pres.shifts] + res.level_shifts
-    L = res.length
-    if j > L:
+    if j > res.length or ranks[j] == 0:
         return ModulePresentation.zero(ring)
-    r_j = ranks[j]
     dual_shifts_j = tuple(_negate_shift(s) for s in all_shifts[j])
-    if r_j == 0:
-        return ModulePresentation.zero(ring)
-    # kernel of the transposed d_{j+1}
-    if j == L:
-        K = [Vec.unit(ring, r_j, c) for c in range(r_j)]
-    else:
-        phi_cols = _transpose(ring, res.differentials[j], r_j)  # r_j columns in S^{r_{j+1}}
-        K = syzygies_of(phi_cols, ring, ranks[j + 1], max_basis=pres.max_basis,
-                        max_degree=pres.max_degree)
+    # the image of the transposed d_j inside S^{r_j}
+    psi_cols = _transpose(ring, res.differentials[j - 1], ranks[j - 1]) if j else []
+    if j == res.length:
+        return ModulePresentation(ring, ranks[j], psi_cols, shifts=dual_shifts_j,
+                                  max_basis=pres.max_basis,
+                                  max_degree=pres.max_degree)
+    # the kernel of the transposed d_{j+1}: r_j columns in S^{r_{j+1}}
+    phi_cols = _transpose(ring, res.differentials[j], ranks[j])
+    K = syzygies_of(phi_cols, ring, ranks[j + 1], max_basis=pres.max_basis,
+                    max_degree=pres.max_degree)
     if not K:
         return ModulePresentation.zero(ring)
-    # image of the transposed d_j inside S^{r_j}
-    psi_cols = _transpose(ring, res.differentials[j - 1], ranks[j - 1]) if j else []
-    combined = K + psi_cols
-    rels = syzygies_of(combined, ring, r_j, max_basis=pres.max_basis,
-                       max_degree=pres.max_degree)
-    s = len(K)
-    rel_cols = [Vec(ring, s, {t: val for t, val in v.terms.items() if t[0] < s},
-                    _clean=False)
-                for v in rels]
+    morder = PositionOverTerm()
+    leads = [k.leading_term(morder) for k in K]
+    forms = _Slots([None] * len(K))
+    rel_cols = []
+    for col in psi_cols:
+        quotients = {}
+        if _divide(col.terms, K, leads, morder, _VEC, quotients, forms):
+            raise InternalConsistencyError(
+                "transposed differentials do not compose to zero")
+        rel_cols.append(Vec(ring, len(K), quotients))
+    rel_cols += schreyer_syzygies(K, morder, leads)[0]
     gen_shifts = tuple(_vec_degree(ring, dual_shifts_j, k) for k in K)
-    return ModulePresentation(ring, s, rel_cols, shifts=gen_shifts,
+    return ModulePresentation(ring, len(K), rel_cols, shifts=gen_shifts,
                               max_basis=pres.max_basis, max_degree=pres.max_degree)

@@ -1,22 +1,24 @@
 """Module engine: syzygies, free resolutions, Ext presentations."""
 
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 import arithdeg.modules as modules_mod
 from arithdeg.errors import (AlgebraError, InternalConsistencyError,
                              RingMismatchError)
-from arithdeg.fields import GF
+from arithdeg.fields import GF, QQ
 from arithdeg.groebner import IdealHandle
 from arithdeg.hilbert import (as_presentation, dimension, hilbert_value,
-                              hilbert_value_bruteforce)
+                              hilbert_value_bruteforce, monomials_of_degree)
 from arithdeg.modules import (ChainComplex, ModulePresentation, Vec,
                               ext_presentation, free_resolution,
                               schreyer_syzygies, syzygies_of,
                               module_buchberger, PositionOverTerm)
 from arithdeg.numerical import binom
-from arithdeg.rings import RingDescriptor
+from arithdeg.rings import Polynomial, RingDescriptor
 
 
 @pytest.fixture
@@ -101,9 +103,12 @@ def test_complex_property_enforced(R):
                      [(1,), (2,)], True)
 
 
-def _koszul_xyz(ring, flip=False):
+def _koszul_xyz(ring, flip=False, scales=None):
     """Differentials of the Koszul complex of (x, y, z), as Vec columns;
-    flip negates one entry of d2."""
+    flip negates one entry of d2.  scales, when given, is one list of
+    column factors per differential: column j of d_k is multiplied by
+    scales[k-1][j] and its entry in row t divided by scales[k-2][t], so
+    the maps still compose to zero."""
     x, y, z = ring.gens()
     o = ring.zero()
 
@@ -113,7 +118,14 @@ def _koszul_xyz(ring, flip=False):
     d1 = cols((x,), (y,), (z,))
     d2 = cols((y if flip else -y, x, o), (-z, o, x), (o, -z, y))
     d3 = cols((z, -y, x))
-    return [d1, d2, d3]
+    diffs = [d1, d2, d3]
+    if scales:
+        rows = [[1]] + scales
+        diffs = [[Vec(ring, col.rank, {(t, m): v * a / rows[k][t]
+                                       for (t, m), v in col.terms.items()})
+                  for col, a in zip(d, scales[k])]
+                 for k, d in enumerate(diffs)]
+    return diffs
 
 
 def test_complex_checks_products_across_columns():
@@ -125,6 +137,25 @@ def test_complex_checks_products_across_columns():
     assert koszul.ranks() == [1, 3, 3, 1]
     with pytest.raises(InternalConsistencyError):
         ChainComplex(R3, 1, (0,), _koszul_xyz(R3, flip=True), shifts, True)
+
+
+def test_complex_check_over_q_with_denominators():
+    """Over Q the check brings each map's columns to ints by their own
+    denominators and weighs the lower map's columns by P/D_t: the Koszul
+    complex with columns scaled by non-unit fractions passes, and one
+    flipped sign still raises."""
+    R3 = RingDescriptor.graded("x,y,z")
+    scales = [[Fraction(1, 2), Fraction(2, 3), Fraction(-5, 4)],
+              [Fraction(3, 7), Fraction(1, 6), Fraction(9, 2)],
+              [Fraction(-2, 5)]]
+    shifts = [(1, 1, 1), (2, 2, 2), (3,)]
+    koszul = ChainComplex(R3, 1, (0,), _koszul_xyz(R3, scales=scales),
+                          shifts, True)
+    assert any(c.denominator > 1 for d in koszul.differentials for col in d
+               for c in col.terms.values())
+    with pytest.raises(InternalConsistencyError):
+        ChainComplex(R3, 1, (0,), _koszul_xyz(R3, flip=True, scales=scales),
+                     shifts, True)
 
 
 def test_presentation_rejects_bad_columns(R):
@@ -234,6 +265,96 @@ def test_ext_euler_characteristic(R):
                 rhs += sign * (binom(e + R.nvars - 1, R.nvars - 1) if e >= 0 else 0)
             sign = -sign
         assert lhs == rhs
+
+
+def test_ext_rejects_a_kernel_basis_short_of_one_generator(monkeypatch):
+    """Each column of the transposed d_j must divide by the kernel basis K
+    of the transposed d_(j+1) with remainder zero.  With one generator of
+    K dropped, a column of S/(x^2, xy, xz)'s Ext^2 is left over, and
+    ext_presentation raises."""
+    R3 = RingDescriptor.graded("x,y,z")
+    x, y, z = R3.gens()
+    pres = as_presentation(IdealHandle(R3, [x ** 2, x * y, x * z]))
+    assert ext_presentation(pres, 2).rank == 3
+    syzygies = modules_mod.syzygies_of
+    monkeypatch.setattr(modules_mod, "syzygies_of",
+                        lambda *args, **kw: syzygies(*args, **kw)[:-1])
+    with pytest.raises(InternalConsistencyError):
+        ext_presentation(pres, 2)
+
+
+def _ext_reference(pres, j):
+    """Ext^j(coker(pres), S) by the augmented route: generators K, the
+    kernel of the transposed d_(j+1) from syzygies_of (the unit vectors
+    at the top of a complete resolution), and as relations the K-block of
+    the syzygies of K together with the columns of the transposed d_j,
+    from a second syzygies_of."""
+    from arithdeg.modules import (_negate_shift, _transpose, _vec_degree,
+                                  resolution_for)
+    ring = pres.ring
+    res = resolution_for(pres, j + 1)
+    ranks = [pres.rank] + [len(d) for d in res.differentials]
+    if j > res.length or ranks[j] == 0:
+        return ModulePresentation.zero(ring)
+    if j == res.length:
+        K = [Vec(ring, ranks[j], {(c, ring.zero_mono()): ring.field.one})
+             for c in range(ranks[j])]
+    else:
+        K = syzygies_of(_transpose(ring, res.differentials[j], ranks[j]),
+                        ring, ranks[j + 1])
+    if not K:
+        return ModulePresentation.zero(ring)
+    psi = _transpose(ring, res.differentials[j - 1], ranks[j - 1]) if j else []
+    s = len(K)
+    rels = [Vec(ring, s, {t: v for t, v in r.terms.items() if t[0] < s})
+            for r in syzygies_of(K + psi, ring, ranks[j])]
+    dual = [_negate_shift(a) for a in ([pres.shifts] + res.level_shifts)[j]]
+    return ModulePresentation(ring, s, rels,
+                              shifts=[_vec_degree(ring, dual, k) for k in K])
+
+
+@st.composite
+def _graded_modules(draw):
+    """A graded module over Q or Z/7 in x, y, z: S/I for 2-4 homogeneous
+    generators of degree 1-3, or a rank-2 presentation with shifts (0, a)
+    and 2-4 homogeneous columns; a form of positive degree has 2 or 3
+    terms with fractional coefficients, so the input is not monomial."""
+    field = draw(st.sampled_from([QQ, GF(7)]))
+    R3 = RingDescriptor.graded("x,y,z", field=field)
+    coeff = st.builds(Fraction, st.integers(-5, 5).filter(bool),
+                      st.integers(1, 3))
+
+    def form(d):
+        mons = list(monomials_of_degree(3, d))
+        return Polynomial(R3, draw(st.dictionaries(
+            st.sampled_from(mons), coeff, min_size=min(2, len(mons)),
+            max_size=3)))
+    if draw(st.booleans()):
+        return as_presentation(IdealHandle(
+            R3, [form(draw(st.integers(1, 3)))
+                 for _ in range(draw(st.integers(2, 4)))]))
+    shifts = (0, draw(st.integers(0, 1)))
+    cols = []
+    for _ in range(draw(st.integers(2, 4))):
+        d = draw(st.integers(1, 3))
+        cols.append(Vec.from_polys(R3, [
+            form(d - a) if draw(st.booleans()) else R3.zero()
+            for a in shifts]))
+    return ModulePresentation(R3, 2, cols, shifts=shifts)
+
+
+@seed(2020)
+@settings(max_examples=40, deadline=None)
+@given(_graded_modules())
+def test_ext_matches_the_augmented_route(pres):
+    """For every j in 0..n, Ext^j from the division by K and K's Schreyer
+    syzygies (coker(d_L^T) at the top) has the generators and the Hilbert
+    function of the augmented route's, on degrees -12..2."""
+    for j in range(pres.ring.nvars + 1):
+        got, ref = ext_presentation(pres, j), _ext_reference(pres, j)
+        assert (got.rank, got.shifts) == (ref.rank, ref.shifts)
+        assert ([hilbert_value(got, d) for d in range(-12, 3)]
+                == [hilbert_value(ref, d) for d in range(-12, 3)])
 
 
 def test_resolution_length_bound():
@@ -378,19 +499,29 @@ def test_resolution_extended_level_by_level(monkeypatch):
     of length 2, 3 and 4.  The cached one is extended, so Schreyer
     syzygies run once per level, on the bases of ranks 3, 3 and 1 (the
     last finds the fourth level empty), and it ends equal to a resolution
-    built in one go."""
+    built in one go.  Only the Schreyer steps that extend the resolution
+    are counted, not those the Ext modules take of their own kernels."""
     from arithdeg.adeg import adeg_graded
     R3 = RingDescriptor.graded("x,y,z")
     gens = ["x^2", "x*y", "x*z"]
     expected = {i: adeg_graded(IdealHandle(R3, gens), i) for i in (2, 1, 0)}
-    seen = []
-    schreyer = modules_mod.schreyer_syzygies
+    seen, extending = [], []
+    schreyer, extend = modules_mod.schreyer_syzygies, ChainComplex.extend
 
     def counted(G, morder, leads=None):
-        seen.append(len(G))
+        if extending:
+            seen.append(len(G))
         return schreyer(G, morder, leads)
 
+    def extend_counted(self, max_length):
+        extending.append(True)
+        try:
+            return extend(self, max_length)
+        finally:
+            extending.pop()
+
     monkeypatch.setattr(modules_mod, "schreyer_syzygies", counted)
+    monkeypatch.setattr(ChainComplex, "extend", extend_counted)
     I = IdealHandle(R3, gens)
     assert {i: adeg_graded(I, i) for i in (2, 1, 0)} == expected
     assert seen == [3, 3, 1]
