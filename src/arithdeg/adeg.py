@@ -7,8 +7,10 @@ Three independent pipelines feed the same numbers:
   * the standard-pair count for monomial ideals, provenance "standard-pairs";
   * Hilbert-Samuel interpolation for inhomogeneous local items, "samuel".
 Their agreement on the monomial corpus is the central oracle equivalence.
+``adeg_report_ext`` first tries a Cohen-Macaulay certificate, whose table
+is the Ext route's whenever it holds; its provenance is "ext" too.
 
-``verify`` runs the Ext route once per pair.  gr_m of a standard graded
+``verify`` builds one such table per pair.  gr_m of a standard graded
 ring is that ring, so GG(A) = gr_m(gr_I A) has gr_I A's presentation
 ideal L = Rees kernel + I + J whenever L is graded: L is homogeneous in
 the y-degree, so a totally homogeneous reduced basis of L is bihomogeneous
@@ -18,17 +20,21 @@ the construction's gates, compare equal; when they differ, L takes its
 own Ext route.
 """
 
-from .errors import (AlgebraError, TheoremViolationError,
-                     UnsupportedInputError)
+import random
+
+from .errors import (AlgebraError, InternalConsistencyError,
+                     TheoremViolationError, UnsupportedInputError)
 from .constructions import gg_presentation
 from .groebner import IdealHandle
-from .hilbert import (as_presentation, classical_multiplicity, dimension,
-                      ee_vector, samuel_multiplicity)
+from .hilbert import (artinian_length, as_presentation,
+                      classical_multiplicity, dimension, ee_vector,
+                      h_vector, samuel_multiplicity)
 from .modules import ext_presentation
 from .monomials import decompose, local_length_by_pairs, adeg_monomial
 from .numerical import MultiplicityVector
 from .rings import Polynomial, RingDescriptor
 
+CM_DRAWS = 3
 
 # ---------------------------------------------------------------------------
 # pruning helper
@@ -139,11 +145,68 @@ def adeg_graded(M, i):
     return 0 if ext is None else classical_multiplicity(ext, i)
 
 
-def adeg_report_ext(M):
-    """Ext-route arithmetic degrees for every dimension 0..n."""
+def _ext_table(M):
+    """adeg_i(M) for i = 0..n, each by the Ext route."""
     pres = as_presentation(M)
-    n = pres.ring.nvars
-    report = AdegReport({i: adeg_graded(pres, i) for i in range(n + 1)})
+    return {i: adeg_graded(pres, i) for i in range(pres.ring.nvars + 1)}
+
+
+def _linear_draws(ring, d):
+    """A fixed sequence of CM_DRAWS draws, each d linear forms with
+    coefficients in 1..3 from a generator seeded per draw."""
+    for draw in range(CM_DRAWS):
+        rng = random.Random(draw)
+        yield [Polynomial(ring, {tuple(int(k == j) for k in range(ring.nvars)):
+                                 rng.randint(1, 3) for j in range(ring.nvars)})
+               for _ in range(d)]
+
+
+def _cohen_macaulay_table(L):
+    """The adeg table of M = S/L when a linear system of parameters proves
+    M Cohen-Macaulay, else None.
+
+    For d = dim M linear forms z with S/(L + z) Artinian, z is a system of
+    parameters of M and (z) is a reduction of M's irrelevant ideal, so
+    λ(M/zM) >= e(M), with equality exactly when M is Cohen-Macaulay
+    (Serre; Bruns and Herzog, Cohen-Macaulay Rings, 4.7.10).  A
+    Cohen-Macaulay M is unmixed: Ext^j(M, S) vanishes but at j = n - d, so
+    adeg_d(M) = e(M) and every other adeg_i(M) is 0, whichever z proved
+    it.  Only S/L with L homogeneous over a ring of weights one qualifies.
+    None, with no draw, when the h-vector has a negative entry; None when
+    λ > e or no draw gives an Artinian quotient.
+    """
+    ring = L.ring
+    if (not isinstance(L, IdealHandle) or ring.is_bigraded
+            or any(w != 1 for w in ring.weights) or not L.is_homogeneous()):
+        return None
+    d = dimension(L)
+    if d < 0 or any(c < 0 for c in h_vector(L).values()):
+        return None
+    e = classical_multiplicity(L, d)
+    table = {i: 0 for i in range(ring.nvars + 1)}
+    table[d] = e
+    if d == 0:
+        return table
+    for z in _linear_draws(ring, d):
+        K = IdealHandle(ring, L.gens + tuple(z),
+                        max_basis=L.max_basis, max_degree=L.max_degree)
+        if dimension(K) != 0:
+            continue
+        length = artinian_length(K)
+        if length < e:
+            raise InternalConsistencyError(
+                "λ(M/zM) = %d below e(M) = %d for a system of parameters"
+                % (length, e))
+        return table if length == e else None
+    return None
+
+
+def adeg_report_ext(M):
+    """Arithmetic degrees for every dimension 0..n: the Cohen-Macaulay
+    certificate's table when it holds, else the Ext route's."""
+    pres = as_presentation(M)
+    table = _cohen_macaulay_table(M)
+    report = AdegReport(_ext_table(pres) if table is None else table)
     d = dimension(pres)
     report.check_invariants(d, d >= 0)
     return report
@@ -276,9 +339,9 @@ def _adeg_of_ring_quotient(J, meta):
 
 
 def _adeg_of_graded_ideal(I):
-    """Ext-route adeg table of a quotient by an ideal graded by total
-    degree (a bigraded I is read totally graded), after pruning dead
-    coordinate variables.
+    """adeg table (``adeg_report_ext``) of a quotient by an ideal graded
+    by total degree (a bigraded I is read totally graded), after pruning
+    dead coordinate variables.
 
     Generator lists are canonicalized through the reduced Groebner basis
     first: an ideal can be graded even when handed redundant inhomogeneous
@@ -300,11 +363,12 @@ def _adeg_of_graded_ideal(I):
 def verify(J, I, meta=None, label=None):
     """Check the main inequality and both corollaries for one pair.
 
-    The theorem's LHS adeg_r(GG(A)) comes from the Ext route on GG's
-    ideal.  Corollary 1's adeg_i(gr_I A) is the same table when gr_I's
-    ideal has GG's reduced degrevlex basis (gr_m of a graded ring is the
-    ring itself), so it is reused after the two cached bases compare
-    equal.  Otherwise gr_I's ideal takes its own Ext route, which raises
+    The theorem's LHS adeg_r(GG(A)) comes from ``adeg_report_ext`` on
+    GG's ideal: the Cohen-Macaulay certificate, else the Ext route.
+    Corollary 1's adeg_i(gr_I A) is the same table when gr_I's ideal has
+    GG's reduced degrevlex basis (gr_m of a graded ring is the ring
+    itself), so it is reused after the two cached bases compare equal.
+    Otherwise gr_I's ideal takes its own Ext route, which raises
     UnsupportedInputError when gr_I is not totally graded.
 
     Raises TheoremViolationError on any failed inequality: the statements

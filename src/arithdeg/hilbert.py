@@ -451,24 +451,6 @@ def hilbert_polynomial(M, bigraded=False):
                              % DEGREE_CAP)
 
 
-def h11_table(M, hi1, hi2):
-    """Double cumulative sums of the bigraded Hilbert function up to (hi1, hi2).
-
-    Sums start at the lowest possible support, so shifted modules (Ext
-    duals) are handled; for modules supported in non-negative bidegrees
-    this is the double sum transform from the origin.
-    """
-    pres = as_presentation(M)
-    lo1 = min([0] + [s[0] for s in pres.shifts])
-    lo2 = min([0] + [s[1] for s in pres.shifts])
-    table = {}
-    for i in range(lo1, hi1 + 1):
-        for j in range(lo2, hi2 + 1):
-            table[(i, j)] = (hilbert_value(pres, (i, j)) + table.get((i - 1, j), 0)
-                             + table.get((i, j - 1), 0) - table.get((i - 1, j - 1), 0))
-    return table
-
-
 def h11_polynomial(M):
     """Eventual polynomial of the double sum transform."""
     return _eventual(as_presentation(M), True, 1)
@@ -512,6 +494,18 @@ def classical_multiplicity(M, i):
             "staircase dimension %d but Samuel-transform degree %d"
             % (d, poly.degree))
     return poly.coefficient(d)
+
+
+def h_vector(M):
+    """Numerator of the Hilbert series of coker(M) over (1 - t)^dim, as a
+    map degree -> coefficient, over a ring of weights one.  It is the
+    Hilbert series of M/zM for a linear regular sequence z, so no entry is
+    negative when M is Cohen-Macaulay."""
+    pres = as_presentation(M)
+    h = hilbert_numerator(pres)
+    for _ in range(pres.ring.nvars - dimension(pres)):
+        h = _divide_out(h, 1)
+    return h
 
 
 def artinian_length(M):

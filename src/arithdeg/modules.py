@@ -129,11 +129,6 @@ class Vec:
                 del terms[t]
         return Vec(self.ring, self.rank, terms, _clean=False)
 
-    def term_mul(self, mono, coeff):
-        return Vec(self.ring, self.rank,
-                   {(c, mono_mul(m, mono)): v * coeff
-                    for (c, m), v in self.terms.items()}, _clean=False)
-
     def scale(self, coeff):
         return Vec(self.ring, self.rank,
                    {t: v * coeff for t, v in self.terms.items()}, _clean=False)
@@ -371,13 +366,6 @@ class ModulePresentation:
     def column_degrees(self):
         """Degree of each relation column; HomogeneityError if one has none."""
         return [_vec_degree(self.ring, self.shifts, v) for v in self.columns]
-
-    def is_zero_module(self):
-        """True when the relations span every generator (cokernel = 0)."""
-        if self.rank == 0:
-            return True
-        leads = self.initial_leads()
-        return all(any(not any(m) for m in comp) for comp in leads)
 
     def initial_leads(self):
         """Per-component minimal lead monomials of the relation submodule."""

@@ -152,22 +152,6 @@ def adeg_monomial(I):
     return out
 
 
-def check_standard_cover(I, box=6):
-    """Brute-force gate: on the exponent box the standard-pair cells cover
-    exactly the standard monomials.  Raises on any mismatch."""
-    gens = minimal_generators(I)
-    pairs = standard_pairs(I)
-    n = I.ring.nvars
-    for m in itertools.product(range(box + 1), repeat=n):
-        standard = not monomial_ideal_contains(gens, m)
-        covered = any(p.covers(m) for p in pairs)
-        if standard != covered:
-            raise InternalConsistencyError(
-                "standard-pair cover fails at %r (standard=%s covered=%s)"
-                % (m, standard, covered))
-    return True
-
-
 # ---------------------------------------------------------------------------
 # irreducible decomposition and primes
 

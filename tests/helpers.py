@@ -1,0 +1,28 @@
+"""Test-only helpers shared by several test modules."""
+
+from arithdeg.hilbert import as_presentation, hilbert_value
+
+
+def h11_table(M, hi1, hi2):
+    """Double cumulative sums of the bigraded Hilbert function up to (hi1, hi2).
+
+    Sums start at the lowest possible support, so shifted modules (Ext
+    duals) are handled; for modules supported in non-negative bidegrees
+    this is the double sum transform from the origin.
+    """
+    pres = as_presentation(M)
+    lo1 = min([0] + [s[0] for s in pres.shifts])
+    lo2 = min([0] + [s[1] for s in pres.shifts])
+    table = {}
+    for i in range(lo1, hi1 + 1):
+        for j in range(lo2, hi2 + 1):
+            table[(i, j)] = (hilbert_value(pres, (i, j)) + table.get((i - 1, j), 0)
+                             + table.get((i, j - 1), 0) - table.get((i - 1, j - 1), 0))
+    return table
+
+
+def is_zero_module(pres):
+    """True when the relations span every generator (cokernel = 0)."""
+    if pres.rank == 0:
+        return True
+    return all(any(not any(m) for m in comp) for comp in pres.initial_leads())

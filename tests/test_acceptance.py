@@ -10,20 +10,23 @@ import time
 
 import pytest
 
-from arithdeg.adeg import (adeg_report_ext, adeg_report_monomial, cached_gg,
+from arithdeg.adeg import (_cohen_macaulay_table, _ext_table,
+                           adeg_report_ext, adeg_report_monomial, cached_gg,
                            gmult, prune_coordinate_variables)
 from arithdeg.constructions import h11_direct
 from arithdeg.groebner import (IdealHandle, buchberger, ideal_power,
                                ideal_sum, normal_form, s_polynomial)
 from arithdeg.hilbert import (artinian_length, as_presentation,
                               classical_multiplicity, dimension,
-                              h11_polynomial, h11_table, hilbert_polynomial,
+                              h11_polynomial, hilbert_polynomial,
                               hilbert_value, hilbert_value_bruteforce)
 from arithdeg.corpus import build_corpus
 from arithdeg.modules import ext_presentation
 from arithdeg.numerical import NumericalPoly2, interpolate_poly1
 from arithdeg.orders import DegRevLex
 from arithdeg.rings import RingDescriptor
+
+from helpers import h11_table, is_zero_module
 
 
 CORPUS_JSON_SHA256 = (
@@ -182,6 +185,59 @@ def test_criterion_4_adeg_cross_pipeline():
             time.monotonic() - started, 120)
 
 
+def _criterion_4_ideals():
+    """Criterion 4's 50 ideals: (x^2, xy), (xy) and 48 seeded random
+    monomial ideals in 2-4 variables."""
+    rng = random.Random(4004)
+    R2 = RingDescriptor.graded("x,y")
+    x, y = R2.gens()
+    ideals = [IdealHandle(R2, [x ** 2, x * y]), IdealHandle(R2, [x * y])]
+    while len(ideals) < 50:
+        n = rng.randint(2, 4)
+        ring = RingDescriptor.graded(",".join("xyzw"[:n]))
+        I = IdealHandle(ring, _random_monomial_ideal(rng, ring))
+        if I.is_unit() or I.is_zero():
+            continue
+        ideals.append(I)
+    return ideals
+
+
+def test_criterion_4_ext_route_alone():
+    """Criterion 4 with the Cohen-Macaulay certificate out of the way: the
+    Ext route alone against the standard pairs on the same 50 ideals,
+    among them the ones the certificate would answer."""
+    certified = 0
+    for I in _criterion_4_ideals():
+        table = adeg_report_monomial(I).table()
+        assert _ext_table(I) == table
+        certificate = _cohen_macaulay_table(I)
+        if certificate is not None:
+            assert certificate == table
+            certified += 1
+    assert 0 < certified < 50
+
+
+def test_certificate_agrees_with_ext_on_the_corpus(corpus_pairs):
+    """On every corpus GG side (read as verify reads it) and every corpus
+    adeg task, a certified table is the Ext route's; both branches occur."""
+    sides = []
+    for _identifier, _J, _I, _meta, gg, _P11 in corpus_pairs:
+        L = IdealHandle(gg.ideal.ring, list(gg.ideal.groebner_basis()))
+        sides.append(prune_coordinate_variables(L))
+    for entry in build_corpus():
+        script = entry.script()
+        sides += [IdealHandle(script.ring, script.ideals[task[1]])
+                  for task in script.tasks if task[0] == "adeg"]
+    outcomes = []
+    for L in sides:
+        assert L.is_homogeneous()
+        table = _cohen_macaulay_table(L)
+        if table is not None:
+            assert table == _ext_table(L), L
+        outcomes.append(table is not None)
+    assert any(outcomes) and not all(outcomes)
+
+
 # two complete intersections of three dense quadrics in Q[x,y,z,w]
 DENSE_QUADRIC_CIS = (
     ("-4*x^2 - x*y - x*z - 3*x*w - 2*y^2 + 3*y*z - 2*y*w - 3*z^2 + z*w - 4*w^2",
@@ -197,27 +253,15 @@ def test_grade_bound_ext_vanishes_below_codimension():
     """Ext^j(S/I, S) = 0 for j < codim = n - dim, built the long way, on
     criterion 4's 50 ideals and two dense quadric complete intersections;
     Ext^codim is nonzero, so the bound is sharp."""
-    rng = random.Random(4004)
-    R2 = RingDescriptor.graded("x,y")
-    x, y = R2.gens()
-    ideals = [IdealHandle(R2, [x ** 2, x * y]), IdealHandle(R2, [x * y])]
-    while len(ideals) < 50:
-        n = rng.randint(2, 4)
-        ring = RingDescriptor.graded(",".join("xyzw"[:n]))
-        gens = _random_monomial_ideal(rng, ring)
-        I = IdealHandle(ring, gens)
-        if I.is_unit() or I.is_zero():
-            continue
-        ideals.append(I)
     R4 = RingDescriptor.graded("x,y,z,w")
     cis = [IdealHandle(R4, list(gens)) for gens in DENSE_QUADRIC_CIS]
     assert [dimension(I) for I in cis] == [1, 1]
-    for I in ideals + cis:
+    for I in _criterion_4_ideals() + cis:
         pres = as_presentation(I)
         n, d = I.ring.nvars, dimension(I)
         for i in range(d + 1, n + 1):
-            assert ext_presentation(pres, n - i).is_zero_module(), (I, i)
-        assert not ext_presentation(pres, n - d).is_zero_module(), I
+            assert is_zero_module(ext_presentation(pres, n - i)), (I, i)
+        assert not is_zero_module(ext_presentation(pres, n - d)), I
 
 
 def _samuel_wrt_ideal(J, I, max_n=10):

@@ -1,17 +1,23 @@
 """Arithmetic degrees (all flavors) and the verification harness."""
 
-import pytest
+import re
 
+import pytest
+from hypothesis import given, seed, settings, strategies as st
+
+import arithdeg.adeg as adeg_mod
 from arithdeg.adeg import (adeg_graded, adeg_report_ext, adeg_report_monomial,
                            biadeg, cached_gg, gmult, ladeg,
                            prune_coordinate_variables, verify)
-from arithdeg.errors import UnsupportedInputError
+from arithdeg.errors import HomogeneityError, UnsupportedInputError
+from arithdeg.fields import GF, QQ
 from arithdeg.groebner import (IdealHandle, ideal_power, ideal_sum,
                                maximal_ideal)
-from arithdeg.hilbert import artinian_length, classical_multiplicity, dimension
+from arithdeg.hilbert import (artinian_length, classical_multiplicity,
+                              dimension, monomials_of_degree)
 from arithdeg.monomials import m_leq_monomial
 from arithdeg.numerical import MultiplicityVector, interpolate_poly1
-from arithdeg.rings import RingDescriptor
+from arithdeg.rings import Polynomial, RingDescriptor
 
 
 @pytest.fixture
@@ -306,3 +312,118 @@ def test_verify_falls_back_to_gr_when_the_bases_differ(R, monkeypatch):
                              "whose graded sides are total-degree graded$"):
         verify(J, I, meta={"prime": True}, label="cusp-fallback")
     assert seen == [gg.ideal, gg.gr.ideal]
+
+
+# ---------------------------------------------------------------------------
+# the Cohen-Macaulay certificate ahead of the Ext route
+
+@st.composite
+def _homogeneous_ideals(draw):
+    """2-3 homogeneous generators of degree 1-3 in 2-4 variables over Q or
+    Z/7: monomials, or forms of 2-3 terms."""
+    field = draw(st.sampled_from([QQ, GF(7)]))
+    n = draw(st.integers(2, 4))
+    ring = RingDescriptor.graded(",".join("xyzw"[:n]), field=field)
+    size = 1 if draw(st.booleans()) else 3
+    gens = []
+    for _ in range(draw(st.integers(2, 3))):
+        mons = list(monomials_of_degree(n, draw(st.integers(1, 3))))
+        gens.append(Polynomial(ring, draw(st.dictionaries(
+            st.sampled_from(mons), st.integers(-3, 3).filter(bool),
+            min_size=min(size, 2), max_size=size))))
+    return IdealHandle(ring, gens)
+
+
+@seed(2121)
+@settings(max_examples=120, deadline=None)
+@given(_homogeneous_ideals())
+def test_certificate_agrees_with_the_ext_route(I):
+    """A certified table is the Ext route's, and no module whose Ext route
+    has a nonzero adeg below its dimension is certified."""
+    table, ext = adeg_mod._cohen_macaulay_table(I), adeg_mod._ext_table(I)
+    if table is not None:
+        assert table == ext
+    if any(ext[i] for i in range(dimension(I))):
+        assert table is None
+
+
+def test_certificate_misses_every_draw_over_f3(monkeypatch):
+    """Every linear form over F_3 divides xy(x+y)(x-y), so no draw gives an
+    Artinian quotient and the Ext route answers."""
+    F3 = RingDescriptor.graded("x,y", field=GF(3))
+    x, y = F3.gens()
+    J = IdealHandle(F3, [x * y * (x + y) * (x - y)])
+    drawn = []
+    draws = adeg_mod._linear_draws
+
+    def recorded(ring, d):
+        for z in draws(ring, d):
+            drawn.append(z)
+            yield z
+
+    def unreachable(K):
+        raise AssertionError("a draw that misses has no length")
+    monkeypatch.setattr(adeg_mod, "_linear_draws", recorded)
+    monkeypatch.setattr(adeg_mod, "artinian_length", unreachable)
+    assert adeg_mod._cohen_macaulay_table(J) is None
+    assert len(drawn) == adeg_mod.CM_DRAWS
+    assert adeg_report_ext(J).table() == {0: 0, 1: 4, 2: 0}
+
+
+def test_certificate_falls_back_when_the_length_exceeds_e(monkeypatch):
+    """(x^2, xy) has the h-vector 1 + t - t^2, so no draw is made; the
+    h-vector 1 + 2t of (x^2, xy, xw, yw^2) is no obstruction, and its
+    draw gives λ = 4 > e = 3.  The Ext route answers both."""
+    R2 = RingDescriptor.graded("x,y")
+    x, y = R2.gens()
+    I = IdealHandle(R2, [x ** 2, x * y])
+    assert adeg_mod._cohen_macaulay_table(I) is None
+    assert adeg_report_ext(I).table() == {0: 1, 1: 1, 2: 0}
+    R4 = RingDescriptor.graded("x,y,z,w")
+    x, y, z, w = R4.gens()
+    J = IdealHandle(R4, [x ** 2, x * y, x * w, y * w ** 2])
+    lengths = []
+    length = adeg_mod.artinian_length
+    monkeypatch.setattr(adeg_mod, "artinian_length",
+                        lambda K: lengths.append(length(K)) or lengths[-1])
+    assert adeg_mod._cohen_macaulay_table(J) is None
+    assert lengths == [4] and classical_multiplicity(J, 2) == 3
+    assert adeg_report_ext(J).table() == {0: 0, 1: 1, 2: 3, 3: 0, 4: 0}
+
+
+def test_certificate_leaves_other_gradings_to_the_ext_route():
+    """Inhomogeneous, weighted and bigraded input gets no certificate: the
+    Ext route answers, or raises what it raises."""
+    R2 = RingDescriptor.graded("x,y")
+    x, y = R2.gens()
+    B = RingDescriptor.bigraded("x", "y")
+    bx, by = B.gens()
+    for I, text in ((IdealHandle(R2, [x ** 2 - y]), "<x^2 - y>"),
+                    (IdealHandle(B, [bx ** 2 - bx * by]), "<-x*y + x^2>")):
+        assert adeg_mod._cohen_macaulay_table(I) is None
+        with pytest.raises(HomogeneityError,
+                           match="^vector %s is not homogeneous$"
+                           % re.escape(text)):
+            adeg_report_ext(I)
+    W = RingDescriptor.graded("x,y", weights=(1, 2))
+    wx, wy = W.gens()
+    for I, table in ((IdealHandle(W, [wx ** 2 - wy]), {0: 0, 1: 1, 2: 0}),
+                     (IdealHandle(B, [bx * by]), {0: 0, 1: 2, 2: 0})):
+        assert adeg_mod._cohen_macaulay_table(I) is None
+        assert adeg_report_ext(I).table() == table
+
+
+def test_verify_on_a_cohen_macaulay_side_builds_no_resolution(monkeypatch):
+    """J = xy with I = m^2 in Q[x,y,z]: the GG side is Cohen-Macaulay, so
+    neither the theorem's LHS nor corollary 1 resolves anything."""
+    import arithdeg.modules as modules_mod
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the certificate holds; no resolution is built")
+    monkeypatch.setattr(modules_mod, "resolution_for", unreachable)
+    R3 = RingDescriptor.graded("x,y,z")
+    x, y, z = R3.gens()
+    record = verify(IdealHandle(R3, [x * y]),
+                    ideal_power(maximal_ideal(R3), 2), label="cm")
+    assert record.passed
+    assert {i: v for i, v in record.lhs.items() if v} == {2: 8}

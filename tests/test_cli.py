@@ -127,7 +127,9 @@ def test_option_max_degree_caps_hilbert(tmp_path):
 
 
 def test_option_max_degree_reaches_ext_bases(monkeypatch):
-    """The Ext route builds its module Groebner bases under the ideal's caps."""
+    """The Ext route builds its module Groebner bases under the ideal's
+    caps.  (x^2 - xy, xz) = (x) ∩ (x - y, z) cuts out a hyperplane and a
+    plane, so S/J is not Cohen-Macaulay and the Ext route runs."""
     import arithdeg.modules as modules
     from arithdeg.groebner import DEFAULT_MAX_BASIS, DEFAULT_MAX_DEGREE
     seen = []
@@ -139,11 +141,37 @@ def test_option_max_degree_reaches_ext_bases(monkeypatch):
         return build(vecs, morder, max_basis, max_degree)
     monkeypatch.setattr(modules, "module_buchberger", recording)
     script = parse_session("ring S=Q[x,y,z,w];\n"
-                           "ideal J=x^2-y*z, x*y-z*w, y^2-x*w;\n"
+                           "ideal J=x^2-x*y, x*z;\n"
                            "option max_degree 3;\noption max_basis 500;\n"
                            "task adeg J;\n")
     execute_script(script)
     assert seen and set(seen) == {(500, 3)}
+
+
+def test_option_max_degree_reaches_certificate_bases(monkeypatch):
+    """The Cohen-Macaulay certificate builds the bases of J and of J plus
+    its linear forms under the ideal's caps; S/J is Cohen-Macaulay here,
+    so no module basis is built."""
+    import arithdeg.groebner as groebner_mod
+    import arithdeg.modules as modules
+    seen = []
+    build = groebner_mod.buchberger
+
+    def recording(gens, order, max_basis, max_degree):
+        seen.append((max_basis, max_degree))
+        return build(gens, order, max_basis, max_degree)
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the certificate holds; no module basis is built")
+    monkeypatch.setattr(groebner_mod, "buchberger", recording)
+    monkeypatch.setattr(modules, "module_buchberger", unreachable)
+    script = parse_session("ring S=Q[x,y,z,w];\n"
+                           "ideal J=x^2-y*z, x*y-z*w, y^2-x*w;\n"
+                           "option max_degree 3;\noption max_basis 500;\n"
+                           "task adeg J;\n")
+    result = execute_script(script)["results"][0]["result"]
+    assert result == {"adeg": {"2": 3}, "provenance": "ext"}
+    assert len(seen) >= 2 and set(seen) == {(500, 3)}
 
 
 def test_run_determinism(tmp_path):

@@ -20,10 +20,11 @@ from arithdeg.fields import GF, QQ
 from arithdeg.groebner import (IdealHandle, extended_ring, fresh_names,
                                ideal_power, ideal_product, inject,
                                ideal_sum, maximal_ideal, saturate)
-from arithdeg.hilbert import (artinian_length, dimension, h11_table,
-                              hilbert_value)
+from arithdeg.hilbert import artinian_length, dimension, hilbert_value
 from arithdeg.orders import BlockOrder
 from arithdeg.rings import Polynomial, RingDescriptor
+
+from helpers import h11_table
 
 
 @pytest.fixture

@@ -7,13 +7,15 @@ from arithdeg.errors import (HomogeneityError, NotBigradedError,
 from arithdeg.groebner import IdealHandle
 from arithdeg.hilbert import (artinian_length, classical_multiplicity,
                               count_monomials, cumulative_polynomial, dimension,
-                              ee_vector, h11_polynomial, h11_table,
-                              hilbert_polynomial, hilbert_samuel, hilbert_value,
+                              ee_vector, h11_polynomial, hilbert_polynomial,
+                              hilbert_samuel, hilbert_value,
                               hilbert_value_bruteforce, monomials_of_degree,
                               relevant_dimension, samuel_multiplicity)
 from arithdeg.modules import ModulePresentation, Vec, ext_presentation
 from arithdeg.numerical import MultiplicityVector
 from arithdeg.rings import Polynomial, RingDescriptor
+
+from helpers import h11_table
 
 
 @pytest.fixture

@@ -18,7 +18,15 @@ from arithdeg.modules import (ChainComplex, ModulePresentation, Vec,
                               schreyer_syzygies, syzygies_of,
                               module_buchberger, PositionOverTerm)
 from arithdeg.numerical import binom
-from arithdeg.rings import Polynomial, RingDescriptor
+from arithdeg.rings import Polynomial, RingDescriptor, mono_mul
+
+from helpers import is_zero_module
+
+
+def term_mul(v, mono, coeff):
+    """The vector v times the term coeff*mono."""
+    return Vec(v.ring, v.rank, {(c, mono_mul(m, mono)): a * coeff
+                                for (c, m), a in v.terms.items()})
 
 
 @pytest.fixture
@@ -179,7 +187,7 @@ def test_schreyer_syzygies_generate(R):
         for k, g in enumerate(gb):
             coeffs = {m: c for (comp, m), c in v.terms.items() if comp == k}
             for m, c in coeffs.items():
-                total = total + g.term_mul(m, c)
+                total = total + term_mul(g, m, c)
         assert not total
 
 
@@ -215,7 +223,7 @@ def test_ext_free_module(R):
     S_free = ModulePresentation.free(R, 1)
     E0 = ext_presentation(S_free, 0)
     assert E0.rank == 1 and not E0.columns
-    assert ext_presentation(S_free, 1).is_zero_module()
+    assert is_zero_module(ext_presentation(S_free, 1))
 
 
 def test_ext_residue_field(R):
@@ -226,8 +234,8 @@ def test_ext_residue_field(R):
     assert dimension(E2) == 0
     assert hilbert_value(E2, -2) == 1
     assert sum(hilbert_value(E2, d) for d in range(-4, 4)) == 1
-    assert ext_presentation(k_mod, 1).is_zero_module()
-    assert ext_presentation(k_mod, 0).is_zero_module()
+    assert is_zero_module(ext_presentation(k_mod, 1))
+    assert is_zero_module(ext_presentation(k_mod, 0))
 
 
 def test_ext_hypersurface(R):
@@ -239,7 +247,7 @@ def test_ext_hypersurface(R):
     assert E1.rank == 1
     assert [hilbert_value(E1, d) for d in range(-2, 3)] == \
         [hilbert_value(IdealHandle(R, [f]), d + 2) for d in range(-2, 3)]
-    assert ext_presentation(Mf, 0).is_zero_module()
+    assert is_zero_module(ext_presentation(Mf, 0))
 
 
 def test_ext_euler_characteristic(R):
@@ -418,7 +426,7 @@ def _s_vector(f, g, morder):
     lcm = tuple(max(a, b) for a, b in zip(mf, mg))
     qf = tuple(a - b for a, b in zip(lcm, mf))
     qg = tuple(a - b for a, b in zip(lcm, mg))
-    return f.term_mul(qf, 1 / af) - g.term_mul(qg, 1 / ag)
+    return term_mul(f, qf, 1 / af) - term_mul(g, qg, 1 / ag)
 
 
 def _divides(s, t):

@@ -4,16 +4,29 @@ import itertools
 
 import pytest
 
-from arithdeg.errors import WrongOracleError
+from arithdeg.errors import InternalConsistencyError, WrongOracleError
 from arithdeg.groebner import IdealHandle
 from arithdeg.hilbert import artinian_length, dimension
 from arithdeg.monomials import (StandardPair, adeg_monomial,
-                                associated_primes, check_standard_cover,
-                                decompose, embedded_primes,
+                                associated_primes, decompose, embedded_primes,
                                 local_length_by_pairs, m_leq_monomial,
-                                minimal_generators, monomial_intersection,
-                                standard_pairs)
+                                minimal_generators, monomial_ideal_contains,
+                                monomial_intersection, standard_pairs)
 from arithdeg.rings import RingDescriptor
+
+
+def check_standard_cover(I, box=6):
+    """Brute-force gate: on the exponent box the standard-pair cells cover
+    exactly the standard monomials.  Raises on any mismatch."""
+    gens = minimal_generators(I)
+    pairs = standard_pairs(I)
+    for m in itertools.product(range(box + 1), repeat=I.ring.nvars):
+        standard = not monomial_ideal_contains(gens, m)
+        covered = any(p.covers(m) for p in pairs)
+        if standard != covered:
+            raise InternalConsistencyError(
+                "standard-pair cover fails at %r (standard=%s covered=%s)"
+                % (m, standard, covered))
 
 
 @pytest.fixture
