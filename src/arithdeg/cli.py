@@ -2,17 +2,16 @@
 
     arithdeg run -i script.ses [--json out.json] [--order degrevlex]
                  [--max-deg N] [--max-basis N] [--timings]
-    arithdeg corpus [--json out.json] [--csv out.csv] [--parallel K]
-                    [--timings]
+    arithdeg corpus [--json out.json] [--csv out.csv] [--timings]
     arithdeg check
 
-``corpus --parallel K`` runs the entries in K worker processes; the output
-is the same for every K.  ``--timings`` fills the JSON ``timings`` with
-wall-clock seconds: per task for ``run``, per entry for ``corpus``.
+``corpus`` runs its entries one after another, in entry order.
+``--timings`` fills the JSON ``timings`` with wall-clock seconds: per task
+for ``run``, per entry for ``corpus``.
 
 Exit codes: 0 success, 1 usage or parse errors, 2 theorem violation (an
-implementation bug: a reproducer script is written next to the output),
-3 resource cap exceeded.
+implementation bug: a reproducer script, theorem-violation-<label>.ses,
+is written into the current directory), 3 resource cap exceeded.
 """
 
 import argparse
@@ -167,74 +166,51 @@ def _run_entry(entry):
                             % (exp["task"], "/".join(map(str, exp["path"])),
                                exp["value"], node if ok else "<missing>",
                                exp["provenance"]))
-    return entry.identifier, result, failures
-
-
-def _corpus_outcome(entry):
-    """(_run_entry's result, None, seconds), or (None, (kind, message,
-    diagnostics), seconds) when the entry raised; kind is "theorem",
-    "resource" or "error", diagnostics are a resource cap's "key=value"
-    pairs ("" otherwise), and seconds is the entry's wall time.  Only plain
-    data comes back, so a worker process can return any outcome (not every
-    exception type survives pickling)."""
-    started = time.monotonic()
-    try:
-        return _run_entry(entry), None, time.monotonic() - started
-    except Exception as exc:  # classified here, reported in entry order
-        diagnostics = ""
-        if isinstance(exc, TheoremViolationError):
-            kind = "theorem"
-        elif isinstance(exc, ResourceLimitError):
-            kind = "resource"
-            diagnostics = " ".join("%s=%s" % kv
-                                   for kv in sorted(exc.diagnostics.items()))
-        else:
-            kind = "error"
-        return None, (kind, str(exc), diagnostics), time.monotonic() - started
+    return result, failures
 
 
 def cmd_corpus(args):
     entries = build_corpus()
-    workers = min(args.parallel, len(entries))
-    if workers > 1:
-        # imported here: multiprocessing would add ~20 ms to every start-up
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-        # spawned workers start from a fresh import; entries go as arguments
-        spawn = multiprocessing.get_context("spawn")
-        with ProcessPoolExecutor(max_workers=workers, mp_context=spawn) as pool:
-            outcomes = list(pool.map(_corpus_outcome, entries))
-    else:
-        outcomes = [_corpus_outcome(entry) for entry in entries]
-
     violation = None
     resource = None
     rows = []
     summary = {"entries": [], "passed": 0, "failed": 0}
     all_results = []
     timings = {}
-    for entry, (ok, err, seconds) in zip(entries, outcomes):
+    for entry in entries:
+        identifier = entry.identifier
+        started = time.monotonic()
+        error = None
+        diagnostics = ""
+        try:
+            result, failures = _run_entry(entry)
+        except TheoremViolationError as exc:
+            error = str(exc)
+            if violation is None:
+                violation = (entry, error)
+        except ResourceLimitError as exc:
+            error = str(exc)
+            diagnostics = " ".join("%s=%s" % kv
+                                   for kv in sorted(exc.diagnostics.items()))
+            if resource is None:
+                resource = (entry, error)
+        except Exception as exc:  # any other failure is reported per entry
+            error = str(exc)
         if args.timings:
-            timings[entry.identifier] = round(seconds, 6)
-        if err is not None:
-            kind, message, diagnostics = err
-            if kind == "theorem" and violation is None:
-                violation = (entry, message)
-            elif kind == "resource" and resource is None:
-                resource = (entry, message)
+            timings[identifier] = round(time.monotonic() - started, 6)
+        if error is not None:
             summary["failed"] += 1
-            summary["entries"].append({"id": entry.identifier, "passed": False,
-                                       "error": message})
-            record = {"id": entry.identifier, "error": message}
+            summary["entries"].append({"id": identifier, "passed": False,
+                                       "error": error})
+            record = {"id": identifier, "error": error}
             if diagnostics:
                 record["diagnostics"] = diagnostics
             all_results.append(record)
-            rows.append((entry.identifier, "error", "", message, "fail"))
+            rows.append((identifier, "error", "", error, "fail"))
             if diagnostics:
-                rows.append((entry.identifier, "diagnostics", "", diagnostics,
+                rows.append((identifier, "diagnostics", "", diagnostics,
                              "fail"))
             continue
-        identifier, result, failures = ok
         passed = not failures
         verify_ok = all(
             r["result"].get("passed", True)
@@ -479,8 +455,6 @@ def build_parser():
     p_corpus = sub.add_parser("corpus", help="run the bundled corpus")
     p_corpus.add_argument("--json", help="write full results to this file")
     p_corpus.add_argument("--csv", help="write the summary table to this file")
-    p_corpus.add_argument("--parallel", type=int, default=1,
-                          help="run entries in this many worker processes")
     p_corpus.add_argument("--timings", action="store_true",
                           help="include each entry's wall-clock time (breaks "
                                "byte-for-byte reproducibility)")

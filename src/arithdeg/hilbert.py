@@ -536,7 +536,7 @@ def hilbert_samuel(M, k):
     index = {t: i for i, t in enumerate(basis)}
     rows = []
     for col in pres.columns:
-        low = min(ring.degree(m) for (_, m) in col.terms)
+        low = min(sum(m) for (_, m) in col.terms)    # m-adic order
         for d in range(k + 1 - low):
             for alpha in monomials_of_degree(ring.nvars, d):
                 row = [ring.field.zero] * len(basis)

@@ -328,7 +328,7 @@ def test_criterion_7_theorem_and_corollaries():
     import tempfile, os
     with tempfile.TemporaryDirectory() as tmp:
         out = os.path.join(tmp, "corpus.json")
-        rc = main(["corpus", "--parallel", "1", "--json", out])
+        rc = main(["corpus", "--json", out])
         assert rc == 0
         data = json.loads(open(out).read())
         assert data["provenance"]["summary"]["failed"] == 0
@@ -384,12 +384,12 @@ def test_criterion_9_determinism():
     with tempfile.TemporaryDirectory() as tmp:
         a = os.path.join(tmp, "a.json")
         b = os.path.join(tmp, "b.json")
-        assert main(["corpus", "--parallel", "1", "--json", a]) == 0
-        assert main(["corpus", "--parallel", "1", "--json", b]) == 0
+        assert main(["corpus", "--json", a]) == 0
+        assert main(["corpus", "--json", b]) == 0
         assert open(a).read() == open(b).read()
-        # The serial corpus JSON, the same under any PYTHONHASHSEED and
-        # with --parallel 2.  A change that alters corpus output on purpose
-        # updates this digest and says so in CHANGES.md.
+        # The corpus JSON, the same under any PYTHONHASHSEED.  A change
+        # that alters corpus output on purpose updates this digest and says
+        # so in CHANGES.md.
         with open(a, "rb") as fh:
             digest = hashlib.sha256(fh.read()).hexdigest()
         assert digest == CORPUS_JSON_SHA256

@@ -93,6 +93,77 @@ def test_resource_cap_exit_code(tmp_path):
     assert main(["run", "-i", str(src)]) == 3
 
 
+def _violating_verify(monkeypatch):
+    """Make the first verify task raise TheoremViolationError; later ones
+    run the real verify."""
+    import arithdeg.runner as runner_mod
+    from arithdeg.errors import TheoremViolationError
+    real = runner_mod.verify
+    calls = []
+
+    def verify(J, I, **kwargs):
+        calls.append(J)
+        if len(calls) == 1:
+            raise TheoremViolationError("adeg_1 inequality fails (forced)")
+        return real(J, I, **kwargs)
+
+    monkeypatch.setattr(runner_mod, "verify", verify)
+
+
+def test_theorem_violation_exit_code(tmp_path, monkeypatch, capsys):
+    """A theorem violation in `run` exits 2 and writes its reproducer, the
+    error line and then the script, into the current directory."""
+    script = "ring S=Q[x];\nideal J=0;\nideal I=x^2;\ntask verify J I;\n"
+    src = tmp_path / "v.ses"
+    src.write_text(script)
+    monkeypatch.chdir(tmp_path)
+    _violating_verify(monkeypatch)
+    assert main(["run", "-i", str(src)]) == 2
+    reproducer = tmp_path / "theorem-violation-run.ses"
+    assert reproducer.read_text() == (
+        "# reproducer: adeg_1 inequality fails (forced)\n" + script)
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "theorem violation (implementation bug): adeg_1 inequality fails "
+        "(forced)\nreproducer written to theorem-violation-run.ses\n")
+
+
+def test_corpus_theorem_violation_exit_code(tmp_path, monkeypatch, capsys):
+    """A theorem violation in one corpus entry exits 2, writes that entry's
+    reproducer into the current directory, and leaves the other entries
+    reported in the JSON and CSV."""
+    import arithdeg.cli as cli_mod
+    from arithdeg.corpus import build_corpus
+    subset = build_corpus()[:3]
+    first = subset[0]
+    monkeypatch.setattr(cli_mod, "build_corpus", lambda: subset)
+    monkeypatch.chdir(tmp_path)
+    _violating_verify(monkeypatch)
+    rc = main(["corpus", "--json", "out.json", "--csv", "out.csv"])
+    assert rc == 2
+    reproducer = tmp_path / ("theorem-violation-%s.ses" % first.identifier)
+    assert reproducer.read_text() == (
+        "# reproducer: adeg_1 inequality fails (forced)\n" + first.script_text)
+    captured = capsys.readouterr()
+    assert captured.out == (
+        "corpus: 3 entries, 2 passed, 1 failed\n"
+        "  FAIL %s: adeg_1 inequality fails (forced)\n" % first.identifier)
+    assert captured.err == (
+        "theorem violation in %s (bug); reproducer at "
+        "theorem-violation-%s.ses\n" % (first.identifier, first.identifier))
+    results = json.loads((tmp_path / "out.json").read_text())["results"]
+    assert results[0] == {"id": first.identifier,
+                          "error": "adeg_1 inequality fails (forced)"}
+    assert [r["id"] for r in results[1:]] == [e.identifier for e in subset[1:]]
+    assert all("output" in r for r in results[1:])
+    table = (tmp_path / "out.csv").read_text().splitlines()
+    assert table[1] == ("%s,error,,adeg_1 inequality fails (forced),fail"
+                        % first.identifier)
+    for entry in subset[1:]:
+        assert "%s,verify J M,,ok,pass" % entry.identifier in table
+
+
 def test_max_deg_zero_is_a_cap(tmp_path):
     """--max-deg 0 caps the run at degree 0, as `option max_degree 0;`
     does, rather than leaving it uncapped; a negative cap is rejected when
@@ -261,45 +332,34 @@ def test_spot_checks_catch_an_interreduction_that_skips_tails(monkeypatch):
         cli_mod._spot_check_basis(IdealHandle(R, gens))
 
 
-def test_corpus_parallel_order_stable(tmp_path, monkeypatch):
-    """Assembly order does not depend on completion order."""
-    import arithdeg.cli as cli_mod
-    from arithdeg.corpus import build_corpus
-    subset = build_corpus()[:6]
-    monkeypatch.setattr(cli_mod, "build_corpus", lambda: subset)
-    a = tmp_path / "p1.json"
-    b = tmp_path / "p3.json"
-    assert main(["corpus", "--parallel", "1", "--json", str(a)]) == 0
-    assert main(["corpus", "--parallel", "3", "--json", str(b)]) == 0
-    assert a.read_text() == b.read_text()
-
-
-def test_corpus_parallel_reports_errors_as_serial(tmp_path, monkeypatch,
-                                                  capsys):
-    """Entries that raise are reported the same from worker processes."""
+def test_corpus_reports_errors(tmp_path, monkeypatch, capsys):
+    """Entries that raise are reported in entry order, and the run goes on:
+    a resource cap exits 3 with its CSV row, and a session syntax error is
+    a failed entry."""
     import arithdeg.cli as cli_mod
     from arithdeg.corpus import CorpusEntry, build_corpus
     capped = CorpusEntry(
         "capped", "ring S=Q[x,y,z];\nideal J=x^2-y*z, x*y-z^2;\n"
                   "option max_degree 2;\ntask hilbert J;\n")
-    # SessionSyntaxError does not survive pickling
     broken = CorpusEntry("broken", "ring S = Q[x,y]\nideal J = x;\ntask gb J;")
-    subset = [build_corpus()[0], capped, broken]
-    monkeypatch.setattr(cli_mod, "build_corpus", lambda: subset)
-    reports = []
-    for k in ("1", "2"):
-        out = tmp_path / ("p%s.json" % k)
-        csv = tmp_path / ("p%s.csv" % k)
-        rc = main(["corpus", "--parallel", k, "--json", str(out),
-                   "--csv", str(csv)])
-        captured = capsys.readouterr()
-        reports.append((rc, out.read_text(), csv.read_text(),
-                        captured.out, captured.err))
-    assert reports[0] == reports[1]
-    rc, _, table, printed, _ = reports[0]
+    first = build_corpus()[0]
+    monkeypatch.setattr(cli_mod, "build_corpus",
+                        lambda: [first, capped, broken])
+    out, csv = tmp_path / "out.json", tmp_path / "out.csv"
+    rc = main(["corpus", "--json", str(out), "--csv", str(csv)])
+    printed = capsys.readouterr()
     assert rc == 3
-    assert "capped,error,,Groebner degree cap 2 exceeded,fail" in table
-    assert "FAIL broken:" in printed
+    assert "capped,error,,Groebner degree cap 2 exceeded,fail" in csv.read_text()
+    assert "FAIL broken:" in printed.out
+    assert printed.err == ("resource cap exceeded in capped: Groebner degree "
+                           "cap 2 exceeded\n")
+    assert [r["id"] for r in json.loads(out.read_text())["results"]] == [
+        first.identifier, "capped", "broken"]
+
+
+def test_corpus_rejects_parallel():
+    """corpus runs in one process; --parallel is not an option."""
+    assert main(["corpus", "--parallel", "2"]) == 1
 
 
 def test_corpus_rows_carry_resource_diagnostics(tmp_path, monkeypatch):

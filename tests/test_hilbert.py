@@ -257,6 +257,20 @@ def test_hilbert_samuel_cusp(R):
     assert (e, d) == (2, 1)
 
 
+@pytest.mark.parametrize("weights, gens, values, samuel", [
+    ((1, 2), lambda x, y: [y], [1, 2, 3, 4, 5, 6, 7], (1, 1)),
+    ((2, 3), lambda x, y: [y ** 2 - x ** 3], [1, 3, 5, 7, 9, 11, 13], (2, 1)),
+], ids=["line", "cusp"])
+def test_hilbert_samuel_ignores_weights(weights, gens, values, samuel):
+    """Hilbert-Samuel lengths are m-adic, so the grading does not enter:
+    weighted and unweighted rings give the same lengths and (e, d)."""
+    for w in (None, weights):
+        ring = RingDescriptor.graded("x,y", weights=w)
+        M = IdealHandle(ring, gens(*ring.gens()))
+        assert [hilbert_samuel(M, k) for k in range(7)] == values
+        assert samuel_multiplicity(M)[:2] == samuel
+
+
 def test_samuel_vs_tangent_cone(R):
     from arithdeg.constructions import tangent_cone
     x, y = R.gens()
