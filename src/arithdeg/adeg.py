@@ -265,8 +265,6 @@ def ladeg(J, I, i, meta=None):
             if n - len(supp) != i:
                 continue
             length = local_length_by_pairs(J, supp)
-            if length == 0:
-                continue
             p = IdealHandle(ring, [ring.gen(k) for k in sorted(supp)])
             vec = gmult(p, I, i)
             total = total + vec.scale(length)

@@ -1,6 +1,6 @@
 """Command-line frontend.
 
-    arithdeg run -i script.ses [--json out.json] [--order degrevlex]
+    arithdeg run -i script.ses [--json out.json] [--order degrevlex|lex]
                  [--max-deg N] [--max-basis N] [--timings]
     arithdeg corpus [--json out.json] [--csv out.csv] [--timings]
     arithdeg check
@@ -23,7 +23,8 @@ from .corpus import build_corpus
 from .errors import (AlgebraError, ResourceLimitError, SessionSyntaxError,
                      NameResolutionError, TheoremViolationError)
 from .runner import execute_script, ideal_handles
-from .session import ORDER_NAMES, parse_session
+from .orders import ORDERS
+from .session import parse_session
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -445,7 +446,7 @@ def build_parser():
     p_run = sub.add_parser("run", help="execute a session script")
     p_run.add_argument("-i", "--input", required=True)
     p_run.add_argument("--json", help="write results to this file")
-    p_run.add_argument("--order", default=None, choices=ORDER_NAMES)
+    p_run.add_argument("--order", default=None, choices=ORDERS)
     p_run.add_argument("--max-deg", type=_cap, default=None)
     p_run.add_argument("--max-basis", type=_cap, default=None)
     p_run.add_argument("--timings", action="store_true",

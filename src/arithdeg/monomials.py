@@ -284,12 +284,13 @@ def _decompose(I):
         return MonomialDecomposition(I.ring, [comp], [(frozenset(), ())],
                                      [frozenset()], [frozenset()])
     comps = irreducible_decomposition(gens, n)
-    comps = _irredundant(comps)
     # exactness gate
     inter = _intersection(c.generators() for c in comps)
     if set(inter) != set(gens):
         raise InternalConsistencyError(
             "irreducible decomposition does not intersect back to the input")
+    # the components are irredundant, so is their grouping by radical: were
+    # one group redundant, each of its components would be
     groups = {}
     for c in comps:
         groups.setdefault(c.radical_support(), []).append(c)
@@ -297,20 +298,6 @@ def _decompose(I):
     for supp in sorted(groups, key=sorted):
         gens_p = _intersection(c.generators() for c in groups[supp])
         primary.append((supp, gens_p))
-    # omission test for irredundancy of the primary decomposition
-    changed = True
-    while changed:
-        changed = False
-        for k in range(len(primary)):
-            others = primary[:k] + primary[k + 1:]
-            if not others:
-                continue
-            inter = _intersection(g for _, g in others)
-            if set(inter) == set(gens) or all(
-                    monomial_ideal_contains(primary[k][1], m) for m in inter):
-                primary.pop(k)
-                changed = True
-                break
     associated = [supp for supp, _ in primary]
     minimal = [p for p in associated
                if not any(q < p for q in associated)]

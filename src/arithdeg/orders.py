@@ -91,10 +91,12 @@ class BlockOrder(TermOrder):
                 self.outer.signature(), self.inner.signature())
 
 
+# the orders a session option or the CLI may name
+ORDERS = {"degrevlex": DegRevLex, "lex": Lex}
+
+
 def order_from_name(name):
     """The term order a session option or the CLI names."""
-    if name == "degrevlex":
-        return DegRevLex()
-    if name == "lex":
-        return Lex()
-    raise ValueError("unknown term order %r" % (name,))
+    if name not in ORDERS:
+        raise ValueError("unknown term order %r" % (name,))
+    return ORDERS[name]()

@@ -14,6 +14,7 @@ from .errors import (AlgebraError, NotBigradedError, RingMismatchError,
 from .fields import QQ
 
 MAX_VARIABLES = 12
+_NAME = r"[A-Za-z_][A-Za-z_0-9]*"      # variable names; the scanner's names
 
 
 # ---------------------------------------------------------------------------
@@ -90,7 +91,7 @@ class RingDescriptor:
         if len(set(names)) != len(names):
             raise AlgebraError("duplicate variable names: %r" % (names,))
         for n in names:
-            if not re.fullmatch(r"[A-Za-z_][A-Za-z_0-9]*", n):
+            if not re.fullmatch(_NAME, n):
                 raise AlgebraError("bad variable name %r" % (n,))
         self.names = names
         self.field = field
@@ -407,104 +408,124 @@ class Polynomial:
 
 
 # ---------------------------------------------------------------------------
-# small expression parser (shared by tests, the corpus, and session scripts)
+# the scanner shared by parse_polynomial and session scripts
 
-_TOKEN = re.compile(r"\s*(?:(?P<num>\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
-                    r"|(?P<op>[-+*^()/]))")
+_TOKEN = re.compile(r"(?:\s|#.*)*(?:(?P<num>[0-9]+)|(?P<name>%s)"
+                    r"|(?P<op>[-+*^()/,;=\[\]])|(?P<end>\Z)|(?P<bad>.))"
+                    % _NAME)
+
+
+class _Tokens:
+    """The toolkit's one scanner: a text read as num, name and op tokens,
+    then end; whitespace and '#' comments are skipped.  kind, value and
+    offset describe the current token, and error() raises at it."""
+
+    def __init__(self, text):
+        self.text = text
+        self._end = 0
+        self.kind = self.value = None
+        self.advance()
+
+    def error(self, message):
+        raise AlgebraError("%s at offset %d in %r"
+                           % (message, self.offset, self.text))
+
+    def advance(self):
+        """Move to the next token; returns the (kind, value) moved past."""
+        token = (self.kind, self.value)
+        m = _TOKEN.match(self.text, self._end)
+        self.kind = m.lastgroup
+        self.value = m.group(self.kind)
+        self.offset = m.start(self.kind)
+        self._end = m.end()
+        if self.kind == "bad":
+            self.error("unexpected character %r" % self.value)
+        return token
+
+    def accept(self, op):
+        """Move past the operator op when it is the current token."""
+        if self.kind == "op" and self.value == op:
+            self.advance()
+            return True
+        return False
+
+    def expect(self, op):
+        if not self.accept(op):
+            self.error("expected %r" % op)
+
+    def name(self):
+        if self.kind != "name":
+            self.error("expected a name")
+        return self.advance()[1]
+
+    def integer(self, message):
+        if self.kind != "num":
+            self.error(message)
+        return int(self.advance()[1])
+
+    def separated(self, read):
+        """One or more items read by read(), separated by commas."""
+        items = [read()]
+        while self.accept(","):
+            items.append(read())
+        return items
+
+    def polynomial(self, ring):
+        """Read a sum of terms: '+', '-', '*' or juxtaposition, '^',
+        parentheses, integers and a/b rationals."""
+        if self.accept("-"):
+            acc = -self._product(ring)
+        else:
+            self.accept("+")
+            acc = self._product(ring)
+        while self.kind == "op" and self.value in ("+", "-"):
+            op = self.advance()[1]
+            term = self._product(ring)
+            acc = acc + term if op == "+" else acc - term
+        return acc
+
+    def _product(self, ring):
+        acc = self._power(ring)
+        while (self.accept("*") or self.kind in ("num", "name")
+               or (self.kind, self.value) == ("op", "(")):
+            acc = acc * self._power(ring)
+        return acc
+
+    def _power(self, ring):
+        base = self._atom(ring)
+        while self.accept("^"):
+            base = base ** self.integer("exponent must be an integer")
+        return base
+
+    def _atom(self, ring):
+        if self.kind == "num":
+            c = int(self.advance()[1])
+            if self.accept("/"):
+                d = ring.field.coerce(self.integer("expected integer denominator"))
+                if d == 0:
+                    self.error("zero denominator")
+                return ring.constant(ring.field.coerce(c) / d)
+            return ring.constant(c)
+        if self.kind == "name":
+            if self.value not in ring.names:
+                self.error("no variable %r in ring %r" % (self.value, ring))
+            return ring.gen(ring.names.index(self.advance()[1]))
+        if self.accept("("):
+            inner = self.polynomial(ring)
+            self.expect(")")
+            return inner
+        self.error("unexpected token %r" % self.value)
 
 
 def parse_polynomial(ring, text):
     """Parse '+', '-', '*', '^', parentheses, integers and a/b rationals."""
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m or m.end() == pos:
-            if text[pos:].strip():
-                raise AlgebraError("cannot tokenize %r at offset %d" % (text, pos))
-            break
-        if m.group("num") is not None:
-            tokens.append(("num", int(m.group("num"))))
-        elif m.group("name") is not None:
-            tokens.append(("name", m.group("name")))
-        else:
-            tokens.append(("op", m.group("op")))
-        pos = m.end()
-    tokens.append(("end", None))
-
-    state = {"i": 0}
-
-    def peek():
-        return tokens[state["i"]]
-
-    def advance():
-        tok = tokens[state["i"]]
-        state["i"] += 1
-        return tok
-
-    def parse_atom():
-        kind, val = peek()
-        if kind == "num":
-            advance()
-            if peek() == ("op", "/"):
-                advance()
-                k2, v2 = advance()
-                if k2 != "num":
-                    raise AlgebraError("expected integer denominator in %r" % text)
-                return ring.constant(ring.field.coerce(val) / ring.field.coerce(v2))
-            return ring.constant(val)
-        if kind == "name":
-            advance()
-            return ring.gen(ring.var_index(val))
-        if (kind, val) == ("op", "("):
-            advance()
-            inner = parse_sum()
-            if advance() != ("op", ")"):
-                raise AlgebraError("unbalanced parentheses in %r" % text)
-            return inner
-        raise AlgebraError("unexpected token %r in %r" % (val, text))
-
-    def parse_power():
-        base = parse_atom()
-        while peek() == ("op", "^"):
-            advance()
-            kind, val = advance()
-            if kind != "num":
-                raise AlgebraError("exponent must be an integer in %r" % text)
-            base = base ** val
-        return base
-
-    def parse_product():
-        acc = parse_power()
-        while True:
-            kind, val = peek()
-            if (kind, val) == ("op", "*"):
-                advance()
-                acc = acc * parse_power()
-            elif kind in ("num", "name") or (kind, val) == ("op", "("):
-                # implicit multiplication: 2x, x y
-                acc = acc * parse_power()
-            else:
-                return acc
-
-    def parse_sum():
-        kind, val = peek()
-        negate = False
-        if (kind, val) == ("op", "-"):
-            advance()
-            negate = True
-        elif (kind, val) == ("op", "+"):
-            advance()
-        acc = parse_product()
-        if negate:
-            acc = -acc
-        while peek()[0] == "op" and peek()[1] in "+-":
-            _, op = advance()
-            term = parse_product()
-            acc = acc + term if op == "+" else acc - term
-        return acc
-
-    result = parse_sum()
-    if peek()[0] != "end":
-        raise AlgebraError("trailing input in %r" % text)
+    tokens = _Tokens(text)
+    result = tokens.polynomial(ring)
+    if tokens.kind != "end":
+        tokens.error("trailing input")
     return result
+
+
+def poly_text(g):
+    """g as compact text that parse_polynomial reads back."""
+    return repr(g).replace(" ", "")

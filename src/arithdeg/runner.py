@@ -14,16 +14,13 @@ from .groebner import DEFAULT_MAX_BASIS, DEFAULT_MAX_DEGREE, IdealHandle
 from .hilbert import dimension, hilbert_polynomial
 from .monomials import standard_pairs
 from .orders import order_from_name
+from .rings import poly_text
 
 FLOAT_SAFE = 2 ** 53
 
 
 def json_int(v):
     return str(v) if abs(v) > FLOAT_SAFE else v
-
-
-def _poly_str(g):
-    return repr(g).replace(" ", "")
 
 
 def _caps(options):
@@ -83,7 +80,7 @@ def _run_task(kind, names, handles, script, order):
     if kind == "gb":
         I = handles[names[0]]
         basis = I.groebner_basis(order)
-        return {"basis": [_poly_str(g) for g in basis]}
+        return {"basis": [poly_text(g) for g in basis]}
     if kind == "hilbert":
         I = handles[names[0]]
         poly, cert = hilbert_polynomial(I, bigraded=False)
@@ -101,7 +98,7 @@ def _run_task(kind, names, handles, script, order):
         for p in pairs:
             mono = ring.monomial(p.monomial)
             out.append({
-                "monomial": _poly_str(mono),
+                "monomial": poly_text(mono),
                 "variables": [ring.names[i] for i in p.variables],
             })
         return {"pairs": out}
@@ -119,7 +116,7 @@ def _run_task(kind, names, handles, script, order):
                 grid["%d,%d" % (i, j)] = json_int(gg.hilbert(i, j))
         return {
             "ring": repr(gg.ring),
-            "generators": [_poly_str(g) for g in gg.ideal.gens],
+            "generators": [poly_text(g) for g in gg.ideal.gens],
             "hilbert": grid,
         }
     if kind == "gmult":

@@ -10,18 +10,20 @@ Grammar (whitespace-insensitive, '#' comments):
     task  adeg J;                  # gb | hilbert | stdpairs | adeg
     task  verify J I;              # gg | gmult | ladeg | verify take J I
 
-Parsing is deterministic; unknown tasks and undeclared names fail with
-line/column positions.
+Scripts are read by the scanner ``rings`` shares with parse_polynomial: a
+comment may sit wherever whitespace may, ideal bodies included.  Parsing
+is deterministic; unknown tasks and undeclared names fail with line/column
+positions.
 """
 
 from .errors import (AlgebraError, NameResolutionError, SessionSyntaxError)
 from .fields import GF, QQ
-from .rings import RingDescriptor, parse_polynomial, terms_key
+from .orders import ORDERS
+from .rings import RingDescriptor, _Tokens, poly_text, terms_key
 
 ONE_NAME_TASKS = ("gb", "hilbert", "stdpairs", "adeg")
 TWO_NAME_TASKS = ("gg", "gmult", "ladeg", "verify")
 KNOWN_OPTIONS = ("order", "max_degree", "max_basis")
-ORDER_NAMES = ("degrevlex", "lex")
 KNOWN_FLAGS = ("prime", "equidimensional", "origin_certified")
 
 
@@ -49,7 +51,7 @@ class SessionScript:
                                             ",".join(self.ring.names)))
         for name in self.ideal_order:
             gens = self.ideals[name]
-            body = ", ".join(_poly_text(g) for g in gens) if gens else "0"
+            body = ", ".join(poly_text(g) for g in gens) if gens else "0"
             lines.append("ideal %s = %s;" % (name, body))
             for flag in sorted(self.metas.get(name, ())):
                 lines.append("meta %s %s;" % (name, flag))
@@ -75,82 +77,19 @@ class SessionScript:
         return hash(self.signature())
 
 
-def _poly_text(g):
-    text = repr(g)
-    return text.replace(" ", "")
-
-
-class _Cursor:
-    def __init__(self, text):
-        self.text = text
-        self.pos = 0
-        self.line = 1
-        self.col = 1
+class _Script(_Tokens):
+    """The shared scanner, raising SessionSyntaxError with the line and
+    column of the current token."""
 
     def error(self, message):
-        raise SessionSyntaxError(message, self.line, self.col)
-
-    def skip_space(self):
-        while self.pos < len(self.text):
-            ch = self.text[self.pos]
-            if ch == "#":
-                while self.pos < len(self.text) and self.text[self.pos] != "\n":
-                    self.pos += 1
-            elif ch in " \t\r\n":
-                if ch == "\n":
-                    self.line += 1
-                    self.col = 0
-                self.pos += 1
-                self.col += 1
-            else:
-                break
-
-    def eof(self):
-        self.skip_space()
-        return self.pos >= len(self.text)
-
-    def take_word(self):
-        self.skip_space()
-        start = self.pos
-        while self.pos < len(self.text) and (self.text[self.pos].isalnum()
-                                             or self.text[self.pos] == "_"):
-            self.pos += 1
-            self.col += 1
-        if start == self.pos:
-            self.error("expected a name")
-        return self.text[start:self.pos]
-
-    def expect(self, token):
-        self.skip_space()
-        if not self.text.startswith(token, self.pos):
-            self.error("expected %r" % token)
-        self.pos += len(token)
-        self.col += len(token)
-
-    def peek(self):
-        self.skip_space()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def until_semicolon(self):
-        self.skip_space()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos] != ";":
-            if self.text[self.pos] == "\n":
-                self.line += 1
-                self.col = 0
-            self.pos += 1
-            self.col += 1
-        if self.pos >= len(self.text):
-            self.error("missing semicolon")
-        body = self.text[start:self.pos]
-        self.pos += 1
-        self.col += 1
-        return body
+        line = self.text.count("\n", 0, self.offset) + 1
+        column = self.offset - self.text.rfind("\n", 0, self.offset)
+        raise SessionSyntaxError(message, line, column)
 
 
 def parse_session(text):
     """Parse a session script into a SessionScript."""
-    cur = _Cursor(text)
+    tokens = _Script(text)
     ring_name = None
     ring = None
     ideal_order = []
@@ -158,95 +97,84 @@ def parse_session(text):
     tasks = []
     options = {}
     metas = {}
-    while not cur.eof():
-        word = cur.take_word()
+    while tokens.kind != "end":
+        word = tokens.name()
         if word == "ring":
             if ring is not None:
-                cur.error("duplicate ring declaration")
-            ring_name = cur.take_word()
-            cur.expect("=")
-            ring = _parse_ring_body(cur)
+                tokens.error("duplicate ring declaration")
+            ring_name = tokens.name()
+            tokens.expect("=")
+            ring = _parse_ring_body(tokens)
         elif word == "ideal":
             if ring is None:
-                cur.error("ideal before ring declaration")
-            name = cur.take_word()
+                tokens.error("ideal before ring declaration")
+            name = tokens.name()
             if name in ideals or name == ring_name:
-                cur.error("duplicate name %r" % name)
-            cur.expect("=")
-            body = cur.until_semicolon()
-            gens = []
-            if body.strip() and body.strip() != "0":
-                for chunk in body.split(","):
-                    try:
-                        gens.append(parse_polynomial(ring, chunk))
-                    except AlgebraError as exc:
-                        cur.error("bad polynomial %r: %s" % (chunk.strip(), exc))
+                tokens.error("duplicate name %r" % name)
+            tokens.expect("=")
+            gens = tokens.separated(lambda: tokens.polynomial(ring))
+            tokens.expect(";")
             ideal_order.append(name)
-            ideals[name] = gens
+            ideals[name] = [g for g in gens if g]
         elif word == "meta":
-            name = cur.take_word()
+            name = tokens.name()
             if name not in ideals:
                 raise NameResolutionError("meta for undeclared ideal %r" % name)
-            flag = cur.take_word()
+            flag = tokens.name()
             if flag not in KNOWN_FLAGS:
-                cur.error("unknown meta flag %r" % flag)
-            cur.expect(";")
+                tokens.error("unknown meta flag %r" % flag)
+            tokens.expect(";")
             metas.setdefault(name, set()).add(flag)
         elif word == "option":
-            key = cur.take_word()
+            key = tokens.name()
             if key not in KNOWN_OPTIONS:
-                cur.error("unknown option %r" % key)
-            value = cur.take_word()
-            if not (value in ORDER_NAMES if key == "order"
-                    else value.isascii() and value.isdigit()):
-                cur.error("bad value %r for option %s" % (value, key))
-            cur.expect(";")
+                tokens.error("unknown option %r" % key)
+            value = tokens.value
+            if not (value in ORDERS if key == "order" else tokens.kind == "num"):
+                tokens.error("bad value %r for option %s" % (value, key))
+            tokens.advance()
+            tokens.expect(";")
             options[key] = value
         elif word == "task":
-            kind = cur.take_word()
+            kind = tokens.name()
             if kind in ONE_NAME_TASKS:
-                names = (cur.take_word(),)
+                names = (tokens.name(),)
             elif kind in TWO_NAME_TASKS:
-                names = (cur.take_word(), cur.take_word())
+                names = (tokens.name(), tokens.name())
             else:
-                cur.error("unknown task %r" % kind)
-            cur.expect(";")
+                tokens.error("unknown task %r" % kind)
+            tokens.expect(";")
             for n in names:
                 if n not in ideals:
                     raise NameResolutionError(
                         "task %s refers to undeclared ideal %r" % (kind, n))
             tasks.append((kind,) + names)
         else:
-            cur.error("unknown statement %r" % word)
+            tokens.error("unknown statement %r" % word)
     if ring is None:
         raise SessionSyntaxError("script declares no ring", 1, 1)
     return SessionScript(ring_name, ring, ideal_order, ideals, tasks, options, metas)
 
 
-def _parse_ring_body(cur):
-    word = cur.take_word()
+def _parse_ring_body(tokens):
+    word = tokens.name()
     if word == "Q":
         field = QQ
     elif word == "Zp":
-        cur.expect("(")
-        p = cur.take_word()
-        if not p.isdigit():
-            cur.error("prime expected in Zp(...)")
-        field = GF(int(p))
-        cur.expect(")")
+        tokens.expect("(")
+        p = tokens.integer("prime expected in Zp(...)")
+        try:
+            field = GF(p)
+        except ValueError as exc:
+            tokens.error(str(exc))
+        tokens.expect(")")
     else:
-        cur.error("unknown field %r (use Q or Zp(p))" % word)
-    cur.expect("[")
-    names = []
-    while True:
-        names.append(cur.take_word())
-        if cur.peek() == ",":
-            cur.expect(",")
-            continue
-        break
-    cur.expect("]")
-    cur.expect(";")
+        tokens.error("unknown field %r (use Q or Zp(p))" % word)
+    tokens.expect("[")
+    names = tokens.separated(tokens.name)
+    tokens.expect("]")
+    tokens.expect(";")
     try:
         return RingDescriptor(tuple(names), field=field)
     except AlgebraError as exc:
-        cur.error(str(exc))
+        tokens.error(str(exc))

@@ -1,14 +1,28 @@
 """CLI behavior: exit codes, JSON shape, determinism of run output."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from arithdeg.cli import main
 from arithdeg.runner import execute_script
 from arithdeg.session import parse_session
+
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+def _child_env():
+    """This environment with the checkout's src first on PYTHONPATH, so a
+    child process imports the package under test without an install."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (SRC, env.get("PYTHONPATH")) if p)
+    return env
 
 
 SCRIPT = """ring S = Q[x,y];
@@ -43,6 +57,20 @@ def test_run_verify_json(tmp_path):
     assert record["corollary1_a"]["1"] == 1
 
 
+def test_run_gg_json(tmp_path):
+    """GG of (J, I) = (0, (x^2)) over Q[x]: Q[x; q1]/(x^2), whose Hilbert
+    function is 1 in x-degrees 0 and 1 at every q-degree, 0 beyond."""
+    src = tmp_path / "gg.ses"
+    src.write_text("ring S=Q[x]; ideal J=0; ideal I=x^2; task gg J I;\n")
+    out = tmp_path / "gg.json"
+    assert main(["run", "-i", str(src), "--json", str(out)]) == 0
+    result = json.loads(out.read_text())["results"][0]["result"]
+    assert result["ring"] == "Q[x;q1]"
+    assert result["generators"] == ["x^2"]
+    assert result["hilbert"] == {"%d,%d" % (i, j): int(i <= 1)
+                                 for i in range(4) for j in range(4)}
+
+
 def test_parse_error_exit_code(tmp_path):
     src = tmp_path / "bad.ses"
     src.write_text("ring S = Q[x,y]\nideal J = x;\ntask gb J;")
@@ -58,7 +86,8 @@ def test_bad_option_value_is_a_parse_error(tmp_path, option):
     src.write_text("ring S = Q[x,y];\nideal J = x;\noption %s;\ntask gb J;\n"
                    % option)
     proc = subprocess.run([sys.executable, "-m", "arithdeg.cli", "run", "-i",
-                           str(src)], capture_output=True, text=True)
+                           str(src)], capture_output=True, text=True,
+                          env=_child_env())
     assert proc.returncode == 1
     assert "parse error" in proc.stderr
     assert "line 3" in proc.stderr
@@ -72,7 +101,8 @@ def test_unit_pair_is_an_input_error(tmp_path):
     src.write_text("ring S = Q[x,y];\nideal J = x^2*y;\n"
                    "ideal I = -2*x*y^2 - 1;\ntask gg J I;\n")
     proc = subprocess.run([sys.executable, "-m", "arithdeg.cli", "run", "-i",
-                           str(src)], capture_output=True, text=True)
+                           str(src)], capture_output=True, text=True,
+                          env=_child_env())
     assert proc.returncode == 1
     assert "J + I is the unit ideal" in proc.stderr
     assert "Traceback" not in proc.stderr
@@ -174,7 +204,8 @@ def test_max_deg_zero_is_a_cap(tmp_path):
     def run(*flags):
         return subprocess.run([sys.executable, "-m", "arithdeg.cli", "run",
                                "-i", str(src), *flags],
-                              capture_output=True, text=True)
+                              capture_output=True, text=True,
+                              env=_child_env())
 
     assert run().returncode == 0
     capped = run("--max-deg", "0")
@@ -271,7 +302,7 @@ def test_execute_script_gb_and_hilbert():
 
 def test_console_entry_point():
     proc = subprocess.run([sys.executable, "-m", "arithdeg.cli", "--help"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=_child_env())
     assert proc.returncode == 0
     assert "arithdeg" in proc.stdout
 
@@ -355,6 +386,29 @@ def test_corpus_reports_errors(tmp_path, monkeypatch, capsys):
                            "cap 2 exceeded\n")
     assert [r["id"] for r in json.loads(out.read_text())["results"]] == [
         first.identifier, "capped", "broken"]
+
+
+def test_corpus_reports_expected_value_failures(tmp_path, monkeypatch,
+                                               capsys):
+    """An entry whose run disagrees with an expected value, or lacks an
+    expected task, fails: exit code 1, a FAIL line naming both, and one
+    CSV row each."""
+    import arithdeg.cli as cli_mod
+    from arithdeg.corpus import CorpusEntry, _expected
+    entry = CorpusEntry(
+        "off", "ring S=Q[x];\nideal J=0;\nideal I=x^2;\ntask verify J I;\n",
+        expected=[_expected("verify J I", ["theorem_lhs", "1"], 3, "wrong"),
+                  _expected("gb J", ["basis"], [], "not a task here")])
+    monkeypatch.setattr(cli_mod, "build_corpus", lambda: [entry])
+    csv = tmp_path / "out.csv"
+    assert main(["corpus", "--csv", str(csv)]) == 1
+    assert ("  FAIL off: expected verify J I at theorem_lhs/1 = 3, got 2 "
+            "(wrong); expected task 'gb J' missing\n"
+            in capsys.readouterr().out)
+    assert csv.read_text().splitlines()[-2:] == [
+        "off,expected,,expected verify J I at theorem_lhs/1 = 3; got 2 "
+        "(wrong),fail",
+        "off,expected,,expected task 'gb J' missing,fail"]
 
 
 def test_corpus_rejects_parallel():

@@ -163,6 +163,14 @@ def test_quotient_examples(R):
         ideal_quotient(I, R.zero())
 
 
+def test_quotient_by_an_ideal(R):
+    """(x^2, xy) : (x, y) = (x), the intersection of the quotients by the
+    generators."""
+    x, y = R.gens()
+    I = IdealHandle(R, [x ** 2, x * y])
+    assert ideal_quotient(I, IdealHandle(R, [x, y])).equals(IdealHandle(R, [x]))
+
+
 def test_saturation(R):
     x, y = R.gens()
     I = IdealHandle(R, [x ** 2, x * y])

@@ -1,6 +1,8 @@
 """Standard pairs, monomial decompositions, and the dimension filtration."""
 
 import itertools
+import random
+from functools import reduce
 
 import pytest
 
@@ -197,3 +199,26 @@ def test_adeg_counts_vs_primes():
             assert total == len(dec.associated_primes)
         else:
             assert total > len(dec.associated_primes)
+
+
+def test_decomposition_components_are_irredundant():
+    """Seeded random monomial ideals: the components intersect back to the
+    ideal, and leaving out any one irreducible or primary component leaves
+    a strictly larger intersection."""
+    rng = random.Random(2004)
+    R4 = RingDescriptor.graded("x,y,z,w")
+    for _ in range(60):
+        gens = [R4.monomial(tuple(rng.randint(0, 3) for _ in range(4)))
+                for _ in range(rng.randint(1, 5))]
+        I = IdealHandle(R4, [g for g in gens if not g.is_constant()])
+        if I.is_zero():
+            continue
+        dec = decompose(I)
+        minimal = set(minimal_generators(I))
+        for parts in ([c.generators() for c in dec.components],
+                      [g for _, g in dec.primary]):
+            assert set(reduce(monomial_intersection, parts)) == minimal
+            for k in range(len(parts)):
+                others = parts[:k] + parts[k + 1:]
+                if others:
+                    assert set(reduce(monomial_intersection, others)) != minimal

@@ -1,5 +1,7 @@
 """Session-script parsing: grammar, error positions, round trips."""
 
+import random
+
 import pytest
 
 from arithdeg.errors import NameResolutionError, SessionSyntaxError
@@ -29,6 +31,18 @@ def test_missing_semicolon_position():
     with pytest.raises(SessionSyntaxError) as err:
         parse_session("ring S = Q[x,y];\nideal J = x^2, x*y\ntask adeg J;")
     assert err.value.line >= 2
+
+
+@pytest.mark.parametrize("text", [
+    "ring S = Zp(4)[x];",
+    "ring S = Q[x]; ideal J = 1/0*x;",
+    "ring S = Zp(101)[x]; ideal J = x + 1/101;",
+])
+def test_bad_field_values_are_syntax_errors(text):
+    """A field that is not an odd prime field, or a zero denominator in
+    the script's field, is a syntax error rather than a bare traceback."""
+    with pytest.raises(SessionSyntaxError):
+        parse_session(text)
 
 
 def test_unknown_task():
@@ -96,3 +110,61 @@ def test_round_trip():
 def test_zero_ideal_parses():
     script = parse_session("ring S=Q[x]; ideal Z=0; task hilbert Z;")
     assert script.ideals["Z"] == []
+
+
+def test_comment_inside_a_multiline_ideal_body():
+    script = parse_session("ring S = Q[x,y];\n"
+                           "ideal J = x^2,   # the first\n"
+                           "          x*y;   # the second\n"
+                           "task gb J;\n")
+    x, y = script.ring.gens()
+    assert script.ideals["J"] == [x ** 2, x * y]
+
+
+def test_unknown_variable_position_is_its_token():
+    with pytest.raises(SessionSyntaxError) as err:
+        parse_session("ring S = Q[x,y];\nideal J = x^2,\n   x*z + y;\ntask gb J;")
+    assert (err.value.line, err.value.column) == (3, 6)
+    assert "'z'" in str(err.value)
+
+
+def _random_script_text(rng):
+    """A random script with comments and line breaks wherever whitespace
+    may sit, ideal bodies included."""
+    def gap():
+        return rng.choice([" ", "", "\n  ", "  # note\n ", "\t"])
+
+    def poly(names):
+        text = rng.choice(["", "-"])
+        for k in range(rng.randint(1, 3)):
+            if k:
+                text += gap() + rng.choice("+-") + gap()
+            text += rng.choice(["", "3*", "1/2*", "7 "]) + "*".join(
+                "%s^%d" % (rng.choice(names), rng.randint(1, 3))
+                for _ in range(rng.randint(1, 2)))
+        return text
+
+    names = ["x", "y", "z_1", "w2"][:rng.randint(1, 4)]
+    field = rng.choice(["Q", "Zp(101)", "Zp%s(%s32003%s)" % (gap(), gap(), gap())])
+    parts = ["ring S%s=%s%s[%s];" % (gap(), gap(), field,
+                                     ("," + gap()).join(names))]
+    ideals = ["J", "I_2", "M"][:rng.randint(1, 3)]
+    for name in ideals:
+        body = ("," + gap()).join(poly(names) for _ in range(rng.randint(1, 3)))
+        parts.append("ideal %s =%s%s%s;" % (name, gap(), body, gap()))
+    if rng.random() < 0.5:
+        parts.append("meta %s prime;" % ideals[0])
+    parts.append("option order %s;" % rng.choice(["lex", "degrevlex"]))
+    parts.append("option max_degree%s%d;" % (gap() or " ", rng.randint(0, 99)))
+    parts.append("task gb %s;" % rng.choice(ideals))
+    parts.append("task verify %s %s;" % (rng.choice(ideals), rng.choice(ideals)))
+    return gap().join(p + gap() for p in parts)
+
+
+def test_seeded_round_trip_with_comments():
+    rng = random.Random(20041)
+    for _ in range(60):
+        script = parse_session(_random_script_text(rng))
+        again = parse_session(script.emit())
+        assert again == script
+        assert again.emit() == script.emit()
