@@ -10,14 +10,14 @@ Their agreement on the monomial corpus is the central oracle equivalence.
 ``adeg_report_ext`` first tries a Cohen-Macaulay certificate, whose table
 is the Ext route's whenever it holds; its provenance is "ext" too.
 
-``verify`` builds one such table per pair.  gr_m of a standard graded
-ring is that ring, so GG(A) = gr_m(gr_I A) has gr_I A's presentation
-ideal L = Rees kernel + I + J whenever L is graded: L is homogeneous in
-the y-degree, so a totally homogeneous reduced basis of L is bihomogeneous
-and its x-block initial forms are L itself.  Corollary 1's gr_I side reads
-the theorem's table once the two reduced degrevlex bases, both cached by
-the construction's gates, compare equal; when they differ, L takes its
-own Ext route.
+``verify`` builds one such table per pair.  gr_m of a standard bigraded
+ring is that ring, so GG(A) = gr_m(gr_I A) *is* gr_I A's presentation
+k[x; y]/L, L = Rees kernel + I + J, whenever L is bigraded: the GG
+construction hands out gr_I's own ideal handle, and initial forms run only
+otherwise.  L is always homogeneous in the y-degree, so an L that is not
+bigraded is not graded by total degree either, and corollary 1's gr_I side
+is then out of scope.  So corollary 1 reads the theorem's table, or the
+pair is unsupported.
 """
 
 import random
@@ -108,15 +108,13 @@ class AdegReport:
         return {i: self.entries[i] for i in sorted(self.entries)}
 
     def check_invariants(self, dim, nonzero_module):
+        """For a report of integers: no entry is negative, and the top one
+        of a nonzero module is positive."""
         for i, v in self.entries.items():
-            val = v.total() if isinstance(v, MultiplicityVector) else v
-            if val < 0:
+            if v < 0:
                 raise AlgebraError("negative arithmetic degree at i=%d" % i)
-        if nonzero_module and dim >= 0:
-            top = self.entries.get(dim, 0)
-            val = top.total() if isinstance(top, MultiplicityVector) else top
-            if val <= 0:
-                raise AlgebraError("vanishing top arithmetic degree")
+        if nonzero_module and dim >= 0 and self.value(dim) <= 0:
+            raise AlgebraError("vanishing top arithmetic degree")
         return True
 
     def __repr__(self):
@@ -321,11 +319,9 @@ def _adeg_of_ring_quotient(J, meta):
     meta = meta or {}
     ring = J.ring
     if J.is_monomial():
-        rep = adeg_report_monomial(J)
-        return {i: rep.value(i) for i in range(ring.nvars + 1)}, "standard-pairs"
+        return adeg_report_monomial(J).table(), "standard-pairs"
     if J.is_homogeneous():
-        rep = adeg_report_ext(J)
-        return {i: rep.value(i) for i in range(ring.nvars + 1)}, "ext"
+        return adeg_report_ext(J).table(), "ext"
     if meta.get("prime"):
         # a domain: single associated prime, local length one, Samuel top
         e, d, _cert = samuel_multiplicity(J)
@@ -337,25 +333,10 @@ def _adeg_of_ring_quotient(J, meta):
 
 
 def _adeg_of_graded_ideal(I):
-    """adeg table (``adeg_report_ext``) of a quotient by an ideal graded
-    by total degree (a bigraded I is read totally graded), after pruning
-    dead coordinate variables.
-
-    Generator lists are canonicalized through the reduced Groebner basis
-    first: an ideal can be graded even when handed redundant inhomogeneous
-    generators (gr_m presentations do this), and a reduced basis of a
-    graded ideal is graded.
-    """
-    if not I.is_homogeneous():
-        I = IdealHandle(I.ring, list(I.groebner_basis()),
-                        max_basis=I.max_basis, max_degree=I.max_degree)
-    if not I.is_homogeneous():
-        raise UnsupportedInputError(
-            "arithmetic degree of an inhomogeneous presentation: the corpus "
-            "restricts to pairs whose graded sides are total-degree graded")
-    pruned = prune_coordinate_variables(I)
-    rep = adeg_report_ext(pruned)
-    return {i: rep.value(i) for i in range(pruned.ring.nvars + 1)}
+    """adeg table (``adeg_report_ext``) of a quotient by an ideal with
+    bihomogeneous generators, read totally graded, after pruning dead
+    coordinate variables."""
+    return adeg_report_ext(prune_coordinate_variables(I)).table()
 
 
 def verify(J, I, meta=None, label=None):
@@ -363,11 +344,9 @@ def verify(J, I, meta=None, label=None):
 
     The theorem's LHS adeg_r(GG(A)) comes from ``adeg_report_ext`` on
     GG's ideal: the Cohen-Macaulay certificate, else the Ext route.
-    Corollary 1's adeg_i(gr_I A) is the same table when gr_I's ideal has
-    GG's reduced degrevlex basis (gr_m of a graded ring is the ring
-    itself), so it is reused after the two cached bases compare equal.
-    Otherwise gr_I's ideal takes its own Ext route, which raises
-    UnsupportedInputError when gr_I is not totally graded.
+    Corollary 1's adeg_i(gr_I A) is the same table when GG is gr_I A
+    itself, that is when gr_I's ideal is bigraded.  Otherwise gr_I A is not
+    graded by total degree, and corollary 1 raises UnsupportedInputError.
 
     Raises TheoremViolationError on any failed inequality: the statements
     are proved, so a violation is an implementation bug and the record
@@ -396,12 +375,13 @@ def verify(J, I, meta=None, label=None):
         if lv < rv:
             failures.append("theorem fails at r=%d: %d < %d" % (r, lv, rv))
 
-    # corollary 1: adeg_i(gr_I A) >= adeg_i(A), on the theorem's table when
-    # gr_I's reduced basis is GG's (both cached by the gates)
-    if gg.gr.ideal.groebner_basis() == gg.ideal.groebner_basis():
-        cor1_gr = lhs_table
-    else:
-        cor1_gr = _adeg_of_graded_ideal(gg.gr.ideal)
+    # corollary 1: adeg_i(gr_I A) >= adeg_i(A), on the theorem's table:
+    # GG is gr_I when gr_I is bigraded, and gr_I is not graded otherwise
+    if gg.ideal is not gg.gr.ideal:
+        raise UnsupportedInputError(
+            "arithmetic degree of an inhomogeneous presentation: the corpus "
+            "restricts to pairs whose graded sides are total-degree graded")
+    cor1_gr = lhs_table
     cor1_a, _prov = _adeg_of_ring_quotient(J, meta)
     for i in sorted(set(cor1_gr) | set(cor1_a)):
         gv = cor1_gr.get(i, 0)

@@ -290,8 +290,9 @@ def cmd_check(args):
     from .rings import RingDescriptor
     from .numerical import NumericalPoly2
     from .adeg import _ext_table, adeg_report_monomial
-    from .constructions import (cell_lengths, gate_rectangle,
-                                monomial_cell_lengths, rees_kernel)
+    from .constructions import (cell_lengths, gate_rectangle, gg_presentation,
+                                initial_forms_ideal, monomial_cell_lengths,
+                                rees_kernel)
 
     rng = random.Random(7)
     R = RingDescriptor.graded("x,y,z")
@@ -423,6 +424,25 @@ def cmd_check(args):
         assert all(JSt.contains(g.substitute(St, images))
                    for g in rees.kernel.gens)
     print("Rees kernel: ok (5 random J with I = m, substitution into S[t])")
+
+    # GG is gr_I's own handle when gr_I is bigraded; the x-block initial
+    # forms of gr_I's ideal, which build GG otherwise, stay its oracle
+    gg_rng = random.Random(31)
+
+    def rand_monomials(rng, low, high):
+        return [R.monomial(rng.choice(list(monomials_of_degree(
+            R.nvars, rng.randint(low, high))))) for _ in range(rng.randint(1, 3))]
+    pairs = [(rand_homogeneous(gg_rng), maximal_ideal(R)) for _ in range(5)]
+    for _ in range(5):
+        J = IdealHandle(R, rand_monomials(gg_rng, 1, 3))
+        d = gg_rng.randint(1, 2)
+        pairs.append((J, IdealHandle(R, rand_monomials(gg_rng, d, d))))
+    for J, I in pairs:
+        gg = gg_presentation(J, I)
+        assert gg.ideal is gg.gr.ideal
+        forms = initial_forms_ideal(gg.gr.ideal, gg.ring.x_block)
+        assert forms.groebner_basis() == gg.ideal.groebner_basis()
+    print("GG = gr_I: ok (10 random bigraded pairs, initial forms agree)")
     print("check: all good")
     return EXIT_OK
 

@@ -187,7 +187,13 @@ class GradedConstruction:
 
 
 def assoc_graded(J, I):
-    """gr_I(S/J) = k[x; y]/L with L = rees kernel + I + J, y-degree grading."""
+    """gr_I(S/J) = k[x; y]/L with L = rees kernel + I + J, y-degree grading.
+
+    L is bigraded exactly when its reduced degrevlex basis is bihomogeneous.
+    Its generators need not be (an inhomogeneous J with I = m gives such
+    L), so a bigraded L is handed out on that basis, and the handle's own
+    is_bihomogeneous tells whether L is bigraded.
+    """
     rees = rees_kernel(J, I)
     gg = rees.extended
     gens = list(rees.kernel.gens)
@@ -196,7 +202,6 @@ def assoc_graded(J, I):
     for g in J.gens:
         gens.append(inject(g, gg))
     L = IdealHandle(gg, gens, max_basis=J.max_basis, max_degree=J.max_degree)
-    construction = GradedConstruction(gg, L, rees, J, I)
     # dimension transfer gate: dim gr_I(S/J) = dim S/J, except that
     # gr_I(S/J) = 0 when J + I = (1), which is an input outside the theory
     dim_L, dim_J = dimension(L), dimension(J)
@@ -206,7 +211,12 @@ def assoc_graded(J, I):
     if dim_L != dim_J:
         raise InternalConsistencyError(
             "dimension changed across the associated graded construction")
-    return construction
+    # the gate cached L's reduced degrevlex basis
+    basis = L.groebner_basis()
+    if not L.is_bihomogeneous() and all(g.is_bihomogeneous() for g in basis):
+        L = IdealHandle(gg, basis, max_basis=J.max_basis,
+                        max_degree=J.max_degree)
+    return GradedConstruction(gg, L, rees, J, I)
 
 
 class BigradedPresentation:
@@ -228,16 +238,23 @@ class BigradedPresentation:
         return "GG(%r)" % (self.ideal,)
 
 
-def gg_presentation(J, I, gate_rect=None):
+def gg_presentation(J, I):
     """gr_m(gr_I(S/J)) as a bigraded quotient, validated against the direct
-    bifiltration lengths on the certificate rectangle."""
+    bifiltration lengths on the certificate rectangle.
+
+    gr_m of a standard bigraded ring is the ring itself, so when gr_I's
+    ideal L is bigraded, GG's ideal is gr_I's own handle.  Otherwise GG's
+    ideal is the ideal of x-block initial forms of L.
+    """
     gr = assoc_graded(J, I)
-    gg_ring = gr.ring
-    Lp = initial_forms_ideal(gr.ideal, gg_ring.x_block)
+    Lp = gr.ideal
     if not Lp.is_bihomogeneous():
-        raise InternalConsistencyError("GG presentation ideal is not bihomogeneous")
-    out = BigradedPresentation(gg_ring, Lp, gr, J, I)
-    _gate_gg_hilbert(out, gate_rect or gate_rectangle(J))
+        Lp = initial_forms_ideal(Lp, gr.ring.x_block)
+        if not Lp.is_bihomogeneous():
+            raise InternalConsistencyError(
+                "GG presentation ideal is not bihomogeneous")
+    out = BigradedPresentation(gr.ring, Lp, gr, J, I)
+    _gate_gg_hilbert(out, gate_rectangle(J))
     return out
 
 

@@ -49,16 +49,33 @@ class RationalField:
 QQ = RationalField()
 
 
+# Miller-Rabin with the primes up to 41 as bases decides primality exactly
+# below this bound (Sorenson and Webster, Strong pseudoprimes to twelve
+# prime bases, Math. Comp. 86 (2017))
+PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_BOUND = 3317044064679887385961981
+
+
 def _is_prime(n):
+    """Primality of 0 <= n < PRIME_BOUND by deterministic Miller-Rabin."""
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for p in PRIME_BASES:
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in PRIME_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -146,6 +163,9 @@ class PrimeField:
     """The prime field Z/p for an odd prime p."""
 
     def __init__(self, p):
+        if p >= PRIME_BOUND:
+            raise ValueError("prime field needs p below %d, got %d"
+                             % (PRIME_BOUND, p))
         if not _is_prime(p) or p == 2:
             raise ValueError("prime field needs an odd prime, got %r" % (p,))
         self.p = p

@@ -10,7 +10,8 @@ import time
 from .adeg import (_adeg_of_ring_quotient, cached_gg, gmult_report, ladeg,
                    verify)
 from .errors import AlgebraError
-from .groebner import DEFAULT_MAX_BASIS, DEFAULT_MAX_DEGREE, IdealHandle
+from .groebner import (DEFAULT_MAX_BASIS, DEFAULT_MAX_DEGREE, IdealHandle,
+                       _poly_sort_key)
 from .hilbert import dimension, hilbert_polynomial
 from .monomials import standard_pairs
 from .orders import order_from_name
@@ -116,7 +117,8 @@ def _run_task(kind, names, handles, script, order):
                 grid["%d,%d" % (i, j)] = json_int(gg.hilbert(i, j))
         return {
             "ring": repr(gg.ring),
-            "generators": [poly_text(g) for g in gg.ideal.gens],
+            "generators": [poly_text(g) for g in sorted(
+                gg.ideal.groebner_basis(), key=_poly_sort_key)],
             "hilbert": grid,
         }
     if kind == "gmult":

@@ -367,14 +367,33 @@ def test_criterion_8_gg_consistency(corpus_pairs):
 
 
 def test_gg_and_gr_bases_agree_on_corpus_pairs(corpus_pairs):
-    """GG's ideal (x-block initial forms of L, read off a t-first basis)
-    and gr_I's ideal L (Rees kernel + I + J) have equal reduced bases on
-    every corpus pair: verify's corollary 1 reads the theorem's table on
-    this agreement, and the two routes build it independently."""
+    """gr_I's ideal L (Rees kernel + I + J) is bigraded on every corpus
+    pair, so GG's ideal is L's own handle: verify's corollary 1 reads the
+    theorem's table on it."""
     for identifier, _J, _I, _meta, gg, _P11 in corpus_pairs:
-        assert gg.ideal.ring is gg.gr.ideal.ring, identifier
-        assert gg.ideal.groebner_basis() == gg.gr.ideal.groebner_basis(), \
-            identifier
+        assert gg.ideal is gg.gr.ideal, identifier
+        assert gg.ideal.is_bihomogeneous(), identifier
+
+
+def test_corpus_builds_no_initial_forms(monkeypatch):
+    """A serial corpus pass builds every GG without initial forms."""
+    import os
+    import tempfile
+    import arithdeg.adeg as adeg_mod
+    import arithdeg.constructions as constructions_mod
+    from arithdeg.cli import main
+    built = []
+    gg_presentation = constructions_mod.gg_presentation
+
+    def counted(J, I):
+        built.append(1)
+        return gg_presentation(J, I)
+    monkeypatch.setattr(adeg_mod, "gg_presentation", counted)
+    monkeypatch.setattr(constructions_mod, "initial_forms_ideal",
+                        lambda *args: pytest.fail("initial forms built"))
+    with tempfile.TemporaryDirectory() as tmp:
+        assert main(["corpus", "--json", os.path.join(tmp, "c.json")]) == 0
+    assert len(built) >= 40
 
 
 def test_criterion_9_determinism():

@@ -264,8 +264,8 @@ def test_cached_gg_honours_caps():
 
 @pytest.mark.parametrize("case", ["monomial", "cusp"])
 def test_verify_builds_one_ext_route(R, monkeypatch, case):
-    """verify runs the Ext route once: corollary 1's gr_I side has GG's
-    reduced basis, so it reads the theorem's table.  J = xy with
+    """verify runs the Ext route once: corollary 1's gr_I side is GG's own
+    ideal handle, so it reads the theorem's table.  J = xy with
     I = (x^2, y^2) takes standard pairs for A, and the cusp with I = m
     takes Samuel, so the one call is GG's."""
     import arithdeg.adeg as adeg_mod
@@ -287,13 +287,14 @@ def test_verify_builds_one_ext_route(R, monkeypatch, case):
     assert len(calls) == 1
     assert record.cor1_gr == record.lhs
     gg = cached_gg(J, I)
-    assert gg.gr.ideal.groebner_basis() == gg.ideal.groebner_basis()
+    assert gg.ideal is gg.gr.ideal
 
 
 def test_verify_falls_back_to_gr_when_the_bases_differ(R, monkeypatch):
     """For the cusp J = (y^2 - x^3), marked prime, and I = (x + y^2), gr_I's
-    reduced basis (y^2 + x, x^3 + x) is not GG's (x, y^2), so corollary 1
-    runs gr_I's own Ext route, which rejects it as not totally graded."""
+    reduced basis (y^2 + x, x^3 + x) is not GG's (x, y^2): gr_I is not
+    bigraded, so GG is built by initial forms, and corollary 1 rejects gr_I
+    as not totally graded without an Ext route of its own."""
     import arithdeg.adeg as adeg_mod
     x, y = R.gens()
     J, I = IdealHandle(R, [y ** 2 - x ** 3]), IdealHandle(R, [x + y ** 2])
@@ -311,7 +312,7 @@ def test_verify_falls_back_to_gr_when_the_bases_differ(R, monkeypatch):
                              "presentation: the corpus restricts to pairs "
                              "whose graded sides are total-degree graded$"):
         verify(J, I, meta={"prime": True}, label="cusp-fallback")
-    assert seen == [gg.ideal, gg.gr.ideal]
+    assert seen == [gg.ideal]
 
 
 # ---------------------------------------------------------------------------

@@ -166,9 +166,11 @@ def test_gg_gate_catches_a_wrong_cell(R, monkeypatch, cell):
             for other in set(GATE_WALKS) - {walk}:
                 patch.setattr(constructions_mod, other,
                               lambda *args: pytest.fail("took the other walk"))
+            patch.setattr(constructions_mod, "gate_rectangle",
+                          lambda J: GATE_RECT)
             with pytest.raises(InternalConsistencyError,
                                match=re.escape("gate fails at (%d,%d)" % cell)):
-                gg_presentation(J, I, gate_rect=GATE_RECT)
+                gg_presentation(J, I)
 
 
 @pytest.mark.parametrize("walk", sorted(GATE_WALKS))
@@ -233,8 +235,10 @@ def test_gg_gate_builds_each_product_once(R, monkeypatch):
         return product(A, B)
     monkeypatch.setattr(groebner_mod, "ideal_product", counted)
     monkeypatch.setattr(constructions_mod, "ideal_product", counted)
+    monkeypatch.setattr(constructions_mod, "gate_rectangle",
+                        lambda J: GATE_RECT)
     a, b = GATE_RECT
-    gg_presentation(J, I, gate_rect=GATE_RECT)
+    gg_presentation(J, I)
     assert 0 < len(calls) <= (a + 2) * (b + 1)
 
 
@@ -246,6 +250,76 @@ def test_gg_dimension_transfer(R):
         J = IdealHandle(R, gens)
         gr = assoc_graded(J, I)
         assert dimension(gr.ideal) == dimension(J)
+
+
+# the benchmark's ext verify pairs: J in Q[x,y,z] with I = (x^2, xy, y^2, xz)
+EXT_PAIRS = (("x^2", "x^2, x*y, y^2, x*z"), ("y^2", "x^2, x*y, y^2, x*z"))
+
+
+def test_gg_is_gr_when_gr_is_bigraded(R):
+    """GG hands out gr_I's own handle when gr_I's ideal L is bigraded: on
+    the ext pairs, on the curve germs, whose L has inhomogeneous generators
+    but a bihomogeneous reduced basis, and on J = 0 with I = (x^2, y^3).
+    For I = (x + y^2) or (x^2, xy, y^3), L is not bigraded, and GG is the
+    ideal of x-block initial forms."""
+    x, y = R.gens()
+    R3 = RingDescriptor.graded("x,y,z")
+    bigraded = [(IdealHandle(R3, [j]), IdealHandle(R3, i.split(", ")))
+                for j, i in EXT_PAIRS]
+    bigraded += [(IdealHandle(R, [y ** 2 - x ** 3]), maximal_ideal(R)),
+                 (IdealHandle(R, [y - x ** 2]), maximal_ideal(R)),
+                 (IdealHandle(R, []), IdealHandle(R, [x ** 2, y ** 3]))]
+    for J, I in bigraded:
+        gg = gg_presentation(J, I)
+        assert gg.ideal is gg.gr.ideal, (J, I)
+        assert gg.ideal.is_bihomogeneous()
+    for J, I in ((IdealHandle(R, [y ** 2 - x ** 3]), IdealHandle(R, [x + y ** 2])),
+                 (IdealHandle(R, []), IdealHandle(R, [x ** 2, x * y, y ** 3]))):
+        gg = gg_presentation(J, I)
+        assert gg.ideal is not gg.gr.ideal
+        assert not gg.gr.ideal.is_bihomogeneous()
+        assert gg.ideal.gens == initial_forms_ideal(gg.gr.ideal,
+                                                    gg.ring.x_block).gens
+
+
+def _random_exponents(rng, nvars, degree):
+    exps = [0] * nvars
+    for _ in range(degree):
+        exps[rng.randrange(nvars)] += 1
+    return exps
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=["Q", "Zp7"])
+def test_gg_collapse_against_initial_forms(field):
+    """On seeded pairs of a homogeneous J and a monomial I in Q[x,y,z] or
+    Zp(7)[x,y,z], I equigenerated or a staircase x^a_k*y^b_k of three
+    generators: when GG is gr_I's own handle, the x-block initial forms of
+    gr_I's ideal have its reduced degrevlex basis; otherwise GG's ideal is
+    those initial forms, generator for generator."""
+    rng = random.Random(37)
+    ring = RingDescriptor.graded("x,y,z", field=field)
+    collapsed = formed = 0
+    for _ in range(16):
+        degree = rng.randint(2, 3)
+        J = [_random_polynomial(rng, ring, degree, min_deg=degree)
+             for _ in range(rng.randint(0, 1))]
+        if rng.random() < 0.5:
+            degree = rng.randint(1, 2)
+            I = [ring.monomial(_random_exponents(rng, 3, degree))
+                 for _ in range(rng.randint(1, 3))]
+        else:
+            a = sorted(rng.sample(range(1, 4), 2), reverse=True) + [0]
+            b = [0] + sorted(rng.sample(range(1, 4), 2))
+            I = [ring.monomial([p, q, 0]) for p, q in zip(a, b)]
+        gg = gg_presentation(IdealHandle(ring, J), IdealHandle(ring, I))
+        forms = initial_forms_ideal(gg.gr.ideal, gg.ring.x_block)
+        if gg.ideal is gg.gr.ideal:
+            assert forms.groebner_basis() == gg.ideal.groebner_basis()
+            collapsed += 1
+        else:
+            assert gg.ideal.gens == forms.gens
+            formed += 1
+    assert collapsed >= 5 and formed >= 3
 
 
 def test_bifiltration_univariate(R1):

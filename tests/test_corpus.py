@@ -98,3 +98,35 @@ def test_prime_field_gives_the_same_invariants():
         over_q = _invariants(text)
         assert any(over_q), ident
         assert _invariants(text.replace("Q[", "Zp(32003)[", 1)) == over_q, ident
+
+
+def _results(script):
+    return [r["result"] for r in execute_script(script)["results"]]
+
+
+def test_task_order_does_not_change_results():
+    """Every corpus script of several tasks gives each task the same result
+    with its tasks run in reverse, on fresh handles: GG and gr_I share one
+    handle and its caches, whichever task builds them."""
+    checked = 0
+    for entry in build_corpus():
+        script = entry.script()
+        if len(script.tasks) < 2:
+            continue
+        forward = _results(script)
+        script.tasks.reverse()
+        assert _results(script) == forward[::-1], entry.identifier
+        checked += 1
+    assert checked >= 8
+
+
+def test_gg_and_verify_in_either_order():
+    """gg and verify on J = xy, I = (x^2, y^2, z^2) give the same payloads
+    whichever runs first."""
+    text = ("ring S = Q[x,y,z];\nideal J = x*y;\nideal I = x^2, y^2, z^2;\n"
+            "task %s J I;\ntask %s J I;\n")
+    forward = _results(parse_session(text % ("gg", "verify")))
+    backward = _results(parse_session(text % ("verify", "gg")))
+    assert backward == forward[::-1]
+    assert forward[0]["generators"] == [
+        "q2*q3", "y*q3", "x*q2", "z^2", "y^2", "x*y", "x^2"]

@@ -25,6 +25,22 @@ def test_parse_minimal():
 def test_parse_prime_field():
     script = parse_session("ring S = Zp(32003)[x,y]; ideal J = x; task gb J;")
     assert script.ring.field == GF(32003)
+    assert parse_session("ring S = Zp(7)[x];").ring.field.p == 7
+
+
+def test_large_prime_field_parses_fast():
+    """p = 2^61 - 1 is decided without trial division up to sqrt(p)."""
+    import time
+    started = time.monotonic()
+    script = parse_session("ring S = Zp(2305843009213693951)[x];")
+    assert script.ring.field.p == 2 ** 61 - 1
+    assert time.monotonic() - started < 0.5
+
+
+def test_primality_matches_trial_division():
+    from arithdeg.fields import _is_prime
+    assert [n for n in range(3000) if _is_prime(n)] == [
+        n for n in range(2, 3000) if all(n % d for d in range(2, n))]
 
 
 def test_missing_semicolon_position():
@@ -35,6 +51,11 @@ def test_missing_semicolon_position():
 
 @pytest.mark.parametrize("text", [
     "ring S = Zp(4)[x];",
+    "ring S = Zp(561)[x];",                 # a Carmichael number
+    # 151*751*28351, a strong pseudoprime to the bases 2, 3, 5 and 7
+    "ring S = Zp(3215031751)[x];",
+    # above the bound below which the Miller-Rabin bases are exact
+    "ring S = Zp(3317044064679887385961997)[x];",
     "ring S = Q[x]; ideal J = 1/0*x;",
     "ring S = Zp(101)[x]; ideal J = x + 1/101;",
 ])
