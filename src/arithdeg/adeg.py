@@ -18,6 +18,12 @@ otherwise.  L is always homogeneous in the y-degree, so an L that is not
 bigraded is not graded by total degree either, and corollary 1's gr_I side
 is then out of scope.  So corollary 1 reads the theorem's table, or the
 pair is unsupported.
+
+``ladeg`` of monomial J sums over associated primes p generated by
+variables, and builds each GG(S/p) over S/p = k[x_k : x_k not in p], with
+the ideal 0 and I's image (x_k = 0 for x_k in p).  That is exact: in S the
+Rees kernel of S/p holds p and y_j for each generator f_j in p, so both
+presentations have one bigraded Hilbert function, and ee_i reads only that.
 """
 
 import random
@@ -245,17 +251,44 @@ def gmult_report(J, I):
                        for i in range(max(d, 0) + 1)})
 
 
+def _prime_pair(J, I, supp):
+    """(P, I') whose GG has the bigraded Hilbert function of GG(S/p) w.r.t.
+    I, for p = (x_k : k in supp): P = 0 over S/p = k[x_k : k not in supp]
+    and I' is I with x_k = 0 for k in supp, its zero generators dropped.
+    P takes J's caps and I' takes I's.  When no variable survives (p = m)
+    or I lies in p, (P, I') is (p, I) over S.
+    """
+    ring = J.ring
+    alive = [k for k in range(ring.nvars) if k not in supp]
+    image = [{tuple(m[k] for k in alive): c for m, c in f.terms.items()
+              if not any(m[k] for k in supp)} for f in I.gens]
+    image = [terms for terms in image if terms]
+    if not alive or not image:
+        return (IdealHandle(ring, [ring.gen(k) for k in supp],
+                            max_basis=J.max_basis, max_degree=J.max_degree), I)
+    small = RingDescriptor(tuple(ring.names[k] for k in alive),
+                           field=ring.field,
+                           weights=tuple(ring.weights[k] for k in alive))
+    return (IdealHandle(small, [], max_basis=J.max_basis,
+                        max_degree=J.max_degree),
+            IdealHandle(small, [Polynomial(small, t) for t in image],
+                        max_basis=I.max_basis, max_degree=I.max_degree))
+
+
 def ladeg(J, I, i, meta=None):
     """Local arithmetic degree: sum of local lengths times ee_i(GG(A/p))
     over the i-dimensional associated primes of S/J.
 
     Monomial J uses the combinatorial oracle for both the primes and the
-    local lengths.  Non-monomial J needs metadata certifying it prime (the
-    corpus route); otherwise the missing primary decomposition is reported.
+    local lengths.  Each such p is generated by variables, so GG(S/p) is
+    built over S/p = k[x_k : x_k not in p] with I's image (``_prime_pair``):
+    S's Rees kernel of S/p holds p and the y_j of I's generators in p, so
+    the two builds share their bigraded Hilbert function, and with it ee_i.
+    Non-monomial J needs metadata certifying it prime (the corpus route);
+    otherwise the missing primary decomposition is reported.
     """
     meta = meta or {}
-    ring = J.ring
-    n = ring.nvars
+    n = J.ring.nvars
     if J.is_monomial() and not J.is_zero():
         dec = decompose(J)
         total = MultiplicityVector.zero(i)
@@ -263,8 +296,7 @@ def ladeg(J, I, i, meta=None):
             if n - len(supp) != i:
                 continue
             length = local_length_by_pairs(J, supp)
-            p = IdealHandle(ring, [ring.gen(k) for k in sorted(supp)])
-            vec = gmult(p, I, i)
+            vec = gmult(*_prime_pair(J, I, supp), i)
             total = total + vec.scale(length)
         return total
     if J.is_zero() or meta.get("prime"):
@@ -357,8 +389,9 @@ def verify(J, I, meta=None, label=None):
     ring = J.ring
     gg = cached_gg(J, I)
 
-    # theorem: LHS via Ext on GG read totally graded (pruning drops the
-    # bigrading, and GG's handle keeps its cached Groebner basis)
+    # theorem: LHS via Ext on GG read totally graded.  Pruning drops the
+    # bigrading on a new handle, so GG's cached basis is not reused there;
+    # seeding the new handle from it measured no gain
     lhs_table = _adeg_of_graded_ideal(gg.ideal)
 
     # RHS: local arithmetic degrees

@@ -276,20 +276,23 @@ def cmd_check(args):
     free resolutions against Hilbert functions and of Ext modules against
     their dualised resolutions, the numerator's sum
     transform against brute-force counts, the GG gate's two walks against
-    each other, and the Rees kernel against the substitution into S[t]."""
+    each other, the Rees kernel against the substitution into S[t], GG
+    against gr_I's initial forms, and ladeg's GG of a coordinate prime over
+    the coordinate ring against its build in S."""
     import random
     from .groebner import (IdealHandle, extended_ring, fresh_names, inject,
                            maximal_ideal)
     from .hilbert import (as_presentation, count_monomials,
-                          cumulative_polynomial, hilbert_polynomial,
+                          cumulative_polynomial, ee_vector, hilbert_polynomial,
                           hilbert_value, hilbert_value_bruteforce,
                           monomials_of_degree)
     from .modules import (PositionOverTerm, Vec, ext_presentation,
                           free_resolution, resolution_for, schreyer_syzygies)
+    from .monomials import decompose
     from .fields import GF
     from .rings import RingDescriptor
     from .numerical import NumericalPoly2
-    from .adeg import _ext_table, adeg_report_monomial
+    from .adeg import _ext_table, _prime_pair, adeg_report_monomial
     from .constructions import (cell_lengths, gate_rectangle, gg_presentation,
                                 initial_forms_ideal, monomial_cell_lengths,
                                 rees_kernel)
@@ -443,6 +446,28 @@ def cmd_check(args):
         forms = initial_forms_ideal(gg.gr.ideal, gg.ring.x_block)
         assert forms.groebner_basis() == gg.ideal.groebner_basis()
     print("GG = gr_I: ok (10 random bigraded pairs, initial forms agree)")
+
+    # ladeg's GG(S/p) over S/p = k[x_k : x_k not in p] against the build in
+    # S, on every associated prime of random monomial J with monomial I:
+    # equal Hilbert functions on the gate rectangle (d + 2, d + 2), equal ee
+    # vectors
+    prime_rng = random.Random(41)
+    primes = smaller = 0
+    for _ in range(5):
+        J = IdealHandle(R, rand_monomials(prime_rng, 2, 3))
+        I = IdealHandle(R, rand_monomials(prime_rng, 1, 2))
+        for supp in decompose(J).associated_primes:
+            P, I_p = _prime_pair(J, I, supp)
+            small = gg_presentation(P, I_p)
+            full = gg_presentation(IdealHandle(R, [R.gen(k) for k in supp]), I)
+            d = R.nvars - len(supp)
+            assert all(small.hilbert(i, j) == full.hilbert(i, j)
+                       for i in range(d + 3) for j in range(d + 3))
+            assert ee_vector(small.ideal, d) == ee_vector(full.ideal, d)
+            primes += 1
+            smaller += P.ring is not R
+    print("prime GG over S/p: ok (%d associated primes of 5 random monomial "
+          "J, %d over a smaller ring)" % (primes, smaller))
     print("check: all good")
     return EXIT_OK
 

@@ -1,5 +1,7 @@
 """Test-only helpers shared by several test modules."""
 
+from arithdeg.adeg import gmult
+from arithdeg.groebner import IdealHandle
 from arithdeg.hilbert import as_presentation, hilbert_value
 
 
@@ -26,3 +28,10 @@ def is_zero_module(pres):
     if pres.rank == 0:
         return True
     return all(any(not any(m) for m in comp) for comp in pres.initial_leads())
+
+
+def full_ring_prime_gmult(J, I, supp, i):
+    """ee_i of GG(S/p) w.r.t. I for p = (x_k : k in supp), built in J's own
+    ring S: the reference for ladeg's build over the coordinate ring."""
+    ring = J.ring
+    return gmult(IdealHandle(ring, [ring.gen(k) for k in sorted(supp)]), I, i)

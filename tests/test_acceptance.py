@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from arithdeg.adeg import (_cohen_macaulay_table, _ext_table,
+from arithdeg.adeg import (_cohen_macaulay_table, _ext_table, _prime_pair,
                            adeg_report_ext, adeg_report_monomial, cached_gg,
                            gmult, prune_coordinate_variables)
 from arithdeg.constructions import h11_direct
@@ -22,11 +22,12 @@ from arithdeg.hilbert import (artinian_length, as_presentation,
                               hilbert_value, hilbert_value_bruteforce)
 from arithdeg.corpus import build_corpus
 from arithdeg.modules import ext_presentation
+from arithdeg.monomials import decompose
 from arithdeg.numerical import NumericalPoly2, interpolate_poly1
 from arithdeg.orders import DegRevLex
 from arithdeg.rings import RingDescriptor
 
-from helpers import h11_table, is_zero_module
+from helpers import full_ring_prime_gmult, h11_table, is_zero_module
 
 
 CORPUS_JSON_SHA256 = (
@@ -394,6 +395,60 @@ def test_corpus_builds_no_initial_forms(monkeypatch):
     with tempfile.TemporaryDirectory() as tmp:
         assert main(["corpus", "--json", os.path.join(tmp, "c.json")]) == 0
     assert len(built) >= 40
+
+
+def test_prime_gg_over_the_coordinate_ring_on_corpus_pairs(corpus_pairs):
+    """On every associated prime p of every monomial-J corpus pair, GG(S/p)
+    over S/p = k[x_k : x_k not in p] has the full ring's ee vector."""
+    checked = 0
+    for identifier, J, I, _meta, _gg, _P11 in corpus_pairs:
+        if not J.is_monomial() or J.is_zero():
+            continue
+        n = J.ring.nvars
+        for supp in decompose(J).associated_primes:
+            i = n - len(supp)
+            assert (gmult(*_prime_pair(J, I, supp), i)
+                    == full_ring_prime_gmult(J, I, supp, i)), identifier
+            checked += 1
+    assert checked >= 40
+
+
+def test_corpus_builds_prime_ggs_over_the_coordinate_ring(monkeypatch):
+    """In a serial corpus pass, ladeg builds the GG of a coordinate prime p
+    in the full ring only when p = m or I lies in p."""
+    import os
+    import tempfile
+    import arithdeg.adeg as adeg_mod
+    import arithdeg.runner as runner_mod
+    from arithdeg.cli import main
+    gg_presentation, ladeg = adeg_mod.gg_presentation, adeg_mod.ladeg
+    rings = []                                  # J's ring per open ladeg
+    counts = {"coordinate": 0, "fallback": 0}
+
+    def counted_ladeg(J, *args, **kw):
+        rings.append(J.ring)
+        try:
+            return ladeg(J, *args, **kw)
+        finally:
+            rings.pop()
+
+    def counted_gg(P, I):
+        if not rings:
+            pass
+        elif P.ring is not rings[-1]:
+            assert P.is_zero() and P.ring.nvars < rings[-1].nvars
+            counts["coordinate"] += 1
+        elif P.gens and all(sum(next(iter(g.terms))) == 1 for g in P.gens):
+            assert (len(P.gens) == P.ring.nvars
+                    or all(P.contains(f) for f in I.gens)), (P, I)
+            counts["fallback"] += 1
+        return gg_presentation(P, I)
+    monkeypatch.setattr(adeg_mod, "gg_presentation", counted_gg)
+    monkeypatch.setattr(adeg_mod, "ladeg", counted_ladeg)
+    monkeypatch.setattr(runner_mod, "ladeg", counted_ladeg)
+    with tempfile.TemporaryDirectory() as tmp:
+        assert main(["corpus", "--json", os.path.join(tmp, "c.json")]) == 0
+    assert counts == {"coordinate": 48, "fallback": 10}
 
 
 def test_criterion_9_determinism():

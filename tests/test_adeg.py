@@ -15,9 +15,11 @@ from arithdeg.groebner import (IdealHandle, ideal_power, ideal_sum,
                                maximal_ideal)
 from arithdeg.hilbert import (artinian_length, classical_multiplicity,
                               dimension, monomials_of_degree)
-from arithdeg.monomials import m_leq_monomial
+from arithdeg.monomials import decompose, m_leq_monomial
 from arithdeg.numerical import MultiplicityVector, interpolate_poly1
 from arithdeg.rings import Polynomial, RingDescriptor
+
+from helpers import full_ring_prime_gmult
 
 
 @pytest.fixture
@@ -161,6 +163,100 @@ def test_ladeg_remark_identity_cyclic(R):
     # (x)/(x^2, xy) = S/((x^2,xy):x) = S/(x,y)
     quot = IdealHandle(R, [x, y])
     assert ladeg(I1, m, 0) == gmult(quot, m, 0)
+
+
+# ---------------------------------------------------------------------------
+# GG(S/p) of a coordinate prime over S/p = k[x_k : x_k not in p]
+
+@st.composite
+def _monomial_pairs(draw):
+    """Monomial J of 1-3 generators of degree 1-3 in 2-4 variables over Q
+    or Z/7, with I of 1-2 generators: monomials of degree 1-2, or 1-2 terms
+    of degree 1-2 (x + y^2 among them), whose image mod p is not I's
+    generators."""
+    field = draw(st.sampled_from([QQ, GF(7)]))
+    n = draw(st.integers(2, 4))
+    ring = RingDescriptor.graded(",".join("xyzw"[:n]), field=field)
+    mons = [m for d in (1, 2) for m in monomials_of_degree(n, d)]
+    J = [ring.monomial(draw(st.sampled_from(list(monomials_of_degree(
+        n, draw(st.integers(1, 3)))))))
+         for _ in range(draw(st.integers(1, 3)))]
+    size = 1 if draw(st.booleans()) else 2
+    I = [Polynomial(ring, draw(st.dictionaries(
+        st.sampled_from(mons), st.integers(-3, 3).filter(bool),
+        min_size=1, max_size=size)))
+         for _ in range(draw(st.integers(1, 2)))]
+    return IdealHandle(ring, J), IdealHandle(ring, I)
+
+
+@seed(2525)
+@settings(max_examples=40, deadline=None)
+@given(_monomial_pairs())
+def test_prime_gg_over_the_coordinate_ring(pair):
+    """ee_i(GG(S/p)) over the coordinate ring equals the full ring's, on
+    every associated prime p of S/J."""
+    J, I = pair
+    n = J.ring.nvars
+    for supp in decompose(J).associated_primes:
+        i = n - len(supp)
+        assert (gmult(*adeg_mod._prime_pair(J, I, supp), i)
+                == full_ring_prime_gmult(J, I, supp, i)), (J, I, sorted(supp))
+
+
+def test_prime_gg_fallbacks(R):
+    """p = m, and I inside p, keep the full ring: no variable survives, or
+    every generator of I maps to 0."""
+    x, y = R.gens()
+    cases = [(IdealHandle(R, [x ** 2, x * y, y ** 2]), maximal_ideal(R),
+              frozenset({0, 1})),
+             (IdealHandle(R, [x * y]), IdealHandle(R, [x]), frozenset({0}))]
+    for J, I, supp in cases:
+        P, I2 = adeg_mod._prime_pair(J, I, supp)
+        assert P.ring is R and I2 is I
+        assert P.gens == IdealHandle(R, [R.gen(k) for k in supp]).gens
+        i = 2 - len(supp)
+        assert gmult(P, I2, i) == full_ring_prime_gmult(J, I, supp, i)
+    assert ladeg(cases[0][0], cases[0][1], 0) == MultiplicityVector(0, (3,))
+    # (x) gives ee_1 = (0, 1) in the full ring, (y) gives (1, 0) over Q[x]
+    assert ladeg(cases[1][0], cases[1][1], 1) == MultiplicityVector(1, (1, 1))
+
+
+def test_prime_gg_drops_p_and_maps_i():
+    """For p = (x) in Q[x,y,z] and I = (x + y^2, xz, z), the coordinate ring
+    is Q[y,z] and I's image is (y^2, z)."""
+    R3 = RingDescriptor.graded("x,y,z")
+    x, y, z = R3.gens()
+    J = IdealHandle(R3, [x * y, x * z], max_basis=500, max_degree=30)
+    I = IdealHandle(R3, [x + y ** 2, x * z, z], max_basis=400, max_degree=20)
+    P, I2 = adeg_mod._prime_pair(J, I, frozenset({0}))
+    assert P.ring.names == ("y", "z") and P.is_zero()
+    assert [repr(g) for g in I2.gens] == ["z", "y^2"]
+    assert (P.max_basis, P.max_degree) == (500, 30)
+    assert (I2.max_basis, I2.max_degree) == (400, 20)
+
+
+@pytest.mark.parametrize("ideal_i", ["x, y", "x^2 + y^2, x*y"])
+def test_ladeg_gg_builds_take_the_script_caps(monkeypatch, ideal_i):
+    """A script's max_degree and max_basis reach every Groebner basis of
+    verify, the GG builds of ladeg's primes included (the Rees kernel's
+    elimination runs at twice the degree cap)."""
+    import arithdeg.groebner as groebner_mod
+    from arithdeg.runner import execute_script
+    from arithdeg.session import parse_session
+    caps = set()
+    buchberger = groebner_mod.buchberger
+
+    def recorded(gens, order, max_basis=groebner_mod.DEFAULT_MAX_BASIS,
+                 max_degree=groebner_mod.DEFAULT_MAX_DEGREE):
+        caps.add((max_basis, max_degree))
+        return buchberger(gens, order, max_basis, max_degree)
+    monkeypatch.setattr(groebner_mod, "buchberger", recorded)
+    script = parse_session(
+        "ring S = Q[x,y];\nideal J = x^2, x*y;\nideal I = %s;\n"
+        "option max_degree 30;\noption max_basis 500;\ntask verify J I;\n"
+        % ideal_i)
+    execute_script(script)
+    assert caps and caps <= {(500, 30), (500, 60)}, sorted(caps)
 
 
 def test_verify_strict_case(R1):
