@@ -31,7 +31,7 @@ import random
 from .errors import (AlgebraError, InternalConsistencyError,
                      TheoremViolationError, UnsupportedInputError)
 from .constructions import gg_presentation
-from .groebner import IdealHandle
+from .groebner import IdealHandle, _caps
 from .hilbert import (artinian_length, as_presentation,
                       classical_multiplicity, dimension, ee_vector,
                       h_vector, samuel_multiplicity)
@@ -43,59 +43,58 @@ from .rings import Polynomial, RingDescriptor
 CM_DRAWS = 3
 
 # ---------------------------------------------------------------------------
-# pruning helper
+# coordinate-ring images
+
+def _coordinate_image(ring, polys, dead):
+    """Set x_k = 0 for k in dead and drop those variables: (R, images) with
+    R = k[x_k : k not in dead], graded totally by the survivors' weights,
+    and the nonzero images of polys over R.  R is None when no variable
+    survives."""
+    alive = [k for k in range(ring.nvars) if k not in dead]
+    if not alive:
+        return None, []
+    small = RingDescriptor(tuple(ring.names[k] for k in alive),
+                           field=ring.field,
+                           weights=tuple(ring.weights[k] for k in alive))
+    images = [{tuple(m[k] for k in alive): c for m, c in f.terms.items()
+               if not any(m[k] for k in dead)} for f in polys]
+    return small, [Polynomial(small, t) for t in images if t]
+
 
 def prune_coordinate_variables(I):
     """Remove variables that appear as pure generators of I, over a ring
     graded totally.
 
     A generator c*x_i lets us mod out x_i: every other generator loses its
-    x_i-terms and the variable leaves the ring.  The quotient ring, its
-    associated primes, dimensions, and multiplicities are unchanged, while
-    Ext computations shrink dramatically (important when I = m, where the
-    whole x-block dies in GG).  A bigraded I comes back over the totally
-    graded ring of its surviving variables even when nothing is pruned; a
-    graded I with nothing to prune comes back as it is.
+    x_i-terms and the variable leaves the ring.  Killing x_i can turn
+    another generator into a pure one, so the dead variables grow to a
+    fixed point before one ``_coordinate_image`` over the survivors.  The
+    quotient ring, its associated primes, dimensions, and multiplicities
+    are unchanged, while Ext computations shrink dramatically (important
+    when I = m, where the whole x-block dies in GG).  A bigraded I comes
+    back over the totally graded ring of its surviving variables even when
+    nothing is pruned; a graded I with nothing to prune comes back as it
+    is.  The result takes I's caps.
     """
     ring = I.ring
-    gens = list(I.gens)
-    alive = list(range(ring.nvars))
-    changed = True
-    while changed:
-        changed = False
-        kill = None
-        for g in gens:
-            if len(g.terms) == 1:
-                m = next(iter(g.terms))
-                if sum(m) == 1:
-                    kill = m.index(1)
-                    break
-        if kill is None:
+    dead = set()
+    while True:
+        found = set()
+        for g in I.gens:
+            live = [m for m in g.terms if not any(m[k] for k in dead)]
+            if len(live) == 1 and sum(live[0]) == 1:
+                found.add(live[0].index(1))
+        if not found:
             break
-        changed = True
-        new_gens = []
-        for g in gens:
-            terms = {m: c for m, c in g.terms.items() if m[kill] == 0}
-            if terms:
-                new_gens.append(Polynomial(ring, terms, _clean=False))
-        gens = new_gens
-        alive.remove(kill)
-        if len(alive) == 0:
-            break
-    if len(alive) == ring.nvars and not ring.is_bigraded:
+        dead |= found
+    if not dead and not ring.is_bigraded:
         return I
-    if not alive:
+    small, gens = _coordinate_image(ring, I.gens, dead)
+    if small is None:
         # everything died: the quotient is the base field k = k[v]/(v)
         small = RingDescriptor((ring.names[0],), field=ring.field)
-        return IdealHandle(small, [small.gen(0)])
-    names = tuple(ring.names[i] for i in alive)
-    weights = tuple(ring.weights[i] for i in alive)
-    small = RingDescriptor(names, field=ring.field, weights=weights)
-    out = []
-    for g in gens:
-        terms = {tuple(m[i] for i in alive): c for m, c in g.terms.items()}
-        out.append(Polynomial(small, terms))
-    return IdealHandle(small, out, max_basis=I.max_basis, max_degree=I.max_degree)
+        gens = [small.gen(0)]
+    return IdealHandle(small, gens, **_caps(I))
 
 
 # ---------------------------------------------------------------------------
@@ -192,8 +191,7 @@ def _cohen_macaulay_table(L):
     if d == 0:
         return table
     for z in _linear_draws(ring, d):
-        K = IdealHandle(ring, L.gens + tuple(z),
-                        max_basis=L.max_basis, max_degree=L.max_degree)
+        K = IdealHandle(ring, L.gens + tuple(z), **_caps(L))
         if dimension(K) != 0:
             continue
         length = artinian_length(K)
@@ -254,25 +252,16 @@ def gmult_report(J, I):
 def _prime_pair(J, I, supp):
     """(P, I') whose GG has the bigraded Hilbert function of GG(S/p) w.r.t.
     I, for p = (x_k : k in supp): P = 0 over S/p = k[x_k : k not in supp]
-    and I' is I with x_k = 0 for k in supp, its zero generators dropped.
-    P takes J's caps and I' takes I's.  When no variable survives (p = m)
-    or I lies in p, (P, I') is (p, I) over S.
+    and I' is I's ``_coordinate_image``, with x_k = 0 for k in supp and
+    its zero generators dropped.  P takes J's caps and I' takes I's.  When
+    no variable survives (p = m) or I lies in p, (P, I') is (p, I) over S.
     """
-    ring = J.ring
-    alive = [k for k in range(ring.nvars) if k not in supp]
-    image = [{tuple(m[k] for k in alive): c for m, c in f.terms.items()
-              if not any(m[k] for k in supp)} for f in I.gens]
-    image = [terms for terms in image if terms]
-    if not alive or not image:
-        return (IdealHandle(ring, [ring.gen(k) for k in supp],
-                            max_basis=J.max_basis, max_degree=J.max_degree), I)
-    small = RingDescriptor(tuple(ring.names[k] for k in alive),
-                           field=ring.field,
-                           weights=tuple(ring.weights[k] for k in alive))
-    return (IdealHandle(small, [], max_basis=J.max_basis,
-                        max_degree=J.max_degree),
-            IdealHandle(small, [Polynomial(small, t) for t in image],
-                        max_basis=I.max_basis, max_degree=I.max_degree))
+    small, image = _coordinate_image(J.ring, I.gens, supp)
+    if small is None or not image:
+        ring = J.ring
+        return (IdealHandle(ring, [ring.gen(k) for k in supp], **_caps(J)), I)
+    return (IdealHandle(small, [], **_caps(J)),
+            IdealHandle(small, image, **_caps(I)))
 
 
 def ladeg(J, I, i, meta=None):
@@ -378,7 +367,8 @@ def verify(J, I, meta=None, label=None):
     GG's ideal: the Cohen-Macaulay certificate, else the Ext route.
     Corollary 1's adeg_i(gr_I A) is the same table when GG is gr_I A
     itself, that is when gr_I's ideal is bigraded.  Otherwise gr_I A is not
-    graded by total degree, and corollary 1 raises UnsupportedInputError.
+    graded by total degree, and verify raises UnsupportedInputError right
+    after the GG build, before either side of the theorem is computed.
 
     Raises TheoremViolationError on any failed inequality: the statements
     are proved, so a violation is an implementation bug and the record
@@ -388,6 +378,12 @@ def verify(J, I, meta=None, label=None):
     label = label or "verify"
     ring = J.ring
     gg = cached_gg(J, I)
+    # corollary 1 reads the theorem's table: GG is gr_I when gr_I is
+    # bigraded, and gr_I is not graded otherwise
+    if gg.ideal is not gg.gr.ideal:
+        raise UnsupportedInputError(
+            "arithmetic degree of an inhomogeneous presentation: the corpus "
+            "restricts to pairs whose graded sides are total-degree graded")
 
     # theorem: LHS via Ext on GG read totally graded.  Pruning drops the
     # bigrading on a new handle, so GG's cached basis is not reused there;
@@ -408,12 +404,7 @@ def verify(J, I, meta=None, label=None):
         if lv < rv:
             failures.append("theorem fails at r=%d: %d < %d" % (r, lv, rv))
 
-    # corollary 1: adeg_i(gr_I A) >= adeg_i(A), on the theorem's table:
-    # GG is gr_I when gr_I is bigraded, and gr_I is not graded otherwise
-    if gg.ideal is not gg.gr.ideal:
-        raise UnsupportedInputError(
-            "arithmetic degree of an inhomogeneous presentation: the corpus "
-            "restricts to pairs whose graded sides are total-degree graded")
+    # corollary 1: adeg_i(gr_I A) >= adeg_i(A), on the theorem's table
     cor1_gr = lhs_table
     cor1_a, _prov = _adeg_of_ring_quotient(J, meta)
     for i in sorted(set(cor1_gr) | set(cor1_a)):

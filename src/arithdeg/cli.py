@@ -280,8 +280,8 @@ def cmd_check(args):
     against gr_I's initial forms, and ladeg's GG of a coordinate prime over
     the coordinate ring against its build in S."""
     import random
-    from .groebner import (IdealHandle, extended_ring, fresh_names, inject,
-                           maximal_ideal)
+    from .groebner import (IdealHandle, _caps, extended_ring, fresh_names,
+                           inject, maximal_ideal)
     from .hilbert import (as_presentation, count_monomials,
                           cumulative_polynomial, ee_vector, hilbert_polynomial,
                           hilbert_value, hilbert_value_bruteforce,
@@ -421,7 +421,7 @@ def cmd_check(args):
     t = St.gen(R.nvars)
     for _ in range(5):
         J = rand_homogeneous(rees_rng)
-        JSt = IdealHandle(St, [inject(g, St) for g in J.gens])
+        JSt = IdealHandle(St, [inject(g, St) for g in J.gens], **_caps(J))
         rees = rees_kernel(J, maximal_ideal(R))
         images = St.gens()[:R.nvars] + [t * inject(f, St) for f in rees.maps]
         assert all(JSt.contains(g.substitute(St, images))
@@ -459,7 +459,8 @@ def cmd_check(args):
         for supp in decompose(J).associated_primes:
             P, I_p = _prime_pair(J, I, supp)
             small = gg_presentation(P, I_p)
-            full = gg_presentation(IdealHandle(R, [R.gen(k) for k in supp]), I)
+            p = IdealHandle(R, [R.gen(k) for k in supp], **_caps(J))
+            full = gg_presentation(p, I)
             d = R.nvars - len(supp)
             assert all(small.hilbert(i, j) == full.hilbert(i, j)
                        for i in range(d + 3) for j in range(d + 3))

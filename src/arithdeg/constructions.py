@@ -15,9 +15,9 @@ wrong output.
 
 from .errors import (AlgebraError, InternalConsistencyError,
                      UnsupportedInputError)
-from .groebner import (IdealHandle, eliminate, extended_ring, fresh_names,
-                       ideal_power, ideal_product, ideal_sum, inject,
-                       intersect, maximal_ideal, project)
+from .groebner import (IdealHandle, _caps, eliminate, extended_ring,
+                       fresh_names, ideal_power, ideal_product, ideal_sum,
+                       inject, intersect, project)
 from .hilbert import (artinian_length, dimension, hilbert_numerator,
                       hilbert_value, monomial_numerator, series_length)
 from .orders import BlockOrder
@@ -47,7 +47,7 @@ def initial_forms_ideal(I, block):
     """
     ring = I.ring
     if I.is_zero():
-        return IdealHandle(ring, [])
+        return IdealHandle(ring, [], **_caps(I))
     block = tuple(sorted(block))
     big = extended_ring(ring, fresh_names(ring, "t_", 1))
     t_index = ring.nvars
@@ -57,6 +57,7 @@ def initial_forms_ideal(I, block):
         homogenized.append(Polynomial(
             big, {m + (top - _block_degree(m, block),): c
                   for m, c in g.terms.items()}, _clean=False))
+    # the homogenized generators run at twice the degree cap
     H = IdealHandle(big, homogenized, max_basis=I.max_basis,
                     max_degree=2 * I.max_degree)
     out = []
@@ -64,7 +65,7 @@ def initial_forms_ideal(I, block):
         top = max(m[t_index] for m in g.terms)
         out.append(Polynomial(ring, {m[:t_index]: c for m, c in g.terms.items()
                                      if m[t_index] == top}, _clean=False))
-    return IdealHandle(ring, out, max_basis=I.max_basis, max_degree=I.max_degree)
+    return IdealHandle(ring, out, **_caps(I))
 
 
 def tangent_cone(J):
@@ -75,10 +76,10 @@ def tangent_cone(J):
     """
     ring = J.ring
     if J.is_zero():
-        return IdealHandle(ring, [])
+        return IdealHandle(ring, [], **_caps(J))
     tc = initial_forms_ideal(J, range(ring.nvars))
     window = max((g.degree() for g in J.gens), default=1) + 2
-    mring = maximal_ideal(ring)
+    mring = IdealHandle(ring, ring.gens(), **_caps(J))
     mk = mring                                      # m^(k+1)
     for k in range(window + 1):
         if k:
@@ -160,11 +161,12 @@ def rees_kernel(J, I):
         gens.append(yj - t * inject(f, work))
     for g in J.gens:
         gens.append(inject(g, work))
-    H = IdealHandle(work, gens, max_basis=J.max_basis,
-                    max_degree=2 * J.max_degree)
+    # the elimination ring with t runs at twice the degree cap
+    caps = _caps(J, I)
+    H = IdealHandle(work, gens, max_basis=caps["max_basis"],
+                    max_degree=2 * caps["max_degree"])
     E = eliminate(H, [t_index])
-    K = IdealHandle(gg, [project(g, gg) for g in E.gens],
-                    max_basis=J.max_basis, max_degree=J.max_degree)
+    K = IdealHandle(gg, [project(g, gg) for g in E.gens], **caps)
     rees = ReesPresentation(J, gg, K, fs, y_indices)
     rees.substitution_check()
     return rees
@@ -201,7 +203,7 @@ def assoc_graded(J, I):
         gens.append(inject(f, gg))
     for g in J.gens:
         gens.append(inject(g, gg))
-    L = IdealHandle(gg, gens, max_basis=J.max_basis, max_degree=J.max_degree)
+    L = IdealHandle(gg, gens, **_caps(J, I))
     # dimension transfer gate: dim gr_I(S/J) = dim S/J, except that
     # gr_I(S/J) = 0 when J + I = (1), which is an input outside the theory
     dim_L, dim_J = dimension(L), dimension(J)
@@ -214,8 +216,7 @@ def assoc_graded(J, I):
     # the gate cached L's reduced degrevlex basis
     basis = L.groebner_basis()
     if not L.is_bihomogeneous() and all(g.is_bihomogeneous() for g in basis):
-        L = IdealHandle(gg, basis, max_basis=J.max_basis,
-                        max_degree=J.max_degree)
+        L = IdealHandle(gg, basis, **_caps(L))
     return GradedConstruction(gg, L, rees, J, I)
 
 
@@ -314,10 +315,10 @@ def _cells(J, I, rect, one, m, times, plus, trim):
 def cell_lengths(J, I, rect):
     """Yield ((i, j), length of upper/lower) for the gate's cells, on
     IdealHandles: any J and I."""
-    ring = J.ring
-    cells = _cells(J, I, rect, IdealHandle(ring, [ring.one()]),
-                   maximal_ideal(ring), ideal_product, ideal_sum,
-                   lambda chain, base: chain)
+    ring, caps = J.ring, _caps(J, I)
+    cells = _cells(J, I, rect, IdealHandle(ring, [ring.one()], **caps),
+                   IdealHandle(ring, ring.gens(), **caps), ideal_product,
+                   ideal_sum, lambda chain, base: chain)
     for cell, upper, lower in cells:
         yield cell, relative_length(upper, lower)
 
@@ -391,7 +392,7 @@ def bifiltration_length(J, I, i, j):
     """Length of S/(J + m^(i+1) + I^(j+1)): the first summand of the double
     sum transform of GG."""
     ring = J.ring
-    mring = maximal_ideal(ring)
+    mring = IdealHandle(ring, ring.gens(), **_caps(J, I))
     total = ideal_sum(J, ideal_power(mring, i + 1), ideal_power(I, j + 1))
     return artinian_length(total)
 
@@ -401,11 +402,11 @@ def h11_direct(J, I, i, j):
     direct length computations:
     l(M/(m^(i+1)+I^(j+1))M) plus, for k <= j, the correction
     l((I^k cap (m^(i+1)+I^(k+1)))/(m^(i+1) I^k + I^(k+1))) around J."""
-    ring = J.ring
-    mring = maximal_ideal(ring)
+    ring, caps = J.ring, _caps(J, I)
+    mring = IdealHandle(ring, ring.gens(), **caps)
     total = bifiltration_length(J, I, i, j)
     mi1 = ideal_power(mring, i + 1)
-    ik = IdealHandle(ring, [ring.one()])            # I^k
+    ik = IdealHandle(ring, [ring.one()], **caps)    # I^k
     for k in range(j + 1):
         ik1 = ideal_product(ik, I)
         upper = intersect(ideal_sum(ik, J), ideal_sum(mi1, ik1, J))

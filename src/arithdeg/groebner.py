@@ -579,7 +579,11 @@ class IdealHandle:
     (``hilbert.as_presentation``, which takes its basis from here too),
     the GG presentations over S/I (``adeg.cached_gg``) and, for monomial
     ideals, the decomposition and standard pairs (``monomials``).  They all
-    live and die with the handle and are computed under its caps.
+    live and die with the handle and are computed under its caps.  A
+    handle derived from others, even one built from a bare ring on their
+    behalf, takes ``_caps`` of them: the smallest of each cap.  Only the
+    work rings of the Rees kernel and of the initial forms run at twice
+    the degree cap.
     """
 
     __slots__ = ("ring", "gens", "max_basis", "max_degree", "_cache")
@@ -683,10 +687,11 @@ def maximal_ideal(ring):
     return IdealHandle(ring, ring.gens())
 
 
-def _min_caps(ideals):
-    """The smallest caps among ideals, as IdealHandle keywords."""
-    return {"max_basis": min(I.max_basis for I in ideals),
-            "max_degree": min(I.max_degree for I in ideals)}
+def _caps(*sources):
+    """The caps of a handle derived from sources (IdealHandles or
+    ModulePresentations): the smallest of theirs, as keywords."""
+    return {"max_basis": min(s.max_basis for s in sources),
+            "max_degree": min(s.max_degree for s in sources)}
 
 
 def ideal_sum(*ideals):
@@ -696,7 +701,7 @@ def ideal_sum(*ideals):
         if I.ring != ring:
             raise RingMismatchError("summing ideals over different rings")
         gens.extend(I.gens)
-    return IdealHandle(ring, gens, **_min_caps(ideals))
+    return IdealHandle(ring, gens, **_caps(*ideals))
 
 
 def ideal_product(I, J):
@@ -706,19 +711,19 @@ def ideal_product(I, J):
         raise RingMismatchError("multiplying ideals over different rings")
     if not (I.is_monomial() and J.is_monomial()):
         return IdealHandle(I.ring, [f * g for f in I.gens for g in J.gens],
-                           **_min_caps((I, J)))
+                           **_caps(I, J))
     one = I.ring.field.one
     products = {mono_mul(next(iter(f.terms)), next(iter(g.terms)))
                 for f in I.gens for g in J.gens}
     return IdealHandle(I.ring, [Polynomial(I.ring, {m: one}, _clean=False)
-                                for m in products], **_min_caps((I, J)))
+                                for m in products], **_caps(I, J))
 
 
 def ideal_power(I, k):
     if k < 0:
         raise AlgebraError("negative ideal power")
     if k == 0:
-        return IdealHandle(I.ring, [I.ring.one()])
+        return IdealHandle(I.ring, [I.ring.one()], **_caps(I))
     result = I
     for _ in range(k - 1):
         result = ideal_product(result, I)
@@ -776,7 +781,7 @@ def eliminate(I, var_indices):
     gb = buchberger(list(I.gens), order, I.max_basis, I.max_degree)
     kept = [g for g in gb
             if all(all(m[i] == 0 for i in var_indices) for m in g.terms)]
-    return IdealHandle(ring, kept, max_basis=I.max_basis, max_degree=I.max_degree)
+    return IdealHandle(ring, kept, **_caps(I))
 
 
 def intersect(I, J):
@@ -787,14 +792,14 @@ def intersect(I, J):
     """
     if I.ring != J.ring:
         raise RingMismatchError("intersecting ideals over different rings")
-    ring, caps = I.ring, _min_caps((I, J))
+    ring, caps = I.ring, _caps(I, J)
     if I.is_monomial() and J.is_monomial():
         lcms = {mono_lcm(next(iter(f.terms)), next(iter(g.terms)))
                 for f in I.gens for g in J.gens}
         return IdealHandle(ring, [ring.monomial(m) for m in lcms], **caps)
     for big, small in ((I, J), (J, I)):
         if big.contains_ideal(small):
-            if _min_caps((small,)) == caps:
+            if _caps(small) == caps:
                 return small
             return IdealHandle(ring, small.gens, **caps)
     big = extended_ring(ring, fresh_names(ring, "t_", 1))
@@ -824,14 +829,16 @@ def ideal_quotient(I, f):
         for g in f.gens:
             Q = ideal_quotient(I, g)
             result = Q if result is None else intersect(result, Q)
-        return result if result is not None else IdealHandle(I.ring, [I.ring.one()])
+        if result is None:
+            return IdealHandle(I.ring, [I.ring.one()], **_caps(I))
+        return result
     if not f:
         raise InvalidDivisorError("quotient by zero")
     if f.is_constant():
         return I
-    H = intersect(I, IdealHandle(I.ring, [f]))
+    H = intersect(I, IdealHandle(I.ring, [f], **_caps(I)))
     gens = [exact_divide(g, f) for g in H.gens]
-    return IdealHandle(I.ring, gens, max_basis=I.max_basis, max_degree=I.max_degree)
+    return IdealHandle(I.ring, gens, **_caps(I))
 
 
 def saturate(I, f):
@@ -845,10 +852,9 @@ def saturate(I, f):
     u = big.gen(big.nvars - 1)
     gens = [inject(g, big) for g in I.gens]
     gens.append(big.one() - u * inject(f, big))
-    H = IdealHandle(big, gens, max_basis=I.max_basis, max_degree=I.max_degree)
+    H = IdealHandle(big, gens, **_caps(I))
     E = eliminate(H, [big.nvars - 1])
-    return IdealHandle(ring, [project(g, ring) for g in E.gens],
-                       max_basis=I.max_basis, max_degree=I.max_degree)
+    return IdealHandle(ring, [project(g, ring) for g in E.gens], **_caps(I))
 
 
 def saturate_by_ideal(I, J):
@@ -859,5 +865,5 @@ def saturate_by_ideal(I, J):
         result = S if result is None else intersect(result, S)
     if result is None:
         # J = (0): (I : 0^infinity) is the whole ring
-        return IdealHandle(I.ring, [I.ring.one()])
+        return IdealHandle(I.ring, [I.ring.one()], **_caps(I))
     return result

@@ -19,7 +19,7 @@ import itertools
 
 from .errors import (AlgebraError, InternalConsistencyError, NotBigradedError,
                      ResourceLimitError, UnsupportedInputError)
-from .groebner import IdealHandle, saturate_by_ideal
+from .groebner import IdealHandle, _caps, saturate_by_ideal
 from .modules import ModulePresentation
 from .numerical import (MultiplicityVector, NumericalPoly1, NumericalPoly2,
                         StabilizationCertificate, binom, interpolate_poly1)
@@ -369,7 +369,7 @@ def relevant_dimension(I):
     for ix in ring.x_block:
         for iy in ring.y_block:
             gens.append(ring.gen(ix) * ring.gen(iy))
-    aplus = IdealHandle(ring, gens)
+    aplus = IdealHandle(ring, gens, **_caps(I))
     sat = saturate_by_ideal(I, aplus)
     if sat.is_unit():
         return -1

@@ -26,7 +26,7 @@ from operator import itemgetter
 
 from .errors import (AlgebraError, HomogeneityError, InternalConsistencyError,
                      RingMismatchError)
-from .groebner import (DEFAULT_MAX_BASIS, DEFAULT_MAX_DEGREE, _divide,
+from .groebner import (DEFAULT_MAX_BASIS, DEFAULT_MAX_DEGREE, _caps, _divide,
                        _divide_pair, _groebner, _reduce, _s_element, _Slots,
                        _Terms)
 from .orders import DegRevLex, TermOrder
@@ -333,7 +333,7 @@ class ModulePresentation:
         basis is I.groebner_basis(), and I's caps govern it and its Ext
         modules."""
         pres = cls(I.ring, 1, [Vec.from_polys(I.ring, (g,)) for g in I.gens],
-                   max_basis=I.max_basis, max_degree=I.max_degree)
+                   **_caps(I))
         pres._ideal = I
         return pres
 
@@ -551,20 +551,18 @@ def ext_presentation(pres, j):
     ranks = [pres.rank] + [len(d) for d in res.differentials]
     all_shifts = [pres.shifts] + res.level_shifts
     if j > res.length or ranks[j] == 0:
-        return ModulePresentation.zero(ring)
+        return ModulePresentation(ring, 0, [], **_caps(pres))
     dual_shifts_j = tuple(_negate_shift(s) for s in all_shifts[j])
     # the image of the transposed d_j inside S^{r_j}
     psi_cols = _transpose(ring, res.differentials[j - 1], ranks[j - 1]) if j else []
     if j == res.length:
         return ModulePresentation(ring, ranks[j], psi_cols, shifts=dual_shifts_j,
-                                  max_basis=pres.max_basis,
-                                  max_degree=pres.max_degree)
+                                  **_caps(pres))
     # the kernel of the transposed d_{j+1}: r_j columns in S^{r_{j+1}}
     phi_cols = _transpose(ring, res.differentials[j], ranks[j])
-    K = syzygies_of(phi_cols, ring, ranks[j + 1], max_basis=pres.max_basis,
-                    max_degree=pres.max_degree)
+    K = syzygies_of(phi_cols, ring, ranks[j + 1], **_caps(pres))
     if not K:
-        return ModulePresentation.zero(ring)
+        return ModulePresentation(ring, 0, [], **_caps(pres))
     morder = PositionOverTerm()
     leads = [k.leading_term(morder) for k in K]
     forms = _Slots([None] * len(K))
@@ -578,4 +576,4 @@ def ext_presentation(pres, j):
     rel_cols += schreyer_syzygies(K, morder, leads)[0]
     gen_shifts = tuple(_vec_degree(ring, dual_shifts_j, k) for k in K)
     return ModulePresentation(ring, len(K), rel_cols, shifts=gen_shifts,
-                              max_basis=pres.max_basis, max_degree=pres.max_degree)
+                              **_caps(pres))

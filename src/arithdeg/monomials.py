@@ -10,7 +10,7 @@ import itertools
 from functools import reduce
 
 from .errors import AlgebraError, InternalConsistencyError, WrongOracleError
-from .groebner import IdealHandle
+from .groebner import IdealHandle, _caps
 from .rings import minimal_monomials, mono_divides, mono_lcm
 
 
@@ -321,11 +321,9 @@ def m_leq_monomial(I, i):
     dec = decompose(I)
     keep = [(supp, gens) for supp, gens in dec.primary if n - len(supp) > i]
     if not keep:
-        return IdealHandle(ring, [ring.one()])
+        return IdealHandle(ring, [ring.one()], **_caps(I))
     inter = _intersection(g for _, g in keep)
-    if not inter:
-        return IdealHandle(ring, [])
-    return IdealHandle(ring, [ring.monomial(m) for m in inter])
+    return IdealHandle(ring, [ring.monomial(m) for m in inter], **_caps(I))
 
 
 def local_length_by_pairs(I, support):

@@ -259,6 +259,58 @@ def test_ladeg_gg_builds_take_the_script_caps(monkeypatch, ideal_i):
     assert caps and caps <= {(500, 30), (500, 60)}, sorted(caps)
 
 
+CAPS_SCRIPTS = [
+    "ring S = Q[x,y];\nideal J = y^2 - x^3;\nideal M = x, y;\nmeta J prime;\n"
+    "%stask gmult J M;\ntask ladeg J M;\ntask verify J M;\n",
+    "ring S = Q[x,y];\nideal J = y^2 - x^3;\nideal I = x + y^2;\n%stask gg J I;\n",
+    "ring S = Q[x,y,z];\nideal J = x^2, x*y;\nideal M = x, y, z;\n"
+    "%stask adeg J;\ntask ladeg J M;\ntask verify J M;\n",
+    "ring S = Q[x,y,z];\nideal J = x*y, y^2*z;\nideal I = x^2, y, z;\n"
+    "%stask verify J I;\n",
+]
+
+
+def test_every_derived_handle_takes_the_script_caps(monkeypatch):
+    """Every IdealHandle and ModulePresentation that a script's tasks build
+    carries the script's caps, except the handles over the two work rings
+    (the Rees kernel's elimination ring and the homogenized ring of the
+    initial forms), which run at twice the degree cap.  The scripts cover
+    the Samuel, standard-pair, Ext and certificate routes, the GG gate's
+    handle walk and its initial-forms route, and ladeg's prime GGs."""
+    import sys
+    import arithdeg.constructions as constructions_mod
+    from arithdeg.modules import ModulePresentation
+    from arithdeg.runner import execute_script
+    from arithdeg.session import parse_session
+    built, work, makers = [], [], set()
+
+    def record(cls):
+        init = cls.__init__
+
+        def wrapped(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            built.append((cls.__name__, self.ring,
+                          (self.max_basis, self.max_degree)))
+        monkeypatch.setattr(cls, "__init__", wrapped)
+    record(IdealHandle)
+    record(ModulePresentation)
+    extend = constructions_mod.extended_ring
+
+    def work_ring(ring, names):
+        makers.add(sys._getframe(1).f_code.co_name)
+        work.append(extend(ring, names))
+        return work[-1]
+    monkeypatch.setattr(constructions_mod, "extended_ring", work_ring)
+    caps = "option max_degree 250;\noption max_basis 5000;\n"
+    for text in CAPS_SCRIPTS:
+        execute_script(parse_session(text % caps))
+    wrong = [(kind, ring, got) for kind, ring, got in built
+             if got != ((5000, 500) if any(ring is w for w in work)
+                        else (5000, 250))]
+    assert built and not wrong, wrong
+    assert makers == {"rees_kernel", "initial_forms_ideal"}
+
+
 def test_verify_strict_case(R1):
     x, = R1.gens()
     rec = verify(IdealHandle(R1, []), IdealHandle(R1, [x ** 2]), label="strict")
@@ -389,8 +441,9 @@ def test_verify_builds_one_ext_route(R, monkeypatch, case):
 def test_verify_falls_back_to_gr_when_the_bases_differ(R, monkeypatch):
     """For the cusp J = (y^2 - x^3), marked prime, and I = (x + y^2), gr_I's
     reduced basis (y^2 + x, x^3 + x) is not GG's (x, y^2): gr_I is not
-    bigraded, so GG is built by initial forms, and corollary 1 rejects gr_I
-    as not totally graded without an Ext route of its own."""
+    bigraded, so GG is built by initial forms, and verify rejects gr_I as
+    not totally graded right after the GG build: the theorem's LHS table is
+    never computed."""
     import arithdeg.adeg as adeg_mod
     x, y = R.gens()
     J, I = IdealHandle(R, [y ** 2 - x ** 3]), IdealHandle(R, [x + y ** 2])
@@ -408,7 +461,7 @@ def test_verify_falls_back_to_gr_when_the_bases_differ(R, monkeypatch):
                              "presentation: the corpus restricts to pairs "
                              "whose graded sides are total-degree graded$"):
         verify(J, I, meta={"prime": True}, label="cusp-fallback")
-    assert seen == [gg.ideal]
+    assert seen == []
 
 
 # ---------------------------------------------------------------------------

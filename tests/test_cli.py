@@ -218,6 +218,32 @@ def test_max_deg_zero_is_a_cap(tmp_path):
         assert "Traceback" not in proc.stderr
 
 
+GATE_SCRIPT = ("ring S = Q[x,y];\nideal J = x*y^40 - y^41;\nideal I = x;\n"
+               "%stask gg J I;\n")
+
+
+@pytest.mark.parametrize("raise_cap", ["option", "flag"])
+def test_raised_degree_cap_reaches_the_gg_gate(tmp_path, raise_cap):
+    """The GG gate's own m and (1) take the pair's caps, so a degree cap
+    raised to 60 by `option max_degree 60;` or by --max-deg 60 lets the
+    gate past y^41 (it used to clamp the cap back to the default 40)."""
+    src = tmp_path / "gate.ses"
+    out = tmp_path / "gate.json"
+    option = "option max_degree 60;\n" if raise_cap == "option" else ""
+    flags = ["--max-deg", "60"] if raise_cap == "flag" else []
+    src.write_text(GATE_SCRIPT % option)
+    assert main(["run", "-i", str(src), "--json", str(out), *flags]) == 0
+    result = json.loads(out.read_text())["results"][0]["result"]
+    assert result["generators"] == ["x", "y^41"]
+
+
+def test_default_degree_cap_still_binds_the_gg_gate(tmp_path, capsys):
+    src = tmp_path / "gate.ses"
+    src.write_text(GATE_SCRIPT % "")
+    assert main(["run", "-i", str(src)]) == 3
+    assert "Groebner degree cap 40 exceeded" in capsys.readouterr().err
+
+
 def test_option_max_degree_caps_hilbert(tmp_path):
     """An ideal's own degree cap governs the Hilbert data of S/I."""
     text = "ring S=Q[x,y,z];\nideal J=x^2-y*z, x*y-z^2;\ntask hilbert J;\n"
