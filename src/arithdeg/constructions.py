@@ -295,8 +295,9 @@ def _cells(J, I, rect, one, m, times, plus, trim):
     Each row j walks the chain m^i*I^j, m^(i+1)*I^j = m*(m^i*I^j), ... on
     top of J + I^(j+1), built once per row, so the lower ideal of cell
     (i, j) is the upper ideal of cell (i+1, j), and every power and product
-    is built once.  trim(chain, base) may drop generators of the chain that
-    lie in J + I^(j+1): m times them lies there too.
+    is built once.  trim(chain, lower, base) gives the chain the next cell
+    multiplies by m: it may drop generators of the chain that lie in
+    J + I^(j+1), since m times them lies there too.
     """
     power = one                                     # I^j
     for j in range(rect[1] + 1):
@@ -305,8 +306,9 @@ def _cells(J, I, rect, one, m, times, plus, trim):
         chain = power                               # m^i * I^j
         upper = plus(chain, base)
         for i in range(rect[0] + 1):
-            chain = trim(times(m, chain), base)
+            chain = times(m, chain)
             lower = plus(chain, base)
+            chain = trim(chain, lower, base)
             yield (i, j), upper, lower
             upper = lower
         power = next_power
@@ -318,7 +320,7 @@ def cell_lengths(J, I, rect):
     ring, caps = J.ring, _caps(J, I)
     cells = _cells(J, I, rect, IdealHandle(ring, [ring.one()], **caps),
                    IdealHandle(ring, ring.gens(), **caps), ideal_product,
-                   ideal_sum, lambda chain, base: chain)
+                   ideal_sum, lambda chain, lower, base: chain)
     for cell, upper, lower in cells:
         yield cell, relative_length(upper, lower)
 
@@ -328,7 +330,8 @@ def monomial_cell_lengths(J, I, rect):
     exponent tuples.
 
     Products and sums are minimised by minimal_monomials, and the chain
-    keeps only its generators outside J + I^(j+1), so a cell's lower ideal
+    keeps only its generators outside J + I^(j+1): those of lower that are
+    not base's, since m times an antichain is one.  So a cell's lower ideal
     is the row's antichain merged with a short chain.  Within a row the
     upper ideal's numerator is the one of the cell before.  For monomial
     ideals, lower lies inside upper exactly when each generator of lower is
@@ -345,9 +348,9 @@ def monomial_cell_lengths(J, I, rect):
     def plus(A, B):
         return minimal_monomials(A + B)
 
-    def trim(chain, base):
-        return tuple(c for c in chain
-                     if not any(mono_divides(b, c) for b in base))
+    def trim(chain, lower, base):
+        kept = set(base)
+        return tuple(g for g in lower if g not in kept)
 
     n = ring.nvars
     units = tuple(tuple(int(k == v) for k in range(n)) for v in range(n))

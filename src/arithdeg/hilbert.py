@@ -10,7 +10,9 @@ routes can be compared on every corpus module.
 Numerators are memoised on the ring that grades them (``ring.memo``), since
 the grading fixes the degree of every generator, and per presentation; the
 module keeps no tables of its own, so a count never depends on what ran
-before it.  Lengths and multiplicities are read off the numerators: a
+before it.  Dimensions, lengths and multiplicities are read off the
+numerators: the dimension is the order of the series' pole at t = 1 and
+the h-vector is what is left once that power of 1 - t is divided out, a
 finite length is the value at t = 1 of the series, and each eventual
 polynomial is the binomial expansion of the numerator's terms.
 """
@@ -328,35 +330,33 @@ def _rank(rows, field):
 # ---------------------------------------------------------------------------
 # dimension
 
-def _monomial_ideal_dimension(leads, nvars):
-    """max |Z| over variable subsets Z touching no generator's support."""
-    if any(not any(m) for m in leads):
-        return -1
-    supports = [frozenset(i for i, e in enumerate(m) if e) for m in leads]
-    # the empty set contains no support once the unit ideal is ruled out,
-    # so size 0 always returns
-    for size in range(nvars, -1, -1):
-        for Z in itertools.combinations(range(nvars), size):
-            zs = set(Z)
-            if all(not s <= zs for s in supports):
-                return size
+def _pole(pres):
+    """(k, h) with hilbert_numerator(pres) = (1 - t)^k * h and h(1) != 0;
+    h is empty for the zero module.  Each component's series has a positive
+    leading coefficient at its own pole at t = 1, and a weight w contributes
+    1 + t + ... + t^(w-1) to the denominator, nonzero there, so the pole
+    order n - k is the largest component dimension: the Krull dimension
+    (Hilbert-Serre; Bruns and Herzog, Cohen-Macaulay Rings, 4.1)."""
+    def build():
+        k, h = 0, hilbert_numerator(pres)
+        while h:
+            q = _divide_out(h, 1)
+            if q is None:
+                break
+            k, h = k + 1, q
+        return k, h
+    return pres._cached(("pole",), build)
 
 
 def dimension(M):
-    """Krull dimension of coker(M) (of S/I for an ideal), from the staircase.
+    """Krull dimension of coker(M) (of S/I for an ideal), read off the pole
+    of its Hilbert series at t = 1.
 
     The zero module reports -1.
     """
     pres = as_presentation(M)
-    key = ("dimension",)
-
-    def build():
-        if pres.rank == 0:
-            return -1
-        leads = pres.initial_leads()
-        dims = [_monomial_ideal_dimension(mons, pres.ring.nvars) for mons in leads]
-        return max(dims)
-    return pres._cached(key, build)
+    k, h = _pole(pres)
+    return pres.ring.nvars - k if h else -1
 
 
 def relevant_dimension(I):
@@ -501,11 +501,7 @@ def h_vector(M):
     map degree -> coefficient, over a ring of weights one.  It is the
     Hilbert series of M/zM for a linear regular sequence z, so no entry is
     negative when M is Cohen-Macaulay."""
-    pres = as_presentation(M)
-    h = hilbert_numerator(pres)
-    for _ in range(pres.ring.nvars - dimension(pres)):
-        h = _divide_out(h, 1)
-    return h
+    return _pole(as_presentation(M))[1]
 
 
 def artinian_length(M):

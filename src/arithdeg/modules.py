@@ -337,14 +337,6 @@ class ModulePresentation:
         pres._ideal = I
         return pres
 
-    @classmethod
-    def free(cls, ring, rank=1, shifts=None):
-        return cls(ring, rank, [], shifts=shifts)
-
-    @classmethod
-    def zero(cls, ring):
-        return cls(ring, 0, [])
-
     # -- basic structure ----------------------------------------------------
 
     def _cached(self, key, build):

@@ -11,7 +11,7 @@ from functools import reduce
 
 from .errors import AlgebraError, InternalConsistencyError, WrongOracleError
 from .groebner import IdealHandle, _caps
-from .rings import minimal_monomials, mono_divides, mono_lcm
+from .rings import minimal_monomials, mono_lcm
 
 
 def _require_monomial(I):
@@ -25,10 +25,6 @@ def minimal_generators(I):
     """Exponent vectors of the minimal monomial generators."""
     _require_monomial(I)
     return minimal_monomials(next(iter(g.terms)) for g in I.gens)
-
-
-def monomial_ideal_contains(gens, m):
-    return any(mono_divides(g, m) for g in gens)
 
 
 def monomial_intersection(gens_a, gens_b):

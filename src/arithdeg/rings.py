@@ -158,12 +158,6 @@ class RingDescriptor:
     def zero_mono(self):
         return (0,) * self.nvars
 
-    def var_index(self, name):
-        try:
-            return self.names.index(name)
-        except ValueError:
-            raise AlgebraError("no variable %r in ring %r" % (name, self)) from None
-
     def gen(self, i):
         e = [0] * self.nvars
         e[i] = 1

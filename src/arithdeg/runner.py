@@ -24,17 +24,16 @@ def json_int(v):
     return str(v) if abs(v) > FLOAT_SAFE else v
 
 
-def _caps(options):
-    """(max_degree, max_basis) from a script's options."""
-    return (int(options.get("max_degree", DEFAULT_MAX_DEGREE)),
-            int(options.get("max_basis", DEFAULT_MAX_BASIS)))
+def _script_caps(options):
+    """The IdealHandle cap keywords from a script's options."""
+    return {"max_degree": int(options.get("max_degree", DEFAULT_MAX_DEGREE)),
+            "max_basis": int(options.get("max_basis", DEFAULT_MAX_BASIS))}
 
 
 def ideal_handles(script):
     """One IdealHandle per declared ideal, under the script's caps."""
-    max_degree, max_basis = _caps(script.options)
-    return {name: IdealHandle(script.ring, script.ideals[name],
-                              max_basis=max_basis, max_degree=max_degree)
+    caps = _script_caps(script.options)
+    return {name: IdealHandle(script.ring, script.ideals[name], **caps)
             for name in script.ideal_order}
 
 
@@ -47,7 +46,6 @@ def execute_script(script, order_name=None, collect_timings=False,
     if order_name:
         opts["order"] = order_name
     order = order_from_name(opts.get("order", "degrevlex"))
-    max_degree, max_basis = _caps(opts)
     if handles is None:
         handles = ideal_handles(script)
 
@@ -65,11 +63,8 @@ def execute_script(script, order_name=None, collect_timings=False,
         "tasks": [" ".join(t) for t in script.tasks],
         "results": results,
         "timings": timings,
-        "provenance": {
-            "order": opts.get("order", "degrevlex"),
-            "max_degree": max_degree,
-            "max_basis": max_basis,
-        },
+        "provenance": dict(order=opts.get("order", "degrevlex"),
+                           **_script_caps(opts)),
     }
 
 

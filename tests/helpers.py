@@ -1,5 +1,7 @@
 """Test-only helpers shared by several test modules."""
 
+import itertools
+
 from arithdeg.adeg import gmult
 from arithdeg.groebner import IdealHandle
 from arithdeg.hilbert import as_presentation, hilbert_value
@@ -21,6 +23,30 @@ def h11_table(M, hi1, hi2):
             table[(i, j)] = (hilbert_value(pres, (i, j)) + table.get((i - 1, j), 0)
                              + table.get((i, j - 1), 0) - table.get((i - 1, j - 1), 0))
     return table
+
+
+def monomial_dimension(leads, nvars):
+    """dim S/(leads) for exponent tuples leads, by walking every variable
+    subset: the largest Z that contains no generator's support, and -1 for
+    the unit ideal."""
+    if any(not any(m) for m in leads):
+        return -1
+    supports = [frozenset(i for i, e in enumerate(m) if e) for m in leads]
+    # the empty set contains no support once the unit ideal is ruled out,
+    # so size 0 always returns
+    for size in range(nvars, -1, -1):
+        for Z in itertools.combinations(range(nvars), size):
+            if not any(s <= set(Z) for s in supports):
+                return size
+
+
+def reference_dimension(M):
+    """Krull dimension of coker(M), the largest monomial_dimension over the
+    components' initial leads: the reference for hilbert.dimension, which
+    reads it off the Hilbert numerator.  The zero module reports -1."""
+    pres = as_presentation(M)
+    return max((monomial_dimension(mons, pres.ring.nvars)
+                for mons in pres.initial_leads()), default=-1)
 
 
 def is_zero_module(pres):

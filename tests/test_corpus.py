@@ -1,10 +1,17 @@
 """Corpus structure: every entry parses, families are present, and the
 metadata contracts hold."""
 
+import arithdeg.adeg as adeg_mod
+import arithdeg.constructions as constructions_mod
+import arithdeg.hilbert as hilbert_mod
+import arithdeg.runner as runner_mod
+from arithdeg.cli import main
 from arithdeg.corpus import build_corpus, lookup
 from arithdeg.groebner import IdealHandle
 from arithdeg.runner import execute_script
 from arithdeg.session import parse_session
+
+from helpers import reference_dimension
 
 
 def test_corpus_size_and_unique_ids():
@@ -130,3 +137,22 @@ def test_gg_and_verify_in_either_order():
     assert backward == forward[::-1]
     assert forward[0]["generators"] == [
         "q2*q3", "y*q3", "x*q2", "z^2", "y^2", "x*y", "x^2"]
+
+
+def test_every_dimension_of_a_corpus_pass_matches_the_subset_walk(
+        monkeypatch, tmp_path):
+    """Each dimension a corpus run asks for (ideals, GG sides, Ext modules)
+    equals the subset walk over its initial leads."""
+    dimension = hilbert_mod.dimension
+    checked = []
+
+    def checked_dimension(M):
+        d = dimension(M)
+        assert d == reference_dimension(M), M
+        checked.append(d)
+        return d
+
+    for mod in (adeg_mod, constructions_mod, hilbert_mod, runner_mod):
+        monkeypatch.setattr(mod, "dimension", checked_dimension)
+    assert main(["corpus", "--json", str(tmp_path / "corpus.json")]) == 0
+    assert len(checked) > 300 and set(checked) >= {-1, 0, 1, 2, 3}

@@ -1,5 +1,7 @@
 """Hilbert functions, polynomials, dimensions, and multiplicities."""
 
+import random
+
 import pytest
 
 from arithdeg.errors import (HomogeneityError, NotBigradedError,
@@ -13,9 +15,9 @@ from arithdeg.hilbert import (artinian_length, classical_multiplicity,
                               relevant_dimension, samuel_multiplicity)
 from arithdeg.modules import ModulePresentation, Vec, ext_presentation
 from arithdeg.numerical import MultiplicityVector
-from arithdeg.rings import Polynomial, RingDescriptor
+from arithdeg.rings import MAX_VARIABLES, Polynomial, RingDescriptor
 
-from helpers import h11_table
+from helpers import h11_table, reference_dimension
 
 
 @pytest.fixture
@@ -116,6 +118,78 @@ def test_dimension_examples(R):
     assert dimension(IdealHandle(R, [])) == 2
     assert dimension(IdealHandle(R, [x, y])) == 0
     assert dimension(IdealHandle(R, [R.one()])) == -1
+
+
+def _monomials(rng, n, count):
+    """count random exponent tuples over n variables, each with a support
+    of one to three variables."""
+    out = []
+    for _ in range(count):
+        m = [0] * n
+        for k in rng.sample(range(n), rng.randint(1, min(n, 3))):
+            m[k] = rng.randint(1, 3)
+        out.append(tuple(m))
+    return out
+
+
+def _sweep_rings(rng, n):
+    """A graded, a weighted and (from two variables on) a bigraded ring
+    in n variables."""
+    names = ["x%d" % k for k in range(n)]
+    rings = [RingDescriptor.graded(names),
+             RingDescriptor.graded(names, weights=[rng.randint(1, 3)
+                                                   for _ in names])]
+    if n > 1:
+        cut = rng.randint(1, n - 1)
+        rings.append(RingDescriptor.bigraded(names[:cut], names[cut:]))
+    return rings
+
+
+def test_dimension_matches_the_subset_walk_on_monomial_ideals():
+    """The pole order of the Hilbert series equals the subset walk on random
+    monomial ideals up to the variable cap, over graded, weighted and
+    bigraded rings, with (0) and (1) in every ring."""
+    rng = random.Random(27)
+    seen = set()
+    for n in range(1, MAX_VARIABLES + 1):
+        for ring in _sweep_rings(rng, n):
+            ideals = [[], [ring.one()]] + [
+                [ring.monomial(m) for m in _monomials(rng, n, rng.randint(1, 6))]
+                for _ in range(4)]
+            for gens in ideals:
+                I = IdealHandle(ring, gens)
+                assert dimension(I) == reference_dimension(I), (ring, gens)
+                seen.add(dimension(I))
+    assert seen == set(range(-1, MAX_VARIABLES + 1))
+
+
+def test_dimension_matches_the_subset_walk_on_modules():
+    """Shifted presentations of rank two and more, and the Ext modules of
+    random monomial quotients, over graded, weighted and bigraded rings:
+    each component's pole sits at t = 1 whatever its shift, so the largest
+    one wins."""
+    rng = random.Random(7)
+    ranks = []
+    for n in (2, 3, 4):
+        for ring in _sweep_rings(rng, n):
+            for _ in range(3):
+                rank = rng.randint(2, 4)
+                cols = [Vec(ring, rank, {(rng.randrange(rank), m): 1})
+                        for m in _monomials(rng, n, rng.randint(0, 5))]
+                if ring.is_bigraded:
+                    shifts = [(rng.randint(-2, 2), rng.randint(-2, 2))
+                              for _ in range(rank)]
+                else:
+                    shifts = [rng.randint(-3, 3) for _ in range(rank)]
+                M = ModulePresentation(ring, rank, cols, shifts=shifts)
+                assert dimension(M) == reference_dimension(M)
+            gens = [ring.monomial(m) for m in _monomials(rng, n, 3)]
+            pres = ModulePresentation.from_ideal(IdealHandle(ring, gens))
+            for j in range(n + 1):
+                E = ext_presentation(pres, j)
+                assert dimension(E) == reference_dimension(E), (gens, j)
+                ranks.append(E.rank)
+    assert max(ranks) >= 2 and 0 in ranks
 
 
 def test_relevant_dimension(B):
