@@ -159,7 +159,9 @@ def monomial_numerator(ring, monos, bigraded=False):
 def hilbert_numerator(M, bigraded=False):
     """Numerator of the Hilbert series of coker(M) over prod(1 - t^deg x),
     as a map degree -> coefficient: each component's staircase numerator
-    (monomial_numerator of its initial leads) moved by its shift.
+    (monomial_numerator of its initial leads) moved by its shift.  Over a
+    bigraded ring the total degree of a bidegree (a, b) is a + b, so the
+    total numerator collapses the bigraded one and shares its memo.
     Inhomogeneous relations give the series of the initial module, which
     has the same length (Macaulay)."""
     pres = as_presentation(M)
@@ -167,11 +169,12 @@ def hilbert_numerator(M, bigraded=False):
 
     def build():
         out = {}
+        over = bigraded or ring.is_bigraded
         for shift, mons in zip(pres.shifts, pres.initial_leads()):
             if isinstance(shift, tuple) and not bigraded:
                 shift = sum(shift)      # total degree over a bigraded ring
-            for d, c in monomial_numerator(ring, mons, bigraded).items():
-                d = deg_add(d, shift)
+            for d, c in monomial_numerator(ring, mons, over).items():
+                d = deg_add(sum(d) if over and not bigraded else d, shift)
                 out[d] = out.get(d, 0) + c
         return {d: c for d, c in out.items() if c}
     return pres._cached(("numerator", bigraded), build)
@@ -467,7 +470,9 @@ def cumulative_polynomial(M):
 
 def ee_vector(M, q):
     """Multiplicity vector at level q: top binomial coefficients of the
-    double sum transform when dim M = q, the zero vector otherwise."""
+    double sum transform when dim M = q, the zero vector otherwise.  The
+    dimension, the pole order of the numerator with (a, b) collapsed to
+    a + b, must be the total degree that _eventual expands from it."""
     pres = as_presentation(M)
     d = dimension(pres)
     if d != q:
@@ -475,7 +480,7 @@ def ee_vector(M, q):
     poly = h11_polynomial(pres)
     if poly.total_degree != d:
         raise InternalConsistencyError(
-            "staircase dimension %d but sum-transform degree %d"
+            "pole order gives dimension %d but sum-transform degree %d"
             % (d, poly.total_degree))
     return MultiplicityVector(q, poly.top_coefficients(q))
 
@@ -483,7 +488,9 @@ def ee_vector(M, q):
 def classical_multiplicity(M, i):
     """e_i: the multiplicity when i = dim M, else 0.  Realized as the top
     coefficient of the Hilbert-Samuel transform, which also covers finite
-    length (where it degenerates to the length)."""
+    length (where it degenerates to the length).  The dimension, the pole
+    order of the numerator, must be the degree that _eventual expands from
+    the same numerator."""
     pres = as_presentation(M)
     d = dimension(pres)
     if i != d or d < 0:
@@ -491,7 +498,7 @@ def classical_multiplicity(M, i):
     poly = cumulative_polynomial(pres)
     if poly.degree != d:
         raise InternalConsistencyError(
-            "staircase dimension %d but Samuel-transform degree %d"
+            "pole order gives dimension %d but Samuel-transform degree %d"
             % (d, poly.degree))
     return poly.coefficient(d)
 
