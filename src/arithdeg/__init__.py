@@ -6,7 +6,7 @@ Library layout:
   modules                    module Groebner bases, syzygies, resolutions, Ext
   numerical                  binomial-basis numerical polynomials, differences
   hilbert                    Hilbert functions, dimensions, multiplicities
-  monomials                  standard pairs and monomial decompositions
+  monomials                  standard pairs, and the primes off them
   constructions              tangent cones, Rees kernels, gr_I, GG
   adeg                       arithmetic degrees and the verification harness
   session, runner, corpus, cli   the text/CLI frontend

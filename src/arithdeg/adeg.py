@@ -274,7 +274,7 @@ def ladeg(J, I, i, meta=None):
     S's Rees kernel of S/p holds p and the y_j of I's generators in p, so
     the two builds share their bigraded Hilbert function, and with it ee_i.
     Non-monomial J needs metadata certifying it prime (the corpus route);
-    otherwise the missing primary decomposition is reported.
+    otherwise the missing associated primes are reported.
     """
     meta = meta or {}
     n = J.ring.nvars

@@ -17,7 +17,7 @@ from .errors import (AlgebraError, InternalConsistencyError,
                      UnsupportedInputError)
 from .groebner import (IdealHandle, _caps, eliminate, extended_ring,
                        fresh_names, ideal_power, ideal_product, ideal_sum,
-                       inject, intersect, project)
+                       inject, intersect, maximal_ideal, project)
 from .hilbert import (artinian_length, dimension, hilbert_numerator,
                       hilbert_value, monomial_numerator, series_length)
 from .orders import BlockOrder
@@ -79,7 +79,7 @@ def tangent_cone(J):
         return IdealHandle(ring, [], **_caps(J))
     tc = initial_forms_ideal(J, range(ring.nvars))
     window = max((g.degree() for g in J.gens), default=1) + 2
-    mring = IdealHandle(ring, ring.gens(), **_caps(J))
+    mring = maximal_ideal(ring, J)
     mk = mring                                      # m^(k+1)
     for k in range(window + 1):
         if k:
@@ -319,7 +319,7 @@ def cell_lengths(J, I, rect):
     IdealHandles: any J and I."""
     ring, caps = J.ring, _caps(J, I)
     cells = _cells(J, I, rect, IdealHandle(ring, [ring.one()], **caps),
-                   IdealHandle(ring, ring.gens(), **caps), ideal_product,
+                   maximal_ideal(ring, J, I), ideal_product,
                    ideal_sum, lambda chain, lower, base: chain)
     for cell, upper, lower in cells:
         yield cell, relative_length(upper, lower)
@@ -394,8 +394,7 @@ def relative_length(U, V):
 def bifiltration_length(J, I, i, j):
     """Length of S/(J + m^(i+1) + I^(j+1)): the first summand of the double
     sum transform of GG."""
-    ring = J.ring
-    mring = IdealHandle(ring, ring.gens(), **_caps(J, I))
+    mring = maximal_ideal(J.ring, J, I)
     total = ideal_sum(J, ideal_power(mring, i + 1), ideal_power(I, j + 1))
     return artinian_length(total)
 
@@ -406,7 +405,7 @@ def h11_direct(J, I, i, j):
     l(M/(m^(i+1)+I^(j+1))M) plus, for k <= j, the correction
     l((I^k cap (m^(i+1)+I^(k+1)))/(m^(i+1) I^k + I^(k+1))) around J."""
     ring, caps = J.ring, _caps(J, I)
-    mring = IdealHandle(ring, ring.gens(), **caps)
+    mring = maximal_ideal(ring, J, I)
     total = bifiltration_length(J, I, i, j)
     mi1 = ideal_power(mring, i + 1)
     ik = IdealHandle(ring, [ring.one()], **caps)    # I^k

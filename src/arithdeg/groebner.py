@@ -578,10 +578,11 @@ class IdealHandle:
     reduced Groebner bases, the cyclic module S/I
     (``hilbert.as_presentation``, which takes its basis from here too),
     the GG presentations over S/I (``adeg.cached_gg``) and, for monomial
-    ideals, the decomposition and standard pairs (``monomials``).  They all
-    live and die with the handle and are computed under its caps.  A
-    handle derived from others, even one built from a bare ring on their
-    behalf, takes ``_caps`` of them: the smallest of each cap.  Only the
+    ideals, the standard pairs and the primes read off them
+    (``monomials``).  They all live and die with the handle and are
+    computed under its caps.  A handle derived from others, even one built
+    from a bare ring on their behalf (``maximal_ideal(ring, *sources)``),
+    takes ``_caps`` of them: the smallest of each cap.  Only the
     work rings of the Rees kernel and of the initial forms run at twice
     the degree cap.
     """
@@ -682,9 +683,11 @@ def ideal(ring, *gens, **kw):
     return IdealHandle(ring, gens, **kw)
 
 
-def maximal_ideal(ring):
-    """The ideal of all variables (the origin)."""
-    return IdealHandle(ring, ring.gens())
+def maximal_ideal(ring, *sources):
+    """The ideal of all variables (the origin), under ``_caps`` of the
+    handles it is built for; the default caps when there are none."""
+    return IdealHandle(ring, ring.gens(),
+                       **(_caps(*sources) if sources else {}))
 
 
 def _caps(*sources):

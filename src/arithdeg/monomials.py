@@ -1,17 +1,20 @@
-"""Combinatorial oracle for monomial ideals: standard pairs, irreducible
-decomposition, associated/embedded primes, and the dimension filtration.
+"""Combinatorial oracle for monomial ideals: standard pairs, and off them
+the arithmetic degrees, the local lengths, the associated primes and the
+dimension filtration.
 
-Everything here works on raw exponent vectors, independent of the Groebner
-pipeline, so it can serve as ground truth for the Ext-route arithmetic
-degrees.
+The pairs (u, Z) of a proper monomial ideal I hold everything here: adeg_i
+of S/I counts the pairs with |Z| = i, the associated primes are the
+P_Z = (x_k : k not in Z), and the length of H^0 at P_Z counts the pairs on
+Z (Sturmfels, Trung and Vogel, Math. Ann. 301 (1995), section 3).  Everything
+works on raw exponent vectors, independent of the Groebner pipeline, so it
+can serve as ground truth for the Ext-route arithmetic degrees.
 """
 
 import itertools
-from functools import reduce
 
-from .errors import AlgebraError, InternalConsistencyError, WrongOracleError
+from .errors import AlgebraError, WrongOracleError
 from .groebner import IdealHandle, _caps
-from .rings import minimal_monomials, mono_lcm
+from .rings import minimal_monomials, mono_divides
 
 
 def _require_monomial(I):
@@ -25,11 +28,6 @@ def minimal_generators(I):
     """Exponent vectors of the minimal monomial generators."""
     _require_monomial(I)
     return minimal_monomials(next(iter(g.terms)) for g in I.gens)
-
-
-def monomial_intersection(gens_a, gens_b):
-    """Minimal generators of the intersection of two monomial ideals."""
-    return minimal_monomials({mono_lcm(a, b) for a in gens_a for b in gens_b})
 
 
 # ---------------------------------------------------------------------------
@@ -104,8 +102,18 @@ def standard_pairs(I):
     set is computed once per handle and kept in its cache; each call
     returns a fresh list.
     """
+    return list(_pairs(I))
+
+
+def _pairs(I):
+    """The pair tuple kept on the handle, read without a copy."""
     _require_monomial(I)
-    return list(I._cached("standard_pairs", lambda: _standard_pairs(I)))
+    return I._cached("standard_pairs", lambda: _standard_pairs(I))
+
+
+def _box(gens, n):
+    """The largest exponent of each variable among the generators."""
+    return [max((g[i] for g in gens), default=0) for i in range(n)]
 
 
 def _standard_pairs(I):
@@ -113,10 +121,7 @@ def _standard_pairs(I):
     n = I.ring.nvars
     if any(not any(g) for g in gens):
         raise WrongOracleError("standard pairs of the unit ideal are undefined")
-    bounds = [0] * n
-    for g in gens:
-        for i, e in enumerate(g):
-            bounds[i] = max(bounds[i], e)
+    bounds = _box(gens, n)
     candidates = []
     for size in range(n, -1, -1):
         for Z in itertools.combinations(range(n), size):
@@ -149,177 +154,57 @@ def adeg_monomial(I):
 
 
 # ---------------------------------------------------------------------------
-# irreducible decomposition and primes
-
-class IrreducibleComponent:
-    """Component generated by pure powers x_i^{b_i} over its bounded set."""
-
-    __slots__ = ("bounds", "nvars")
-
-    def __init__(self, bounds, nvars):
-        self.bounds = dict(bounds)
-        self.nvars = nvars
-
-    def generators(self):
-        out = []
-        for i, b in sorted(self.bounds.items()):
-            m = [0] * self.nvars
-            m[i] = b
-            out.append(tuple(m))
-        return tuple(out)
-
-    def radical_support(self):
-        return frozenset(self.bounds)
-
-    def contains(self, m):
-        return any(m[i] >= b for i, b in self.bounds.items())
-
-    def key(self):
-        return tuple(sorted(self.bounds.items()))
-
-    def __eq__(self, other):
-        return isinstance(other, IrreducibleComponent) and self.bounds == other.bounds
-
-    def __hash__(self):
-        return hash(self.key())
-
-    def __repr__(self):
-        body = ", ".join("x%d^%d" % (i, b) for i, b in sorted(self.bounds.items()))
-        return "Irr(%s)" % body
-
-
-def _split_once(gens):
-    """Find a mixed generator and return the two split ideals, or None."""
-    for g in gens:
-        support = [i for i, e in enumerate(g) if e]
-        if len(support) > 1:
-            i = support[0]
-            left = tuple(1 if k == i else 0 for k in range(len(g)))
-            a = tuple(e if k == i else 0 for k, e in enumerate(g))
-            b = tuple(0 if k == i else e for k, e in enumerate(g))
-            return g, a, b
-    return None
-
-
-def irreducible_decomposition(gens, nvars):
-    """Irredundant irreducible components by the splitting recursion:
-    a generator m1*m2 with coprime parts splits I into (I+m1) cap (I+m2)."""
-    gens = minimal_monomials(gens)
-    split = _split_once(gens)
-    if split is None:
-        # every generator is a pure power, one per variable after minimalizing
-        bounds = {}
-        for g in gens:
-            i = next(k for k, e in enumerate(g) if e)
-            bounds[i] = g[i]
-        return [IrreducibleComponent(bounds, nvars)]
-    g, a, b = split
-    rest = tuple(h for h in gens if h != g)
-    comps = set()
-    comps.update(irreducible_decomposition(rest + (a,), nvars))
-    comps.update(irreducible_decomposition(rest + (b,), nvars))
-    return _irredundant(sorted(comps, key=IrreducibleComponent.key))
-
-
-def _intersection(gen_lists):
-    """Generators of the intersection of one or more monomial ideals, each
-    given by its generators."""
-    return reduce(monomial_intersection, gen_lists)
-
-
-def _irredundant(components):
-    kept = list(components)
-    changed = True
-    while changed:
-        changed = False
-        for k in range(len(kept)):
-            others = kept[:k] + kept[k + 1:]
-            if not others:
-                continue
-            inter = _intersection(c.generators() for c in others)
-            if all(kept[k].contains(m) for m in inter):
-                kept.pop(k)
-                changed = True
-                break
-    return kept
-
+# primes and the dimension filtration
 
 class MonomialDecomposition:
-    """Irreducible components, the primary grouping, and the prime data."""
+    """The associated primes of S/I, each the frozenset of the indices of
+    its variables, split into the minimal and the embedded ones."""
 
-    def __init__(self, ring, components, primary, associated, minimal_primes):
-        self.ring = ring
-        self.components = tuple(components)
-        self.primary = tuple((supp, tuple(gens)) for supp, gens in primary)
-        self.associated_primes = tuple(associated)      # frozensets
-        self.minimal_primes = tuple(minimal_primes)
+    def __init__(self, associated):
+        self.associated_primes = tuple(associated)
+        self.minimal_primes = tuple(p for p in associated
+                                    if not any(q < p for q in associated))
         self.embedded_primes = tuple(p for p in associated
-                                     if p not in minimal_primes)
+                                     if p not in self.minimal_primes)
 
     def __repr__(self):
-        return ("MonomialDecomposition(%d components, primes=%r)"
-                % (len(self.components), sorted(map(sorted, self.associated_primes))))
+        return ("MonomialDecomposition(primes=%r)"
+                % sorted(map(sorted, self.associated_primes)))
 
 
 def decompose(I):
-    """Irreducible and primary decomposition of a proper monomial ideal,
-    with associated and embedded primes, computed once per handle and kept
-    in its cache."""
+    """The associated primes of S/I for a proper monomial ideal I, read off
+    its standard pairs: P_Z = (x_k : k not in Z) over the pairs (u, Z).
+    Computed once per handle and kept in its cache."""
     _require_monomial(I)
     return I._cached("decompose", lambda: _decompose(I))
 
 
 def _decompose(I):
-    gens = minimal_generators(I)
-    n = I.ring.nvars
-    if any(not any(g) for g in gens):
-        raise WrongOracleError("cannot decompose the unit ideal")
-    if not gens:
-        # the zero ideal is prime with empty support
-        comp = IrreducibleComponent({}, n)
-        return MonomialDecomposition(I.ring, [comp], [(frozenset(), ())],
-                                     [frozenset()], [frozenset()])
-    comps = irreducible_decomposition(gens, n)
-    # exactness gate
-    inter = _intersection(c.generators() for c in comps)
-    if set(inter) != set(gens):
-        raise InternalConsistencyError(
-            "irreducible decomposition does not intersect back to the input")
-    # the components are irredundant, so is their grouping by radical: were
-    # one group redundant, each of its components would be
-    groups = {}
-    for c in comps:
-        groups.setdefault(c.radical_support(), []).append(c)
-    primary = []
-    for supp in sorted(groups, key=sorted):
-        gens_p = _intersection(c.generators() for c in groups[supp])
-        primary.append((supp, gens_p))
-    associated = [supp for supp, _ in primary]
-    minimal = [p for p in associated
-               if not any(q < p for q in associated)]
-    return MonomialDecomposition(I.ring, comps, primary, associated, minimal)
-
-
-def associated_primes(I):
-    return list(decompose(I).associated_primes)
-
-
-def embedded_primes(I):
-    return list(decompose(I).embedded_primes)
+    everything = frozenset(range(I.ring.nvars))
+    return MonomialDecomposition(sorted(
+        {everything - set(p.variables) for p in _pairs(I)}, key=sorted))
 
 
 def m_leq_monomial(I, i):
-    """The ideal J_i with (S/I)_{<=i} = J_i/I: intersection of the primary
-    components of dimension > i (the whole ring when there are none)."""
-    _require_monomial(I)
+    """The ideal J_i with (S/I)_{<=i} = J_i/I (the whole ring when no
+    associated prime has dimension > i).
+
+    A standard monomial m lies in J_i iff dim S/(I : m) <= i, and that
+    dimension is the largest |Z| of a pair (u, Z) covering m.  J_i is an
+    intersection of irreducible components of I, so its minimal generators
+    lie in the box of I's largest generator exponents: J_i is I plus the
+    standard monomials of that box that no pair with |Z| > i covers.
+    """
     ring = I.ring
-    n = ring.nvars
-    dec = decompose(I)
-    keep = [(supp, gens) for supp, gens in dec.primary if n - len(supp) > i]
-    if not keep:
-        return IdealHandle(ring, [ring.one()], **_caps(I))
-    inter = _intersection(g for _, g in keep)
-    return IdealHandle(ring, [ring.monomial(m) for m in inter], **_caps(I))
+    tall = [p for p in _pairs(I) if len(p.variables) > i]
+    gens = minimal_generators(I)
+    box = itertools.product(*(range(b + 1) for b in _box(gens, ring.nvars)))
+    low = tuple(m for m in box
+                if not any(mono_divides(g, m) for g in gens)
+                and not any(p.covers(m) for p in tall))
+    return IdealHandle(ring, [ring.monomial(m) for m in gens + low],
+                       **_caps(I))
 
 
 def local_length_by_pairs(I, support):

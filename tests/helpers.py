@@ -1,10 +1,14 @@
 """Test-only helpers shared by several test modules."""
 
 import itertools
+from functools import reduce
 
 from arithdeg.adeg import gmult
+from arithdeg.errors import InternalConsistencyError, WrongOracleError
 from arithdeg.groebner import IdealHandle
 from arithdeg.hilbert import as_presentation, hilbert_value
+from arithdeg.monomials import minimal_generators
+from arithdeg.rings import minimal_monomials, mono_lcm
 
 
 def h11_table(M, hi1, hi2):
@@ -61,3 +65,127 @@ def full_ring_prime_gmult(J, I, supp, i):
     ring S: the reference for ladeg's build over the coordinate ring."""
     ring = J.ring
     return gmult(IdealHandle(ring, [ring.gen(k) for k in sorted(supp)]), I, i)
+
+
+# ---------------------------------------------------------------------------
+# irreducible decomposition: the reference for monomials.decompose and
+# monomials.m_leq_monomial, which read the same facts off standard pairs
+
+def monomial_intersection(gens_a, gens_b):
+    """Minimal generators of the intersection of two monomial ideals."""
+    return minimal_monomials({mono_lcm(a, b) for a in gens_a for b in gens_b})
+
+
+def intersection(gen_lists):
+    """Generators of the intersection of one or more monomial ideals, each
+    given by its generators."""
+    return reduce(monomial_intersection, gen_lists)
+
+
+class IrreducibleComponent:
+    """Component generated by pure powers x_i^{b_i} over its bounded set."""
+
+    def __init__(self, bounds, nvars):
+        self.bounds = dict(bounds)
+        self.nvars = nvars
+
+    def generators(self):
+        out = []
+        for i, b in sorted(self.bounds.items()):
+            m = [0] * self.nvars
+            m[i] = b
+            out.append(tuple(m))
+        return tuple(out)
+
+    def contains(self, m):
+        return any(m[i] >= b for i, b in self.bounds.items())
+
+    def key(self):
+        return tuple(sorted(self.bounds.items()))
+
+    def __eq__(self, other):
+        return isinstance(other, IrreducibleComponent) and self.bounds == other.bounds
+
+    def __hash__(self):
+        return hash(self.key())
+
+
+def irreducible_decomposition(gens, nvars):
+    """Irredundant irreducible components by the splitting recursion:
+    a generator m1*m2 with coprime parts splits I into (I+m1) cap (I+m2)."""
+    gens = minimal_monomials(gens)
+    mixed = next((g for g in gens if sum(1 for e in g if e) > 1), None)
+    if mixed is None:
+        # every generator is a pure power, one per variable after minimalizing
+        return [IrreducibleComponent(
+            {next(k for k, e in enumerate(g) if e): max(g) for g in gens},
+            nvars)]
+    i = next(k for k, e in enumerate(mixed) if e)
+    a = tuple(e if k == i else 0 for k, e in enumerate(mixed))
+    b = tuple(0 if k == i else e for k, e in enumerate(mixed))
+    rest = tuple(h for h in gens if h != mixed)
+    comps = set(irreducible_decomposition(rest + (a,), nvars))
+    comps.update(irreducible_decomposition(rest + (b,), nvars))
+    return _irredundant(sorted(comps, key=IrreducibleComponent.key))
+
+
+def _irredundant(components):
+    kept = list(components)
+    changed = True
+    while changed:
+        changed = False
+        for k in range(len(kept)):
+            others = kept[:k] + kept[k + 1:]
+            if not others:
+                continue
+            inter = intersection(c.generators() for c in others)
+            if all(kept[k].contains(m) for m in inter):
+                kept.pop(k)
+                changed = True
+                break
+    return kept
+
+
+class ReferenceDecomposition:
+    """Irreducible components of a proper monomial ideal, their grouping
+    by radical into primary components, and the prime data.  The
+    components must intersect back to the ideal."""
+
+    def __init__(self, I):
+        gens = minimal_generators(I)
+        n = self.nvars = I.ring.nvars
+        if any(not any(g) for g in gens):
+            raise WrongOracleError("cannot decompose the unit ideal")
+        if not gens:
+            # the zero ideal is prime with empty support
+            self.components = [IrreducibleComponent({}, n)]
+            self.primary = [(frozenset(), ())]
+        else:
+            self.components = irreducible_decomposition(gens, n)
+            inter = intersection(c.generators() for c in self.components)
+            if set(inter) != set(gens):
+                raise InternalConsistencyError(
+                    "irreducible decomposition does not intersect back to "
+                    "the input")
+            # the components are irredundant, so is their grouping by
+            # radical: were one group redundant, each of its components
+            # would be
+            groups = {}
+            for c in self.components:
+                groups.setdefault(frozenset(c.bounds), []).append(c)
+            self.primary = [
+                (supp, intersection(c.generators() for c in groups[supp]))
+                for supp in sorted(groups, key=sorted)]
+        self.associated_primes = tuple(supp for supp, _ in self.primary)
+        self.minimal_primes = tuple(
+            p for p in self.associated_primes
+            if not any(q < p for q in self.associated_primes))
+        self.embedded_primes = tuple(p for p in self.associated_primes
+                                     if p not in self.minimal_primes)
+
+    def m_leq(self, i):
+        """Minimal generators of J_i, the intersection of the primary
+        components of dimension > i: the unit ideal when there are none."""
+        n = self.nvars
+        keep = [gens for supp, gens in self.primary if n - len(supp) > i]
+        return set(intersection(keep)) if keep else {(0,) * n}

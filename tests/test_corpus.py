@@ -4,6 +4,7 @@ metadata contracts hold."""
 import arithdeg.adeg as adeg_mod
 import arithdeg.constructions as constructions_mod
 import arithdeg.hilbert as hilbert_mod
+import arithdeg.monomials as monomials_mod
 import arithdeg.runner as runner_mod
 from arithdeg.cli import main
 from arithdeg.corpus import build_corpus, lookup
@@ -11,7 +12,7 @@ from arithdeg.groebner import IdealHandle
 from arithdeg.runner import execute_script
 from arithdeg.session import parse_session
 
-from helpers import reference_dimension
+from helpers import ReferenceDecomposition, reference_dimension
 
 
 def test_corpus_size_and_unique_ids():
@@ -156,3 +157,26 @@ def test_every_dimension_of_a_corpus_pass_matches_the_subset_walk(
         monkeypatch.setattr(mod, "dimension", checked_dimension)
     assert main(["corpus", "--json", str(tmp_path / "corpus.json")]) == 0
     assert len(checked) > 300 and set(checked) >= {-1, 0, 1, 2, 3}
+
+
+def test_every_decomposition_of_a_corpus_pass_matches_the_reference(
+        monkeypatch, tmp_path):
+    """Each monomial decomposition a corpus run asks for has the primes of
+    the irreducible decomposition, in the same order."""
+    decompose = monomials_mod.decompose
+    checked = []
+
+    def checked_decompose(J):
+        dec = decompose(J)
+        ref = ReferenceDecomposition(J)
+        assert dec.associated_primes == ref.associated_primes, J
+        assert dec.minimal_primes == ref.minimal_primes, J
+        assert dec.embedded_primes == ref.embedded_primes, J
+        checked.append(dec)
+        return dec
+
+    for mod in (adeg_mod, monomials_mod):
+        monkeypatch.setattr(mod, "decompose", checked_decompose)
+    assert main(["corpus", "--json", str(tmp_path / "corpus.json")]) == 0
+    assert len(checked) > 100
+    assert any(dec.embedded_primes for dec in checked)

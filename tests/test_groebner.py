@@ -345,9 +345,11 @@ def test_monomial_ideal_product_matches_polynomial_products():
 
 
 def test_ideal_sum_and_product_keep_the_smallest_caps(R):
-    """A sum or product of capped handles takes the smallest max_basis and
-    the smallest max_degree among its operands, on the monomial route and
-    the polynomial route, so its basis runs under the operands' caps."""
+    """A sum or product of capped handles, and the maximal ideal built for
+    them, take the smallest max_basis and the smallest max_degree among
+    them, on the monomial route and the polynomial route, so a basis runs
+    under the operands' caps.  A maximal ideal built for no handle keeps
+    the default caps."""
     mono = IdealHandle(R, ["x^2", "x*y"], max_basis=7, max_degree=30)
     poly = IdealHandle(R, ["x^2 - y", "x*y - 1"], max_basis=50, max_degree=3)
     free = IdealHandle(R, ["y^3"])
@@ -359,6 +361,10 @@ def test_ideal_sum_and_product_keep_the_smallest_caps(R):
             assert (K.max_basis, K.max_degree) == caps
     assert (ideal_sum(free, mono, poly).max_basis,
             ideal_sum(free, mono, poly).max_degree) == (7, 3)
+    for sources, caps in (((free, mono, poly), (7, 3)), ((poly,), (50, 3)),
+                          ((), (free.max_basis, free.max_degree))):
+        m = maximal_ideal(R, *sources)
+        assert (m.max_basis, m.max_degree) == caps
     with pytest.raises(ResourceLimitError):
         ideal_product(free, poly).groebner_basis()
 

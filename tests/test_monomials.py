@@ -1,4 +1,5 @@
-"""Standard pairs, monomial decompositions, and the dimension filtration."""
+"""Standard pairs, the primes and dimension filtration read off them, and
+the irreducible decomposition that serves as their reference."""
 
 import itertools
 import random
@@ -9,12 +10,12 @@ import pytest
 from arithdeg.errors import InternalConsistencyError, WrongOracleError
 from arithdeg.groebner import IdealHandle
 from arithdeg.hilbert import artinian_length, dimension
-from arithdeg.monomials import (StandardPair, adeg_monomial,
-                                associated_primes, decompose, embedded_primes,
+from arithdeg.monomials import (StandardPair, adeg_monomial, decompose,
                                 local_length_by_pairs, m_leq_monomial,
-                                minimal_generators, monomial_intersection,
-                                standard_pairs)
+                                minimal_generators, standard_pairs)
 from arithdeg.rings import RingDescriptor, mono_divides
+
+from helpers import ReferenceDecomposition, monomial_intersection
 
 
 def check_standard_cover(I, box=6):
@@ -92,7 +93,8 @@ def test_decompose_x2_xy(R):
     x, y = R.gens()
     I = IdealHandle(R, [x ** 2, x * y])
     dec = decompose(I)
-    supports = sorted(sorted(c.bounds.items()) for c in dec.components)
+    ref = ReferenceDecomposition(I)
+    supports = sorted(sorted(c.bounds.items()) for c in ref.components)
     assert supports == [[(0, 1)], [(0, 2), (1, 1)]]   # (x) and (x^2, y)
     assert sorted(map(sorted, dec.associated_primes)) == [[0], [0, 1]]
     assert [sorted(p) for p in dec.embedded_primes] == [[0, 1]]
@@ -107,10 +109,11 @@ def test_decompose_radical(R):
 
 def test_decompose_irreducible(R):
     x, y = R.gens()
-    dec = decompose(IdealHandle(R, [x ** 2]))
-    assert len(dec.components) == 1
-    assert dec.components[0].bounds == {0: 2}
-    assert dec.associated_primes == (frozenset({0}),)
+    I = IdealHandle(R, [x ** 2])
+    ref = ReferenceDecomposition(I)
+    assert len(ref.components) == 1
+    assert ref.components[0].bounds == {0: 2}
+    assert decompose(I).associated_primes == (frozenset({0}),)
 
 
 def test_decomposition_and_pairs_live_on_the_handle(R):
@@ -123,9 +126,6 @@ def test_decomposition_and_pairs_live_on_the_handle(R):
     pairs = standard_pairs(I)
     pairs.clear()
     assert standard_pairs(I) and standard_pairs(I) is not standard_pairs(I)
-    for primes in (associated_primes, embedded_primes):
-        primes(I).clear()
-        assert primes(I)
 
 
 def test_cached_decomposition_is_immutable(R):
@@ -133,10 +133,14 @@ def test_cached_decomposition_is_immutable(R):
     empty what later callers read."""
     x, y = R.gens()
     I = IdealHandle(R, [x ** 2, x * y])
-    before = associated_primes(I)
-    with pytest.raises(AttributeError):
-        decompose(I).associated_primes.clear()
-    assert associated_primes(I) == before
+    dec = decompose(I)
+    before = dec.associated_primes
+    for primes in (dec.associated_primes, dec.minimal_primes,
+                   dec.embedded_primes):
+        assert isinstance(primes, tuple) and primes
+        with pytest.raises(AttributeError):
+            primes.clear()
+    assert decompose(I).associated_primes == before
     assert sorted(map(sorted, before)) == [[0], [0, 1]]
 
 
@@ -144,10 +148,10 @@ def test_decompose_intersection_exact():
     R3 = RingDescriptor.graded("x,y,z")
     x, y, z = R3.gens()
     I = IdealHandle(R3, [x * y ** 2, y * z ** 3, x ** 2 * z])
-    dec = decompose(I)
+    ref = ReferenceDecomposition(I)
     gens = minimal_generators(I)
-    inter = dec.components[0].generators()
-    for c in dec.components[1:]:
+    inter = ref.components[0].generators()
+    for c in ref.components[1:]:
         inter = monomial_intersection(inter, c.generators())
     assert set(inter) == set(gens)
 
@@ -202,9 +206,9 @@ def test_adeg_counts_vs_primes():
 
 
 def test_decomposition_components_are_irredundant():
-    """Seeded random monomial ideals: the components intersect back to the
-    ideal, and leaving out any one irreducible or primary component leaves
-    a strictly larger intersection."""
+    """Seeded random monomial ideals: the reference's components intersect
+    back to the ideal, and leaving out any one irreducible or primary
+    component leaves a strictly larger intersection."""
     rng = random.Random(2004)
     R4 = RingDescriptor.graded("x,y,z,w")
     for _ in range(60):
@@ -213,12 +217,42 @@ def test_decomposition_components_are_irredundant():
         I = IdealHandle(R4, [g for g in gens if not g.is_constant()])
         if I.is_zero():
             continue
-        dec = decompose(I)
+        ref = ReferenceDecomposition(I)
         minimal = set(minimal_generators(I))
-        for parts in ([c.generators() for c in dec.components],
-                      [g for _, g in dec.primary]):
+        for parts in ([c.generators() for c in ref.components],
+                      [g for _, g in ref.primary]):
             assert set(reduce(monomial_intersection, parts)) == minimal
             for k in range(len(parts)):
                 others = parts[:k] + parts[k + 1:]
                 if others:
                     assert set(reduce(monomial_intersection, others)) != minimal
+
+
+def test_primes_and_filtration_off_the_pairs_match_the_decomposition():
+    """Seeded sweep over 2-5 variables, with the zero ideal, pure powers and
+    random ideals: decompose's prime tuples, in order, and m_leq_monomial
+    at every i from -1 to n equal the irreducible decomposition's.  The
+    unit ideal has neither."""
+    rng = random.Random(1995)
+    for n in range(2, 6):
+        ring = RingDescriptor.graded(",".join("x%d" % k for k in range(n)))
+        ideals = [[], [ring.gen(0) ** 3], [g ** 2 for g in ring.gens()]]
+        for _ in range(40 if n < 5 else 15):
+            top = 3 if n < 5 else 2
+            ideals.append([
+                ring.monomial(tuple(rng.randint(0, top) for _ in range(n)))
+                for _ in range(rng.randint(1, 5))])
+        for gens in ideals:
+            I = IdealHandle(ring, [g for g in gens if not g.is_constant()])
+            dec, ref = decompose(I), ReferenceDecomposition(I)
+            assert dec.associated_primes == ref.associated_primes, gens
+            assert dec.minimal_primes == ref.minimal_primes, gens
+            assert dec.embedded_primes == ref.embedded_primes, gens
+            for i in range(-1, n + 1):
+                assert (set(minimal_generators(m_leq_monomial(I, i)))
+                        == ref.m_leq(i)), (gens, i)
+        unit = IdealHandle(ring, [ring.one()])
+        for oracle in (decompose, lambda J: m_leq_monomial(J, 0),
+                       ReferenceDecomposition):
+            with pytest.raises(WrongOracleError):
+                oracle(unit)
