@@ -24,7 +24,12 @@ integer forms), so no lead, integer form or normal form is recomputed
 there.  Pairs, heads in the division loop, Schreyer pairs and the
 minimality test are indexed by component: a lead divides only leads in
 its own component, and polynomials have one.  The heads' index lives with
-a basis's slots (_Slots), so a basis builds it once, not per division.
+a basis's slots (_Slots), so a basis builds it once, not per division,
+and so does the memo of which head divides a popped term, so a basis
+scans its heads for a term once.  Gebauer-Moeller runs on the same packed
+leads: lcms, divisibility and the product criterion are int operations on
+their exponent fields (Bachmann and Schoenemann, ISSAC 1998), and only
+the pairs kept get a key and a sugar.
 """
 
 from bisect import insort
@@ -127,9 +132,12 @@ class _Packer:
         self.guards = sum(self.bound + 1 << s for s in self.shifts)
         self.top = len(self.shifts) * width
         # a packed term's component is t >> comp_shift & comp_mask (0 for
-        # every monomial)
+        # every monomial); t & fields is its exponent fields, the key above
+        # them dropped, and values masks the fields' bits below their guards
         self.comp_shift, self.comp_mask = ((self.shifts[-2], (1 << width) - 1)
                                            if self.vectors else (0, 0))
+        self.fields = (1 << self.top) - 1
+        self.values = self.fields ^ self.guards
 
     def pack(self, t):
         c, m = t if self.vectors else (0, t)
@@ -146,6 +154,17 @@ class _Packer:
         fields = tuple(t >> s & mask for s in self.shifts)
         return (fields[-2], fields[:-2]) if self.vectors else fields
 
+    def lcm(self, a, b):
+        """The exponent fields of the lcm of two terms of one component,
+        from theirs: each field's larger value, in SWAR.  The guard bit of
+        each field of ge is set where a's field is at least b's; m fills
+        the value bits below those guards, and picks a's fields there and
+        b's elsewhere."""
+        G = self.guards
+        ge = ((a | G) - b) & G
+        m = ge - (ge >> self.width - 1)
+        return a & m | b & (self.values ^ m)
+
 
 class _Slots(list):
     """The forms slots of a basis, one per element: (packer, packed lead,
@@ -155,17 +174,25 @@ class _Slots(list):
     popped term up in: a list of (k, packed lead) per component field.  It
     is kept for one packer and grows with the list, so a basis pays for it
     once, not per division; for another packer every slot is packed again
-    and the index is rebuilt."""
+    and the index is rebuilt.
 
-    __slots__ = ("packer", "index", "indexed")
+    divisor is the memo of that look-up, kept and reset with the index: a
+    packed term maps to the k of the first head in its component's list
+    that divides it, or, when none did, to ~c for the c heads scanned.  It
+    is exact because a component's list only grows by appending while the
+    packer stays: the first dividing head never changes, and a miss
+    resumes its scan at head c."""
+
+    __slots__ = ("packer", "index", "indexed", "divisor")
 
     def __init__(self, slots):
         super().__init__(slots)
-        self.packer, self.index, self.indexed = None, {}, 0
+        self.packer, self.index, self.indexed, self.divisor = None, {}, 0, {}
 
     def heads(self, packer, leads):
         if packer is not self.packer:
             self.packer, self.index, self.indexed = packer, {}, 0
+            self.divisor = {}
         shift, mask = packer.comp_shift, packer.comp_mask
         for k in range(self.indexed, len(self)):
             slot = self[k]
@@ -271,29 +298,36 @@ def _divide_pair(i, j, basis, leads, order, ops, quotients=None, forms=None):
 
 def _packed_run(start, basis, leads, order, quotients, forms):
     """Run _divide_packed from start(packer, forms), which packs the
-    dividend as (work, D), with the packer ring.memo keeps for the order;
-    when a term outgrows it, ring.memo gets one of twice the width and the
-    division starts again.  Adds the quotients into quotients, as field
-    elements, and returns the packer and the packed remainder."""
-    ring, rank = basis[0].ring, getattr(basis[0], "rank", None)
-    field = ring.field
-    memo_key = ("packer", order, rank)
+    dividend as (work, D), with the ring's packer (_packed): a term that
+    outgrows it starts the division again on a wider one.  Adds the
+    quotients into quotients, as field elements, and returns the packer
+    and the packed remainder."""
     if forms is None:
         forms = _Slots([None] * len(basis))
-    while True:
-        packer = ring.memo.get(memo_key) or _Packer(order, ring.nvars, rank)
-        ring.memo[memo_key] = packer
-        try:
-            remainder, steps = _divide_packed(start, basis, leads, packer,
-                                              forms, quotients is not None)
-            break
-        except OverflowError:
-            ring.memo[memo_key] = _Packer(order, ring.nvars, rank,
-                                          2 * packer.width)
+    packer, (remainder, steps) = _packed(
+        basis[0], order, lambda packer: _divide_packed(
+            start, basis, leads, packer, forms, quotients is not None))
+    field = basis[0].ring.field
     for k, q, n, D in steps:
         kq = (k, packer.unpack(q)[1] if packer.vectors else packer.unpack(q))
         quotients[kq] = quotients.get(kq, 0) + field(n, D)
     return packer, remainder
+
+
+def _packed(f, order, run):
+    """(packer, run(packer)) for the packer that f's ring.memo keeps for
+    the order and f's kind; when a term outgrows it, ring.memo gets one of
+    twice the width and run starts again."""
+    ring, rank = f.ring, getattr(f, "rank", None)
+    memo_key = ("packer", order, rank)
+    while True:
+        packer = ring.memo.get(memo_key) or _Packer(order, ring.nvars, rank)
+        ring.memo[memo_key] = packer
+        try:
+            return packer, run(packer)
+        except OverflowError:
+            ring.memo[memo_key] = _Packer(order, ring.nvars, rank,
+                                          2 * packer.width)
 
 
 def _monic_form(packer, remainder, field):
@@ -349,9 +383,12 @@ def _divide_packed(start, basis, leads, packer, forms, with_quotients):
     its pop (n itself when D = 0), and a quotient n*d/(D*L).  A popped
     term is tested only against the heads of its own component, read off
     its component field in the index the slots keep (_Slots.heads;
-    polynomials have one component)."""
+    polynomials have one component), and only once per basis: the slots'
+    divisor memo names the head that divides it, or where a scan that
+    found none resumes once the basis has grown."""
     p = basis[0].ring.field.characteristic
     heads = forms.heads(packer, leads)
+    divisor = forms.divisor
     shift, mask = packer.comp_shift, packer.comp_mask
     G = packer.guards
     remainder, steps = [], []
@@ -364,13 +401,21 @@ def _divide_packed(start, basis, leads, packer, forms, with_quotients):
             n %= p
         if not n:
             continue  # cancelled to zero
-        tg = t | G
-        for k, s in heads.get(t >> shift & mask, ()):
-            if (tg - s) & G == G:
-                break
+        k = divisor.get(t, -1)
+        if k < 0:
+            row = heads.get(t >> shift & mask, ())
+            tg = t | G
+            for at in range(~k, len(row)):
+                k, s = row[at]
+                if (tg - s) & G == G:
+                    divisor[t] = k
+                    break
+            else:
+                divisor[t] = ~len(row)
+                remainder.append((t, n, D))
+                continue
         else:
-            remainder.append((t, n, D))
-            continue
+            s = forms[k][1]
         if not D:
             D = lcm(n.denominator, *[c.denominator for c in work.values()])
             n = n.numerator * (D // n.denominator)
@@ -400,41 +445,55 @@ def _divide_packed(start, basis, leads, packer, forms, with_quotients):
     return remainder, steps
 
 
-def _update_pairs(P, members, leads, sugar, n, order, ops, deg):
+def _update_pairs(P, members, forms, leads, sugar, n, order, ops, deg):
     """Gebauer-Moeller update when element n, with lead term t =
     leads[n][0], joins elements 0..n-1.  P maps a component to its pairs,
-    each (i, j) to the record (sugar, lcm key, i, j, lcm) made here, and
-    members maps a component to the indices of its elements (polynomials
-    have one).  Only t's component is touched: an old pair there is
-    dropped when t divides its stored lcm, unless t spans that lcm with
-    the pair's i or j, and new pairs form with the leads there, one per
-    minimal lcm.  sugar[k] is element k's sugar and deg the ring's degree;
-    a pair's sugar is the larger of sugar[i] + deg(qi) and sugar[j] +
-    deg(qj), with qi*lead_i = qj*lead_j their lcm."""
+    each (i, j) to the record (sugar, lcm key, i, j, lcm, packed lcm) made
+    here, and members maps a component to the indices of its elements
+    (polynomials have one).  Only t's component is touched: an old pair
+    there is dropped when t divides its stored lcm, unless t spans that
+    lcm with the pair's i or j, and new pairs form with the leads there,
+    one per minimal lcm.  sugar[k] is element k's sugar and deg the ring's
+    degree; a pair's sugar is the larger of sugar[i] + deg(qi) and
+    sugar[j] + deg(qj), with qi*lead_i = qj*lead_j their lcm.
+
+    The tests run on the leads' exponent fields, read off the packed leads
+    in forms (one packer for every slot): a packed lcm is those fields
+    alone, lcms come from _Packer.lcm, s divides u when ((u | G) - s) & G
+    == G, and leads a and b are coprime when a + b is their lcm.  The
+    fields sort as a linear extension of divisibility, so the minimal lcms
+    are found in that order with no key; the key, the sugar and the lcm
+    as a term are made for the pairs kept."""
+    packer = forms.packer
+    F, G = packer.fields, packer.guards
     t = leads[n][0]
+    u = forms[n][1] & F
     comp = ops.comp(t)
     same = members.setdefault(comp, [])
-    lcm_t = {i: ops.lcm(leads[i][0], t) for i in same}
+    fields = {i: forms[i][1] & F for i in same}
+    lcm_u = {i: packer.lcm(a, u) for i, a in fields.items()}
     pairs = {ij: rec for ij, rec in P.get(comp, {}).items()
-             if ops.div(rec[4], t) is None
-             or rec[4] in (lcm_t[ij[0]], lcm_t[ij[1]])}
+             if ((rec[5] | G) - u) & G != G
+             or rec[5] in (lcm_u[ij[0]], lcm_u[ij[1]])}
     # group the new pairs by lcm, keep one representative per minimal lcm
     groups = {}
-    for i, lcm in lcm_t.items():
+    for i, lcm in lcm_u.items():
         groups.setdefault(lcm, []).append(i)
     minimal = []
-    for key, lcm in sorted((order.key(lcm), lcm) for lcm in groups):
-        if any(ops.div(lcm, m) is not None for m in minimal):
+    for lcm in sorted(groups):
+        lg = lcm | G
+        if any((lg - m) & G == G for m in minimal):
             continue
         minimal.append(lcm)
         group = groups[lcm]
         # product criterion: skip when some member has a coprime lead
-        if ops.product_criterion and any(
-                ops.mul(leads[i][0], t) == lcm for i in group):
+        if ops.product_criterion and any(fields[i] + u == lcm for i in group):
             continue
         i = group[0]
-        pairs[(i, n)] = (max(sugar[i] + deg(ops.div(lcm, leads[i][0])),
-                             sugar[n] + deg(ops.div(lcm, t))), key, i, n, lcm)
+        term = ops.lcm(leads[i][0], t)
+        pairs[(i, n)] = (max(sugar[i] + deg(ops.div(term, leads[i][0])),
+                             sugar[n] + deg(ops.div(term, t))),
+                         order.key(term), i, n, term, lcm)
     same.append(n)
     if pairs:
         P[comp] = pairs
@@ -487,9 +546,12 @@ def _groebner(gens, order, ops, max_basis, max_degree):
     element for the division loop, sugar[k] is a generator's degree or the
     sugar of the pair that made basis[k], members and P index the elements
     and the pairs by component (_update_pairs), and each pair carries its
-    sugar, lcm and lcm key from when it was made.  Pairs go by (sugar, lcm
-    key), then by index.  The final interreduction (_reduce) takes leads
-    and forms as they stand."""
+    sugar, lcm, lcm key and packed lcm from when it was made.  Pairs go by
+    (sugar, lcm key), then by index.  The slots are packed up front, since
+    _update_pairs reads the leads off them; when a division widens the
+    ring's packer, the slots hold the wider packer's leads and every
+    stored pair's packed lcm is made again from them.  The final
+    interreduction (_reduce) takes leads and forms as they stand."""
     G = [f.monic(order) for f in gens]
     leads = [f.leading_term(order) for f in G]
     sugar = [f.degree() for f in G]
@@ -498,15 +560,24 @@ def _groebner(gens, order, ops, max_basis, max_degree):
     P, members = {}, {}
     if any(len(f.terms) > 1 for f in G):
         # (single-term elements are a Groebner basis already)
+        packer = _packed(G[0], order,
+                         lambda packer: forms.heads(packer, leads))[0]
         for n in range(len(G)):
-            _update_pairs(P, members, leads, sugar, n, order, ops, deg)
+            _update_pairs(P, members, forms, leads, sugar, n, order, ops, deg)
     while P:
-        s, _, i, j, lcm = min(min(pairs.values()) for pairs in P.values())
+        s, _, i, j, lcm, _ = min(min(pairs.values()) for pairs in P.values())
         comp = ops.comp(lcm)
         del P[comp][(i, j)]
         if not P[comp]:
             del P[comp]
         got = _divide_pair(i, j, G, leads, order, ops, None, forms)
+        if forms.packer is not packer:
+            # a term outgrew the packer, and the slots hold the wider one's
+            # leads: every stored pair's packed lcm is made again for it
+            packer, F = forms.packer, forms.packer.fields
+            for pairs in P.values():
+                for ij, rec in pairs.items():
+                    pairs[ij] = rec[:5] + (packer.pack(rec[4]) & F,)
         if got:
             terms, slot = got
             r = ops.make(G[i], terms)
@@ -519,8 +590,8 @@ def _groebner(gens, order, ops, max_basis, max_degree):
             leads.append((t, terms[t]))
             sugar.append(s)
             forms.append(slot)
-            _update_pairs(P, members, leads, sugar, len(G) - 1, order, ops,
-                          deg)
+            _update_pairs(P, members, forms, leads, sugar, len(G) - 1, order,
+                          ops, deg)
             if len(G) > max_basis:
                 raise ResourceLimitError(
                     "%s basis size cap %d exceeded" % (ops.name, max_basis),

@@ -67,6 +67,42 @@ def full_ring_prime_gmult(J, I, supp, i):
     return gmult(IdealHandle(ring, [ring.gen(k) for k in sorted(supp)]), I, i)
 
 
+def update_pairs_reference(P, members, leads, sugar, n, order, ops, deg):
+    """Gebauer-Moeller update on term tuples: the reference for
+    groebner._update_pairs, which runs it on packed exponent fields.  The
+    pairs of P are records (sugar, lcm key, i, j, lcm, ...); new pairs get
+    the first five, and only entry 4 of an old record is read.  Divisibility
+    is ops.div, and the candidate lcms are sorted by their key in the
+    order."""
+    t = leads[n][0]
+    comp = ops.comp(t)
+    same = members.setdefault(comp, [])
+    lcm_t = {i: ops.lcm(leads[i][0], t) for i in same}
+    pairs = {ij: rec for ij, rec in P.get(comp, {}).items()
+             if ops.div(rec[4], t) is None
+             or rec[4] in (lcm_t[ij[0]], lcm_t[ij[1]])}
+    groups = {}
+    for i, lcm in lcm_t.items():
+        groups.setdefault(lcm, []).append(i)
+    minimal = []
+    for key, lcm in sorted((order.key(lcm), lcm) for lcm in groups):
+        if any(ops.div(lcm, m) is not None for m in minimal):
+            continue
+        minimal.append(lcm)
+        group = groups[lcm]
+        if ops.product_criterion and any(
+                ops.mul(leads[i][0], t) == lcm for i in group):
+            continue
+        i = group[0]
+        pairs[(i, n)] = (max(sugar[i] + deg(ops.div(lcm, leads[i][0])),
+                             sugar[n] + deg(ops.div(lcm, t))), key, i, n, lcm)
+    same.append(n)
+    if pairs:
+        P[comp] = pairs
+    else:
+        P.pop(comp, None)
+
+
 # ---------------------------------------------------------------------------
 # irreducible decomposition: the reference for monomials.decompose and
 # monomials.m_leq_monomial, which read the same facts off standard pairs

@@ -1059,7 +1059,8 @@ def test_engine_bases_match_the_separate_interreduction(inputs):
     minimal basis, return what the separate interreduction through the
     public normal forms returns on the same unreduced basis, term for term
     and in order; every pair made carries the lcm of its two leads, that
-    lcm's key, and the sugar rule's value; and for vectors,
+    lcm's key, the sugar rule's value and the lcm's packed exponent
+    fields; and for vectors,
     schreyer_syzygies over each component's elements returns what the
     all-pairs loop returns, with the leads of what it returns."""
     from unittest import mock
@@ -1075,17 +1076,19 @@ def test_engine_bases_match_the_separate_interreduction(inputs):
             unreduced.append(list(G))
         return reduce(G, leads, order, ops, forms)
 
-    def checked_update(P, members, leads, sugar, n, order, ops, deg):
-        update(P, members, leads, sugar, n, order, ops, deg)
+    def checked_update(P, members, forms, leads, sugar, n, order, ops, deg):
+        update(P, members, forms, leads, sugar, n, order, ops, deg)
+        packer = forms.packer
         for comp, pairs in P.items():
             assert pairs
-            for (i, j), (s, key, pi, pj, lcm) in pairs.items():
+            for (i, j), (s, key, pi, pj, lcm, packed) in pairs.items():
                 ti, tj = leads[i][0], leads[j][0]
                 assert (pi, pj) == (i, j) and i < j <= n
                 assert lcm == ops.lcm(ti, tj) and ops.comp(lcm) == comp
                 assert key == order.key(lcm)
                 assert s == max(sugar[i] + deg(ops.div(lcm, ti)),
                                 sugar[j] + deg(ops.div(lcm, tj)))
+                assert packed == packer.pack(lcm) & packer.fields
 
     build, nf = ((buchberger, normal_form) if ops is _POLY
                  else (module_buchberger, module_normal_form))
@@ -1110,9 +1113,10 @@ def test_engine_bases_match_the_separate_interreduction(inputs):
 def test_slots_keep_the_component_index_across_divisions():
     """A basis's _Slots build the index of packed leads by component once:
     a second division reuses it, an appended element is indexed on the
-    next division, and a wider packer packs every slot again.  Each
-    component lists its elements in basis order, so the first dividing
-    head is the one a scan over the whole basis would find."""
+    next division, and a wider packer packs every slot again and starts
+    an empty divisor memo.  Each component lists its elements in basis
+    order, so the first dividing head is the one a scan over the whole
+    basis would find."""
     from arithdeg.modules import _VEC, PositionOverTerm, Vec
     R2 = RingDescriptor.graded("x,y")
     x, y = R2.gens()
@@ -1132,8 +1136,11 @@ def test_slots_keep_the_component_index_across_divisions():
     for k, (t, _) in enumerate(leads):
         by_comp.setdefault(t[0], []).append(k)
     assert {c: [k for k, _ in heads] for c, heads in index.items()} == by_comp
+    divisor = forms.divisor
+    assert divisor
     assert _divide(dividend, basis, leads, order, _VEC, None, forms) == first
     assert forms.index is index and forms.packer is packer
+    assert forms.divisor is divisor
     assert first == _divide_reference(dividend, basis, leads, order.key, _VEC)
     extra = Vec.from_polys(R2, (zero, x ** 2, zero))
     basis.append(extra)
@@ -1142,9 +1149,256 @@ def test_slots_keep_the_component_index_across_divisions():
     assert _divide(dividend, basis, leads, order, _VEC, None, forms) == (
         _divide_reference(dividend, basis, leads, order.key, _VEC))
     assert forms.index is index and forms.indexed == len(basis)
+    assert forms.divisor is divisor
     wider = _Packer(order, 2, 3, 16)
     heads = forms.heads(wider, leads)
     assert forms.packer is wider and heads is not index
+    assert forms.divisor == {} and forms.divisor is not divisor
     assert all(slot[0] is wider for slot in forms)
     assert sorted(k for ks in heads.values() for k, _ in ks) == list(
         range(len(basis)))
+
+
+def _assert_divisor_memo_is_first_head(forms, leads, ops):
+    """Each entry of the slots' divisor memo names the first lead in basis
+    order that divides its term, or, for ~c, the first c leads of its
+    component divide none of it."""
+    packer = forms.packer
+    for t, k in forms.divisor.items():
+        term = packer.unpack(t)
+        same = [j for j, (s, _) in enumerate(leads)
+                if ops.comp(s) == ops.comp(term)]
+        dividing = [j for j in same if ops.div(term, leads[j][0]) is not None]
+        if k >= 0:
+            assert dividing and k == dividing[0]
+        else:
+            assert ~k <= len(same)
+            assert not set(dividing) & set(same[:~k])
+
+
+def test_divisor_memo_over_a_growing_basis():
+    """The divisor memo the slots keep across divisions leaves every
+    division as the reference loop gives it: seeded draws over Q and Z/7,
+    polynomials and vectors, with and without quotients, divide several
+    dividends by a basis that gains an element between rounds (so misses
+    resume their scans on the grown component lists), and every memo
+    entry names the first dividing head in basis order."""
+    import random
+    from arithdeg.modules import _VEC, PositionOverTerm, Vec
+    rng = random.Random(2929)
+    hits = resumed = 0
+    for trial in range(160):
+        field = (QQ, GF(7))[trial % 2]
+        R3 = RingDescriptor.graded("x,y,z", field=field)
+        rank = (None, 2, 3)[trial % 3]
+        inner = rng.choice([DegRevLex(), Lex()])
+        if rank is None:
+            order, ops = inner, _POLY
+        else:
+            order, ops = PositionOverTerm(inner), _VEC
+
+        def term():
+            m = tuple(rng.randint(0, 3) for _ in range(3))
+            return m if rank is None else (rng.randrange(rank), m)
+
+        def element(size):
+            terms = {term(): field.coerce(Fraction(rng.choice((-3, -1, 2, 5)),
+                                                   rng.randint(1, 3)))
+                     for _ in range(size)}
+            return (Polynomial(R3, terms) if rank is None
+                    else Vec(R3, rank, terms))
+
+        basis = [g for g in (element(rng.randint(2, 3)) for _ in range(2))
+                 if g]
+        if not basis:
+            continue
+        leads = [g.leading_term(order) for g in basis]
+        forms = _Slots([None] * len(basis))
+        dividends = [element(rng.randint(1, 6)).terms for _ in range(3)]
+        for _ in range(3):
+            for terms in dividends:
+                quotients = {} if rng.random() < 0.5 else None
+                expected_quotients = None if quotients is None else {}
+                before = dict(forms.divisor)
+                remainder = _divide(terms, basis, leads, order, ops,
+                                    quotients, forms)
+                assert remainder == _divide_reference(
+                    terms, basis, leads, order.key, ops, expected_quotients)
+                assert quotients == expected_quotients
+                _assert_divisor_memo_is_first_head(forms, leads, ops)
+                hits += sum(k >= 0 for k in before.values())
+                resumed += sum(k < 0 and forms.divisor[t] != k
+                               for t, k in before.items())
+            extra = element(rng.randint(1, 3))
+            if extra:
+                basis.append(extra)
+                leads.append(extra.leading_term(order))
+                forms.append(None)
+    # the sweep reaches both kinds of memo reuse
+    assert hits and resumed
+
+
+def _check_update_against_reference(seen_widths):
+    """An _update_pairs that runs the tuple reference on copies of P and
+    members and asserts the packed update left the same pairs, records
+    included, with each packed lcm the lcm's packed exponent fields."""
+    from unittest import mock
+    import arithdeg.groebner as groebner_mod
+    from helpers import update_pairs_reference
+    update = groebner_mod._update_pairs
+
+    def checked(P, members, forms, leads, sugar, n, order, ops, deg):
+        ref_P = {c: dict(pairs) for c, pairs in P.items()}
+        ref_members = {c: list(ks) for c, ks in members.items()}
+        update_pairs_reference(ref_P, ref_members, leads, sugar, n, order,
+                               ops, deg)
+        update(P, members, forms, leads, sugar, n, order, ops, deg)
+        assert members == ref_members
+        assert ({c: {ij: rec[:5] for ij, rec in pairs.items()}
+                 for c, pairs in P.items()}
+                == {c: {ij: rec[:5] for ij, rec in pairs.items()}
+                    for c, pairs in ref_P.items()})
+        packer = forms.packer
+        assert all(rec[5] == packer.pack(rec[4]) & packer.fields
+                   for pairs in P.values() for rec in pairs.values())
+        seen_widths.append(packer.width)
+    return mock.patch.object(groebner_mod, "_update_pairs", checked)
+
+
+def test_packed_update_matches_the_tuple_reference():
+    """Gebauer-Moeller on packed exponent fields keeps the pairs the
+    tuple reference keeps, with the same records, on seeded polynomial
+    and vector runs over Q and Z/7 under several orders, and on Lex and
+    block-order runs whose packer widens mid-Buchberger, where every
+    stored pair's packed lcm is made again for the wider packer."""
+    import random
+    from arithdeg.modules import PositionOverTerm, Vec, module_buchberger
+    rng = random.Random(3030)
+    orders = [Lex(), DegRevLex(), WeightedDegRevLex([1, 2, 3]),
+              BlockOrder([0], 3)]
+    for trial in range(60):
+        field = (QQ, GF(7))[trial % 2]
+        R3 = RingDescriptor.graded("x,y,z", field=field)
+        rank = (None, None, 2)[trial % 3]
+        order = rng.choice(orders)
+
+        def element():
+            terms = {}
+            for _ in range(rng.randint(1, 3)):
+                m = tuple(rng.randint(0, 2) for _ in range(3))
+                c = field.coerce(rng.choice((-2, -1, 1, 3)))
+                terms[m if rank is None else (rng.randrange(rank), m)] = c
+            return (Polynomial(R3, terms) if rank is None
+                    else Vec(R3, rank, terms))
+
+        gens = [g for g in (element() for _ in range(rng.randint(2, 4))) if g]
+        widths = []
+        with _check_update_against_reference(widths):
+            try:
+                if rank is None:
+                    buchberger(gens, order, max_basis=60, max_degree=12)
+                else:
+                    module_buchberger(gens, PositionOverTerm(order),
+                                      max_basis=60, max_degree=12)
+            except ResourceLimitError:
+                pass
+    for order, gens in ((Lex(), ["x^2 - z^70", "x*y - z^70"]),
+                        (BlockOrder([0, 1], 3),
+                         ["x*y - z^60", "x^2 + y^2 - z^65", "y^3 - x*z"])):
+        R3 = RingDescriptor.graded("x,y,z")
+        widths = []
+        with _check_update_against_reference(widths):
+            basis = buchberger([parse_polynomial(R3, f) for f in gens],
+                               order, max_degree=400)
+        assert widths[0] == 8 and widths[-1] == 16
+        assert basis == buchberger([parse_polynomial(R3, f) for f in gens],
+                                   order, max_degree=400)
+
+
+def _katsura(n):
+    """Katsura-n in u0..un: the sum over l of u_|l|*u_|m-l| is u_m for
+    m < n, and u0 + 2*(u1 + ... + un) = 1."""
+    R = RingDescriptor.graded(",".join("u%d" % i for i in range(n + 1)))
+
+    def u(i):
+        return R.gen(abs(i)) if abs(i) <= n else R.zero()
+    polys = []
+    for m in range(n):
+        f = R.zero() - u(m)
+        for l in range(-n, n + 1):
+            f = f + u(l) * u(m - l)
+        polys.append(f)
+    f = u(0) - R.one()
+    for i in range(1, n + 1):
+        f = f + u(i) + u(i)
+    return R, polys + [f]
+
+
+def _cyclic(n):
+    """Cyclic-n in x0..x(n-1)."""
+    R = RingDescriptor.graded(",".join("x%d" % i for i in range(n)))
+    polys = []
+    for k in range(1, n):
+        f = R.zero()
+        for start in range(n):
+            mono = [0] * n
+            for j in range(k):
+                mono[(start + j) % n] += 1
+            f = f + R.monomial(mono)
+        polys.append(f)
+    return R, polys + [R.monomial([1] * n) - R.one()]
+
+
+def _homogenized(R, polys):
+    """The polynomials homogenized by a trailing variable h."""
+    H = RingDescriptor.graded(",".join(R.names + ("h",)))
+    out = []
+    for f in polys:
+        top = max(sum(m) for m in f.terms)
+        out.append(Polynomial(H, {m + (top - sum(m),): c
+                                  for m, c in f.terms.items()}))
+    return H, out
+
+
+@pytest.mark.parametrize("system, homogenize, divided, zero", [
+    ("katsura4", False, 28, 18), ("katsura4", True, 28, 18),
+    ("cyclic5", False, 112, 75), ("cyclic5", True, 112, 75)])
+def test_buchberger_pair_sequence_is_pinned(system, homogenize, divided,
+                                            zero):
+    """The Buchberger loop divides the same pairs, in the same order, with
+    the same zero remainders, under the packed Gebauer-Moeller update and
+    under the tuple reference: on Katsura-4 and cyclic-5 and their
+    homogenizations, through an ideal handle, it divides 28 pairs with 18
+    zero remainders and 112 with 75."""
+    from unittest import mock
+    import arithdeg.groebner as groebner_mod
+    from helpers import update_pairs_reference
+    R, polys = _katsura(4) if system == "katsura4" else _cyclic(5)
+    if homogenize:
+        R, polys = _homogenized(R, polys)
+    divide_pair, log = groebner_mod._divide_pair, []
+
+    def logged(i, j, *args):
+        got = divide_pair(i, j, *args)
+        log.append((i, j, got is None))
+        return got
+
+    def reference_update(P, members, forms, leads, sugar, n, order, ops,
+                         deg):
+        update_pairs_reference(P, members, leads, sugar, n, order, ops, deg)
+        packer = forms.packer
+        for pairs in P.values():
+            for ij, rec in pairs.items():
+                if len(rec) == 5:
+                    pairs[ij] = rec + (packer.pack(rec[4]) & packer.fields,)
+
+    runs = []
+    for update in (groebner_mod._update_pairs, reference_update):
+        log = []
+        with mock.patch.object(groebner_mod, "_divide_pair", logged), \
+                mock.patch.object(groebner_mod, "_update_pairs", update):
+            basis = IdealHandle(R, polys).groebner_basis()
+        runs.append((log, basis))
+    (log, basis), (ref_log, ref_basis) = runs
+    assert log == ref_log and basis == ref_basis
+    assert (len(log), sum(z for _, _, z in log)) == (divided, zero)
