@@ -19,7 +19,7 @@ from .groebner import (IdealHandle, _caps, eliminate, extended_ring,
                        fresh_names, ideal_power, ideal_product, ideal_sum,
                        inject, intersect, maximal_ideal, project)
 from .hilbert import (artinian_length, dimension, hilbert_numerator,
-                      hilbert_value, monomial_numerator, series_length)
+                      hilbert_value, series_length)
 from .orders import BlockOrder
 from .rings import (Polynomial, RingDescriptor, minimal_monomials,
                     mono_divides, mono_mul)
@@ -271,10 +271,10 @@ def _gate_gg_hilbert(gg, rect):
     the length of (J + m^i*I^j + I^(j+1)) / (J + m^(i+1)*I^j + I^(j+1)), at
     every cell (i, j) of the rectangle.
 
-    Monomial J and I walk antichains of exponent tuples and read each length
-    off two staircase numerators (monomial_cell_lengths); any other input
-    walks IdealHandles (cell_lengths).  Both walks check that each lower
-    ideal lies inside its upper one.
+    Monomial J and I count each length on antichains of exponent tuples
+    (monomial_cell_lengths); any other input walks IdealHandles
+    (cell_lengths), which checks that each lower ideal lies inside its
+    upper one.
     """
     J, I = gg.J, gg.I
     walk = (monomial_cell_lengths if J.is_monomial() and I.is_monomial()
@@ -288,54 +288,43 @@ def _gate_gg_hilbert(gg, rect):
     return True
 
 
-def _cells(J, I, rect, one, m, times, plus, trim):
-    """Yield each cell (i, j) of the rectangle, row by row, with its upper
-    ideal J + m^i*I^j + I^(j+1) and its lower ideal J + m^(i+1)*I^j + I^(j+1).
+def cell_lengths(J, I, rect):
+    """Yield ((i, j), length of upper/lower) for the gate's cells, on
+    IdealHandles: any J and I.
 
-    Each row j walks the chain m^i*I^j, m^(i+1)*I^j = m*(m^i*I^j), ... on
-    top of J + I^(j+1), built once per row, so the lower ideal of cell
-    (i, j) is the upper ideal of cell (i+1, j), and every power and product
-    is built once.  trim(chain, lower, base) gives the chain the next cell
-    multiplies by m: it may drop generators of the chain that lie in
-    J + I^(j+1), since m times them lies there too.
+    The upper ideal of cell (i, j) is J + m^i*I^j + I^(j+1) and its lower
+    ideal J + m^(i+1)*I^j + I^(j+1).  Each row j walks the chain m^i*I^j,
+    m^(i+1)*I^j = m*(m^i*I^j), ... on top of J + I^(j+1), built once per
+    row, so the lower ideal of cell (i, j) is the upper ideal of cell
+    (i+1, j), and every power and product is built once.
     """
-    power = one                                     # I^j
+    ring, caps = J.ring, _caps(J, I)
+    m = maximal_ideal(ring, J, I)
+    power = IdealHandle(ring, [ring.one()], **caps)     # I^j
     for j in range(rect[1] + 1):
-        next_power = times(power, I)                # I^(j+1)
-        base = plus(J, next_power)
-        chain = power                               # m^i * I^j
-        upper = plus(chain, base)
+        next_power = ideal_product(power, I)            # I^(j+1)
+        base = ideal_sum(J, next_power)
+        chain = power                                   # m^i * I^j
+        upper = ideal_sum(chain, base)
         for i in range(rect[0] + 1):
-            chain = times(m, chain)
-            lower = plus(chain, base)
-            chain = trim(chain, lower, base)
-            yield (i, j), upper, lower
+            chain = ideal_product(m, chain)
+            lower = ideal_sum(chain, base)
+            yield (i, j), relative_length(upper, lower)
             upper = lower
         power = next_power
 
 
-def cell_lengths(J, I, rect):
-    """Yield ((i, j), length of upper/lower) for the gate's cells, on
-    IdealHandles: any J and I."""
-    ring, caps = J.ring, _caps(J, I)
-    cells = _cells(J, I, rect, IdealHandle(ring, [ring.one()], **caps),
-                   maximal_ideal(ring, J, I), ideal_product,
-                   ideal_sum, lambda chain, lower, base: chain)
-    for cell, upper, lower in cells:
-        yield cell, relative_length(upper, lower)
-
-
 def monomial_cell_lengths(J, I, rect):
-    """cell_lengths for monomial J and I, on sorted minimal tuples of
-    exponent tuples.
+    """cell_lengths for monomial J and I, counted on sorted minimal tuples
+    of exponent tuples.
 
-    Products and sums are minimised by minimal_monomials, and the chain
-    keeps only its generators outside J + I^(j+1): those of lower that are
-    not base's, since m times an antichain is one.  So a cell's lower ideal
-    is the row's antichain merged with a short chain.  Within a row the
-    upper ideal's numerator is the one of the cell before.  For monomial
-    ideals, lower lies inside upper exactly when each generator of lower is
-    divisible by one of upper.
+    For a monomial ideal K the monomials of K outside m*K are its minimal
+    generators, and m^(i+1)*I^j = m*(m^i*I^j).  So the quotient of cell
+    (i, j) has a basis of the minimal generators of m^i*I^j outside
+    B = J + I^(j+1) (Macaulay), and its length is their number.  Each row
+    keeps that chain: the next one is the minimal products of m with the
+    chain that lie outside B, since m times a generator inside B stays
+    there.  The chain of cell (0, j) is I^j's generators outside B.
     """
     ring = J.ring
 
@@ -345,37 +334,41 @@ def monomial_cell_lengths(J, I, rect):
     def times(A, B):
         return minimal_monomials([mono_mul(a, b) for a in A for b in B])
 
-    def plus(A, B):
-        return minimal_monomials(A + B)
-
-    def trim(chain, lower, base):
-        kept = set(base)
-        return tuple(g for g in lower if g not in kept)
-
     n = ring.nvars
     units = tuple(tuple(int(k == v) for k in range(n)) for v in range(n))
-    cells = _cells(tuples(J), tuples(I), rect, (ring.zero_mono(),), units,
-                   times, plus, trim)
-    last = last_num = None
-    for cell, upper, lower in cells:
-        kept = set(upper)
-        if not all(g in kept or any(mono_divides(u, g) for u in upper)
-                   for g in lower):
-            raise AlgebraError("relative length needs V inside U")
-        upper_num = last_num if upper is last else monomial_numerator(ring, upper)
-        last, last_num = lower, monomial_numerator(ring, lower)
-        yield cell, _quotient_length(upper_num, last_num, ring.weights)
+    gens_J, gens_I = tuples(J), tuples(I)
+    power = (ring.zero_mono(),)                     # I^j
+    for j in range(rect[1] + 1):
+        next_power = times(power, gens_I)           # I^(j+1)
+        base = minimal_monomials(gens_J + next_power)
+        kept, levels = set(base), {}
+        for b in base:
+            levels.setdefault(sum(b), []).append(b)
+        levels = sorted(levels.items())
+
+        def outside(monos):
+            return tuple(g for g in monos
+                         if g not in kept and not _divided_below(g, levels))
+        chain = outside(power)                      # m^i * I^j outside B
+        for i in range(rect[0] + 1):
+            yield (i, j), len(chain)
+            if i < rect[0]:
+                chain = outside(times(units, chain))
+        power = next_power
 
 
-def _quotient_length(upper_num, lower_num, weights):
-    """Length of U/V from the Hilbert-series numerators of S/U and S/V: the
-    monomials in in(U) but not in in(V) index a basis of U/V (Macaulay's
-    theorem, graded or not), so the difference of the numerators is their
-    series, and its value at t = 1 is the length."""
-    num = dict(lower_num)
-    for d, c in upper_num.items():
-        num[d] = num.get(d, 0) - c
-    return series_length(num, weights)
+def _divided_below(g, levels):
+    """True when a generator of strictly lower total degree than g divides
+    it, for levels the (degree, generators) of an antichain in ascending
+    degree: a proper divisor has strictly lower total degree, so the
+    levels from g's own degree up need no test."""
+    d = sum(g)
+    for e, gens in levels:
+        if e >= d:
+            return False
+        if any(mono_divides(b, g) for b in gens):
+            return True
+    return False
 
 
 # ---------------------------------------------------------------------------
@@ -383,12 +376,16 @@ def _quotient_length(upper_num, lower_num, weights):
 
 def relative_length(U, V):
     """Length of U/V for nested ideals V <= U, read off the Hilbert-series
-    numerators of S/U and S/V for any term order; AlgebraError when it is
-    infinite."""
+    numerators of S/U and S/V for any term order: the monomials in in(U)
+    but not in in(V) index a basis of U/V (Macaulay's theorem, graded or
+    not), so the difference of the numerators is their series, and its
+    value at t = 1 is the length.  AlgebraError when it is infinite."""
     if not all(U.contains(g) for g in V.gens):
         raise AlgebraError("relative length needs V inside U")
-    return _quotient_length(hilbert_numerator(U), hilbert_numerator(V),
-                            U.ring.weights)
+    num = dict(hilbert_numerator(V))
+    for d, c in hilbert_numerator(U).items():
+        num[d] = num.get(d, 0) - c
+    return series_length(num, U.ring.weights)
 
 
 def bifiltration_length(J, I, i, j):

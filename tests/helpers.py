@@ -4,11 +4,14 @@ import itertools
 from functools import reduce
 
 from arithdeg.adeg import gmult
-from arithdeg.errors import InternalConsistencyError, WrongOracleError
+from arithdeg.errors import (AlgebraError, InternalConsistencyError,
+                             WrongOracleError)
 from arithdeg.groebner import IdealHandle
-from arithdeg.hilbert import as_presentation, hilbert_value
+from arithdeg.hilbert import (as_presentation, hilbert_value,
+                              monomial_numerator, series_length)
 from arithdeg.monomials import minimal_generators
-from arithdeg.rings import minimal_monomials, mono_lcm
+from arithdeg.rings import (minimal_monomials, mono_divides, mono_lcm,
+                            mono_mul)
 
 
 def h11_table(M, hi1, hi2):
@@ -101,6 +104,56 @@ def update_pairs_reference(P, members, leads, sugar, n, order, ops, deg):
         P[comp] = pairs
     else:
         P.pop(comp, None)
+
+
+def reference_monomial_cell_lengths(J, I, rect):
+    """The GG gate's cell lengths for monomial J and I, each read off the
+    staircase numerators of the cell's upper and lower ideals: the
+    reference for constructions.monomial_cell_lengths, which counts them.
+
+    Each row j walks the chain m^i*I^j on top of base = J + I^(j+1), on
+    sorted minimal tuples of exponent tuples; the chain keeps only the
+    generators of the lower ideal that are not base's, since m times the
+    others lies in base.  Each lower ideal is checked to lie inside its
+    upper one by divisibility, which for monomial ideals is membership.
+    """
+    ring = J.ring
+
+    def tuples(H):
+        return tuple(next(iter(g.terms)) for g in H.gens)
+
+    def times(A, B):
+        return minimal_monomials([mono_mul(a, b) for a in A for b in B])
+
+    def plus(A, B):
+        return minimal_monomials(A + B)
+
+    def trim(lower, base):
+        kept = set(base)
+        return tuple(g for g in lower if g not in kept)
+
+    n = ring.nvars
+    units = tuple(tuple(int(k == v) for k in range(n)) for v in range(n))
+    power = (ring.zero_mono(),)                     # I^j
+    for j in range(rect[1] + 1):
+        next_power = times(power, tuples(I))        # I^(j+1)
+        base = plus(tuples(J), next_power)
+        chain = power                               # m^i * I^j
+        upper = plus(chain, base)
+        for i in range(rect[0] + 1):
+            chain = times(units, chain)
+            lower = plus(chain, base)
+            chain = trim(lower, base)
+            kept = set(upper)
+            if not all(g in kept or any(mono_divides(u, g) for u in upper)
+                       for g in lower):
+                raise AlgebraError("relative length needs V inside U")
+            num = dict(monomial_numerator(ring, lower))
+            for d, c in monomial_numerator(ring, upper).items():
+                num[d] = num.get(d, 0) - c
+            yield (i, j), series_length(num, ring.weights)
+            upper = lower
+        power = next_power
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ bifiltration length oracles."""
 
 import random
 import re
+from functools import reduce
 
 import pytest
 
@@ -22,9 +23,10 @@ from arithdeg.groebner import (IdealHandle, extended_ring, fresh_names,
                                ideal_sum, maximal_ideal, saturate)
 from arithdeg.hilbert import artinian_length, dimension, hilbert_value
 from arithdeg.orders import BlockOrder
-from arithdeg.rings import Polynomial, RingDescriptor
+from arithdeg.rings import (Polynomial, RingDescriptor, mono_divides,
+                            mono_mul)
 
-from helpers import h11_table
+from helpers import h11_table, reference_monomial_cell_lengths
 
 
 @pytest.fixture
@@ -173,20 +175,103 @@ def test_gg_gate_catches_a_wrong_cell(R, monkeypatch, cell):
                 gg_presentation(J, I)
 
 
-@pytest.mark.parametrize("walk", sorted(GATE_WALKS))
+@pytest.mark.parametrize("walk", ["cell_lengths"])
 def test_gg_gate_checks_lower_inside_upper(R, monkeypatch, walk):
-    """Both walks raise AlgebraError, as relative_length does, when a
-    cell's lower ideal is not inside its upper one: here the walk's cells
-    come with upper and lower swapped."""
+    """The walk on IdealHandles raises AlgebraError, as relative_length
+    does, when a cell's lower ideal is not inside its upper one: here
+    relative_length gets each cell's upper and lower swapped.  The counting
+    walk forms no upper or lower ideal (see the test below)."""
     J, I = _gate_pair(R, walk)
-    cells = constructions_mod._cells
-
-    def swapped(*args):
-        for cell, upper, lower in cells(*args):
-            yield cell, lower, upper
-    monkeypatch.setattr(constructions_mod, "_cells", swapped)
+    right = constructions_mod.relative_length
+    monkeypatch.setattr(constructions_mod, "relative_length",
+                        lambda upper, lower: right(lower, upper))
     with pytest.raises(AlgebraError, match="V inside U"):
         list(getattr(constructions_mod, walk)(J, I, GATE_RECT))
+
+
+def test_gg_gate_catches_a_miscounted_chain(R, monkeypatch):
+    """A counting walk that keeps chain generators inside J + I^(j+1)
+    (here: no generator of J + I^(j+1) ever divides one properly) fails the
+    GG gate with InternalConsistencyError at its first wrong cell."""
+    J, I = _gate_pair(R, "monomial_cell_lengths")
+    right = dict(reference_monomial_cell_lengths(J, I, GATE_RECT))
+    monkeypatch.setattr(constructions_mod, "mono_divides", lambda a, b: False)
+    monkeypatch.setattr(constructions_mod, "gate_rectangle",
+                        lambda J: GATE_RECT)
+    wrong = [cell for cell, length in monomial_cell_lengths(J, I, GATE_RECT)
+             if length != right[cell]]
+    assert wrong
+    with pytest.raises(InternalConsistencyError,
+                       match=re.escape("gate fails at (%d,%d)" % wrong[0])):
+        gg_presentation(J, I)
+
+
+def _random_monomial_pairs(rng):
+    """Monomial pairs (J, I) over 2-4 variables: J = (0), pure powers,
+    equigenerated and mixed-degree I, and J holding a generator of I^j."""
+    for _ in range(40):
+        n = rng.randint(2, 4)
+        ring = RingDescriptor.graded(",".join("xyzw"[:n]))
+
+        def mono(degree):
+            e = [0] * n
+            for _ in range(degree):
+                e[rng.randrange(n)] += 1
+            return tuple(e)
+        kind = rng.choice(["powers", "equigenerated", "mixed"])
+        if kind == "powers":
+            I = [tuple(rng.randint(1, 3) * (k == v) for k in range(n))
+                 for v in rng.sample(range(n), rng.randint(1, n))]
+        elif kind == "equigenerated":
+            d = rng.randint(1, 2)
+            I = [mono(d) for _ in range(rng.randint(1, 4))]
+        else:
+            I = [mono(rng.randint(1, 3)) for _ in range(rng.randint(2, 4))]
+        J = rng.choice([
+            [],
+            [mono(rng.randint(2, 4)) for _ in range(rng.randint(1, 3))],
+            # a product of j generators of I: a generator of I^j, or a
+            # multiple of one, lies in J
+            [reduce(mono_mul, rng.choices(I, k=rng.randint(1, 2)))]])
+        yield tuple(IdealHandle(ring, [ring.monomial(e) for e in gens])
+                    for gens in (J, I))
+
+
+def test_counting_walk_matches_the_numerator_walk():
+    """On seeded monomial pairs in 2-4 variables, every cell of the
+    counting walk equals the numerator walk's, on rectangles up to (3, 3);
+    some pairs have a generator of I^j in J, where the chain of cell (0, j)
+    must drop it."""
+    rng = random.Random(30)
+    dropped = 0
+    for J, I in _random_monomial_pairs(rng):
+        rect = (rng.randint(0, 3), rng.randint(0, 3))
+        counted = list(monomial_cell_lengths(J, I, rect))
+        assert counted == list(reference_monomial_cell_lengths(J, I, rect)), \
+            (J, I, rect)
+        gens_J = [next(iter(g.terms)) for g in J.gens]
+        dropped += any(mono_divides(a, next(iter(g.terms)))
+                       for j in range(1, rect[1] + 1)
+                       for g in ideal_power(I, j).gens for a in gens_J)
+    assert dropped >= 10
+
+
+def test_counting_walk_tests_only_lower_degree_divisors(monkeypatch):
+    """A proper divisor has strictly lower total degree, so the counting
+    walk tests a chain generator only against generators of J + I^(j+1) of
+    lower degree: equal ones are caught by membership."""
+    rng = random.Random(31)
+    divides = constructions_mod.mono_divides
+    calls = []
+
+    def checked(a, b):
+        assert sum(a) < sum(b), (a, b)
+        calls.append(1)
+        return divides(a, b)
+    monkeypatch.setattr(constructions_mod, "mono_divides", checked)
+    for J, I in _random_monomial_pairs(rng):
+        list(monomial_cell_lengths(J, I, (3, 3)))
+    assert calls
 
 
 def test_antichain_walk_matches_relative_length():

@@ -12,7 +12,8 @@ from arithdeg.groebner import IdealHandle
 from arithdeg.runner import execute_script
 from arithdeg.session import parse_session
 
-from helpers import ReferenceDecomposition, reference_dimension
+from helpers import (ReferenceDecomposition, reference_dimension,
+                     reference_monomial_cell_lengths)
 
 
 def test_corpus_size_and_unique_ids():
@@ -180,3 +181,24 @@ def test_every_decomposition_of_a_corpus_pass_matches_the_reference(
     assert main(["corpus", "--json", str(tmp_path / "corpus.json")]) == 0
     assert len(checked) > 100
     assert any(dec.embedded_primes for dec in checked)
+
+
+def test_every_monomial_gate_walk_of_a_corpus_pass_matches_the_reference(
+        monkeypatch, tmp_path):
+    """Each cell the GG gate counts for a monomial pair in a corpus run has
+    the length read off the staircase numerators of its upper and lower
+    ideals."""
+    walk = constructions_mod.monomial_cell_lengths
+    checked = []
+
+    def checked_walk(J, I, rect):
+        cells = list(walk(J, I, rect))
+        assert cells == list(reference_monomial_cell_lengths(J, I, rect)), \
+            (J, I, rect)
+        checked.append(len(cells))
+        return cells
+
+    monkeypatch.setattr(constructions_mod, "monomial_cell_lengths",
+                        checked_walk)
+    assert main(["corpus", "--json", str(tmp_path / "corpus.json")]) == 0
+    assert len(checked) > 50 and sum(checked) > 1000
