@@ -2,38 +2,35 @@
 
 Library layout:
   fields, orders, rings      exact coefficients, term orders, polynomials
-  groebner                   Buchberger engine and ideal arithmetic
+  groebner                   Buchberger engine, ideal arithmetic, elimination
   modules                    module Groebner bases, syzygies, resolutions, Ext
   numerical                  binomial-basis numerical polynomials, differences
   hilbert                    Hilbert functions, dimensions, multiplicities
   monomials                  standard pairs, and the primes off them
-  constructions              tangent cones, Rees kernels, gr_I, GG
+  constructions              initial forms, Rees kernels, gr_I, GG
   adeg                       arithmetic degrees and the verification harness
   session, runner, corpus, cli   the text/CLI frontend
 """
 
 from .fields import GF, QQ
 from .rings import RingDescriptor, Polynomial, parse_polynomial
-from .orders import DegRevLex, Lex, WeightedDegRevLex, BlockOrder
-from .groebner import (IdealHandle, ideal, buchberger, normal_form,
-                       eliminate, intersect, ideal_quotient, saturate,
-                       saturate_by_ideal, maximal_ideal, ideal_sum,
-                       ideal_product, ideal_power)
+from .orders import DegRevLex, Lex, BlockOrder
+from .groebner import (IdealHandle, buchberger, normal_form, eliminate,
+                       maximal_ideal, ideal_sum, ideal_product, ideal_power)
 from .modules import (ModulePresentation, ChainComplex, free_resolution,
                       ext_presentation, syzygies_of, schreyer_syzygies)
 from .numerical import (NumericalPoly1, NumericalPoly2, MultiplicityVector,
                         StabilizationCertificate, binom)
 from .hilbert import (hilbert_value, hilbert_value_bruteforce,
                       hilbert_polynomial, h11_polynomial, dimension,
-                      relevant_dimension, ee_vector, classical_multiplicity,
-                      hilbert_samuel, samuel_multiplicity, artinian_length)
+                      ee_vector, classical_multiplicity, hilbert_samuel,
+                      samuel_multiplicity, artinian_length)
 from .monomials import (StandardPair, standard_pairs, adeg_monomial,
-                        decompose, m_leq_monomial)
-from .constructions import (tangent_cone, rees_kernel, assoc_graded,
-                            gg_presentation, bifiltration_length, h11_direct)
+                        decompose)
+from .constructions import (initial_forms_ideal, rees_kernel, assoc_graded,
+                            gg_presentation)
 from .adeg import (adeg_graded, adeg_report_ext, adeg_report_monomial,
-                   biadeg, gmult, ladeg, verify, AdegReport,
-                   VerificationRecord)
+                   gmult, ladeg, verify, AdegReport, VerificationRecord)
 from .session import SessionScript, parse_session
 from .corpus import build_corpus
 

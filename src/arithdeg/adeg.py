@@ -1,4 +1,4 @@
-"""Arithmetic degrees (graded, bigraded, and local flavors) and the harness
+"""Arithmetic degrees (graded and local flavors) and the harness
 checking the main inequality adeg_r(gr_M(gr_I A)) >= sum_k (ladeg_r)_k plus
 its corollaries.
 
@@ -127,7 +127,7 @@ class AdegReport:
 
 
 # ---------------------------------------------------------------------------
-# the three degree flavors
+# graded arithmetic degrees
 
 def _ext_for_dimension(M, i):
     """Ext^(n-i)(M, S), or None where it is zero: for i < 0, and for
@@ -217,14 +217,6 @@ def adeg_report_ext(M):
 def adeg_report_monomial(I):
     """Standard-pair route for a monomial ideal (ground truth)."""
     return AdegReport(enumerate(adeg_monomial(I)))
-
-
-def biadeg(M, i):
-    """Bigraded arithmetic degree: ee_i of the bigraded Ext module."""
-    ext = _ext_for_dimension(M, i)
-    if ext is None:
-        return MultiplicityVector.zero(max(i, 0))
-    return ee_vector(ext, i)
 
 
 # ---------------------------------------------------------------------------

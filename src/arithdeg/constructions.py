@@ -1,5 +1,5 @@
-"""Tangent cones, Rees kernels, associated graded rings, and the double
-construction GG = gr_m(gr_I).
+"""Initial-form ideals, Rees kernels, associated graded rings, and the
+double construction GG = gr_m(gr_I).
 
 Initial forms are computed by homogenization: balance the block degree of
 each generator with a fresh variable t, take one Groebner basis for an order
@@ -8,18 +8,18 @@ saturation by t is needed: some t-power times the homogenization of any
 element of the ideal lies in the homogenized generators' ideal, and the lead
 of a homogeneous element is a t-power times the lead of its lowest block
 form (Lazard's argument; Greuel and Pfister, A Singular Introduction to
-Commutative Algebra, 1.7).  Every construction is gated by an independent
-length oracle and errors out on mismatch rather than returning silently
-wrong output.
+Commutative Algebra, 1.7).  gr_I is gated by the dimension it must keep
+and GG by the direct length of every cell of its Hilbert function; a
+mismatch raises rather than returning silently wrong output.
 """
 
 from .errors import (AlgebraError, InternalConsistencyError,
                      UnsupportedInputError)
 from .groebner import (IdealHandle, _caps, eliminate, extended_ring,
-                       fresh_names, ideal_power, ideal_product, ideal_sum,
-                       inject, intersect, maximal_ideal, project)
-from .hilbert import (artinian_length, dimension, hilbert_numerator,
-                      hilbert_value, series_length)
+                       fresh_names, ideal_product, ideal_sum, inject,
+                       maximal_ideal, project)
+from .hilbert import (dimension, hilbert_numerator, hilbert_value,
+                      series_length)
 from .orders import BlockOrder
 from .rings import (Polynomial, RingDescriptor, minimal_monomials,
                     mono_divides, mono_mul)
@@ -66,31 +66,6 @@ def initial_forms_ideal(I, block):
         out.append(Polynomial(ring, {m[:t_index]: c for m, c in g.terms.items()
                                      if m[t_index] == top}, _clean=False))
     return IdealHandle(ring, out, **_caps(I))
-
-
-def tangent_cone(J):
-    """gr_m of S/J at the origin: the ideal of lowest-degree forms.
-
-    Mandatory gate: the Hilbert-Samuel function of the cone must match the
-    one of J itself for every k up to two past the top generator degree.
-    """
-    ring = J.ring
-    if J.is_zero():
-        return IdealHandle(ring, [], **_caps(J))
-    tc = initial_forms_ideal(J, range(ring.nvars))
-    window = max((g.degree() for g in J.gens), default=1) + 2
-    mring = maximal_ideal(ring, J)
-    mk = mring                                      # m^(k+1)
-    for k in range(window + 1):
-        if k:
-            mk = ideal_product(mk, mring)
-        left = artinian_length(ideal_sum(J, mk))
-        right = artinian_length(ideal_sum(tc, mk))
-        if left != right:
-            raise InternalConsistencyError(
-                "tangent cone fails the length oracle at k=%d: %d vs %d"
-                % (k, left, right))
-    return tc
 
 
 # ---------------------------------------------------------------------------
@@ -387,29 +362,3 @@ def relative_length(U, V):
         num[d] = num.get(d, 0) - c
     return series_length(num, U.ring.weights)
 
-
-def bifiltration_length(J, I, i, j):
-    """Length of S/(J + m^(i+1) + I^(j+1)): the first summand of the double
-    sum transform of GG."""
-    mring = maximal_ideal(J.ring, J, I)
-    total = ideal_sum(J, ideal_power(mring, i + 1), ideal_power(I, j + 1))
-    return artinian_length(total)
-
-
-def h11_direct(J, I, i, j):
-    """The double sum transform of the GG Hilbert function, evaluated by
-    direct length computations:
-    l(M/(m^(i+1)+I^(j+1))M) plus, for k <= j, the correction
-    l((I^k cap (m^(i+1)+I^(k+1)))/(m^(i+1) I^k + I^(k+1))) around J."""
-    ring, caps = J.ring, _caps(J, I)
-    mring = maximal_ideal(ring, J, I)
-    total = bifiltration_length(J, I, i, j)
-    mi1 = ideal_power(mring, i + 1)
-    ik = IdealHandle(ring, [ring.one()], **caps)    # I^k
-    for k in range(j + 1):
-        ik1 = ideal_product(ik, I)
-        upper = intersect(ideal_sum(ik, J), ideal_sum(mi1, ik1, J))
-        lower = ideal_sum(ideal_product(mi1, ik), ik1, J)
-        total += relative_length(upper, lower)
-        ik = ik1
-    return total

@@ -17,10 +17,6 @@ class NotBigradedError(AlgebraError):
     """Operation needs a bigraded ring."""
 
 
-class InvalidDivisorError(AlgebraError):
-    """Quotient or saturation by zero."""
-
-
 class HomogeneityError(AlgebraError):
     """Input is not (bi)homogeneous where required."""
 

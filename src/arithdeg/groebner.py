@@ -37,8 +37,7 @@ from collections import namedtuple
 from math import gcd, lcm
 from operator import lshift, mul
 
-from .errors import (AlgebraError, InvalidDivisorError, ResourceLimitError,
-                     RingMismatchError)
+from .errors import AlgebraError, ResourceLimitError, RingMismatchError
 from .orders import BlockOrder, DegRevLex
 from .rings import (Polynomial, RingDescriptor, minimal_monomials, mono_div,
                     mono_lcm, mono_mul, terms_key)
@@ -750,10 +749,6 @@ class IdealHandle:
         return "(%s)" % ", ".join(repr(g) for g in self.gens) if self.gens else "(0)"
 
 
-def ideal(ring, *gens, **kw):
-    return IdealHandle(ring, gens, **kw)
-
-
 def maximal_ideal(ring, *sources):
     """The ideal of all variables (the origin), under ``_caps`` of the
     handles it is built for; the default caps when there are none."""
@@ -857,87 +852,3 @@ def eliminate(I, var_indices):
             if all(all(m[i] == 0 for i in var_indices) for m in g.terms)]
     return IdealHandle(ring, kept, **_caps(I))
 
-
-def intersect(I, J):
-    """I cap J via the t*I + (1-t)*J elimination construction.
-
-    Monomial inputs take the pairwise-lcm shortcut, and containment is
-    checked first (both keep the elimination off the hot paths).
-    """
-    if I.ring != J.ring:
-        raise RingMismatchError("intersecting ideals over different rings")
-    ring, caps = I.ring, _caps(I, J)
-    if I.is_monomial() and J.is_monomial():
-        lcms = {mono_lcm(next(iter(f.terms)), next(iter(g.terms)))
-                for f in I.gens for g in J.gens}
-        return IdealHandle(ring, [ring.monomial(m) for m in lcms], **caps)
-    for big, small in ((I, J), (J, I)):
-        if big.contains_ideal(small):
-            if _caps(small) == caps:
-                return small
-            return IdealHandle(ring, small.gens, **caps)
-    big = extended_ring(ring, fresh_names(ring, "t_", 1))
-    t = big.gen(big.nvars - 1)
-    one = big.one()
-    gens = [t * inject(f, big) for f in I.gens]
-    gens += [(one - t) * inject(g, big) for g in J.gens]
-    H = IdealHandle(big, gens, **caps)
-    E = eliminate(H, [big.nvars - 1])
-    return IdealHandle(ring, [project(g, ring) for g in E.gens], **caps)
-
-
-def exact_divide(h, f, order=None):
-    """h / f when f divides h exactly; raises otherwise."""
-    order = order or DegRevLex()
-    quotients = {}
-    if _divide(h.terms, [f], [f.leading_term(order)], order, _POLY,
-               quotients):
-        raise AlgebraError("%r does not divide %r" % (f, h))
-    return Polynomial(h.ring, {q: c for (_, q), c in quotients.items()})
-
-
-def ideal_quotient(I, f):
-    """(I : f) through intersection with the principal ideal (f)."""
-    if isinstance(f, IdealHandle):
-        result = None
-        for g in f.gens:
-            Q = ideal_quotient(I, g)
-            result = Q if result is None else intersect(result, Q)
-        if result is None:
-            return IdealHandle(I.ring, [I.ring.one()], **_caps(I))
-        return result
-    if not f:
-        raise InvalidDivisorError("quotient by zero")
-    if f.is_constant():
-        return I
-    H = intersect(I, IdealHandle(I.ring, [f], **_caps(I)))
-    gens = [exact_divide(g, f) for g in H.gens]
-    return IdealHandle(I.ring, gens, **_caps(I))
-
-
-def saturate(I, f):
-    """(I : f^infinity) by the Rabinowitsch trick."""
-    if not f:
-        raise InvalidDivisorError("saturation by zero")
-    if f.is_constant():
-        return I
-    ring = I.ring
-    big = extended_ring(ring, fresh_names(ring, "u_", 1))
-    u = big.gen(big.nvars - 1)
-    gens = [inject(g, big) for g in I.gens]
-    gens.append(big.one() - u * inject(f, big))
-    H = IdealHandle(big, gens, **_caps(I))
-    E = eliminate(H, [big.nvars - 1])
-    return IdealHandle(ring, [project(g, ring) for g in E.gens], **_caps(I))
-
-
-def saturate_by_ideal(I, J):
-    """(I : J^infinity) as the intersection of single-generator saturations."""
-    result = None
-    for f in J.gens:
-        S = saturate(I, f)
-        result = S if result is None else intersect(result, S)
-    if result is None:
-        # J = (0): (I : 0^infinity) is the whole ring
-        return IdealHandle(I.ring, [I.ring.one()], **_caps(I))
-    return result

@@ -4,8 +4,9 @@ The staircase route: reduce to the initial module (per-component monomial
 ideals), compute the Hilbert-series numerator by the pivot recursion
 0 -> S/(I:p) -> S/I -> S/(I+p) -> 0, and convolve against the count of all
 monomials.  The brute-force oracle (exact linear algebra over the
-coefficient field, never touching initial terms) lives here too so the two
-routes can be compared on every corpus module.
+coefficient field, never touching initial terms) lives here too, so the two
+routes can be compared: on acceptance criterion 2's thirty ideals and in
+the series step of ``arithdeg check``.
 
 Numerators are memoised on the ring that grades them (``ring.memo``), since
 the grading fixes the degree of every generator, and per presentation; the
@@ -21,7 +22,7 @@ import itertools
 
 from .errors import (AlgebraError, InternalConsistencyError, NotBigradedError,
                      ResourceLimitError, UnsupportedInputError)
-from .groebner import IdealHandle, _caps, saturate_by_ideal
+from .groebner import IdealHandle
 from .modules import ModulePresentation
 from .numerical import (MultiplicityVector, NumericalPoly1, NumericalPoly2,
                         StabilizationCertificate, binom, interpolate_poly1)
@@ -360,23 +361,6 @@ def dimension(M):
     pres = as_presentation(M)
     k, h = _pole(pres)
     return pres.ring.nvars - k if h else -1
-
-
-def relevant_dimension(I):
-    """dim of the quotient by (0 : A_+^infinity); -1 when a power of A_+
-    kills everything."""
-    ring = I.ring
-    if not ring.is_bigraded:
-        raise NotBigradedError("relevant dimension needs a bigraded ring")
-    gens = []
-    for ix in ring.x_block:
-        for iy in ring.y_block:
-            gens.append(ring.gen(ix) * ring.gen(iy))
-    aplus = IdealHandle(ring, gens, **_caps(I))
-    sat = saturate_by_ideal(I, aplus)
-    if sat.is_unit():
-        return -1
-    return dimension(sat)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,5 @@
 """Combinatorial oracle for monomial ideals: standard pairs, and off them
-the arithmetic degrees, the local lengths, the associated primes and the
-dimension filtration.
+the arithmetic degrees, the local lengths and the associated primes.
 
 The pairs (u, Z) of a proper monomial ideal I hold everything here: adeg_i
 of S/I counts the pairs with |Z| = i, the associated primes are the
@@ -13,8 +12,8 @@ can serve as ground truth for the Ext-route arithmetic degrees.
 import itertools
 
 from .errors import AlgebraError, WrongOracleError
-from .groebner import IdealHandle, _caps
-from .rings import minimal_monomials, mono_divides
+from .groebner import IdealHandle
+from .rings import minimal_monomials
 
 
 def _require_monomial(I):
@@ -42,17 +41,6 @@ class StandardPair:
     def __init__(self, monomial, variables):
         self.monomial = tuple(monomial)
         self.variables = tuple(sorted(variables))
-
-    def covers(self, m):
-        """Is the exponent vector m inside u*k[Z]?"""
-        zs = set(self.variables)
-        for i, (u, e) in enumerate(zip(self.monomial, m)):
-            if i in zs:
-                if e < u:
-                    return False
-            elif e != u:
-                return False
-        return True
 
     def contained_in(self, other):
         """Cell containment: u*k[Z] inside u'*k[Z']."""
@@ -111,17 +99,12 @@ def _pairs(I):
     return I._cached("standard_pairs", lambda: _standard_pairs(I))
 
 
-def _box(gens, n):
-    """The largest exponent of each variable among the generators."""
-    return [max((g[i] for g in gens), default=0) for i in range(n)]
-
-
 def _standard_pairs(I):
     gens = minimal_generators(I)
     n = I.ring.nvars
     if any(not any(g) for g in gens):
         raise WrongOracleError("standard pairs of the unit ideal are undefined")
-    bounds = _box(gens, n)
+    bounds = [max((g[i] for g in gens), default=0) for i in range(n)]
     candidates = []
     for size in range(n, -1, -1):
         for Z in itertools.combinations(range(n), size):
@@ -154,7 +137,7 @@ def adeg_monomial(I):
 
 
 # ---------------------------------------------------------------------------
-# primes and the dimension filtration
+# associated primes
 
 class MonomialDecomposition:
     """The associated primes of S/I, each the frozenset of the indices of
@@ -184,27 +167,6 @@ def _decompose(I):
     everything = frozenset(range(I.ring.nvars))
     return MonomialDecomposition(sorted(
         {everything - set(p.variables) for p in _pairs(I)}, key=sorted))
-
-
-def m_leq_monomial(I, i):
-    """The ideal J_i with (S/I)_{<=i} = J_i/I (the whole ring when no
-    associated prime has dimension > i).
-
-    A standard monomial m lies in J_i iff dim S/(I : m) <= i, and that
-    dimension is the largest |Z| of a pair (u, Z) covering m.  J_i is an
-    intersection of irreducible components of I, so its minimal generators
-    lie in the box of I's largest generator exponents: J_i is I plus the
-    standard monomials of that box that no pair with |Z| > i covers.
-    """
-    ring = I.ring
-    tall = [p for p in _pairs(I) if len(p.variables) > i]
-    gens = minimal_generators(I)
-    box = itertools.product(*(range(b + 1) for b in _box(gens, ring.nvars)))
-    low = tuple(m for m in box
-                if not any(mono_divides(g, m) for g in gens)
-                and not any(p.covers(m) for p in tall))
-    return IdealHandle(ring, [ring.monomial(m) for m in gens + low],
-                       **_caps(I))
 
 
 def local_length_by_pairs(I, support):

@@ -11,7 +11,7 @@ in ``groebner`` reads the weight rows off the keys of the unit vectors and
 folds them into one int key with key(q*u) = key(q) + key(u).
 """
 
-from operator import mul, neg
+from operator import neg
 
 
 class TermOrder:
@@ -46,23 +46,6 @@ class DegRevLex(TermOrder):
 
     def signature(self):
         return ("degrevlex",)
-
-
-class WeightedDegRevLex(TermOrder):
-    """Degrevlex refined from a positive integer weight vector."""
-
-    def __init__(self, weights):
-        weights = tuple(int(w) for w in weights)
-        if not weights or any(w <= 0 for w in weights):
-            raise ValueError("weights must be positive integers")
-        self.weights = weights
-
-    def key(self, m):
-        w = sum(map(mul, self.weights, m))
-        return (w, sum(m), tuple(map(neg, reversed(m))))
-
-    def signature(self):
-        return ("wdegrevlex", self.weights)
 
 
 class BlockOrder(TermOrder):

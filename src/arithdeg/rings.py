@@ -343,9 +343,6 @@ class Polynomial:
     def coefficient(self, m):
         return self.terms.get(tuple(m), self.ring.field.zero)
 
-    def monomials(self):
-        return sorted(self.terms)
-
     def monic(self, order):
         _, c = self.leading_term(order)
         if c == self.ring.field.one:

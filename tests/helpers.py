@@ -2,16 +2,120 @@
 
 import itertools
 from functools import reduce
+from operator import mul, neg
 
 from arithdeg.adeg import gmult
+from arithdeg.constructions import relative_length
 from arithdeg.errors import (AlgebraError, InternalConsistencyError,
-                             WrongOracleError)
-from arithdeg.groebner import IdealHandle
-from arithdeg.hilbert import (as_presentation, hilbert_value,
+                             RingMismatchError, WrongOracleError)
+from arithdeg.groebner import (IdealHandle, _caps, eliminate, extended_ring,
+                               fresh_names, ideal_power, ideal_product,
+                               ideal_sum, inject, maximal_ideal, project)
+from arithdeg.hilbert import (artinian_length, as_presentation, hilbert_value,
                               monomial_numerator, series_length)
 from arithdeg.monomials import minimal_generators
+from arithdeg.orders import TermOrder
 from arithdeg.rings import (minimal_monomials, mono_divides, mono_lcm,
                             mono_mul)
+
+
+class WeightedDegRevLex(TermOrder):
+    """Degrevlex refined from a positive integer weight vector: a matrix
+    order the engine tests run on beside the product's own orders."""
+
+    def __init__(self, weights):
+        weights = tuple(int(w) for w in weights)
+        if not weights or any(w <= 0 for w in weights):
+            raise ValueError("weights must be positive integers")
+        self.weights = weights
+
+    def key(self, m):
+        w = sum(map(mul, self.weights, m))
+        return (w, sum(m), tuple(map(neg, reversed(m))))
+
+    def signature(self):
+        return ("wdegrevlex", self.weights)
+
+
+# ---------------------------------------------------------------------------
+# ideal operations by elimination: intersection and saturation
+
+def intersect(I, J):
+    """I cap J via the t*I + (1-t)*J elimination construction.
+
+    Monomial inputs take the pairwise-lcm shortcut, and containment is
+    checked first (both keep the elimination off the hot paths).
+    """
+    if I.ring != J.ring:
+        raise RingMismatchError("intersecting ideals over different rings")
+    ring, caps = I.ring, _caps(I, J)
+    if I.is_monomial() and J.is_monomial():
+        lcms = {mono_lcm(next(iter(f.terms)), next(iter(g.terms)))
+                for f in I.gens for g in J.gens}
+        return IdealHandle(ring, [ring.monomial(m) for m in lcms], **caps)
+    for big, small in ((I, J), (J, I)):
+        if big.contains_ideal(small):
+            if _caps(small) == caps:
+                return small
+            return IdealHandle(ring, small.gens, **caps)
+    big = extended_ring(ring, fresh_names(ring, "t_", 1))
+    t = big.gen(big.nvars - 1)
+    one = big.one()
+    gens = [t * inject(f, big) for f in I.gens]
+    gens += [(one - t) * inject(g, big) for g in J.gens]
+    H = IdealHandle(big, gens, **caps)
+    E = eliminate(H, [big.nvars - 1])
+    return IdealHandle(ring, [project(g, ring) for g in E.gens], **caps)
+
+
+def saturate(I, f):
+    """(I : f^infinity) by the Rabinowitsch trick."""
+    if not f:
+        raise AlgebraError("saturation by zero")
+    if f.is_constant():
+        return I
+    ring = I.ring
+    big = extended_ring(ring, fresh_names(ring, "u_", 1))
+    u = big.gen(big.nvars - 1)
+    gens = [inject(g, big) for g in I.gens]
+    gens.append(big.one() - u * inject(f, big))
+    H = IdealHandle(big, gens, **_caps(I))
+    E = eliminate(H, [big.nvars - 1])
+    return IdealHandle(ring, [project(g, ring) for g in E.gens], **_caps(I))
+
+
+# ---------------------------------------------------------------------------
+# the GG double sum by direct lengths: the reference for criterion 8
+
+def bifiltration_length(J, I, i, j):
+    """Length of S/(J + m^(i+1) + I^(j+1)): the first summand of the double
+    sum transform of GG."""
+    mring = maximal_ideal(J.ring, J, I)
+    total = ideal_sum(J, ideal_power(mring, i + 1), ideal_power(I, j + 1))
+    return artinian_length(total)
+
+
+def h11_direct(J, I, i, j):
+    """The double sum transform of the GG Hilbert function, evaluated by
+    direct length computations:
+    l(M/(m^(i+1)+I^(j+1))M) plus, for k <= j, the correction
+    l((I^k cap (m^(i+1)+I^(k+1)))/(m^(i+1) I^k + I^(k+1))) around J."""
+    ring, caps = J.ring, _caps(J, I)
+    mring = maximal_ideal(ring, J, I)
+    total = bifiltration_length(J, I, i, j)
+    mi1 = ideal_power(mring, i + 1)
+    ik = IdealHandle(ring, [ring.one()], **caps)    # I^k
+    for k in range(j + 1):
+        ik1 = ideal_product(ik, I)
+        upper = intersect(ideal_sum(ik, J), ideal_sum(mi1, ik1, J))
+        lower = ideal_sum(ideal_product(mi1, ik), ik1, J)
+        total += relative_length(upper, lower)
+        ik = ik1
+    return total
+
+
+# ---------------------------------------------------------------------------
+# tables, dimensions and engine references
 
 
 def h11_table(M, hi1, hi2):
@@ -157,8 +261,20 @@ def reference_monomial_cell_lengths(J, I, rect):
 
 
 # ---------------------------------------------------------------------------
-# irreducible decomposition: the reference for monomials.decompose and
-# monomials.m_leq_monomial, which read the same facts off standard pairs
+# standard pairs and irreducible decomposition: the references for
+# monomials.standard_pairs and monomials.decompose
+
+def covers(pair, m):
+    """Is the exponent vector m inside the standard pair's cell u*k[Z]?"""
+    zs = set(pair.variables)
+    for i, (u, e) in enumerate(zip(pair.monomial, m)):
+        if i in zs:
+            if e < u:
+                return False
+        elif e != u:
+            return False
+    return True
+
 
 def monomial_intersection(gens_a, gens_b):
     """Minimal generators of the intersection of two monomial ideals."""
@@ -242,7 +358,7 @@ class ReferenceDecomposition:
 
     def __init__(self, I):
         gens = minimal_generators(I)
-        n = self.nvars = I.ring.nvars
+        n = I.ring.nvars
         if any(not any(g) for g in gens):
             raise WrongOracleError("cannot decompose the unit ideal")
         if not gens:
@@ -271,10 +387,3 @@ class ReferenceDecomposition:
             if not any(q < p for q in self.associated_primes))
         self.embedded_primes = tuple(p for p in self.associated_primes
                                      if p not in self.minimal_primes)
-
-    def m_leq(self, i):
-        """Minimal generators of J_i, the intersection of the primary
-        components of dimension > i: the unit ideal when there are none."""
-        n = self.nvars
-        keep = [gens for supp, gens in self.primary if n - len(supp) > i]
-        return set(intersection(keep)) if keep else {(0,) * n}

@@ -13,7 +13,6 @@ import pytest
 from arithdeg.adeg import (_cohen_macaulay_table, _ext_table, _prime_pair,
                            adeg_report_ext, adeg_report_monomial, cached_gg,
                            gmult, prune_coordinate_variables)
-from arithdeg.constructions import h11_direct
 from arithdeg.groebner import (IdealHandle, buchberger, ideal_power,
                                ideal_sum, normal_form, s_polynomial)
 from arithdeg.hilbert import (artinian_length, as_presentation,
@@ -27,7 +26,8 @@ from arithdeg.numerical import NumericalPoly2, interpolate_poly1
 from arithdeg.orders import DegRevLex
 from arithdeg.rings import RingDescriptor
 
-from helpers import full_ring_prime_gmult, h11_table, is_zero_module
+from helpers import (full_ring_prime_gmult, h11_direct, h11_table,
+                     is_zero_module)
 
 
 CORPUS_JSON_SHA256 = (

@@ -7,7 +7,7 @@ from hypothesis import given, seed, settings, strategies as st
 
 import arithdeg.adeg as adeg_mod
 from arithdeg.adeg import (adeg_graded, adeg_report_ext, adeg_report_monomial,
-                           biadeg, cached_gg, gmult, ladeg,
+                           cached_gg, gmult, ladeg,
                            prune_coordinate_variables, verify)
 from arithdeg.errors import HomogeneityError, UnsupportedInputError
 from arithdeg.fields import GF, QQ
@@ -15,7 +15,7 @@ from arithdeg.groebner import (IdealHandle, ideal_power, ideal_sum,
                                maximal_ideal)
 from arithdeg.hilbert import (artinian_length, classical_multiplicity,
                               dimension, monomials_of_degree)
-from arithdeg.monomials import decompose, m_leq_monomial
+from arithdeg.monomials import decompose
 from arithdeg.numerical import MultiplicityVector, interpolate_poly1
 from arithdeg.rings import Polynomial, RingDescriptor
 
@@ -49,17 +49,6 @@ def test_adeg_expected_values(R):
     assert adeg_graded(IdealHandle(R, [x ** 2, x * y]), 0) == 1
     assert adeg_graded(IdealHandle(R, [x * y]), 1) == 2
     assert adeg_graded(IdealHandle(R, [x * y]), 0) == 0
-
-
-def test_biadeg_examples():
-    B = RingDescriptor.bigraded("x", "y")
-    xb, yb = B.gens()
-    assert biadeg(IdealHandle(B, []), 2) == MultiplicityVector(2, (0, 1, 0))
-    assert biadeg(IdealHandle(B, []), 1).is_zero()
-    assert biadeg(IdealHandle(B, [xb ** 2]), 1) == MultiplicityVector(1, (2, 0))
-    zero = IdealHandle(B, [B.one()])
-    for i in range(3):
-        assert biadeg(zero, i).is_zero()
 
 
 def test_gmult_worked(R1):
@@ -158,9 +147,7 @@ def test_ladeg_remark_identity_cyclic(R):
     x, y = R.gens()
     I1 = IdealHandle(R, [x ** 2, x * y])
     m = maximal_ideal(R)
-    J0 = m_leq_monomial(I1, 0)
-    assert J0.equals(IdealHandle(R, [x]))
-    # (x)/(x^2, xy) = S/((x^2,xy):x) = S/(x,y)
+    # M_{<=0} = (x)/(x^2, xy) = S/((x^2,xy):x) = S/(x,y)
     quot = IdealHandle(R, [x, y])
     assert ladeg(I1, m, 0) == gmult(quot, m, 0)
 

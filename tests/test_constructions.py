@@ -1,5 +1,5 @@
-"""Tangent cones, Rees kernels, associated graded rings, GG, and the
-bifiltration length oracles."""
+"""Initial forms and tangent cones, Rees kernels, associated graded rings,
+GG, and the bifiltration length oracles."""
 
 import random
 import re
@@ -10,23 +10,23 @@ import pytest
 import arithdeg.constructions as constructions_mod
 import arithdeg.groebner as groebner_mod
 from arithdeg.constructions import (BigradedPresentation, ReesPresentation,
-                                    assoc_graded, bifiltration_length,
-                                    gg_presentation, h11_direct,
+                                    assoc_graded, gg_presentation,
                                     initial_forms_ideal,
                                     monomial_cell_lengths, rees_kernel,
-                                    relative_length, tangent_cone)
+                                    relative_length)
 from arithdeg.errors import (AlgebraError, InternalConsistencyError,
                              UnsupportedInputError)
 from arithdeg.fields import GF, QQ
 from arithdeg.groebner import (IdealHandle, extended_ring, fresh_names,
                                ideal_power, ideal_product, inject,
-                               ideal_sum, maximal_ideal, saturate)
+                               ideal_sum, maximal_ideal)
 from arithdeg.hilbert import artinian_length, dimension, hilbert_value
 from arithdeg.orders import BlockOrder
 from arithdeg.rings import (Polynomial, RingDescriptor, mono_divides,
                             mono_mul)
 
-from helpers import h11_table, reference_monomial_cell_lengths
+from helpers import (bifiltration_length, h11_direct, h11_table,
+                     reference_monomial_cell_lengths, saturate)
 
 
 @pytest.fixture
@@ -41,26 +41,27 @@ def R1():
 
 def test_tangent_cone_cusp(R):
     x, y = R.gens()
-    tc = tangent_cone(IdealHandle(R, [y ** 2 - x ** 3]))
+    tc = initial_forms_ideal(IdealHandle(R, [y ** 2 - x ** 3]), range(2))
     assert tc.equals(IdealHandle(R, [y ** 2]))
 
 
 def test_tangent_cone_homogeneous_identity(R):
     x, y = R.gens()
     J = IdealHandle(R, [x ** 2 - y ** 2, x * y])
-    assert tangent_cone(J).equals(J)
+    assert initial_forms_ideal(J, range(2)).equals(J)
 
 
 def test_tangent_cone_linear_case(R):
     x, y = R.gens()
-    tc = tangent_cone(IdealHandle(R, [x - x ** 2, y]))
+    tc = initial_forms_ideal(IdealHandle(R, [x - x ** 2, y]), range(2))
     assert tc.equals(IdealHandle(R, [x, y]))
 
 
 def test_tangent_cone_needs_spolys(R):
     """(x^2 + y^3, xy): generator lowest forms alone miss y^4."""
     x, y = R.gens()
-    tc = tangent_cone(IdealHandle(R, [x ** 2 + y ** 3, x * y]))
+    J = IdealHandle(R, [x ** 2 + y ** 3, x * y])
+    tc = initial_forms_ideal(J, range(2))
     assert tc.equals(IdealHandle(R, [x ** 2, x * y, y ** 4]))
     naive = IdealHandle(R, [x ** 2, x * y])
     assert not tc.equals(naive)
@@ -69,7 +70,7 @@ def test_tangent_cone_needs_spolys(R):
 def test_tangent_cone_same_samuel_function(R):
     x, y = R.gens()
     J = IdealHandle(R, [y ** 2 - x ** 5])
-    tc = tangent_cone(J)
+    tc = initial_forms_ideal(J, range(2))
     m = maximal_ideal(R)
     for k in range(6):
         mk = ideal_power(m, k + 1)

@@ -11,19 +11,18 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
-from arithdeg.errors import (InvalidDivisorError, ResourceLimitError,
-                             RingMismatchError)
+from arithdeg.errors import ResourceLimitError, RingMismatchError
 from arithdeg.fields import GF, QQ, PrimeFieldElement
 from arithdeg.groebner import (_POLY, IdealHandle, _divide, _divide_pair,
                                _int_form, _Packer, _poly_sort_key, _Slots,
                                _s_element, buchberger, eliminate,
-                               exact_divide, ideal_product, ideal_quotient,
-                               ideal_sum, intersect, maximal_ideal,
-                               normal_form, s_polynomial, saturate,
-                               saturate_by_ideal)
-from arithdeg.orders import BlockOrder, DegRevLex, Lex, WeightedDegRevLex
+                               ideal_product, ideal_sum, maximal_ideal,
+                               normal_form, s_polynomial)
+from arithdeg.orders import BlockOrder, DegRevLex, Lex
 from arithdeg.rings import (Polynomial, RingDescriptor, parse_polynomial,
                             terms_key)
+
+from helpers import WeightedDegRevLex, intersect, saturate
 
 
 @pytest.fixture
@@ -153,24 +152,6 @@ def test_normal_form_given_leads_matches_computed(order):
                 == normal_form(f, basis, order))
 
 
-def test_quotient_examples(R):
-    x, y = R.gens()
-    I = IdealHandle(R, [x ** 2, x * y])
-    Q = ideal_quotient(I, x)
-    assert Q.equals(IdealHandle(R, [x, y]))
-    assert ideal_quotient(I, R.one()).equals(I)
-    with pytest.raises(InvalidDivisorError):
-        ideal_quotient(I, R.zero())
-
-
-def test_quotient_by_an_ideal(R):
-    """(x^2, xy) : (x, y) = (x), the intersection of the quotients by the
-    generators."""
-    x, y = R.gens()
-    I = IdealHandle(R, [x ** 2, x * y])
-    assert ideal_quotient(I, IdealHandle(R, [x, y])).equals(IdealHandle(R, [x]))
-
-
 def test_saturation(R):
     x, y = R.gens()
     I = IdealHandle(R, [x ** 2, x * y])
@@ -181,8 +162,6 @@ def test_saturation(R):
     J = IdealHandle(R, [x ** 2 * y, x ** 3])
     SJ = saturate(J, y)
     assert SJ.equals(IdealHandle(R, [x ** 2]))
-    # stabilization: (I : f^inf) : f = (I : f^inf)
-    assert SJ.equals(ideal_quotient(SJ, y))
 
 
 def test_saturation_strips_primary_component(R):
@@ -190,13 +169,6 @@ def test_saturation_strips_primary_component(R):
     # (x^2, xy) = (x) cap (x^2, y): saturating by y leaves the x-component
     I = IdealHandle(R, [x ** 2, x * y])
     assert saturate(I, y).equals(IdealHandle(R, [x]))
-
-
-def test_saturate_by_ideal(R):
-    x, y = R.gens()
-    I = IdealHandle(R, [x ** 2, x * y])
-    sat = saturate_by_ideal(I, maximal_ideal(R))
-    assert sat.equals(IdealHandle(R, [x]))
 
 
 def test_eliminate_trivial():
@@ -788,12 +760,16 @@ def test_divide_matches_reference_over_q_and_zp(inputs, with_quotients,
 @given(st.dictionaries(_MONO, _COEFF, min_size=1, max_size=4),
        st.dictionaries(_MONO, _COEFF, min_size=1, max_size=4))
 def test_exact_divide_over_q_recovers_factor(h_terms, f_terms):
-    """exact_divide, which divides with quotients, recovers h from h*f for
-    non-monic f with non-unit denominators."""
+    """Dividing h*f by f alone with quotients leaves no remainder and
+    recovers h as the quotient, for non-monic f with non-unit
+    denominators."""
     R3 = RingDescriptor.graded("x,y,z")
     h, f = Polynomial(R3, h_terms), Polynomial(R3, f_terms)
     for order in (DegRevLex(), Lex()):
-        assert exact_divide(h * f, f, order) == h
+        quotients = {}
+        assert not _divide((h * f).terms, [f], [f.leading_term(order)], order,
+                           _POLY, quotients)
+        assert Polynomial(R3, {q: c for (_, q), c in quotients.items()}) == h
 
 
 def _assert_pair_divides_like_reference(i, j, basis, order, ops, forms=None):

@@ -4,15 +4,14 @@ import random
 
 import pytest
 
-from arithdeg.errors import (HomogeneityError, NotBigradedError,
-                             UnsupportedInputError)
+from arithdeg.errors import HomogeneityError, UnsupportedInputError
 from arithdeg.groebner import IdealHandle
 from arithdeg.hilbert import (artinian_length, classical_multiplicity,
                               count_monomials, cumulative_polynomial, dimension,
                               ee_vector, h11_polynomial, hilbert_polynomial,
                               hilbert_samuel, hilbert_value,
                               hilbert_value_bruteforce, monomials_of_degree,
-                              relevant_dimension, samuel_multiplicity)
+                              samuel_multiplicity)
 from arithdeg.modules import ModulePresentation, Vec, ext_presentation
 from arithdeg.numerical import MultiplicityVector
 from arithdeg.rings import MAX_VARIABLES, Polynomial, RingDescriptor
@@ -192,22 +191,6 @@ def test_dimension_matches_the_subset_walk_on_modules():
     assert max(ranks) >= 2 and 0 in ranks
 
 
-def test_relevant_dimension(B):
-    xb, yb = B.gens()
-    assert relevant_dimension(IdealHandle(B, [])) == 2
-    assert relevant_dimension(IdealHandle(B, [xb * yb])) == -1
-    # in k[x;y] any proper quotient is killed by a power of A_+ = (xy)
-    assert relevant_dimension(IdealHandle(B, [xb])) == -1
-    # a relevant quotient needs room on both sides
-    B4 = RingDescriptor.bigraded("x1,x2", "y1,y2")
-    x1, x2, y1, y2 = B4.gens()
-    assert relevant_dimension(IdealHandle(B4, [])) == 4
-    assert relevant_dimension(IdealHandle(B4, [x1, y1])) == 2
-    R = RingDescriptor.graded("x,y")
-    with pytest.raises(NotBigradedError):
-        relevant_dimension(IdealHandle(R, []))
-
-
 def test_ee_vectors(B):
     xb, yb = B.gens()
     free = IdealHandle(B, [])
@@ -237,13 +220,13 @@ def test_ee_additive_on_direct_sums(B):
 
 
 def test_prop_hilb_degree(B):
-    """deg P_M = rd M - 2 for relevant cyclic modules; deg P^(1,1) = dim."""
+    """deg P_M = rd M - 2 for relevant cyclic modules, with their relevant
+    dimensions rd (dim of M over (0 : A_+^infinity)) worked by hand;
+    deg P^(1,1) = dim."""
     B4 = RingDescriptor.bigraded("x1,x2", "y1,y2")
     x1, x2, y1, y2 = B4.gens()
-    for gens, rd_want in (([], 4), ([x1, y1], 2), ([x1 * y1], 3)):
+    for gens, rd in (([], 4), ([x1, y1], 2), ([x1 * y1], 3)):
         I = IdealHandle(B4, gens)
-        rd = relevant_dimension(I)
-        assert rd == rd_want
         P, _ = hilbert_polynomial(I, bigraded=True)
         assert P.total_degree == rd - 2
     # irrelevant quotients still satisfy deg P^(1,1) = dim
@@ -346,10 +329,10 @@ def test_hilbert_samuel_ignores_weights(weights, gens, values, samuel):
 
 
 def test_samuel_vs_tangent_cone(R):
-    from arithdeg.constructions import tangent_cone
+    from arithdeg.constructions import initial_forms_ideal
     x, y = R.gens()
     cusp = IdealHandle(R, [y ** 2 - x ** 3])
-    tc = tangent_cone(cusp)
+    tc = initial_forms_ideal(cusp, range(R.nvars))
     assert classical_multiplicity(tc, 1) == 2
 
 

@@ -1,5 +1,5 @@
-"""Standard pairs, the primes and dimension filtration read off them, and
-the irreducible decomposition that serves as their reference."""
+"""Standard pairs, the primes read off them, and the irreducible
+decomposition that serves as their reference."""
 
 import itertools
 import random
@@ -9,13 +9,12 @@ import pytest
 
 from arithdeg.errors import InternalConsistencyError, WrongOracleError
 from arithdeg.groebner import IdealHandle
-from arithdeg.hilbert import artinian_length, dimension
 from arithdeg.monomials import (StandardPair, adeg_monomial, decompose,
-                                local_length_by_pairs, m_leq_monomial,
-                                minimal_generators, standard_pairs)
+                                local_length_by_pairs, minimal_generators,
+                                standard_pairs)
 from arithdeg.rings import RingDescriptor, mono_divides
 
-from helpers import ReferenceDecomposition, monomial_intersection
+from helpers import ReferenceDecomposition, covers, monomial_intersection
 
 
 def check_standard_cover(I, box=6):
@@ -25,7 +24,7 @@ def check_standard_cover(I, box=6):
     pairs = standard_pairs(I)
     for m in itertools.product(range(box + 1), repeat=I.ring.nvars):
         standard = not any(mono_divides(g, m) for g in gens)
-        covered = any(p.covers(m) for p in pairs)
+        covered = any(covers(p, m) for p in pairs)
         if standard != covered:
             raise InternalConsistencyError(
                 "standard-pair cover fails at %r (standard=%s covered=%s)"
@@ -156,29 +155,6 @@ def test_decompose_intersection_exact():
     assert set(inter) == set(gens)
 
 
-def test_m_leq(R):
-    x, y = R.gens()
-    I = IdealHandle(R, [x ** 2, x * y])
-    J0 = m_leq_monomial(I, 0)
-    assert J0.equals(IdealHandle(R, [x]))
-    # the quotient (x)/(x^2, xy) has length 1
-    assert artinian_length(IdealHandle(R, [x ** 2, x * y, y ** 5])) >= 0  # sanity
-    J1 = m_leq_monomial(I, 1)
-    assert J1.is_unit()
-    # radical equidimensional: no components of dimension <= i removed
-    K = IdealHandle(R, [x * y])
-    assert m_leq_monomial(K, 0).equals(K)
-    assert m_leq_monomial(K, 1).is_unit()
-
-
-def test_m_leq_dimension_count(R):
-    x, y = R.gens()
-    I = IdealHandle(R, [x ** 2, x * y])
-    J0 = m_leq_monomial(I, 0)
-    # dim of M_{<=0} is 0, dim of M_{>0} = S/J0 is 1
-    assert dimension(J0) == 1
-
-
 def test_local_lengths(R):
     x, y = R.gens()
     I = IdealHandle(R, [x ** 2, x * y])
@@ -230,9 +206,8 @@ def test_decomposition_components_are_irredundant():
 
 def test_primes_and_filtration_off_the_pairs_match_the_decomposition():
     """Seeded sweep over 2-5 variables, with the zero ideal, pure powers and
-    random ideals: decompose's prime tuples, in order, and m_leq_monomial
-    at every i from -1 to n equal the irreducible decomposition's.  The
-    unit ideal has neither."""
+    random ideals: decompose's prime tuples, in order, equal the
+    irreducible decomposition's.  The unit ideal has none."""
     rng = random.Random(1995)
     for n in range(2, 6):
         ring = RingDescriptor.graded(",".join("x%d" % k for k in range(n)))
@@ -248,11 +223,7 @@ def test_primes_and_filtration_off_the_pairs_match_the_decomposition():
             assert dec.associated_primes == ref.associated_primes, gens
             assert dec.minimal_primes == ref.minimal_primes, gens
             assert dec.embedded_primes == ref.embedded_primes, gens
-            for i in range(-1, n + 1):
-                assert (set(minimal_generators(m_leq_monomial(I, i)))
-                        == ref.m_leq(i)), (gens, i)
         unit = IdealHandle(ring, [ring.one()])
-        for oracle in (decompose, lambda J: m_leq_monomial(J, 0),
-                       ReferenceDecomposition):
+        for oracle in (decompose, ReferenceDecomposition):
             with pytest.raises(WrongOracleError):
                 oracle(unit)

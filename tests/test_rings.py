@@ -8,10 +8,12 @@ from hypothesis import given, settings, strategies as st
 from arithdeg.errors import (AlgebraError, NotBigradedError, RingMismatchError,
                              ZeroPolynomialError)
 from arithdeg.fields import GF
-from arithdeg.orders import BlockOrder, DegRevLex, Lex, WeightedDegRevLex
+from arithdeg.orders import BlockOrder, DegRevLex, Lex
 from arithdeg.rings import (MAX_VARIABLES, Polynomial, RingDescriptor,
                             minimal_monomials, mono_div, mono_divides,
                             mono_lcm, mono_mul, parse_polynomial)
+
+from helpers import WeightedDegRevLex
 
 
 def initial_block_form(f, block):
