@@ -23,8 +23,7 @@ from .numerical import (NumericalPoly1, NumericalPoly2, MultiplicityVector,
                         StabilizationCertificate, binom)
 from .hilbert import (hilbert_value, hilbert_value_bruteforce,
                       hilbert_polynomial, h11_polynomial, dimension,
-                      ee_vector, classical_multiplicity, hilbert_samuel,
-                      samuel_multiplicity, artinian_length)
+                      ee_vector, classical_multiplicity, artinian_length)
 from .monomials import (StandardPair, standard_pairs, adeg_monomial,
                         decompose)
 from .constructions import (initial_forms_ideal, rees_kernel, assoc_graded,

@@ -5,7 +5,7 @@ its corollaries.
 Three independent pipelines feed the same numbers:
   * the Ext route: adeg_i(M) = e_i(Ext^(n-i)(M, S)), provenance "ext";
   * the standard-pair count for monomial ideals, provenance "standard-pairs";
-  * Hilbert-Samuel interpolation for inhomogeneous local items, "samuel".
+  * the tangent cone's multiplicity for inhomogeneous primes, "samuel".
 Their agreement on the monomial corpus is the central oracle equivalence.
 ``adeg_report_ext`` first tries a Cohen-Macaulay certificate, whose table
 is the Ext route's whenever it holds; its provenance is "ext" too.
@@ -30,11 +30,11 @@ import random
 
 from .errors import (AlgebraError, InternalConsistencyError,
                      TheoremViolationError, UnsupportedInputError)
-from .constructions import gg_presentation
+from .constructions import gg_presentation, initial_forms_ideal
 from .groebner import IdealHandle, _caps
 from .hilbert import (artinian_length, as_presentation,
                       classical_multiplicity, dimension, ee_vector,
-                      h_vector, samuel_multiplicity)
+                      h_vector)
 from .modules import ext_presentation
 from .monomials import decompose, local_length_by_pairs, adeg_monomial
 from .numerical import MultiplicityVector
@@ -47,15 +47,13 @@ CM_DRAWS = 3
 
 def _coordinate_image(ring, polys, dead):
     """Set x_k = 0 for k in dead and drop those variables: (R, images) with
-    R = k[x_k : k not in dead], graded totally by the survivors' weights,
-    and the nonzero images of polys over R.  R is None when no variable
-    survives."""
+    R = k[x_k : k not in dead], standard graded, and the nonzero images of
+    polys over R.  R is None when no variable survives."""
     alive = [k for k in range(ring.nvars) if k not in dead]
     if not alive:
         return None, []
     small = RingDescriptor(tuple(ring.names[k] for k in alive),
-                           field=ring.field,
-                           weights=tuple(ring.weights[k] for k in alive))
+                           field=ring.field)
     images = [{tuple(m[k] for k in alive): c for m, c in f.terms.items()
                if not any(m[k] for k in dead)} for f in polys]
     return small, [Polynomial(small, t) for t in images if t]
@@ -174,13 +172,13 @@ def _cohen_macaulay_table(L):
     (Serre; Bruns and Herzog, Cohen-Macaulay Rings, 4.7.10).  A
     Cohen-Macaulay M is unmixed: Ext^j(M, S) vanishes but at j = n - d, so
     adeg_d(M) = e(M) and every other adeg_i(M) is 0, whichever z proved
-    it.  Only S/L with L homogeneous over a ring of weights one qualifies.
+    it.  Only S/L with L homogeneous over a standard graded ring qualifies.
     None, with no draw, when the h-vector has a negative entry; None when
     λ > e or no draw gives an Artinian quotient.
     """
     ring = L.ring
     if (not isinstance(L, IdealHandle) or ring.is_bigraded
-            or any(w != 1 for w in ring.weights) or not L.is_homogeneous()):
+            or not L.is_homogeneous()):
         return None
     d = dimension(L)
     if d < 0 or any(c < 0 for c in h_vector(L).values()):
@@ -336,8 +334,11 @@ def _adeg_of_ring_quotient(J, meta):
     if J.is_homogeneous():
         return adeg_report_ext(J).table(), "ext"
     if meta.get("prime"):
-        # a domain: single associated prime, local length one, Samuel top
-        e, d, _cert = samuel_multiplicity(J)
+        # a domain, of local length one: its Samuel multiplicity is its
+        # tangent cone's, e(m, A) = e(gr_m A) (Bruns and Herzog, ch. 4)
+        tc = initial_forms_ideal(J, range(ring.nvars))
+        d = dimension(tc)
+        e = classical_multiplicity(tc, d)
         table = {i: 0 for i in range(ring.nvars + 1)}
         table[d] = e
         return table, "samuel"

@@ -9,9 +9,10 @@
 ``--timings`` fills the JSON ``timings`` with wall-clock seconds: per task
 for ``run``, per entry for ``corpus``.
 
-Exit codes: 0 success, 1 usage or parse errors, 2 theorem violation (an
-implementation bug: a reproducer script, theorem-violation-<label>.ses,
-is written into the current directory), 3 resource cap exceeded.
+Exit codes: 0 success, 1 usage or parse errors or a file that cannot be
+read or written, 2 theorem violation (an implementation bug: a reproducer
+script, theorem-violation-<label>.ses, is written into the current
+directory when it can be), 3 resource cap exceeded.
 """
 
 import argparse
@@ -32,21 +33,31 @@ EXIT_THEOREM = 2
 EXIT_RESOURCE = 3
 
 
-def _dump_json(data, path):
-    text = json.dumps(data, indent=2, sort_keys=False)
-    if path == "-":
-        sys.stdout.write(text + "\n")
-    else:
+def _write_text(path, text):
+    """Write text to the file path; False, said on stderr, when it cannot."""
+    try:
         with open(path, "w") as fh:
-            fh.write(text + "\n")
+            fh.write(text)
+    except OSError as exc:
+        print("cannot write %s: %s" % (path, exc), file=sys.stderr)
+        return False
+    return True
+
+
+def _dump_json(data, path):
+    """Write data as JSON to the file path, or to stdout for "-"."""
+    text = json.dumps(data, indent=2, sort_keys=False) + "\n"
+    if path == "-":
+        sys.stdout.write(text)
+        return True
+    return _write_text(path, text)
 
 
 def _write_reproducer(script_text, label, err):
+    """The reproducer's path, or None when it cannot be written."""
     path = "theorem-violation-%s.ses" % label.replace("/", "_").replace(",", "-")
-    with open(path, "w") as fh:
-        fh.write("# reproducer: %s\n" % err)
-        fh.write(script_text)
-    return path
+    text = "# reproducer: %s\n%s" % (err, script_text)
+    return path if _write_text(path, text) else None
 
 
 def cmd_run(args):
@@ -71,7 +82,8 @@ def cmd_run(args):
     except TheoremViolationError as exc:
         path = _write_reproducer(text, "run", exc)
         print("theorem violation (implementation bug): %s" % exc, file=sys.stderr)
-        print("reproducer written to %s" % path, file=sys.stderr)
+        print("reproducer written to %s" % path if path else
+              "no reproducer written", file=sys.stderr)
         return EXIT_THEOREM
     except ResourceLimitError as exc:
         print("resource cap exceeded: %s %r" % (exc, exc.diagnostics), file=sys.stderr)
@@ -79,11 +91,7 @@ def cmd_run(args):
     except AlgebraError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
-    if args.json:
-        _dump_json(result, args.json)
-    else:
-        _dump_json(result, "-")
-    return EXIT_OK
+    return EXIT_OK if _dump_json(result, args.json or "-") else EXIT_USAGE
 
 
 def _assert_reduced(basis, order, div):
@@ -244,13 +252,11 @@ def cmd_corpus(args):
         "provenance": {"summary": {"passed": summary["passed"],
                                    "failed": summary["failed"]}},
     }
-    if args.json:
-        _dump_json(payload, args.json)
+    written = not args.json or _dump_json(payload, args.json)
     if args.csv:
-        with open(args.csv, "w") as fh:
-            fh.write("entry,task,i,value,status\n")
-            for row in rows:
-                fh.write(",".join(str(c).replace(",", ";") for c in row) + "\n")
+        lines = ["entry,task,i,value,status"] + [
+            ",".join(str(c).replace(",", ";") for c in row) for row in rows]
+        written = _write_text(args.csv, "\n".join(lines) + "\n") and written
     print("corpus: %d entries, %d passed, %d failed"
           % (len(entries), summary["passed"], summary["failed"]))
     for e in summary["entries"]:
@@ -260,14 +266,15 @@ def cmd_corpus(args):
     if violation is not None:
         entry, message = violation
         path = _write_reproducer(entry.script_text, entry.identifier, message)
-        print("theorem violation in %s (bug); reproducer at %s"
-              % (entry.identifier, path), file=sys.stderr)
+        print("theorem violation in %s (bug); %s"
+              % (entry.identifier, "reproducer at %s" % path if path else
+                 "no reproducer written"), file=sys.stderr)
         return EXIT_THEOREM
     if resource is not None:
         print("resource cap exceeded in %s: %s"
               % (resource[0].identifier, resource[1]), file=sys.stderr)
         return EXIT_RESOURCE
-    return EXIT_OK if summary["failed"] == 0 else EXIT_USAGE
+    return EXIT_OK if written and summary["failed"] == 0 else EXIT_USAGE
 
 
 def cmd_check(args):
@@ -367,7 +374,7 @@ def cmd_check(args):
         assert res.complete
         levels = [res.base_shifts] + res.level_shifts
         for d in range(7):
-            euler = sum((-1) ** k * count_monomials(R.weights, d - a)
+            euler = sum((-1) ** k * count_monomials(R.nvars, d - a)
                         for k, shifts in enumerate(levels) for a in shifts)
             assert euler == hilbert_value(I, d)
     print("Betti/Euler oracle: ok (5 random resolutions, degrees 0-6)")
@@ -383,7 +390,7 @@ def cmd_check(args):
         assert res.complete
         levels = [res.base_shifts] + res.level_shifts
         for d in range(-10, 3):
-            euler = sum((-1) ** k * count_monomials(R.weights, d + a)
+            euler = sum((-1) ** k * count_monomials(R.nvars, d + a)
                         for k, shifts in enumerate(levels) for a in shifts)
             assert euler == sum((-1) ** j * hilbert_value(E, d)
                                 for j, E in enumerate(exts))

@@ -360,5 +360,5 @@ def relative_length(U, V):
     num = dict(hilbert_numerator(V))
     for d, c in hilbert_numerator(U).items():
         num[d] = num.get(d, 0) - c
-    return series_length(num, U.ring.weights)
+    return series_length(num, U.ring.nvars)
 

@@ -21,16 +21,15 @@ polynomial is the binomial expansion of the numerator's terms.
 import itertools
 
 from .errors import (AlgebraError, InternalConsistencyError, NotBigradedError,
-                     ResourceLimitError, UnsupportedInputError)
+                     ResourceLimitError)
 from .groebner import IdealHandle
 from .modules import ModulePresentation
 from .numerical import (MultiplicityVector, NumericalPoly1, NumericalPoly2,
-                        StabilizationCertificate, binom, interpolate_poly1)
+                        StabilizationCertificate, binom)
 from .rings import deg_add, minimal_monomials, mono_divides
 
 DEGREE_CAP = 60
 WINDOW = 3
-SAMUEL_MAX_K = 24
 
 
 def as_presentation(obj):
@@ -45,30 +44,21 @@ def as_presentation(obj):
 # ---------------------------------------------------------------------------
 # counting all monomials
 
-def count_monomials(weights, d):
-    """Number of exponent vectors with given weighted total degree."""
+def count_monomials(nvars, d):
+    """Number of exponent vectors in nvars variables of total degree d."""
     if d < 0:
         return 0
-    if all(w == 1 for w in weights):
-        return binom(d + len(weights) - 1, len(weights) - 1)
-    counts = [1] + [0] * d   # counts[k]: monomials of degree k in the variables so far
-    for w in weights:
-        for k in range(w, d + 1):
-            counts[k] += counts[k - w]
-    return counts[d]
+    return binom(d + nvars - 1, nvars - 1)
 
 
-def monomials_of_degree(nvars, d, weights=None):
-    """All exponent tuples of the given weighted degree, lex order."""
-    if weights is None:
-        weights = (1,) * nvars
+def monomials_of_degree(nvars, d):
+    """All exponent tuples of total degree d, lex order."""
     if nvars == 0:
         if d == 0:
             yield ()
         return
-    w = weights[0]
-    for e in range(d // w + 1):
-        for rest in monomials_of_degree(nvars - 1, d - e * w, weights[1:]):
+    for e in range(d + 1):
+        for rest in monomials_of_degree(nvars - 1, d - e):
             yield (e,) + rest
 
 
@@ -181,27 +171,27 @@ def hilbert_numerator(M, bigraded=False):
     return pres._cached(("numerator", bigraded), build)
 
 
-def _divide_out(q, w):
-    """q / (1 - t^w) for a polynomial q (degree -> coefficient), or None
+def _divide_out(q):
+    """q / (1 - t) for a polynomial q (degree -> coefficient), or None
     when the division leaves a remainder."""
     out = {}
     if q:
         top = max(q)
         for d in range(min(q), top + 1):
-            c = q.get(d, 0) + out.get(d - w, 0)
+            c = q.get(d, 0) + out.get(d - 1, 0)
             if c:
-                if d > top - w:
+                if d == top:
                     return None
                 out[d] = c
     return out
 
 
-def series_length(num, weights):
-    """Value at t = 1 of num / prod(1 - t^w): the length of a module with
+def series_length(num, nvars):
+    """Value at t = 1 of num / (1 - t)^nvars: the length of a module with
     that Hilbert series.  AlgebraError when the series is not a polynomial,
     that is when the length is infinite."""
-    for w in weights:
-        num = _divide_out(num, w)
+    for _ in range(nvars):
+        num = _divide_out(num)
         if num is None:
             raise AlgebraError("module has positive dimension, length is infinite")
     return sum(num.values())
@@ -231,7 +221,7 @@ def hilbert_value(M, at):
         nx, ny = len(ring.x_block), len(ring.y_block)
         return sum(c * binom(i - a + nx - 1, nx - 1) * binom(j - b + ny - 1, ny - 1)
                    for (a, b), c in num.items() if a <= i and b <= j)
-    return sum(c * count_monomials(ring.weights, at - a) for a, c in num.items())
+    return sum(c * count_monomials(ring.nvars, at - a) for a, c in num.items())
 
 
 def hilbert_value_bruteforce(M, at):
@@ -260,7 +250,7 @@ def hilbert_value_bruteforce(M, at):
                 d = at - shift
                 if d < 0:
                     continue
-                it = monomials_of_degree(ring.nvars, d, ring.weights)
+                it = monomials_of_degree(ring.nvars, d)
             for m in it:
                 if not any(mono_divides(g, m) for g in per_comp[comp]):
                     total += 1
@@ -275,7 +265,7 @@ def hilbert_value_bruteforce(M, at):
         else:
             d = at - shift
             if d >= 0:
-                for m in monomials_of_degree(ring.nvars, d, ring.weights):
+                for m in monomials_of_degree(ring.nvars, d):
                     basis.append((c, m))
     index = {t: k for k, t in enumerate(basis)}
     rows = []
@@ -288,7 +278,7 @@ def hilbert_value_bruteforce(M, at):
             d = at - dg
             if d < 0:
                 continue
-            mults = monomials_of_degree(ring.nvars, d, ring.weights)
+            mults = monomials_of_degree(ring.nvars, d)
         for alpha in mults:
             row = [ring.field.zero] * len(basis)
             ok = True
@@ -337,14 +327,13 @@ def _rank(rows, field):
 def _pole(pres):
     """(k, h) with hilbert_numerator(pres) = (1 - t)^k * h and h(1) != 0;
     h is empty for the zero module.  Each component's series has a positive
-    leading coefficient at its own pole at t = 1, and a weight w contributes
-    1 + t + ... + t^(w-1) to the denominator, nonzero there, so the pole
-    order n - k is the largest component dimension: the Krull dimension
+    leading coefficient at its own pole at t = 1, so the pole order n - k
+    is the largest component dimension: the Krull dimension
     (Hilbert-Serre; Bruns and Herzog, Cohen-Macaulay Rings, 4.1)."""
     def build():
         k, h = 0, hilbert_numerator(pres)
         while h:
-            q = _divide_out(h, 1)
+            q = _divide_out(h)
             if q is None:
                 break
             k, h = k + 1, q
@@ -372,9 +361,7 @@ def _eventual(pres, bigraded, sums):
 
     Over (1 - t)^n a term c*t^a contributes c*C(k - a + n - 1, n - 1), and
     Vandermonde expands that as sum_l c*C(n - 1 - a, n - 1 - l)*C(k, l); a
-    bigraded term is the product of one such factor per axis.  A weight
-    w > 1 first divides 1 + t + ... + t^(w-1) out of the numerator; a
-    remainder means the Hilbert function is only a quasi-polynomial.
+    bigraded term is the product of one such factor per axis.
     """
     _check_grading(pres, bigraded)
     num = hilbert_numerator(pres, bigraded)
@@ -390,16 +377,6 @@ def _eventual(pres, bigraded, sums):
                 for r, cr in enumerate(col):
                     out[(l, r)] = out.get((l, r), 0) + cl * cr
         return NumericalPoly2(out)
-    for w in ring.weights:
-        if w > 1:
-            times = dict(num)       # num * (1 - t), then / (1 - t^w)
-            for a, c in num.items():
-                times[a + 1] = times.get(a + 1, 0) - c
-            num = _divide_out(times, w)
-            if num is None:
-                raise UnsupportedInputError(
-                    "the Hilbert function over weights %r is a quasi-polynomial"
-                    % (ring.weights,))
     n = ring.nvars - 1 + sums
     return NumericalPoly1([sum(c * binom(n - a, n - l) for a, c in num.items())
                            for l in range(n + 1)])
@@ -489,9 +466,9 @@ def classical_multiplicity(M, i):
 
 def h_vector(M):
     """Numerator of the Hilbert series of coker(M) over (1 - t)^dim, as a
-    map degree -> coefficient, over a ring of weights one.  It is the
-    Hilbert series of M/zM for a linear regular sequence z, so no entry is
-    negative when M is Cohen-Macaulay."""
+    map degree -> coefficient.  It is the Hilbert series of M/zM for a
+    linear regular sequence z, so no entry is negative when M is
+    Cohen-Macaulay."""
     return _pole(as_presentation(M))[1]
 
 
@@ -501,64 +478,4 @@ def artinian_length(M):
     Valid for inhomogeneous relations too (Macaulay's basis theorem needs
     no grading)."""
     pres = as_presentation(M)
-    return series_length(hilbert_numerator(pres), pres.ring.weights)
-
-
-# ---------------------------------------------------------------------------
-# Hilbert-Samuel by truncated linear algebra (no Groebner bases)
-
-def hilbert_samuel(M, k):
-    """Length of coker(M)/m^{k+1} coker(M) by exact rank computation.
-
-    Works for inhomogeneous relations; used for local multiplicities of
-    corpus items like plane-curve germs.
-    """
-    pres = as_presentation(M)
-    ring = pres.ring
-    basis = []
-    for c in range(pres.rank):
-        for d in range(k + 1):
-            for m in monomials_of_degree(ring.nvars, d):
-                basis.append((c, m))
-    index = {t: i for i, t in enumerate(basis)}
-    rows = []
-    for col in pres.columns:
-        low = min(sum(m) for (_, m) in col.terms)    # m-adic order
-        for d in range(k + 1 - low):
-            for alpha in monomials_of_degree(ring.nvars, d):
-                row = [ring.field.zero] * len(basis)
-                nonzero = False
-                for (c, m), v in col.terms.items():
-                    mm = tuple(a + b for a, b in zip(alpha, m))
-                    t = (c, mm)
-                    if t in index:
-                        row[index[t]] = row[index[t]] + v
-                        nonzero = True
-                if nonzero and any(row):
-                    rows.append(row)
-    return len(basis) - _rank(rows, ring.field)
-
-
-def samuel_multiplicity(M):
-    """Samuel multiplicity at the origin: stabilized top coefficient of
-    k -> length(M/m^{k+1}M), with an interpolation certificate."""
-    pres = as_presentation(M)
-    n = pres.ring.nvars
-    values = {}
-
-    def val(k):
-        if k not in values:
-            values[k] = hilbert_samuel(pres, k)
-        return values[k]
-
-    for start in range(0, SAMUEL_MAX_K):
-        width = n + 1 + WINDOW
-        if start + width > SAMUEL_MAX_K + 1:
-            break
-        pts = list(range(start, start + width))
-        poly = interpolate_poly1([val(p) for p in pts[:n + 1]], start)
-        if all(poly(p) == val(p) for p in pts):
-            cert = StabilizationCertificate((start,), WINDOW, pts)
-            return poly.top_coefficient(), poly.degree, cert
-    raise ResourceLimitError("Hilbert-Samuel function did not stabilize by k=%d"
-                             % SAMUEL_MAX_K)
+    return series_length(hilbert_numerator(pres), pres.ring.nvars)

@@ -64,37 +64,10 @@ class NumericalPoly1:
     def coefficient(self, i):
         return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
 
-    def top_coefficient(self):
-        return self.coeffs[-1] if self.coeffs else 0
-
     def __repr__(self):
         if not self.coeffs:
             return "NumericalPoly1(0)"
         return "NumericalPoly1(%s)" % (list(self.coeffs),)
-
-
-def interpolate_poly1(values, base):
-    """Numerical polynomial through values given at base, base+1, ...
-
-    Newton forward differences at the base point, converted back to the
-    centered binomial basis; exact over the integers.
-    """
-    diffs = list(values)
-    newton = [diffs[0]]
-    for _ in range(len(values) - 1):
-        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
-        newton.append(diffs[0])
-    out = {}
-    for i, c in enumerate(newton):
-        if c == 0:
-            continue
-        # C(m - base, i) = sum_l C(-base, i - l) C(m, l)
-        for l in range(i + 1):
-            w = binom(-base, i - l)
-            if w:
-                out[l] = out.get(l, 0) + c * w
-    size = max(out) + 1 if out else 0
-    return NumericalPoly1([out.get(i, 0) for i in range(size)])
 
 
 class NumericalPoly2:

@@ -35,11 +35,6 @@ def mono_div(a, b):
 def mono_lcm(a, b):
     return tuple(map(max, a, b))
 
-def mono_degree(m, weights=None):
-    if weights is None:
-        return sum(m)
-    return sum(w * e for w, e in zip(weights, m))
-
 def minimal_monomials(monos):
     """The minimal elements under divisibility, in ascending lex order.  A
     proper divisor has strictly lower total degree, so the distinct
@@ -70,18 +65,18 @@ def deg_add(a, b):
 class RingDescriptor:
     """Named variables plus a grading tag and a coefficient field.
 
-    The grading is either a weight per variable (graded case, weights
-    default to 1) or a bidegree tag (1,0)/(0,1) per variable (bigraded
-    case, partitioning the variables into an x-block and a y-block).
+    The grading is either standard (every variable of degree 1) or a
+    bidegree tag (1,0)/(0,1) per variable (bigraded case, partitioning the
+    variables into an x-block and a y-block, each standard graded).
     ``memo`` holds results that depend only on the ring and its grading,
     such as Hilbert numerators of monomial ideals; it lives and dies with
     the ring.
     """
 
-    __slots__ = ("names", "field", "weights", "bidegrees",
+    __slots__ = ("names", "field", "bidegrees",
                  "x_block", "y_block", "memo")
 
-    def __init__(self, names, field=QQ, weights=None, bidegrees=None):
+    def __init__(self, names, field=QQ, bidegrees=None):
         names = tuple(names)
         if not names:
             raise AlgebraError("a ring needs at least one variable")
@@ -96,6 +91,7 @@ class RingDescriptor:
         self.names = names
         self.field = field
         self.memo = {}
+        self.bidegrees = self.x_block = self.y_block = None
         if bidegrees is not None:
             bidegrees = tuple(tuple(b) for b in bidegrees)
             if len(bidegrees) != len(names):
@@ -107,24 +103,12 @@ class RingDescriptor:
             self.y_block = tuple(i for i, b in enumerate(bidegrees) if b == (0, 1))
             if not self.x_block or not self.y_block:
                 raise AlgebraError("bigraded ring needs both an x-block and a y-block")
-            self.weights = tuple(1 for _ in names)
-        else:
-            if weights is None:
-                weights = tuple(1 for _ in names)
-            else:
-                weights = tuple(int(w) for w in weights)
-                if len(weights) != len(names) or any(w <= 0 for w in weights):
-                    raise AlgebraError("weights must be positive, one per variable")
-            self.weights = weights
-            self.bidegrees = None
-            self.x_block = None
-            self.y_block = None
 
     @classmethod
-    def graded(cls, names, field=QQ, weights=None):
+    def graded(cls, names, field=QQ):
         if isinstance(names, str):
             names = [n.strip() for n in names.split(",") if n.strip()]
-        return cls(names, field=field, weights=weights)
+        return cls(names, field=field)
 
     @classmethod
     def bigraded(cls, x_names, y_names, field=QQ):
@@ -145,8 +129,8 @@ class RingDescriptor:
         return self.bidegrees is not None
 
     def degree(self, m):
-        """Weighted total degree of an exponent tuple."""
-        return mono_degree(m, self.weights)
+        """Total degree of an exponent tuple."""
+        return sum(m)
 
     def bidegree(self, m):
         if not self.is_bigraded:
@@ -188,7 +172,7 @@ class RingDescriptor:
         return Polynomial(self, {exps: c})
 
     def signature(self):
-        return (self.names, repr(self.field), self.weights, self.bidegrees)
+        return (self.names, repr(self.field), self.bidegrees)
 
     def __eq__(self, other):
         return self is other or (isinstance(other, RingDescriptor)
@@ -202,10 +186,7 @@ class RingDescriptor:
             xs = ",".join(self.names[i] for i in self.x_block)
             ys = ",".join(self.names[i] for i in self.y_block)
             return "%s[%s;%s]" % (self.field, xs, ys)
-        if all(w == 1 for w in self.weights):
-            return "%s[%s]" % (self.field, ",".join(self.names))
-        pairs = ",".join("%s:%d" % (n, w) for n, w in zip(self.names, self.weights))
-        return "%s[%s]" % (self.field, pairs)
+        return "%s[%s]" % (self.field, ",".join(self.names))
 
 
 class Polynomial:
@@ -335,7 +316,7 @@ class Polynomial:
         return self.leading_term(order)[0]
 
     def degree(self):
-        """Weighted total degree; -1 for the zero polynomial."""
+        """Total degree; -1 for the zero polynomial."""
         if not self.terms:
             return -1
         return max(self.ring.degree(m) for m in self.terms)

@@ -7,13 +7,16 @@ from operator import mul, neg
 from arithdeg.adeg import gmult
 from arithdeg.constructions import relative_length
 from arithdeg.errors import (AlgebraError, InternalConsistencyError,
-                             RingMismatchError, WrongOracleError)
+                             ResourceLimitError, RingMismatchError,
+                             WrongOracleError)
 from arithdeg.groebner import (IdealHandle, _caps, eliminate, extended_ring,
                                fresh_names, ideal_power, ideal_product,
                                ideal_sum, inject, maximal_ideal, project)
-from arithdeg.hilbert import (artinian_length, as_presentation, hilbert_value,
-                              monomial_numerator, series_length)
+from arithdeg.hilbert import (WINDOW, _rank, artinian_length, as_presentation,
+                              hilbert_value, monomial_numerator,
+                              monomials_of_degree, series_length)
 from arithdeg.monomials import minimal_generators
+from arithdeg.numerical import NumericalPoly1, StabilizationCertificate, binom
 from arithdeg.orders import TermOrder
 from arithdeg.rings import (minimal_monomials, mono_divides, mono_lcm,
                             mono_mul)
@@ -112,6 +115,94 @@ def h11_direct(J, I, i, j):
         total += relative_length(upper, lower)
         ik = ik1
     return total
+
+
+# ---------------------------------------------------------------------------
+# Hilbert-Samuel by truncated linear algebra (no Groebner bases): the
+# reference for adeg's tangent-cone route on inhomogeneous primes
+
+SAMUEL_MAX_K = 24
+
+
+def interpolate_poly1(values, base):
+    """Numerical polynomial through values given at base, base+1, ...
+
+    Newton forward differences at the base point, converted back to the
+    centered binomial basis; exact over the integers.
+    """
+    diffs = list(values)
+    newton = [diffs[0]]
+    for _ in range(len(values) - 1):
+        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+        newton.append(diffs[0])
+    out = {}
+    for i, c in enumerate(newton):
+        if c == 0:
+            continue
+        # C(m - base, i) = sum_l C(-base, i - l) C(m, l)
+        for l in range(i + 1):
+            w = binom(-base, i - l)
+            if w:
+                out[l] = out.get(l, 0) + c * w
+    size = max(out) + 1 if out else 0
+    return NumericalPoly1([out.get(i, 0) for i in range(size)])
+
+
+def hilbert_samuel(M, k):
+    """Length of coker(M)/m^{k+1} coker(M) by exact rank computation.
+
+    Works for inhomogeneous relations, such as the plane-curve germs of
+    the corpus.
+    """
+    pres = as_presentation(M)
+    ring = pres.ring
+    basis = []
+    for c in range(pres.rank):
+        for d in range(k + 1):
+            for m in monomials_of_degree(ring.nvars, d):
+                basis.append((c, m))
+    index = {t: i for i, t in enumerate(basis)}
+    rows = []
+    for col in pres.columns:
+        low = min(sum(m) for (_, m) in col.terms)    # m-adic order
+        for d in range(k + 1 - low):
+            for alpha in monomials_of_degree(ring.nvars, d):
+                row = [ring.field.zero] * len(basis)
+                nonzero = False
+                for (c, m), v in col.terms.items():
+                    mm = tuple(a + b for a, b in zip(alpha, m))
+                    t = (c, mm)
+                    if t in index:
+                        row[index[t]] = row[index[t]] + v
+                        nonzero = True
+                if nonzero and any(row):
+                    rows.append(row)
+    return len(basis) - _rank(rows, ring.field)
+
+
+def samuel_multiplicity(M):
+    """Samuel multiplicity at the origin: stabilized top coefficient of
+    k -> length(M/m^{k+1}M), with an interpolation certificate."""
+    pres = as_presentation(M)
+    n = pres.ring.nvars
+    values = {}
+
+    def val(k):
+        if k not in values:
+            values[k] = hilbert_samuel(pres, k)
+        return values[k]
+
+    for start in range(0, SAMUEL_MAX_K):
+        width = n + 1 + WINDOW
+        if start + width > SAMUEL_MAX_K + 1:
+            break
+        pts = list(range(start, start + width))
+        poly = interpolate_poly1([val(p) for p in pts[:n + 1]], start)
+        if all(poly(p) == val(p) for p in pts):
+            cert = StabilizationCertificate((start,), WINDOW, pts)
+            return poly.coefficient(poly.degree), poly.degree, cert
+    raise ResourceLimitError("Hilbert-Samuel function did not stabilize by k=%d"
+                             % SAMUEL_MAX_K)
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +346,7 @@ def reference_monomial_cell_lengths(J, I, rect):
             num = dict(monomial_numerator(ring, lower))
             for d, c in monomial_numerator(ring, upper).items():
                 num[d] = num.get(d, 0) - c
-            yield (i, j), series_length(num, ring.weights)
+            yield (i, j), series_length(num, ring.nvars)
             upper = lower
         power = next_power
 

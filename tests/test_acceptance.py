@@ -22,12 +22,12 @@ from arithdeg.hilbert import (artinian_length, as_presentation,
 from arithdeg.corpus import build_corpus
 from arithdeg.modules import ext_presentation
 from arithdeg.monomials import decompose
-from arithdeg.numerical import NumericalPoly2, interpolate_poly1
+from arithdeg.numerical import NumericalPoly2
 from arithdeg.orders import DegRevLex
 from arithdeg.rings import RingDescriptor
 
 from helpers import (full_ring_prime_gmult, h11_direct, h11_table,
-                     is_zero_module)
+                     interpolate_poly1, is_zero_module)
 
 
 CORPUS_JSON_SHA256 = (
@@ -273,7 +273,7 @@ def _samuel_wrt_ideal(J, I, max_n=10):
         poly = interpolate_poly1(values[start:start + n + 1], start)
         window = values[start:start + n + 4]
         if all(poly(start + k) == window[k] for k in range(len(window))):
-            return poly.top_coefficient(), poly.degree
+            return poly.coefficient(poly.degree), poly.degree
     raise AssertionError("Samuel function did not stabilize")
 
 

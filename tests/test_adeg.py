@@ -16,10 +16,10 @@ from arithdeg.groebner import (IdealHandle, ideal_power, ideal_sum,
 from arithdeg.hilbert import (artinian_length, classical_multiplicity,
                               dimension, monomials_of_degree)
 from arithdeg.monomials import decompose
-from arithdeg.numerical import MultiplicityVector, interpolate_poly1
+from arithdeg.numerical import MultiplicityVector
 from arithdeg.rings import Polynomial, RingDescriptor
 
-from helpers import full_ring_prime_gmult
+from helpers import full_ring_prime_gmult, interpolate_poly1
 
 
 @pytest.fixture
@@ -68,7 +68,7 @@ def samuel_wrt_ideal(J, I, max_n=10):
         poly = interpolate_poly1(pts, start)
         window = values[start:start + n + 4]
         if all(poly(start + k) == window[k] for k in range(len(window))):
-            return poly.top_coefficient(), poly.degree
+            return poly.coefficient(poly.degree), poly.degree
     raise AssertionError("Samuel function did not stabilize")
 
 
@@ -529,8 +529,8 @@ def test_certificate_falls_back_when_the_length_exceeds_e(monkeypatch):
 
 
 def test_certificate_leaves_other_gradings_to_the_ext_route():
-    """Inhomogeneous, weighted and bigraded input gets no certificate: the
-    Ext route answers, or raises what it raises."""
+    """Inhomogeneous and bigraded input gets no certificate: the Ext route
+    answers, or raises what it raises."""
     R2 = RingDescriptor.graded("x,y")
     x, y = R2.gens()
     B = RingDescriptor.bigraded("x", "y")
@@ -542,12 +542,9 @@ def test_certificate_leaves_other_gradings_to_the_ext_route():
                            match="^vector %s is not homogeneous$"
                            % re.escape(text)):
             adeg_report_ext(I)
-    W = RingDescriptor.graded("x,y", weights=(1, 2))
-    wx, wy = W.gens()
-    for I, table in ((IdealHandle(W, [wx ** 2 - wy]), {0: 0, 1: 1, 2: 0}),
-                     (IdealHandle(B, [bx * by]), {0: 0, 1: 2, 2: 0})):
-        assert adeg_mod._cohen_macaulay_table(I) is None
-        assert adeg_report_ext(I).table() == table
+    I = IdealHandle(B, [bx * by])
+    assert adeg_mod._cohen_macaulay_table(I) is None
+    assert adeg_report_ext(I).table() == {0: 0, 1: 2, 2: 0}
 
 
 def test_verify_on_a_cohen_macaulay_side_builds_no_resolution(monkeypatch):

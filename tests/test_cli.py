@@ -194,6 +194,76 @@ def test_corpus_theorem_violation_exit_code(tmp_path, monkeypatch, capsys):
         assert "%s,verify J M,,ok,pass" % entry.identifier in table
 
 
+def _gone_cwd(tmp_path, monkeypatch):
+    """Change into a directory and delete it, so that no file can be
+    written into the current directory."""
+    gone = tmp_path / "gone"
+    gone.mkdir()
+    monkeypatch.chdir(gone)
+    gone.rmdir()
+
+
+def test_unwritable_reproducer_still_exits_2(tmp_path, monkeypatch, capsys):
+    """A theorem violation whose reproducer cannot be written still exits
+    2, in `run` and in `corpus`, and says that no reproducer was
+    written."""
+    import arithdeg.cli as cli_mod
+    from arithdeg.corpus import build_corpus
+    src = tmp_path / "v.ses"
+    src.write_text("ring S=Q[x];\nideal J=0;\nideal I=x^2;\ntask verify J I;\n")
+    first = build_corpus()[0]
+    monkeypatch.setattr(cli_mod, "build_corpus", lambda: [first])
+    _gone_cwd(tmp_path, monkeypatch)
+    for argv, label, tail in (
+            (["run", "-i", str(src)], "run",
+             "theorem violation (implementation bug): adeg_1 inequality "
+             "fails (forced)\nno reproducer written\n"),
+            (["corpus"], first.identifier,
+             "theorem violation in %s (bug); no reproducer written\n"
+             % first.identifier)):
+        _violating_verify(monkeypatch)
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("cannot write theorem-violation-%s.ses: "
+                              % label), err
+        assert err.endswith(tail), err
+        assert err.count("\n") == tail.count("\n") + 1
+
+
+def test_run_unwritable_json_exits_1(tmp_path, capsys):
+    """`run --json` into a directory that does not exist says so and exits
+    1, with no traceback."""
+    src = tmp_path / "s.ses"
+    src.write_text(SCRIPT)
+    out = tmp_path / "absent" / "out.json"
+    assert main(["run", "-i", str(src), "--json", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("cannot write %s: " % out)
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("flag", ["--json", "--csv"])
+def test_corpus_unwritable_output_exits_1(tmp_path, monkeypatch, capsys,
+                                          flag):
+    """`corpus --json` or `--csv` into a directory that does not exist
+    says so and exits 1, after the run's summary; the other output is
+    still written."""
+    import arithdeg.cli as cli_mod
+    from arithdeg.corpus import build_corpus
+    first = build_corpus()[0]
+    monkeypatch.setattr(cli_mod, "build_corpus", lambda: [first])
+    bad = tmp_path / "absent" / "out"
+    good = tmp_path / "out"
+    other = "--csv" if flag == "--json" else "--json"
+    assert main(["corpus", flag, str(bad), other, str(good)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "corpus: 1 entries, 1 passed, 0 failed\n"
+    assert captured.err.startswith("cannot write %s: " % bad)
+    assert captured.err.count("\n") == 1
+    assert good.read_text()
+
+
 def test_max_deg_zero_is_a_cap(tmp_path):
     """--max-deg 0 caps the run at degree 0, as `option max_degree 0;`
     does, rather than leaving it uncapped; a negative cap is rejected when

@@ -26,7 +26,8 @@ from arithdeg.rings import (Polynomial, RingDescriptor, mono_divides,
                             mono_mul)
 
 from helpers import (bifiltration_length, h11_direct, h11_table,
-                     reference_monomial_cell_lengths, saturate)
+                     hilbert_samuel, reference_monomial_cell_lengths,
+                     saturate)
 
 
 @pytest.fixture
@@ -425,7 +426,6 @@ def test_bifiltration_stabilizes_to_length(R):
 
 
 def test_bifiltration_hilbert_samuel_consistency(R):
-    from arithdeg.hilbert import hilbert_samuel
     x, y = R.gens()
     J = IdealHandle(R, [y ** 2 - x ** 3])
     I = maximal_ideal(R)

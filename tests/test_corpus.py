@@ -13,7 +13,7 @@ from arithdeg.runner import execute_script
 from arithdeg.session import parse_session
 
 from helpers import (ReferenceDecomposition, reference_dimension,
-                     reference_monomial_cell_lengths)
+                     reference_monomial_cell_lengths, samuel_multiplicity)
 
 
 def test_corpus_size_and_unique_ids():
@@ -202,3 +202,26 @@ def test_every_monomial_gate_walk_of_a_corpus_pass_matches_the_reference(
                         checked_walk)
     assert main(["corpus", "--json", str(tmp_path / "corpus.json")]) == 0
     assert len(checked) > 50 and sum(checked) > 1000
+
+
+def test_every_samuel_table_of_a_corpus_pass_matches_the_reference(
+        monkeypatch, tmp_path):
+    """Each "samuel" table a corpus run builds (the Samuel multiplicity of
+    a prime inhomogeneous quotient, off its tangent cone) holds the
+    reference's interpolated (e, d): e at d and 0 elsewhere."""
+    quotient = adeg_mod._adeg_of_ring_quotient
+    checked = []
+
+    def checked_quotient(J, meta):
+        table, provenance = quotient(J, meta)
+        if provenance == "samuel":
+            e, d, _cert = samuel_multiplicity(J)
+            assert table == {i: e if i == d else 0 for i in table}, J
+            assert table[d] == e, J
+            checked.append((e, d))
+        return table, provenance
+
+    for mod in (adeg_mod, runner_mod):
+        monkeypatch.setattr(mod, "_adeg_of_ring_quotient", checked_quotient)
+    assert main(["corpus", "--json", str(tmp_path / "corpus.json")]) == 0
+    assert len(checked) >= 5 and {e for e, _ in checked} >= {1, 2}

@@ -4,19 +4,20 @@ import random
 
 import pytest
 
-from arithdeg.errors import HomogeneityError, UnsupportedInputError
+from arithdeg.constructions import initial_forms_ideal
+from arithdeg.errors import HomogeneityError
 from arithdeg.groebner import IdealHandle
 from arithdeg.hilbert import (artinian_length, classical_multiplicity,
                               count_monomials, cumulative_polynomial, dimension,
                               ee_vector, h11_polynomial, hilbert_polynomial,
-                              hilbert_samuel, hilbert_value,
-                              hilbert_value_bruteforce, monomials_of_degree,
-                              samuel_multiplicity)
+                              hilbert_value, hilbert_value_bruteforce,
+                              monomials_of_degree)
 from arithdeg.modules import ModulePresentation, Vec, ext_presentation
 from arithdeg.numerical import MultiplicityVector
 from arithdeg.rings import MAX_VARIABLES, Polynomial, RingDescriptor
 
-from helpers import h11_table, reference_dimension
+from helpers import (h11_table, hilbert_samuel, reference_dimension,
+                     samuel_multiplicity)
 
 
 @pytest.fixture
@@ -43,8 +44,6 @@ def test_hilbert_value_staircase(R):
 @pytest.mark.parametrize("make_rings, at", [
     (lambda: (RingDescriptor.bigraded("x", "y,z"),
               RingDescriptor.bigraded("x,y", "z")), (1, 0)),
-    (lambda: (RingDescriptor.graded("x,y"),
-              RingDescriptor.graded("x,y", weights=(1, 2))), 3),
 ])
 @pytest.mark.parametrize("first", [0, 1])
 def test_hilbert_value_same_generators_other_grading(make_rings, at, first):
@@ -56,11 +55,10 @@ def test_hilbert_value_same_generators_other_grading(make_rings, at, first):
         assert hilbert_value(I, at) == hilbert_value_bruteforce(I, at) == 1
 
 
-@pytest.mark.parametrize("weights", [(1, 2), (2, 3, 1), (3, 1, 1, 2), (2, 2)])
-def test_count_monomials_weighted(weights):
-    for d in range(-1, 12):
-        assert count_monomials(weights, d) == len(
-            list(monomials_of_degree(len(weights), d, weights)))
+def test_count_monomials():
+    for n in range(1, 5):
+        for d in range(-1, 12):
+            assert count_monomials(n, d) == len(list(monomials_of_degree(n, d)))
 
 
 def test_hilbert_value_bigraded_free(B):
@@ -132,12 +130,10 @@ def _monomials(rng, n, count):
 
 
 def _sweep_rings(rng, n):
-    """A graded, a weighted and (from two variables on) a bigraded ring
-    in n variables."""
+    """A graded and (from two variables on) a bigraded ring in n
+    variables."""
     names = ["x%d" % k for k in range(n)]
-    rings = [RingDescriptor.graded(names),
-             RingDescriptor.graded(names, weights=[rng.randint(1, 3)
-                                                   for _ in names])]
+    rings = [RingDescriptor.graded(names)]
     if n > 1:
         cut = rng.randint(1, n - 1)
         rings.append(RingDescriptor.bigraded(names[:cut], names[cut:]))
@@ -146,8 +142,8 @@ def _sweep_rings(rng, n):
 
 def test_dimension_matches_the_subset_walk_on_monomial_ideals():
     """The pole order of the Hilbert series equals the subset walk on random
-    monomial ideals up to the variable cap, over graded, weighted and
-    bigraded rings, with (0) and (1) in every ring."""
+    monomial ideals up to the variable cap, over graded and bigraded
+    rings, with (0) and (1) in every ring."""
     rng = random.Random(27)
     seen = set()
     for n in range(1, MAX_VARIABLES + 1):
@@ -164,7 +160,7 @@ def test_dimension_matches_the_subset_walk_on_monomial_ideals():
 
 def test_dimension_matches_the_subset_walk_on_modules():
     """Shifted presentations of rank two and more, and the Ext modules of
-    random monomial quotients, over graded, weighted and bigraded rings:
+    random monomial quotients, over graded and bigraded rings:
     each component's pole sits at t = 1 whatever its shift, so the largest
     one wins."""
     rng = random.Random(7)
@@ -314,26 +310,83 @@ def test_hilbert_samuel_cusp(R):
     assert (e, d) == (2, 1)
 
 
-@pytest.mark.parametrize("weights, gens, values, samuel", [
-    ((1, 2), lambda x, y: [y], [1, 2, 3, 4, 5, 6, 7], (1, 1)),
-    ((2, 3), lambda x, y: [y ** 2 - x ** 3], [1, 3, 5, 7, 9, 11, 13], (2, 1)),
+def _tangent_cone_multiplicity(J):
+    """(e, d) of the tangent cone gr_m(S/J): adeg's "samuel" route."""
+    tc = initial_forms_ideal(J, range(J.ring.nvars))
+    d = dimension(tc)
+    return classical_multiplicity(tc, d), d
+
+
+@pytest.mark.parametrize("gens, values, samuel", [
+    (lambda x, y: [y], [1, 2, 3, 4, 5, 6, 7], (1, 1)),
+    (lambda x, y: [y ** 2 - x ** 3], [1, 3, 5, 7, 9, 11, 13], (2, 1)),
 ], ids=["line", "cusp"])
-def test_hilbert_samuel_ignores_weights(weights, gens, values, samuel):
-    """Hilbert-Samuel lengths are m-adic, so the grading does not enter:
-    weighted and unweighted rings give the same lengths and (e, d)."""
-    for w in (None, weights):
-        ring = RingDescriptor.graded("x,y", weights=w)
-        M = IdealHandle(ring, gens(*ring.gens()))
-        assert [hilbert_samuel(M, k) for k in range(7)] == values
-        assert samuel_multiplicity(M)[:2] == samuel
+def test_hilbert_samuel_of_a_line_and_a_cusp(R, gens, values, samuel):
+    """The reference's lengths and (e, d), and the tangent cone's (e, d)."""
+    M = IdealHandle(R, gens(*R.gens()))
+    assert [hilbert_samuel(M, k) for k in range(7)] == values
+    assert samuel_multiplicity(M)[:2] == samuel
+    assert _tangent_cone_multiplicity(M) == samuel
 
 
-def test_samuel_vs_tangent_cone(R):
-    from arithdeg.constructions import initial_forms_ideal
-    x, y = R.gens()
-    cusp = IdealHandle(R, [y ** 2 - x ** 3])
-    tc = initial_forms_ideal(cusp, range(R.nvars))
-    assert classical_multiplicity(tc, 1) == 2
+def _random_poly(rng, ring, low, high, constant=0):
+    """A polynomial with the given constant term and one to three further
+    terms of total degree low..high, coefficients in -3..3 but 0."""
+    f = ring.constant(constant)
+    for _ in range(rng.randint(1, 3)):
+        m = rng.choice(list(monomials_of_degree(ring.nvars,
+                                                rng.randint(low, high))))
+        f = f + ring.monomial(m, rng.choice([-3, -2, -1, 1, 2, 3]))
+    return f
+
+
+def _samuel_sweep(rng):
+    """Seeded inhomogeneous ideals in two and three variables, as
+    (kind, generators): primes through the origin and away from it, and
+    non-primes with components at the origin, away from it, or both."""
+    R2 = RingDescriptor.graded("x,y")
+    R3 = RingDescriptor.graded("x,y,z")
+    x, y = R2.gens()
+    u, v, w = R3.gens()
+    out = []
+    for _ in range(4):
+        a = rng.choice([2, 3])
+        b = rng.choice([k for k in range(a + 1, 8) if k % a])
+        c = rng.choice([0, 0, 1, -2])
+        # y^a - x^b is irreducible for coprime a, b; the graphs are
+        # coordinate rings of a line (of a plane) over k
+        out.append(("prime", [(y + c) ** a - x ** b]))
+        out.append(("prime", [y - _random_poly(rng, R2, 1, 3, c)]))
+        curve = [R3.constant(c) + sum((rng.choice([-2, -1, 1, 2]) * u ** k
+                                       for k in range(1, rng.randint(2, 4))),
+                                      R3.zero()) for _ in range(2)]
+        out.append(("prime", [v - curve[0], w - curve[1]]))
+        out.append(("prime", [w - _random_poly(rng, R3, 1, 3, c)]))
+        # non-primes: a germ times a unit at the origin, two branches, a
+        # fat point, and a curve with a point away from the origin
+        f = y ** a - x ** b + _random_poly(rng, R2, b + 1, b + 2)
+        away = _random_poly(rng, R2, 1, 2, rng.choice([1, -1, 2]))
+        g = y - _random_poly(rng, R2, 1, 2)
+        out.append(("germ and a component away", [f * away]))
+        out.append(("two branches", [f * g]))
+        out.append(("no component at the origin", [away * (away - 3)]))
+        out.append(("fat point", [f, g ** 2 - _random_poly(rng, R2, 3, 4)]))
+        h = w - _random_poly(rng, R3, 2, 3)
+        out.append(("surface germ and a line away", [h * (u - 1), h * v]))
+    return out
+
+
+def test_samuel_vs_tangent_cone():
+    """e(m, S/J) = e(gr_m(S/J)): the tangent cone's (e, d) equals the
+    reference's interpolated Hilbert-Samuel top coefficient, on seeded
+    inhomogeneous ideals, prime or not, through the origin or not."""
+    seen = set()
+    for kind, gens in _samuel_sweep(random.Random(32)):
+        J = IdealHandle(gens[0].ring, gens)
+        e, d = samuel_multiplicity(J)[:2]
+        assert _tangent_cone_multiplicity(J) == (e, d), (kind, gens)
+        seen.add(d)
+    assert seen == {-1, 0, 1, 2}
 
 
 def test_artinian_length(R):
@@ -381,18 +434,3 @@ def test_h11_polynomial_matches_table():
     table = h11_table(J, 15, 15)
     for at in ((14, 15), (15, 15)):
         assert P(*at) == table[at]
-
-
-def test_weighted_ring_polynomials():
-    W = RingDescriptor.graded("x,y,z", weights=(1, 2, 3))
-    x, y, z = W.gens()
-    M = IdealHandle(W, [x ** 2, y ** 2, z])
-    assert artinian_length(M) == 4
-    assert classical_multiplicity(M, 0) == 4
-    P, cert = hilbert_polynomial(M)
-    assert P.is_zero() and cert.thresholds == (9,)
-    P, cert = hilbert_polynomial(IdealHandle(W, [y ** 3 - z ** 2]))
-    assert P.coeffs == (0, 1) and cert.thresholds == (11,)
-    # k[y, z] with weights 2 and 3: a quasi-polynomial
-    with pytest.raises(UnsupportedInputError):
-        hilbert_polynomial(IdealHandle(W, [x]))

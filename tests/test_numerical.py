@@ -5,7 +5,9 @@ from hypothesis import given, settings, strategies as st
 
 from arithdeg.errors import AlgebraError
 from arithdeg.numerical import (MultiplicityVector, NumericalPoly1,
-                                NumericalPoly2, binom, interpolate_poly1)
+                                NumericalPoly2, binom)
+
+from helpers import interpolate_poly1
 
 
 def test_binom_generalized():
