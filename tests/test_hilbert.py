@@ -61,6 +61,23 @@ def test_count_monomials():
             assert count_monomials(n, d) == len(list(monomials_of_degree(n, d)))
 
 
+@pytest.mark.parametrize("weights", [(1, 2), (2, 3, 1), (3, 1, 1, 2), (2, 2)])
+def test_count_monomials_weighted(weights):
+    """Weights are refused, not silently dropped: every ring is standard
+    graded, so the free module in len(weights) variables counts all
+    monomials of each total degree."""
+    names = ["x%d" % i for i in range(len(weights))]
+    with pytest.raises(TypeError):
+        RingDescriptor.graded(names, weights=weights)
+    with pytest.raises(TypeError):
+        RingDescriptor(names, weights=weights)
+    free = IdealHandle(RingDescriptor.graded(names), [])
+    n = len(weights)
+    for d in range(-1, 12):
+        assert hilbert_value(free, d) == count_monomials(n, d) == len(
+            list(monomials_of_degree(n, d)))
+
+
 def test_hilbert_value_bigraded_free(B):
     free = IdealHandle(B, [])
     assert all(hilbert_value(free, (i, j)) == 1 for i in range(4) for j in range(4))
