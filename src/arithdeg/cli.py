@@ -10,9 +10,11 @@
 for ``run``, per entry for ``corpus``.
 
 Exit codes: 0 success, 1 usage or parse errors or a file that cannot be
-read or written, 2 theorem violation (an implementation bug: a reproducer
-script, theorem-violation-<label>.ses, is written into the current
-directory when it can be), 3 resource cap exceeded.
+read or written, 2 theorem violation or internal consistency failure (two
+independent routes disagreed): either is an implementation bug, and a
+reproducer script, theorem-violation-<label>.ses or
+internal-consistency-failure-<label>.ses, is written into the current
+directory when it can be; 3 resource cap exceeded.
 """
 
 import argparse
@@ -21,8 +23,9 @@ import sys
 import time
 
 from .corpus import build_corpus
-from .errors import (AlgebraError, ResourceLimitError, SessionSyntaxError,
-                     NameResolutionError, TheoremViolationError)
+from .errors import (AlgebraError, InternalConsistencyError,
+                     NameResolutionError, ResourceLimitError,
+                     SessionSyntaxError, TheoremViolationError)
 from .runner import execute_script, ideal_handles
 from .orders import ORDERS
 from .session import parse_session
@@ -53,9 +56,21 @@ def _dump_json(data, path):
     return _write_text(path, text)
 
 
+# the errors that signal an implementation bug
+BUGS = (TheoremViolationError, InternalConsistencyError)
+
+
+def _bug_name(err):
+    return ("theorem violation" if isinstance(err, TheoremViolationError)
+            else "internal consistency failure")
+
+
 def _write_reproducer(script_text, label, err):
-    """The reproducer's path, or None when it cannot be written."""
-    path = "theorem-violation-%s.ses" % label.replace("/", "_").replace(",", "-")
+    """The reproducer's path, or None when it cannot be written: named
+    after the kind of bug, theorem-violation-<label>.ses or
+    internal-consistency-failure-<label>.ses."""
+    path = "%s-%s.ses" % (_bug_name(err).replace(" ", "-"),
+                          label.replace("/", "_").replace(",", "-"))
     text = "# reproducer: %s\n%s" % (err, script_text)
     return path if _write_text(path, text) else None
 
@@ -79,9 +94,10 @@ def cmd_run(args):
     try:
         result = execute_script(script, order_name=args.order,
                                 collect_timings=args.timings)
-    except TheoremViolationError as exc:
+    except BUGS as exc:
         path = _write_reproducer(text, "run", exc)
-        print("theorem violation (implementation bug): %s" % exc, file=sys.stderr)
+        print("%s (implementation bug): %s" % (_bug_name(exc), exc),
+              file=sys.stderr)
         print("reproducer written to %s" % path if path else
               "no reproducer written", file=sys.stderr)
         return EXIT_THEOREM
@@ -193,10 +209,10 @@ def cmd_corpus(args):
         diagnostics = ""
         try:
             result, failures = _run_entry(entry)
-        except TheoremViolationError as exc:
+        except BUGS as exc:
             error = str(exc)
             if violation is None:
-                violation = (entry, error)
+                violation = (entry, exc)
         except ResourceLimitError as exc:
             error = str(exc)
             diagnostics = " ".join("%s=%s" % kv
@@ -264,10 +280,11 @@ def cmd_corpus(args):
             print("  FAIL %s: %s" % (e["id"], e.get("error")
                                      or "; ".join(e["expected_failures"])))
     if violation is not None:
-        entry, message = violation
-        path = _write_reproducer(entry.script_text, entry.identifier, message)
-        print("theorem violation in %s (bug); %s"
-              % (entry.identifier, "reproducer at %s" % path if path else
+        entry, exc = violation
+        path = _write_reproducer(entry.script_text, entry.identifier, exc)
+        print("%s in %s (bug); %s"
+              % (_bug_name(exc), entry.identifier,
+                 "reproducer at %s" % path if path else
                  "no reproducer written"), file=sys.stderr)
         return EXIT_THEOREM
     if resource is not None:
@@ -283,7 +300,8 @@ def cmd_check(args):
     free resolutions against Hilbert functions and of Ext modules against
     their dualised resolutions, the numerator's sum
     transform against brute-force counts, the GG gate's two walks against
-    each other, the Rees kernel against the substitution into S[t], GG
+    each other, the handle walk with I = m against the tangent cone's
+    Hilbert function, the Rees kernel against the substitution into S[t], GG
     against gr_I's initial forms, and ladeg's GG of a coordinate prime over
     the coordinate ring against its build in S."""
     import random
@@ -420,6 +438,27 @@ def cmd_check(args):
         assert (list(monomial_cell_lengths(J, I, rect))
                 == list(cell_lengths(J, I, rect)))
     print("GG gate walks: ok (5 random monomial pairs, antichains = handles)")
+
+    # the handle walk for I = m against the tangent cone: gr_m(S/J)_j is
+    # (J + m^j)/(J + m^(j+1)), the Hilbert function of S/J* at j for J*
+    # the ideal of lowest forms, at (0, j); 0 at i > 0
+    cone_rng = random.Random(43)
+    origin = R.zero_mono()
+
+    def rand_origin_poly(rng):
+        f = rand_poly(R, rng)
+        return f - R.monomial(origin, f.coefficient(origin))
+    for _ in range(3):
+        J = IdealHandle(R, [])
+        while J.is_homogeneous():
+            J = IdealHandle(R, [rand_origin_poly(cone_rng)
+                                for _ in range(cone_rng.randint(1, 2))])
+        cone = initial_forms_ideal(J, range(R.nvars))
+        assert all(length == (hilbert_value(cone, j) if i == 0 else 0)
+                   for (i, j), length in cell_lengths(J, maximal_ideal(R),
+                                                      gate_rectangle(J)))
+    print("GG gate handle walk: ok (3 random inhomogeneous J with I = m, "
+          "tangent-cone Hilbert function)")
 
     # the Rees kernel's substitution check (run inside rees_kernel, against
     # J) against the substitution y_j -> t*f_j into S[t] modulo J*S[t]

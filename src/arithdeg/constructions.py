@@ -248,8 +248,9 @@ def _gate_gg_hilbert(gg, rect):
 
     Monomial J and I count each length on antichains of exponent tuples
     (monomial_cell_lengths); any other input walks IdealHandles
-    (cell_lengths), which checks that each lower ideal lies inside its
-    upper one.
+    (cell_lengths), which checks that each lower ideal it builds lies
+    inside its upper one and ends a row, with zeros, once the cells are
+    0.  Every cell of the rectangle is compared, built or not.
     """
     J, I = gg.J, gg.I
     walk = (monomial_cell_lengths if J.is_monomial() and I.is_monomial()
@@ -269,24 +270,32 @@ def cell_lengths(J, I, rect):
 
     The upper ideal of cell (i, j) is J + m^i*I^j + I^(j+1) and its lower
     ideal J + m^(i+1)*I^j + I^(j+1).  Each row j walks the chain m^i*I^j,
-    m^(i+1)*I^j = m*(m^i*I^j), ... on top of J + I^(j+1), built once per
-    row, so the lower ideal of cell (i, j) is the upper ideal of cell
-    (i+1, j), and every power and product is built once.
+    m^(i+1)*I^j = m*(m^i*I^j), ... on top of base = J + I^(j+1), built
+    once per row, so the lower ideal of cell (i, j) is the upper ideal of
+    cell (i+1, j), and every power and product is built once.  The upper
+    ideal of cell (0, j) is J + I^j, the previous row's base (the unit
+    ideal for row 0), whose basis and numerator are cached already.  Once
+    m^(i+1)*I^j lies in base, the lower ideal of cell (i, j) is base, and
+    so are both ideals of every later cell of the row: those cells have
+    length 0 and build nothing.  For I = m that happens at i = 0.
     """
     ring, caps = J.ring, _caps(J, I)
     m = maximal_ideal(ring, J, I)
-    power = IdealHandle(ring, [ring.one()], **caps)     # I^j
+    power = top = IdealHandle(ring, [ring.one()], **caps)  # I^j, J + I^j
     for j in range(rect[1] + 1):
         next_power = ideal_product(power, I)            # I^(j+1)
         base = ideal_sum(J, next_power)
-        chain = power                                   # m^i * I^j
-        upper = ideal_sum(chain, base)
+        chain, upper = power, top                       # m^i * I^j
         for i in range(rect[0] + 1):
             chain = ideal_product(m, chain)
-            lower = ideal_sum(chain, base)
+            lower = (base if base.contains_ideal(chain)
+                     else ideal_sum(chain, base))
             yield (i, j), relative_length(upper, lower)
+            if lower is base:
+                yield from (((k, j), 0) for k in range(i + 1, rect[0] + 1))
+                break
             upper = lower
-        power = next_power
+        top, power = base, next_power
 
 
 def monomial_cell_lengths(J, I, rect):

@@ -351,6 +351,33 @@ def reference_monomial_cell_lengths(J, I, rect):
         power = next_power
 
 
+def reference_cell_lengths(J, I, rect):
+    """The GG gate's cell lengths on IdealHandles, every cell computed by
+    relative_length: the reference for constructions.cell_lengths, which
+    ends each row once m^(i+1)*I^j lies in J + I^(j+1).
+
+    The upper ideal of cell (i, j) is J + m^i*I^j + I^(j+1) and its lower
+    ideal J + m^(i+1)*I^j + I^(j+1).  Each row j walks the chain m^i*I^j,
+    m^(i+1)*I^j = m*(m^i*I^j), ... on top of J + I^(j+1), built once per
+    row, so the lower ideal of cell (i, j) is the upper ideal of cell
+    (i+1, j), and every power and product is built once.
+    """
+    ring, caps = J.ring, _caps(J, I)
+    m = maximal_ideal(ring, J, I)
+    power = IdealHandle(ring, [ring.one()], **caps)     # I^j
+    for j in range(rect[1] + 1):
+        next_power = ideal_product(power, I)            # I^(j+1)
+        base = ideal_sum(J, next_power)
+        chain = power                                   # m^i * I^j
+        upper = ideal_sum(chain, base)
+        for i in range(rect[0] + 1):
+            chain = ideal_product(m, chain)
+            lower = ideal_sum(chain, base)
+            yield (i, j), relative_length(upper, lower)
+            upper = lower
+        power = next_power
+
+
 # ---------------------------------------------------------------------------
 # standard pairs and irreducible decomposition: the references for
 # monomials.standard_pairs and monomials.decompose

@@ -1,15 +1,21 @@
 """Arithmetic degrees (all flavors) and the verification harness."""
 
+import math
+import random
 import re
+import warnings
 
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
 import arithdeg.adeg as adeg_mod
+import arithdeg.constructions as constructions_mod
 from arithdeg.adeg import (adeg_graded, adeg_report_ext, adeg_report_monomial,
                            cached_gg, gmult, ladeg,
                            prune_coordinate_variables, verify)
-from arithdeg.errors import HomogeneityError, UnsupportedInputError
+from arithdeg.errors import (HomogeneityError, InternalConsistencyError,
+                             ResourceLimitError, TheoremViolationError,
+                             UnsupportedInputError)
 from arithdeg.fields import GF, QQ
 from arithdeg.groebner import (IdealHandle, ideal_power, ideal_sum,
                                maximal_ideal)
@@ -18,6 +24,8 @@ from arithdeg.hilbert import (artinian_length, classical_multiplicity,
 from arithdeg.monomials import decompose
 from arithdeg.numerical import MultiplicityVector
 from arithdeg.rings import Polynomial, RingDescriptor
+from arithdeg.runner import execute_script
+from arithdeg.session import parse_session
 
 from helpers import full_ring_prime_gmult, interpolate_poly1
 
@@ -322,6 +330,77 @@ def test_verify_graded_fixed_point(R):
     assert rec.lhs == rec.rhs
     assert rec.embedded_a == [0]
     assert rec.embedded_checked
+
+
+def _monomial_verify_scripts(rng, count):
+    """Seeded `verify J I` scripts: random monomial J and monomial I != m
+    in 2-3 variables, I equigenerated or of mixed degrees."""
+    for _ in range(count):
+        names = "xyz"[:rng.randint(2, 3)]
+        n = len(names)
+
+        def monomials(low, high, k):
+            return sorted({"*".join("%s^%d" % (v, e)
+                                    for v, e in zip(names, exps) if e)
+                           for exps in (rng.choice(list(monomials_of_degree(
+                               n, rng.randint(low, high))))
+                               for _ in range(k))})
+        J = monomials(2, 3, rng.randint(1, 3))
+        I = m = ["%s^1" % v for v in names]
+        while I == m:
+            low, high = rng.choice([(1, 1), (2, 2), (1, 3)])
+            I = monomials(low, high, rng.randint(1, 4))
+        yield ("ring S = Q[%s];\nideal J = %s;\nideal I = %s;\n"
+               "task verify J I;\n" % (",".join(names), ", ".join(J),
+                                        ", ".join(I)))
+
+
+def _germ_verify_scripts():
+    """`verify J M` for the curve germs y^a - x^b with gcd(a, b) = 1, at the
+    origin with I = m."""
+    for a in range(2, 6):
+        for b in range(2, 8):
+            if math.gcd(a, b) == 1:
+                yield ("ring S = Q[x,y];\nideal J = y^%d - x^%d;\n"
+                       "ideal M = x, y;\nmeta J prime;\n"
+                       "meta J origin_certified;\ntask verify J M;\n" % (a, b))
+
+
+def test_verify_fuzz_sweep(monkeypatch):
+    """`verify` end to end on 120 seeded monomial pairs and 15 curve germs,
+    which take the GG gate's walk on IdealHandles.  A theorem violation or
+    a failed internal consistency check fails the test with its script; a
+    resource cap is counted and reported as a warning; pairs whose gr_I is
+    not total-degree graded are counted as unsupported."""
+    walk = constructions_mod.cell_lengths
+    walked = []
+
+    def counted(J, I, rect):
+        walked.append(J)
+        return walk(J, I, rect)
+    monkeypatch.setattr(constructions_mod, "cell_lengths", counted)
+    rng = random.Random(34)
+    germs = list(_germ_verify_scripts())
+    verified, unsupported, capped = 0, 0, []
+    for script in list(_monomial_verify_scripts(rng, 120)) + germs:
+        try:
+            result = execute_script(parse_session(script))
+        except (TheoremViolationError, InternalConsistencyError) as exc:
+            pytest.fail("%s: %s\n%s" % (type(exc).__name__, exc, script))
+        except ResourceLimitError as exc:
+            capped.append((script, str(exc)))
+            continue
+        except UnsupportedInputError:
+            unsupported += 1
+            continue
+        assert result["results"][0]["result"]["passed"], script
+        verified += 1
+    if capped:
+        warnings.warn("verify sweep: %d of %d pairs hit a resource cap:\n%s"
+                      % (len(capped), 120 + len(germs),
+                         "\n".join("%s# %s" % c for c in capped)))
+    assert len(germs) == 15 and len({repr(J) for J in walked}) == 15
+    assert verified >= 120, (verified, unsupported, len(capped))
 
 
 def test_adeg_invariants(R):

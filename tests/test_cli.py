@@ -194,6 +194,61 @@ def test_corpus_theorem_violation_exit_code(tmp_path, monkeypatch, capsys):
         assert "%s,verify J M,,ok,pass" % entry.identifier in table
 
 
+CUSP_SCRIPT = ("ring S = Q[x,y];\nideal J = y^2 - x^3;\nideal M = x, y;\n"
+               "meta J prime;\nmeta J origin_certified;\ntask verify J M;\n")
+GATE_ERROR = "GG Hilbert gate fails at (1,1): presentation 1, direct 0"
+
+
+def _wrong_gg_cell(monkeypatch):
+    """A GG presentation off by one at (1, 1), where the cusp's GG for
+    I = m is 0: its Hilbert gate fails there."""
+    from arithdeg.constructions import BigradedPresentation
+    right = BigradedPresentation.hilbert
+    monkeypatch.setattr(BigradedPresentation, "hilbert",
+                        lambda gg, i, j: right(gg, i, j) + ((i, j) == (1, 1)))
+
+
+def test_gate_failure_exit_code(tmp_path, monkeypatch, capsys):
+    """A failed GG gate in `run` (two routes to the same Hilbert function
+    disagree) is an implementation bug: exit 2, and the reproducer named
+    after it is written into the current directory."""
+    src = tmp_path / "cusp.ses"
+    src.write_text(CUSP_SCRIPT)
+    monkeypatch.chdir(tmp_path)
+    _wrong_gg_cell(monkeypatch)
+    assert main(["run", "-i", str(src)]) == 2
+    reproducer = tmp_path / "internal-consistency-failure-run.ses"
+    assert reproducer.read_text() == (
+        "# reproducer: %s\n%s" % (GATE_ERROR, CUSP_SCRIPT))
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "internal consistency failure (implementation bug): %s\n"
+        "reproducer written to internal-consistency-failure-run.ses\n"
+        % GATE_ERROR)
+
+
+def test_corpus_gate_failure_exit_code(tmp_path, monkeypatch, capsys):
+    """A failed GG gate in a corpus entry exits 2, not 1 as a failed
+    expected value does, and writes that entry's reproducer."""
+    import arithdeg.cli as cli_mod
+    from arithdeg.corpus import lookup
+    cusp = lookup("wx-cusp3")
+    monkeypatch.setattr(cli_mod, "build_corpus", lambda: [cusp])
+    monkeypatch.chdir(tmp_path)
+    _wrong_gg_cell(monkeypatch)
+    assert main(["corpus"]) == 2
+    reproducer = tmp_path / "internal-consistency-failure-wx-cusp3.ses"
+    assert reproducer.read_text() == (
+        "# reproducer: %s\n%s" % (GATE_ERROR, cusp.script_text))
+    captured = capsys.readouterr()
+    assert captured.out == ("corpus: 1 entries, 0 passed, 1 failed\n"
+                            "  FAIL wx-cusp3: %s\n" % GATE_ERROR)
+    assert captured.err == (
+        "internal consistency failure in wx-cusp3 (bug); reproducer at "
+        "internal-consistency-failure-wx-cusp3.ses\n")
+
+
 def _gone_cwd(tmp_path, monkeypatch):
     """Change into a directory and delete it, so that no file can be
     written into the current directory."""

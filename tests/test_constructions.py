@@ -10,8 +10,8 @@ import pytest
 import arithdeg.constructions as constructions_mod
 import arithdeg.groebner as groebner_mod
 from arithdeg.constructions import (BigradedPresentation, ReesPresentation,
-                                    assoc_graded, gg_presentation,
-                                    initial_forms_ideal,
+                                    assoc_graded, cell_lengths,
+                                    gg_presentation, initial_forms_ideal,
                                     monomial_cell_lengths, rees_kernel,
                                     relative_length)
 from arithdeg.errors import (AlgebraError, InternalConsistencyError,
@@ -26,8 +26,8 @@ from arithdeg.rings import (Polynomial, RingDescriptor, mono_divides,
                             mono_mul)
 
 from helpers import (bifiltration_length, h11_direct, h11_table,
-                     hilbert_samuel, reference_monomial_cell_lengths,
-                     saturate)
+                     hilbert_samuel, reference_cell_lengths,
+                     reference_monomial_cell_lengths, saturate)
 
 
 @pytest.fixture
@@ -206,6 +206,119 @@ def test_gg_gate_catches_a_miscounted_chain(R, monkeypatch):
     with pytest.raises(InternalConsistencyError,
                        match=re.escape("gate fails at (%d,%d)" % wrong[0])):
         gg_presentation(J, I)
+
+
+def test_gg_gate_catches_a_wrong_cell_past_the_row_break(R, monkeypatch):
+    """For I = m each row of the handle walk ends at i = 0, since
+    m*m^j lies in J + m^(j+1): one relative_length per row.  A
+    presentation off by one at (2, 1), a cell the walk no longer builds,
+    still fails the gate there."""
+    x, y = R.gens()
+    J = IdealHandle(R, [y ** 2 - x ** 3])
+    right = BigradedPresentation.hilbert
+    monkeypatch.setattr(BigradedPresentation, "hilbert",
+                        lambda gg, i, j: right(gg, i, j) + ((i, j) == (2, 1)))
+    length = constructions_mod.relative_length
+    calls = []
+
+    def counted(upper, lower):
+        calls.append(1)
+        return length(upper, lower)
+    monkeypatch.setattr(constructions_mod, "relative_length", counted)
+    with pytest.raises(InternalConsistencyError,
+                       match=re.escape("gate fails at (2,1)")):
+        gg_presentation(J, maximal_ideal(R))
+    # rows 0 and 1 of the rectangle (3, 3) were walked up to (2, 1)
+    assert len(calls) == 2
+
+
+def test_gg_gate_catches_a_walk_that_breaks_a_cell_early(R, monkeypatch):
+    """A handle walk that ends each row one cell early (its containment
+    test asks whether m*(m^(i+1)*I^j) lies in J + I^(j+1)) fails the GG
+    gate with InternalConsistencyError at its first wrong cell."""
+    J, I = _gate_pair(R, "cell_lengths")
+    right = dict(reference_cell_lengths(J, I, GATE_RECT))
+    contains = IdealHandle.contains_ideal
+    m = maximal_ideal(R)
+    monkeypatch.setattr(IdealHandle, "contains_ideal",
+                        lambda base, chain: contains(base,
+                                                     ideal_product(m, chain)))
+    monkeypatch.setattr(constructions_mod, "gate_rectangle",
+                        lambda J: GATE_RECT)
+    wrong = [cell for cell, length in cell_lengths(J, I, GATE_RECT)
+             if length != right[cell]]
+    assert wrong
+    with pytest.raises(InternalConsistencyError,
+                       match=re.escape("gate fails at (%d,%d)" % wrong[0])):
+        gg_presentation(J, I)
+
+
+def _random_handle_pairs(rng):
+    """Pairs (J, I) for the handle walk: J of one or two random
+    generators in 2-3 variables, homogeneous or not, and never monomial;
+    I monomial, non-monomial ((x^2 + y, xy) or (x + y^2, y^3)), or not
+    m-primary ((x), (xy) or (x^2 + y))."""
+    for _ in range(30):
+        n = rng.randint(2, 3)
+        ring = RingDescriptor.graded(",".join("xyz"[:n]))
+        x, y = ring.gen(0), ring.gen(1)
+        J = IdealHandle(ring, [])
+        while J.is_monomial():
+            if rng.random() < 0.5:
+                degree = rng.randint(2, 3)
+                gens = [_random_polynomial(rng, ring, degree, min_deg=degree)
+                        for _ in range(rng.randint(1, 2))]
+            else:
+                gens = [_random_polynomial(rng, ring, 3, min_deg=1)
+                        for _ in range(rng.randint(1, 2))]
+            J = IdealHandle(ring, gens)
+        I = rng.choice([
+            [ring.monomial(_random_exponents(rng, n, rng.randint(1, 2)))
+             for _ in range(rng.randint(1, 3))],
+            [x ** 2 + y, x * y],
+            [x + y ** 2, y ** 3],
+            [x], [x * y], [x ** 2 + y]])
+        yield J, IdealHandle(ring, I)
+
+
+def test_handle_walk_matches_the_reference_walk(monkeypatch):
+    """On seeded non-monomial J in 2-3 variables with monomial,
+    non-monomial and not m-primary I, the handle walk gives every cell of
+    the rectangle (3, 3) the reference's length, which relative_length
+    computes on every cell.  Row j computes its cells up to the first i
+    with m^(i+1)*I^j inside J + I^(j+1), checked here on powers built
+    afresh, and no further; the sweep meets rows that end early and rows
+    that never do."""
+    rng = random.Random(33)
+    rect = (3, 3)
+    length = constructions_mod.relative_length
+    calls = []
+
+    def counted(upper, lower):
+        calls.append(1)
+        return length(upper, lower)
+    monkeypatch.setattr(constructions_mod, "relative_length", counted)
+    early = never = 0
+    for J, I in _random_handle_pairs(rng):
+        calls.clear()
+        computed, walked = [], []
+        for cell, value in cell_lengths(J, I, rect):
+            computed.append(len(calls))
+            walked.append((cell, value))
+        assert walked == list(reference_cell_lengths(J, I, rect)), (J, I)
+        m = maximal_ideal(J.ring)
+        for j in range(rect[1] + 1):
+            base = ideal_sum(J, ideal_power(I, j + 1))
+            breaks = [i for i in range(rect[0] + 1) if base.contains_ideal(
+                ideal_product(ideal_power(m, i + 1), ideal_power(I, j)))]
+            last = breaks[0] if breaks else rect[0]
+            row = computed[j * (rect[0] + 1):(j + 1) * (rect[0] + 1)]
+            before = computed[j * (rect[0] + 1) - 1] if j else 0
+            assert row == [before + min(i, last) + 1
+                           for i in range(rect[0] + 1)], (J, I, j)
+            early += last < rect[0]
+            never += not breaks
+    assert early >= 40 and never >= 40, (early, never)
 
 
 def _random_monomial_pairs(rng):

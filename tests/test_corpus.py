@@ -12,8 +12,9 @@ from arithdeg.groebner import IdealHandle
 from arithdeg.runner import execute_script
 from arithdeg.session import parse_session
 
-from helpers import (ReferenceDecomposition, reference_dimension,
-                     reference_monomial_cell_lengths, samuel_multiplicity)
+from helpers import (ReferenceDecomposition, reference_cell_lengths,
+                     reference_dimension, reference_monomial_cell_lengths,
+                     samuel_multiplicity)
 
 
 def test_corpus_size_and_unique_ids():
@@ -202,6 +203,26 @@ def test_every_monomial_gate_walk_of_a_corpus_pass_matches_the_reference(
                         checked_walk)
     assert main(["corpus", "--json", str(tmp_path / "corpus.json")]) == 0
     assert len(checked) > 50 and sum(checked) > 1000
+
+
+def test_every_handle_gate_walk_of_a_corpus_pass_matches_the_reference(
+        monkeypatch, tmp_path):
+    """Each cell the GG gate walks on IdealHandles in a corpus run (the
+    curve germs, with I = m) has the length relative_length gives it when
+    every cell of the row is computed."""
+    walk = constructions_mod.cell_lengths
+    checked = []
+
+    def checked_walk(J, I, rect):
+        cells = list(walk(J, I, rect))
+        assert cells == list(reference_cell_lengths(J, I, rect)), \
+            (J, I, rect)
+        checked.append(len(cells))
+        return cells
+
+    monkeypatch.setattr(constructions_mod, "cell_lengths", checked_walk)
+    assert main(["corpus", "--json", str(tmp_path / "corpus.json")]) == 0
+    assert len(checked) == 5 and sum(checked) == 80
 
 
 def test_every_samuel_table_of_a_corpus_pass_matches_the_reference(
