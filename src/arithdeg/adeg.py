@@ -12,9 +12,10 @@ is the Ext route's whenever it holds; its provenance is "ext" too.
 
 ``verify`` builds one such table per pair.  gr_m of a standard bigraded
 ring is that ring, so GG(A) = gr_m(gr_I A) *is* gr_I A's presentation
-k[x; y]/L, L = Rees kernel + I + J, whenever L is bigraded: the GG
-construction hands out gr_I's own ideal handle, and initial forms run only
-otherwise.  L is always homogeneous in the y-degree, so an L that is not
+k[x; y]/L whenever L is bigraded: the GG construction hands out gr_I's own
+ideal handle, and x-block initial forms run only otherwise.  L is
+Rees kernel + I + J, or (x) + J*(y) for I = m, J* the tangent cone's
+ideal.  L is always homogeneous in the y-degree, so an L that is not
 bigraded is not graded by total degree either, and corollary 1's gr_I side
 is then out of scope.  So corollary 1 reads the theorem's table, or the
 pair is unsupported.
@@ -30,7 +31,7 @@ import random
 
 from .errors import (AlgebraError, InternalConsistencyError,
                      TheoremViolationError, UnsupportedInputError)
-from .constructions import gg_presentation, initial_forms_ideal
+from .constructions import gg_presentation, tangent_cone
 from .groebner import IdealHandle, _caps
 from .hilbert import (artinian_length, as_presentation,
                       classical_multiplicity, dimension, ee_vector,
@@ -336,7 +337,7 @@ def _adeg_of_ring_quotient(J, meta):
     if meta.get("prime"):
         # a domain, of local length one: its Samuel multiplicity is its
         # tangent cone's, e(m, A) = e(gr_m A) (Bruns and Herzog, ch. 4)
-        tc = initial_forms_ideal(J, range(ring.nvars))
+        tc = tangent_cone(J)
         d = dimension(tc)
         e = classical_multiplicity(tc, d)
         table = {i: 0 for i in range(ring.nvars + 1)}

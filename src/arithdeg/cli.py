@@ -301,7 +301,8 @@ def cmd_check(args):
     their dualised resolutions, the numerator's sum
     transform against brute-force counts, the GG gate's two walks against
     each other, the handle walk with I = m against the tangent cone's
-    Hilbert function, the Rees kernel against the substitution into S[t], GG
+    Hilbert function, the Rees kernel against the substitution into S[t],
+    gr_m(S/J) as (x) + J*(y) against the Rees route's presentation, GG
     against gr_I's initial forms, and ladeg's GG of a coordinate prime over
     the coordinate ring against its build in S."""
     import random
@@ -318,9 +319,9 @@ def cmd_check(args):
     from .rings import RingDescriptor
     from .numerical import NumericalPoly2
     from .adeg import _ext_table, _prime_pair, adeg_report_monomial
-    from .constructions import (cell_lengths, gate_rectangle, gg_presentation,
-                                initial_forms_ideal, monomial_cell_lengths,
-                                rees_kernel)
+    from .constructions import (assoc_graded, cell_lengths, gate_rectangle,
+                                gg_presentation, initial_forms_ideal,
+                                monomial_cell_lengths, rees_kernel)
 
     rng = random.Random(7)
     R = RingDescriptor.graded("x,y,z")
@@ -439,6 +440,14 @@ def cmd_check(args):
                 == list(cell_lengths(J, I, rect)))
     print("GG gate walks: ok (5 random monomial pairs, antichains = handles)")
 
+    # gr_m(S/J) as (x) + J*(y) against the Rees route's L = Rees kernel +
+    # m + J: one reduced degrevlex basis
+    m = maximal_ideal(R)
+
+    def same_gr(J, rees):
+        return (assoc_graded(J, m).ideal.groebner_basis()
+                == rees.gr_ideal().groebner_basis())
+
     # the handle walk for I = m against the tangent cone: gr_m(S/J)_j is
     # (J + m^j)/(J + m^(j+1)), the Hilbert function of S/J* at j for J*
     # the ideal of lowest forms, at (0, j); 0 at i > 0
@@ -455,10 +464,10 @@ def cmd_check(args):
                                 for _ in range(cone_rng.randint(1, 2))])
         cone = initial_forms_ideal(J, range(R.nvars))
         assert all(length == (hilbert_value(cone, j) if i == 0 else 0)
-                   for (i, j), length in cell_lengths(J, maximal_ideal(R),
-                                                      gate_rectangle(J)))
+                   for (i, j), length in cell_lengths(J, m, gate_rectangle(J)))
+        assert same_gr(J, rees_kernel(J, m))
     print("GG gate handle walk: ok (3 random inhomogeneous J with I = m, "
-          "tangent-cone Hilbert function)")
+          "tangent-cone Hilbert function; gr_m = the Rees route's)")
 
     # the Rees kernel's substitution check (run inside rees_kernel, against
     # J) against the substitution y_j -> t*f_j into S[t] modulo J*S[t]
@@ -468,11 +477,13 @@ def cmd_check(args):
     for _ in range(5):
         J = rand_homogeneous(rees_rng)
         JSt = IdealHandle(St, [inject(g, St) for g in J.gens], **_caps(J))
-        rees = rees_kernel(J, maximal_ideal(R))
+        rees = rees_kernel(J, m)
         images = St.gens()[:R.nvars] + [t * inject(f, St) for f in rees.maps]
         assert all(JSt.contains(g.substitute(St, images))
                    for g in rees.kernel.gens)
-    print("Rees kernel: ok (5 random J with I = m, substitution into S[t])")
+        assert same_gr(J, rees)
+    print("Rees kernel: ok (5 random J with I = m, substitution into S[t]; "
+          "gr_m = the Rees route's)")
 
     # GG is gr_I's own handle when gr_I is bigraded; the x-block initial
     # forms of gr_I's ideal, which build GG otherwise, stay its oracle

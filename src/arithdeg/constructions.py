@@ -8,9 +8,12 @@ saturation by t is needed: some t-power times the homogenization of any
 element of the ideal lies in the homogenized generators' ideal, and the lead
 of a homogeneous element is a t-power times the lead of its lowest block
 form (Lazard's argument; Greuel and Pfister, A Singular Introduction to
-Commutative Algebra, 1.7).  gr_I is gated by the dimension it must keep
-and GG by the direct length of every cell of its Hilbert function; a
-mismatch raises rather than returning silently wrong output.
+Commutative Algebra, 1.7).  gr_I(S/J) comes from the Rees kernel, except
+for I generated by the variables: gr_m(S/J) is the tangent cone, presented
+from J's ideal of lowest forms with no elimination.  gr_I is gated by the
+dimension it must keep and GG by the direct length of every cell of its
+Hilbert function; a mismatch raises rather than returning silently wrong
+output.
 """
 
 from .errors import (AlgebraError, InternalConsistencyError,
@@ -43,12 +46,14 @@ def initial_forms_ideal(I, block):
     lead of a (block + t)-homogeneous polynomial is a power of t times the
     degrevlex lead of its lowest block form.  So the terms of top t-degree
     of each element of G, with t dropped, are a degrevlex Groebner basis of
-    the initial-form ideal.
+    the initial-form ideal.  An ideal generated by block forms is its own
+    ideal of lowest forms, so its generators come back with no basis run.
     """
     ring = I.ring
-    if I.is_zero():
-        return IdealHandle(ring, [], **_caps(I))
     block = tuple(sorted(block))
+    if all(len({_block_degree(m, block) for m in g.terms}) == 1
+           for g in I.gens):
+        return IdealHandle(ring, I.gens, **_caps(I))
     big = extended_ring(ring, fresh_names(ring, "t_", 1))
     t_index = ring.nvars
     homogenized = []
@@ -66,6 +71,13 @@ def initial_forms_ideal(I, block):
         out.append(Polynomial(ring, {m[:t_index]: c for m, c in g.terms.items()
                                      if m[t_index] == top}, _clean=False))
     return IdealHandle(ring, out, **_caps(I))
+
+
+def tangent_cone(J):
+    """J*, the ideal of lowest forms of J (the tangent cone is S/J*),
+    built once per handle: it lives in J's cache."""
+    return J._cached(("tangent_cone",),
+                     lambda: initial_forms_ideal(J, range(J.ring.nvars)))
 
 
 # ---------------------------------------------------------------------------
@@ -109,6 +121,12 @@ class ReesPresentation:
                     "Rees kernel generator %r fails the substitution check" % (g,))
         return True
 
+    def gr_ideal(self):
+        """L = kernel + I + J over the bigraded ring: gr_I(S/J) = k[x; y]/L."""
+        gg = self.extended
+        return IdealHandle(gg, list(self.kernel.gens) + [
+            inject(f, gg) for f in self.maps + self.J.gens], **_caps(self.kernel))
+
 
 def _gg_ring(base_ring, count):
     y_names = fresh_names(base_ring, "q", count)
@@ -150,12 +168,11 @@ def rees_kernel(J, I):
 class GradedConstruction:
     """Presentation of gr_I(S/J) (and optionally GG) as a bigraded quotient."""
 
-    __slots__ = ("ring", "ideal", "rees", "J", "I")
+    __slots__ = ("ring", "ideal", "J", "I")
 
-    def __init__(self, ring, ideal_handle, rees, J, I):
+    def __init__(self, ring, ideal_handle, J, I):
         self.ring = ring
         self.ideal = ideal_handle
-        self.rees = rees
         self.J = J
         self.I = I
 
@@ -164,21 +181,35 @@ class GradedConstruction:
 
 
 def assoc_graded(J, I):
-    """gr_I(S/J) = k[x; y]/L with L = rees kernel + I + J, y-degree grading.
+    """gr_I(S/J) = k[x; y]/L, y-degree grading, y_j standing for t*f_j of
+    I's generator f_j.
+
+    When I's generators are the variables (I = m; a handle keeps one
+    monic copy of each, in its own order), gr_m(S/J) is the tangent cone
+    S/J*, J* the ideal of lowest forms of J (Greuel and Pfister, 5.5), so
+    L = (x) + J*(y), with x_k read as the y of I's generator x_k.  J* = J
+    for homogeneous J, which costs no basis.  Any other I takes
+    L = Rees kernel + I + J (``rees_kernel``).
 
     L is bigraded exactly when its reduced degrevlex basis is bihomogeneous.
-    Its generators need not be (an inhomogeneous J with I = m gives such
-    L), so a bigraded L is handed out on that basis, and the handle's own
-    is_bihomogeneous tells whether L is bigraded.
+    The Rees route's generators need not be (an inhomogeneous J can give
+    such L), so a bigraded L is handed out on that basis, and the handle's
+    own is_bihomogeneous tells whether L is bigraded.
     """
-    rees = rees_kernel(J, I)
-    gg = rees.extended
-    gens = list(rees.kernel.gens)
-    for f in I.gens:
-        gens.append(inject(f, gg))
-    for g in J.gens:
-        gens.append(inject(g, gg))
-    L = IdealHandle(gg, gens, **_caps(J, I))
+    ring = J.ring
+    if I.gens != maximal_ideal(ring, J, I).gens:
+        L = rees_kernel(J, I).gr_ideal()
+        gg = L.ring
+    else:
+        # I's generator j is x_(variables[j]), so J*'s x_k becomes that y_j
+        n = ring.nvars
+        variables = [next(iter(f.terms)).index(1) for f in I.gens]
+        gg = _gg_ring(ring, n)
+        cone = [Polynomial(gg, {(0,) * n + tuple(m[k] for k in variables): c
+                                for m, c in g.terms.items()}, _clean=False)
+                for g in tangent_cone(J).gens]
+        L = IdealHandle(gg, [gg.gen(k) for k in range(n)] + cone,
+                        **_caps(J, I))
     # dimension transfer gate: dim gr_I(S/J) = dim S/J, except that
     # gr_I(S/J) = 0 when J + I = (1), which is an input outside the theory
     dim_L, dim_J = dimension(L), dimension(J)
@@ -192,7 +223,7 @@ def assoc_graded(J, I):
     basis = L.groebner_basis()
     if not L.is_bihomogeneous() and all(g.is_bihomogeneous() for g in basis):
         L = IdealHandle(gg, basis, **_caps(L))
-    return GradedConstruction(gg, L, rees, J, I)
+    return GradedConstruction(gg, L, J, I)
 
 
 class BigradedPresentation:

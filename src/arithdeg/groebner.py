@@ -647,7 +647,8 @@ class IdealHandle:
     The cache is the one owner of what is computed from the ideal: its
     reduced Groebner bases, the cyclic module S/I
     (``hilbert.as_presentation``, which takes its basis from here too),
-    the GG presentations over S/I (``adeg.cached_gg``) and, for monomial
+    its ideal of lowest forms (``constructions.tangent_cone``), the GG
+    presentations over S/I (``adeg.cached_gg``) and, for monomial
     ideals, the standard pairs and the primes read off them
     (``monomials``).  They all live and die with the handle and are
     computed under its caps.  A handle derived from others, even one built

@@ -5,7 +5,7 @@ from functools import reduce
 from operator import mul, neg
 
 from arithdeg.adeg import gmult
-from arithdeg.constructions import relative_length
+from arithdeg.constructions import relative_length, rees_kernel
 from arithdeg.errors import (AlgebraError, InternalConsistencyError,
                              ResourceLimitError, RingMismatchError,
                              WrongOracleError)
@@ -349,6 +349,17 @@ def reference_monomial_cell_lengths(J, I, rect):
             yield (i, j), series_length(num, ring.nvars)
             upper = lower
         power = next_power
+
+
+def reference_gr_ideal(J, I):
+    """gr_I(S/J)'s ideal by the Rees route for every I: L = Rees kernel +
+    I + J over the kernel's bigraded ring.  The reference for
+    constructions.assoc_graded, which takes L = (x) + J*(y) for I = m."""
+    rees = rees_kernel(J, I)
+    gg = rees.extended
+    return IdealHandle(gg, list(rees.kernel.gens)
+                       + [inject(f, gg) for f in I.gens + J.gens],
+                       **_caps(J, I))
 
 
 def reference_cell_lengths(J, I, rect):

@@ -368,16 +368,19 @@ def test_criterion_8_gg_consistency(corpus_pairs):
 
 
 def test_gg_and_gr_bases_agree_on_corpus_pairs(corpus_pairs):
-    """gr_I's ideal L (Rees kernel + I + J) is bigraded on every corpus
-    pair, so GG's ideal is L's own handle: verify's corollary 1 reads the
-    theorem's table on it."""
+    """gr_I's ideal L is bigraded on every corpus pair, so GG's ideal is
+    L's own handle: verify's corollary 1 reads the theorem's table on it.
+    L is (x) + J*(y) for I = m, J* the tangent cone's ideal, and Rees
+    kernel + I + J otherwise."""
     for identifier, _J, _I, _meta, gg, _P11 in corpus_pairs:
         assert gg.ideal is gg.gr.ideal, identifier
         assert gg.ideal.is_bihomogeneous(), identifier
 
 
 def test_corpus_builds_no_initial_forms(monkeypatch):
-    """A serial corpus pass builds every GG without initial forms."""
+    """A serial corpus pass builds every GG without the x-block initial
+    forms of gr_I's ideal: no initial forms over a bigraded ring.  The
+    tangent cones of the curve germs, over S, are not GG steps."""
     import os
     import tempfile
     import arithdeg.adeg as adeg_mod
@@ -385,13 +388,18 @@ def test_corpus_builds_no_initial_forms(monkeypatch):
     from arithdeg.cli import main
     built = []
     gg_presentation = constructions_mod.gg_presentation
+    initial_forms_ideal = constructions_mod.initial_forms_ideal
 
     def counted(J, I):
         built.append(1)
         return gg_presentation(J, I)
+
+    def over_s_only(I, block):
+        if I.ring.is_bigraded:
+            pytest.fail("initial forms built over a bigraded ring")
+        return initial_forms_ideal(I, block)
     monkeypatch.setattr(adeg_mod, "gg_presentation", counted)
-    monkeypatch.setattr(constructions_mod, "initial_forms_ideal",
-                        lambda *args: pytest.fail("initial forms built"))
+    monkeypatch.setattr(constructions_mod, "initial_forms_ideal", over_s_only)
     with tempfile.TemporaryDirectory() as tmp:
         assert main(["corpus", "--json", os.path.join(tmp, "c.json")]) == 0
     assert len(built) >= 40

@@ -232,26 +232,35 @@ def test_prime_gg_drops_p_and_maps_i():
 
 @pytest.mark.parametrize("ideal_i", ["x, y", "x^2 + y^2, x*y"])
 def test_ladeg_gg_builds_take_the_script_caps(monkeypatch, ideal_i):
-    """A script's max_degree and max_basis reach every Groebner basis of
-    verify, the GG builds of ladeg's primes included (the Rees kernel's
-    elimination runs at twice the degree cap)."""
+    """A script's max_degree and max_basis reach every ideal handle and
+    every Groebner basis of verify, the GG builds of ladeg's primes
+    included (the Rees kernel's elimination runs at twice the degree cap).
+    With I = m and monomial J no basis runs at all, so the caps of the
+    handles the build creates are what the test reads there."""
     import arithdeg.groebner as groebner_mod
     from arithdeg.runner import execute_script
     from arithdeg.session import parse_session
-    caps = set()
+    caps, handles = set(), set()
     buchberger = groebner_mod.buchberger
+    init = IdealHandle.__init__
 
     def recorded(gens, order, max_basis=groebner_mod.DEFAULT_MAX_BASIS,
                  max_degree=groebner_mod.DEFAULT_MAX_DEGREE):
         caps.add((max_basis, max_degree))
         return buchberger(gens, order, max_basis, max_degree)
+
+    def recorded_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        handles.add((self.max_basis, self.max_degree))
     monkeypatch.setattr(groebner_mod, "buchberger", recorded)
+    monkeypatch.setattr(IdealHandle, "__init__", recorded_init)
     script = parse_session(
         "ring S = Q[x,y];\nideal J = x^2, x*y;\nideal I = %s;\n"
         "option max_degree 30;\noption max_basis 500;\ntask verify J I;\n"
         % ideal_i)
     execute_script(script)
-    assert caps and caps <= {(500, 30), (500, 60)}, sorted(caps)
+    assert handles and handles <= {(500, 30), (500, 60)}, sorted(handles)
+    assert caps <= {(500, 30), (500, 60)}, sorted(caps)
 
 
 CAPS_SCRIPTS = [
@@ -320,6 +329,24 @@ def test_verify_equality_case(R):
                  meta={"prime": True}, label="cusp")
     assert rec.passed
     assert rec.cor1_gr[1] == 2 and rec.cor1_a[1] == 2   # equality
+
+
+def test_verify_builds_one_tangent_cone_per_germ(R, monkeypatch):
+    """verify on a curve germ with I = m reads J* twice, for gr_m(S/J) and
+    for the Samuel multiplicity of corollary 1: both take the one cached
+    on J's handle, so the initial forms run once."""
+    x, y = R.gens()
+    calls = []
+    initial_forms_ideal = constructions_mod.initial_forms_ideal
+
+    def counted(I, block):
+        calls.append(I)
+        return initial_forms_ideal(I, block)
+    monkeypatch.setattr(constructions_mod, "initial_forms_ideal", counted)
+    J = IdealHandle(R, [y ** 2 - x ** 3])
+    rec = verify(J, maximal_ideal(R), meta={"prime": True}, label="cusp")
+    assert rec.passed and rec.cor1_a[1] == 2
+    assert calls == [J]
 
 
 def test_verify_graded_fixed_point(R):

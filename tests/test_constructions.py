@@ -27,7 +27,8 @@ from arithdeg.rings import (Polynomial, RingDescriptor, mono_divides,
 
 from helpers import (bifiltration_length, h11_direct, h11_table,
                      hilbert_samuel, reference_cell_lengths,
-                     reference_monomial_cell_lengths, saturate)
+                     reference_gr_ideal, reference_monomial_cell_lengths,
+                     saturate)
 
 
 @pytest.fixture
@@ -442,6 +443,71 @@ def test_gg_gate_builds_each_product_once(R, monkeypatch):
     assert 0 < len(calls) <= (a + 2) * (b + 1)
 
 
+def _counted_rees_kernels(monkeypatch):
+    calls = []
+    rees_kernel = constructions_mod.rees_kernel
+
+    def counted(J, I):
+        calls.append(I)
+        return rees_kernel(J, I)
+    monkeypatch.setattr(constructions_mod, "rees_kernel", counted)
+    return calls
+
+
+def test_tangent_cone_route_matches_the_rees_route(monkeypatch):
+    """On seeded J in Q[x,y] and Q[x,y,z], homogeneous and not, with I
+    given by the variables in a shuffled order, assoc_graded builds no
+    Rees kernel, and its L = (x) + J*(y) has the reduced degrevlex basis of
+    the Rees route's L = Rees kernel + I + J.  The handle sorts I's
+    generators, so the y of I's generator x_k is not y_k."""
+    rng = random.Random(73)
+    calls = _counted_rees_kernels(monkeypatch)
+    checked = {True: 0, False: 0}
+    for trial in range(24):
+        ring = RingDescriptor.graded("x,y" if trial % 2 else "x,y,z")
+        if trial % 4 < 2:
+            degree = rng.randint(2, 3)
+            gens = [_random_polynomial(rng, ring, degree, min_deg=degree)
+                    for _ in range(rng.randint(1, 2))]
+        else:
+            gens = [_random_polynomial(rng, ring, min_deg=1)
+                    for _ in range(rng.randint(1, 2))]
+        J = IdealHandle(ring, gens)
+        variables = ring.gens()
+        rng.shuffle(variables)
+        I = IdealHandle(ring, variables)
+        assert [next(iter(g.terms)).index(1) for g in I.gens] != \
+            list(range(ring.nvars))
+        reference = reference_gr_ideal(J, I)
+        del calls[:]
+        gr = assoc_graded(J, I)
+        assert not calls, J
+        assert gr.ideal.is_bihomogeneous(), J
+        assert gr.ideal.groebner_basis() == reference.groebner_basis(), J
+        checked[J.is_homogeneous()] += 1
+    assert checked[True] >= 12 and checked[False] >= 6, checked
+
+
+def test_only_the_variables_take_the_tangent_cone_route(R, monkeypatch):
+    """(x + y, y) is m on other generators and (x, y^2) is not m: both take
+    the Rees kernel.  A handle keeps one monic copy of each monomial
+    generator, so (2x, y) and (x, y, x) are generated by the variables and
+    take the tangent cone.  Every L has the Rees route's basis, for a
+    homogeneous J and a curve germ."""
+    x, y = R.gens()
+    calls = _counted_rees_kernels(monkeypatch)
+    for J in (IdealHandle(R, [x ** 2 - y ** 2, x * y]),
+              IdealHandle(R, [y ** 2 - x ** 3])):
+        for gens, rees in (([2 * x, y], False), ([x + y, y], True),
+                           ([x, y, x], False), ([x, y ** 2], True)):
+            I = IdealHandle(R, gens)
+            reference = reference_gr_ideal(J, I)
+            del calls[:]
+            gr = assoc_graded(J, I)
+            assert calls == ([I] if rees else []), gens
+            assert gr.ideal.groebner_basis() == reference.groebner_basis()
+
+
 def test_gg_dimension_transfer(R):
     x, y = R.gens()
     for gens, I in (([y ** 2 - x ** 3], maximal_ideal(R)),
@@ -458,8 +524,10 @@ EXT_PAIRS = (("x^2", "x^2, x*y, y^2, x*z"), ("y^2", "x^2, x*y, y^2, x*z"))
 
 def test_gg_is_gr_when_gr_is_bigraded(R):
     """GG hands out gr_I's own handle when gr_I's ideal L is bigraded: on
-    the ext pairs, on the curve germs, whose L has inhomogeneous generators
-    but a bihomogeneous reduced basis, and on J = 0 with I = (x^2, y^3).
+    the ext pairs, on the curve germs, whose L = (x) + J*(y) comes from the
+    tangent cone, on the cusp with I = (x, y^2) or (x + y, y), whose Rees
+    route L has inhomogeneous generators but a bihomogeneous reduced
+    basis, and on J = 0 with I = (x^2, y^3).
     For I = (x + y^2) or (x^2, xy, y^3), L is not bigraded, and GG is the
     ideal of x-block initial forms."""
     x, y = R.gens()
@@ -468,6 +536,8 @@ def test_gg_is_gr_when_gr_is_bigraded(R):
                 for j, i in EXT_PAIRS]
     bigraded += [(IdealHandle(R, [y ** 2 - x ** 3]), maximal_ideal(R)),
                  (IdealHandle(R, [y - x ** 2]), maximal_ideal(R)),
+                 (IdealHandle(R, [y ** 2 - x ** 3]), IdealHandle(R, [x, y ** 2])),
+                 (IdealHandle(R, [y ** 2 - x ** 3]), IdealHandle(R, [x + y, y])),
                  (IdealHandle(R, []), IdealHandle(R, [x ** 2, y ** 3]))]
     for J, I in bigraded:
         gg = gg_presentation(J, I)

@@ -8,13 +8,13 @@ import arithdeg.monomials as monomials_mod
 import arithdeg.runner as runner_mod
 from arithdeg.cli import main
 from arithdeg.corpus import build_corpus, lookup
-from arithdeg.groebner import IdealHandle
+from arithdeg.groebner import IdealHandle, maximal_ideal
 from arithdeg.runner import execute_script
 from arithdeg.session import parse_session
 
 from helpers import (ReferenceDecomposition, reference_cell_lengths,
-                     reference_dimension, reference_monomial_cell_lengths,
-                     samuel_multiplicity)
+                     reference_dimension, reference_gr_ideal,
+                     reference_monomial_cell_lengths, samuel_multiplicity)
 
 
 def test_corpus_size_and_unique_ids():
@@ -246,3 +246,24 @@ def test_every_samuel_table_of_a_corpus_pass_matches_the_reference(
         monkeypatch.setattr(mod, "_adeg_of_ring_quotient", checked_quotient)
     assert main(["corpus", "--json", str(tmp_path / "corpus.json")]) == 0
     assert len(checked) >= 5 and {e for e, _ in checked} >= {1, 2}
+
+
+def test_every_i_equals_m_gr_of_a_corpus_pass_matches_the_rees_route(
+        monkeypatch, tmp_path):
+    """Each gr_I(S/J) a corpus run builds with I generated by the variables
+    (presented as (x) + J*(y) from the tangent cone) has the reduced
+    degrevlex basis of the Rees route's L = Rees kernel + I + J."""
+    assoc_graded = constructions_mod.assoc_graded
+    checked = []
+
+    def checked_gr(J, I):
+        gr = assoc_graded(J, I)
+        if I.gens == maximal_ideal(I.ring).gens:
+            assert (gr.ideal.groebner_basis()
+                    == reference_gr_ideal(J, I).groebner_basis()), (J, I)
+            checked.append(J.is_homogeneous())
+        return gr
+
+    monkeypatch.setattr(constructions_mod, "assoc_graded", checked_gr)
+    assert main(["corpus", "--json", str(tmp_path / "corpus.json")]) == 0
+    assert len(checked) >= 80 and checked.count(False) == 5, checked
