@@ -46,14 +46,12 @@ def initial_forms_ideal(I, block):
     lead of a (block + t)-homogeneous polynomial is a power of t times the
     degrevlex lead of its lowest block form.  So the terms of top t-degree
     of each element of G, with t dropped, are a degrevlex Groebner basis of
-    the initial-form ideal.  An ideal generated by block forms is its own
-    ideal of lowest forms, so its generators come back with no basis run.
+    the initial-form ideal.
     """
     ring = I.ring
+    if I.is_zero():
+        return IdealHandle(ring, [], **_caps(I))
     block = tuple(sorted(block))
-    if all(len({_block_degree(m, block) for m in g.terms}) == 1
-           for g in I.gens):
-        return IdealHandle(ring, I.gens, **_caps(I))
     big = extended_ring(ring, fresh_names(ring, "t_", 1))
     t_index = ring.nvars
     homogenized = []
@@ -75,7 +73,10 @@ def initial_forms_ideal(I, block):
 
 def tangent_cone(J):
     """J*, the ideal of lowest forms of J (the tangent cone is S/J*),
-    built once per handle: it lives in J's cache."""
+    built once per handle: it lives in J's cache.  An ideal generated by
+    forms is its own J*, so a homogeneous J is handed back."""
+    if J.is_homogeneous():
+        return J
     return J._cached(("tangent_cone",),
                      lambda: initial_forms_ideal(J, range(J.ring.nvars)))
 
@@ -185,10 +186,10 @@ def assoc_graded(J, I):
     I's generator f_j.
 
     When I's generators are the variables (I = m; a handle keeps one
-    monic copy of each, in its own order), gr_m(S/J) is the tangent cone
-    S/J*, J* the ideal of lowest forms of J (Greuel and Pfister, 5.5), so
-    L = (x) + J*(y), with x_k read as the y of I's generator x_k.  J* = J
-    for homogeneous J, which costs no basis.  Any other I takes
+    monic copy of each, in its canonical order), gr_m(S/J) is the tangent
+    cone S/J*, J* the ideal of lowest forms of J (Greuel and Pfister, 5.5), so
+    L = (x) + J*(y), with x_k read as the y of I's generator x_k
+    (``tangent_cone``; J* = J for homogeneous J).  Any other I takes
     L = Rees kernel + I + J (``rees_kernel``).
 
     L is bigraded exactly when its reduced degrevlex basis is bihomogeneous.

@@ -355,11 +355,7 @@ def reference_gr_ideal(J, I):
     """gr_I(S/J)'s ideal by the Rees route for every I: L = Rees kernel +
     I + J over the kernel's bigraded ring.  The reference for
     constructions.assoc_graded, which takes L = (x) + J*(y) for I = m."""
-    rees = rees_kernel(J, I)
-    gg = rees.extended
-    return IdealHandle(gg, list(rees.kernel.gens)
-                       + [inject(f, gg) for f in I.gens + J.gens],
-                       **_caps(J, I))
+    return rees_kernel(J, I).gr_ideal()
 
 
 def reference_cell_lengths(J, I, rect):

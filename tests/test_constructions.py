@@ -455,11 +455,12 @@ def _counted_rees_kernels(monkeypatch):
 
 
 def test_tangent_cone_route_matches_the_rees_route(monkeypatch):
-    """On seeded J in Q[x,y] and Q[x,y,z], homogeneous and not, with I
-    given by the variables in a shuffled order, assoc_graded builds no
-    Rees kernel, and its L = (x) + J*(y) has the reduced degrevlex basis of
-    the Rees route's L = Rees kernel + I + J.  The handle sorts I's
-    generators, so the y of I's generator x_k is not y_k."""
+    """On seeded J in Q[x,y] and Q[x,y,z], homogeneous and not, with I = m,
+    assoc_graded builds no Rees kernel, and its L = (x) + J*(y) has the
+    reduced degrevlex basis of the Rees route's L = Rees kernel + I + J.
+    A handle keeps its generators in a canonical order, which maps y_j to
+    x_(variables[j]); that order is not the index order, so the y of I's
+    generator x_k is not y_k."""
     rng = random.Random(73)
     calls = _counted_rees_kernels(monkeypatch)
     checked = {True: 0, False: 0}
@@ -473,9 +474,7 @@ def test_tangent_cone_route_matches_the_rees_route(monkeypatch):
             gens = [_random_polynomial(rng, ring, min_deg=1)
                     for _ in range(rng.randint(1, 2))]
         J = IdealHandle(ring, gens)
-        variables = ring.gens()
-        rng.shuffle(variables)
-        I = IdealHandle(ring, variables)
+        I = maximal_ideal(ring)
         assert [next(iter(g.terms)).index(1) for g in I.gens] != \
             list(range(ring.nvars))
         reference = reference_gr_ideal(J, I)
@@ -588,8 +587,30 @@ def test_gg_collapse_against_initial_forms(field):
             collapsed += 1
         else:
             assert gg.ideal.gens == forms.gens
+            # the oracle refuses a collapse onto this L, which is not bigraded
+            assert forms.groebner_basis() != gg.gr.ideal.groebner_basis()
             formed += 1
     assert collapsed >= 5 and formed >= 3
+
+
+def test_gg_collapse_oracle_rejects_a_wrong_l(R):
+    """The collapse oracle computes the x-block initial forms of the L it
+    is given; it does not echo L's generators.  For the cusp with I = m and
+    with I = (x, y^2), L is bigraded and GG is L.  L plus y_0 + x_0*y_1,
+    which is not bigraded, has initial forms L + (y_0), and the oracle
+    tells them from GG's basis."""
+    x, y = R.gens()
+    J = IdealHandle(R, [y ** 2 - x ** 3])
+    for I in (maximal_ideal(R), IdealHandle(R, [x, y ** 2])):
+        gg = gg_presentation(J, I)
+        assert gg.ideal is gg.gr.ideal
+        ring, L = gg.ring, gg.gr.ideal
+        x0, y0, y1 = ring.gen(0), ring.gen(2), ring.gen(3)
+        assert not L.contains(y0)
+        wrong = IdealHandle(ring, list(L.gens) + [y0 + x0 * y1])
+        forms = initial_forms_ideal(wrong, ring.x_block)
+        assert forms.groebner_basis() != gg.ideal.groebner_basis()
+        assert forms.equals(IdealHandle(ring, list(L.gens) + [y0]))
 
 
 def test_bifiltration_univariate(R1):
