@@ -13,17 +13,17 @@ is the Ext route's whenever it holds; its provenance is "ext" too.
 ``verify`` builds one such table per pair.  gr_m of a standard bigraded
 ring is that ring, so GG(A) = gr_m(gr_I A) *is* gr_I A's presentation
 k[x; y]/L whenever L is bigraded: the GG construction hands out gr_I's own
-ideal handle, and x-block initial forms run only otherwise.  L is
-Rees kernel + I + J, or (x) + J*(y) for I = m, J* the tangent cone's
-ideal.  L is always homogeneous in the y-degree, so an L that is not
-bigraded is not graded by total degree either, and corollary 1's gr_I side
-is then out of scope.  So corollary 1 reads the theorem's table, or the
+ideal handle, and x-block initial forms run only otherwise.  L is the
+ideal of lowest y-forms of J + (y_j - f_j), built as (x) + J*(y) for
+I = m, J* the tangent cone's ideal.  L is always homogeneous in the
+y-degree, so an L that is not bigraded is not graded by total degree
+either, and corollary 1's gr_I side is then out of scope.  So corollary 1 reads the theorem's table, or the
 pair is unsupported.
 
 ``ladeg`` of monomial J sums over associated primes p generated by
 variables, and builds each GG(S/p) over S/p = k[x_k : x_k not in p], with
 the ideal 0 and I's image (x_k = 0 for x_k in p).  That is exact: in S the
-Rees kernel of S/p holds p and y_j for each generator f_j in p, so both
+ideal L of gr_I(S/p) holds p and y_j for each generator f_j in p, so both
 presentations have one bigraded Hilbert function, and ee_i reads only that.
 """
 
@@ -262,7 +262,7 @@ def ladeg(J, I, i, meta=None):
     Monomial J uses the combinatorial oracle for both the primes and the
     local lengths.  Each such p is generated by variables, so GG(S/p) is
     built over S/p = k[x_k : x_k not in p] with I's image (``_prime_pair``):
-    S's Rees kernel of S/p holds p and the y_j of I's generators in p, so
+    L of gr_I(S/p) in S holds p and the y_j of I's generators in p, so
     the two builds share their bigraded Hilbert function, and with it ee_i.
     Non-monomial J needs metadata certifying it prime (the corpus route);
     otherwise the missing associated primes are reported.

@@ -301,8 +301,8 @@ def cmd_check(args):
     their dualised resolutions, the numerator's sum
     transform against brute-force counts, the GG gate's two walks against
     each other, the handle walk with I = m against the tangent cone's
-    Hilbert function, the Rees kernel against the substitution into S[t],
-    gr_m(S/J) as (x) + J*(y) against the Rees route's presentation, GG
+    Hilbert function, gr_I's homogenized basis against the substitution
+    into S[t], gr_m(S/J) as (x) + J*(y) against the general route, GG
     against gr_I's initial forms, and ladeg's GG of a coordinate prime over
     the coordinate ring against its build in S."""
     import random
@@ -319,9 +319,10 @@ def cmd_check(args):
     from .rings import RingDescriptor
     from .numerical import NumericalPoly2
     from .adeg import _ext_table, _prime_pair, adeg_report_monomial
-    from .constructions import (assoc_graded, cell_lengths, gate_rectangle,
-                                gg_presentation, initial_forms_ideal,
-                                monomial_cell_lengths, rees_kernel)
+    from .constructions import (_top_forms, assoc_graded, cell_lengths,
+                                gate_rectangle, gg_presentation,
+                                initial_forms_ideal, monomial_cell_lengths,
+                                rees_kernel)
 
     rng = random.Random(7)
     R = RingDescriptor.graded("x,y,z")
@@ -440,13 +441,14 @@ def cmd_check(args):
                 == list(cell_lengths(J, I, rect)))
     print("GG gate walks: ok (5 random monomial pairs, antichains = handles)")
 
-    # gr_m(S/J) as (x) + J*(y) against the Rees route's L = Rees kernel +
-    # m + J: one reduced degrevlex basis
+    # gr_m(S/J) as (x) + J*(y), a basis in n + 1 variables, against the
+    # general route's L = in_y(J + (y_j - x_j)), one in 2n + 1: one reduced
+    # degrevlex basis
     m = maximal_ideal(R)
 
-    def same_gr(J, rees):
+    def same_gr(J, general):
         return (assoc_graded(J, m).ideal.groebner_basis()
-                == rees.gr_ideal().groebner_basis())
+                == _top_forms(*general).groebner_basis())
 
     # the handle walk for I = m against the tangent cone: gr_m(S/J)_j is
     # (J + m^j)/(J + m^(j+1)), the Hilbert function of S/J* at j for J*
@@ -467,23 +469,25 @@ def cmd_check(args):
                    for (i, j), length in cell_lengths(J, m, gate_rectangle(J)))
         assert same_gr(J, rees_kernel(J, m))
     print("GG gate handle walk: ok (3 random inhomogeneous J with I = m, "
-          "tangent-cone Hilbert function; gr_m = the Rees route's)")
+          "tangent-cone Hilbert function; gr_m = the general route's)")
 
-    # the Rees kernel's substitution check (run inside rees_kernel, against
-    # J) against the substitution y_j -> t*f_j into S[t] modulo J*S[t]
-    rees_rng = random.Random(23)
+    # the substitution gate (run inside rees_kernel, against J) against the
+    # substitution y_j -> t*f_j, t -> t into S[t] modulo J*S[t], on every
+    # element of the general route's homogenized basis
+    subst_rng = random.Random(23)
     St = extended_ring(R, fresh_names(R, "t_", 1))
     t = St.gen(R.nvars)
     for _ in range(5):
-        J = rand_homogeneous(rees_rng)
+        J = rand_homogeneous(subst_rng)
         JSt = IdealHandle(St, [inject(g, St) for g in J.gens], **_caps(J))
-        rees = rees_kernel(J, m)
-        images = St.gens()[:R.nvars] + [t * inject(f, St) for f in rees.maps]
+        general = rees_kernel(J, m)
+        images = (St.gens()[:R.nvars] + [t * inject(f, St) for f in m.gens]
+                  + [t])
         assert all(JSt.contains(g.substitute(St, images))
-                   for g in rees.kernel.gens)
-        assert same_gr(J, rees)
-    print("Rees kernel: ok (5 random J with I = m, substitution into S[t]; "
-          "gr_m = the Rees route's)")
+                   for g in general[1])
+        assert same_gr(J, general)
+    print("gr_I substitution: ok (5 random J with I = m, every homogenized "
+          "basis element into S[t]; gr_m = the general route's)")
 
     # GG is gr_I's own handle when gr_I is bigraded; the x-block initial
     # forms of gr_I's ideal, which build GG otherwise, stay its oracle

@@ -1,5 +1,5 @@
-"""Initial-form ideals, Rees kernels, associated graded rings, and the
-double construction GG = gr_m(gr_I).
+"""Initial-form ideals, associated graded rings, and the double
+construction GG = gr_m(gr_I).
 
 Initial forms are computed by homogenization: balance the block degree of
 each generator with a fresh variable t, take one Groebner basis for an order
@@ -8,19 +8,20 @@ saturation by t is needed: some t-power times the homogenization of any
 element of the ideal lies in the homogenized generators' ideal, and the lead
 of a homogeneous element is a t-power times the lead of its lowest block
 form (Lazard's argument; Greuel and Pfister, A Singular Introduction to
-Commutative Algebra, 1.7).  gr_I(S/J) comes from the Rees kernel, except
-for I generated by the variables: gr_m(S/J) is the tangent cone, presented
-from J's ideal of lowest forms with no elimination.  gr_I is gated by the
-dimension it must keep and GG by the direct length of every cell of its
-Hilbert function; a mismatch raises rather than returning silently wrong
-output.
+Commutative Algebra, 1.7).  gr_I(S/J) is such an ideal: the I-adic
+filtration of S/J is the (y)-adic one of S[y]/Q, Q = J + (y_j - f_j), so
+gr_I(S/J) = S[y]/in_y(Q).  For I generated by the variables the same
+construction runs with y_k = x_k substituted first: gr_m(S/J) is the
+tangent cone, presented from J's ideal of lowest forms.  gr_I is gated by
+the substitution y_j -> t*f_j and by its dimension, and GG by the direct
+length of every cell of its Hilbert function; a mismatch raises rather
+than returning silently wrong output.
 """
 
 from .errors import (AlgebraError, InternalConsistencyError,
                      UnsupportedInputError)
-from .groebner import (IdealHandle, _caps, eliminate, extended_ring,
-                       fresh_names, ideal_product, ideal_sum, inject,
-                       maximal_ideal, project)
+from .groebner import (IdealHandle, _caps, extended_ring, fresh_names,
+                       ideal_product, ideal_sum, inject, maximal_ideal)
 from .hilbert import (dimension, hilbert_numerator, hilbert_value,
                       series_length)
 from .orders import BlockOrder
@@ -33,6 +34,38 @@ from .rings import (Polynomial, RingDescriptor, minimal_monomials,
 
 def _block_degree(m, block):
     return sum(m[i] for i in block)
+
+
+def _homogenized_basis(I, block):
+    """The basis G that initial_forms_ideal reads I's forms off: I's
+    generators homogenized in the block grading with a trailing t, under
+    the order in which the t-degree dominates and degrevlex breaks ties."""
+    ring = I.ring
+    block = tuple(sorted(block))
+    big = extended_ring(ring, fresh_names(ring, "t_", 1))
+    homogenized = []
+    for g in I.gens:
+        top = max(_block_degree(m, block) for m in g.terms)
+        homogenized.append(Polynomial(
+            big, {m + (top - _block_degree(m, block),): c
+                  for m, c in g.terms.items()}, _clean=False))
+    # the homogenized generators run at twice the degree cap
+    H = IdealHandle(big, homogenized, max_basis=I.max_basis,
+                    max_degree=2 * I.max_degree)
+    return H.groebner_basis(BlockOrder([ring.nvars], big.nvars))
+
+
+def _top_forms(I, basis):
+    """The terms of top t-degree of each element of I's homogenized
+    basis, with t dropped, as an ideal over I's ring."""
+    ring = I.ring
+    t = ring.nvars
+    out = []
+    for g in basis:
+        top = max(m[t] for m in g.terms)
+        out.append(Polynomial(ring, {m[:t]: c for m, c in g.terms.items()
+                                     if m[t] == top}, _clean=False))
+    return IdealHandle(ring, out, **_caps(I))
 
 
 def initial_forms_ideal(I, block):
@@ -48,27 +81,9 @@ def initial_forms_ideal(I, block):
     of each element of G, with t dropped, are a degrevlex Groebner basis of
     the initial-form ideal.
     """
-    ring = I.ring
     if I.is_zero():
-        return IdealHandle(ring, [], **_caps(I))
-    block = tuple(sorted(block))
-    big = extended_ring(ring, fresh_names(ring, "t_", 1))
-    t_index = ring.nvars
-    homogenized = []
-    for g in I.gens:
-        top = max(_block_degree(m, block) for m in g.terms)
-        homogenized.append(Polynomial(
-            big, {m + (top - _block_degree(m, block),): c
-                  for m, c in g.terms.items()}, _clean=False))
-    # the homogenized generators run at twice the degree cap
-    H = IdealHandle(big, homogenized, max_basis=I.max_basis,
-                    max_degree=2 * I.max_degree)
-    out = []
-    for g in H.groebner_basis(BlockOrder([t_index], big.nvars)):
-        top = max(m[t_index] for m in g.terms)
-        out.append(Polynomial(ring, {m[:t_index]: c for m, c in g.terms.items()
-                                     if m[t_index] == top}, _clean=False))
-    return IdealHandle(ring, out, **_caps(I))
+        return IdealHandle(I.ring, [], **_caps(I))
+    return _top_forms(I, _homogenized_basis(I, block))
 
 
 def tangent_cone(J):
@@ -82,52 +97,7 @@ def tangent_cone(J):
 
 
 # ---------------------------------------------------------------------------
-# Rees kernel and associated graded presentation
-
-class ReesPresentation:
-    """Kernel data of S[y] -> (S/J)[t], y_j -> t*f_j."""
-
-    __slots__ = ("J", "extended", "kernel", "maps", "y_indices")
-
-    def __init__(self, J, extended, kernel, maps, y_indices):
-        self.J = J
-        self.extended = extended        # bigraded ring k[x-block; y-block]
-        self.kernel = kernel            # IdealHandle in extended
-        self.maps = tuple(maps)         # f_j as polynomials in S = J.ring
-        self.y_indices = tuple(y_indices)
-
-    def substitution_check(self):
-        """Every kernel generator must vanish under y_j -> t*f_j modulo J.
-
-        The y-variables come after the x-variables, so a term c*x^a*y^b
-        maps to c*x^a*prod f_j^(b_j)*t^|b|.  Gathering the terms by
-        y-degree k writes the image as sum F_k*t^k with each F_k in S, and
-        the image vanishes in (S/J)[t] exactly when every F_k lies in J,
-        which J's own cached basis decides.  So this is K inside
-        ker(S[y] -> (S/J)[t]), tested against J itself.
-        """
-        J = self.J
-        nx = J.ring.nvars
-        for g in self.kernel.gens:
-            parts = {}
-            for m, c in g.terms.items():
-                term = Polynomial(J.ring, {m[:nx]: c}, _clean=False)
-                for f, e in zip(self.maps, m[nx:]):
-                    if e:
-                        term = term * f ** e
-                k = sum(m[nx:])
-                parts[k] = parts[k] + term if k in parts else term
-            if not all(J.contains(F) for F in parts.values()):
-                raise InternalConsistencyError(
-                    "Rees kernel generator %r fails the substitution check" % (g,))
-        return True
-
-    def gr_ideal(self):
-        """L = kernel + I + J over the bigraded ring: gr_I(S/J) = k[x; y]/L."""
-        gg = self.extended
-        return IdealHandle(gg, list(self.kernel.gens) + [
-            inject(f, gg) for f in self.maps + self.J.gens], **_caps(self.kernel))
-
+# associated graded presentation
 
 def _gg_ring(base_ring, count):
     y_names = fresh_names(base_ring, "q", count)
@@ -136,34 +106,47 @@ def _gg_ring(base_ring, count):
 
 
 def rees_kernel(J, I):
-    """Presentation kernel of the Rees construction for I over S/J,
-    by eliminating t from (y_j - t f_j) + J."""
-    ring = J.ring
-    fs = list(I.gens)
+    """(Q, G) for gr_I(S/J): Q = J + (y_j - f_j) over the bigraded ring
+    k[x; y], one y_j for each generator f_j of I, and G the homogenized
+    basis of Q in the y-block grading, which L = in_y(Q) is read off.
+
+    Q's generators homogenize to y_j - t*f_j and J's own, which generate
+    the kernel of S[y][t] -> (S/J)[t], y_j -> t*f_j, t -> t; its t-free
+    part is the Rees kernel.  So every element of G must map into J*S[t],
+    and the substitution gate checks each one.  The y-variables come
+    after the x-variables and t last, so a term c*x^a*y^b*t^e maps to
+    c*x^a*prod f_j^(b_j)*t^(|b| + e).  Gathering the terms by t-degree k
+    writes the image as sum F_k*t^k with each F_k in S, and it lies in
+    J*S[t] exactly when every F_k lies in J, which J's own cached basis
+    decides.
+    """
+    fs = I.gens
     if not fs:
-        raise AlgebraError("Rees construction needs at least one ideal generator")
-    m = len(fs)
-    gg = _gg_ring(ring, m)
-    y_indices = tuple(gg.y_block)
-    work = extended_ring(gg, fresh_names(gg, "t_", 1))
-    t_index = work.nvars - 1
-    t = work.gen(t_index)
-    # the variables of S sit first in gg and in work
-    gens = []
-    for j, f in enumerate(fs):
-        yj = work.gen(y_indices[j])
-        gens.append(yj - t * inject(f, work))
-    for g in J.gens:
-        gens.append(inject(g, work))
-    # the elimination ring with t runs at twice the degree cap
-    caps = _caps(J, I)
-    H = IdealHandle(work, gens, max_basis=caps["max_basis"],
-                    max_degree=2 * caps["max_degree"])
-    E = eliminate(H, [t_index])
-    K = IdealHandle(gg, [project(g, gg) for g in E.gens], **caps)
-    rees = ReesPresentation(J, gg, K, fs, y_indices)
-    rees.substitution_check()
-    return rees
+        raise AlgebraError("gr_I needs at least one ideal generator")
+    gg = _gg_ring(J.ring, len(fs))
+    Q = IdealHandle(gg, [gg.gen(y) - inject(f, gg)
+                         for y, f in zip(gg.y_block, fs)]
+                    + [inject(g, gg) for g in J.gens], **_caps(J, I))
+    basis = _homogenized_basis(Q, gg.y_block)
+    _check_substitution(J, fs, basis)
+    return Q, basis
+
+
+def _check_substitution(J, maps, basis):
+    """The substitution gate of ``rees_kernel`` on each element of basis."""
+    nx = J.ring.nvars
+    for g in basis:
+        parts = {}
+        for m, c in g.terms.items():
+            term = Polynomial(J.ring, {m[:nx]: c}, _clean=False)
+            for f, e in zip(maps, m[nx:]):
+                if e:
+                    term = term * f ** e
+            k = sum(m[nx:])
+            parts[k] = parts[k] + term if k in parts else term
+        if not all(J.contains(F) for F in parts.values()):
+            raise InternalConsistencyError(
+                "gr_I basis element %r fails the substitution check" % (g,))
 
 
 class GradedConstruction:
@@ -185,21 +168,25 @@ def assoc_graded(J, I):
     """gr_I(S/J) = k[x; y]/L, y-degree grading, y_j standing for t*f_j of
     I's generator f_j.
 
-    When I's generators are the variables (I = m; a handle keeps one
-    monic copy of each, in its canonical order), gr_m(S/J) is the tangent
-    cone S/J*, J* the ideal of lowest forms of J (Greuel and Pfister, 5.5), so
+    L = in_y(Q), the ideal of lowest y-forms of Q = J + (y_j - f_j): the
+    I-adic filtration of S/J is the (y)-adic one of S[y]/Q.  L is read
+    off Q's homogenized basis once the substitution gate has checked it
+    (``rees_kernel``).  When I's generators are the variables (I = m; a
+    handle keeps one monic copy of each, in its canonical order), the
+    same ideal is built with y_k = x_k substituted first, so its basis has
+    n + 1 variables rather than 2n + 1: gr_m(S/J) is the tangent cone
+    S/J*, J* the ideal of lowest forms of J (Greuel and Pfister, 5.5), and
     L = (x) + J*(y), with x_k read as the y of I's generator x_k
-    (``tangent_cone``; J* = J for homogeneous J).  Any other I takes
-    L = Rees kernel + I + J (``rees_kernel``).
+    (``tangent_cone``; J* = J for homogeneous J).
 
     L is bigraded exactly when its reduced degrevlex basis is bihomogeneous.
-    The Rees route's generators need not be (an inhomogeneous J can give
-    such L), so a bigraded L is handed out on that basis, and the handle's
-    own is_bihomogeneous tells whether L is bigraded.
+    The top forms need not be (an inhomogeneous J can give such L), so a
+    bigraded L is handed out on that basis, and the handle's own
+    is_bihomogeneous tells whether L is bigraded.
     """
     ring = J.ring
     if I.gens != maximal_ideal(ring, J, I).gens:
-        L = rees_kernel(J, I).gr_ideal()
+        L = _top_forms(*rees_kernel(J, I))
         gg = L.ring
     else:
         # I's generator j is x_(variables[j]), so J*'s x_k becomes that y_j
@@ -211,13 +198,15 @@ def assoc_graded(J, I):
                 for g in tangent_cone(J).gens]
         L = IdealHandle(gg, [gg.gen(k) for k in range(n)] + cone,
                         **_caps(J, I))
-    # dimension transfer gate: dim gr_I(S/J) = dim S/J, except that
-    # gr_I(S/J) = 0 when J + I = (1), which is an input outside the theory
+    # dimension gate: gr_I(S/J) sees S/J only along V(I), so dim gr_I(S/J)
+    # <= dim S/J, with equality when J and I are homogeneous; gr_I(S/J) = 0
+    # when J + I = (1), which is an input outside the theory
     dim_L, dim_J = dimension(L), dimension(J)
     if dim_L < 0 <= dim_J:
         raise UnsupportedInputError(
             "J + I is the unit ideal, so gr_I(S/J) is zero")
-    if dim_L != dim_J:
+    if dim_L > dim_J or (dim_L < dim_J and J.is_homogeneous()
+                         and I.is_homogeneous()):
         raise InternalConsistencyError(
             "dimension changed across the associated graded construction")
     # the gate cached L's reduced degrevlex basis

@@ -38,7 +38,7 @@ from math import gcd, lcm
 from operator import lshift, mul
 
 from .errors import AlgebraError, ResourceLimitError, RingMismatchError
-from .orders import BlockOrder, DegRevLex
+from .orders import DegRevLex
 from .rings import (Polynomial, RingDescriptor, minimal_monomials, mono_div,
                     mono_lcm, mono_mul, terms_key)
 
@@ -654,8 +654,8 @@ class IdealHandle:
     computed under its caps.  A handle derived from others, even one built
     from a bare ring on their behalf (``maximal_ideal(ring, *sources)``),
     takes ``_caps`` of them: the smallest of each cap.  Only the
-    work rings of the Rees kernel and of the initial forms run at twice
-    the degree cap.
+    homogenized work rings of the initial forms (gr_I's among them) run at
+    twice the degree cap.
     """
 
     __slots__ = ("ring", "gens", "max_basis", "max_degree", "_cache")
@@ -801,11 +801,11 @@ def ideal_power(I, k):
 
 
 # ---------------------------------------------------------------------------
-# ring extension plumbing for elimination-based operations
+# ring extension plumbing for the homogenized work rings
 
 def extended_ring(ring, extra_names):
     """Same variables plus fresh trailing ones; grading data is dropped
-    (only term orders matter during elimination)."""
+    (only term orders matter in a work ring)."""
     names = ring.names + tuple(extra_names)
     return RingDescriptor(names, field=ring.field)
 
@@ -815,17 +815,6 @@ def inject(f, big_ring):
     pad = big_ring.nvars - f.ring.nvars
     terms = {m + (0,) * pad: c for m, c in f.terms.items()}
     return Polynomial(big_ring, terms, _clean=False)
-
-
-def project(f, small_ring):
-    """Drop trailing variables; terms involving them must be absent."""
-    n = small_ring.nvars
-    terms = {}
-    for m, c in f.terms.items():
-        if any(e != 0 for e in m[n:]):
-            raise AlgebraError("cannot project %r: trailing variables present" % (f,))
-        terms[m[:n]] = c
-    return Polynomial(small_ring, terms, _clean=False)
 
 
 def fresh_names(ring, base, count):
@@ -839,17 +828,4 @@ def fresh_names(ring, base, count):
             names.append(cand)
             used.add(cand)
     return names
-
-
-def eliminate(I, var_indices):
-    """I intersected with the subring avoiding the given variables."""
-    var_indices = sorted(set(var_indices))
-    if not var_indices:
-        return I
-    ring = I.ring
-    order = BlockOrder(var_indices, ring.nvars)
-    gb = buchberger(list(I.gens), order, I.max_basis, I.max_degree)
-    kept = [g for g in gb
-            if all(all(m[i] == 0 for i in var_indices) for m in g.terms)]
-    return IdealHandle(ring, kept, **_caps(I))
 

@@ -5,21 +5,21 @@ from functools import reduce
 from operator import mul, neg
 
 from arithdeg.adeg import gmult
-from arithdeg.constructions import relative_length, rees_kernel
+from arithdeg.constructions import _gg_ring, relative_length
 from arithdeg.errors import (AlgebraError, InternalConsistencyError,
                              ResourceLimitError, RingMismatchError,
                              WrongOracleError)
-from arithdeg.groebner import (IdealHandle, _caps, eliminate, extended_ring,
+from arithdeg.groebner import (IdealHandle, _caps, buchberger, extended_ring,
                                fresh_names, ideal_power, ideal_product,
-                               ideal_sum, inject, maximal_ideal, project)
+                               ideal_sum, inject, maximal_ideal)
 from arithdeg.hilbert import (WINDOW, _rank, artinian_length, as_presentation,
                               hilbert_value, monomial_numerator,
                               monomials_of_degree, series_length)
 from arithdeg.monomials import minimal_generators
 from arithdeg.numerical import NumericalPoly1, StabilizationCertificate, binom
-from arithdeg.orders import TermOrder
-from arithdeg.rings import (minimal_monomials, mono_divides, mono_lcm,
-                            mono_mul)
+from arithdeg.orders import BlockOrder, TermOrder
+from arithdeg.rings import (Polynomial, minimal_monomials, mono_divides,
+                            mono_lcm, mono_mul)
 
 
 class WeightedDegRevLex(TermOrder):
@@ -41,7 +41,31 @@ class WeightedDegRevLex(TermOrder):
 
 
 # ---------------------------------------------------------------------------
-# ideal operations by elimination: intersection and saturation
+# ideal operations by elimination: intersection, saturation, Rees kernels
+
+def eliminate(I, var_indices):
+    """I intersected with the subring avoiding the given variables."""
+    var_indices = sorted(set(var_indices))
+    if not var_indices:
+        return I
+    ring = I.ring
+    order = BlockOrder(var_indices, ring.nvars)
+    gb = buchberger(list(I.gens), order, I.max_basis, I.max_degree)
+    kept = [g for g in gb
+            if all(all(m[i] == 0 for i in var_indices) for m in g.terms)]
+    return IdealHandle(ring, kept, **_caps(I))
+
+
+def project(f, small_ring):
+    """Drop trailing variables; terms involving them must be absent."""
+    n = small_ring.nvars
+    terms = {}
+    for m, c in f.terms.items():
+        if any(e != 0 for e in m[n:]):
+            raise AlgebraError("cannot project %r: trailing variables present" % (f,))
+        terms[m[:n]] = c
+    return Polynomial(small_ring, terms, _clean=False)
+
 
 def intersect(I, J):
     """I cap J via the t*I + (1-t)*J elimination construction.
@@ -351,11 +375,73 @@ def reference_monomial_cell_lengths(J, I, rect):
         power = next_power
 
 
+class ReesPresentation:
+    """Kernel data of S[y] -> (S/J)[t], y_j -> t*f_j."""
+
+    __slots__ = ("J", "extended", "kernel", "maps", "y_indices")
+
+    def __init__(self, J, extended, kernel, maps, y_indices):
+        self.J = J
+        self.extended = extended        # bigraded ring k[x-block; y-block]
+        self.kernel = kernel            # IdealHandle in extended
+        self.maps = tuple(maps)         # f_j as polynomials in S = J.ring
+        self.y_indices = tuple(y_indices)
+
+    def gr_ideal(self):
+        """L = kernel + I + J over the bigraded ring: gr_I(S/J) = k[x; y]/L."""
+        gg = self.extended
+        return IdealHandle(gg, list(self.kernel.gens) + [
+            inject(f, gg) for f in self.maps + self.J.gens], **_caps(self.kernel))
+
+
+def reference_rees_kernel(J, I):
+    """Presentation kernel of the Rees construction for I over S/J,
+    by eliminating t from (y_j - t f_j) + J."""
+    ring = J.ring
+    fs = list(I.gens)
+    if not fs:
+        raise AlgebraError("Rees construction needs at least one ideal generator")
+    m = len(fs)
+    gg = _gg_ring(ring, m)
+    y_indices = tuple(gg.y_block)
+    work = extended_ring(gg, fresh_names(gg, "t_", 1))
+    t_index = work.nvars - 1
+    t = work.gen(t_index)
+    # the variables of S sit first in gg and in work
+    gens = []
+    for j, f in enumerate(fs):
+        yj = work.gen(y_indices[j])
+        gens.append(yj - t * inject(f, work))
+    for g in J.gens:
+        gens.append(inject(g, work))
+    # the elimination ring with t runs at twice the degree cap
+    caps = _caps(J, I)
+    H = IdealHandle(work, gens, max_basis=caps["max_basis"],
+                    max_degree=2 * caps["max_degree"])
+    E = eliminate(H, [t_index])
+    K = IdealHandle(gg, [project(g, gg) for g in E.gens], **caps)
+    return ReesPresentation(J, gg, K, fs, y_indices)
+
+
 def reference_gr_ideal(J, I):
     """gr_I(S/J)'s ideal by the Rees route for every I: L = Rees kernel +
     I + J over the kernel's bigraded ring.  The reference for
-    constructions.assoc_graded, which takes L = (x) + J*(y) for I = m."""
-    return rees_kernel(J, I).gr_ideal()
+    constructions.assoc_graded, which reads L off the lowest y-forms of
+    J + (y_j - f_j), or takes L = (x) + J*(y) for I = m."""
+    return reference_rees_kernel(J, I).gr_ideal()
+
+
+def maps_into_j(J, maps, g):
+    """Substitution oracle: g, over S[y] or S[y][t], maps into J*S[t]
+    under x -> x, y_j -> t*f_j, t -> t, by Polynomial.substitute and
+    membership in J*S[t]."""
+    S = J.ring
+    St = extended_ring(S, fresh_names(S, "t_", 1))
+    t = St.gen(S.nvars)
+    images = St.gens()[:S.nvars] + [t * inject(f, St) for f in maps]
+    images += [t] * (g.ring.nvars - len(images))
+    JSt = IdealHandle(St, [inject(h, St) for h in J.gens])
+    return JSt.contains(g.substitute(St, images))
 
 
 def reference_cell_lengths(J, I, rect):

@@ -370,8 +370,8 @@ def test_criterion_8_gg_consistency(corpus_pairs):
 def test_gg_and_gr_bases_agree_on_corpus_pairs(corpus_pairs):
     """gr_I's ideal L is bigraded on every corpus pair, so GG's ideal is
     L's own handle: verify's corollary 1 reads the theorem's table on it.
-    L is (x) + J*(y) for I = m, J* the tangent cone's ideal, and Rees
-    kernel + I + J otherwise."""
+    L is (x) + J*(y) for I = m, J* the tangent cone's ideal, and the
+    lowest y-forms of J + (y_j - f_j) otherwise."""
     for identifier, _J, _I, _meta, gg, _P11 in corpus_pairs:
         assert gg.ideal is gg.gr.ideal, identifier
         assert gg.ideal.is_bihomogeneous(), identifier
@@ -379,8 +379,9 @@ def test_gg_and_gr_bases_agree_on_corpus_pairs(corpus_pairs):
 
 def test_corpus_builds_no_initial_forms(monkeypatch):
     """A serial corpus pass builds every GG without the x-block initial
-    forms of gr_I's ideal: no initial forms over a bigraded ring.  The
-    tangent cones of the curve germs, over S, are not GG steps."""
+    forms of gr_I's ideal, the GG collapse step.  The tangent cones of the
+    curve germs, over S, and the y-block forms over the bigraded ring that
+    gr_I is read off are not GG steps."""
     import os
     import tempfile
     import arithdeg.adeg as adeg_mod
@@ -394,12 +395,12 @@ def test_corpus_builds_no_initial_forms(monkeypatch):
         built.append(1)
         return gg_presentation(J, I)
 
-    def over_s_only(I, block):
-        if I.ring.is_bigraded:
-            pytest.fail("initial forms built over a bigraded ring")
+    def no_x_block(I, block):
+        if I.ring.is_bigraded and tuple(block) == I.ring.x_block:
+            pytest.fail("x-block initial forms built over a bigraded ring")
         return initial_forms_ideal(I, block)
     monkeypatch.setattr(adeg_mod, "gg_presentation", counted)
-    monkeypatch.setattr(constructions_mod, "initial_forms_ideal", over_s_only)
+    monkeypatch.setattr(constructions_mod, "initial_forms_ideal", no_x_block)
     with tempfile.TemporaryDirectory() as tmp:
         assert main(["corpus", "--json", os.path.join(tmp, "c.json")]) == 0
     assert len(built) >= 40

@@ -234,7 +234,8 @@ def test_prime_gg_drops_p_and_maps_i():
 def test_ladeg_gg_builds_take_the_script_caps(monkeypatch, ideal_i):
     """A script's max_degree and max_basis reach every ideal handle and
     every Groebner basis of verify, the GG builds of ladeg's primes
-    included (the Rees kernel's elimination runs at twice the degree cap).
+    included (the homogenized work ring of gr_I's initial forms runs at
+    twice the degree cap).
     With I = m and monomial J no basis runs at all, so the caps of the
     handles the build creates are what the test reads there."""
     import arithdeg.groebner as groebner_mod
@@ -276,11 +277,13 @@ CAPS_SCRIPTS = [
 
 def test_every_derived_handle_takes_the_script_caps(monkeypatch):
     """Every IdealHandle and ModulePresentation that a script's tasks build
-    carries the script's caps, except the handles over the two work rings
-    (the Rees kernel's elimination ring and the homogenized ring of the
-    initial forms), which run at twice the degree cap.  The scripts cover
-    the Samuel, standard-pair, Ext and certificate routes, the GG gate's
-    handle walk and its initial-forms route, and ladeg's prime GGs."""
+    carries the script's caps, except the handles over the one kind of work
+    ring, the homogenized ring of the initial forms (gr_I's among them),
+    which run at twice the degree cap; ``_homogenized_basis``, the first
+    step of initial_forms_ideal, is the only function that makes one.
+    The scripts cover the Samuel, standard-pair, Ext and certificate
+    routes, the GG gate's handle walk and its initial-forms route, and
+    ladeg's prime GGs."""
     import sys
     import arithdeg.constructions as constructions_mod
     from arithdeg.modules import ModulePresentation
@@ -312,7 +315,7 @@ def test_every_derived_handle_takes_the_script_caps(monkeypatch):
              if got != ((5000, 500) if any(ring is w for w in work)
                         else (5000, 250))]
     assert built and not wrong, wrong
-    assert makers == {"rees_kernel", "initial_forms_ideal"}
+    assert makers == {"_homogenized_basis"}
 
 
 def test_verify_strict_case(R1):

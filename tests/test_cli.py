@@ -369,6 +369,26 @@ def test_default_degree_cap_still_binds_the_gg_gate(tmp_path, capsys):
     assert "Groebner degree cap 40 exceeded" in capsys.readouterr().err
 
 
+LOCAL_SCRIPT = ("ring S = Q[x,y];\nideal J = x - x^2, y - x*y;\n"
+                "ideal I = %s;\ntask gg J I;\n")
+
+
+@pytest.mark.parametrize("ideal_i", ["x, y", "x^2, y"])
+def test_gg_of_a_germ_smaller_than_its_ring(tmp_path, ideal_i):
+    """J = (x - x^2, y - x*y) is the origin plus the line x = 1, of
+    dimension 1, and gr_I(S/J) sees only the origin, of dimension 0: the
+    dimension gate asks for equality only when J and I are homogeneous,
+    so `task gg J I` exits 0 with GG = (x, y, q1, q2)."""
+    src = tmp_path / "germ.ses"
+    out = tmp_path / "germ.json"
+    src.write_text(LOCAL_SCRIPT % ideal_i)
+    assert main(["run", "-i", str(src), "--json", str(out)]) == 0
+    result = json.loads(out.read_text())["results"][0]["result"]
+    assert result["generators"] == ["q2", "q1", "y", "x"]
+    assert {cell for cell, length in result["hilbert"].items()
+            if length} == {"0,0"}
+
+
 def test_option_max_degree_caps_hilbert(tmp_path):
     """An ideal's own degree cap governs the Hilbert data of S/I."""
     text = "ring S=Q[x,y,z];\nideal J=x^2-y*z, x*y-z^2;\ntask hilbert J;\n"
@@ -458,8 +478,33 @@ def test_console_entry_point():
     assert "arithdeg" in proc.stdout
 
 
-def test_check_command():
+CHECK_LINES = [
+    "ring axioms: ok (50 random triples)",
+    "Buchberger criterion: ok (10 random ideals)",
+    "Buchberger criterion: ok (10 random submodules of S^2)",
+    "difference composition: ok (25 random polynomials)",
+    "oracle equivalence on (x^2, xy): ok",
+    "Buchberger criterion over Zp(7): ok (5 random ideals)",
+    "Betti/Euler oracle: ok (5 random resolutions, degrees 0-6)",
+    "Ext Euler oracle: ok (5 random ideals, degrees -10 to 2)",
+    "series oracle: ok (5 random ideals, sums up to the threshold)",
+    "GG gate walks: ok (5 random monomial pairs, antichains = handles)",
+    "GG gate handle walk: ok (3 random inhomogeneous J with I = m, "
+    "tangent-cone Hilbert function; gr_m = the general route's)",
+    "gr_I substitution: ok (5 random J with I = m, every homogenized basis "
+    "element into S[t]; gr_m = the general route's)",
+    "GG = gr_I: ok (10 random bigraded pairs, initial forms agree)",
+    "prime GG over S/p: ok (9 associated primes of 5 random monomial J, "
+    "5 over a smaller ring)",
+    "check: all good",
+]
+
+
+def test_check_command(capsys):
+    """check prints every one of its step lines, in order, and nothing
+    else: an oracle step cannot drop out unseen."""
     assert main(["check"]) == 0
+    assert capsys.readouterr().out.splitlines() == CHECK_LINES
 
 
 def test_spot_checks_catch_a_pair_route_that_drops_remainders(monkeypatch):

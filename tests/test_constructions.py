@@ -1,5 +1,5 @@
-"""Initial forms and tangent cones, Rees kernels, associated graded rings,
-GG, and the bifiltration length oracles."""
+"""Initial forms and tangent cones, associated graded rings against the
+Rees-kernel reference, GG, and the bifiltration length oracles."""
 
 import random
 import re
@@ -9,7 +9,8 @@ import pytest
 
 import arithdeg.constructions as constructions_mod
 import arithdeg.groebner as groebner_mod
-from arithdeg.constructions import (BigradedPresentation, ReesPresentation,
+from arithdeg.constructions import (BigradedPresentation,
+                                    _check_substitution, _top_forms,
                                     assoc_graded, cell_lengths,
                                     gg_presentation, initial_forms_ideal,
                                     monomial_cell_lengths, rees_kernel,
@@ -26,9 +27,9 @@ from arithdeg.rings import (Polynomial, RingDescriptor, mono_divides,
                             mono_mul)
 
 from helpers import (bifiltration_length, h11_direct, h11_table,
-                     hilbert_samuel, reference_cell_lengths,
+                     hilbert_samuel, maps_into_j, reference_cell_lengths,
                      reference_gr_ideal, reference_monomial_cell_lengths,
-                     saturate)
+                     reference_rees_kernel, saturate)
 
 
 @pytest.fixture
@@ -81,32 +82,56 @@ def test_tangent_cone_same_samuel_function(R):
 
 
 def test_rees_kernel_principal(R1):
+    """The reference's kernel for (x^2) over k[x] is zero, and the general
+    route's homogenized basis, (q1 - t*x^2), passes the substitution into
+    S[t]."""
     x, = R1.gens()
-    rk = rees_kernel(IdealHandle(R1, []), IdealHandle(R1, [x ** 2]))
+    J, I = IdealHandle(R1, []), IdealHandle(R1, [x ** 2])
+    rk = reference_rees_kernel(J, I)
     assert rk.kernel.is_zero()
-    assert rk.substitution_check()
+    _Q, basis = rees_kernel(J, I)
+    assert len(basis) == 1
+    assert all(maps_into_j(J, I.gens, g) for g in basis)
+
+
+def _t_free(basis):
+    """The elements of a homogenized basis free of the trailing t: they
+    are the Rees kernel, since the basis is the reference's elimination
+    basis."""
+    return [g for g in basis if all(m[-1] == 0 for m in g.terms)]
 
 
 def test_rees_kernel_koszul(R):
+    """For J = 0 and I = m the reference's kernel and the t-free part of
+    the general route's basis are the one Koszul relation between the two
+    generators."""
     x, y = R.gens()
-    rk = rees_kernel(IdealHandle(R, []), maximal_ideal(R))
-    gg = rk.extended
+    J, m = IdealHandle(R, []), maximal_ideal(R)
+    rk = reference_rees_kernel(J, m)
     basis = rk.kernel.groebner_basis()
     assert len(basis) == 1
-    # the single relation is the Koszul one between the two generators
     g = basis[0]
     assert len(g.terms) == 2
-    assert all(sum(m) == 2 for m in g.terms)
+    assert all(sum(mono) == 2 for mono in g.terms)
+    _Q, general = rees_kernel(J, m)
+    kernel = _t_free(general)
+    assert [{mono[:-1]: c for mono, c in h.terms.items()}
+            for h in kernel] == [g.terms]
 
 
 def test_rees_kernel_nilpotent_collapse(R1):
+    """For J = I = (x) both x and the Rees variable collapse, in the
+    reference's kernel and in the general route's L."""
     x, = R1.gens()
-    rk = rees_kernel(IdealHandle(R1, [x]), IdealHandle(R1, [x]))
-    # both x and the Rees variable collapse
+    J = I = IdealHandle(R1, [x])
+    rk = reference_rees_kernel(J, I)
     q = rk.extended.gen(rk.y_indices[0])
     xg = rk.extended.gen(0)
     assert rk.kernel.contains(q)
     assert rk.kernel.contains(xg)
+    L = _top_forms(*rees_kernel(J, I))
+    assert L.ring == rk.extended
+    assert L.contains(q) and L.contains(xg)
 
 
 def test_assoc_graded_worked(R1):
@@ -443,26 +468,28 @@ def test_gg_gate_builds_each_product_once(R, monkeypatch):
     assert 0 < len(calls) <= (a + 2) * (b + 1)
 
 
-def _counted_rees_kernels(monkeypatch):
+def _counted_general_routes(monkeypatch):
+    """Record I at each call of the general route's ``rees_kernel``."""
     calls = []
-    rees_kernel = constructions_mod.rees_kernel
+    general = constructions_mod.rees_kernel
 
     def counted(J, I):
         calls.append(I)
-        return rees_kernel(J, I)
+        return general(J, I)
     monkeypatch.setattr(constructions_mod, "rees_kernel", counted)
     return calls
 
 
 def test_tangent_cone_route_matches_the_rees_route(monkeypatch):
     """On seeded J in Q[x,y] and Q[x,y,z], homogeneous and not, with I = m,
-    assoc_graded builds no Rees kernel, and its L = (x) + J*(y) has the
-    reduced degrevlex basis of the Rees route's L = Rees kernel + I + J.
+    assoc_graded takes no general route (no basis in 2n + 1 variables),
+    and its L = (x) + J*(y) has the reduced degrevlex basis of the Rees
+    reference's L = Rees kernel + I + J.
     A handle keeps its generators in a canonical order, which maps y_j to
     x_(variables[j]); that order is not the index order, so the y of I's
     generator x_k is not y_k."""
     rng = random.Random(73)
-    calls = _counted_rees_kernels(monkeypatch)
+    calls = _counted_general_routes(monkeypatch)
     checked = {True: 0, False: 0}
     for trial in range(24):
         ring = RingDescriptor.graded("x,y" if trial % 2 else "x,y,z")
@@ -489,12 +516,13 @@ def test_tangent_cone_route_matches_the_rees_route(monkeypatch):
 
 def test_only_the_variables_take_the_tangent_cone_route(R, monkeypatch):
     """(x + y, y) is m on other generators and (x, y^2) is not m: both take
-    the Rees kernel.  A handle keeps one monic copy of each monomial
-    generator, so (2x, y) and (x, y, x) are generated by the variables and
-    take the tangent cone.  Every L has the Rees route's basis, for a
-    homogeneous J and a curve germ."""
+    the general route, the initial forms of J + (y_j - f_j).  A handle
+    keeps one monic copy of each monomial generator, so (2x, y) and
+    (x, y, x) are generated by the variables and take the tangent cone.
+    Every L has the Rees reference's basis, for a homogeneous J and a
+    curve germ."""
     x, y = R.gens()
-    calls = _counted_rees_kernels(monkeypatch)
+    calls = _counted_general_routes(monkeypatch)
     for J in (IdealHandle(R, [x ** 2 - y ** 2, x * y]),
               IdealHandle(R, [y ** 2 - x ** 3])):
         for gens, rees in (([2 * x, y], False), ([x + y, y], True),
@@ -517,6 +545,31 @@ def test_gg_dimension_transfer(R):
         assert dimension(gr.ideal) == dimension(J)
 
 
+def test_dimension_gate_rejects_a_gr_of_the_wrong_dimension(R, monkeypatch):
+    """gr_I(S/J) sees S/J only along V(I), so its dimension may be
+    smaller, never larger.  One of larger dimension than S/J raises for
+    every pair (here the zero ideal stands for L), and one of smaller
+    dimension raises when J and I are homogeneous, where equality is a
+    theorem (here L plus every variable).  J = (x - x^2, y - x*y), the
+    origin plus the line x = 1, has dimension 1, and its gr of dimension
+    0 passes."""
+    x, y = R.gens()
+    I = IdealHandle(R, [x ** 2, y])
+    germ = IdealHandle(R, [x - x ** 2, y - x * y])
+    graded = IdealHandle(R, [x * y])
+    monkeypatch.setattr(constructions_mod, "_top_forms",
+                        lambda Q, basis: IdealHandle(Q.ring, []))
+    for J in (germ, graded):
+        with pytest.raises(InternalConsistencyError,
+                           match="dimension changed"):
+            assoc_graded(J, I)
+    monkeypatch.setattr(constructions_mod, "_top_forms",
+                        lambda Q, basis: IdealHandle(Q.ring, Q.ring.gens()))
+    with pytest.raises(InternalConsistencyError, match="dimension changed"):
+        assoc_graded(graded, I)
+    assert dimension(assoc_graded(germ, I).ideal) == 0
+
+
 # the benchmark's ext verify pairs: J in Q[x,y,z] with I = (x^2, xy, y^2, xz)
 EXT_PAIRS = (("x^2", "x^2, x*y, y^2, x*z"), ("y^2", "x^2, x*y, y^2, x*z"))
 
@@ -524,9 +577,9 @@ EXT_PAIRS = (("x^2", "x^2, x*y, y^2, x*z"), ("y^2", "x^2, x*y, y^2, x*z"))
 def test_gg_is_gr_when_gr_is_bigraded(R):
     """GG hands out gr_I's own handle when gr_I's ideal L is bigraded: on
     the ext pairs, on the curve germs, whose L = (x) + J*(y) comes from the
-    tangent cone, on the cusp with I = (x, y^2) or (x + y, y), whose Rees
-    route L has inhomogeneous generators but a bihomogeneous reduced
-    basis, and on J = 0 with I = (x^2, y^3).
+    tangent cone, on the cusp with I = (x, y^2) or (x + y, y), whose L,
+    read off the homogenized basis, has inhomogeneous generators but a
+    bihomogeneous reduced basis, and on J = 0 with I = (x^2, y^3).
     For I = (x + y^2) or (x^2, xy, y^3), L is not bigraded, and GG is the
     ideal of x-block initial forms."""
     x, y = R.gens()
@@ -782,12 +835,15 @@ def test_unit_initial_forms_ideal_is_generated_by_one():
     (both vanish at x = 0) but the x-block forms of gr_I(S/J)'s ideal
     generate the unit ideal; a basis element of top t-degree is a nonzero
     constant, and the handle lists (1) alone, not (1, 1/3*x*y + x^2).
-    gr_I's own ideal L = Rees kernel + I + J receives both x*y + 3x (from
-    the kernel) and -x*y - 3x (from J), and its handle keeps the first."""
+    gr_I's own ideal L, the top t-forms of the homogenized basis of
+    J + (q1 + x - 1), is (y + 3, x - 1, x*y + 3x): the Rees reference's
+    Rees kernel + I + J."""
     R2 = RingDescriptor.graded("x,y")
-    gr = assoc_graded(IdealHandle(R2, ["-x*y - 3*x"]),
-                      IdealHandle(R2, ["-x + 1"]))
-    assert repr(gr.ideal) == "(-x + 1, x*y + 3*x)"
+    J, I = IdealHandle(R2, ["-x*y - 3*x"]), IdealHandle(R2, ["-x + 1"])
+    gr = assoc_graded(J, I)
+    assert repr(gr.ideal) == "(y + 3, x - 1, x*y + 3*x)"
+    assert (gr.ideal.groebner_basis()
+            == reference_gr_ideal(J, I).groebner_basis())
     forms = initial_forms_ideal(gr.ideal, gr.ring.x_block)
     assert forms.gens == (gr.ring.one(),)
     assert repr(forms) == "(1)"
@@ -823,46 +879,63 @@ def test_unit_pair_is_an_input_error(R):
 
 
 def test_substitution_check_runs(R):
+    """The gate passes on the cusp's homogenized basis with I = m and
+    I = (x + y^2, y), and every basis element maps into J*S[t] by
+    substitution."""
     x, y = R.gens()
-    rk = rees_kernel(IdealHandle(R, [y ** 2 - x ** 3]), maximal_ideal(R))
-    assert rk.substitution_check()
-
-
-def _maps_into_j(rees, g):
-    """Reference route: y_j -> t*f_j into S[t] by Polynomial.substitute,
-    then membership in J*S[t]."""
-    S = rees.J.ring
-    St = extended_ring(S, fresh_names(S, "t_", 1))
-    t = St.gen(S.nvars)
-    images = St.gens()[:S.nvars] + [t * inject(f, St) for f in rees.maps]
-    JSt = IdealHandle(St, [inject(h, St) for h in rees.J.gens])
-    return JSt.contains(g.substitute(St, images))
-
-
-def _with_kernel(rees, gens):
-    return ReesPresentation(rees.J, rees.extended,
-                            IdealHandle(rees.extended, gens), rees.maps,
-                            rees.y_indices)
+    J = IdealHandle(R, [y ** 2 - x ** 3])
+    for I in (maximal_ideal(R), IdealHandle(R, [x + y ** 2, y])):
+        _Q, basis = rees_kernel(J, I)           # runs the gate
+        _check_substitution(J, I.gens, basis)
+        assert all(maps_into_j(J, I.gens, g) for g in basis)
 
 
 def test_substitution_check_catches_a_generator_outside_the_kernel(R):
+    """A basis element whose image under y_j -> t*f_j is not in J*S[t]
+    fails the gate, with t or without: q1 - x_0, q1 - f_1 (its image
+    (t - 1)*f_1 is zero at t = 1, not in (S/J)[t]), and one element of the
+    basis changed by the y-term q1*x_0, which lies outside Q."""
     x, y = R.gens()
-    rk = rees_kernel(IdealHandle(R, [y ** 2 - x ** 3]), maximal_ideal(R))
-    gg = rk.extended
-    q1 = gg.gen(rk.y_indices[0])
-    # the image of q1 - f_1 is (t - 1)*f_1: zero at t = 1, not in (S/J)[t]
-    for extra in (q1 - gg.gen(0), q1 - inject(rk.maps[0], gg)):
-        bad = _with_kernel(rk, list(rk.kernel.gens) + [extra])
-        assert not _maps_into_j(bad, extra)
-        with pytest.raises(InternalConsistencyError):
-            bad.substitution_check()
+    J, I = IdealHandle(R, [y ** 2 - x ** 3]), maximal_ideal(R)
+    Q, basis = rees_kernel(J, I)
+    big = basis[0].ring
+    q1 = big.gen(Q.ring.y_block[0])
+    changed = list(basis)
+    changed[-1] = changed[-1] + q1 * big.gen(0)
+    for bad in (list(basis) + [q1 - big.gen(0)],
+                list(basis) + [q1 - inject(I.gens[0], big)], changed):
+        assert not all(maps_into_j(J, I.gens, g) for g in bad)
+        with pytest.raises(InternalConsistencyError, match="substitution"):
+            _check_substitution(J, I.gens, bad)
+
+
+def test_assoc_graded_rejects_a_corrupted_basis(R, monkeypatch):
+    """The gate runs inside the general route before L is read off, on
+    the elements with t too: when the homogenized basis of J + (y_j - f_j)
+    comes back with its first element that involves t changed by a y-term
+    q_1*x_0 outside Q, assoc_graded raises InternalConsistencyError rather
+    than building gr_I from it."""
+    x, y = R.gens()
+    J, I = IdealHandle(R, [y ** 2 - x ** 3]), IdealHandle(R, [x + y ** 2, y])
+    right = constructions_mod._homogenized_basis
+
+    def corrupted(H, block):
+        basis = list(right(H, block))
+        k = next(k for k, g in enumerate(basis)
+                 if any(m[-1] for m in g.terms))
+        big = basis[k].ring
+        basis[k] = basis[k] + big.gen(H.ring.y_block[0]) * big.gen(0)
+        return tuple(basis)
+    monkeypatch.setattr(constructions_mod, "_homogenized_basis", corrupted)
+    with pytest.raises(InternalConsistencyError, match="substitution"):
+        assoc_graded(J, I)
 
 
 def test_substitution_check_agrees_with_substitution_into_s_t():
     """On seeded homogeneous J in Q[x,y,z], with I = m or a random monomial
-    ideal, the check against J passes and raises together with the
-    reference route, on the kernel itself and with one generator
-    perturbed by a term q_j*x_i."""
+    ideal, the gate against J passes and raises together with the
+    substitution into S[t], on the general route's whole homogenized basis
+    and with one element perturbed by a term q_j*x_i."""
     rng = random.Random(15)
     R3 = RingDescriptor.graded("x,y,z")
 
@@ -878,19 +951,70 @@ def test_substitution_check_agrees_with_substitution_into_s_t():
         I = maximal_ideal(R3) if k % 2 == 0 else IdealHandle(R3, [
             R3.monomial(tuple(rng.randint(0, 2) for _ in range(3)))
             for _ in range(rng.randint(1, 2))])
-        rk = rees_kernel(J, I)                  # runs the check: passes
-        assert all(_maps_into_j(rk, g) for g in rk.kernel.gens)
-        gg = rk.extended
-        gens = list(rk.kernel.gens)
+        Q, basis = rees_kernel(J, I)            # runs the gate: passes
+        assert all(maps_into_j(J, I.gens, g) for g in basis)
+        big = basis[0].ring
+        gens = list(basis)
         pick = rng.randrange(len(gens))
-        gens[pick] = gens[pick] + (gg.gen(rng.choice(rk.y_indices))
-                                   * gg.gen(rng.randrange(3)))
-        bad = _with_kernel(rk, gens)
-        reference = all(_maps_into_j(bad, g) for g in bad.kernel.gens)
+        gens[pick] = gens[pick] + (big.gen(rng.choice(Q.ring.y_block))
+                                   * big.gen(rng.randrange(3)))
+        reference = all(maps_into_j(J, I.gens, g) for g in gens)
         try:
-            passed = bad.substitution_check()
+            _check_substitution(J, I.gens, gens)
+            passed = True
         except InternalConsistencyError:
             passed = False
         assert passed == reference
         raised += not passed
     assert 0 < raised < 20
+
+
+def _sweep_pairs(rng):
+    """Pairs (J, I) in Q[x,y] and Q[x,y,z] from 64 draws, I neither 0 nor
+    m: J homogeneous or not, I homogeneous, inhomogeneous or (x + y^2, y)."""
+    for trial in range(64):
+        ring = RingDescriptor.graded("x,y" if trial % 2 else "x,y,z")
+        x, y = ring.gen(0), ring.gen(1)
+        if trial % 4 < 2:
+            degree = rng.randint(2, 3)
+            J = [_random_polynomial(rng, ring, degree, min_deg=degree)
+                 for _ in range(rng.randint(1, 2))]
+        else:
+            J = [_random_polynomial(rng, ring, 3, min_deg=1)
+                 for _ in range(rng.randint(1, 2))]
+        kind = trial // 4 % 4
+        if kind == 0:
+            I = [x + y ** 2, y]
+        elif kind == 1:
+            degree = rng.randint(1, 2)
+            I = [_random_polynomial(rng, ring, degree, 2, min_deg=degree)
+                 for _ in range(rng.randint(1, 2))]
+        else:
+            I = [_random_polynomial(rng, ring, 2, 2, min_deg=1)
+                 for _ in range(rng.randint(1, 2))]
+        J, I = IdealHandle(ring, J), IdealHandle(ring, I)
+        if not I.is_zero() and I.gens != maximal_ideal(ring).gens:
+            yield J, I
+
+
+def test_general_route_matches_the_rees_reference():
+    """On 61 seeded pairs with J and I each homogeneous or not, I = (x + y^2,
+    y) among them, L = in_y(J + (y_j - f_j)) and the Rees reference's
+    L = Rees kernel + I + J have one reduced degrevlex basis; so does
+    assoc_graded's L on every pair whose J + I is proper."""
+    checked = {"pairs": 0, "J": 0, "I": 0, "built": 0}
+    for J, I in _sweep_pairs(random.Random(59)):
+        checked["pairs"] += 1
+        reference = reference_gr_ideal(J, I).groebner_basis()
+        assert _top_forms(*rees_kernel(J, I)).groebner_basis() == reference, \
+            (J, I)
+        checked["J"] += not J.is_homogeneous()
+        checked["I"] += not I.is_homogeneous()
+        try:
+            gr = assoc_graded(J, I)
+        except UnsupportedInputError:
+            continue
+        assert gr.ideal.groebner_basis() == reference, (J, I)
+        checked["built"] += 1
+    assert checked["pairs"] >= 60 and checked["built"] >= 40, checked
+    assert checked["J"] >= 20 and checked["I"] >= 20, checked

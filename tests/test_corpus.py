@@ -267,3 +267,24 @@ def test_every_i_equals_m_gr_of_a_corpus_pass_matches_the_rees_route(
     monkeypatch.setattr(constructions_mod, "assoc_graded", checked_gr)
     assert main(["corpus", "--json", str(tmp_path / "corpus.json")]) == 0
     assert len(checked) >= 80 and checked.count(False) == 5, checked
+
+
+def test_every_general_route_gr_of_a_corpus_pass_matches_the_rees_route(
+        monkeypatch, tmp_path):
+    """Each gr_I(S/J) a corpus run builds with I not generated by the
+    variables (read off the homogenized basis of J + (y_j - f_j)) has the
+    reduced degrevlex basis of the Rees route's L = Rees kernel + I + J."""
+    assoc_graded = constructions_mod.assoc_graded
+    checked = []
+
+    def checked_gr(J, I):
+        gr = assoc_graded(J, I)
+        if I.gens != maximal_ideal(I.ring).gens:
+            assert (gr.ideal.groebner_basis()
+                    == reference_gr_ideal(J, I).groebner_basis()), (J, I)
+            checked.append(I)
+        return gr
+
+    monkeypatch.setattr(constructions_mod, "assoc_graded", checked_gr)
+    assert main(["corpus", "--json", str(tmp_path / "corpus.json")]) == 0
+    assert len(checked) >= 15, len(checked)

@@ -15,14 +15,15 @@ from arithdeg.errors import ResourceLimitError, RingMismatchError
 from arithdeg.fields import GF, QQ, PrimeFieldElement
 from arithdeg.groebner import (_POLY, IdealHandle, _divide, _divide_pair,
                                _int_form, _Packer, _poly_sort_key, _Slots,
-                               _s_element, buchberger, eliminate,
-                               ideal_product, ideal_sum, maximal_ideal,
-                               normal_form, s_polynomial)
+                               _s_element, buchberger, ideal_product,
+                               ideal_sum, maximal_ideal, normal_form,
+                               s_polynomial)
 from arithdeg.orders import BlockOrder, DegRevLex, Lex
 from arithdeg.rings import (Polynomial, RingDescriptor, parse_polynomial,
                             terms_key)
 
-from helpers import WeightedDegRevLex, intersect, saturate
+from helpers import (WeightedDegRevLex, eliminate, intersect, project,
+                     saturate)
 
 
 @pytest.fixture
@@ -203,7 +204,6 @@ def test_eliminate_toric_kernel():
     I = IdealHandle(R, [q1 - t * x ** 2, q2 - t * x ** 3])
     E = eliminate(I, [3])
     small = RingDescriptor.graded("x,q1,q2")
-    from arithdeg.groebner import project
     K = IdealHandle(small, [project(g, small) for g in E.gens])
     # oracle: x -> (1, 0), q1 -> (2, 1), q2 -> (3, 1) in (x-weight, t-weight)
     relations = lattice_kernel_oracle([(1, 2, 3), (0, 1, 1)], 3, box=3)
