@@ -295,8 +295,9 @@ def cmd_corpus(args):
 
 
 def cmd_check(args):
-    """Abbreviated invariant suite: ring axioms, Groebner soundness,
-    difference calculus, one oracle equivalence, Euler characteristics of
+    """Abbreviated invariant suite: ring axioms, Groebner soundness, the
+    signature loop's bases against the sugar loop's, difference calculus,
+    one oracle equivalence, Euler characteristics of
     free resolutions against Hilbert functions and of Ext modules against
     their dualised resolutions, the numerator's sum
     transform against brute-force counts, the GG gate's two walks against
@@ -306,8 +307,9 @@ def cmd_check(args):
     against gr_I's initial forms, and ladeg's GG of a coordinate prime over
     the coordinate ring against its build in S."""
     import random
-    from .groebner import (IdealHandle, _caps, extended_ring, fresh_names,
-                           inject, maximal_ideal)
+    from .groebner import (_POLY, IdealHandle, _caps, _groebner,
+                           extended_ring, fresh_names, inject, maximal_ideal)
+    from .orders import DegRevLex
     from .hilbert import (as_presentation, count_monomials,
                           cumulative_polynomial, ee_vector, hilbert_polynomial,
                           hilbert_value, hilbert_value_bruteforce,
@@ -341,8 +343,10 @@ def cmd_check(args):
         assert f * g == g * f
     print("ring axioms: ok (50 random triples)")
 
-    for _ in range(10):
-        _spot_check_basis(IdealHandle(R, [rand_poly() for _ in range(rng.randint(1, 3))]))
+    ideals = [IdealHandle(R, [rand_poly() for _ in range(rng.randint(1, 3))])
+              for _ in range(10)]
+    for I in ideals:
+        _spot_check_basis(I)
     print("Buchberger criterion: ok (10 random ideals)")
 
     morder = PositionOverTerm()
@@ -371,9 +375,18 @@ def cmd_check(args):
     zp_rng = random.Random(11)
     Rp = RingDescriptor.graded("x,y,z", field=GF(7))
     for _ in range(5):
-        _spot_check_basis(IdealHandle(Rp, [rand_poly(Rp, zp_rng) for _ in
-                                           range(zp_rng.randint(1, 3))]))
+        ideals.append(IdealHandle(Rp, [rand_poly(Rp, zp_rng) for _ in
+                                       range(zp_rng.randint(1, 3))]))
+        _spot_check_basis(ideals[-1])
     print("Buchberger criterion over Zp(7): ok (5 random ideals)")
+
+    # the signature loop's bases against the sugar loop's, which module
+    # bases take, on the same ideals
+    for I in ideals:
+        assert list(I.groebner_basis()) == _groebner(
+            list(I.gens), DegRevLex(), _POLY, I.max_basis, I.max_degree)
+    print("signature loop = sugar loop: ok (10 random ideals over Q, "
+          "5 over Zp(7))")
 
     def rand_homogeneous(rng):
         gens = []

@@ -1,25 +1,29 @@
 """Groebner engine for ideals and submodules; ideal arithmetic.
 
-One Buchberger loop, one division loop and one interreduction serve both
-polynomials and the free-module vectors of ``modules``.  Pairs form only
-between lead terms in the same component and are chosen by the sugar
-strategy (smallest sugar, then smallest lcm in the term order).
-Gebauer-Moeller pair elimination runs at every rank; the product criterion
-is used for polynomials only.  Output bases are reduced (monic, minimal,
-tail-reduced) and canonically sorted, so every computation is reproducible
-byte for byte.  The division loop works on Python ints for every field and
-order: terms packed into ints whose linear keys add under multiplication,
-coefficients over Q as numerators over one common denominator, over Z/p as
-residues; it returns field elements.  An S-pair enters the same loop as int
-numerators over lcm(L_f, L_g), built from the two elements' integer forms,
-and never exists as Fractions; a new basis element leaves it monic, with
-its integer form read off the same ints.  ``s_polynomial`` (and
+Two Buchberger loops share one division loop and one interreduction.
+Ideals take the signature loop (_signature_groebner): GVW's criteria
+(Gao, Volny and Wang, Math. Comp. 2016) on signatures ordered by their
+Schreyer images, J-pairs in a heap by signature, regular reductions only.
+Submodules take the sugar loop (_groebner), which serves polynomials too
+as the tests' reference: pairs form only between lead terms in the same
+component, are chosen by the sugar strategy (smallest sugar, then
+smallest lcm in the term order) and are pruned by Gebauer-Moeller, with
+no product criterion, since above rank 1 coprime leads can leave a
+nonzero S-vector (x*e1 + e2 and y*e1 give y*e2).  Output bases are
+reduced (monic, minimal, tail-reduced) and canonically sorted, so every
+computation is reproducible byte for byte.  The division loop works on
+Python ints for every field and order: terms packed into ints whose
+linear keys add under multiplication, coefficients over Q as numerators
+over one common denominator, over Z/p as residues; it returns field
+elements.  An S-pair enters the same loop as int numerators over
+lcm(L_f, L_g), built from the two elements' integer forms, and never
+exists as Fractions; a new basis element leaves it monic, with its
+integer form read off the same ints.  ``s_polynomial`` (and
 ``modules.s_vector``) build S-elements on Fractions: they are the oracle
 that checks a returned basis, not the engine's route.
 
-The Buchberger loop keeps what it learns to the end of the run: each pair
-is stored with its lcm, sugar and lcm key when it is made, and the final
-interreduction takes the loop's leads and forms slots (packed leads and
+Both loops keep what they learn to the end of the run, and the final
+interreduction takes their leads and forms slots (packed leads and
 integer forms), so no lead, integer form or normal form is recomputed
 there.  Pairs, heads in the division loop, Schreyer pairs and the
 minimality test are indexed by component: a lead divides only leads in
@@ -27,13 +31,15 @@ its own component, and polynomials have one.  The heads' index lives with
 a basis's slots (_Slots), so a basis builds it once, not per division,
 and so does the memo of which head divides a popped term, so a basis
 scans its heads for a term once.  Gebauer-Moeller runs on the same packed
-leads: lcms, divisibility and the product criterion are int operations on
-their exponent fields (Bachmann and Schoenemann, ISSAC 1998), and only
-the pairs kept get a key and a sugar.
+leads: lcms and divisibility are int operations on their exponent fields
+(Bachmann and Schoenemann, ISSAC 1998), and only the pairs kept get a key
+and a sugar; the signature loop's criteria test packed signatures the
+same way.
 """
 
 from bisect import insort
 from collections import namedtuple
+from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 from operator import lshift, mul
 
@@ -55,14 +61,12 @@ DEFAULT_MAX_DEGREE = 40
 # rest.  div(t, s) is the monomial q with t = q*s, or None; mul(q, t) is q*t;
 # lcm(s, t) is the least common multiple, or None when s and t lie in
 # different components; comp(t) is t's component (0 for every monomial);
-# make(f, terms) builds an element like f.  The
-# product criterion holds for polynomials only: above rank 1, coprime leads
-# can leave a nonzero S-vector (x*e1 + e2 and y*e1 give y*e2).
-_Terms = namedtuple("_Terms", "div mul lcm comp make product_criterion name")
+# make(f, terms) builds an element like f.
+_Terms = namedtuple("_Terms", "div mul lcm comp make name")
 
 _POLY = _Terms(mono_div, mono_mul, mono_lcm, lambda t: 0,
                lambda f, terms: Polynomial(f.ring, terms, _clean=False),
-               True, "Groebner")
+               "Groebner")
 
 
 def _s_element(f, g, order, ops):
@@ -275,8 +279,14 @@ def _divide_pair(i, j, basis, leads, order, ops, quotients=None, forms=None):
     Z/p, L = D = 1.  Two single terms leave the S-element zero."""
     if len(basis[i].terms) == len(basis[j].terms) == 1:
         return None
-    lcm_term = ops.lcm(leads[i][0], leads[j][0])
+    start = _pair_start(i, j, basis, leads, ops.lcm(leads[i][0], leads[j][0]))
+    return _monic_form(*_packed_run(start, basis, leads, order, quotients,
+                                    forms), basis[0].ring.field)
 
+
+def _pair_start(i, j, basis, leads, lcm_term):
+    """The start of _divide_packed on the S-element of basis[i] and
+    basis[j], whose leads have the lcm lcm_term (_divide_pair)."""
     def start(packer, forms):
         top = packer.pack(lcm_term)
         (si, (rest_i, Li, _)), (sj, (rest_j, Lj, _)) = (
@@ -291,8 +301,7 @@ def _divide_pair(i, j, basis, leads, order, ops, quotients=None, forms=None):
         if any(u & packer.guards for u in work):
             raise OverflowError
         return work, D
-    return _monic_form(*_packed_run(start, basis, leads, order, quotients,
-                                    forms), basis[0].ring.field)
+    return start
 
 
 def _packed_run(start, basis, leads, order, quotients, forms):
@@ -363,7 +372,8 @@ def _slot_form(basis, leads, forms, k):
     return s, form
 
 
-def _divide_packed(start, basis, leads, packer, forms, with_quotients):
+def _divide_packed(start, basis, leads, packer, forms, with_quotients,
+                   sig=None):
     """The loop of _divide on packed terms, from (work, D) = start(packer,
     forms): the remainder as a list of (packed term, n, D) and the quotient
     steps as a list of (k, packed q, numerator, denominator); no field
@@ -384,13 +394,24 @@ def _divide_packed(start, basis, leads, packer, forms, with_quotients):
     its component field in the index the slots keep (_Slots.heads;
     polynomials have one component), and only once per basis: the slots'
     divisor memo names the head that divides it, or where a scan that
-    found none resumes once the basis has grown."""
-    p = basis[0].ring.field.characteristic
+    found none resumes once the basis has grown.
+
+    sig = (images, indices, T, i) makes the division regular, for the
+    signature loop (_signature_groebner, polynomials only, so head k sits
+    at place k of the one component's list): a head k divides the popped
+    term t only when the signature of its step, (t - s) + images[k] at
+    index indices[k], lies below (T, i); the scan goes on from the first
+    dividing head to the first regular one, and a term with none goes to
+    the remainder.  The loop's first generator divides by an empty basis,
+    which leaves it whole."""
+    p = basis[0].ring.field.characteristic if basis else 0
     heads = forms.heads(packer, leads)
     divisor = forms.divisor
     shift, mask = packer.comp_shift, packer.comp_mask
     G = packer.guards
     remainder, steps = [], []
+    if sig:
+        images, indices, T, Ti = sig
     work, D = start(packer, forms)
     pending = sorted(work)
     while pending:
@@ -415,6 +436,19 @@ def _divide_packed(start, basis, leads, packer, forms, with_quotients):
                 continue
         else:
             s = forms[k][1]
+        if sig:
+            row, tg = heads[0], t | G
+            for at in range(k, len(row)):
+                k, s = row[at]
+                if (tg - s) & G == G:
+                    u = t - s + images[k]
+                    if u & G:
+                        raise OverflowError
+                    if u < T or u == T and indices[k] < Ti:
+                        break
+            else:
+                remainder.append((t, n, D))
+                continue
         if not D:
             D = lcm(n.denominator, *[c.denominator for c in work.values()])
             n = n.numerator * (D // n.denominator)
@@ -458,9 +492,8 @@ def _update_pairs(P, members, forms, leads, sugar, n, order, ops, deg):
 
     The tests run on the leads' exponent fields, read off the packed leads
     in forms (one packer for every slot): a packed lcm is those fields
-    alone, lcms come from _Packer.lcm, s divides u when ((u | G) - s) & G
-    == G, and leads a and b are coprime when a + b is their lcm.  The
-    fields sort as a linear extension of divisibility, so the minimal lcms
+    alone, lcms come from _Packer.lcm, and s divides u when ((u | G) - s)
+    & G == G.  The fields sort as a linear extension of divisibility, so the minimal lcms
     are found in that order with no key; the key, the sugar and the lcm
     as a term are made for the pairs kept."""
     packer = forms.packer
@@ -484,11 +517,7 @@ def _update_pairs(P, members, forms, leads, sugar, n, order, ops, deg):
         if any((lg - m) & G == G for m in minimal):
             continue
         minimal.append(lcm)
-        group = groups[lcm]
-        # product criterion: skip when some member has a coprime lead
-        if ops.product_criterion and any(fields[i] + u == lcm for i in group):
-            continue
-        i = group[0]
+        i = groups[lcm][0]
         term = ops.lcm(leads[i][0], t)
         pairs[(i, n)] = (max(sugar[i] + deg(ops.div(term, leads[i][0])),
                              sugar[n] + deg(ops.div(term, t))),
@@ -537,7 +566,9 @@ def _reduce(G, leads, order, ops, forms=None):
 
 def _groebner(gens, order, ops, max_basis, max_degree):
     """Reduced Groebner basis of the span of gens (nonzero elements of one
-    kind): sugar strategy, Gebauer-Moeller pairs, each pair divided by
+    kind), by the sugar loop that module bases take (and the tests, as
+    the signature loop's reference, with _POLY): sugar strategy,
+    Gebauer-Moeller pairs, each pair divided by
     _divide_pair as int numerators over lcm(L_i, L_j), with no S-element
     built; a nonzero remainder joins the basis monic, with its forms slot
     filled.  The loop's state lasts to the end of the run: leads[k] is the
@@ -598,6 +629,127 @@ def _groebner(gens, order, ops, max_basis, max_degree):
     return _reduce(G, leads, order, ops, forms)[0]
 
 
+def _signature_groebner(F, order, packer, max_basis, max_degree):
+    """Reduced Groebner basis of the ideal of the monic generators F, by
+    the signature loop of Gao, Volny and Wang (Math. Comp. 2016) on one
+    packer; buchberger runs it again from the start on a wider packer
+    when a term or a signature outgrows the ring's (_packed).
+
+    A signature m*e_i is kept as (image, i), its Schreyer image m*lt(F[i])
+    packed: signatures compare as these pairs, and m*e_i divides m'*e_i
+    when the images do.  Element k of the basis G has the signature
+    (images[k], indices[k]), and members[i] lists the elements of index i.
+    A J-pair sits in the heap as (image, i, packed lead, reducer, carrier):
+    the carrier's multiple of the larger signature, entering the division
+    as the S-element of the two (_pair_start); generator n enters as
+    (lt(F[n]), n, lt(F[n]), -1, n).  A popped J-pair is skipped when it
+    repeats the signature before it, when a signature in syz divides its
+    own (those of zero remainders, of the J-pairs of two single terms,
+    whose S-element is zero, and the Koszul ones: the larger of
+    lt(g)*sig(h) and lt(h)*sig(g) for two elements g, h), or
+    when an element k of its index has images[k] dividing its image with
+    quotient q and q*lt(G[k]) below its lead (the cover criterion).  The
+    rest are divided regularly (_divide_packed), and a nonzero remainder
+    joins G monic (a generator no step divided joins as it is), unless
+    its lead is singular top-reducible: q*lt(G[k])
+    for some k with q*sig(G[k]) its own signature.  No J-pair forms for
+    coprime leads, nor for two multiples of one signature.  Sums of
+    packed terms sort like the order only while they fit (fits).  The
+    degree cap applies to the elements made from J-pairs, and max_basis
+    counts G.  The final interreduction (_reduce) takes G's leads and
+    forms slots as they stand."""
+    pack, guards, fields = packer.pack, packer.guards, packer.fields
+    field = F[0].ring.field
+    G, leads, forms, images, indices = [], [], _Slots([]), [], []
+    syz, members = {}, {}
+
+    def fits(u):
+        if u & guards:
+            raise OverflowError
+        return u
+
+    def divides(t, s):
+        return ((t | guards) - s) & guards == guards
+
+    def syzygy(T, i):
+        tg = T | guards
+        return any((tg - h) & guards == guards for h in syz.get(i, ()))
+
+    def add_syzygy(T, i):
+        tg = T | guards
+        hs = syz.setdefault(i, [])
+        if all((tg - h) & guards != guards for h in hs):
+            hs.append(T)
+
+    lts = [f.leading_term(order) for f in F]
+    heap = [(t, n, t, -1, n) for n, t in enumerate(pack(t) for t, _ in lts)]
+    heapify(heap)
+    last = None
+    while heap:
+        T, Ti, top, i, j = heappop(heap)
+        if (T, Ti) == last or syzygy(T, Ti):
+            continue
+        last = T, Ti
+        same = members.setdefault(Ti, [])
+        if i < 0:
+            rest, L, d = form = _int_form(F[j], lts[j], pack)
+            start = lambda packer, forms: (dict([(top, L)] + rest), d)
+        elif any(divides(T, images[k])
+                 and fits(T - images[k] + forms[k][1]) < top for k in same):
+            continue
+        else:
+            start = _pair_start(i, j, G, leads, packer.unpack(top))
+        remainder, steps = _divide_packed(start, G, leads, packer, forms,
+                                          i < 0, (images, indices, T, Ti))
+        if i < 0 and not steps:
+            r, lead, slot = F[j], lts[j], (packer, top, form)
+        else:
+            got = _monic_form(packer, remainder, field)
+            if got is None:
+                syz.setdefault(Ti, []).append(T)
+                continue
+            terms, slot = got
+            r, lead = Polynomial(F[0].ring, terms, _clean=False), next(
+                iter(terms.items()))
+        w = slot[1]
+        if any(divides(w, forms[k][1]) and w - forms[k][1] + images[k] == T
+               for k in same):
+            continue
+        if i >= 0 and r.degree() > max_degree:
+            raise ResourceLimitError(
+                "Groebner degree cap %d exceeded" % max_degree,
+                basis_size=len(G), degree=r.degree())
+        n = len(G)
+        wf = w & fields
+        for k, (s, _) in enumerate(leads):
+            u, v = forms[k][1], images[k]
+            a, b = (fits(w + v), indices[k]), (fits(u + T), Ti)
+            if a != b:
+                add_syzygy(*(a if a > b else b))
+            if packer.lcm(wf, u & fields) == wf + (u & fields):
+                continue  # coprime leads
+            lcm = pack(mono_lcm(s, lead[0]))
+            a, b = (fits(lcm - w + T), Ti), (fits(lcm - u + v), indices[k])
+            if a == b:
+                continue
+            if len(r.terms) == len(G[k].terms) == 1:
+                # the S-element of two terms is zero
+                add_syzygy(*(a if a > b else b))
+            else:
+                heappush(heap, a + (lcm, k, n) if a > b else b + (lcm, n, k))
+        G.append(r)
+        leads.append(lead)
+        forms.append(slot)
+        images.append(T)
+        indices.append(Ti)
+        same.append(n)
+        if len(G) > max_basis:
+            raise ResourceLimitError(
+                "Groebner basis size cap %d exceeded" % max_basis,
+                basis_size=len(G))
+    return _reduce(G, leads, order, _POLY, forms)[0]
+
+
 def s_polynomial(f, g, order):
     """The S-polynomial of f and g, on Fractions: the oracle for the
     Buchberger criterion on a returned basis, not the engine's route."""
@@ -622,8 +774,13 @@ def buchberger(gens, order, max_basis=DEFAULT_MAX_BASIS,
     gens = list(gens)
     if any(f.ring != gens[0].ring for f in gens):
         raise RingMismatchError("generators over different rings")
-    return _groebner([f for f in gens if f], order, _POLY, max_basis,
-                     max_degree)
+    F = [f.monic(order) for f in gens if f]
+    if all(len(f.terms) == 1 for f in F):
+        # single terms are a Groebner basis already
+        return _reduce(F, [f.leading_term(order) for f in F], order, _POLY,
+                       _Slots([None] * len(F)))[0]
+    return _packed(F[0], order, lambda packer: _signature_groebner(
+        F, order, packer, max_basis, max_degree))[1]
 
 
 def _poly_sort_key(f, order=DegRevLex()):

@@ -9,9 +9,9 @@ steps use the induced Schreyer order.
 
 Module Groebner bases, normal forms and Schreyer syzygies run on the engine
 in ``groebner``, with the component-aware term operations defined here:
-S-pairs form only within a component, Gebauer-Moeller pair elimination
-applies as for ideals, and the product criterion is left out, since it is
-not valid for modules.
+module bases take its sugar loop, S-pairs form only within a component,
+and Gebauer-Moeller pair elimination runs with no product criterion,
+which is not valid for modules.
 
 A free resolution checks that its maps compose to zero on ints, each
 differential brought to ints once per check.  Ext^j takes one module
@@ -178,7 +178,7 @@ def _vec_lcm(s, t):
 
 _VEC = _Terms(_vec_div, _vec_mul, _vec_lcm, itemgetter(0),
               lambda v, terms: Vec(v.ring, v.rank, terms, _clean=False),
-              False, "module Groebner")
+              "module Groebner")
 
 
 def module_normal_form(v, basis, morder, leads=None, forms=None):

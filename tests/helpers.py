@@ -311,11 +311,7 @@ def update_pairs_reference(P, members, leads, sugar, n, order, ops, deg):
         if any(ops.div(lcm, m) is not None for m in minimal):
             continue
         minimal.append(lcm)
-        group = groups[lcm]
-        if ops.product_criterion and any(
-                ops.mul(leads[i][0], t) == lcm for i in group):
-            continue
-        i = group[0]
+        i = groups[lcm][0]
         pairs[(i, n)] = (max(sugar[i] + deg(ops.div(lcm, leads[i][0])),
                              sugar[n] + deg(ops.div(lcm, t))), key, i, n, lcm)
     same.append(n)

@@ -492,13 +492,15 @@ def test_cached_gg_lives_on_the_handles(R):
 def test_cached_gg_honours_caps():
     """A capped run fails the same whether or not an uncapped run of the
     same pair came first: GG presentations live on the ideal handles, which
-    carry their caps."""
+    carry their caps.  The cap is on the basis size: the cusp's run passes
+    under every degree cap from 1 on, since the degree cap spares
+    generators."""
     from arithdeg.errors import ResourceLimitError
     from arithdeg.runner import execute_script
     from arithdeg.session import parse_session
     text = ("ring S=Q[x,y];\nideal J=y^2-x^3;\nideal M=x,y;\nmeta J prime;\n"
             "%stask verify J M;\n")
-    capped = parse_session(text % "option max_degree 2;\n")
+    capped = parse_session(text % "option max_basis 3;\n")
     with pytest.raises(ResourceLimitError):
         execute_script(capped)
     execute_script(parse_session(text % ""))

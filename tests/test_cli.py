@@ -485,6 +485,7 @@ CHECK_LINES = [
     "difference composition: ok (25 random polynomials)",
     "oracle equivalence on (x^2, xy): ok",
     "Buchberger criterion over Zp(7): ok (5 random ideals)",
+    "signature loop = sugar loop: ok (10 random ideals over Q, 5 over Zp(7))",
     "Betti/Euler oracle: ok (5 random resolutions, degrees 0-6)",
     "Ext Euler oracle: ok (5 random ideals, degrees -10 to 2)",
     "series oracle: ok (5 random ideals, sums up to the threshold)",
@@ -510,8 +511,9 @@ def test_check_command(capsys):
 def test_spot_checks_catch_a_pair_route_that_drops_remainders(monkeypatch):
     """The Buchberger-criterion checks form their S-elements on Fractions
     (s_polynomial, s_vector), not on the engine's pair route: when that
-    route reports every pair as reducing to zero, the bases it leaves are
-    not Groebner bases, and both checks raise."""
+    route starts every pair's division from a zero S-element, in the sugar
+    loop and the signature loop alike, the bases it leaves are not
+    Groebner bases, and both checks raise."""
     import arithdeg.cli as cli_mod
     import arithdeg.groebner as groebner_mod
     from arithdeg.groebner import IdealHandle
@@ -523,7 +525,8 @@ def test_spot_checks_catch_a_pair_route_that_drops_remainders(monkeypatch):
     gens = [x ** 2 + y, x * y + 1]
     cli_mod._spot_check_module_basis(vecs, PositionOverTerm())
     cli_mod._spot_check_basis(IdealHandle(R, gens))
-    monkeypatch.setattr(groebner_mod, "_divide_pair", lambda *args: None)
+    monkeypatch.setattr(groebner_mod, "_pair_start",
+                        lambda *args: lambda packer, forms: ({}, 1))
     with pytest.raises(AssertionError):
         cli_mod._spot_check_module_basis(vecs, PositionOverTerm())
     with pytest.raises(AssertionError):
@@ -533,9 +536,10 @@ def test_spot_checks_catch_a_pair_route_that_drops_remainders(monkeypatch):
 def test_spot_checks_catch_an_interreduction_that_skips_tails(monkeypatch):
     """The spot checks also assert that a basis is reduced, on plain term
     tuples: when the final interreduction keeps the minimal elements but
-    skips their tail division, (x + y, y) and the vectors (x, y), (0, y)
-    keep a tail term divisible by another lead.  Those bases still pass
-    the Buchberger criterion, and both checks raise."""
+    skips their tail division, the signature basis (x^2 + y^2, y^2 - x)
+    of (x^2 + y^2, x^2 + x) and the vectors (x, y), (0, y) keep a tail
+    term divisible by another lead.  Those bases still pass the Buchberger
+    criterion, and both checks raise."""
     import arithdeg.cli as cli_mod
     import arithdeg.groebner as groebner_mod
     from arithdeg.groebner import IdealHandle
@@ -544,7 +548,7 @@ def test_spot_checks_catch_an_interreduction_that_skips_tails(monkeypatch):
     R = RingDescriptor.graded("x,y")
     x, y = R.gens()
     vecs = [Vec.from_polys(R, (x, y)), Vec.from_polys(R, (R.zero(), y))]
-    gens = [x + y, y]
+    gens = [x ** 2 + y ** 2, x ** 2 + x]
     assert cli_mod._spot_check_module_basis(vecs, PositionOverTerm()) == [
         Vec.from_polys(R, (R.zero(), y)), Vec.from_polys(R, (x, R.zero()))]
     cli_mod._spot_check_basis(IdealHandle(R, gens))

@@ -1244,8 +1244,11 @@ def test_packed_update_matches_the_tuple_reference():
     tuple reference keeps, with the same records, on seeded polynomial
     and vector runs over Q and Z/7 under several orders, and on Lex and
     block-order runs whose packer widens mid-Buchberger, where every
-    stored pair's packed lcm is made again for the wider packer."""
+    stored pair's packed lcm is made again for the wider packer.  The
+    polynomial runs call the sugar loop (_groebner) directly, since
+    buchberger takes the signature loop."""
     import random
+    from arithdeg.groebner import _groebner
     from arithdeg.modules import PositionOverTerm, Vec, module_buchberger
     rng = random.Random(3030)
     orders = [Lex(), DegRevLex(), WeightedDegRevLex([1, 2, 3]),
@@ -1270,7 +1273,7 @@ def test_packed_update_matches_the_tuple_reference():
         with _check_update_against_reference(widths):
             try:
                 if rank is None:
-                    buchberger(gens, order, max_basis=60, max_degree=12)
+                    _groebner(gens, order, _POLY, 60, 12)
                 else:
                     module_buchberger(gens, PositionOverTerm(order),
                                       max_basis=60, max_degree=12)
@@ -1282,11 +1285,70 @@ def test_packed_update_matches_the_tuple_reference():
         R3 = RingDescriptor.graded("x,y,z")
         widths = []
         with _check_update_against_reference(widths):
-            basis = buchberger([parse_polynomial(R3, f) for f in gens],
-                               order, max_degree=400)
+            basis = _groebner([parse_polynomial(R3, f) for f in gens],
+                              order, _POLY, 2000, 400)
         assert widths[0] == 8 and widths[-1] == 16
         assert basis == buchberger([parse_polynomial(R3, f) for f in gens],
                                    order, max_degree=400)
+
+
+def test_signature_loop_matches_the_sugar_loop():
+    """buchberger's signature loop returns the reduced basis that the
+    sugar loop (_groebner with _POLY) returns, term for term, and every
+    S-polynomial of it reduces to zero: a seeded sweep over Q, Z/7 and
+    Z/32003, under Lex, DegRevLex, a weighted DegRevLex and a block order,
+    on homogeneous and inhomogeneous generators, compared where both loops
+    finish under the caps; and a Lex run whose signatures and terms
+    outgrow the packer, so that the loop starts again on a wider one."""
+    import random
+    from unittest import mock
+    import arithdeg.groebner as groebner_mod
+    rng = random.Random(3636)
+    orders = [Lex(), DegRevLex(), WeightedDegRevLex([1, 2, 3]),
+              BlockOrder([0], 3)]
+    fields = [QQ, GF(7), GF(32003)]
+    compared = []
+    for trial in range(240):
+        field, order = fields[trial % 3], orders[trial // 3 % 4]
+        homogeneous = trial // 12 % 2
+        R3 = RingDescriptor.graded("x,y,z", field=field)
+        gens = []
+        for _ in range(rng.randint(2, 4)):
+            d, terms = rng.randint(1, 3), {}
+            for _ in range(rng.randint(1, 4)):
+                a = rng.randint(0, d)
+                b = rng.randint(0, d - a if homogeneous else d)
+                m = (a, b, d - a - b if homogeneous else rng.randint(0, d))
+                terms[m] = field.coerce(Fraction(rng.choice((-3, -1, 2, 5)),
+                                                 rng.randint(1, 3)))
+            gens.append(Polynomial(R3, terms))
+        gens = [g for g in gens if g]
+        try:
+            ref = groebner_mod._groebner(gens, order, _POLY, 60, 12)
+            basis = buchberger(gens, order, max_basis=60, max_degree=12)
+        except ResourceLimitError:
+            continue
+        assert basis == ref
+        assert [list(f.terms) for f in basis] == [list(f.terms) for f in ref]
+        leads = [f.leading_term(order) for f in basis]
+        forms = _Slots([None] * len(basis))
+        assert not any(normal_form(s_polynomial(f, g, order), basis, order,
+                                   leads, forms)
+                       for k, f in enumerate(basis) for g in basis[k + 1:])
+        compared.append((field.characteristic, order.signature(),
+                         homogeneous))
+    assert len(set(compared)) == 24 and len(compared) > 220
+    widths, run = [], groebner_mod._signature_groebner
+
+    def logged(F, order, packer, *caps):
+        widths.append(packer.width)
+        return run(F, order, packer, *caps)
+    R3 = RingDescriptor.graded("x,y,z")
+    gens = [parse_polynomial(R3, f) for f in ("x^2 - z^70", "x*y - z^70")]
+    with mock.patch.object(groebner_mod, "_signature_groebner", logged):
+        basis = buchberger(gens, Lex(), max_degree=400)
+    assert widths == [8, 16]
+    assert basis == groebner_mod._groebner(gens, Lex(), _POLY, 2000, 400)
 
 
 def _katsura(n):
@@ -1335,21 +1397,50 @@ def _homogenized(R, polys):
 
 
 @pytest.mark.parametrize("system, homogenize, divided, zero", [
-    ("katsura4", False, 28, 18), ("katsura4", True, 28, 18),
-    ("cyclic5", False, 112, 75), ("cyclic5", True, 112, 75)])
+    ("katsura4", False, 15, 1), ("katsura4", True, 15, 1),
+    ("cyclic5", False, 49, 5), ("cyclic5", True, 49, 5)])
 def test_buchberger_pair_sequence_is_pinned(system, homogenize, divided,
                                             zero):
-    """The Buchberger loop divides the same pairs, in the same order, with
-    the same zero remainders, under the packed Gebauer-Moeller update and
-    under the tuple reference: on Katsura-4 and cyclic-5 and their
-    homogenizations, through an ideal handle, it divides 28 pairs with 18
-    zero remainders and 112 with 75."""
+    """The signature loop divides each signature once, in increasing
+    order, and its criteria leave few zero remainders: on Katsura-4 and
+    cyclic-5 and their homogenizations, through an ideal handle, it
+    makes 15 regular divisions with 1 zero remainder and 49 with 5,
+    generators included.  The sugar loop, with the same reduced basis,
+    divided 28 pairs with 18 zero remainders and 112 with 75."""
     from unittest import mock
     import arithdeg.groebner as groebner_mod
-    from helpers import update_pairs_reference
     R, polys = _katsura(4) if system == "katsura4" else _cyclic(5)
     if homogenize:
         R, polys = _homogenized(R, polys)
+    divide, log = groebner_mod._divide_packed, []
+
+    def logged(*args):
+        got = divide(*args)
+        if len(args) > 6:
+            _, _, T, Ti = args[6]
+            log.append((T, Ti, not got[0]))
+        return got
+
+    with mock.patch.object(groebner_mod, "_divide_packed", logged):
+        basis = IdealHandle(R, polys).groebner_basis()
+    assert list(basis) == groebner_mod._groebner(polys, DegRevLex(), _POLY,
+                                                 2000, 40)
+    assert all(a[:2] < b[:2] for a, b in zip(log, log[1:]))
+    assert (len(log), sum(z for _, _, z in log)) == (divided, zero)
+
+
+def test_module_pair_sequence_is_pinned():
+    """The sugar loop, which module_buchberger runs, divides the same
+    pairs, in the same order, with the same zero remainders, under the
+    packed Gebauer-Moeller update and under the tuple reference: on the
+    Katsura-4 equations paired up as vectors of S^2, it divides 66 pairs
+    with 37 zero remainders."""
+    from unittest import mock
+    import arithdeg.groebner as groebner_mod
+    from arithdeg.modules import PositionOverTerm, Vec, module_buchberger
+    from helpers import update_pairs_reference
+    R, polys = _katsura(4)
+    vecs = [Vec.from_polys(R, (f, g)) for f, g in zip(polys, polys[1:])]
     divide_pair, log = groebner_mod._divide_pair, []
 
     def logged(i, j, *args):
@@ -1371,8 +1462,8 @@ def test_buchberger_pair_sequence_is_pinned(system, homogenize, divided,
         log = []
         with mock.patch.object(groebner_mod, "_divide_pair", logged), \
                 mock.patch.object(groebner_mod, "_update_pairs", update):
-            basis = IdealHandle(R, polys).groebner_basis()
+            basis = module_buchberger(vecs, PositionOverTerm())
         runs.append((log, basis))
     (log, basis), (ref_log, ref_basis) = runs
     assert log == ref_log and basis == ref_basis
-    assert (len(log), sum(z for _, _, z in log)) == (divided, zero)
+    assert (len(log), sum(z for _, _, z in log)) == (66, 37)
