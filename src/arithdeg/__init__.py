@@ -4,11 +4,14 @@ Library layout:
   fields, orders, rings      exact coefficients, term orders, polynomials
   groebner                   Buchberger engine, ideal arithmetic
   modules                    module Groebner bases, syzygies, resolutions, Ext
-  numerical                  binomial-basis numerical polynomials, differences
-  hilbert                    Hilbert functions, dimensions, multiplicities
+  numerical                  binomial-basis numerical polynomials, differences,
+                             multiplicity vectors
+  hilbert                    Hilbert functions and polynomials, dimensions,
+                             multiplicities
   monomials                  standard pairs, and the primes off them
-  constructions              initial forms, gr_I as initial forms, GG
-  adeg                       arithmetic degrees and the verification harness
+  constructions              initial forms, gr_I as the handle of its ideal, GG
+  adeg                       arithmetic degrees as tables i -> value, and the
+                             verification harness
   session, runner, corpus, cli   the text/CLI frontend
 """
 
@@ -20,7 +23,7 @@ from .groebner import (IdealHandle, buchberger, normal_form, maximal_ideal,
 from .modules import (ModulePresentation, ChainComplex, free_resolution,
                       ext_presentation, syzygies_of, schreyer_syzygies)
 from .numerical import (NumericalPoly1, NumericalPoly2, MultiplicityVector,
-                        StabilizationCertificate, binom)
+                        binom)
 from .hilbert import (hilbert_value, hilbert_value_bruteforce,
                       hilbert_polynomial, h11_polynomial, dimension,
                       ee_vector, classical_multiplicity, artinian_length)
@@ -28,7 +31,7 @@ from .monomials import (StandardPair, standard_pairs, adeg_monomial,
                         decompose)
 from .constructions import initial_forms_ideal, assoc_graded, gg_presentation
 from .adeg import (adeg_graded, adeg_report_ext, adeg_report_monomial,
-                   gmult, ladeg, verify, AdegReport, VerificationRecord)
+                   gmult, ladeg, verify, VerificationRecord)
 from .session import SessionScript, parse_session
 from .corpus import build_corpus
 

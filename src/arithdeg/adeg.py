@@ -29,8 +29,8 @@ presentations have one bigraded Hilbert function, and ee_i reads only that.
 
 import random
 
-from .errors import (AlgebraError, InternalConsistencyError,
-                     TheoremViolationError, UnsupportedInputError)
+from .errors import (InternalConsistencyError, TheoremViolationError,
+                     UnsupportedInputError)
 from .constructions import gg_presentation, tangent_cone
 from .groebner import IdealHandle, _caps
 from .hilbert import (artinian_length, as_presentation,
@@ -94,35 +94,6 @@ def prune_coordinate_variables(I):
         small = RingDescriptor((ring.names[0],), field=ring.field)
         gens = [small.gen(0)]
     return IdealHandle(small, gens, **_caps(I))
-
-
-# ---------------------------------------------------------------------------
-# reports
-
-class AdegReport:
-    """Per-dimension arithmetic degrees."""
-
-    def __init__(self, entries):
-        self.entries = dict(entries)          # i -> int or MultiplicityVector
-
-    def value(self, i):
-        return self.entries.get(i, 0)
-
-    def table(self):
-        return {i: self.entries[i] for i in sorted(self.entries)}
-
-    def check_invariants(self, dim, nonzero_module):
-        """For a report of integers: no entry is negative, and the top one
-        of a nonzero module is positive."""
-        for i, v in self.entries.items():
-            if v < 0:
-                raise AlgebraError("negative arithmetic degree at i=%d" % i)
-        if nonzero_module and dim >= 0 and self.value(dim) <= 0:
-            raise AlgebraError("vanishing top arithmetic degree")
-        return True
-
-    def __repr__(self):
-        return "AdegReport(%r)" % (self.table(),)
 
 
 # ---------------------------------------------------------------------------
@@ -203,19 +174,28 @@ def _cohen_macaulay_table(L):
 
 
 def adeg_report_ext(M):
-    """Arithmetic degrees for every dimension 0..n: the Cohen-Macaulay
-    certificate's table when it holds, else the Ext route's."""
+    """Arithmetic degrees for every dimension 0..n, as a table i -> int:
+    the Cohen-Macaulay certificate's table when it holds, else the Ext
+    route's.  No entry is negative and the top one of a nonzero module is
+    positive; anything else is a bug."""
     pres = as_presentation(M)
     table = _cohen_macaulay_table(M)
-    report = AdegReport(_ext_table(pres) if table is None else table)
+    if table is None:
+        table = _ext_table(pres)
+    for i, v in table.items():
+        if v < 0:
+            raise InternalConsistencyError(
+                "negative arithmetic degree at i=%d" % i)
     d = dimension(pres)
-    report.check_invariants(d, d >= 0)
-    return report
+    if d >= 0 and table.get(d, 0) <= 0:
+        raise InternalConsistencyError("vanishing top arithmetic degree")
+    return table
 
 
 def adeg_report_monomial(I):
-    """Standard-pair route for a monomial ideal (ground truth)."""
-    return AdegReport(enumerate(adeg_monomial(I)))
+    """Standard-pair route for a monomial ideal (ground truth), as a table
+    i -> int."""
+    return dict(enumerate(adeg_monomial(I)))
 
 
 # ---------------------------------------------------------------------------
@@ -234,10 +214,10 @@ def gmult(J, I, i):
 
 
 def gmult_report(J, I):
+    """ee_i of GG(S/J) w.r.t. I for i = 0..dim, as a table i -> vector."""
     gg = cached_gg(J, I)
     d = dimension(gg.ideal)
-    return AdegReport({i: ee_vector(gg.ideal, i)
-                       for i in range(max(d, 0) + 1)})
+    return {i: ee_vector(gg.ideal, i) for i in range(max(d, 0) + 1)}
 
 
 def _prime_pair(J, I, supp):
@@ -331,9 +311,9 @@ def _adeg_of_ring_quotient(J, meta):
     meta = meta or {}
     ring = J.ring
     if J.is_monomial():
-        return adeg_report_monomial(J).table(), "standard-pairs"
+        return adeg_report_monomial(J), "standard-pairs"
     if J.is_homogeneous():
-        return adeg_report_ext(J).table(), "ext"
+        return adeg_report_ext(J), "ext"
     if meta.get("prime"):
         # a domain, of local length one: its Samuel multiplicity is its
         # tangent cone's, e(m, A) = e(gr_m A) (Bruns and Herzog, ch. 4)
@@ -351,7 +331,7 @@ def _adeg_of_graded_ideal(I):
     """adeg table (``adeg_report_ext``) of a quotient by an ideal with
     bihomogeneous generators, read totally graded, after pruning dead
     coordinate variables."""
-    return adeg_report_ext(prune_coordinate_variables(I)).table()
+    return adeg_report_ext(prune_coordinate_variables(I))
 
 
 def verify(J, I, meta=None, label=None):
@@ -374,7 +354,7 @@ def verify(J, I, meta=None, label=None):
     gg = cached_gg(J, I)
     # corollary 1 reads the theorem's table: GG is gr_I when gr_I is
     # bigraded, and gr_I is not graded otherwise
-    if gg.ideal is not gg.gr.ideal:
+    if gg.ideal is not gg.gr:
         raise UnsupportedInputError(
             "arithmetic degree of an inhomogeneous presentation: the corpus "
             "restricts to pairs whose graded sides are total-degree graded")

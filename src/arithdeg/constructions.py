@@ -149,24 +149,9 @@ def _check_substitution(J, maps, basis):
                 "gr_I basis element %r fails the substitution check" % (g,))
 
 
-class GradedConstruction:
-    """Presentation of gr_I(S/J) (and optionally GG) as a bigraded quotient."""
-
-    __slots__ = ("ring", "ideal", "J", "I")
-
-    def __init__(self, ring, ideal_handle, J, I):
-        self.ring = ring
-        self.ideal = ideal_handle
-        self.J = J
-        self.I = I
-
-    def __repr__(self):
-        return "GradedConstruction(%r over %r)" % (self.ideal, self.ring)
-
-
 def assoc_graded(J, I):
-    """gr_I(S/J) = k[x; y]/L, y-degree grading, y_j standing for t*f_j of
-    I's generator f_j.
+    """The handle of L, for gr_I(S/J) = k[x; y]/L over L's bigraded ring
+    k[x; y], y-degree grading, y_j standing for t*f_j of I's generator f_j.
 
     L = in_y(Q), the ideal of lowest y-forms of Q = J + (y_j - f_j): the
     I-adic filtration of S/J is the (y)-adic one of S[y]/Q.  L is read
@@ -213,11 +198,11 @@ def assoc_graded(J, I):
     basis = L.groebner_basis()
     if not L.is_bihomogeneous() and all(g.is_bihomogeneous() for g in basis):
         L = IdealHandle(gg, basis, **_caps(L))
-    return GradedConstruction(gg, L, J, I)
+    return L
 
 
 class BigradedPresentation:
-    """GG(S/J) as a bigraded quotient k[x; y]/L'."""
+    """GG(S/J) as a bigraded quotient k[x; y]/L'; gr is L, gr_I's handle."""
 
     __slots__ = ("ring", "ideal", "gr", "J", "I")
 
@@ -244,12 +229,11 @@ def gg_presentation(J, I):
     ideal is the ideal of x-block initial forms of L.
     """
     gr = assoc_graded(J, I)
-    Lp = gr.ideal
+    Lp = (gr if gr.is_bihomogeneous()
+          else initial_forms_ideal(gr, gr.ring.x_block))
     if not Lp.is_bihomogeneous():
-        Lp = initial_forms_ideal(Lp, gr.ring.x_block)
-        if not Lp.is_bihomogeneous():
-            raise InternalConsistencyError(
-                "GG presentation ideal is not bihomogeneous")
+        raise InternalConsistencyError(
+            "GG presentation ideal is not bihomogeneous")
     out = BigradedPresentation(gr.ring, Lp, gr, J, I)
     _gate_gg_hilbert(out, gate_rectangle(J))
     return out

@@ -884,15 +884,8 @@ class IdealHandle:
     def contains_ideal(self, other):
         return all(self.contains(g) for g in other.gens)
 
-    def equals(self, other):
-        return self.contains_ideal(other) and other.contains_ideal(self)
-
     def is_zero(self):
         return not self.gens
-
-    def is_unit(self):
-        gb = self.groebner_basis()
-        return len(gb) == 1 and gb[0].is_constant()
 
     def is_monomial(self):
         return all(g.is_monomial() for g in self.gens)

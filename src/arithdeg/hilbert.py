@@ -18,17 +18,13 @@ finite length is the value at t = 1 of the series, and each eventual
 polynomial is the binomial expansion of the numerator's terms.
 """
 
-import itertools
-
-from .errors import (AlgebraError, InternalConsistencyError, NotBigradedError,
-                     ResourceLimitError)
+from .errors import AlgebraError, InternalConsistencyError, NotBigradedError
 from .groebner import IdealHandle
 from .modules import ModulePresentation
 from .numerical import (MultiplicityVector, NumericalPoly1, NumericalPoly2,
-                        StabilizationCertificate, binom)
+                        binom)
 from .rings import deg_add, minimal_monomials, mono_divides
 
-DEGREE_CAP = 60
 WINDOW = 3
 
 
@@ -390,29 +386,29 @@ def _start_threshold(pres):
     return max(degs) + pres.ring.nvars + 2
 
 
-def hilbert_polynomial(M, bigraded=False):
-    """Eventual polynomial of the Hilbert function, with the window where
-    the counted values are checked against it: the window starts at the
-    first doubling of a start degree where they all agree."""
+def hilbert_polynomial(M):
+    """(P, D): the eventual polynomial P of the Hilbert function, and the
+    threshold D where the window of counted values checked against P
+    starts, the first doubling of a start degree where they all agree.
+
+    For the series h/(1 - t)^d, h the ``h_vector``, the function is P from
+    the regularity index deg h - d + 1 on, so the doubling ends there: a
+    window that fails at or past it is a bug."""
     pres = as_presentation(M)
-    poly = _eventual(pres, bigraded, 0)
+    poly = _eventual(pres, False, 0)
     d = dimension(pres)
-    size = (max(d, 1) if bigraded else max(d - 1, 0)) + 1 + WINDOW
+    index = max(h_vector(pres), default=0) - d + 1
+    size = max(d - 1, 0) + 1 + WINDOW
     D = _start_threshold(pres)
-    while D <= DEGREE_CAP:
-        line = [D + u for u in range(size)]
-        if bigraded:
-            points = list(itertools.product(line, line))
-            ok = all(poly(i, j) == hilbert_value(pres, (i, j)) for i, j in points)
-        else:
-            points = line
-            ok = all(poly(k) == hilbert_value(pres, k) for k in points)
-        if ok:
-            thresholds = (D, D) if bigraded else (D,)
-            return poly, StabilizationCertificate(thresholds, WINDOW, points)
+    while not all(poly(k) == hilbert_value(pres, k)
+                  for k in range(D, D + size)):
+        if D >= index:
+            raise InternalConsistencyError(
+                "Hilbert function differs from its polynomial in the window "
+                "from degree %d, at or past the regularity index %d"
+                % (D, index))
         D *= 2
-    raise ResourceLimitError("Hilbert function did not stabilize below degree %d"
-                             % DEGREE_CAP)
+    return poly, D
 
 
 def h11_polynomial(M):

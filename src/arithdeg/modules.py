@@ -397,12 +397,6 @@ class ChainComplex:
     def length(self):
         return len(self.differentials)
 
-    def ranks(self):
-        out = [self.base_rank]
-        for d in self.differentials:
-            out.append(len(d))
-        return out
-
     def extend(self, max_length):
         """Add Schreyer syzygy levels until there are max_length maps or the
         syzygies vanish (complete); checks only the new compositions."""

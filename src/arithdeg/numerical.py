@@ -42,24 +42,8 @@ class NumericalPoly1:
     def degree(self):
         return len(self.coeffs) - 1
 
-    def is_zero(self):
-        return not self.coeffs
-
     def __call__(self, m):
         return sum(c * binom(m, i) for i, c in enumerate(self.coeffs))
-
-    def __eq__(self, other):
-        return isinstance(other, NumericalPoly1) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __add__(self, other):
-        n = max(len(self.coeffs), len(other.coeffs))
-        return NumericalPoly1([
-            (self.coeffs[i] if i < len(self.coeffs) else 0)
-            + (other.coeffs[i] if i < len(other.coeffs) else 0)
-            for i in range(n)])
 
     def coefficient(self, i):
         return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
@@ -78,9 +62,6 @@ class NumericalPoly2:
     def __init__(self, coeffs):
         self.coeffs = {k: int(v) for k, v in coeffs.items() if int(v) != 0}
 
-    def is_zero(self):
-        return not self.coeffs
-
     @property
     def total_degree(self):
         """Max i+j over the support; -1 for zero."""
@@ -91,27 +72,8 @@ class NumericalPoly2:
     def coefficient(self, i, j):
         return self.coeffs.get((i, j), 0)
 
-    def __call__(self, m, n):
-        return sum(a * binom(m, i) * binom(n, j)
-                   for (i, j), a in self.coeffs.items())
-
     def __eq__(self, other):
         return isinstance(other, NumericalPoly2) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(tuple(sorted(self.coeffs.items())))
-
-    def __add__(self, other):
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            out[k] = out.get(k, 0) + v
-        return NumericalPoly2(out)
-
-    def __sub__(self, other):
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            out[k] = out.get(k, 0) - v
-        return NumericalPoly2(out)
 
     def difference(self, t, s):
         """Delta^(t,s): coefficients shift down and re-expand, using
@@ -162,9 +124,6 @@ class MultiplicityVector:
     def zero(cls, level):
         return cls(level, (0,) * (level + 1))
 
-    def is_zero(self):
-        return all(c == 0 for c in self.components)
-
     def total(self):
         return sum(self.components)
 
@@ -182,23 +141,6 @@ class MultiplicityVector:
                 and self.level == other.level
                 and self.components == other.components)
 
-    def __hash__(self):
-        return hash((self.level, self.components))
-
     def __repr__(self):
         return "ee_%d(%s)" % (self.level, ", ".join(map(str, self.components)))
 
-
-class StabilizationCertificate:
-    """Record of where a counted function verifiably matches its polynomial."""
-
-    __slots__ = ("thresholds", "window", "verified_points")
-
-    def __init__(self, thresholds, window, verified_points):
-        self.thresholds = tuple(thresholds)
-        self.window = window
-        self.verified_points = tuple(verified_points)
-
-    def __repr__(self):
-        return ("StabilizationCertificate(thresholds=%r, window=%d, %d points)"
-                % (self.thresholds, self.window, len(self.verified_points)))

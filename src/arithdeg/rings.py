@@ -1,9 +1,8 @@
 """Polynomial rings with graded or bigraded variables, and exact polynomials.
 
-Monomials are plain exponent tuples (dense, at most 12 variables); the
-helpers below implement the semigroup operations on them.  A Polynomial is
-an immutable map from exponent tuple to nonzero field element over a fixed
-RingDescriptor.
+Monomials are plain exponent tuples (dense); the helpers below implement
+the semigroup operations on them.  A Polynomial is an immutable map from
+exponent tuple to nonzero field element over a fixed RingDescriptor.
 """
 
 import re
@@ -13,7 +12,6 @@ from .errors import (AlgebraError, NotBigradedError, RingMismatchError,
                      ZeroPolynomialError)
 from .fields import QQ
 
-MAX_VARIABLES = 12
 _NAME = r"[A-Za-z_][A-Za-z_0-9]*"      # variable names; the scanner's names
 
 
@@ -80,9 +78,6 @@ class RingDescriptor:
         names = tuple(names)
         if not names:
             raise AlgebraError("a ring needs at least one variable")
-        if len(names) > MAX_VARIABLES:
-            raise AlgebraError("at most %d variables supported, got %d"
-                               % (MAX_VARIABLES, len(names)))
         if len(set(names)) != len(names):
             raise AlgebraError("duplicate variable names: %r" % (names,))
         for n in names:

@@ -12,7 +12,7 @@ from .adeg import (_adeg_of_ring_quotient, cached_gg, gmult_report, ladeg,
 from .errors import AlgebraError
 from .groebner import (DEFAULT_MAX_BASIS, DEFAULT_MAX_DEGREE, IdealHandle,
                        _poly_sort_key)
-from .hilbert import dimension, hilbert_polynomial
+from .hilbert import WINDOW, dimension, hilbert_polynomial
 from .monomials import standard_pairs
 from .orders import order_from_name
 from .rings import poly_text
@@ -79,12 +79,12 @@ def _run_task(kind, names, handles, script, order):
         return {"basis": [poly_text(g) for g in basis]}
     if kind == "hilbert":
         I = handles[names[0]]
-        poly, cert = hilbert_polynomial(I, bigraded=False)
+        poly, threshold = hilbert_polynomial(I)
         return {
             "dimension": dimension(I),
             "binomial_coefficients": [json_int(c) for c in poly.coeffs],
-            "threshold": cert.thresholds[0],
-            "window": cert.window,
+            "threshold": threshold,
+            "window": WINDOW,
         }
     if kind == "stdpairs":
         I = handles[names[0]]
@@ -101,7 +101,7 @@ def _run_task(kind, names, handles, script, order):
     if kind == "adeg":
         I = handles[names[0]]
         table, provenance = _adeg_of_ring_quotient(I, _meta_for(script, names[0]))
-        values = {str(i): json_int(v) for i, v in sorted(table.items()) if v}
+        values = {str(i): json_int(v) for i, v in table.items() if v}
         return {"adeg": values, "provenance": provenance}
     if kind == "gg":
         J, I = handles[names[0]], handles[names[1]]
@@ -118,9 +118,8 @@ def _run_task(kind, names, handles, script, order):
         }
     if kind == "gmult":
         J, I = handles[names[0]], handles[names[1]]
-        rep = gmult_report(J, I)
         return {"gmult": {str(i): [json_int(c) for c in v.components]
-                          for i, v in sorted(rep.table().items())}}
+                          for i, v in gmult_report(J, I).items()}}
     if kind == "ladeg":
         J, I = handles[names[0]], handles[names[1]]
         meta = _meta_for(script, names[0])

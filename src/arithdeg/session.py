@@ -13,18 +13,20 @@ Grammar (whitespace-insensitive, '#' comments):
 Scripts are read by the scanner ``rings`` shares with parse_polynomial: a
 comment may sit wherever whitespace may, ideal bodies included.  Parsing
 is deterministic; unknown tasks and undeclared names fail with line/column
-positions.
+positions.  A declared ring has at most MAX_VARIABLES variables; the rings
+the constructions build from it are bounded only by the handles' caps.
 """
 
-from .errors import (AlgebraError, NameResolutionError, SessionSyntaxError)
+from .errors import AlgebraError, NameResolutionError, SessionSyntaxError
 from .fields import GF, QQ
 from .orders import ORDERS
-from .rings import RingDescriptor, _Tokens, poly_text, terms_key
+from .rings import RingDescriptor, _Tokens
 
 ONE_NAME_TASKS = ("gb", "hilbert", "stdpairs", "adeg")
 TWO_NAME_TASKS = ("gg", "gmult", "ladeg", "verify")
 KNOWN_OPTIONS = ("order", "max_degree", "max_basis")
 KNOWN_FLAGS = ("prime", "equidimensional", "origin_certified")
+MAX_VARIABLES = 12
 
 
 class SessionScript:
@@ -38,43 +40,6 @@ class SessionScript:
         self.tasks = list(tasks)              # (kind, names...)
         self.options = dict(options)
         self.metas = dict(metas)              # name -> set of flags
-
-    def emit(self):
-        """Canonical text form; emit(parse(s)) reparses to an equal script."""
-        lines = []
-        field = self.ring.field
-        if field == QQ:
-            fs = "Q"
-        else:
-            fs = "Zp(%d)" % field.p
-        lines.append("ring %s = %s[%s];" % (self.ring_name, fs,
-                                            ",".join(self.ring.names)))
-        for name in self.ideal_order:
-            gens = self.ideals[name]
-            body = ", ".join(poly_text(g) for g in gens) if gens else "0"
-            lines.append("ideal %s = %s;" % (name, body))
-            for flag in sorted(self.metas.get(name, ())):
-                lines.append("meta %s %s;" % (name, flag))
-        for key in sorted(self.options):
-            lines.append("option %s %s;" % (key, self.options[key]))
-        for task in self.tasks:
-            lines.append("task %s;" % " ".join(task))
-        return "\n".join(lines) + "\n"
-
-    def signature(self):
-        return (self.ring_name, self.ring.signature(),
-                tuple(self.ideal_order),
-                tuple((n, tuple(terms_key(g.terms) for g in self.ideals[n]))
-                      for n in self.ideal_order),
-                tuple(self.tasks),
-                tuple(sorted(self.options.items())),
-                tuple(sorted((n, tuple(sorted(f))) for n, f in self.metas.items())))
-
-    def __eq__(self, other):
-        return isinstance(other, SessionScript) and self.signature() == other.signature()
-
-    def __hash__(self):
-        return hash(self.signature())
 
 
 class _Script(_Tokens):
@@ -172,6 +137,9 @@ def _parse_ring_body(tokens):
         tokens.error("unknown field %r (use Q or Zp(p))" % word)
     tokens.expect("[")
     names = tokens.separated(tokens.name)
+    if len(names) > MAX_VARIABLES:
+        tokens.error("at most %d variables supported, got %d"
+                     % (MAX_VARIABLES, len(names)))
     tokens.expect("]")
     tokens.expect(";")
     try:

@@ -9,6 +9,7 @@ from arithdeg.constructions import _gg_ring, relative_length
 from arithdeg.errors import (AlgebraError, InternalConsistencyError,
                              ResourceLimitError, RingMismatchError,
                              WrongOracleError)
+from arithdeg.fields import QQ
 from arithdeg.groebner import (IdealHandle, _caps, buchberger, extended_ring,
                                fresh_names, ideal_power, ideal_product,
                                ideal_sum, inject, maximal_ideal)
@@ -16,10 +17,10 @@ from arithdeg.hilbert import (WINDOW, _rank, artinian_length, as_presentation,
                               hilbert_value, monomial_numerator,
                               monomials_of_degree, series_length)
 from arithdeg.monomials import minimal_generators
-from arithdeg.numerical import NumericalPoly1, StabilizationCertificate, binom
+from arithdeg.numerical import NumericalPoly1, binom
 from arithdeg.orders import BlockOrder, TermOrder
 from arithdeg.rings import (Polynomial, minimal_monomials, mono_divides,
-                            mono_lcm, mono_mul)
+                            mono_lcm, mono_mul, poly_text, terms_key)
 
 
 class WeightedDegRevLex(TermOrder):
@@ -38,6 +39,60 @@ class WeightedDegRevLex(TermOrder):
 
     def signature(self):
         return ("wdegrevlex", self.weights)
+
+
+# ---------------------------------------------------------------------------
+# comparisons and canonical forms the package itself does not need
+
+def equal_ideals(A, B):
+    """True when the ideals A and B over one ring are equal."""
+    return A.contains_ideal(B) and B.contains_ideal(A)
+
+
+def is_unit(I):
+    """True when I is the unit ideal."""
+    basis = I.groebner_basis()
+    return len(basis) == 1 and basis[0].is_constant()
+
+
+def ranks(res):
+    """The ranks of the free modules of a ChainComplex, from the base up."""
+    return [res.base_rank] + [len(d) for d in res.differentials]
+
+
+def evaluate2(P, m, n):
+    """The value of a NumericalPoly2 at (m, n)."""
+    return sum(a * binom(m, i) * binom(n, j)
+               for (i, j), a in P.coeffs.items())
+
+
+def emit_session(script):
+    """Canonical text form of a SessionScript: parsing it gives a script
+    that emits the same text."""
+    field = script.ring.field
+    lines = ["ring %s = %s[%s];" % (
+        script.ring_name, "Q" if field == QQ else "Zp(%d)" % field.p,
+        ",".join(script.ring.names))]
+    for name in script.ideal_order:
+        gens = script.ideals[name]
+        body = ", ".join(poly_text(g) for g in gens) if gens else "0"
+        lines.append("ideal %s = %s;" % (name, body))
+        lines += ["meta %s %s;" % (name, flag)
+                  for flag in sorted(script.metas.get(name, ()))]
+    lines += ["option %s %s;" % kv for kv in sorted(script.options.items())]
+    lines += ["task %s;" % " ".join(task) for task in script.tasks]
+    return "\n".join(lines) + "\n"
+
+
+def session_key(script):
+    """Everything a SessionScript holds, in a form == compares."""
+    return (script.ring_name, script.ring.signature(),
+            tuple(script.ideal_order),
+            tuple((n, tuple(terms_key(g.terms) for g in script.ideals[n]))
+                  for n in script.ideal_order),
+            tuple(script.tasks), tuple(sorted(script.options.items())),
+            tuple(sorted((n, tuple(sorted(f)))
+                         for n, f in script.metas.items())))
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +261,8 @@ def hilbert_samuel(M, k):
 
 def samuel_multiplicity(M):
     """Samuel multiplicity at the origin: stabilized top coefficient of
-    k -> length(M/m^{k+1}M), with an interpolation certificate."""
+    k -> length(M/m^{k+1}M), with its degree and the start of the window
+    where the interpolation was checked."""
     pres = as_presentation(M)
     n = pres.ring.nvars
     values = {}
@@ -223,8 +279,7 @@ def samuel_multiplicity(M):
         pts = list(range(start, start + width))
         poly = interpolate_poly1([val(p) for p in pts[:n + 1]], start)
         if all(poly(p) == val(p) for p in pts):
-            cert = StabilizationCertificate((start,), WINDOW, pts)
-            return poly.coefficient(poly.degree), poly.degree, cert
+            return poly.coefficient(poly.degree), poly.degree, start
     raise ResourceLimitError("Hilbert-Samuel function did not stabilize by k=%d"
                              % SAMUEL_MAX_K)
 

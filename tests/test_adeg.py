@@ -41,14 +41,14 @@ def R1():
 
 
 def test_adeg_free(R):
-    assert adeg_report_ext(IdealHandle(R, [])).table() == {0: 0, 1: 0, 2: 1}
+    assert adeg_report_ext(IdealHandle(R, [])) == {0: 0, 1: 0, 2: 1}
 
 
 def test_adeg_matches_oracle(R):
     x, y = R.gens()
     for gens in ([x ** 2, x * y], [x * y], [x ** 3, x ** 2 * y], [x, y]):
         I = IdealHandle(R, gens)
-        assert adeg_report_ext(I).table() == adeg_report_monomial(I).table()
+        assert adeg_report_ext(I) == adeg_report_monomial(I)
 
 
 def test_adeg_expected_values(R):
@@ -120,7 +120,7 @@ def test_prop_sum(R):
     ]
     for J, I in cases:
         gg = cached_gg(J, I)
-        gr = IdealHandle(gg.gr.ring, list(gg.gr.ideal.groebner_basis()))
+        gr = IdealHandle(gg.gr.ring, list(gg.gr.groebner_basis()))
         pruned = prune_coordinate_variables(gr)
         d = dimension(pruned)
         for i in range(d + 1):
@@ -137,9 +137,10 @@ def test_ladeg_worked(R):
     # prime input: ladeg_dim = gmult_dim
     cusp = IdealHandle(R, [y ** 2 - x ** 3])
     assert ladeg(cusp, m, 1, meta={"prime": True}) == gmult(cusp, m, 1)
-    assert ladeg(cusp, m, 0, meta={"prime": True}).is_zero()
+    assert (ladeg(cusp, m, 0, meta={"prime": True})
+            == MultiplicityVector.zero(0))
     # no associated primes in this dimension
-    assert ladeg(I1, m, 2).is_zero()
+    assert ladeg(I1, m, 2) == MultiplicityVector.zero(2)
 
 
 def test_ladeg_unsupported(R):
@@ -435,9 +436,9 @@ def test_verify_fuzz_sweep(monkeypatch):
 
 def test_adeg_invariants(R):
     x, y = R.gens()
-    rep = adeg_report_ext(IdealHandle(R, [x ** 2, x * y]))
-    assert rep.check_invariants(1, True)
-    assert all(v >= 0 for v in rep.entries.values())
+    table = adeg_report_ext(IdealHandle(R, [x ** 2, x * y]))
+    assert list(table) == [0, 1, 2]
+    assert all(v >= 0 for v in table.values()) and table[1] > 0
 
 
 def test_top_adeg_is_top_multiplicity():
@@ -464,7 +465,7 @@ def test_prune_coordinate_variables(R):
     assert pruned.ring.nvars == 1
     assert dimension(pruned) == dimension(I)
     # pruning is invisible to adeg
-    assert adeg_report_ext(pruned).value(0) == adeg_report_ext(I).value(0)
+    assert adeg_report_ext(pruned)[0] == adeg_report_ext(I)[0]
     # a bigraded ideal with nothing to prune comes back graded totally
     B = RingDescriptor.bigraded("x", "y")
     bx, by = B.gens()
@@ -533,7 +534,7 @@ def test_verify_builds_one_ext_route(R, monkeypatch, case):
     assert len(calls) == 1
     assert record.cor1_gr == record.lhs
     gg = cached_gg(J, I)
-    assert gg.ideal is gg.gr.ideal
+    assert gg.ideal is gg.gr
 
 
 def test_verify_falls_back_to_gr_when_the_bases_differ(R, monkeypatch):
@@ -546,7 +547,7 @@ def test_verify_falls_back_to_gr_when_the_bases_differ(R, monkeypatch):
     x, y = R.gens()
     J, I = IdealHandle(R, [y ** 2 - x ** 3]), IdealHandle(R, [x + y ** 2])
     gg = cached_gg(J, I)
-    assert gg.gr.ideal.groebner_basis() != gg.ideal.groebner_basis()
+    assert gg.gr.groebner_basis() != gg.ideal.groebner_basis()
     seen = []
     graded = adeg_mod._adeg_of_graded_ideal
 
@@ -615,7 +616,7 @@ def test_certificate_misses_every_draw_over_f3(monkeypatch):
     monkeypatch.setattr(adeg_mod, "artinian_length", unreachable)
     assert adeg_mod._cohen_macaulay_table(J) is None
     assert len(drawn) == adeg_mod.CM_DRAWS
-    assert adeg_report_ext(J).table() == {0: 0, 1: 4, 2: 0}
+    assert adeg_report_ext(J) == {0: 0, 1: 4, 2: 0}
 
 
 def test_certificate_falls_back_when_the_length_exceeds_e(monkeypatch):
@@ -626,7 +627,7 @@ def test_certificate_falls_back_when_the_length_exceeds_e(monkeypatch):
     x, y = R2.gens()
     I = IdealHandle(R2, [x ** 2, x * y])
     assert adeg_mod._cohen_macaulay_table(I) is None
-    assert adeg_report_ext(I).table() == {0: 1, 1: 1, 2: 0}
+    assert adeg_report_ext(I) == {0: 1, 1: 1, 2: 0}
     R4 = RingDescriptor.graded("x,y,z,w")
     x, y, z, w = R4.gens()
     J = IdealHandle(R4, [x ** 2, x * y, x * w, y * w ** 2])
@@ -636,7 +637,7 @@ def test_certificate_falls_back_when_the_length_exceeds_e(monkeypatch):
                         lambda K: lengths.append(length(K)) or lengths[-1])
     assert adeg_mod._cohen_macaulay_table(J) is None
     assert lengths == [4] and classical_multiplicity(J, 2) == 3
-    assert adeg_report_ext(J).table() == {0: 0, 1: 1, 2: 3, 3: 0, 4: 0}
+    assert adeg_report_ext(J) == {0: 0, 1: 1, 2: 3, 3: 0, 4: 0}
 
 
 def test_certificate_leaves_other_gradings_to_the_ext_route():
@@ -655,7 +656,7 @@ def test_certificate_leaves_other_gradings_to_the_ext_route():
             adeg_report_ext(I)
     I = IdealHandle(B, [bx * by])
     assert adeg_mod._cohen_macaulay_table(I) is None
-    assert adeg_report_ext(I).table() == {0: 0, 1: 2, 2: 0}
+    assert adeg_report_ext(I) == {0: 0, 1: 2, 2: 0}
 
 
 def test_verify_on_a_cohen_macaulay_side_builds_no_resolution(monkeypatch):

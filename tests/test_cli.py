@@ -389,6 +389,71 @@ def test_gg_of_a_germ_smaller_than_its_ring(tmp_path, ideal_i):
             if length} == {"0,0"}
 
 
+ADEG_SCRIPT = "ring S = Q[x,y];\nideal J = x^2 + x*y, x*y + y^2;\ntask adeg J;\n"
+
+
+@pytest.mark.parametrize("table, error", [
+    ({0: 1, 1: -1, 2: 0}, "negative arithmetic degree at i=1"),
+    ({0: 1, 1: 0, 2: 0}, "vanishing top arithmetic degree"),
+])
+def test_failed_adeg_invariant_exit_code(tmp_path, monkeypatch, capsys,
+                                         table, error):
+    """J = (x + y)(x, y) is not Cohen-Macaulay, so its adeg table comes
+    from the Ext route.  A negative entry there, or a zero at dim S/J = 1,
+    contradicts the theory: exit 2, with a reproducer."""
+    import arithdeg.adeg as adeg_mod
+    calls = []
+
+    def ext_table(M):
+        calls.append(M)
+        return dict(table)
+    monkeypatch.setattr(adeg_mod, "_ext_table", ext_table)
+    monkeypatch.chdir(tmp_path)
+    src = tmp_path / "adeg.ses"
+    src.write_text(ADEG_SCRIPT)
+    assert main(["run", "-i", str(src)]) == 2
+    assert len(calls) == 1
+    reproducer = tmp_path / "internal-consistency-failure-run.ses"
+    assert reproducer.read_text() == "# reproducer: %s\n%s" % (error,
+                                                              ADEG_SCRIPT)
+    assert "internal consistency failure (implementation bug): " + error \
+        in capsys.readouterr().err
+
+
+def test_the_variable_cap_bounds_only_the_declared_ring(tmp_path, capsys):
+    """The cap of 12 variables bounds the declared ring only: J = xy with
+    I = m^2 in four variables builds gr_I over 4 + 10 variables, and
+    verify runs; a declared ring of 13 variables is a parse error."""
+    names = ["x", "y", "z", "w"]
+    squares = ["%s*%s" % (a, b) for k, a in enumerate(names)
+               for b in names[k:]]
+    src = tmp_path / "wide.ses"
+    out = tmp_path / "wide.json"
+    src.write_text("ring S = Q[x,y,z,w];\nideal J = x*y;\nideal I = %s;\n"
+                   "task verify J I;\n" % ", ".join(squares))
+    assert main(["run", "-i", str(src), "--json", str(out)]) == 0
+    result = json.loads(out.read_text())["results"][0]["result"]
+    assert result["passed"] and result["theorem_lhs"]["3"] == 16
+    src.write_text("ring S = Q[%s];\n"
+                   % ",".join("v%d" % k for k in range(13)))
+    assert main(["run", "-i", str(src)]) == 1
+    assert "at most 12 variables supported, got 13" in capsys.readouterr().err
+
+
+def test_hilbert_threshold_of_a_high_degree_artinian_quotient(tmp_path):
+    """S/(x^40, y^40) has the Hilbert polynomial 0 from its regularity
+    index 79 on: the threshold search doubles its start 44 to 88, and the
+    task exits 0."""
+    src = tmp_path / "h40.ses"
+    out = tmp_path / "h40.json"
+    src.write_text("ring S = Q[x,y];\nideal J = x^40, y^40;\n"
+                   "task hilbert J;\n")
+    assert main(["run", "-i", str(src), "--json", str(out)]) == 0
+    result = json.loads(out.read_text())["results"][0]["result"]
+    assert result == {"dimension": 0, "binomial_coefficients": [],
+                      "threshold": 88, "window": 3}
+
+
 def test_option_max_degree_caps_hilbert(tmp_path):
     """An ideal's own degree cap governs the Hilbert data of S/I."""
     text = "ring S=Q[x,y,z];\nideal J=x^2-y*z, x*y-z^2;\ntask hilbert J;\n"

@@ -26,10 +26,11 @@ from arithdeg.orders import BlockOrder
 from arithdeg.rings import (Polynomial, RingDescriptor, mono_divides,
                             mono_mul)
 
-from helpers import (bifiltration_length, h11_direct, h11_table,
-                     hilbert_samuel, maps_into_j, reference_cell_lengths,
-                     reference_gr_ideal, reference_monomial_cell_lengths,
-                     reference_rees_kernel, saturate)
+from helpers import (bifiltration_length, equal_ideals, h11_direct,
+                     h11_table, hilbert_samuel, is_unit, maps_into_j,
+                     reference_cell_lengths, reference_gr_ideal,
+                     reference_monomial_cell_lengths, reference_rees_kernel,
+                     saturate)
 
 
 @pytest.fixture
@@ -45,19 +46,19 @@ def R1():
 def test_tangent_cone_cusp(R):
     x, y = R.gens()
     tc = initial_forms_ideal(IdealHandle(R, [y ** 2 - x ** 3]), range(2))
-    assert tc.equals(IdealHandle(R, [y ** 2]))
+    assert equal_ideals(tc, IdealHandle(R, [y ** 2]))
 
 
 def test_tangent_cone_homogeneous_identity(R):
     x, y = R.gens()
     J = IdealHandle(R, [x ** 2 - y ** 2, x * y])
-    assert initial_forms_ideal(J, range(2)).equals(J)
+    assert equal_ideals(initial_forms_ideal(J, range(2)), J)
 
 
 def test_tangent_cone_linear_case(R):
     x, y = R.gens()
     tc = initial_forms_ideal(IdealHandle(R, [x - x ** 2, y]), range(2))
-    assert tc.equals(IdealHandle(R, [x, y]))
+    assert equal_ideals(tc, IdealHandle(R, [x, y]))
 
 
 def test_tangent_cone_needs_spolys(R):
@@ -65,9 +66,9 @@ def test_tangent_cone_needs_spolys(R):
     x, y = R.gens()
     J = IdealHandle(R, [x ** 2 + y ** 3, x * y])
     tc = initial_forms_ideal(J, range(2))
-    assert tc.equals(IdealHandle(R, [x ** 2, x * y, y ** 4]))
+    assert equal_ideals(tc, IdealHandle(R, [x ** 2, x * y, y ** 4]))
     naive = IdealHandle(R, [x ** 2, x * y])
-    assert not tc.equals(naive)
+    assert not equal_ideals(tc, naive)
 
 
 def test_tangent_cone_same_samuel_function(R):
@@ -139,7 +140,7 @@ def test_assoc_graded_worked(R1):
     gr = assoc_graded(IdealHandle(R1, []), IdealHandle(R1, [x ** 2]))
     # gr_(x^2)(k[x]) = k[x, q]/(x^2): lengths l(I^j/I^(j+1)) = 2
     for j in range(3):
-        assert sum(hilbert_value(gr.ideal, (i, j)) for i in range(5)) == 2
+        assert sum(hilbert_value(gr, (i, j)) for i in range(5)) == 2
 
 
 def test_assoc_graded_maximal_is_identity(R):
@@ -508,8 +509,8 @@ def test_tangent_cone_route_matches_the_rees_route(monkeypatch):
         del calls[:]
         gr = assoc_graded(J, I)
         assert not calls, J
-        assert gr.ideal.is_bihomogeneous(), J
-        assert gr.ideal.groebner_basis() == reference.groebner_basis(), J
+        assert gr.is_bihomogeneous(), J
+        assert gr.groebner_basis() == reference.groebner_basis(), J
         checked[J.is_homogeneous()] += 1
     assert checked[True] >= 12 and checked[False] >= 6, checked
 
@@ -532,7 +533,7 @@ def test_only_the_variables_take_the_tangent_cone_route(R, monkeypatch):
             del calls[:]
             gr = assoc_graded(J, I)
             assert calls == ([I] if rees else []), gens
-            assert gr.ideal.groebner_basis() == reference.groebner_basis()
+            assert gr.groebner_basis() == reference.groebner_basis()
 
 
 def test_gg_dimension_transfer(R):
@@ -542,7 +543,7 @@ def test_gg_dimension_transfer(R):
                     ([], IdealHandle(R, [x ** 2, x * y]))):
         J = IdealHandle(R, gens)
         gr = assoc_graded(J, I)
-        assert dimension(gr.ideal) == dimension(J)
+        assert dimension(gr) == dimension(J)
 
 
 def test_dimension_gate_rejects_a_gr_of_the_wrong_dimension(R, monkeypatch):
@@ -567,7 +568,7 @@ def test_dimension_gate_rejects_a_gr_of_the_wrong_dimension(R, monkeypatch):
                         lambda Q, basis: IdealHandle(Q.ring, Q.ring.gens()))
     with pytest.raises(InternalConsistencyError, match="dimension changed"):
         assoc_graded(graded, I)
-    assert dimension(assoc_graded(germ, I).ideal) == 0
+    assert dimension(assoc_graded(germ, I)) == 0
 
 
 # the benchmark's ext verify pairs: J in Q[x,y,z] with I = (x^2, xy, y^2, xz)
@@ -593,14 +594,14 @@ def test_gg_is_gr_when_gr_is_bigraded(R):
                  (IdealHandle(R, []), IdealHandle(R, [x ** 2, y ** 3]))]
     for J, I in bigraded:
         gg = gg_presentation(J, I)
-        assert gg.ideal is gg.gr.ideal, (J, I)
+        assert gg.ideal is gg.gr, (J, I)
         assert gg.ideal.is_bihomogeneous()
     for J, I in ((IdealHandle(R, [y ** 2 - x ** 3]), IdealHandle(R, [x + y ** 2])),
                  (IdealHandle(R, []), IdealHandle(R, [x ** 2, x * y, y ** 3]))):
         gg = gg_presentation(J, I)
-        assert gg.ideal is not gg.gr.ideal
-        assert not gg.gr.ideal.is_bihomogeneous()
-        assert gg.ideal.gens == initial_forms_ideal(gg.gr.ideal,
+        assert gg.ideal is not gg.gr
+        assert not gg.gr.is_bihomogeneous()
+        assert gg.ideal.gens == initial_forms_ideal(gg.gr,
                                                     gg.ring.x_block).gens
 
 
@@ -634,14 +635,14 @@ def test_gg_collapse_against_initial_forms(field):
             b = [0] + sorted(rng.sample(range(1, 4), 2))
             I = [ring.monomial([p, q, 0]) for p, q in zip(a, b)]
         gg = gg_presentation(IdealHandle(ring, J), IdealHandle(ring, I))
-        forms = initial_forms_ideal(gg.gr.ideal, gg.ring.x_block)
-        if gg.ideal is gg.gr.ideal:
+        forms = initial_forms_ideal(gg.gr, gg.ring.x_block)
+        if gg.ideal is gg.gr:
             assert forms.groebner_basis() == gg.ideal.groebner_basis()
             collapsed += 1
         else:
             assert gg.ideal.gens == forms.gens
             # the oracle refuses a collapse onto this L, which is not bigraded
-            assert forms.groebner_basis() != gg.gr.ideal.groebner_basis()
+            assert forms.groebner_basis() != gg.gr.groebner_basis()
             formed += 1
     assert collapsed >= 5 and formed >= 3
 
@@ -656,14 +657,14 @@ def test_gg_collapse_oracle_rejects_a_wrong_l(R):
     J = IdealHandle(R, [y ** 2 - x ** 3])
     for I in (maximal_ideal(R), IdealHandle(R, [x, y ** 2])):
         gg = gg_presentation(J, I)
-        assert gg.ideal is gg.gr.ideal
-        ring, L = gg.ring, gg.gr.ideal
+        assert gg.ideal is gg.gr
+        ring, L = gg.ring, gg.gr
         x0, y0, y1 = ring.gen(0), ring.gen(2), ring.gen(3)
         assert not L.contains(y0)
         wrong = IdealHandle(ring, list(L.gens) + [y0 + x0 * y1])
         forms = initial_forms_ideal(wrong, ring.x_block)
         assert forms.groebner_basis() != gg.ideal.groebner_basis()
-        assert forms.equals(IdealHandle(ring, list(L.gens) + [y0]))
+        assert equal_ideals(forms, IdealHandle(ring, list(L.gens) + [y0]))
 
 
 def test_bifiltration_univariate(R1):
@@ -748,7 +749,7 @@ def test_initial_forms_block(R):
     # x-block lowest forms of (x + y^2): block {x}
     I = IdealHandle(R, [x + y ** 2])
     forms = initial_forms_ideal(I, [0])
-    assert forms.equals(IdealHandle(R, [y ** 2]))
+    assert equal_ideals(forms, IdealHandle(R, [y ** 2]))
 
 
 def _saturated_initial_forms(I, block):
@@ -802,7 +803,7 @@ def test_initial_forms_match_the_saturated_route(field):
         if I.is_zero() or all(g.is_homogeneous() for g in gens):
             continue
         forms = initial_forms_ideal(I, block)
-        assert forms.equals(_saturated_initial_forms(I, tuple(block)))
+        assert equal_ideals(forms, _saturated_initial_forms(I, tuple(block)))
         checked += 1
     assert checked >= 10
 
@@ -823,9 +824,9 @@ def test_initial_forms_of_assoc_graded_match_the_saturated_route():
             continue
         gr = assoc_graded(J, I)
         block = gr.ring.x_block
-        forms = initial_forms_ideal(gr.ideal, block)
-        assert forms.equals(_saturated_initial_forms(gr.ideal, tuple(block)))
-        changed += not forms.equals(gr.ideal)
+        forms = initial_forms_ideal(gr, block)
+        assert equal_ideals(forms, _saturated_initial_forms(gr, tuple(block)))
+        changed += not equal_ideals(forms, gr)
         checked += 1
     assert changed >= 5
 
@@ -841,13 +842,13 @@ def test_unit_initial_forms_ideal_is_generated_by_one():
     R2 = RingDescriptor.graded("x,y")
     J, I = IdealHandle(R2, ["-x*y - 3*x"]), IdealHandle(R2, ["-x + 1"])
     gr = assoc_graded(J, I)
-    assert repr(gr.ideal) == "(y + 3, x - 1, x*y + 3*x)"
-    assert (gr.ideal.groebner_basis()
+    assert repr(gr) == "(y + 3, x - 1, x*y + 3*x)"
+    assert (gr.groebner_basis()
             == reference_gr_ideal(J, I).groebner_basis())
-    forms = initial_forms_ideal(gr.ideal, gr.ring.x_block)
+    forms = initial_forms_ideal(gr, gr.ring.x_block)
     assert forms.gens == (gr.ring.one(),)
     assert repr(forms) == "(1)"
-    assert forms.is_unit()
+    assert is_unit(forms)
 
 
 def test_initial_forms_take_one_basis(R, monkeypatch):
@@ -864,7 +865,7 @@ def test_initial_forms_take_one_basis(R, monkeypatch):
     forms = initial_forms_ideal(IdealHandle(R, [x ** 2 + y ** 3, x * y]),
                                 range(2))
     assert len(calls) == 1
-    assert forms.equals(IdealHandle(R, [x ** 2, x * y, y ** 4]))
+    assert equal_ideals(forms, IdealHandle(R, [x ** 2, x * y, y ** 4]))
 
 
 def test_unit_pair_is_an_input_error(R):
@@ -1014,7 +1015,7 @@ def test_general_route_matches_the_rees_reference():
             gr = assoc_graded(J, I)
         except UnsupportedInputError:
             continue
-        assert gr.ideal.groebner_basis() == reference, (J, I)
+        assert gr.groebner_basis() == reference, (J, I)
         checked["built"] += 1
     assert checked["pairs"] >= 60 and checked["built"] >= 40, checked
     assert checked["J"] >= 20 and checked["I"] >= 20, checked

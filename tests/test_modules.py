@@ -20,7 +20,7 @@ from arithdeg.modules import (ChainComplex, ModulePresentation, Vec,
 from arithdeg.numerical import binom
 from arithdeg.rings import Polynomial, RingDescriptor, mono_mul
 
-from helpers import is_zero_module
+from helpers import is_zero_module, ranks
 
 
 def term_mul(v, mono, coeff):
@@ -70,7 +70,7 @@ def test_resolution_principal(R):
     x, _ = R.gens()
     M = ModulePresentation.from_ideal(IdealHandle(R, [x]))
     res = free_resolution(M, 5)
-    assert res.ranks() == [1, 1]
+    assert ranks(res) == [1, 1]
     assert res.complete
 
 
@@ -78,7 +78,7 @@ def test_resolution_residue_field(R):
     x, y = R.gens()
     M = ModulePresentation.from_ideal(IdealHandle(R, [x, y]))
     res = free_resolution(M, 5)
-    assert res.ranks() == [1, 2, 1]
+    assert ranks(res) == [1, 2, 1]
     assert res.complete
     assert res.level_shifts[0] == (1, 1)
     assert res.level_shifts[1] == (2,)
@@ -89,13 +89,13 @@ def test_resolution_x2_xy_euler(R):
     I = IdealHandle(R, [x ** 2, x * y])
     M = ModulePresentation.from_ideal(I)
     res = free_resolution(M, 5)
-    assert res.ranks() == [1, 2, 1]
+    assert ranks(res) == [1, 2, 1]
     # Euler characteristic against the Hilbert function of S/I
     for d in range(6):
         total = 0
         sign = 1
         shifts = [res.base_shifts] + res.level_shifts
-        for level, rank in enumerate(res.ranks()):
+        for level, rank in enumerate(ranks(res)):
             for c in range(rank):
                 s = shifts[level][c]
                 total += sign * binom(d - s + R.nvars - 1, R.nvars - 1) * (1 if d >= s else 0)
@@ -142,7 +142,7 @@ def test_complex_checks_products_across_columns():
     R3 = RingDescriptor.graded("x,y,z", field=GF(7))
     shifts = [(1, 1, 1), (2, 2, 2), (3,)]
     koszul = ChainComplex(R3, 1, (0,), _koszul_xyz(R3), shifts, True)
-    assert koszul.ranks() == [1, 3, 3, 1]
+    assert ranks(koszul) == [1, 3, 3, 1]
     with pytest.raises(InternalConsistencyError):
         ChainComplex(R3, 1, (0,), _koszul_xyz(R3, flip=True), shifts, True)
 
@@ -258,7 +258,7 @@ def test_ext_euler_characteristic(R):
     M = ModulePresentation.from_ideal(I)
     res = free_resolution(M, R.nvars + 1)
     shifts = [res.base_shifts] + res.level_shifts
-    exts = [ext_presentation(M, j) for j in range(len(res.ranks()))]
+    exts = [ext_presentation(M, j) for j in range(len(ranks(res)))]
     for d in range(-3, 4):
         lhs = 0
         sign = 1
@@ -267,7 +267,7 @@ def test_ext_euler_characteristic(R):
             sign = -sign
         rhs = 0
         sign = 1
-        for level in range(len(res.ranks())):
+        for level in range(len(ranks(res))):
             for s in shifts[level]:
                 e = d + s   # dual generator sits in degree -s
                 rhs += sign * (binom(e + R.nvars - 1, R.nvars - 1) if e >= 0 else 0)

@@ -7,7 +7,7 @@ from arithdeg.errors import AlgebraError
 from arithdeg.numerical import (MultiplicityVector, NumericalPoly1,
                                 NumericalPoly2, binom)
 
-from helpers import interpolate_poly1
+from helpers import evaluate2, interpolate_poly1
 
 
 def test_binom_generalized():
@@ -24,7 +24,7 @@ def test_difference_examples():
     assert P.difference(1, 1) == NumericalPoly2({(0, 0): 1})
     Q = NumericalPoly2({(2, 0): 1})
     assert Q.difference(2, 0) == NumericalPoly2({(0, 0): 1})
-    assert Q.difference(0, 1).is_zero()
+    assert Q.difference(0, 1) == NumericalPoly2({})
     with pytest.raises(AlgebraError):
         Q.difference(-1, 0)
 
@@ -50,14 +50,15 @@ def test_difference_matches_pointwise(coeffs):
     D01 = P.difference(0, 1)
     for mm in range(-2, 4):
         for nn in range(-2, 4):
-            assert D10(mm, nn) == P(mm, nn) - P(mm - 1, nn)
-            assert D01(mm, nn) == P(mm, nn) - P(mm, nn - 1)
+            at = evaluate2(P, mm, nn)
+            assert evaluate2(D10, mm, nn) == at - evaluate2(P, mm - 1, nn)
+            assert evaluate2(D01, mm, nn) == at - evaluate2(P, mm, nn - 1)
 
 
 def test_interpolation_round_trip():
     P1 = NumericalPoly1([3, -2, 5])
     values = [P1(m) for m in range(4, 12)]
-    assert interpolate_poly1(values[:5], 4) == P1
+    assert interpolate_poly1(values[:5], 4).coeffs == P1.coeffs
 
 
 def test_multiplicity_vector():
@@ -66,7 +67,7 @@ def test_multiplicity_vector():
     assert (v + w).components == (1, 3, 2)
     assert v.scale(2).components == (2, 4, 6)
     assert v.total() == 6
-    assert MultiplicityVector.zero(3).is_zero()
+    assert MultiplicityVector.zero(3).components == (0, 0, 0, 0)
     with pytest.raises(AlgebraError):
         MultiplicityVector(1, (1, 2, 3))
     with pytest.raises(AlgebraError):

@@ -6,12 +6,13 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from arithdeg.errors import (AlgebraError, NotBigradedError, RingMismatchError,
-                             ZeroPolynomialError)
+                             SessionSyntaxError, ZeroPolynomialError)
 from arithdeg.fields import GF
 from arithdeg.orders import BlockOrder, DegRevLex, Lex
-from arithdeg.rings import (MAX_VARIABLES, Polynomial, RingDescriptor,
-                            minimal_monomials, mono_div, mono_divides,
-                            mono_lcm, mono_mul, parse_polynomial)
+from arithdeg.rings import (Polynomial, RingDescriptor, minimal_monomials,
+                            mono_div, mono_divides, mono_lcm, mono_mul,
+                            parse_polynomial)
+from arithdeg.session import MAX_VARIABLES, parse_session
 
 from helpers import WeightedDegRevLex
 
@@ -104,8 +105,12 @@ def test_parse_polynomial(R):
 
 
 def test_variable_cap():
-    with pytest.raises(AlgebraError):
-        RingDescriptor.graded(",".join("v%d" % i for i in range(13)))
+    """The cap bounds the ring a session script declares; the rings built
+    from it, such as gr_I's k[x; y], may be wider."""
+    names = ",".join("v%d" % i for i in range(MAX_VARIABLES + 1))
+    assert RingDescriptor.graded(names).nvars == MAX_VARIABLES + 1
+    with pytest.raises(SessionSyntaxError, match="at most 12 variables"):
+        parse_session("ring S = Q[%s];" % names)
 
 
 # -- randomized algebra laws -------------------------------------------------
