@@ -6,7 +6,7 @@ Ideals take the signature loop (_signature_groebner): GVW's criteria
 Schreyer images, J-pairs in a heap by signature, regular reductions only.
 Submodules take the sugar loop (_groebner), which serves polynomials too
 as the tests' reference: pairs form only between lead terms in the same
-component, are chosen by the sugar strategy (smallest sugar, then
+component, leave a heap by the sugar strategy (smallest sugar, then
 smallest lcm in the term order) and are pruned by Gebauer-Moeller, with
 no product criterion, since above rank 1 coprime leads can leave a
 nonzero S-vector (x*e1 + e2 and y*e1 give y*e2).  Output bases are
@@ -14,27 +14,18 @@ reduced (monic, minimal, tail-reduced) and canonically sorted, so every
 computation is reproducible byte for byte.  The division loop works on
 Python ints for every field and order: terms packed into ints whose
 linear keys add under multiplication, coefficients over Q as numerators
-over one common denominator, over Z/p as residues; it returns field
-elements.  An S-pair enters the same loop as int numerators over
-lcm(L_f, L_g), built from the two elements' integer forms, and never
-exists as Fractions; a new basis element leaves it monic, with its
-integer form read off the same ints.  ``s_polynomial`` (and
-``modules.s_vector``) build S-elements on Fractions: they are the oracle
-that checks a returned basis, not the engine's route.
+over one common denominator, over Z/p as residues.  An S-pair enters it
+as int numerators over lcm(L_f, L_g), from the two elements' integer
+forms: only the oracle ``s_polynomial`` builds one on Fractions.
 
-Both loops keep what they learn to the end of the run, and the final
-interreduction takes their leads and forms slots (packed leads and
-integer forms), so no lead, integer form or normal form is recomputed
-there.  Pairs, heads in the division loop, Schreyer pairs and the
-minimality test are indexed by component: a lead divides only leads in
-its own component, and polynomials have one.  The heads' index lives with
-a basis's slots (_Slots), so a basis builds it once, not per division,
-and so does the memo of which head divides a popped term, so a basis
-scans its heads for a term once.  Gebauer-Moeller runs on the same packed
-leads: lcms and divisibility are int operations on their exponent fields
-(Bachmann and Schoenemann, ISSAC 1998), and only the pairs kept get a key
-and a sugar; the signature loop's criteria test packed signatures the
-same way.
+During a run, an element a loop makes lives only as its forms slot (its
+packed lead and integer form, read off the remainder's ints) and its
+lead.  The final interreduction (_reduce) divides each kept tail once
+from that form and builds each element of the reduced basis once.  Pairs,
+division heads, Schreyer pairs and the minimality test are indexed by
+component (polynomials have one); Gebauer-Moeller and the signature
+criteria test packed leads and signatures by int operations on their
+exponent fields (Bachmann and Schoenemann, ISSAC 1998).
 """
 
 from bisect import insort
@@ -128,10 +119,14 @@ class _Packer:
         for j, start in enumerate(offsets[0]):
             row = [u[j] - start for u in units]
             at = [o[j] for o in offsets]
+            if not j:
+                # the first row is the total degree, in every component
+                self.graded = row == [1] * nvars and min(at) == max(at)
             base = max(at) - min(at) + self.bound * sum(map(abs, row)) + 1
             self.weights = [w * base + r for w, r in zip(self.weights, row)]
             self.offsets = [o * base + a for o, a in zip(self.offsets, at)]
         self.shifts = range(0, (nvars + 2 * self.vectors) * width, width)
+        self.var_shifts = self.shifts[:nvars]
         self.guards = sum(self.bound + 1 << s for s in self.shifts)
         self.top = len(self.shifts) * width
         # a packed term's component is t >> comp_shift & comp_mask (0 for
@@ -176,8 +171,8 @@ class _Slots(list):
     index of the packed leads by component that _divide_packed looks a
     popped term up in: a list of (k, packed lead) per component field.  It
     is kept for one packer and grows with the list, so a basis pays for it
-    once, not per division; for another packer every slot is packed again
-    and the index is rebuilt.
+    once, not per division; for another packer every slot, form included,
+    is packed again and the index is rebuilt.
 
     divisor is the memo of that look-up, kept and reset with the index: a
     packed term maps to the k of the first head in its component's list
@@ -200,7 +195,10 @@ class _Slots(list):
         for k in range(self.indexed, len(self)):
             slot = self[k]
             if slot is None or slot[0] is not packer:
-                slot = self[k] = (packer, packer.pack(leads[k][0]), None)
+                form = slot and slot[2] and (
+                    [(packer.pack(slot[0].unpack(u)), c)
+                     for u, c in slot[2][0]],) + slot[2][1:]
+                slot = self[k] = (packer, packer.pack(leads[k][0]), form)
             self.index.setdefault(slot[1] >> shift & mask, []).append(
                 (k, slot[1]))
             self.indexed = k + 1
@@ -269,19 +267,21 @@ def _divide(terms, basis, leads, order, ops, quotients=None, forms=None):
 
 def _divide_pair(i, j, basis, leads, order, ops, quotients=None, forms=None):
     """Divide the S-element of basis[i] and basis[j], whose leads lie in
-    one component, by basis, and return the remainder made monic, as
-    _monic_form gives it; quotients as _divide adds them.  The S-element is
-    never built: it enters the loop as int numerators over
+    one component, by basis, and return the forms slot of the remainder
+    made monic (_monic_form); quotients as _divide adds them.  The
+    S-element is never built: it enters the loop as int numerators over
     D = lcm(Li, Lj), where (rest, L, d) is an element's _int_form.  f/cf is
     t + rest/L for f's lead (t, cf), so with q the lcm of the leads over t,
     packed, work is q + u -> c*(D/L) over rest_i minus the same over
     rest_j.  That is L, not d: they agree only for monic elements.  Over
-    Z/p, L = D = 1.  Two single terms leave the S-element zero."""
-    if len(basis[i].terms) == len(basis[j].terms) == 1:
+    Z/p, L = D = 1.  Two single-term elements leave the S-element zero
+    (basis[k] is None for an element that lives in its slot alone)."""
+    if all(not forms[k][2][0] if basis[k] is None else len(basis[k].terms) == 1
+           for k in (i, j)):
         return None
     start = _pair_start(i, j, basis, leads, ops.lcm(leads[i][0], leads[j][0]))
     return _monic_form(*_packed_run(start, basis, leads, order, quotients,
-                                    forms), basis[0].ring.field)
+                                    forms), basis[0].ring.field.characteristic)
 
 
 def _pair_start(i, j, basis, leads, lcm_term):
@@ -338,16 +338,14 @@ def _packed(f, order, run):
                                           2 * packer.width)
 
 
-def _monic_form(packer, remainder, field):
-    """(terms, slot) of the monic element of a packed remainder of int
-    numerators, or None when it is zero: its terms, and its forms slot
-    with the _int_form of the monic element read off the same ints.  Over
-    Q the numerators are brought to the D of the last pop, which every
-    earlier D divides, and divided by their gcd, signed so that the lead
-    L > 0; then d = L.  Over Z/p they are divided by the lead, L = d = 1."""
+def _monic_form(packer, remainder, p):
+    """The forms slot (packer, packed lead, _int_form) of the monic element of
+    a packed remainder of int numerators in characteristic p, or None if it is
+    zero.  Over Q the numerators are brought to the D of the last pop, which
+    every earlier D divides, and divided by their gcd, signed so that L > 0;
+    then d = L.  Over Z/p they are divided by the lead: L = d = 1."""
     if not remainder:
         return None
-    p = field.characteristic
     if p:
         inv = pow(remainder[0][1], -1, p)
         ns = [n * inv % p for _, n, _ in remainder]
@@ -356,10 +354,20 @@ def _monic_form(packer, remainder, field):
         ns = [n * (top // D) for _, n, D in remainder]
         g = gcd(*ns)
         ns = [n // g for n in ns] if ns[0] > 0 else [-n // g for n in ns]
-    L = ns[0]
     ts = [t for t, _, _ in remainder]
-    terms = {packer.unpack(t): field(n, L) for t, n in zip(ts, ns)}
-    return terms, (packer, ts[0], (list(zip(ts[1:], ns[1:])), L, L))
+    return packer, ts[0], (list(zip(ts[1:], ns[1:])), ns[0], ns[0])
+
+
+def _degree_cap(slot, max_degree, name, basis_size):
+    """Raise ResourceLimitError when a term of the element in a forms slot
+    has a total degree above max_degree (the lead's, if _Packer.graded)."""
+    packer, t, (rest, _, _) = slot
+    mask = (1 << packer.width) - 1
+    degree = max(sum(u >> s & mask for s in packer.var_shifts) for u in
+                 ([t] if packer.graded else [t] + [u for u, _ in rest]))
+    if degree > max_degree:
+        raise ResourceLimitError("%s degree cap %d exceeded" % (
+            name, max_degree), basis_size=basis_size, degree=degree)
 
 
 def _slot_form(basis, leads, forms, k):
@@ -384,7 +392,7 @@ def _divide_packed(start, basis, leads, packer, forms, with_quotients,
     work; a cancelled term stays in work at zero until popped.  Over Z/p,
     work holds residues over D = 1 and a popped numerator is reduced mod p.
     Over Q, a dividend given as terms keeps its Fractions in work, with
-    D = 0, until the first step, and a term popped before it goes to the
+    D = 0, until the first step; a term popped before it goes to the
     remainder as it is (a quarter of the corpus divisions take no step).
     Dividing a popped numerator n by (rest, L, d) subtracts n/L times the
     form: with h = gcd(n, L), work and D are scaled by a = L/h when a != 1,
@@ -493,9 +501,9 @@ def _update_pairs(P, members, forms, leads, sugar, n, order, ops, deg):
     The tests run on the leads' exponent fields, read off the packed leads
     in forms (one packer for every slot): a packed lcm is those fields
     alone, lcms come from _Packer.lcm, and s divides u when ((u | G) - s)
-    & G == G.  The fields sort as a linear extension of divisibility, so the minimal lcms
-    are found in that order with no key; the key, the sugar and the lcm
-    as a term are made for the pairs kept."""
+    & G == G.  The fields sort as a linear extension of divisibility, so
+    the minimal lcms are found in that order with no key; the key, the
+    sugar and the lcm as a term are made for the pairs kept."""
     packer = forms.packer
     F, G = packer.fields, packer.guards
     t = leads[n][0]
@@ -533,11 +541,13 @@ def _reduce(G, leads, order, ops, forms=None):
     """The minimal part of G, sorted by lead term, and its leads, where
     leads[k] is the (lead term, coefficient) pair of G[k]: an element is
     dropped when an earlier lead in its component divides its lead.  With
-    forms, the slots of G for the division loop, G is a monic Groebner
-    basis, and each kept element's tail is divided once by the whole
-    minimal part, which reduces it: no tail term, nor any term the
-    division makes from it, is divisible by the element's own lead, which
-    lies above them all, so the leads stay."""
+    forms, G is a loop's monic Groebner basis, G[k] None for an element
+    that lives in its slot alone (G[0] never is), and the result is
+    reduced: each kept tail is divided once by the whole minimal part,
+    from its slot's rest as int numerators over L.  No term it makes is
+    divisible by the element's own lead, which lies above them all, so the
+    leads stay.  Each element is built once, lead first, tail descending;
+    a generator that is a single term or alone is kept whole."""
     kept, by_comp = [], {}
     for k in sorted(range(len(G)), key=lambda k: order.key(leads[k][0])):
         t = leads[k][0]
@@ -545,21 +555,21 @@ def _reduce(G, leads, order, ops, forms=None):
         if all(ops.div(t, s) is None for s in same):
             same.append(t)
             kept.append(k)
-    minimal = [G[k] for k in kept]
     leads = [leads[k] for k in kept]
-    if forms is None:
-        return minimal, leads
+    if forms is None or not G:
+        return [G[k] for k in kept], leads
+    field = G[0].ring.field
+    # a made element's slot holds its integer form: G[0] stands in for it
+    basis = [G[0] if G[k] is None else G[k] for k in kept]
     forms = _Slots(forms[k] for k in kept)
     reduced = []
-    for f, (t, c) in zip(minimal, leads):
-        # a single term, or a lone element, is reduced already
-        if len(f.terms) > 1 and len(minimal) > 1:
-            tail = dict(f.terms)
-            del tail[t]
-            terms = {t: c}
-            terms.update(_divide(tail, minimal, leads, order, ops, None,
-                                 forms))
-            f = ops.make(f, terms)
+    for n, f in enumerate(G[k] for k in kept):
+        if f is None or (len(f.terms) > 1 and len(kept) > 1):
+            L = _slot_form(basis, leads, forms, n)[1][1]
+            packer, rest = _packed_run(lambda packer, forms: (
+                dict(forms[n][2][0]), L), basis, leads, order, None, forms)
+            f = ops.make(G[0], dict([leads[n]] + [
+                (packer.unpack(u), field(c, D)) for u, c, D in rest]))
         reduced.append(f)
     return reduced, leads
 
@@ -568,39 +578,44 @@ def _groebner(gens, order, ops, max_basis, max_degree):
     """Reduced Groebner basis of the span of gens (nonzero elements of one
     kind), by the sugar loop that module bases take (and the tests, as
     the signature loop's reference, with _POLY): sugar strategy,
-    Gebauer-Moeller pairs, each pair divided by
-    _divide_pair as int numerators over lcm(L_i, L_j), with no S-element
-    built; a nonzero remainder joins the basis monic, with its forms slot
-    filled.  The loop's state lasts to the end of the run: leads[k] is the
-    (lead term, coefficient) pair of basis[k], forms holds a slot per
-    element for the division loop, sugar[k] is a generator's degree or the
-    sugar of the pair that made basis[k], members and P index the elements
-    and the pairs by component (_update_pairs), and each pair carries its
-    sugar, lcm, lcm key and packed lcm from when it was made.  Pairs go by
-    (sugar, lcm key), then by index.  The slots are packed up front, since
-    _update_pairs reads the leads off them; when a division widens the
-    ring's packer, the slots hold the wider packer's leads and every
-    stored pair's packed lcm is made again from them.  The final
-    interreduction (_reduce) takes leads and forms as they stand."""
+    Gebauer-Moeller pairs, each divided by _divide_pair as int numerators
+    over lcm(L_i, L_j), with no S-element built; a nonzero remainder joins
+    monic, as its slot and lead alone (G holds the generators, then None).
+    sugar[k] is a generator's degree or the sugar of the pair that made
+    element k.  Each pair record that _update_pairs keeps in P goes on a
+    heap that pops by (sugar, lcm key, indices), skipping a record
+    Gebauer-Moeller has since dropped from P.  The slots are packed up
+    front for _update_pairs; when a division widens the packer, every
+    stored pair's packed lcm is made again (a pop never reads the heap's
+    stale copy)."""
     G = [f.monic(order) for f in gens]
     leads = [f.leading_term(order) for f in G]
     sugar = [f.degree() for f in G]
     forms = _Slots([None] * len(G))
     deg = G[0].ring.degree if G else None
-    P, members = {}, {}
+    P, members, heap = {}, {}, []
+
+    def join(n):
+        _update_pairs(P, members, forms, leads, sugar, n, order, ops, deg)
+        comp = ops.comp(leads[n][0])
+        pairs = P.get(comp, {})
+        for i in members[comp]:
+            if (i, n) in pairs:
+                heappush(heap, pairs[(i, n)])
     if any(len(f.terms) > 1 for f in G):
         # (single-term elements are a Groebner basis already)
         packer = _packed(G[0], order,
                          lambda packer: forms.heads(packer, leads))[0]
         for n in range(len(G)):
-            _update_pairs(P, members, forms, leads, sugar, n, order, ops, deg)
-    while P:
-        s, _, i, j, lcm, _ = min(min(pairs.values()) for pairs in P.values())
-        comp = ops.comp(lcm)
-        del P[comp][(i, j)]
-        if not P[comp]:
-            del P[comp]
-        got = _divide_pair(i, j, G, leads, order, ops, None, forms)
+            join(n)
+    while heap:
+        s, _, i, j, lcm, _ = heappop(heap)
+        pairs = P.get(ops.comp(lcm), {})
+        if pairs.pop((i, j), None) is None:
+            continue
+        if not pairs:
+            del P[ops.comp(lcm)]
+        slot = _divide_pair(i, j, G, leads, order, ops, None, forms)
         if forms.packer is not packer:
             # a term outgrew the packer, and the slots hold the wider one's
             # leads: every stored pair's packed lcm is made again for it
@@ -608,20 +623,13 @@ def _groebner(gens, order, ops, max_basis, max_degree):
             for pairs in P.values():
                 for ij, rec in pairs.items():
                     pairs[ij] = rec[:5] + (packer.pack(rec[4]) & F,)
-        if got:
-            terms, slot = got
-            r = ops.make(G[i], terms)
-            if r.degree() > max_degree:
-                raise ResourceLimitError(
-                    "%s degree cap %d exceeded" % (ops.name, max_degree),
-                    basis_size=len(G), degree=r.degree())
-            G.append(r)
-            t = next(iter(terms))
-            leads.append((t, terms[t]))
+        if slot:
+            _degree_cap(slot, max_degree, ops.name, len(G))
+            G.append(None)
+            leads.append((packer.unpack(slot[1]), G[0].ring.field.one))
             sugar.append(s)
             forms.append(slot)
-            _update_pairs(P, members, forms, leads, sugar, len(G) - 1, order,
-                          ops, deg)
+            join(len(G) - 1)
             if len(G) > max_basis:
                 raise ResourceLimitError(
                     "%s basis size cap %d exceeded" % (ops.name, max_basis),
@@ -637,27 +645,25 @@ def _signature_groebner(F, order, packer, max_basis, max_degree):
 
     A signature m*e_i is kept as (image, i), its Schreyer image m*lt(F[i])
     packed: signatures compare as these pairs, and m*e_i divides m'*e_i
-    when the images do.  Element k of the basis G has the signature
-    (images[k], indices[k]), and members[i] lists the elements of index i.
-    A J-pair sits in the heap as (image, i, packed lead, reducer, carrier):
-    the carrier's multiple of the larger signature, entering the division
-    as the S-element of the two (_pair_start); generator n enters as
+    when the images do.  Element k has the signature (images[k],
+    indices[k]), and members[i] lists the elements of index i.  A J-pair
+    sits in the heap as (image, i, packed lead, reducer, carrier): the
+    carrier's multiple of the larger signature, entering the division as
+    the S-element of the two (_pair_start); generator n enters as
     (lt(F[n]), n, lt(F[n]), -1, n).  A popped J-pair is skipped when it
     repeats the signature before it, when a signature in syz divides its
-    own (those of zero remainders, of the J-pairs of two single terms,
-    whose S-element is zero, and the Koszul ones: the larger of
-    lt(g)*sig(h) and lt(h)*sig(g) for two elements g, h), or
-    when an element k of its index has images[k] dividing its image with
+    own (those of zero remainders, of the J-pairs of two single terms, and
+    the Koszul ones: the larger of lt(g)*sig(h) and lt(h)*sig(g)), or when
+    an element k of its index has images[k] dividing its image with
     quotient q and q*lt(G[k]) below its lead (the cover criterion).  The
     rest are divided regularly (_divide_packed), and a nonzero remainder
-    joins G monic (a generator no step divided joins as it is), unless
-    its lead is singular top-reducible: q*lt(G[k])
-    for some k with q*sig(G[k]) its own signature.  No J-pair forms for
-    coprime leads, nor for two multiples of one signature.  Sums of
-    packed terms sort like the order only while they fit (fits).  The
+    joins monic, as its slot and lead alone (None in G, where a generator
+    no step divided is itself), unless its lead is singular top-reducible:
+    q*lt(G[k]) for some k with q*sig(G[k]) its own signature.  No J-pair
+    forms for coprime leads, nor for two multiples of one signature.  Sums
+    of packed terms sort like the order only while they fit (fits).  The
     degree cap applies to the elements made from J-pairs, and max_basis
-    counts G.  The final interreduction (_reduce) takes G's leads and
-    forms slots as they stand."""
+    counts them all."""
     pack, guards, fields = packer.pack, packer.guards, packer.fields
     field = F[0].ring.field
     G, leads, forms, images, indices = [], [], _Slots([]), [], []
@@ -676,10 +682,8 @@ def _signature_groebner(F, order, packer, max_basis, max_degree):
         return any((tg - h) & guards == guards for h in syz.get(i, ()))
 
     def add_syzygy(T, i):
-        tg = T | guards
-        hs = syz.setdefault(i, [])
-        if all((tg - h) & guards != guards for h in hs):
-            hs.append(T)
+        if not syzygy(T, i):
+            syz.setdefault(i, []).append(T)
 
     lts = [f.leading_term(order) for f in F]
     heap = [(t, n, t, -1, n) for n, t in enumerate(pack(t) for t, _ in lts)]
@@ -702,23 +706,19 @@ def _signature_groebner(F, order, packer, max_basis, max_degree):
         remainder, steps = _divide_packed(start, G, leads, packer, forms,
                                           i < 0, (images, indices, T, Ti))
         if i < 0 and not steps:
-            r, lead, slot = F[j], lts[j], (packer, top, form)
+            g, lead, slot = F[j], lts[j], (packer, top, form)
         else:
-            got = _monic_form(packer, remainder, field)
-            if got is None:
+            slot = _monic_form(packer, remainder, field.characteristic)
+            if slot is None:
                 syz.setdefault(Ti, []).append(T)
                 continue
-            terms, slot = got
-            r, lead = Polynomial(F[0].ring, terms, _clean=False), next(
-                iter(terms.items()))
+            g, lead = None, (packer.unpack(slot[1]), field.one)
         w = slot[1]
         if any(divides(w, forms[k][1]) and w - forms[k][1] + images[k] == T
                for k in same):
             continue
-        if i >= 0 and r.degree() > max_degree:
-            raise ResourceLimitError(
-                "Groebner degree cap %d exceeded" % max_degree,
-                basis_size=len(G), degree=r.degree())
+        if i >= 0:
+            _degree_cap(slot, max_degree, _POLY.name, len(G))
         n = len(G)
         wf = w & fields
         for k, (s, _) in enumerate(leads):
@@ -732,12 +732,12 @@ def _signature_groebner(F, order, packer, max_basis, max_degree):
             a, b = (fits(lcm - w + T), Ti), (fits(lcm - u + v), indices[k])
             if a == b:
                 continue
-            if len(r.terms) == len(G[k].terms) == 1:
+            if not slot[2][0] and not forms[k][2][0]:
                 # the S-element of two terms is zero
                 add_syzygy(*(a if a > b else b))
             else:
                 heappush(heap, a + (lcm, k, n) if a > b else b + (lcm, n, k))
-        G.append(r)
+        G.append(g)
         leads.append(lead)
         forms.append(slot)
         images.append(T)

@@ -376,6 +376,24 @@ def update_pairs_reference(P, members, leads, sugar, n, order, ops, deg):
         P.pop(comp, None)
 
 
+def slot_terms(slot, field):
+    """The terms of the element that a groebner forms slot (packer, packed
+    lead, (rest, L, d)) holds, with d*f = L*t + rest for its lead t: the
+    lead first, then rest in its own order."""
+    packer, t, (rest, L, d) = slot
+    terms = {packer.unpack(t): field(L, d)}
+    terms.update((packer.unpack(u), field(c, d)) for u, c in rest)
+    return terms
+
+
+def basis_from_slots(G, forms, ops):
+    """The elements of a Buchberger loop's unreduced basis, as the loops
+    hand it to groebner._reduce: G[k] itself, or, where G[k] is None, the
+    element that lives in forms[k] alone, built like G[0]."""
+    return [ops.make(G[0], slot_terms(slot, G[0].ring.field))
+            if f is None else f for f, slot in zip(G, forms)]
+
+
 def reference_monomial_cell_lengths(J, I, rect):
     """The GG gate's cell lengths for monomial J and I, each read off the
     staircase numerators of the cell's upper and lower ideals: the

@@ -252,6 +252,36 @@ def test_resource_caps(R):
                     max_degree=2).groebner_basis(Lex())
 
 
+@pytest.mark.parametrize("order, gens, made", [
+    (Lex(), ["2*z^2 - 3*x^2*y", "3 - 3*x*z^2"], "y - 2/3*z^6"),
+    (BlockOrder([0], 3), ["x*y^2 - 2*y*z^2", "2*z - 3*y*z^2"],
+     "x*z - 3*z^4")], ids=["lex", "block"])
+def test_degree_cap_reads_the_tail_of_a_made_element(order, gens, made):
+    """Under Lex and a block order the first key row is not the total
+    degree, so a made element's lead need not carry its top degree: from
+    generators of degree 3 the loops make an element whose lead has
+    degree 1 or 2 and whose tail has degree 6 or 4, and every lead of the
+    reduced basis has degree at most 3.  Under max_degree 3 the signature
+    loop, the sugar loop and module_buchberger on the rank-1 vectors all
+    raise ResourceLimitError; with the default cap they finish."""
+    from arithdeg.groebner import _groebner
+    from arithdeg.modules import PositionOverTerm, Vec, module_buchberger
+    R3 = RingDescriptor.graded("x,y,z")
+    polys = [parse_polynomial(R3, f) for f in gens]
+    basis = buchberger(polys, order)
+    assert parse_polynomial(R3, made) in basis
+    assert all(sum(g.leading_monomial(order)) <= 3 for g in basis)
+    assert max(g.degree() for g in basis) > 3
+    vecs = [Vec.from_polys(R3, (f,)) for f in polys]
+    morder = PositionOverTerm(order)
+    assert len(module_buchberger(vecs, morder)) == len(basis)
+    for run in (lambda: buchberger(polys, order, max_degree=3),
+                lambda: _groebner(polys, order, _POLY, 2000, 3),
+                lambda: module_buchberger(vecs, morder, max_degree=3)):
+        with pytest.raises(ResourceLimitError, match="degree cap 3"):
+            run()
+
+
 def test_determinism(R):
     x, y = R.gens()
     gens = [x ** 2 + 3 * y, y ** 3 - x, x * y - 2]
@@ -772,10 +802,11 @@ def test_exact_divide_over_q_recovers_factor(h_terms, f_terms):
 
 def _assert_pair_divides_like_reference(i, j, basis, order, ops, forms=None):
     """_divide_pair of basis[i] and basis[j] gives the quotients that
-    _divide gives on the Fraction S-element, and its remainder made monic,
-    term for term and in the same order, with a slot holding the packed
-    lead and the _int_form of that monic remainder.  Returns the pair
-    route's result."""
+    _divide gives on the Fraction S-element, and the forms slot of its
+    remainder made monic: the packed lead and the _int_form of that monic
+    remainder, whose terms are the reference's, term for term and in the
+    same order.  Returns the pair route's result."""
+    from helpers import slot_terms
     leads = [g.leading_term(order) for g in basis]
     quotients, expected_quotients = {}, {}
     got = _divide_pair(i, j, basis, leads, order, ops, quotients, forms)
@@ -785,7 +816,8 @@ def _assert_pair_divides_like_reference(i, j, basis, order, ops, forms=None):
     if not expected:
         assert got is None
         return got
-    terms, (packer, lead, form) = got
+    packer, lead, form = got
+    terms = slot_terms(got, basis[0].ring.field)
     monic = ops.make(basis[i], expected).monic(order)
     assert terms == monic.terms
     assert list(terms) == list(monic.terms)
@@ -1031,8 +1063,10 @@ def test_engine_bases_match_the_separate_interreduction(inputs):
     """buchberger and module_buchberger, whose interreduction reuses the
     loop's leads and forms slots and divides each tail once by the whole
     minimal basis, return what the separate interreduction through the
-    public normal forms returns on the same unreduced basis, term for term
-    and in order; every pair made carries the lcm of its two leads, that
+    public normal forms returns on the same unreduced basis (the loop's
+    generators and the elements that live in its slots alone, built by
+    helpers.basis_from_slots), term for term and in order; every pair
+    made carries the lcm of its two leads, that
     lcm's key, the sugar rule's value and the lcm's packed exponent
     fields; and for vectors,
     schreyer_syzygies over each component's elements returns what the
@@ -1041,13 +1075,14 @@ def test_engine_bases_match_the_separate_interreduction(inputs):
     from arithdeg.modules import (module_buchberger, module_normal_form,
                                   schreyer_syzygies)
     import arithdeg.groebner as groebner_mod
+    from helpers import basis_from_slots
     gens, order, ops = inputs
     unreduced = []
     reduce, update = groebner_mod._reduce, groebner_mod._update_pairs
 
     def recording_reduce(G, leads, order, ops, forms=None):
         if forms is not None:
-            unreduced.append(list(G))
+            unreduced.append(basis_from_slots(G, forms, ops))
         return reduce(G, leads, order, ops, forms)
 
     def checked_update(P, members, forms, leads, sugar, n, order, ops, deg):
